@@ -38,18 +38,18 @@
 //! ## Atomicity
 //!
 //! The writer streams every column to a `*.tmp` sibling, appends
-//! footers once all checksums are known, fsyncs, and only then renames
-//! the files into place — `meta.col` strictly last. Readers require
-//! `meta.col`, so a crash anywhere mid-write leaves either the complete
-//! old store or no visible store at all (all-or-nothing; exercised by
-//! the kill-during-write chaos schedules via the `corpus.colstore.io`
-//! failpoint).
+//! footers once all checksums are known, and publishes all seven as one
+//! [`sgraph::sfile::publish_all`] group — `meta.col` strictly last.
+//! Readers require `meta.col`, so a crash anywhere mid-write leaves
+//! either the complete old store or no visible store at all
+//! (all-or-nothing; exercised by the kill-during-write chaos schedules
+//! via the `corpus.colstore.io` failpoint).
 
-use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use sgraph::mmap::Mmap;
+use sgraph::sfile::{self, fnv64, push_varint, read_varint, Fnv, TmpFile};
 
 use crate::model::{Article, ArticleId, Author, AuthorId, Venue, VenueId, Year};
 use crate::{Corpus, CorpusError, Result};
@@ -61,74 +61,19 @@ const FOOTER_BYTES: usize = 32;
 const FILES: [&str; 7] =
     ["years.col", "venues.col", "authors.idx", "authors.dat", "refs.idx", "refs.dat", "meta.col"];
 
-/// FNV-1a 64-bit streaming hasher (the workspace's standard content
-/// hash; dependency-free and stable across platforms).
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf29ce484222325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Append `v` as a LEB128 varint.
-fn push_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            break;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-/// Decode a LEB128 varint at `*pos`, advancing it. Returns `None` on
-/// truncated or oversized input.
-fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let &b = bytes.get(*pos)?;
-        *pos += 1;
-        if shift >= 64 {
-            return None;
-        }
-        v |= ((b & 0x7f) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-    }
-}
-
 /// A column file being streamed out: buffered writes with a running
 /// payload checksum and length.
 struct HashedFile {
-    w: BufWriter<File>,
+    w: BufWriter<TmpFile>,
     hash: Fnv,
     len: u64,
-    path: PathBuf,
 }
 
 impl HashedFile {
-    fn create(path: PathBuf) -> Result<HashedFile> {
-        colstore_io_check()?;
-        let file = File::create(&path)?;
-        Ok(HashedFile { w: BufWriter::new(file), hash: Fnv::new(), len: 0, path })
+    /// Start the column that will be published as `path`.
+    fn create(path: &Path) -> Result<HashedFile> {
+        let tmp = TmpFile::create(path, colstore_io_check)?;
+        Ok(HashedFile { w: BufWriter::new(tmp), hash: Fnv::new(), len: 0 })
     }
 
     fn write(&mut self, bytes: &[u8]) -> Result<()> {
@@ -139,33 +84,29 @@ impl HashedFile {
         Ok(())
     }
 
-    /// Append the footer, flush, and fsync. Returns the payload checksum.
-    fn seal(&mut self, rows: u64, generation: u64) -> Result<u64> {
-        colstore_io_check()?;
-        let checksum = self.hash.finish();
+    /// Append the footer and flush, handing back the complete tmp file
+    /// for the group publish (which fsyncs it).
+    fn seal(mut self, rows: u64, generation: u64) -> Result<TmpFile> {
         let mut footer = [0u8; FOOTER_BYTES];
         footer[..8].copy_from_slice(MAGIC);
         footer[8..16].copy_from_slice(&rows.to_le_bytes());
-        footer[16..24].copy_from_slice(&checksum.to_le_bytes());
+        footer[16..24].copy_from_slice(&self.hash.finish().to_le_bytes());
         footer[24..32].copy_from_slice(&generation.to_le_bytes());
         self.w.write_all(&footer)?;
-        self.w.flush()?;
-        self.w.get_ref().sync_all()?;
-        Ok(checksum)
+        Ok(self.w.into_inner().map_err(|e| e.into_error())?)
     }
 }
 
-/// Chaos site: every write-path I/O step (create, buffered write, seal,
-/// the per-file renames, and the final meta commit) funnels through this
-/// one check, so a `fp::Script` over `corpus.colstore.io` can kill a
-/// store build at any step and the all-or-nothing publish contract is
-/// what the chaos suite exercises.
-fn colstore_io_check() -> Result<()> {
+/// Chaos site, and the store's [`sfile`] step hook: every write-path I/O
+/// step (create, buffered write, the per-file fsyncs and renames, and
+/// the final meta commit) funnels through this one check, so a
+/// `fp::Script` over `corpus.colstore.io` can kill a store build at any
+/// step and the all-or-nothing publish contract is what the chaos suite
+/// exercises.
+fn colstore_io_check() -> std::io::Result<()> {
     failpoint!(
         "corpus.colstore.io",
-        return Err(CorpusError::Io(std::io::Error::other(
-            "injected I/O fault at corpus.colstore.io",
-        )))
+        return Err(std::io::Error::other("injected I/O fault at corpus.colstore.io"))
     );
     Ok(())
 }
@@ -174,15 +115,15 @@ fn colstore_io_check() -> Result<()> {
 ///
 /// Feed articles in ascending id order via [`ColWriter::push`], then
 /// call [`ColWriter::finish`]. Nothing is visible to readers until
-/// `finish` returns `Ok`; a dropped or failed writer leaves only
-/// `*.tmp` debris (cleaned up on drop), never a partial store.
+/// `finish` returns `Ok`; a dropped or failed writer removes its `*.tmp`
+/// files (each column is an [`sfile::TmpFile`]), never leaving a partial
+/// store.
 pub struct ColWriter {
     dir: PathBuf,
     files: Vec<HashedFile>,
     scratch: Vec<u8>,
     n: u64,
     citations: u64,
-    finished: bool,
 }
 
 /// Indices into `ColWriter::files` (same order as [`FILES`] minus meta,
@@ -200,16 +141,9 @@ impl ColWriter {
         std::fs::create_dir_all(dir)?;
         let mut files = Vec::with_capacity(6);
         for name in &FILES[..6] {
-            files.push(HashedFile::create(dir.join(format!("{name}.tmp")))?);
+            files.push(HashedFile::create(&dir.join(name))?);
         }
-        Ok(ColWriter {
-            dir: dir.to_path_buf(),
-            files,
-            scratch: Vec::new(),
-            n: 0,
-            citations: 0,
-            finished: false,
-        })
+        Ok(ColWriter { dir: dir.to_path_buf(), files, scratch: Vec::new(), n: 0, citations: 0 })
     }
 
     /// Append one article. `refs` must be strictly ascending and cite
@@ -274,7 +208,7 @@ impl ColWriter {
         self.files[F_REFS_IDX].write(&refs_end.to_le_bytes())?;
 
         // Meta column (written last, renamed last: the commit point).
-        let mut meta = HashedFile::create(self.dir.join("meta.col.tmp"))?;
+        let mut meta = HashedFile::create(&self.dir.join("meta.col"))?;
         for v in [self.n, num_authors, num_venues, self.citations] {
             meta.write(&v.to_le_bytes())?;
         }
@@ -291,40 +225,15 @@ impl ColWriter {
         }
         let generation = gen.finish();
 
-        for f in &mut self.files {
-            f.seal(self.n, generation)?;
-        }
-        meta.seal(self.n, generation)?;
-
         // Publish: data files first, meta.col last. A reader needs
-        // meta.col, so until the final rename the store does not exist.
-        for (f, name) in self.files.iter().zip(&FILES[..6]) {
-            colstore_io_check()?;
-            std::fs::rename(&f.path, self.dir.join(name))?;
+        // meta.col, so until the final rename the store does not exist;
+        // the one directory fsync after it makes the whole group durable.
+        let mut sealed = Vec::with_capacity(FILES.len());
+        for f in self.files.into_iter().chain([meta]) {
+            sealed.push(f.seal(self.n, generation)?);
         }
-        colstore_io_check()?;
-        std::fs::rename(&meta.path, self.dir.join("meta.col"))?;
-        // Make the publish durable: fsync the directory after the
-        // renames, so a crash cannot roll back to a half-visible store.
-        fsync_dir(&self.dir)?;
-        self.finished = true;
+        sfile::publish_all(sealed, colstore_io_check)?;
         Ok(generation)
-    }
-}
-
-/// Fsync a directory so renames into it survive a crash — the second
-/// half of the tmp-then-rename publish protocol.
-fn fsync_dir(dir: &Path) -> std::io::Result<()> {
-    File::open(dir)?.sync_all()
-}
-
-impl Drop for ColWriter {
-    fn drop(&mut self) {
-        if !self.finished {
-            for name in &FILES {
-                let _ = std::fs::remove_file(self.dir.join(format!("{name}.tmp")));
-            }
-        }
     }
 }
 
@@ -475,9 +384,7 @@ impl ColStore {
             (&self.refs_idx, "refs.idx"),
             (&self.refs_dat, "refs.dat"),
         ] {
-            let mut h = Fnv::new();
-            h.update(c.payload_bytes());
-            if h.finish() != c.checksum {
+            if fnv64(c.payload_bytes()) != c.checksum {
                 return Err(corrupt(name, "payload checksum mismatch"));
             }
         }
@@ -854,6 +761,40 @@ mod tests {
         // A record id past the row count (a corrupt reference chased
         // into `authors_of`) is typed, not an index panic.
         let err = store.authors_of(99, &mut out).unwrap_err();
+        assert!(matches!(err, CorpusError::Corrupt { .. }), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn overlong_varint_is_corrupt_not_id_zero() {
+        // Article 11 has ten one-byte authors and ten one-byte reference
+        // deltas, so both of its records are 11 bytes: room for a count
+        // of 1 followed by the 10-byte varint `80×9 02` (bit 64 set).
+        // The decoder this store used to carry returned id 0 for it.
+        let dir = tmpdir("overlong");
+        let mut w = ColWriter::create(&dir).unwrap();
+        for i in 0..11 {
+            w.push(2000 + i, 0, &[0], &[]).unwrap();
+        }
+        let ten: Vec<u32> = (0..10).collect();
+        w.push(2011, 0, &ten, &ten).unwrap();
+        w.finish(10, 1).unwrap();
+
+        let mut record = vec![1u8];
+        record.extend([0x80u8; 9]);
+        record.push(0x02);
+        for name in ["authors.dat", "refs.dat"] {
+            let path = dir.join(name);
+            let mut bytes = std::fs::read(&path).unwrap();
+            let end = bytes.len() - FOOTER_BYTES;
+            bytes[end - record.len()..end].copy_from_slice(&record);
+            std::fs::write(&path, &bytes).unwrap();
+        }
+        let store = ColStore::open(&dir).unwrap();
+        let mut out = Vec::new();
+        let err = store.authors_of(11, &mut out).unwrap_err();
+        assert!(matches!(err, CorpusError::Corrupt { .. }), "{err}");
+        let err = store.refs_of(11, &mut out).unwrap_err();
         assert!(matches!(err, CorpusError::Corrupt { .. }), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }

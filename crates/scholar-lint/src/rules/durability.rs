@@ -3,13 +3,17 @@
 //!
 //! Two contracts, both interprocedural:
 //!
-//! 1. **tmp → fsync → rename → fsync(dir)**: any function that calls
-//!    `rename` must (a) reach an fsync of the file content *before* the
-//!    rename — a direct `.sync_all()`/`.sync_data()` or a call whose
-//!    callee transitively fsyncs — and (b) fsync the parent directory
-//!    *after* it (directly, or via a `fsync_dir`/`sync_dir`-named
-//!    helper). Without (a) a crash can publish an empty or torn file;
-//!    without (b) the rename itself can be lost.
+//! 1. **tmp → fsync → rename → fsync(dir), in one place**: `rename` may
+//!    be called only inside the durable-file kit
+//!    (`crates/sgraph/src/sfile.rs`, DESIGN.md §2.14) — anywhere else it
+//!    is a hand-rolled publish sequence and a finding, however careful.
+//!    Inside the kit, a function that calls `rename` must (a) reach an
+//!    fsync of the file content *before* the rename — a direct
+//!    `.sync_all()`/`.sync_data()` or a call whose callee transitively
+//!    fsyncs — and (b) fsync the parent directory *after* it (directly,
+//!    or via a `fsync_dir`/`sync_dir`-named helper). Without (a) a crash
+//!    can publish an empty or torn file; without (b) the rename itself
+//!    can be lost.
 //!
 //! 2. **journal-then-send** (PR 9 contract, `scholar-serve` only): a
 //!    function that appends to the WAL (`wal.append(…)` by receiver
@@ -32,6 +36,8 @@ use crate::Diagnostic;
 const SYNC_METHODS: [&str; 2] = ["sync_all", "sync_data"];
 /// Helper-function names that make the *directory entry* durable.
 const DIR_SYNC_FNS: [&str; 2] = ["fsync_dir", "sync_dir"];
+/// The one file allowed to call `rename`: the durable-file kit.
+const KIT_FILE: &str = "crates/sgraph/src/sfile.rs";
 
 /// Run both contracts over the workspace.
 pub fn check(ws: &Workspace, table: &FnTable, graph: &CallGraph, out: &mut Vec<Diagnostic>) {
@@ -83,10 +89,25 @@ pub fn check(ws: &Workspace, table: &FnTable, graph: &CallGraph, out: &mut Vec<D
             }
         }
 
-        // Contract 1: every rename needs a sync before and a dir sync
-        // after, within this function.
+        // Contract 1: renames live in the kit, and there every rename
+        // needs a sync before and a dir sync after, within this function.
         for &r in &renames {
             let t = &toks[r];
+            if file.rel_path != KIT_FILE {
+                out.push(Diagnostic::new(
+                    &file.rel_path,
+                    t.line,
+                    t.col,
+                    "DURABILITY-PROTOCOL",
+                    format!(
+                        "`{}` calls `rename` outside the durable-file kit — publish through \
+                         `sgraph::sfile` (`TmpFile::publish` / `publish_all`), the one place the \
+                         tmp → fsync → rename → fsync(dir) protocol is implemented and verified",
+                        item.name
+                    ),
+                ));
+                continue;
+            }
             if !sync_positions.iter().any(|&s| s < r) {
                 out.push(Diagnostic::new(
                     &file.rel_path,
@@ -224,15 +245,20 @@ mod tests {
                    fsync_dir(dir)\n\
                    }\n\
                    fn fsync_dir(d: &Path) -> io::Result<()> { File::open(d)?.sync_all() }";
-        let d = run(&[("crates/app/src/lib.rs", src)]);
+        let d = run(&[(KIT_FILE, src)]);
         assert!(d.is_empty(), "{d:?}");
+        // The same compliant sequence anywhere else is a sixth
+        // hand-rolled publish: one finding, naming the kit.
+        let d = run(&[("crates/app/src/lib.rs", src)]);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("outside the durable-file kit"));
     }
 
     #[test]
     fn rename_without_prior_sync_is_flagged() {
         let src = "fn publish(f: &File) { fs::rename(tmp, dst); fsync_dir(dir); }\n\
                    fn fsync_dir(d: &Path) -> io::Result<()> { File::open(d)?.sync_all() }";
-        let d = run(&[("crates/app/src/lib.rs", src)]);
+        let d = run(&[(KIT_FILE, src)]);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("empty or torn"));
     }
@@ -240,7 +266,7 @@ mod tests {
     #[test]
     fn rename_without_dir_sync_is_flagged() {
         let src = "fn publish(f: &File) { f.sync_all(); fs::rename(tmp, dst); }";
-        let d = run(&[("crates/app/src/lib.rs", src)]);
+        let d = run(&[(KIT_FILE, src)]);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("parent"));
     }
@@ -250,7 +276,7 @@ mod tests {
         let src = "fn publish(w: &W) { w.finish(); fs::rename(tmp, dst); fsync_dir(d); }\n\
                    fn finish(&self) { self.file.sync_all(); }\n\
                    fn fsync_dir(d: &Path) { File::open(d).sync_all(); }";
-        let d = run(&[("crates/app/src/lib.rs", src)]);
+        let d = run(&[(KIT_FILE, src)]);
         assert!(d.is_empty(), "callee fsync must satisfy the pre-rename sync: {d:?}");
     }
 

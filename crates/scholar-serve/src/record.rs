@@ -7,10 +7,10 @@
 //! contended tick is counted in `dropped` and skipped), and a recording
 //! failure only degrades recording, never serving.
 //!
-//! [`Recorder::flush`] publishes the ring as an RLOGv1 file with the same
-//! discipline as SNAPv1/SCOLv1: fully written and fsynced under a `.tmp`
-//! name, then renamed into place, so the file either exists completely or
-//! not at all. Format:
+//! [`Recorder::flush`] publishes the ring as an RLOGv1 file through
+//! [`sgraph::sfile`] like SNAPv1/SCOLv1, so the file either exists
+//! completely or not at all. Records are `sfile` frames with no
+//! format-owned header bytes. Format:
 //!
 //! ```text
 //! RLOGv1\0\0 | sample_every: u64            (16-byte header)
@@ -30,9 +30,9 @@
 //! and digests the responses — turning any recorded log into a portable
 //! regression fixture.
 
-use crate::snapshot::{fnv64, push_varint, read_varint, Result, StateError};
+use crate::snapshot::{Result, StateError};
+use sgraph::sfile::{push_frame, push_varint, read_frame, read_varint, TmpFile};
 use std::collections::VecDeque;
-use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -42,8 +42,6 @@ const MAGIC: &[u8; 8] = b"RLOGv1\0\0";
 const END_MAGIC: &[u8; 8] = b"RLOGend\0";
 const HEADER_BYTES: usize = 16;
 const FOOTER_BYTES: usize = 16;
-/// len + checksum.
-const RECORD_HEADER: usize = 4 + 8;
 /// A record larger than this is a corrupt length field, not a request (a
 /// request target is bounded by `http::MAX_REQUEST_LINE`).
 const MAX_RECORD: u32 = 1 << 20;
@@ -52,15 +50,15 @@ fn corrupt(message: impl Into<String>) -> StateError {
     StateError::Corrupt { file: "request log".to_owned(), message: message.into() }
 }
 
-/// Chaos site: every flush I/O step (tmp create, write, fsync, rename)
-/// funnels through this check, so a `fp::Script` over `replay.record.io`
-/// can kill the flush at any step; the recorder must then degrade —
-/// flag itself, surface the error to its caller — while the live request
-/// path keeps serving untouched.
-fn record_io_check() -> Result<()> {
+/// Chaos site, and the flush's `sfile` step hook: every flush I/O step
+/// (tmp create, fsync, rename) funnels through this check, so a
+/// `fp::Script` over `replay.record.io` can kill the flush at any step;
+/// the recorder must then degrade — flag itself, surface the error to
+/// its caller — while the live request path keeps serving untouched.
+fn record_io_check() -> std::io::Result<()> {
     failpoint!(
         "replay.record.io",
-        return Err(StateError::Io(std::io::Error::other("injected I/O fault at replay.record.io")))
+        return Err(std::io::Error::other("injected I/O fault at replay.record.io"))
     );
     Ok(())
 }
@@ -124,9 +122,7 @@ pub fn encode_rlog(records: &[ReqRecord], sample_every: u64) -> Vec<u8> {
     for r in records {
         payload.clear();
         encode_record(&mut payload, r);
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&fnv64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        push_frame(&mut bytes, &[], &payload);
     }
     bytes.extend_from_slice(END_MAGIC);
     bytes.extend_from_slice(&(records.len() as u64).to_le_bytes());
@@ -163,53 +159,34 @@ pub fn decode_rlog(bytes: &[u8]) -> Result<RecordLog> {
     let footer_at = bytes.len().saturating_sub(FOOTER_BYTES);
     let complete = footer_at >= HEADER_BYTES
         && bytes.get(footer_at..footer_at + 8).is_some_and(|m| m == END_MAGIC);
-    let (region_end, expected) = if complete {
-        let count = bytes
-            .get(footer_at + 8..)
-            .and_then(|b| b.try_into().ok())
-            .map(u64::from_le_bytes)
-            .unwrap_or(0);
-        (footer_at, count)
-    } else {
-        (bytes.len(), 0)
+    // The record region: up to the footer when there is one, else
+    // whatever survived.
+    let (region, expected) = match bytes.split_at_checked(footer_at) {
+        Some((region, footer)) if complete => {
+            let count = footer.get(8..).and_then(|b| b.try_into().ok()).map(u64::from_le_bytes);
+            (region, count.unwrap_or(0))
+        }
+        _ => (bytes, 0),
     };
     let mut records = Vec::new();
     // A file without a footer is torn by definition: flush publishes the
     // footer atomically with the rename, so its absence means truncation.
     let torn_tail = !complete;
     let mut pos = HEADER_BYTES;
-    while pos < region_end {
-        if region_end - pos < RECORD_HEADER {
-            if complete {
-                return Err(corrupt("record header overlaps the footer"));
-            }
-            break; // torn mid-header
-        }
-        // lint: allow(HOTPATH-PANIC) RECORD_HEADER bytes remain past pos by the break above; try_into slices are exact-size
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        // lint: allow(HOTPATH-PANIC) RECORD_HEADER bytes remain past pos by the break above; try_into slices are exact-size
-        let checksum = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
-        let payload_at = pos + RECORD_HEADER;
-        if len > MAX_RECORD || region_end - payload_at < len as usize {
-            if complete {
-                return Err(corrupt(format!("record {} length field is corrupt", records.len())));
-            }
-            break; // torn mid-payload
-        }
-        // lint: allow(HOTPATH-PANIC) len as usize bytes remain past payload_at by the break above
-        let payload = &bytes[payload_at..payload_at + len as usize];
-        if fnv64(payload) != checksum {
-            if complete {
-                // The footer proves the writer finished: a bad checksum
-                // inside a complete file is corruption, never a tear.
-                return Err(corrupt(format!("record {} checksum mismatch", records.len())));
-            }
-            break; // torn: the record being written when the crash hit
-        }
-        let record = decode_record(payload)
+    while pos < region.len() {
+        let frame = match read_frame::<0>(region, pos, MAX_RECORD) {
+            Ok(frame) => frame,
+            // RLOGv1's policy: the footer proves the writer finished, so
+            // a bad frame inside a complete file is corruption, never a
+            // tear.
+            Err(e) if complete => return Err(corrupt(format!("record {}: {e}", records.len()))),
+            // Torn: the record being written when the crash hit.
+            Err(_) => break,
+        };
+        let record = decode_record(frame.payload)
             .ok_or_else(|| corrupt(format!("record {} payload does not decode", records.len())))?;
         records.push(record);
-        pos = payload_at + len as usize;
+        pos = frame.end;
     }
     if complete && records.len() as u64 != expected {
         return Err(corrupt(format!(
@@ -226,27 +203,14 @@ pub fn read_rlog(path: &Path) -> Result<RecordLog> {
     decode_rlog(&bytes)
 }
 
-/// Write a complete RLOGv1 file at `path`, tmp-then-rename: the file at
-/// `path` is either the previous log or the new one, never a tear.
+/// Write a complete RLOGv1 file at `path` through [`sgraph::sfile`]: the
+/// file at `path` is either the previous log or the new one, never a
+/// tear; `Ok` means the new one is durable, and an error leaves no
+/// `.tmp` behind.
 pub fn write_rlog(path: &Path, records: &[ReqRecord], sample_every: u64) -> Result<()> {
-    record_io_check()?;
-    let bytes = encode_rlog(records, sample_every);
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let mut file = File::create(&tmp)?;
-    record_io_check()?;
-    file.write_all(&bytes)?;
-    file.sync_all()?;
-    drop(file);
-    record_io_check()?;
-    std::fs::rename(&tmp, path).map_err(StateError::Io)?;
-    // Make the rename durable: fsync the parent directory. Best effort —
-    // the rename is already atomic in-memory, so a failure here cannot
-    // tear the log, only lose the rotation on a crash.
-    if let Some(dir) = path.parent() {
-        let _ = crate::snapshot::fsync_dir(dir);
-    }
+    let mut tmp = TmpFile::create(path, record_io_check)?;
+    tmp.write_all(&encode_rlog(records, sample_every))?;
+    tmp.publish(record_io_check)?;
     Ok(())
 }
 
@@ -444,8 +408,8 @@ mod tests {
         let records = vec![rec(1, 0, "/top?k=5"), rec(1, 1, "/health")];
         let mut bytes = encode_rlog(&records, 1);
         // Flip one payload byte of the first record (payload starts right
-        // after the 16-byte header + 12-byte record header).
-        bytes[HEADER_BYTES + RECORD_HEADER] ^= 0x01;
+        // after the 16-byte header + 12-byte frame header).
+        bytes[HEADER_BYTES + 12] ^= 0x01;
         match decode_rlog(&bytes) {
             Err(StateError::Corrupt { message, .. }) => {
                 assert!(message.contains("checksum"), "{message}");

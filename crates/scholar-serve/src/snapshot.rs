@@ -14,10 +14,11 @@
 //!   FNV-1a hash of the entity counts, the WAL high-water mark, and all
 //!   section checksums, so two snapshots of identical state agree and
 //!   any difference in state changes the generation;
-//! - **tmp-then-rename publish** — the writer streams to
-//!   `snapshot.snap.tmp`, fsyncs, and renames into place, so readers see
-//!   either the old complete snapshot or the new complete snapshot and
-//!   never a torn file.
+//! - **atomic publish** — the writer goes through
+//!   [`sgraph::sfile::TmpFile`] (DESIGN.md §2.14), so readers see either
+//!   the old complete snapshot or the new complete snapshot, never a
+//!   torn file, and a publish that returns `Ok` is durable under its
+//!   final name.
 //!
 //! Sections are 8-byte aligned so the loader can hand out `&[i32]` /
 //! `&[f64]` views straight from the mmap without copying; only the
@@ -34,7 +35,7 @@ use scholar_corpus::model::{Article, ArticleId, Author, AuthorId, Venue, VenueId
 use scholar_corpus::Corpus;
 use scholar_rank::Diagnostics;
 use sgraph::mmap::Mmap;
-use std::fs::File;
+use sgraph::sfile::{fnv64, push_varint, read_varint, Fnv, TmpFile};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -78,7 +79,6 @@ pub type Result<T> = std::result::Result<T, StateError>;
 const MAGIC: &[u8; 8] = b"SNAPv1\0\0";
 const END_MAGIC: &[u8; 8] = b"SNAPend\0";
 const SNAP_FILE: &str = "snapshot.snap";
-const TMP_FILE: &str = "snapshot.snap.tmp";
 
 /// Header: magic, generation, wal_seq, n_articles, n_authors, n_venues,
 /// section count.
@@ -109,70 +109,14 @@ const SECTIONS: usize = 15;
 const TABLE_OFF: usize = HEADER_BYTES;
 const DATA_OFF: usize = TABLE_OFF + SECTIONS * ENTRY_BYTES;
 
-/// FNV-1a 64 — same function SCOLv1 uses; good dispersion, no tables,
-/// and bit-for-bit reproducible across platforms.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.update(bytes);
-    h.finish()
-}
-
-/// LEB128-style varint append (shared with WALv1).
-pub(crate) fn push_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-/// Varint read; `None` on truncation or a value wider than 64 bits.
-pub(crate) fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let &b = bytes.get(*pos)?;
-        *pos += 1;
-        if shift >= 64 || (shift == 63 && b > 1) {
-            return None;
-        }
-        v |= ((b & 0x7f) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-    }
-}
-
-/// Chaos site: every snapshot I/O step (tmp create, section writes,
-/// fsync, the rename publish, and the restart-side mmap) funnels through
-/// this one check, so a `fp::Script` over `snapshot.io` can kill a
-/// snapshot publish or load at any step.
-fn snapshot_io_check() -> Result<()> {
+/// Chaos site, and the snapshot's `sfile` step hook: every snapshot I/O
+/// step (tmp create, section writes, fsync, the rename publish, and the
+/// restart-side mmap) funnels through this one check, so a `fp::Script`
+/// over `snapshot.io` can kill a snapshot publish or load at any step.
+fn snapshot_io_check() -> std::io::Result<()> {
     failpoint!(
         "snapshot.io",
-        return Err(StateError::Io(std::io::Error::other("injected I/O fault at snapshot.io")))
+        return Err(std::io::Error::other("injected I/O fault at snapshot.io"))
     );
     Ok(())
 }
@@ -322,8 +266,9 @@ fn derive_generation(
 /// Write a snapshot of `(corpus, result)` into `dir/snapshot.snap`,
 /// recording `wal_seq` as the WAL high-water mark it covers (replay
 /// resumes after this sequence number). Atomic: the file appears under
-/// its final name only complete and fsynced. Returns the content-derived
-/// snapshot generation.
+/// its final name only complete and fsynced, and `Ok` means the rename
+/// itself is durable (the directory fsync error is returned, not
+/// dropped). Returns the content-derived snapshot generation.
 pub fn write_snapshot(
     dir: &Path,
     corpus: &Corpus,
@@ -356,43 +301,14 @@ pub fn write_snapshot(
     footer.extend_from_slice(&generation.to_le_bytes());
 
     std::fs::create_dir_all(dir)?;
-    let tmp = dir.join(TMP_FILE);
-    let out = TmpGuard { path: tmp.clone() };
-    snapshot_io_check()?;
-    let mut file = File::create(&tmp)?;
+    let mut tmp = TmpFile::create(&snapshot_path(dir), snapshot_io_check)?;
     // lint: allow(HOTPATH-PANIC) full-range slices cannot be out of bounds
     for chunk in [&header[..], &body[..], &footer[..]] {
         snapshot_io_check()?;
-        file.write_all(chunk)?;
+        tmp.write_all(chunk)?;
     }
-    snapshot_io_check()?;
-    file.sync_all()?;
-    drop(file);
-    snapshot_io_check()?;
-    std::fs::rename(&tmp, snapshot_path(dir))?;
-    std::mem::forget(out);
-    // Make the rename durable; failure here is not a torn snapshot (the
-    // rename is already atomic in-memory), so best effort.
-    let _ = fsync_dir(dir);
+    tmp.publish(snapshot_io_check)?;
     Ok(generation)
-}
-
-/// Fsync a directory so a rename into it survives a crash. The second
-/// half of the publish protocol every tmp-then-rename site in this
-/// crate follows: sync the file, rename, sync the parent dir.
-pub(crate) fn fsync_dir(dir: &Path) -> std::io::Result<()> {
-    File::open(dir)?.sync_all()
-}
-
-/// Removes the tmp file if the writer errors out partway.
-struct TmpGuard {
-    path: PathBuf,
-}
-
-impl Drop for TmpGuard {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
 }
 
 /// Everything a restart recovers from a snapshot.

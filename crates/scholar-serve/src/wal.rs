@@ -14,6 +14,9 @@
 //! len: u32 | seq: u64 | checksum: u64 (FNV-1a of payload) | payload
 //! ```
 //!
+//! — an [`sgraph::sfile`] frame whose format-owned header bytes are the
+//! sequence number.
+//!
 //! The payload encodes one batch of [`Article`]s (varint-packed). Records
 //! are appended with a single `write` and fsynced before `append`
 //! returns; replay stops cleanly at the first torn or corrupt record —
@@ -24,8 +27,9 @@
 //! [`qrank::incremental::grow_corpus`] contract), so no name tables
 //! travel in the journal.
 
-use crate::snapshot::{fnv64, push_varint, read_varint, Result, StateError};
+use crate::snapshot::{Result, StateError};
 use scholar_corpus::model::{Article, ArticleId, AuthorId, VenueId};
+use sgraph::sfile::{push_frame, push_varint, read_frame, read_varint, TmpFile};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -48,15 +52,13 @@ fn corrupt(message: impl Into<String>) -> StateError {
     StateError::Corrupt { file: WAL_FILE.to_owned(), message: message.into() }
 }
 
-/// Chaos site: every journal write step (create, record append, fsync)
-/// funnels through this check, so a `fp::Script` over `wal.append` can
-/// kill the durability path at any step; `submit` must then surface the
-/// error without acknowledging the batch.
-fn wal_append_check() -> Result<()> {
-    failpoint!(
-        "wal.append",
-        return Err(StateError::Io(std::io::Error::other("injected I/O fault at wal.append")))
-    );
+/// Chaos site, and rotation's `sfile` step hook: every journal write
+/// step (create, record append, fsync, rotate) funnels through this
+/// check, so a `fp::Script` over `wal.append` can kill the durability
+/// path at any step; `submit` must then surface the error without
+/// acknowledging the batch.
+fn wal_append_check() -> std::io::Result<()> {
+    failpoint!("wal.append", return Err(std::io::Error::other("injected I/O fault at wal.append")));
     Ok(())
 }
 
@@ -238,10 +240,7 @@ impl Wal {
         let payload = encode_batch(batch);
         let seq = self.next_seq;
         let mut record = Vec::with_capacity(RECORD_HEADER + payload.len());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&seq.to_le_bytes());
-        record.extend_from_slice(&fnv64(&payload).to_le_bytes());
-        record.extend_from_slice(&payload);
+        push_frame(&mut record, &seq.to_le_bytes(), &payload);
         self.file.write_all(&record)?;
         wal_append_check()?;
         self.file.sync_all()?;
@@ -268,35 +267,23 @@ impl Wal {
 /// Atomically replace the journal with one that starts after `base_seq`,
 /// carrying over every durable record with `seq > base_seq`. Called
 /// after publishing a snapshot covering `base_seq`: the replaced journal
-/// drops only batches the snapshot already holds. Tmp-then-rename, so a
-/// crash at any step leaves either the old journal (still consistent
-/// with the new snapshot — replay skips `seq <= base_seq`) or the new
-/// one, never a tear.
+/// drops only batches the snapshot already holds. Published through
+/// [`sgraph::sfile`], so a crash at any step leaves either the old
+/// journal (still consistent with the new snapshot — replay skips
+/// `seq <= base_seq`) or the new one, never a tear, and an error return
+/// leaves no `wal.log.tmp` behind.
 pub fn rotate(dir: &Path, base_seq: u64) -> Result<Wal> {
     let kept = replay(dir, base_seq)?;
-    wal_append_check()?;
     let mut bytes = Vec::new();
     bytes.extend_from_slice(MAGIC);
     bytes.extend_from_slice(&base_seq.to_le_bytes());
     for rec in &kept.records {
-        let payload = encode_batch(&rec.batch);
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&rec.seq.to_le_bytes());
-        bytes.extend_from_slice(&fnv64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        push_frame(&mut bytes, &rec.seq.to_le_bytes(), &encode_batch(&rec.batch));
     }
-    let tmp = dir.join(format!("{WAL_FILE}.tmp"));
-    let mut file = File::create(&tmp)?;
-    wal_append_check()?;
-    file.write_all(&bytes)?;
-    file.sync_all()?;
-    drop(file);
-    wal_append_check()?;
     let path = wal_path(dir);
-    std::fs::rename(&tmp, &path)?;
-    // Make the rename durable: fsync the directory so a crash cannot
-    // resurrect the pre-rotation log.
-    crate::snapshot::fsync_dir(dir)?;
+    let mut tmp = TmpFile::create(&path, wal_append_check)?;
+    tmp.write_all(&bytes)?;
+    tmp.publish(wal_append_check)?;
     let file = OpenOptions::new().append(true).open(&path)?;
     Ok(Wal { file, path, next_seq: kept.high_water() + 1, poisoned: false })
 }
@@ -380,37 +367,23 @@ pub fn replay(dir: &Path, after_seq: u64) -> Result<Replay> {
     let mut pos = HEADER_BYTES;
     let mut prev_seq = base_seq;
     while pos < bytes.len() {
-        if bytes.len() - pos < RECORD_HEADER {
+        // WALv1's policy: whatever the frame decoder refuses — short
+        // header, impossible length, bad checksum — is the torn tail.
+        let Ok(frame) = read_frame::<8>(&bytes, pos, MAX_RECORD) else {
             torn_tail = true;
             break;
-        }
-        // lint: allow(HOTPATH-PANIC) RECORD_HEADER bytes remain past pos by the break above; try_into slices are exact-size
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        // lint: allow(HOTPATH-PANIC) RECORD_HEADER bytes remain past pos by the break above; try_into slices are exact-size
-        let seq = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
-        // lint: allow(HOTPATH-PANIC) RECORD_HEADER bytes remain past pos by the break above; try_into slices are exact-size
-        let checksum = u64::from_le_bytes(bytes[pos + 12..pos + 20].try_into().unwrap());
-        let payload_at = pos + RECORD_HEADER;
-        if len > MAX_RECORD || bytes.len() - payload_at < len as usize {
-            torn_tail = true;
-            break;
-        }
-        // lint: allow(HOTPATH-PANIC) len as usize bytes remain past payload_at by the break above
-        let payload = &bytes[payload_at..payload_at + len as usize];
-        if fnv64(payload) != checksum {
-            torn_tail = true;
-            break;
-        }
+        };
+        let seq = u64::from_le_bytes(frame.extra);
         // A checksum-valid record with a non-consecutive sequence number
         // is not a torn tail — it is a journal that disagrees with
         // itself, which replay must refuse rather than skip.
         if seq != prev_seq + 1 {
             return Err(corrupt(format!("record sequence jumped {prev_seq} -> {seq}")));
         }
-        let batch = decode_batch(payload)
+        let batch = decode_batch(frame.payload)
             .ok_or_else(|| corrupt(format!("record {seq} payload does not decode")))?;
         prev_seq = seq;
-        pos = payload_at + len as usize;
+        pos = frame.end;
         if seq > after_seq {
             records.push(WalRecord { seq, batch });
         }

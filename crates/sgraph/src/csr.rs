@@ -259,8 +259,7 @@ impl CsrGraph {
     }
 
     /// Internal consistency check: offsets monotone, transpose matches,
-    /// adjacency sorted, weights valid. Used by tests and by the binary
-    /// deserializer; O(V + E log d).
+    /// adjacency sorted, weights valid. O(V + E log d).
     pub fn validate(&self) -> crate::Result<()> {
         use crate::GraphError;
         let n = self.len();

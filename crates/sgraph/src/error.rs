@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors produced while building, transforming, or (de)serializing graphs.
+/// Errors produced while building, transforming, or validating graphs.
 #[derive(Debug)]
 pub enum GraphError {
     /// An edge referenced a node index `>= num_nodes`.
@@ -33,17 +33,9 @@ pub enum GraphError {
     /// The graph contains a cycle where an acyclic graph was required
     /// (e.g. topological sorting).
     CycleDetected,
-    /// A malformed line in a text edge-list file.
-    ParseError {
-        /// 1-based line number.
-        line: usize,
-        /// Human-readable description of the problem.
-        message: String,
-    },
-    /// Binary format corruption or version mismatch.
+    /// A CSR structure that disagrees with itself
+    /// ([`CsrGraph::validate`](crate::CsrGraph::validate)).
     BadBinaryFormat(String),
-    /// Underlying IO failure.
-    Io(std::io::Error),
 }
 
 impl fmt::Display for GraphError {
@@ -62,29 +54,12 @@ impl fmt::Display for GraphError {
                 write!(f, "duplicate edge {src} -> {dst} rejected by policy")
             }
             GraphError::CycleDetected => write!(f, "graph contains a cycle"),
-            GraphError::ParseError { line, message } => {
-                write!(f, "parse error on line {line}: {message}")
-            }
             GraphError::BadBinaryFormat(msg) => write!(f, "bad binary graph format: {msg}"),
-            GraphError::Io(e) => write!(f, "io error: {e}"),
         }
     }
 }
 
-impl std::error::Error for GraphError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            GraphError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for GraphError {
-    fn from(e: std::io::Error) -> Self {
-        GraphError::Io(e)
-    }
-}
+impl std::error::Error for GraphError {}
 
 #[cfg(test)]
 mod tests {
@@ -97,19 +72,10 @@ mod tests {
             GraphError::InvalidWeight { src: 0, dst: 1, weight: f64::NAN },
             GraphError::DuplicateEdge { src: 2, dst: 2 },
             GraphError::CycleDetected,
-            GraphError::ParseError { line: 4, message: "oops".into() },
             GraphError::BadBinaryFormat("magic".into()),
-            GraphError::Io(std::io::Error::other("x")),
         ];
         for c in cases {
             assert!(!c.to_string().is_empty());
         }
-    }
-
-    #[test]
-    fn io_error_source_is_preserved() {
-        let e = GraphError::from(std::io::Error::new(std::io::ErrorKind::NotFound, "gone"));
-        assert!(std::error::Error::source(&e).is_some());
-        assert!(matches!(e, GraphError::Io(_)));
     }
 }

@@ -12,18 +12,19 @@
 //!   (deduplication, weight merging, validation).
 //! * [`Bipartite`] — weighted bipartite graphs (author↔article,
 //!   venue↔article) with both orientations materialized.
-//! * Traversals ([`traversal`]), strongly/weakly connected components
-//!   ([`scc`], [`components`]), k-core decomposition ([`kcore`]), degree
-//!   statistics and power-law fitting ([`stats`]).
+//! * Traversals ([`traversal`]), degree statistics and power-law
+//!   fitting ([`stats`]).
 //! * [`stochastic`] — the row-stochastic random-walk operator used by
 //!   every PageRank-family algorithm in the stack, with sequential and
 //!   multi-threaded ([`par`]) apply kernels and principled dangling-node
 //!   handling — plus a Gauss–Seidel solver for the same fixpoint
 //!   ([`solver`]) and local forward-push personalized PageRank ([`push`]).
 //! * Deterministic edge sampling for robustness experiments
-//!   ([`sampling`]) and random-graph models for benchmarking
-//!   ([`generate`]).
-//! * Plain-text and binary serialization ([`io`]).
+//!   ([`sampling`]).
+//! * Out-of-core storage: read-only file maps ([`mmap`]), the SCSRv1
+//!   sharded pull CSR ([`mmap_csr`]) behind the [`store`] seam, and
+//!   [`sfile`] — the durable-file kit (atomic publish, checksum, varint,
+//!   record frames) every on-disk format in the workspace is built on.
 //!
 //! Node identifiers are dense `u32` indices wrapped in [`NodeId`]; graphs
 //! are therefore limited to fewer than 2³² nodes, which comfortably covers
@@ -48,24 +49,19 @@
 
 pub mod bipartite;
 pub mod builder;
-pub mod components;
 pub mod csr;
 pub mod error;
-pub mod generate;
-pub mod io;
-pub mod kcore;
 pub mod mmap;
 pub mod mmap_csr;
 pub mod par;
 pub mod push;
 pub mod sampling;
-pub mod scc;
+pub mod sfile;
 pub mod solver;
 pub mod stats;
 pub mod stochastic;
 pub mod store;
 pub mod traversal;
-pub mod view;
 
 pub use bipartite::{Bipartite, BipartiteBuilder};
 pub use builder::{DuplicateEdgePolicy, GraphBuilder};
@@ -74,7 +70,6 @@ pub use error::GraphError;
 pub use mmap_csr::{MmapCsr, MmapCsrBuilder};
 pub use stochastic::{JumpVector, RowStochastic};
 pub use store::{stationary_store, CsrStore};
-pub use view::SubgraphMap;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, GraphError>;

@@ -55,6 +55,7 @@ use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::mmap::Mmap;
+use crate::sfile::{no_step, TmpFile};
 use crate::stochastic::JumpVector;
 use crate::store::CsrStore;
 use crate::CsrGraph;
@@ -85,8 +86,9 @@ struct ShardMeta {
 /// same order the dense CSR stores them), then
 /// [`MmapCsrBuilder::finish`]. Edges are spilled to per-shard temp
 /// files as they arrive, so the full edge set is never held in memory;
-/// `finish` assembles one shard at a time and atomically renames the
-/// result into place.
+/// `finish` assembles one shard at a time and publishes the result
+/// through [`crate::sfile`]. The spill files are removed when the
+/// builder is dropped, finished or not.
 pub struct MmapCsrBuilder {
     path: PathBuf,
     n: usize,
@@ -106,14 +108,9 @@ impl MmapCsrBuilder {
         assert!(shard_size > 0, "shard_size must be positive");
         assert!(n < u32::MAX as usize, "node count must fit in u32");
         let num_shards = n.div_ceil(shard_size).max(1);
-        let mut spills = Vec::with_capacity(num_shards);
-        let mut spill_paths = Vec::with_capacity(num_shards);
-        for s in 0..num_shards {
-            let sp = path.with_extension(format!("spill{s}"));
-            spills.push(BufWriter::new(File::create(&sp)?));
-            spill_paths.push(sp);
-        }
-        Ok(MmapCsrBuilder {
+        // Built first so a failed create below still cleans up the
+        // spill files already made.
+        let mut b = MmapCsrBuilder {
             path: path.to_path_buf(),
             n,
             shard_size,
@@ -121,9 +118,15 @@ impl MmapCsrBuilder {
             next: 0,
             m: 0,
             dangling: Vec::new(),
-            spills,
-            spill_paths,
-        })
+            spills: Vec::with_capacity(num_shards),
+            spill_paths: Vec::with_capacity(num_shards),
+        };
+        for s in 0..num_shards {
+            let sp = path.with_extension(format!("spill{s}"));
+            b.spill_paths.push(sp.clone());
+            b.spills.push(BufWriter::new(File::create(&sp)?));
+        }
+        Ok(b)
     }
 
     /// Feed the out-edges of the next node (ids must arrive 0, 1, …).
@@ -158,8 +161,8 @@ impl MmapCsrBuilder {
         Ok(())
     }
 
-    /// Assemble the shard file and atomically move it into place,
-    /// stamping `tag` into the header for staleness detection on open.
+    /// Assemble the shard file and atomically publish it, stamping `tag`
+    /// into the header for staleness detection on open.
     pub fn finish(mut self, tag: u64) -> io::Result<()> {
         assert_eq!(self.next as usize, self.n, "add_source must be called exactly n times");
         for sp in &mut self.spills {
@@ -167,8 +170,8 @@ impl MmapCsrBuilder {
         }
         self.spills.clear();
 
-        let tmp = self.path.with_extension("scsr.tmp");
-        let mut out = BufWriter::new(File::create(&tmp)?);
+        let mut tmp = TmpFile::create(&self.path, no_step)?;
+        let mut out = BufWriter::new(tmp.file());
         let dir_bytes = (self.num_shards * DIR_FIELDS * 8) as u64;
         let dangling_off = HEADER_BYTES as u64 + dir_bytes;
         // Header + directory are rewritten at the end once section
@@ -177,7 +180,7 @@ impl MmapCsrBuilder {
         let mut cursor = dangling_off + (self.dangling.len() * 4) as u64;
 
         let mut dir = Vec::with_capacity(self.num_shards);
-        let pad = |out: &mut BufWriter<File>, cursor: &mut u64| -> io::Result<()> {
+        let pad = |out: &mut BufWriter<&mut File>, cursor: &mut u64| -> io::Result<()> {
             let aligned = align8(*cursor);
             if aligned > *cursor {
                 out.write_all(&vec![0u8; (aligned - *cursor) as usize])?;
@@ -256,9 +259,10 @@ impl MmapCsrBuilder {
             });
         }
         out.flush()?;
-        let mut file = out.into_inner().map_err(|e| e.into_error())?;
+        drop(out);
 
         // Now rewrite the reserved header, directory, and dangling list.
+        let file = tmp.file();
         file.seek(SeekFrom::Start(0))?;
         let mut head = Vec::with_capacity(HEADER_BYTES);
         head.extend_from_slice(MAGIC);
@@ -288,25 +292,16 @@ impl MmapCsrBuilder {
             dang_buf.extend_from_slice(&u.to_le_bytes());
         }
         file.write_all(&dang_buf)?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, &self.path)?;
-        // Make the rename durable: fsync the parent directory so a crash
-        // cannot resurrect a stale (or absent) shard file.
-        if let Some(dir) = self.path.parent() {
-            fsync_dir(dir)?;
-        }
-        for sp in &self.spill_paths {
-            let _ = std::fs::remove_file(sp);
-        }
-        Ok(())
+        tmp.publish(no_step)
     }
 }
 
-/// Fsync a directory so a rename into it survives a crash — the second
-/// half of the tmp-then-rename publish protocol.
-fn fsync_dir(dir: &Path) -> io::Result<()> {
-    File::open(dir)?.sync_all()
+impl Drop for MmapCsrBuilder {
+    fn drop(&mut self) {
+        for sp in &self.spill_paths {
+            let _ = std::fs::remove_file(sp);
+        }
+    }
 }
 
 fn read_spill(path: &Path) -> io::Result<Vec<(u32, u32, f64)>> {
@@ -340,8 +335,11 @@ pub struct MmapCsr {
 }
 
 impl MmapCsr {
-    /// Open `path`, validating magic, header invariants, and — when
-    /// `expected_tag` is given — the builder's generation stamp.
+    /// Open `path`, validating magic, header invariants, section bounds
+    /// and alignment, and — when `expected_tag` is given — the builder's
+    /// generation stamp. O(shards): section *contents* are not read (the
+    /// file is a cache derived from the checksummed SCOLv1 columns and
+    /// rebuilt on any tag mismatch, see DESIGN.md §2.14).
     pub fn open(path: &Path, expected_tag: Option<u64>) -> io::Result<MmapCsr> {
         let map = Mmap::map_file(path)?;
         let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
@@ -364,10 +362,15 @@ impl MmapCsr {
         if shard_size == 0 || num_shards != n.div_ceil(shard_size).max(1) as u64 {
             return Err(bad("inconsistent shard geometry"));
         }
+        (num_shards as usize)
+            .checked_mul(DIR_FIELDS * 8)
+            .and_then(|dir_bytes| dir_bytes.checked_add(HEADER_BYTES))
+            .filter(|&dir_end| dir_end <= map.len())
+            .ok_or_else(|| bad("shard file shorter than directory"))?;
         let num_shards = num_shards as usize;
-        if map.len() < HEADER_BYTES + num_shards * DIR_FIELDS * 8 {
-            return Err(bad("shard file shorter than directory"));
-        }
+        // The typed views below are served straight from the map, whose
+        // base is page-aligned: a misaligned offset must be refused here
+        // or it panics the solver later.
         let mut dir = Vec::with_capacity(num_shards);
         let mut edges_total = 0u64;
         for s in 0..num_shards {
@@ -382,15 +385,20 @@ impl MmapCsr {
             };
             let shard_len = shard_size.min(n - (s * shard_size).min(n));
             let file_len = map.len() as u128;
-            let fits = |off: u64, count: u64, size: u64| {
-                off as u128 + count as u128 * size as u128 <= file_len
-            };
-            if !fits(meta.probs_off, meta.edges, 8)
-                || !fits(meta.sources_off, meta.edges, 4)
-                || !fits(meta.offsets_off, (shard_len + 1) as u64, 8)
-                || !fits(meta.boundary_off, meta.boundary_len, 4)
+            let fits = |off: u64, count: u128, size: u128| off as u128 + count * size <= file_len;
+            if !fits(meta.probs_off, meta.edges as u128, 8)
+                || !fits(meta.sources_off, meta.edges as u128, 4)
+                || !fits(meta.offsets_off, shard_len as u128 + 1, 8)
+                || !fits(meta.boundary_off, meta.boundary_len as u128, 4)
             {
                 return Err(bad("shard section out of bounds"));
+            }
+            if !meta.probs_off.is_multiple_of(8)
+                || !meta.offsets_off.is_multiple_of(8)
+                || !meta.sources_off.is_multiple_of(4)
+                || !meta.boundary_off.is_multiple_of(4)
+            {
+                return Err(bad("shard section misaligned"));
             }
             edges_total += meta.edges;
             dir.push(meta);
@@ -398,8 +406,10 @@ impl MmapCsr {
         if edges_total != m {
             return Err(bad("edge count disagrees with shard directory"));
         }
-        if dangling_off as u128 + dangling_len as u128 * 4 > map.len() as u128 {
-            return Err(bad("dangling list out of bounds"));
+        if dangling_off as u128 + dangling_len as u128 * 4 > map.len() as u128
+            || !dangling_off.is_multiple_of(4)
+        {
+            return Err(bad("dangling list out of bounds or misaligned"));
         }
         let dangling_len = usize::try_from(dangling_len).map_err(|_| bad("dangling overflow"))?;
         let dangling_off = usize::try_from(dangling_off).map_err(|_| bad("dangling overflow"))?;
@@ -628,6 +638,58 @@ mod tests {
         std::fs::write(&path, &bytes[..40]).unwrap();
         assert!(MmapCsr::open(&path, None).is_err());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn misaligned_section_offsets_are_rejected_at_open() {
+        let g = test_graph();
+        let path = tmp("align");
+        let mc = build_from_graph(&g, &path, 8, 7).unwrap();
+        let shards = mc.num_shards();
+        drop(mc);
+        let good = std::fs::read(&path).unwrap();
+        // Byte offsets of the low byte of every section-offset field:
+        // the header's dangling_off, then boundary_off, offsets_off,
+        // sources_off and probs_off of each directory entry.
+        let mut fields = vec![8 + 4 * 8];
+        for s in 0..shards {
+            let entry = HEADER_BYTES + s * DIR_FIELDS * 8;
+            fields.extend([0, 2, 3, 4].map(|f| entry + f * 8));
+        }
+        for at in fields {
+            let mut bytes = good.clone();
+            bytes[at] ^= 1;
+            std::fs::write(&path, &bytes).unwrap();
+            let err = match MmapCsr::open(&path, Some(7)) {
+                Err(e) => e,
+                // Before the alignment check this opened fine and the
+                // first `apply_step` panicked in the typed-slice view.
+                Ok(_) => panic!("flipped offset bit at byte {at} must not open"),
+            };
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "byte {at}: {err}");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn failed_finish_leaves_no_tmp_or_spill_files() {
+        let dir = tmp("debris").with_extension("d");
+        let _ = std::fs::remove_dir_all(&dir);
+        // The publish target is an existing directory, so the final
+        // rename fails after the tmp and spill files were all written.
+        let path = dir.join("graph.scsr");
+        std::fs::create_dir_all(&path).unwrap();
+        let g = test_graph();
+        assert!(build_from_graph(&g, &path, 8, 7).is_err());
+        let left: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(left, ["graph.scsr"], "a failed build must clean up after itself");
+        // A builder abandoned before `finish` cleans up too.
+        let mut b = MmapCsrBuilder::new(&dir.join("other.scsr"), 2, 1).unwrap();
+        b.add_source(&[1], &[1.0]).unwrap();
+        drop(b);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -179,120 +179,6 @@ fn parallel_apply_matches_sequential() {
 }
 
 #[test]
-fn binary_roundtrip_identity() {
-    for_cases(|n, edges, _| {
-        let g = GraphBuilder::from_weighted_edges(n, edges);
-        let mut buf = Vec::new();
-        sgraph::io::write_binary(&g, &mut buf).unwrap();
-        let g2 = sgraph::io::read_binary(&buf[..]).unwrap();
-        assert_eq!(g, g2);
-    });
-}
-
-#[test]
-fn text_roundtrip_identity() {
-    for_cases(|n, edges, _| {
-        let g = GraphBuilder::from_weighted_edges(n, edges);
-        let mut buf = Vec::new();
-        sgraph::io::write_edge_list(&g, &mut buf).unwrap();
-        let g2 = sgraph::io::read_edge_list(&buf[..], Some(n)).unwrap();
-        // Text roundtrip goes through decimal printing; weights are exact
-        // for the f64 display format Rust uses (shortest roundtrip repr).
-        assert_eq!(g, g2);
-    });
-}
-
-#[test]
-fn io_roundtrip_with_extreme_weights() {
-    // CSR io must round-trip weights at the edges of f64: subnormals,
-    // near-max magnitudes, and values whose shortest decimal repr is
-    // long. Binary io is bit-exact by construction; text io leans on
-    // Rust's shortest-roundtrip float printing — both must reproduce the
-    // graph exactly.
-    let extremes = [
-        f64::MIN_POSITIVE, // smallest normal
-        5e-324,            // smallest subnormal
-        f64::MAX,
-        1.0 + f64::EPSILON,
-        0.1 + 0.2, // classic long-decimal sum
-        1e308,
-        1e-308,
-        std::f64::consts::PI,
-    ];
-    let mut edges = Vec::new();
-    for (i, &w) in extremes.iter().enumerate() {
-        let i = i as u32;
-        edges.push((i, (i + 1) % extremes.len() as u32, w));
-    }
-    let g = GraphBuilder::from_weighted_edges(extremes.len() as u32, &edges);
-    let mut bin = Vec::new();
-    sgraph::io::write_binary(&g, &mut bin).unwrap();
-    assert_eq!(sgraph::io::read_binary(&bin[..]).unwrap(), g);
-    let mut txt = Vec::new();
-    sgraph::io::write_edge_list(&g, &mut txt).unwrap();
-    assert_eq!(sgraph::io::read_edge_list(&txt[..], Some(g.len() as u32)).unwrap(), g);
-}
-
-#[test]
-fn scc_component_count_bounds() {
-    for_cases(|n, edges, _| {
-        let g = GraphBuilder::from_weighted_edges(n, edges);
-        let scc = sgraph::scc::tarjan_scc(&g);
-        assert!(scc.num_components >= 1);
-        assert!(scc.num_components <= n);
-        let sizes = scc.component_sizes();
-        assert_eq!(sizes.iter().sum::<usize>(), n as usize);
-        assert!(sizes.iter().all(|&s| s > 0));
-    });
-}
-
-#[test]
-fn condensation_is_dag() {
-    for_cases(|n, edges, _| {
-        let g = GraphBuilder::from_weighted_edges(n, edges);
-        let scc = sgraph::scc::tarjan_scc(&g);
-        let dag = sgraph::scc::condensation(&g, &scc);
-        assert!(!sgraph::traversal::is_cyclic(&dag));
-    });
-}
-
-#[test]
-fn wcc_refines_scc() {
-    // Two nodes in the same SCC must be in the same WCC.
-    for_cases(|n, edges, _| {
-        let g = GraphBuilder::from_weighted_edges(n, edges);
-        let scc = sgraph::scc::tarjan_scc(&g);
-        let wcc = sgraph::components::weakly_connected_components(&g);
-        for a in 0..n as usize {
-            for b in (a + 1)..n as usize {
-                if scc.component[a] == scc.component[b] {
-                    assert_eq!(wcc.component[a], wcc.component[b]);
-                }
-            }
-        }
-    });
-}
-
-#[test]
-fn subgraph_scores_scatter_gather() {
-    for_cases(|n, edges, rng| {
-        let keep_mod = rng.gen_range(1u32..5);
-        let g = GraphBuilder::from_weighted_edges(n, edges);
-        let (sub, map) = sgraph::view::induced_subgraph(&g, |v| v.0 % keep_mod == 0);
-        let sub_scores: Vec<f64> = (0..sub.len()).map(|i| i as f64).collect();
-        let full = map.scatter(&sub_scores, -1.0);
-        let back = map.gather(&full);
-        assert_eq!(back, sub_scores);
-        // Dropped nodes keep the fill value.
-        for v in g.nodes() {
-            if v.0 % keep_mod != 0 {
-                assert_eq!(full[v.index()], -1.0);
-            }
-        }
-    });
-}
-
-#[test]
 fn bfs_distances_respect_edges() {
     for_cases(|n, edges, _| {
         let g = GraphBuilder::from_weighted_edges(n, edges);
@@ -306,40 +192,6 @@ fn bfs_distances_respect_edges() {
                     panic!("dst unreachable but src reachable via edge");
                 }
             }
-        }
-    });
-}
-
-#[test]
-fn kcore_numbers_are_bounded_by_degree() {
-    for_cases(|n, edges, _| {
-        let g = GraphBuilder::from_weighted_edges(n, edges);
-        let res = sgraph::kcore::k_core_decomposition(&g);
-        for v in g.nodes() {
-            let deg = g.in_degree(v) + g.out_degree(v);
-            assert!(res.core[v.index()] as usize <= deg, "core number exceeds total degree");
-        }
-        assert_eq!(res.histogram().iter().sum::<usize>(), n as usize);
-    });
-}
-
-#[test]
-fn kcore_members_have_min_degree_within_core() {
-    // Defining property: inside the k-core subgraph, every member has
-    // total degree >= k.
-    for_cases(|n, edges, _| {
-        let g = GraphBuilder::from_weighted_edges(n, edges);
-        let res = sgraph::kcore::k_core_decomposition(&g);
-        let k = res.degeneracy;
-        if k == 0 {
-            return;
-        }
-        let members = res.members_of_core(k);
-        let in_core = |v: NodeId| res.core[v.index()] >= k;
-        for &v in &members {
-            let deg: usize =
-                g.out_neighbors(v).iter().chain(g.in_neighbors(v)).filter(|&&u| in_core(u)).count();
-            assert!(deg >= k as usize, "node {} has degree {} inside the {}-core", v, deg, k);
         }
     });
 }

@@ -754,7 +754,7 @@ fn colstore_kill_during_write_is_all_or_nothing() {
         }
         steps += 1;
     }
-    // 6 column creates + per-article writes + 7 seals + 7 renames must
+    // 6 column creates + per-article writes + 7 fsyncs + 7 renames must
     // all have been individually killed; a tiny count means the sweep
     // silently stopped short of the publish phase.
     assert!(steps > 20, "sweep covered only {steps} I/O steps");
@@ -939,6 +939,46 @@ fn wal_append_kill_sweep_loses_no_acknowledged_batch() {
     // 4 submits × 2 journal I/O steps each: every one individually killed.
     assert_eq!(faulted_runs, 8, "sweep coverage changed — update the floor");
     std::fs::remove_dir_all(&base).unwrap();
+}
+
+/// Kill a journal *rotation* at every `wal.append` step it takes (tmp
+/// create, fsync, rename). A killed rotation must leave the old journal
+/// — every record still replays — and no `wal.log.tmp`; the disarmed
+/// retry drops exactly the records the snapshot covers.
+#[test]
+fn wal_rotate_kill_sweep_keeps_the_old_journal_and_no_tmp() {
+    let _s = Scenario::begin();
+    let dir = durable_dir("rotate");
+    let mut journal = scholar::serve::Wal::create(&dir, 0).expect("create journal");
+    for i in 0..3 {
+        journal.append(&one_batch(i)).expect("append");
+    }
+    drop(journal);
+    let seqs = |after: u64| -> Vec<u64> {
+        let r = scholar::serve::wal::replay(&dir, after).expect("replay");
+        assert!(!r.torn_tail);
+        r.records.iter().map(|r| r.seq).collect()
+    };
+    let mut steps = 0usize;
+    loop {
+        let mut script = vec![Action::Off; steps];
+        script.push(Action::Trigger);
+        fp::script("wal.append", script);
+        let res = scholar::serve::wal::rotate(&dir, 2);
+        fp::clear("wal.append");
+        match res {
+            Err(e) => {
+                assert!(e.to_string().contains("wal.append"), "{e}");
+                assert_eq!(seqs(0), [1, 2, 3], "kill at step {steps} damaged the old journal");
+                assert!(!dir.join("wal.log.tmp").exists(), "kill at step {steps} leaked the tmp");
+            }
+            Ok(_) => break,
+        }
+        steps += 1;
+    }
+    assert_eq!(steps, 3, "tmp create, fsync, rename");
+    assert_eq!(seqs(0), [3], "rotation must keep only the uncovered suffix");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Kill a *restart* at every I/O step of every durable-state site. A
@@ -1138,6 +1178,8 @@ fn record_flush_kill_sweep_degrades_recording_never_serving() {
         let log = read_rlog(&path).expect("step {step}: the published log must survive");
         assert!(!log.torn_tail, "step {step}: tmp-then-rename published a tear");
         assert_eq!(log.records, want, "step {step}: a dead flush mutated the published log");
+        // `path` has no extension, so this is exactly `<path>.tmp`.
+        assert!(!path.with_extension("tmp").exists(), "step {step}: a dead flush leaked its tmp");
     }
 
     // Live path: a server whose recorder's disk is dead keeps serving.

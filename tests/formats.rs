@@ -74,24 +74,6 @@ fn mag_tables_load_into_equivalent_corpus() {
 }
 
 #[test]
-fn binary_graph_cache_roundtrip() {
-    // The benchmark suite caches citation graphs in the sgraph binary
-    // format; the cached graph must rank identically.
-    let corpus = Preset::Tiny.generate(20);
-    let g = corpus.citation_graph();
-    let mut buf = Vec::new();
-    scholar::graph::io::write_binary(&g, &mut buf).unwrap();
-    let g2 = scholar::graph::io::read_binary(&buf[..]).unwrap();
-    assert_eq!(g, g2);
-
-    use scholar::graph::stochastic::PowerIterationOpts;
-    use scholar::graph::RowStochastic;
-    let s1 = RowStochastic::new(&g).stationary(&PowerIterationOpts::default());
-    let s2 = RowStochastic::new(&g2).stationary(&PowerIterationOpts::default());
-    assert!(l1(&s1.scores, &s2.scores) < 1e-15);
-}
-
-#[test]
 fn loaders_tolerate_messy_real_world_data() {
     // Unknown references, missing years, missing venues — all at once.
     let messy = r#"
@@ -120,4 +102,113 @@ fn loaders_tolerate_messy_real_world_data() {
     let dropped = jsonl::read_jsonl(messy.as_bytes(), &opts).unwrap();
     assert_eq!(dropped.num_articles(), 2);
     assert!(dropped.articles().iter().all(|a| a.year != 0));
+}
+
+/// "No on-disk byte changes" as a test: every durable format, written
+/// for one fixed `Preset::Tiny` seed, hashes to the constant captured at
+/// the commit before the formats moved onto `sgraph::sfile`. A failure
+/// here is a format change — it needs a version bump, not a new constant.
+#[test]
+fn golden_bytes_of_all_five_formats() {
+    const GOLDEN: [(&str, u64); 12] = [
+        ("years.col", 0xd11ab88814935020),
+        ("venues.col", 0x946f4ba6cacf652e),
+        ("authors.idx", 0xf5cb00bc293575f8),
+        ("authors.dat", 0x7fcc5d5bd6449fc2),
+        ("refs.idx", 0xec297ad3f24d8fc1),
+        ("refs.dat", 0xd2ccaa54a40ecc84),
+        ("meta.col", 0x4c11dd1ca2f2366b),
+        ("graph.scsr", 0x2cf2e6d90803846f),
+        ("snapshot.snap", 0xa3c659ef05386875),
+        ("wal.log", 0x45906d22aa2b7d7c),
+        ("wal.log (rotated)", 0x0b3df91a0d596ec2),
+        ("golden.rlog", 0x5479891b1e5509b5),
+    ];
+    use scholar::corpus::model::{Article, ArticleId, AuthorId, VenueId};
+    use scholar::rank::Diagnostics;
+    use scholar::serve::{wal, write_rlog, write_snapshot, ReqRecord, Wal};
+
+    let dir = std::env::temp_dir().join(format!("scholar-golden-bytes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let corpus = Preset::Tiny.generate(20);
+    let mut got: Vec<(&str, u64)> = Vec::new();
+    let mut hash = |name: &'static str, path: &std::path::Path| {
+        got.push((name, scholar::graph::sfile::fnv64(&std::fs::read(path).unwrap())));
+    };
+
+    // SCOLv1: seven column files.
+    let col = dir.join("col");
+    let generation = corpus.write_colstore(&col).unwrap();
+    for name in [
+        "years.col",
+        "venues.col",
+        "authors.idx",
+        "authors.dat",
+        "refs.idx",
+        "refs.dat",
+        "meta.col",
+    ] {
+        hash(name, &col.join(name));
+    }
+
+    // SCSRv1: several shards, tagged with the colstore generation.
+    let scsr = dir.join("graph.scsr");
+    scholar::graph::mmap_csr::build_from_graph(&corpus.citation_graph(), &scsr, 64, generation)
+        .unwrap();
+    hash("graph.scsr", &scsr);
+
+    // SNAPv1 over synthetic scores: the test pins the file format, not
+    // the solver's floating point.
+    let falling = |n: usize| (0..n).map(|i| 1.0 / (i + 1) as f64).collect::<Vec<f64>>();
+    let result = scholar::QRankResult {
+        article_scores: falling(corpus.num_articles()),
+        venue_scores: falling(corpus.num_venues()),
+        author_scores: falling(corpus.num_authors()),
+        twpr_scores: falling(corpus.num_articles()).into_iter().rev().collect(),
+        twpr_diagnostics: Diagnostics::closed_form(),
+        outer: Diagnostics::closed_form(),
+    };
+    write_snapshot(&dir, &corpus, &result, 7).unwrap();
+    hash("snapshot.snap", &scholar::serve::snapshot::snapshot_path(&dir));
+
+    // WALv1: appended records, then the rotated journal.
+    let article = |i: u32| Article {
+        id: ArticleId(0),
+        title: format!("golden-{i}"),
+        year: 2019 + i as i32,
+        venue: VenueId(i % 2),
+        authors: vec![AuthorId(i), AuthorId(i + 1)],
+        references: vec![ArticleId(i), ArticleId(i + 3)],
+        merit: i.is_multiple_of(2).then_some(0.5),
+    };
+    let mut journal = Wal::create(&dir, 7).unwrap();
+    journal.append(&[article(0), article(1)]).unwrap();
+    journal.append(&[article(2)]).unwrap();
+    drop(journal);
+    hash("wal.log", &wal::wal_path(&dir));
+    drop(wal::rotate(&dir, 8).unwrap());
+    hash("wal.log (rotated)", &wal::wal_path(&dir));
+
+    // RLOGv1.
+    let records: Vec<ReqRecord> = (0..5u64)
+        .map(|i| ReqRecord {
+            conn: 1 + i % 2,
+            seq: i / 2,
+            generation,
+            status: if i == 3 { 404 } else { 200 },
+            latency_us: 90 + 7 * i,
+            target: format!("/top?k={}", i + 1),
+        })
+        .collect();
+    let rlog = dir.join("golden.rlog");
+    write_rlog(&rlog, &records, 4).unwrap();
+    hash("golden.rlog", &rlog);
+
+    std::fs::remove_dir_all(&dir).unwrap();
+    for (got, want) in got.iter().zip(&GOLDEN) {
+        assert_eq!(got.0, want.0);
+        assert_eq!(got.1, want.1, "{}: {:#018x} != golden {:#018x}", got.0, got.1, want.1);
+    }
+    assert_eq!(got.len(), GOLDEN.len());
 }

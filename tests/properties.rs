@@ -291,17 +291,3 @@ fn aan_loader_never_panics() {
         }
     }
 }
-
-#[test]
-fn edge_list_loader_never_panics() {
-    for seed in 0..128u64 {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xed6e);
-        let text = random_printable(&mut rng, 200, true);
-        match scholar::graph::io::read_edge_list(text.as_bytes(), None) {
-            Ok(g) => g.validate().unwrap(),
-            Err(e) => {
-                let _ = e.to_string();
-            }
-        }
-    }
-}
