@@ -1,0 +1,607 @@
+//! The one request path: a sans-IO HTTP connection core under both
+//! serve drivers (DESIGN.md §2.15).
+//!
+//! A [`Conn`] holds no socket. A driver appends the bytes it read to
+//! [`Conn::buf`], writes out [`Conn::pending`] and reports progress with
+//! [`Conn::advance`]; exactly three events drive everything in between:
+//!
+//! - **bytes arrived** ([`Conn::on_bytes`]) — peel complete request heads
+//!   off the buffer with [`http::try_parse_head`], rendering each
+//!   response into the output buffer. Several heads in one buffer are
+//!   pipelined requests: all are answered, in order, in one pass. A
+//!   request without `Connection: keep-alive` — or any request on a
+//!   connection built with reuse off — marks the connection
+//!   close-after-flush and stops the pipeline. A malformed head is
+//!   answered (`400`/`405`/`414`) and poisons the byte stream: close.
+//! - **peer EOF** ([`Conn::on_eof`]) — EOF before a head completed, or
+//!   before a single byte was sent, is a `400`; EOF between requests is
+//!   a plain close.
+//! - **idle past the read timeout** ([`Conn::on_timeout`]) — a stalled
+//!   started request gets a `408` (slowloris); an idle keep-alive
+//!   connection closes silently, as keep-alive clients expect.
+//!
+//! Accounting lives here and nowhere else: every response the core
+//! renders is counted, attributed to a generation and offered to the
+//! recorder exactly once, and a handler panic becomes a recorded `500`.
+//! The drivers add only readiness — `epoll.rs` nonblocking fill/flush on
+//! edge-triggered wake-ups, `server.rs` a blocking read/`write_all` loop
+//! per pooled worker — plus the accept-side `503` shed.
+//!
+//! ## Cache invalidation on swap
+//!
+//! The per-thread response cache keys on the raw request-target bytes
+//! and stamps each entry with the generation of the index snapshot that
+//! rendered it. A lookup only returns an entry whose stamp equals the
+//! *current* snapshot's generation — publishing a new generation
+//! therefore invalidates every entry at once without touching the
+//! cache, because the stamp comparison fails. Stale entries are simply
+//! overwritten on the next miss or evicted by LRU order.
+
+use crate::http::{self, ParsedHead};
+use crate::metrics::{Metrics, OpenConn};
+use crate::record::{Recorder, ReqRecord};
+use crate::server::{self, Route};
+use crate::swap::SharedIndex;
+use crate::ScoreIndex;
+use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Stop rendering pipelined responses once this much output is pending
+/// flush — bounds memory against a client that pipelines requests but
+/// never reads answers. Processing resumes as the client drains.
+pub(crate) const WRITE_LIMIT: usize = 256 * 1024;
+/// Rendered-response cache: entries per thread.
+const CACHE_CAP: usize = 256;
+/// Largest body the cache will hold (a `/top?k=10000` answer is ~1.5MB;
+/// caching those would blow the per-thread memory budget).
+const CACHE_MAX_BODY: usize = 64 * 1024;
+
+/// Per-thread request context: everything the render path needs, kept
+/// apart from the connections so a connection and the context can be
+/// borrowed mutably at the same time. One per event-loop shard, one per
+/// pool worker; all scratch is reused across requests, so the
+/// steady-state `/top` hot path performs no allocations at all.
+pub struct Ctx {
+    shared: Arc<SharedIndex>,
+    pub(crate) metrics: Arc<Metrics>,
+    /// Scratch for [`ScoreIndex::top_ids_into`].
+    ids: Vec<u32>,
+    /// Body staging arena (bodies are built here so their length is
+    /// known before the head is written).
+    body: Vec<u8>,
+    cache: TopCache,
+    /// Optional request recorder shared by every serving thread.
+    recorder: Option<Arc<Recorder>>,
+}
+
+impl Ctx {
+    /// A fresh context (cold scratch, empty cache) serving `shared`.
+    pub fn new(
+        shared: Arc<SharedIndex>,
+        metrics: Arc<Metrics>,
+        recorder: Option<Arc<Recorder>>,
+    ) -> Ctx {
+        Ctx {
+            shared,
+            metrics,
+            ids: Vec::new(),
+            body: Vec::new(),
+            cache: TopCache::new(CACHE_CAP),
+            recorder,
+        }
+    }
+
+    /// Route one request, appending the complete response (head + body)
+    /// to `out`. `target` is the raw request-target bytes (the cache
+    /// key). `/top` takes the zero-alloc fast path: cache lookup on the
+    /// raw target, else fragment assembly into the staging arena.
+    /// Everything else goes through the shared pure router.
+    pub fn write_answer(
+        &mut self,
+        req: &http::Request,
+        target: &[u8],
+        index: &ScoreIndex,
+        keep: bool,
+        out: &mut Vec<u8>,
+    ) -> u16 {
+        // Chaos site: a buggy or slow handler. An injected panic here
+        // must come back as a recorded `500`, never as a lost response
+        // or a dead worker/shard.
+        failpoint!("serve.respond");
+        let route = server::route(req, index);
+        route.count(&self.metrics);
+        let q = match route {
+            Route::Top(Ok(q)) => q,
+            cold => {
+                // Cold endpoints (/health, /metrics, /article/{id},
+                // /shadow, every 4xx): the router's per-request
+                // serialization is fine here.
+                let (status, body) =
+                    server::respond_route(cold, req, index, Some(&self.shared), &self.metrics);
+                let rendered = body.to_string_compact();
+                http::write_response_head(out, status, rendered.len(), keep);
+                out.extend_from_slice(rendered.as_bytes());
+                return status;
+            }
+        };
+        if let Some(body) = self.cache.get(target, index.generation()) {
+            http::write_response_head(out, 200, body.len(), keep);
+            out.extend_from_slice(body);
+            return 200;
+        }
+        index.top_ids_into(&q, &mut self.ids);
+        self.body.clear();
+        self.body.extend_from_slice(b"{\"generation\":");
+        http::write_u64(&mut self.body, index.generation());
+        self.body.extend_from_slice(b",\"count\":");
+        http::write_u64(&mut self.body, self.ids.len() as u64);
+        self.body.extend_from_slice(b",\"results\":[");
+        for (i, &a) in self.ids.iter().enumerate() {
+            let frag = index.hit_fragment(a);
+            if frag.is_empty() {
+                http::write_error_response(
+                    out,
+                    &mut self.body,
+                    500,
+                    "index returned an article outside the corpus",
+                    keep,
+                );
+                return 500;
+            }
+            if i > 0 {
+                self.body.push(b',');
+            }
+            self.body.extend_from_slice(frag);
+        }
+        self.body.extend_from_slice(b"]}");
+        http::write_response_head(out, 200, self.body.len(), keep);
+        out.extend_from_slice(&self.body);
+        self.cache.insert(target, index.generation(), &self.body);
+        200
+    }
+
+    /// Post-response hook: offer the answered request to the recorder,
+    /// and mirror it to a staged shadow candidate.
+    ///
+    /// Recording and mirroring are *coupled*: with a recorder configured,
+    /// only requests that were actually stored in the ring are mirrored.
+    /// That makes the flushed RLOGv1 log exactly the mirrored workload, so
+    /// [`crate::shadow::replay_mirror`] over the log reproduces the online
+    /// `ShadowReport` drift numbers bit for bit. Without a recorder, every
+    /// request is mirrored.
+    fn observe_request(
+        &self,
+        live: &ScoreIndex,
+        target: &str,
+        conn: u64,
+        seq: u64,
+        status: u16,
+        latency_us: u64,
+    ) {
+        let mirror = match &self.recorder {
+            Some(r) => {
+                r.sample()
+                    && r.store(ReqRecord {
+                        conn,
+                        seq,
+                        generation: live.generation(),
+                        status,
+                        latency_us,
+                        target: target.to_owned(),
+                    })
+            }
+            None => true,
+        };
+        if mirror && self.shared.mirror_if_shadowing(live, target, latency_us).is_some() {
+            // This mirror's auto-decision just promoted the candidate.
+            self.metrics.record_swap();
+        }
+    }
+}
+
+/// Chaos site: an accepted connection the driver loses before serving
+/// it (transient accept-path fault). Queue/slab accounting and worker
+/// liveness must survive it. Like the three sites below, it lives in
+/// its own function so the site has exactly one declaration
+/// (FAILPOINT-SYNC) while both drivers evaluate it.
+pub(crate) fn accept_failpoint() -> bool {
+    failpoint!("serve.accept", return true);
+    false
+}
+
+/// Chaos site: a transient fault on a driver's socket read — the
+/// connection is torn down as if the kernel failed the read.
+pub(crate) fn read_failpoint() -> bool {
+    failpoint!("serve.io.read", return true);
+    false
+}
+
+/// Chaos site: a transient fault on a driver's socket write.
+pub(crate) fn write_failpoint() -> bool {
+    failpoint!("serve.io.write", return true);
+    false
+}
+
+/// Shed one connection at the door: count it and render the whole `503`
+/// the driver writes before dropping the socket. Load is shed instead of
+/// growing an unbounded backlog.
+pub(crate) fn shed_response(metrics: &Metrics) -> Vec<u8> {
+    metrics.record_shed();
+    let mut out = Vec::new();
+    let message = "server is at capacity, retry shortly";
+    http::write_error_response(&mut out, &mut Vec::new(), 503, message, false);
+    out
+}
+
+/// One connection's protocol state between events.
+pub struct Conn {
+    /// Unparsed request bytes (the per-connection read arena); drivers
+    /// append what they read, the core drains what it parsed.
+    pub buf: Vec<u8>,
+    /// Rendered-but-unflushed response bytes.
+    out: Vec<u8>,
+    /// How much of `out` has been written so far.
+    out_pos: usize,
+    /// Requests completed on this connection (keep-alive accounting).
+    served: u64,
+    /// Close once `out` is fully flushed (response said close, or a
+    /// parse error poisoned the byte stream).
+    close_after_flush: bool,
+    /// Peer EOF seen: flush what we owe, read nothing more.
+    peer_gone: bool,
+    /// Recorder-assigned connection id (0 without a recorder); recorded
+    /// requests carry it so replay can preserve per-connection order.
+    id: u64,
+    /// Whether `Connection: keep-alive` requests may reuse this
+    /// connection. Off, every response says `Connection: close`.
+    reuse: bool,
+    _open: OpenConn,
+}
+
+impl Conn {
+    /// A freshly accepted connection, counted open until it drops.
+    /// `reuse` is the one thing the drivers choose differently: the
+    /// event loop honours keep-alive; the pool turns it off, because a
+    /// kept-alive connection would pin one of its `workers` threads and
+    /// starve the queue.
+    pub fn new(ctx: &Ctx, reuse: bool) -> Conn {
+        Conn {
+            buf: Vec::new(),
+            out: Vec::new(),
+            out_pos: 0,
+            served: 0,
+            close_after_flush: false,
+            peer_gone: false,
+            id: ctx.recorder.as_ref().map(|r| r.conn_id()).unwrap_or(0),
+            reuse,
+            _open: ctx.metrics.conn_open(),
+        }
+    }
+
+    /// Response bytes rendered and not yet written out.
+    pub fn pending(&self) -> &[u8] {
+        self.out.get(self.out_pos..).unwrap_or_default()
+    }
+
+    /// The driver wrote the first `n` bytes of [`Conn::pending`].
+    pub fn advance(&mut self, n: usize) {
+        self.out_pos += n;
+        if self.out_pos >= self.out.len() {
+            self.out.clear();
+            self.out_pos = 0;
+        }
+    }
+
+    /// Whether the driver should read more request bytes: not after EOF
+    /// or a closing response, and not while the client owes us a drain.
+    pub fn wants_bytes(&self) -> bool {
+        !self.peer_gone && !self.close_after_flush && self.pending().len() < WRITE_LIMIT
+    }
+
+    /// Everything owed is flushed and nothing more can arrive or be
+    /// answered: the driver closes the socket.
+    pub fn finished(&self) -> bool {
+        self.pending().is_empty()
+            && (self.close_after_flush || (self.peer_gone && self.buf.is_empty()))
+    }
+
+    /// Event: the peer closed its sending side.
+    pub fn on_eof(&mut self, ctx: &mut Ctx) -> bool {
+        self.peer_gone = true;
+        self.on_bytes(ctx)
+    }
+
+    /// Event: bytes arrived in `buf` (or flushing freed output space).
+    /// Peel complete heads off the buffer and render their responses.
+    /// Returns `true` when it paused on the write cap with parseable
+    /// bytes still buffered (the driver calls again once flushing frees
+    /// space).
+    pub fn on_bytes(&mut self, ctx: &mut Ctx) -> bool {
+        // Chaos site: a slow or dying driver thread, outside any one
+        // request — a panic here reaches the driver's last-resort guard.
+        failpoint!("serve.handle");
+        let mut parsed = 0;
+        let mut backpressured = false;
+        while !self.close_after_flush {
+            let rest = self.buf.get(parsed..).unwrap_or_default();
+            if rest.is_empty() {
+                break;
+            }
+            if self.pending().len() >= WRITE_LIMIT {
+                backpressured = true;
+                break;
+            }
+            match http::try_parse_head(rest) {
+                Ok(None) => break,
+                Ok(Some(head)) => {
+                    if self.served > 0 {
+                        ctx.metrics.record_keepalive_reuse();
+                    }
+                    let keep = head.keep_alive && self.reuse;
+                    self.answer(ctx, &head, parsed, keep);
+                    self.served += 1;
+                    parsed += head.consumed;
+                    self.close_after_flush = !keep;
+                }
+                Err(e) => {
+                    self.early_error(ctx, e.status(), &e.message(), None);
+                    break;
+                }
+            }
+        }
+        // EOF with a head still incomplete, or before a single byte was
+        // sent: nothing can complete it any more.
+        let incomplete = parsed < self.buf.len() || self.served == 0;
+        if self.peer_gone && incomplete && !backpressured && !self.close_after_flush {
+            self.early_error(ctx, 400, "connection closed before end of request head", None);
+        }
+        self.buf.drain(..parsed);
+        backpressured
+    }
+
+    /// Event: the driver saw no activity for `idle`, past its read
+    /// timeout. A mid-request stall (bytes buffered, or nothing ever
+    /// served) with nothing else owed answers `408`; an idle keep-alive
+    /// connection closes silently. Either way the connection is over:
+    /// the driver makes one best-effort flush and closes — the client
+    /// was the slow side, so an unflushed remainder is its loss.
+    pub fn on_timeout(&mut self, ctx: &mut Ctx, idle: Duration) {
+        let mid_request = !self.buf.is_empty() || self.served == 0;
+        if mid_request && self.pending().is_empty() {
+            self.early_error(ctx, 408, "timed out waiting for request", Some(idle));
+        }
+        self.close_after_flush = true;
+    }
+
+    /// Render a pre-request failure (parse error, EOF mid-head, timeout)
+    /// and mark the connection for close — the byte stream is not
+    /// trustworthy past this point. `waited` is the latency to record
+    /// when the failure *is* a wait; otherwise the render is timed.
+    fn early_error(&mut self, ctx: &mut Ctx, status: u16, message: &str, waited: Option<Duration>) {
+        let _gauge = ctx.metrics.begin();
+        let started = Instant::now();
+        http::write_error_response(&mut self.out, &mut ctx.body, status, message, false);
+        ctx.metrics.record(status, waited.unwrap_or_else(|| started.elapsed()));
+        // No index was consulted; attribute to the currently published
+        // generation so per-generation requests still sum to `requests`.
+        ctx.metrics.record_generation(ctx.shared.generation(), status);
+        self.close_after_flush = true;
+    }
+
+    /// Answer one parsed request into the output buffer.
+    fn answer(&mut self, ctx: &mut Ctx, head: &ParsedHead, head_offset: usize, keep: bool) {
+        let metrics = Arc::clone(&ctx.metrics);
+        let _gauge = metrics.begin();
+        let started = Instant::now();
+        // Snapshot the index once per request: the whole answer comes
+        // from one immutable generation even if a swap lands mid-answer,
+        // and `/metrics` attributes the response to exactly that one.
+        let index = ctx.shared.load();
+        // The raw target bytes, shifted by where this head sits in the
+        // buffer (pipelined requests parse at nonzero offsets).
+        let target = head_offset + head.target.start..head_offset + head.target.end;
+        let rollback = self.out.len();
+        let status = catch_unwind(AssertUnwindSafe(|| {
+            let target = self.buf.get(target.clone()).unwrap_or_default();
+            ctx.write_answer(&head.req, target, &index, keep, &mut self.out)
+        }));
+        let status = match status {
+            Ok(s) => s,
+            Err(cause) => {
+                // Narrow per-request isolation: a handler bug becomes a
+                // recorded 500, the client still gets a whole response,
+                // and accounting stays exact.
+                ctx.metrics.record_panic();
+                server::log_panic("answering a request", cause.as_ref());
+                self.out.truncate(rollback);
+                http::write_error_response(
+                    &mut self.out,
+                    &mut ctx.body,
+                    500,
+                    "internal error while answering the request",
+                    keep,
+                );
+                500
+            }
+        };
+        let took = started.elapsed();
+        ctx.metrics.record(status, took);
+        ctx.metrics.record_generation(index.generation(), status);
+        // Record + mirror after the response is rendered and accounted:
+        // `took` (what `/metrics` reports) never includes shadow work, and a
+        // mirror fault can only degrade recording, never the answer already
+        // sitting in the output buffer.
+        let target = String::from_utf8_lossy(self.buf.get(target).unwrap_or_default());
+        let us = took.as_micros().min(u128::from(u64::MAX)) as u64;
+        ctx.observe_request(&index, &target, self.id, self.served, status, us);
+    }
+}
+
+/// One cached rendered `/top` body.
+struct CacheEntry {
+    generation: u64,
+    last_used: u64,
+    body: Vec<u8>,
+}
+
+/// A tiny per-thread LRU of rendered `/top` bodies keyed by raw request
+/// target. Single-threaded (owned by one [`Ctx`]), so no locks; see the
+/// module docs for the generation-stamp invalidation scheme.
+struct TopCache {
+    cap: usize,
+    tick: u64,
+    entries: HashMap<Vec<u8>, CacheEntry>,
+}
+
+impl TopCache {
+    fn new(cap: usize) -> TopCache {
+        TopCache { cap, tick: 0, entries: HashMap::with_capacity(cap) }
+    }
+
+    /// The cached body for `target`, only if it was rendered from the
+    /// generation being served right now.
+    fn get(&mut self, target: &[u8], generation: u64) -> Option<&[u8]> {
+        self.tick += 1;
+        let entry = self.entries.get_mut(target)?;
+        if entry.generation != generation {
+            return None;
+        }
+        entry.last_used = self.tick;
+        Some(&entry.body)
+    }
+
+    fn insert(&mut self, target: &[u8], generation: u64, body: &[u8]) {
+        if body.len() > CACHE_MAX_BODY {
+            return;
+        }
+        self.tick += 1;
+        if let Some(entry) = self.entries.get_mut(target) {
+            entry.generation = generation;
+            entry.last_used = self.tick;
+            entry.body.clear();
+            entry.body.extend_from_slice(body);
+            return;
+        }
+        if self.entries.len() >= self.cap {
+            // O(cap) eviction scan, but only on a miss that inserts
+            // into a full cache — the hot steady state never pays it.
+            if let Some(victim) =
+                self.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone())
+            {
+                self.entries.remove(&victim);
+            }
+        }
+        self.entries.insert(
+            target.to_vec(),
+            CacheEntry { generation, last_used: self.tick, body: body.to_vec() },
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scholar_corpus::generator::Preset;
+    use std::sync::atomic::Ordering::SeqCst;
+
+    fn ctx() -> Ctx {
+        let corpus = Arc::new(Preset::Tiny.generate(3));
+        let scores = vec![1.0; corpus.num_articles()];
+        let shared = Arc::new(SharedIndex::new(ScoreIndex::build(corpus, scores)));
+        Ctx::new(shared, Arc::new(Metrics::new()), None)
+    }
+
+    /// The status of the one response `conn` owes, which must also close
+    /// the connection.
+    fn closing_status(conn: &Conn) -> u16 {
+        let text = String::from_utf8_lossy(conn.pending()).into_owned();
+        assert!(conn.close_after_flush && text.contains("Connection: close"), "{text}");
+        assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "{text}");
+        text.split_whitespace().nth(1).and_then(|s| s.parse().ok()).expect("status line")
+    }
+
+    /// A keep-alive connection with one request answered and flushed.
+    fn between_requests(ctx: &mut Ctx) -> Conn {
+        let mut conn = Conn::new(ctx, true);
+        conn.buf.extend_from_slice(b"GET /health HTTP/1.1\r\nConnection: keep-alive\r\n\r\n");
+        conn.on_bytes(ctx);
+        conn.advance(conn.pending().len());
+        assert!(!conn.finished() && conn.wants_bytes());
+        conn
+    }
+
+    #[test]
+    fn missing_terminator_is_400() {
+        let mut ctx = ctx();
+        let mut conn = Conn::new(&ctx, true);
+        conn.buf.extend_from_slice(b"GET /top HTTP/1.1\r\nHost: x\r\n");
+        conn.on_bytes(&mut ctx);
+        assert!(conn.pending().is_empty(), "a partial head is not an error yet");
+        conn.on_eof(&mut ctx);
+        assert_eq!(closing_status(&conn), 400);
+        assert!(String::from_utf8_lossy(conn.pending()).contains("before end of request head"));
+        // Connect-and-close is the same 400; EOF between requests is not.
+        let mut silent = Conn::new(&ctx, false);
+        silent.on_eof(&mut ctx);
+        assert_eq!(closing_status(&silent), 400);
+        let mut polite = between_requests(&mut ctx);
+        polite.on_eof(&mut ctx);
+        assert!(polite.finished());
+        assert_eq!(ctx.metrics.client_errors.load(SeqCst), 2);
+    }
+
+    #[test]
+    fn slow_trickle_hits_timeout_408() {
+        let mut ctx = ctx();
+        let idle = Duration::from_millis(300);
+        // Slowloris: a started request that stalls is answered 408 …
+        let mut stalled = Conn::new(&ctx, true);
+        stalled.buf.extend_from_slice(b"GET /top?k=");
+        stalled.on_bytes(&mut ctx);
+        stalled.on_timeout(&mut ctx, idle);
+        assert_eq!(closing_status(&stalled), 408);
+        // … as is a connection that never sent anything …
+        let mut mute = Conn::new(&ctx, false);
+        mute.on_timeout(&mut ctx, idle);
+        assert_eq!(closing_status(&mute), 408);
+        // … but an idle keep-alive connection just closes.
+        let mut reusable = between_requests(&mut ctx);
+        reusable.on_timeout(&mut ctx, idle);
+        assert!(reusable.finished());
+        assert_eq!(ctx.metrics.client_errors.load(SeqCst), 2);
+        assert_eq!(ctx.metrics.connections_active.load(SeqCst), 3);
+        drop((stalled, mute, reusable));
+        assert_eq!(ctx.metrics.connections_active.load(SeqCst), 0);
+    }
+
+    #[test]
+    fn cache_validates_generation_and_evicts_lru() {
+        let mut c = TopCache::new(2);
+        c.insert(b"/top?k=1", 1, b"one");
+        assert_eq!(c.get(b"/top?k=1", 1), Some(b"one".as_slice()));
+        // Wrong generation: entry exists but must not be served.
+        assert_eq!(c.get(b"/top?k=1", 2), None);
+        // Overwriting re-stamps in place.
+        c.insert(b"/top?k=1", 2, b"two");
+        assert_eq!(c.get(b"/top?k=1", 2), Some(b"two".as_slice()));
+
+        // Fill to cap, touch the first, insert a third: the untouched
+        // second entry is the LRU victim.
+        c.insert(b"/top?k=9", 2, b"nine");
+        assert_eq!(c.get(b"/top?k=1", 2), Some(b"two".as_slice()));
+        c.insert(b"/top?k=5", 2, b"five");
+        assert_eq!(c.get(b"/top?k=9", 2), None);
+        assert_eq!(c.get(b"/top?k=1", 2), Some(b"two".as_slice()));
+        assert_eq!(c.get(b"/top?k=5", 2), Some(b"five".as_slice()));
+    }
+
+    #[test]
+    fn cache_refuses_oversized_bodies() {
+        let mut c = TopCache::new(4);
+        let big = vec![b'x'; CACHE_MAX_BODY + 1];
+        c.insert(b"/top?k=10000", 1, &big);
+        assert_eq!(c.get(b"/top?k=10000", 1), None);
+    }
+}

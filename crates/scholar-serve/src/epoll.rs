@@ -1,64 +1,45 @@
-//! The nonblocking epoll backend: SO_REUSEPORT-sharded event loops with
-//! HTTP/1.1 keep-alive, pipelining, and a zero-alloc response path.
+//! The nonblocking epoll driver: SO_REUSEPORT-sharded event loops that
+//! feed the shared request path ([`crate::conn`]) from edge-triggered
+//! readiness. Everything HTTP — parsing, routing, rendering, keep-alive
+//! and pipelining rules, accounting — lives in the core; this file owns
+//! sockets, the slab, and time.
 //!
 //! Each shard is one thread owning one `SO_REUSEPORT` listener and one
 //! epoll instance — the kernel spreads incoming connections across
 //! shards, so there is no accept lock and no cross-thread hand-off.
 //! Within a shard everything is single-threaded: connections live in a
-//! slab indexed by the epoll token, and all per-request scratch (top-k
-//! id vector, body staging arena, rendered-response cache) is shard
-//! state reused across requests, so the steady-state `/top` hot path
-//! performs no allocations at all.
+//! slab indexed by the epoll token and share the shard's one [`Ctx`].
 //!
 //! ## Readiness state machine
 //!
 //! Sockets are registered edge-triggered for `IN | OUT | RDHUP`. Each
 //! wake-up drives one connection through three phases:
 //!
-//! 1. **read** — drain the socket into the connection's buffer until
+//! 1. **fill** — drain the socket into the connection's buffer until
 //!    `WouldBlock` (edge-triggered epoll requires draining) or EOF;
-//! 2. **process** — peel complete request heads off the buffer with
-//!    [`http::try_parse_head`], rendering each response into the
-//!    connection's output buffer. Multiple heads in one buffer are
-//!    pipelined requests: all are answered, in order, in one pass. A
-//!    request without `Connection: keep-alive` marks the connection
-//!    close-after-flush and stops the pipeline (parity with the
-//!    blocking backend's one-request connections);
+//! 2. **core** — hand the core its event ([`Conn::on_bytes`] or
+//!    [`Conn::on_eof`]), which renders responses into its output buffer;
 //! 3. **flush** — write the output buffer until done or `WouldBlock`;
 //!    leftover bytes wait for the next `EPOLLOUT` edge.
 //!
-//! An idle sweep evicts connections idle past the read timeout:
-//! mid-request stalls get the same `408` the blocking path produces
-//! (slowloris parity); idle keep-alive connections are closed silently,
-//! as keep-alive clients expect. The `epoll_wait` timeout is
-//! deadline-driven: it is the time until the earliest idle connection's
-//! eviction deadline, capped at [`TICK_MS`] (the stop-flag check
-//! cadence), so an eviction lands within about a millisecond of its
-//! deadline instead of up to a full tick late.
-//!
-//! ## Cache invalidation on swap
-//!
-//! The response cache keys on the raw request-target bytes and stamps
-//! each entry with the generation of the index snapshot that rendered
-//! it. A lookup only returns an entry whose stamp equals the *current*
-//! snapshot's generation — publishing a new generation therefore
-//! invalidates every entry at once without touching the cache, because
-//! the stamp comparison fails. Stale entries are simply overwritten on
-//! the next miss or evicted by LRU order.
+//! An idle sweep hands connections idle past the read timeout the
+//! core's third event ([`Conn::on_timeout`]) and closes them. The
+//! `epoll_wait` timeout is deadline-driven: it is the time until the
+//! earliest idle connection's eviction deadline, capped at [`TICK_MS`]
+//! (the stop-flag check cadence), so an eviction lands within about a
+//! millisecond of its deadline instead of up to a full tick late.
 
-use crate::http::{self, ParsedHead};
+use crate::conn::{self, Conn, Ctx};
 use crate::metrics::Metrics;
 use crate::server::{self, ServeConfig};
 use crate::swap::SharedIndex;
 use crate::sys::{self, Epoll, EpollEvent};
-use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Maximum epoll wait timeout: the cadence of the stop-flag check. The
@@ -71,15 +52,6 @@ const EVENTS_CAP: usize = 256;
 /// bounds memory against a client pipelining without bound. The loop
 /// returns to reading afterwards, so nothing is lost.
 const READ_LIMIT: usize = 64 * 1024;
-/// Stop rendering pipelined responses once this much output is pending
-/// flush — bounds memory against a client that pipelines requests but
-/// never reads answers. Processing resumes as the client drains.
-const WRITE_LIMIT: usize = 256 * 1024;
-/// Rendered-response cache: entries per shard.
-const CACHE_CAP: usize = 256;
-/// Largest body the cache will hold (a `/top?k=10000` answer is ~1.5MB;
-/// caching those would blow the per-shard memory budget).
-const CACHE_MAX_BODY: usize = 64 * 1024;
 /// Epoll token reserved for the shard's listener.
 const LISTENER_TOKEN: u64 = u64::MAX;
 
@@ -90,7 +62,7 @@ pub(crate) fn start(
     metrics: Arc<Metrics>,
     config: &ServeConfig,
     stop: Arc<AtomicBool>,
-) -> std::io::Result<(SocketAddr, Vec<JoinHandle<()>>)> {
+) -> server::Started {
     use std::net::ToSocketAddrs;
     let requested = config.addr.to_socket_addrs()?.next().ok_or_else(|| {
         std::io::Error::new(ErrorKind::InvalidInput, "address resolved to nothing")
@@ -108,15 +80,13 @@ pub(crate) fn start(
 
     let mut threads = Vec::with_capacity(shards);
     for (i, listener) in listeners.into_iter().enumerate() {
-        let shared = Arc::clone(&shared);
-        let metrics = Arc::clone(&metrics);
+        let ctx = Ctx::new(Arc::clone(&shared), Arc::clone(&metrics), config.recorder.clone());
         let stop = Arc::clone(&stop);
         let read_timeout = config.read_timeout;
         let max_conns = config.max_conns.max(1);
-        let recorder = config.recorder.clone();
         let thread =
             std::thread::Builder::new().name(format!("scholar-epoll-{i}")).spawn(move || {
-                match Shard::new(listener, shared, metrics, read_timeout, max_conns, recorder) {
+                match Shard::new(listener, ctx, read_timeout, max_conns) {
                     Ok(mut shard) => shard.run(&stop),
                     Err(e) => eprintln!("scholar-serve: epoll shard {i} failed to start: {e}"),
                 }
@@ -126,26 +96,16 @@ pub(crate) fn start(
     Ok((addr, threads))
 }
 
-/// One connection's state between wake-ups.
-struct Conn {
+/// One slab entry: a connection's protocol state plus the socket and
+/// clock the core does not have. Field order is drop order: the core
+/// goes first, so the open-connections gauge is released *before* the fd
+/// closes — the close delivers EOF to the client, and a client that
+/// reacts to that EOF by reading the metrics must see the gauge already
+/// decremented.
+struct Sock {
+    core: Conn,
     stream: TcpStream,
-    /// Unparsed request bytes (the per-connection read arena).
-    buf: Vec<u8>,
-    /// Rendered-but-unflushed response bytes.
-    out: Vec<u8>,
-    /// How much of `out` has been written so far.
-    out_pos: usize,
     last_activity: Instant,
-    /// Requests completed on this connection (keep-alive accounting).
-    served: u64,
-    /// Close once `out` is fully flushed (response said close, or a
-    /// parse error poisoned the byte stream).
-    close_after_flush: bool,
-    /// Peer EOF seen: flush what we owe, read nothing more.
-    peer_gone: bool,
-    /// Recorder-assigned connection id (0 without a recorder); recorded
-    /// requests carry it so replay can preserve per-connection order.
-    id: u64,
 }
 
 enum Drive {
@@ -153,41 +113,23 @@ enum Drive {
     Close,
 }
 
-/// Shard-level request context: everything the render path needs, kept
-/// apart from the connection slab so a connection and the context can
-/// be borrowed mutably at the same time.
-struct Ctx {
-    shared: Arc<SharedIndex>,
-    metrics: Arc<Metrics>,
-    read_timeout: Duration,
-    /// Scratch for [`crate::ScoreIndex::top_ids_into`].
-    ids: Vec<u32>,
-    /// Body staging arena (bodies are built here so their length is
-    /// known before the head is written).
-    body: Vec<u8>,
-    cache: TopCache,
-    /// Optional request recorder shared by every shard.
-    recorder: Option<Arc<crate::record::Recorder>>,
-}
-
 struct Shard {
     epoll: Epoll,
     listener: TcpListener,
-    conns: Vec<Option<Conn>>,
+    conns: Vec<Option<Sock>>,
     free: Vec<usize>,
     active: usize,
     max_conns: usize,
+    read_timeout: Duration,
     ctx: Ctx,
 }
 
 impl Shard {
     fn new(
         listener: TcpListener,
-        shared: Arc<SharedIndex>,
-        metrics: Arc<Metrics>,
+        ctx: Ctx,
         read_timeout: Duration,
         max_conns: usize,
-        recorder: Option<Arc<crate::record::Recorder>>,
     ) -> std::io::Result<Shard> {
         let epoll = Epoll::new()?;
         epoll.add(listener.as_raw_fd(), LISTENER_TOKEN, sys::EPOLLIN)?;
@@ -198,15 +140,8 @@ impl Shard {
             free: Vec::new(),
             active: 0,
             max_conns,
-            ctx: Ctx {
-                shared,
-                metrics,
-                read_timeout,
-                ids: Vec::new(),
-                body: Vec::new(),
-                cache: TopCache::new(CACHE_CAP),
-                recorder,
-            },
+            read_timeout,
+            ctx,
         })
     }
 
@@ -264,15 +199,15 @@ impl Shard {
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => return,
             };
+            if conn::accept_failpoint() {
+                continue;
+            }
             if self.active >= self.max_conns {
-                // Shed at the door, exactly like the blocking acceptor
-                // does when its queue is full. The accepted socket is
-                // still blocking; the small response fits in the socket
+                // Shed at the door. The accepted socket is still
+                // blocking; the small response fits in the socket
                 // buffer, so this cannot stall the loop meaningfully.
-                self.ctx.metrics.record_shed();
-                let body = http::error_body(503, "server is at capacity, retry shortly");
                 let mut stream = stream;
-                let _ = stream.write_all(&http::response_bytes(503, &body));
+                let _ = stream.write_all(&conn::shed_response(&self.ctx.metrics));
                 continue;
             }
             let _ = stream.set_nodelay(true);
@@ -286,27 +221,16 @@ impl Shard {
                     self.conns.len() - 1
                 }
             };
-            let conn = Conn {
-                stream,
-                buf: Vec::new(),
-                out: Vec::new(),
-                out_pos: 0,
-                last_activity: Instant::now(),
-                served: 0,
-                close_after_flush: false,
-                peer_gone: false,
-                id: self.ctx.recorder.as_ref().map(|r| r.conn_id()).unwrap_or(0),
-            };
             let interest = sys::EPOLLIN | sys::EPOLLOUT | sys::EPOLLRDHUP | sys::EPOLLET;
-            if self.epoll.add(conn.stream.as_raw_fd(), slot as u64, interest).is_err() {
+            if self.epoll.add(stream.as_raw_fd(), slot as u64, interest).is_err() {
                 self.free.push(slot);
                 continue;
             }
+            let core = Conn::new(&self.ctx, true);
             if let Some(cell) = self.conns.get_mut(slot) {
-                *cell = Some(conn);
+                *cell = Some(Sock { core, stream, last_activity: Instant::now() });
             }
             self.active += 1;
-            self.ctx.metrics.record_conn_open();
         }
     }
 
@@ -316,11 +240,10 @@ impl Shard {
         };
         conn.last_activity = Instant::now();
         let ctx = &mut self.ctx;
-        // Last-resort isolation, mirroring the blocking worker loop: a
-        // bug driving one connection must not take down the shard. The
-        // narrow per-request catch inside `process` already turns
-        // handler panics into recorded 500s; anything reaching here is
-        // outside a request, so the connection is simply dropped.
+        // Last-resort isolation: a bug driving one connection must not
+        // take down the shard. The core already turns handler panics
+        // into recorded 500s; anything reaching here is outside a
+        // request, so the connection is simply dropped.
         let drove = catch_unwind(AssertUnwindSafe(|| drive(conn, ctx)));
         match drove {
             Ok(Drive::Keep) => {}
@@ -340,27 +263,23 @@ impl Shard {
                 // tidies the interest list when the fd lives on (it
                 // never does here, but the call is harmless).
                 let _ = self.epoll.del(conn.stream.as_raw_fd());
-                // All bookkeeping happens *before* the fd closes: the
-                // close delivers EOF to the client, and a client that
-                // reacts to that EOF by reading the metrics must see the
-                // gauge already decremented.
+                // All bookkeeping happens *before* the fd closes (see
+                // `Sock` for why).
                 self.free.push(slot);
                 self.active -= 1;
-                self.ctx.metrics.record_conn_close();
                 drop(conn);
             }
         }
     }
 
-    /// Evict connections idle past the read timeout. Mid-request stalls
-    /// (bytes buffered, or nothing ever served) answer `408` exactly
-    /// like the blocking path's read-timeout; idle keep-alive
-    /// connections close silently. Returns the earliest eviction
+    /// Evict connections idle past the read timeout: the core decides
+    /// between `408` and a silent close, the shard makes one best-effort
+    /// nonblocking flush and closes. Returns the earliest eviction
     /// deadline among the surviving connections, which becomes the next
     /// `epoll_wait` timeout.
     fn sweep_idle(&mut self) -> Option<Instant> {
         let now = Instant::now();
-        let timeout = self.ctx.read_timeout;
+        let timeout = self.read_timeout;
         let mut earliest: Option<Instant> = None;
         for slot in 0..self.conns.len() {
             let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else { continue };
@@ -373,24 +292,8 @@ impl Shard {
                 });
                 continue;
             }
-            let mid_request = !conn.buf.is_empty() || conn.served == 0;
-            if mid_request && conn.out_pos >= conn.out.len() {
-                let _gauge = self.ctx.metrics.begin();
-                conn.out.clear();
-                conn.out_pos = 0;
-                http::write_error_response(
-                    &mut conn.out,
-                    &mut self.ctx.body,
-                    408,
-                    "timed out waiting for request",
-                    false,
-                );
-                self.ctx.metrics.record(408, idle);
-                self.ctx.metrics.record_generation(self.ctx.shared.generation(), 408);
-                // One best-effort nonblocking flush; the client was the
-                // slow side, so an unflushed remainder is its loss.
-                let _ = flush(conn);
-            }
+            conn.core.on_timeout(&mut self.ctx, idle);
+            let _ = flush(conn);
             self.close(slot);
         }
         earliest
@@ -400,52 +303,36 @@ impl Shard {
     /// blocking window to reach their clients before the fds close.
     fn drain_pending_writes(&mut self) {
         for cell in self.conns.iter_mut() {
-            if let Some(conn) = cell.take() {
-                let mut conn = conn;
-                if conn.out_pos < conn.out.len() {
+            if let Some(mut conn) = cell.take() {
+                if !conn.core.pending().is_empty() {
                     let _ = conn.stream.set_nonblocking(false);
                     let _ = conn.stream.set_write_timeout(Some(Duration::from_millis(250)));
-                    let rest = conn.out.get(conn.out_pos..).unwrap_or_default();
-                    let _ = conn.stream.write_all(rest);
+                    let _ = conn.stream.write_all(conn.core.pending());
                 }
-                self.ctx.metrics.record_conn_close();
             }
         }
     }
 }
 
-fn pending_out(conn: &Conn) -> usize {
-    conn.out.len().saturating_sub(conn.out_pos)
-}
-
-/// Drive one woken connection through read → process → flush, looping
-/// while there is still local work (read cap hit, or processing paused
-/// on the write cap and flushing freed space).
-fn drive(conn: &mut Conn, ctx: &mut Ctx) -> Drive {
+/// Drive one woken connection through fill → core → flush, looping
+/// while there is still local work (read cap hit, or the core paused on
+/// its write cap and flushing freed space).
+fn drive(conn: &mut Sock, ctx: &mut Ctx) -> Drive {
     loop {
-        let mut more = false;
-        if !conn.peer_gone && !conn.close_after_flush && pending_out(conn) < WRITE_LIMIT {
-            match fill(conn) {
-                Fill::Drained => {}
-                Fill::LimitHit => more = true,
-                Fill::Error => return Drive::Close,
-            }
-        }
-        let backpressured = process(conn, ctx);
+        let filled = if conn.core.wants_bytes() { fill(conn) } else { Fill::Drained };
+        let paused = match filled {
+            Fill::Error => return Drive::Close,
+            Fill::Eof => conn.core.on_eof(ctx),
+            Fill::Drained | Fill::LimitHit => conn.core.on_bytes(ctx),
+        };
         if let Flush::Error = flush(conn) {
             return Drive::Close;
         }
-        if conn.out_pos >= conn.out.len() {
-            conn.out.clear();
-            conn.out_pos = 0;
-            if conn.close_after_flush || (conn.peer_gone && conn.buf.is_empty()) {
-                return Drive::Close;
-            }
+        if conn.core.finished() {
+            return Drive::Close;
         }
-        if backpressured && pending_out(conn) < WRITE_LIMIT {
-            more = true;
-        }
-        if !more {
+        let resumable = paused && conn.core.pending().len() < conn::WRITE_LIMIT;
+        if !matches!(filled, Fill::LimitHit) && !resumable {
             return Drive::Keep;
         }
     }
@@ -453,236 +340,29 @@ fn drive(conn: &mut Conn, ctx: &mut Ctx) -> Drive {
 
 enum Fill {
     Drained,
+    Eof,
     LimitHit,
     Error,
 }
 
 /// Read until `WouldBlock`, EOF, or the buffer cap.
-fn fill(conn: &mut Conn) -> Fill {
+fn fill(conn: &mut Sock) -> Fill {
     let mut tmp = [0u8; 4096];
     loop {
-        if conn.buf.len() >= READ_LIMIT {
+        if conn.core.buf.len() >= READ_LIMIT {
             return Fill::LimitHit;
         }
-        // Chaos site: a transient fault on the event loop's read path —
-        // the connection is torn down as if the kernel failed the read.
-        failpoint!("serve.io.read", return Fill::Error);
+        if conn::read_failpoint() {
+            return Fill::Error;
+        }
         match conn.stream.read(&mut tmp) {
-            Ok(0) => {
-                conn.peer_gone = true;
-                return Fill::Drained;
-            }
-            Ok(n) => conn.buf.extend_from_slice(tmp.get(..n).unwrap_or_default()),
+            Ok(0) => return Fill::Eof,
+            Ok(n) => conn.core.buf.extend_from_slice(tmp.get(..n).unwrap_or_default()),
             Err(e) if e.kind() == ErrorKind::WouldBlock => return Fill::Drained,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return Fill::Error,
         }
     }
-}
-
-/// Peel complete heads off the buffer and render their responses.
-/// Returns `true` when it paused on the write cap with parseable bytes
-/// still buffered (the caller resumes once flushing frees space).
-fn process(conn: &mut Conn, ctx: &mut Ctx) -> bool {
-    let mut parsed = 0;
-    let mut backpressured = false;
-    while !conn.close_after_flush {
-        let rest = conn.buf.get(parsed..).unwrap_or_default();
-        if rest.is_empty() {
-            break;
-        }
-        if pending_out(conn) >= WRITE_LIMIT {
-            backpressured = true;
-            break;
-        }
-        match http::try_parse_head(rest) {
-            Ok(None) => {
-                if conn.peer_gone {
-                    // EOF mid-head: the blocking path's 400, recorded
-                    // the same way.
-                    render_early_error(
-                        conn,
-                        ctx,
-                        400,
-                        "connection closed before end of request head",
-                    );
-                }
-                break;
-            }
-            Ok(Some(head)) => {
-                if conn.served > 0 {
-                    ctx.metrics.record_keepalive_reuse();
-                }
-                let target_end = parsed + head.consumed;
-                answer(conn, ctx, &head, parsed);
-                conn.served += 1;
-                parsed = target_end;
-                if !head.keep_alive {
-                    conn.close_after_flush = true;
-                }
-            }
-            Err(e) => {
-                // A malformed head poisons the byte stream — answer the
-                // error and close, like the blocking path.
-                render_early_error(conn, ctx, e.status(), &e.message());
-                break;
-            }
-        }
-    }
-    if conn.peer_gone && conn.buf.is_empty() && conn.served == 0 && !conn.close_after_flush {
-        // Connected and closed without sending a byte: blocking parity
-        // again (read_request sees EOF and reports 400).
-        render_early_error(conn, ctx, 400, "connection closed before end of request head");
-    }
-    conn.buf.drain(..parsed);
-    backpressured
-}
-
-/// Render a pre-request failure (parse error, EOF mid-head, timeout) and
-/// mark the connection for close — the byte stream is not trustworthy
-/// past this point.
-fn render_early_error(conn: &mut Conn, ctx: &mut Ctx, status: u16, message: &str) {
-    let _gauge = ctx.metrics.begin();
-    let started = Instant::now();
-    http::write_error_response(&mut conn.out, &mut ctx.body, status, message, false);
-    ctx.metrics.record(status, started.elapsed());
-    // No index was consulted; attribute to the currently published
-    // generation so per-generation requests still sum to `requests`.
-    ctx.metrics.record_generation(ctx.shared.generation(), status);
-    conn.close_after_flush = true;
-}
-
-/// Answer one parsed request into the connection's output buffer.
-fn answer(conn: &mut Conn, ctx: &mut Ctx, head: &ParsedHead, head_offset: usize) {
-    let metrics = Arc::clone(&ctx.metrics);
-    let _gauge = metrics.begin();
-    let started = Instant::now();
-    let index = ctx.shared.load();
-    let keep = head.keep_alive;
-    // The raw target bytes, shifted by where this head sits in the
-    // buffer (pipelined requests parse at nonzero offsets).
-    let target_start = head_offset + head.target.start;
-    let target_end = head_offset + head.target.end;
-    let rollback = conn.out.len();
-    let status = catch_unwind(AssertUnwindSafe(|| {
-        let target = conn.buf.get(target_start..target_end).unwrap_or_default();
-        write_answer(&head.req, target, &mut conn.out, ctx, &index, keep)
-    }));
-    let status = match status {
-        Ok(s) => s,
-        Err(cause) => {
-            // Narrow per-request isolation, mirroring the blocking
-            // path: a handler bug becomes a recorded 500, the client
-            // still gets a whole response, and accounting stays exact.
-            ctx.metrics.record_panic();
-            server::log_panic("answering a request", cause.as_ref());
-            conn.out.truncate(rollback);
-            http::write_error_response(
-                &mut conn.out,
-                &mut ctx.body,
-                500,
-                "internal error while answering the request",
-                keep,
-            );
-            500
-        }
-    };
-    let took = started.elapsed();
-    ctx.metrics.record(status, took);
-    ctx.metrics.record_generation(index.generation(), status);
-    // Record + mirror after the response is rendered and accounted:
-    // `took` (what `/metrics` reports) never includes shadow work, and a
-    // mirror fault can only degrade recording, never the answer already
-    // sitting in the output buffer.
-    let target = conn.buf.get(target_start..target_end).unwrap_or_default();
-    let target = String::from_utf8_lossy(target);
-    let us = took.as_micros().min(u128::from(u64::MAX)) as u64;
-    server::observe_request(
-        ctx.recorder.as_deref(),
-        &ctx.shared,
-        &index,
-        &target,
-        conn.id,
-        conn.served,
-        status,
-        us,
-        &ctx.metrics,
-    );
-}
-
-/// Route one request, writing the complete response (head + body) into
-/// `out`. `/top` takes the zero-alloc fast path: cache lookup on the raw
-/// target, else fragment assembly into the staging arena. Everything
-/// else goes through the shared pure router.
-fn write_answer(
-    req: &http::Request,
-    target: &[u8],
-    out: &mut Vec<u8>,
-    ctx: &mut Ctx,
-    index: &crate::ScoreIndex,
-    keep: bool,
-) -> u16 {
-    // The shared chaos site both backends evaluate once per request.
-    server::respond_failpoint();
-    if req.path == "/top" {
-        // ORDERING: endpoint hit counter — an independent monotone
-        // statistic (see metrics.rs); no visibility hangs off it.
-        ctx.metrics.endpoints.top.fetch_add(1, Ordering::Relaxed);
-        return match server::parse_top_query(req, index) {
-            Ok(q) => {
-                if let Some(body) = ctx.cache.get(target, index.generation()) {
-                    http::write_response_head(out, 200, body.len(), keep);
-                    out.extend_from_slice(body);
-                    return 200;
-                }
-                index.top_ids_into(&q, &mut ctx.ids);
-                ctx.body.clear();
-                ctx.body.extend_from_slice(b"{\"generation\":");
-                http::write_u64(&mut ctx.body, index.generation());
-                ctx.body.extend_from_slice(b",\"count\":");
-                http::write_u64(&mut ctx.body, ctx.ids.len() as u64);
-                ctx.body.extend_from_slice(b",\"results\":[");
-                let mut broken = false;
-                for (i, &a) in ctx.ids.iter().enumerate() {
-                    let frag = index.hit_fragment(a);
-                    if frag.is_empty() {
-                        broken = true;
-                        break;
-                    }
-                    if i > 0 {
-                        ctx.body.push(b',');
-                    }
-                    ctx.body.extend_from_slice(frag);
-                }
-                if broken {
-                    http::write_error_response(
-                        out,
-                        &mut ctx.body,
-                        500,
-                        "index returned an article outside the corpus",
-                        keep,
-                    );
-                    return 500;
-                }
-                ctx.body.extend_from_slice(b"]}");
-                http::write_response_head(out, 200, ctx.body.len(), keep);
-                out.extend_from_slice(&ctx.body);
-                ctx.cache.insert(target, index.generation(), &ctx.body);
-                200
-            }
-            Err(msg) => {
-                http::write_error_response(out, &mut ctx.body, 400, &msg, keep);
-                400
-            }
-        };
-    }
-    // Cold endpoints (/health, /metrics, /article/{id}, /shadow, 404s):
-    // the router's per-request serialization is fine here.
-    let (status, body) = server::respond_full(req, index, Some(&ctx.shared), &ctx.metrics);
-    let rendered = body.to_string_compact();
-    http::write_response_head(out, status, rendered.len(), keep);
-    out.extend_from_slice(rendered.as_bytes());
-    status
 }
 
 enum Flush {
@@ -691,113 +371,21 @@ enum Flush {
 }
 
 /// Write pending output until done or `WouldBlock`.
-fn flush(conn: &mut Conn) -> Flush {
-    while conn.out_pos < conn.out.len() {
-        // Chaos site: a transient fault on the event loop's write path.
-        failpoint!("serve.io.write", return Flush::Error);
-        let rest = conn.out.get(conn.out_pos..).unwrap_or_default();
+fn flush(conn: &mut Sock) -> Flush {
+    loop {
+        let rest = conn.core.pending();
+        if rest.is_empty() {
+            return Flush::Done;
+        }
+        if conn::write_failpoint() {
+            return Flush::Error;
+        }
         match conn.stream.write(rest) {
             Ok(0) => return Flush::Error,
-            Ok(n) => conn.out_pos += n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Ok(n) => conn.core.advance(n),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return Flush::Done,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return Flush::Error,
         }
-    }
-    Flush::Done
-}
-
-/// One cached rendered `/top` body.
-struct CacheEntry {
-    generation: u64,
-    last_used: u64,
-    body: Vec<u8>,
-}
-
-/// A tiny per-shard LRU of rendered `/top` bodies keyed by raw request
-/// target. Single-threaded (shard-local), so no locks; see the module
-/// docs for the generation-stamp invalidation scheme.
-struct TopCache {
-    cap: usize,
-    tick: u64,
-    entries: HashMap<Vec<u8>, CacheEntry>,
-}
-
-impl TopCache {
-    fn new(cap: usize) -> TopCache {
-        TopCache { cap, tick: 0, entries: HashMap::with_capacity(cap) }
-    }
-
-    /// The cached body for `target`, only if it was rendered from the
-    /// generation being served right now.
-    fn get(&mut self, target: &[u8], generation: u64) -> Option<&[u8]> {
-        self.tick += 1;
-        let entry = self.entries.get_mut(target)?;
-        if entry.generation != generation {
-            return None;
-        }
-        entry.last_used = self.tick;
-        Some(&entry.body)
-    }
-
-    fn insert(&mut self, target: &[u8], generation: u64, body: &[u8]) {
-        if body.len() > CACHE_MAX_BODY {
-            return;
-        }
-        self.tick += 1;
-        if let Some(entry) = self.entries.get_mut(target) {
-            entry.generation = generation;
-            entry.last_used = self.tick;
-            entry.body.clear();
-            entry.body.extend_from_slice(body);
-            return;
-        }
-        if self.entries.len() >= self.cap {
-            // O(cap) eviction scan, but only on a miss that inserts
-            // into a full cache — the hot steady state never pays it.
-            if let Some(victim) =
-                self.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&victim);
-            }
-        }
-        self.entries.insert(
-            target.to_vec(),
-            CacheEntry { generation, last_used: self.tick, body: body.to_vec() },
-        );
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cache_validates_generation_and_evicts_lru() {
-        let mut c = TopCache::new(2);
-        c.insert(b"/top?k=1", 1, b"one");
-        assert_eq!(c.get(b"/top?k=1", 1), Some(b"one".as_slice()));
-        // Wrong generation: entry exists but must not be served.
-        assert_eq!(c.get(b"/top?k=1", 2), None);
-        // Overwriting re-stamps in place.
-        c.insert(b"/top?k=1", 2, b"two");
-        assert_eq!(c.get(b"/top?k=1", 2), Some(b"two".as_slice()));
-
-        // Fill to cap, touch the first, insert a third: the untouched
-        // second entry is the LRU victim.
-        c.insert(b"/top?k=9", 2, b"nine");
-        assert_eq!(c.get(b"/top?k=1", 2), Some(b"two".as_slice()));
-        c.insert(b"/top?k=5", 2, b"five");
-        assert_eq!(c.get(b"/top?k=9", 2), None);
-        assert_eq!(c.get(b"/top?k=1", 2), Some(b"two".as_slice()));
-        assert_eq!(c.get(b"/top?k=5", 2), Some(b"five".as_slice()));
-    }
-
-    #[test]
-    fn cache_refuses_oversized_bodies() {
-        let mut c = TopCache::new(4);
-        let big = vec![b'x'; CACHE_MAX_BODY + 1];
-        c.insert(b"/top?k=10000", 1, &big);
-        assert_eq!(c.get(b"/top?k=10000", 1), None);
     }
 }

@@ -4,31 +4,26 @@
 //! every response is a single JSON document, so the simplest correct
 //! subset of the protocol wins.
 //!
-//! Two parsing front ends share one grammar:
-//! - [`read_request`] pulls one head off a blocking stream (the
-//!   thread-per-connection fallback path, always `Connection: close`);
-//! - [`try_parse_head`] parses a head out of an in-memory byte buffer
-//!   incrementally (the nonblocking event loop), reporting `NeedMore`
-//!   until the terminator arrives, and honouring an explicit
-//!   `Connection: keep-alive` request header. Keep-alive is opt-in
-//!   rather than the HTTP/1.1 default so legacy clients that read to
-//!   EOF (every test and bench client predating the event loop) keep
-//!   working unchanged.
+//! One parser: [`try_parse_head`] parses a head out of an in-memory byte
+//! buffer incrementally, reporting `NeedMore` until the terminator
+//! arrives, and honouring an explicit `Connection: keep-alive` request
+//! header. Keep-alive is opt-in rather than the HTTP/1.1 default so
+//! clients that read to EOF keep working unchanged. The connection core
+//! ([`crate::conn`]) is its only serving caller, under both drivers.
 //!
 //! Defensive posture (each mapped to a distinct status):
 //! - request line longer than [`MAX_REQUEST_LINE`] → `414`
-//! - header block longer than [`MAX_HEAD`] or missing the `\r\n\r\n`
-//!   terminator before EOF → `400`
-//! - socket read timeout (slowloris: bytes trickling in forever) → `408`
+//! - header block longer than [`MAX_HEAD`] → `400`
 //! - any method but `GET` → `405`
 //! - malformed query values (`k=banana`) → `400`, reported per-parameter
+//!
+//! EOF before the terminator (`400`) and a stalled head (`408`) are
+//! connection events, not parse results: see [`crate::conn`].
 //!
 //! The response-rendering half is allocation-disciplined: head and error
 //! rendering append into caller-owned arenas ([`write_response_head`],
 //! [`write_error_response`]) instead of `format!`-ing fresh `String`s,
-//! so the event loop's steady state does not touch the allocator.
-
-use std::io::{ErrorKind, Read};
+//! so the steady state does not touch the allocator.
 
 /// Longest accepted request line (`GET <target> HTTP/1.1`).
 pub const MAX_REQUEST_LINE: usize = 4096;
@@ -57,11 +52,9 @@ impl Request {
 pub enum HttpError {
     /// Request line exceeded [`MAX_REQUEST_LINE`] → `414 URI Too Long`.
     RequestLineTooLong,
-    /// Head exceeded [`MAX_HEAD`], EOF before `\r\n\r\n`, or a request
-    /// line that is not `METHOD TARGET VERSION` → `400 Bad Request`.
+    /// Head exceeded [`MAX_HEAD`], or a request line that is not
+    /// `METHOD TARGET VERSION` → `400 Bad Request`.
     Malformed(String),
-    /// The socket timed out before a full head arrived → `408`.
-    Timeout,
     /// Parsed fine but the method is not `GET` → `405`.
     MethodNotAllowed(String),
 }
@@ -72,7 +65,6 @@ impl HttpError {
         match self {
             HttpError::RequestLineTooLong => 414,
             HttpError::Malformed(_) => 400,
-            HttpError::Timeout => 408,
             HttpError::MethodNotAllowed(_) => 405,
         }
     }
@@ -84,77 +76,9 @@ impl HttpError {
                 format!("request line exceeds {MAX_REQUEST_LINE} bytes")
             }
             HttpError::Malformed(why) => why.clone(),
-            HttpError::Timeout => "timed out waiting for request".to_string(),
             HttpError::MethodNotAllowed(m) => format!("method {m} not allowed (only GET)"),
         }
     }
-}
-
-/// Read one request head from `stream` and parse its request line.
-///
-/// Reads until `\r\n\r\n` (headers are ignored — the API needs none),
-/// enforcing [`MAX_REQUEST_LINE`] / [`MAX_HEAD`] as the bytes arrive, so
-/// an attacker cannot buffer unbounded garbage. A read timeout configured
-/// on the stream surfaces as [`HttpError::Timeout`].
-pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
-    read_request_with_target(stream).map(|(req, _)| req)
-}
-
-/// [`read_request`], also returning the raw (undecoded) request target
-/// exactly as it appeared on the wire. The recording path needs the raw
-/// form: RLOGv1 stores targets verbatim so replay re-issues the same
-/// bytes the original client sent.
-pub fn read_request_with_target(stream: &mut impl Read) -> Result<(Request, String), HttpError> {
-    let mut head = Vec::with_capacity(512);
-    let mut buf = [0u8; 1024];
-    loop {
-        if find_terminator(&head).is_some() {
-            break;
-        }
-        // Enforce limits *before* reading more: if the request line is
-        // already over budget there is no point waiting for the rest.
-        if !head.contains(&b'\n') && head.len() > MAX_REQUEST_LINE {
-            return Err(HttpError::RequestLineTooLong);
-        }
-        if head.len() > MAX_HEAD {
-            return Err(HttpError::Malformed(format!("request head exceeds {MAX_HEAD} bytes")));
-        }
-        let n = match stream.read(&mut buf) {
-            Ok(0) => {
-                return Err(HttpError::Malformed(
-                    "connection closed before end of request head".to_string(),
-                ))
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                return Err(HttpError::Timeout)
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(HttpError::Malformed(format!("read error: {e}"))),
-        };
-        let Some(chunk) = buf.get(..n) else {
-            // A Read impl that reports more bytes than the buffer holds
-            // is broken; refuse the request rather than trust it.
-            return Err(HttpError::Malformed("reader returned more bytes than requested".into()));
-        };
-        head.extend_from_slice(chunk);
-    }
-
-    let Some(line_end) = head.iter().position(|&b| b == b'\n') else {
-        // Unreachable while find_terminator requires a newline, but a 400
-        // is the right answer if that invariant ever shifts.
-        return Err(HttpError::Malformed("request head has no request line".into()));
-    };
-    if line_end > MAX_REQUEST_LINE {
-        return Err(HttpError::RequestLineTooLong);
-    }
-    let line_bytes = head.get(..line_end).unwrap_or_default();
-    let line = String::from_utf8_lossy(line_bytes);
-    let line = line.trim_end_matches(['\r', '\n']);
-    let req = parse_request_line(line)?;
-    let range = target_range(line_bytes);
-    let target = String::from_utf8_lossy(line_bytes.get(range).unwrap_or_default()).into_owned();
-    Ok((req, target))
 }
 
 /// Position just past the `\r\n\r\n` (or bare `\n\n`) head terminator.
@@ -169,11 +93,10 @@ fn find_terminator(head: &[u8]) -> Option<usize> {
 /// [`try_parse_head`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedHead {
-    /// The parsed request (path + decoded query), same shape the
-    /// blocking path produces.
+    /// The parsed request (path + decoded query).
     pub req: Request,
     /// Bytes consumed from the buffer, through the head terminator.
-    /// The event loop drains `consumed` bytes and re-parses whatever
+    /// The caller drains `consumed` bytes and re-parses whatever
     /// remains — the remainder is the next pipelined request.
     pub consumed: usize,
     /// The client sent an explicit `Connection: keep-alive`. Absent the
@@ -197,8 +120,7 @@ pub struct ParsedHead {
 /// rejected as soon as it crosses a limit, not when it finishes.
 pub fn try_parse_head(buf: &[u8]) -> Result<Option<ParsedHead>, HttpError> {
     let Some(consumed) = find_terminator(buf) else {
-        // Same early-limit discipline as the blocking reader: if the
-        // request line is already over budget there is no point
+        // If the request line is already over budget there is no point
         // buffering the rest.
         if !buf.contains(&b'\n') && buf.len() > MAX_REQUEST_LINE {
             return Err(HttpError::RequestLineTooLong);
@@ -455,16 +377,6 @@ pub fn write_error_response(
     out.extend_from_slice(scratch);
 }
 
-/// Serialize one complete `Connection: close` HTTP/1.1 response with a
-/// JSON body.
-pub fn response_bytes(status: u16, body: &sjson::Value) -> Vec<u8> {
-    let body = body.to_string_compact();
-    let mut out = Vec::with_capacity(body.len() + 96);
-    write_response_head(&mut out, status, body.len(), false);
-    out.extend_from_slice(body.as_bytes());
-    out
-}
-
 /// The JSON error body every non-2xx response carries.
 pub fn error_body(status: u16, message: &str) -> sjson::Value {
     sjson::ObjectBuilder::new()
@@ -477,10 +389,9 @@ pub fn error_body(status: u16, message: &str) -> sjson::Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
     fn parse(raw: &str) -> Result<Request, HttpError> {
-        read_request(&mut Cursor::new(raw.as_bytes().to_vec()))
+        try_parse_head(raw.as_bytes()).map(|head| head.expect("a complete head").req)
     }
 
     #[test]
@@ -509,18 +420,20 @@ mod tests {
     }
 
     #[test]
-    fn missing_terminator_is_400() {
-        let err = parse("GET /top HTTP/1.1\r\nHost: x\r\n").unwrap_err();
-        assert_eq!(err.status(), 400);
-        assert!(err.message().contains("before end of request head"), "{}", err.message());
-    }
-
-    #[test]
     fn oversized_head_is_400() {
-        let raw = format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n", "y".repeat(MAX_HEAD + 10));
-        let err = parse(&raw).unwrap_err();
-        assert_eq!(err.status(), 400);
-        assert!(err.message().contains("head exceeds"));
+        // Whether or not the terminator has arrived, and however the
+        // bytes were chunked on the way in: one byte over is over.
+        let pad = |n: usize| format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n", "y".repeat(n));
+        let open = pad(MAX_HEAD + 10);
+        let fits = pad(MAX_HEAD - 27) + "\r\n";
+        let over = pad(MAX_HEAD - 26) + "\r\n";
+        assert_eq!((fits.len(), over.len()), (MAX_HEAD, MAX_HEAD + 1));
+        assert!(parse(&fits).is_ok());
+        for raw in [open, over] {
+            let err = parse(&raw).unwrap_err();
+            assert_eq!(err.status(), 400);
+            assert!(err.message().contains("head exceeds"));
+        }
     }
 
     #[test]
@@ -539,35 +452,12 @@ mod tests {
         assert_eq!(err.status(), 405);
     }
 
-    /// A reader that yields a few bytes then pretends the socket timed
-    /// out — the slowloris case as the server sees it.
-    struct Slowloris {
-        sent: bool,
-    }
-    impl Read for Slowloris {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.sent {
-                Err(std::io::Error::new(ErrorKind::WouldBlock, "timed out"))
-            } else {
-                self.sent = true;
-                let part = b"GET /top?k=";
-                buf[..part.len()].copy_from_slice(part);
-                Ok(part.len())
-            }
-        }
-    }
-
-    #[test]
-    fn slow_trickle_hits_timeout_408() {
-        let err = read_request(&mut Slowloris { sent: false }).unwrap_err();
-        assert_eq!(err, HttpError::Timeout);
-        assert_eq!(err.status(), 408);
-    }
-
     #[test]
     fn response_bytes_are_well_formed() {
-        let body = sjson::ObjectBuilder::new().field("ok", true).build();
-        let raw = response_bytes(200, &body);
+        let body = sjson::ObjectBuilder::new().field("ok", true).build().to_string_compact();
+        let mut raw = Vec::new();
+        write_response_head(&mut raw, 200, body.len(), false);
+        raw.extend_from_slice(body.as_bytes());
         let text = String::from_utf8(raw).unwrap();
         let (head, payload) = text.split_once("\r\n\r\n").unwrap();
         assert!(head.starts_with("HTTP/1.1 200 OK\r\n"));
@@ -631,14 +521,6 @@ mod tests {
         // Oversized request line with no newline yet → 414 immediately.
         let long = format!("GET /{}", "x".repeat(MAX_REQUEST_LINE));
         assert_eq!(try_parse_head(long.as_bytes()), Err(HttpError::RequestLineTooLong));
-        // Oversized head (newline present, no terminator) → 400.
-        let fat = format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n", "y".repeat(MAX_HEAD));
-        assert_eq!(try_parse_head(fat.as_bytes()).unwrap_err().status(), 400);
-        // Errors propagate from the shared request-line grammar too.
-        assert_eq!(
-            try_parse_head(b"POST / HTTP/1.1\r\n\r\n").unwrap_err(),
-            HttpError::MethodNotAllowed("POST".to_string())
-        );
     }
 
     #[test]

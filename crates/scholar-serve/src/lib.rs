@@ -17,10 +17,16 @@
 //!   background thread folds corpus batches through
 //!   [`qrank::IncrementalRanker`] and atomically publishes fresh
 //!   generations.
-//! - [`server`] + [`http`]: a std-only HTTP/1.1 front end — fixed worker
-//!   pool, bounded accept queue that sheds load with `503`, per-request
-//!   read timeouts, and graceful drain on shutdown. Endpoints:
-//!   `GET /top`, `GET /article/{id}`, `GET /health`, `GET /metrics`.
+//! - [`conn`] + [`http`] + [`server`]: a std-only HTTP/1.1 front end
+//!   with one request path. [`conn`] is a sans-IO connection core —
+//!   parse, route, render, count, record; `400`/`405`/`408`/`414`/`500`
+//!   — that two drivers feed: a nonblocking `SO_REUSEPORT`-sharded epoll
+//!   event loop with keep-alive and pipelining (the default on Linux),
+//!   and a portable acceptor + fixed worker pool behind a bounded queue
+//!   (everywhere else, or [`Backend::Blocking`]). Both shed load with
+//!   `503` at the door and drain gracefully on shutdown. Endpoints:
+//!   `GET /top`, `GET /article/{id}`, `GET /health`, `GET /metrics`,
+//!   `GET /shadow`.
 //! - [`Metrics`] (in [`metrics`]): lock-free counters and a log-spaced
 //!   latency histogram behind `GET /metrics`.
 //!
@@ -63,6 +69,7 @@ macro_rules! failpoint {
     ($site:literal, $on_trigger:expr) => {};
 }
 
+pub mod conn;
 #[cfg(target_os = "linux")]
 mod epoll;
 pub mod http;

@@ -4,6 +4,7 @@
 
 use sjson::{ObjectBuilder, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// ORDERING: every counter and gauge in this module is an independent
@@ -107,10 +108,9 @@ pub struct Metrics {
     pub panics: AtomicU64,
     /// Requests currently being parsed or answered.
     pub in_flight: AtomicU64,
-    /// Open client connections (accepted and not yet closed). The
-    /// blocking backend's connections are one-request-per-connection, so
-    /// there it tracks `in_flight` closely; under the event loop it
-    /// counts keep-alive sessions.
+    /// Open client connections a driver is holding (see [`OpenConn`]):
+    /// keep-alive sessions under the event loop, at most one per worker
+    /// under the pool (queued connections are not counted yet).
     pub connections_active: AtomicU64,
     /// Requests served on an already-used keep-alive connection (the
     /// second and later request of each session). The ratio
@@ -136,6 +136,17 @@ pub struct InFlight<'a>(&'a Metrics);
 impl Drop for InFlight<'_> {
     fn drop(&mut self) {
         self.0.in_flight.fetch_sub(1, RELAXED);
+    }
+}
+
+/// RAII guard for the open-connections gauge, owned by the connection
+/// it counts: whatever ends the connection — close, error, eviction, a
+/// panic unwinding through its driver — drops the guard with it.
+pub struct OpenConn(Arc<Metrics>);
+
+impl Drop for OpenConn {
+    fn drop(&mut self) {
+        self.0.connections_active.fetch_sub(1, RELAXED);
     }
 }
 
@@ -240,15 +251,11 @@ impl Metrics {
         self.shed.fetch_add(1, RELAXED);
     }
 
-    /// Record a client connection opening (accepted into the serving
-    /// layer, past any shed decision).
-    pub fn record_conn_open(&self) {
+    /// Count a client connection as open (accepted into the serving
+    /// layer, past any shed decision) until the guard drops.
+    pub fn conn_open(self: &Arc<Self>) -> OpenConn {
         self.connections_active.fetch_add(1, RELAXED);
-    }
-
-    /// Record a client connection closing, for any reason.
-    pub fn record_conn_close(&self) {
-        self.connections_active.fetch_sub(1, RELAXED);
+        OpenConn(Arc::clone(self))
     }
 
     /// Record a request arriving on an already-used keep-alive
@@ -422,11 +429,10 @@ mod tests {
 
     #[test]
     fn connection_and_keepalive_counters() {
-        let m = Metrics::new();
-        m.record_conn_open();
-        m.record_conn_open();
+        let m = Arc::new(Metrics::new());
+        let _held = m.conn_open();
+        drop(m.conn_open());
         m.record_keepalive_reuse();
-        m.record_conn_close();
         assert_eq!(m.connections_active.load(RELAXED), 1);
         assert_eq!(m.keepalive_reuses.load(RELAXED), 1);
         let v = m.to_json();

@@ -1,40 +1,42 @@
-//! The serving loop: a `TcpListener`, a fixed worker pool, and a bounded
-//! hand-off queue between them.
+//! Starting and stopping a server, the portable blocking driver, and the
+//! pure reference router.
 //!
-//! One acceptor thread pulls connections off the listener and `try_send`s
-//! them into a `sync_channel` of depth [`ServeConfig::queue_depth`]. If
-//! the queue is full the acceptor writes a `503` itself and drops the
-//! connection — load is shed at the door instead of growing an unbounded
-//! backlog. Workers block on the queue, parse one request under a read
-//! timeout, snapshot the published [`ScoreIndex`] via [`SharedIndex`],
-//! and answer from that immutable snapshot, so an index swap mid-request
-//! can never tear a response.
+//! The blocking driver: one acceptor thread pulls connections off the
+//! listener and `try_send`s them into a `sync_channel` of depth
+//! [`ServeConfig::queue_depth`]. If the queue is full the acceptor writes
+//! a `503` itself and drops the connection — load is shed at the door
+//! instead of growing an unbounded backlog. Workers block on the queue
+//! and run each connection through the shared request path
+//! ([`crate::conn`]): blocking read under the socket timeout → core →
+//! `write_all`, one request per connection. It is the only driver that
+//! runs off Linux; on Linux the default is the event loop (`epoll.rs`)
+//! over the same core.
 //!
 //! Shutdown is graceful: [`ServerHandle::shutdown`] flips a flag, nudges
 //! the acceptor awake with a self-connection, closes the queue, and joins
 //! every worker — each finishes the request it holds before exiting.
 
+use crate::conn::{self, Conn, Ctx};
 use crate::http::{self, Request};
 use crate::index::{ScoreIndex, TopQuery};
 use crate::metrics::Metrics;
-use crate::record::{Recorder, ReqRecord};
+use crate::record::Recorder;
 use crate::swap::SharedIndex;
 use scholar_corpus::ArticleId;
 use sjson::{ObjectBuilder, Value};
-use std::io::Write;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Which serving backend to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Pick automatically: the `SCHOLAR_SERVE_BACKEND` env var
-    /// (`"epoll"` / `"blocking"`) if set, else epoll on Linux and the
-    /// blocking pool everywhere else.
+    /// Pick automatically: epoll on Linux, the blocking pool everywhere
+    /// else.
     Auto,
     /// The nonblocking epoll event loop (Linux only; starting it
     /// elsewhere is an `Unsupported` error).
@@ -44,20 +46,11 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Resolve `Auto` against the environment and platform.
+    /// Resolve `Auto` against the platform.
     pub fn resolve(self) -> Backend {
         match self {
-            Backend::Auto => match std::env::var("SCHOLAR_SERVE_BACKEND").as_deref() {
-                Ok("blocking") => Backend::Blocking,
-                Ok("epoll") => Backend::Epoll,
-                _ => {
-                    if cfg!(target_os = "linux") {
-                        Backend::Epoll
-                    } else {
-                        Backend::Blocking
-                    }
-                }
-            },
+            Backend::Auto if cfg!(target_os = "linux") => Backend::Epoll,
+            Backend::Auto => Backend::Blocking,
             resolved => resolved,
         }
     }
@@ -76,9 +69,8 @@ pub struct ServeConfig {
     /// acceptor starts shedding with `503` (blocking backend only).
     pub queue_depth: usize,
     /// Per-connection read timeout while waiting for the request head;
-    /// a slowloris client is cut off with `408` after this long. The
-    /// epoll backend also closes *idle keep-alive* connections after
-    /// this long, silently.
+    /// a slowloris client is cut off with `408` after this long, and an
+    /// *idle keep-alive* connection (epoll backend) is closed silently.
     pub read_timeout: Duration,
     /// Which backend to run. [`Backend::Auto`] picks epoll on Linux.
     pub backend: Backend,
@@ -118,9 +110,12 @@ pub struct ServerHandle {
     backend: Backend,
     metrics: Arc<Metrics>,
     stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
 }
+
+/// What a driver hands back once its listener is bound and every one of
+/// its threads is running.
+pub(crate) type Started = std::io::Result<(SocketAddr, Vec<JoinHandle<()>>)>;
 
 /// Start serving `shared` on `config.addr` with the configured backend.
 /// Returns once the listener is bound and every thread is running; bind
@@ -130,86 +125,60 @@ pub fn serve(
     metrics: Arc<Metrics>,
     config: &ServeConfig,
 ) -> std::io::Result<ServerHandle> {
-    match config.backend.resolve() {
-        Backend::Epoll => serve_epoll(shared, metrics, config),
-        _ => serve_blocking(shared, metrics, config),
-    }
+    let backend = config.backend.resolve();
+    let stop = Arc::new(AtomicBool::new(false));
+    let (addr, threads) = match backend {
+        Backend::Epoll => start_epoll(shared, Arc::clone(&metrics), config, Arc::clone(&stop))?,
+        _ => start_pool(shared, Arc::clone(&metrics), config, Arc::clone(&stop))?,
+    };
+    Ok(ServerHandle { addr, backend, metrics, stop, threads })
 }
 
 #[cfg(target_os = "linux")]
-fn serve_epoll(
-    shared: Arc<SharedIndex>,
-    metrics: Arc<Metrics>,
-    config: &ServeConfig,
-) -> std::io::Result<ServerHandle> {
-    let stop = Arc::new(AtomicBool::new(false));
-    let (addr, threads) =
-        crate::epoll::start(shared, Arc::clone(&metrics), config, Arc::clone(&stop))?;
-    Ok(ServerHandle {
-        addr,
-        backend: Backend::Epoll,
-        metrics,
-        stop,
-        acceptor: None,
-        workers: threads,
-    })
-}
+use crate::epoll::start as start_epoll;
 
 #[cfg(not(target_os = "linux"))]
-fn serve_epoll(
-    _shared: Arc<SharedIndex>,
-    _metrics: Arc<Metrics>,
-    _config: &ServeConfig,
-) -> std::io::Result<ServerHandle> {
+fn start_epoll(
+    _: Arc<SharedIndex>,
+    _: Arc<Metrics>,
+    _: &ServeConfig,
+    _: Arc<AtomicBool>,
+) -> Started {
     Err(std::io::Error::new(
-        std::io::ErrorKind::Unsupported,
+        ErrorKind::Unsupported,
         "the epoll backend requires Linux; use Backend::Blocking (or Auto)",
     ))
 }
 
-fn serve_blocking(
+fn start_pool(
     shared: Arc<SharedIndex>,
     metrics: Arc<Metrics>,
     config: &ServeConfig,
-) -> std::io::Result<ServerHandle> {
+    stop: Arc<AtomicBool>,
+) -> Started {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
     let (tx, rx) = mpsc::sync_channel::<TcpStream>(config.queue_depth.max(1));
     let rx = Arc::new(Mutex::new(rx));
 
     // Spawn failures propagate as the io::Error they are. On an early
     // return, dropping `tx` closes the queue, so any workers already
     // spawned see a disconnected channel and exit on their own.
-    let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(config.workers.max(1));
+    let mut threads: Vec<JoinHandle<()>> = Vec::with_capacity(config.workers.max(1) + 1);
     for i in 0..config.workers.max(1) {
         let rx = Arc::clone(&rx);
-        let shared = Arc::clone(&shared);
-        let metrics = Arc::clone(&metrics);
+        let ctx = Ctx::new(Arc::clone(&shared), Arc::clone(&metrics), config.recorder.clone());
         let read_timeout = config.read_timeout;
-        let recorder = config.recorder.clone();
         let worker = std::thread::Builder::new()
             .name(format!("scholar-serve-{i}"))
-            .spawn(move || worker_loop(rx, shared, metrics, read_timeout, recorder))?;
-        workers.push(worker);
+            .spawn(move || worker_loop(rx, ctx, read_timeout))?;
+        threads.push(worker);
     }
-
-    let acceptor = {
-        let stop = Arc::clone(&stop);
-        let metrics = Arc::clone(&metrics);
-        std::thread::Builder::new()
-            .name("scholar-accept".to_string())
-            .spawn(move || accept_loop(listener, tx, stop, metrics))?
-    };
-
-    Ok(ServerHandle {
-        addr,
-        backend: Backend::Blocking,
-        metrics,
-        stop,
-        acceptor: Some(acceptor),
-        workers,
-    })
+    let acceptor = std::thread::Builder::new()
+        .name("scholar-accept".to_string())
+        .spawn(move || accept_loop(listener, tx, stop, metrics))?;
+    threads.push(acceptor);
+    Ok((addr, threads))
 }
 
 impl ServerHandle {
@@ -235,16 +204,13 @@ impl ServerHandle {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // The acceptor may be parked in `accept()`; a throwaway local
-        // connection wakes it so it can observe the stop flag. The
-        // acceptor drops the queue sender on exit, which in turn ends
-        // every worker once the queue drains.
+        // The pool's acceptor may be parked in `accept()`; a throwaway
+        // local connection wakes it so it can observe the stop flag. It
+        // drops the queue sender on exit, which in turn ends every
+        // worker once the queue drains.
         let _ = TcpStream::connect(self.addr);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        for t in self.threads.drain(..) {
+            let _ = t.join();
         }
     }
 }
@@ -266,21 +232,15 @@ fn accept_loop(
             break;
         }
         let Ok(stream) = conn else { continue };
-        // Chaos site: an accepted connection the acceptor loses before
-        // hand-off (transient accept-path fault). Queue accounting and
-        // worker liveness must survive it.
-        failpoint!("serve.accept", {
-            drop(stream);
+        if conn::accept_failpoint() {
             continue;
-        });
+        }
         match tx.try_send(stream) {
             Ok(()) => {}
             Err(TrySendError::Full(mut stream)) => {
                 // Queue full: shed at the door. The write is best-effort —
                 // a client that already gave up is not our problem.
-                metrics.record_shed();
-                let body = http::error_body(503, "server is at capacity, retry shortly");
-                let _ = stream.write_all(&http::response_bytes(503, &body));
+                let _ = stream.write_all(&conn::shed_response(&metrics));
             }
             Err(TrySendError::Disconnected(_)) => break,
         }
@@ -289,13 +249,7 @@ fn accept_loop(
     // then see `Err(RecvError)` and exit.
 }
 
-fn worker_loop(
-    rx: Arc<Mutex<Receiver<TcpStream>>>,
-    shared: Arc<SharedIndex>,
-    metrics: Arc<Metrics>,
-    read_timeout: Duration,
-    recorder: Option<Arc<Recorder>>,
-) {
+fn worker_loop(rx: Arc<Mutex<Receiver<TcpStream>>>, mut ctx: Ctx, read_timeout: Duration) {
     loop {
         // Hold the lock only long enough to dequeue one connection. A
         // poisoned lock just means a sibling worker panicked while
@@ -305,18 +259,21 @@ fn worker_loop(
             Ok(s) => s,
             Err(_) => return, // queue closed and drained: shutdown
         };
-        // Panic isolation: a bug while answering one request must not
-        // kill this worker (each death would silently shrink the pool
-        // until nothing serves). `AssertUnwindSafe` is sound here —
-        // nothing mutable crosses the boundary: the stream is consumed,
-        // and `shared`/`metrics` only expose atomic or lock-guarded
-        // state whose guards poison on panic.
+        // Last-resort isolation: a bug while driving one connection must
+        // not kill this worker (each death would silently shrink the
+        // pool until nothing serves). The core already turns handler
+        // panics into recorded 500s; anything reaching here is outside a
+        // request, so the connection is simply dropped. `AssertUnwindSafe`
+        // is sound: the stream and its `Conn` are consumed, and `ctx`
+        // holds only scratch that every use clears first, a cache whose
+        // entries are replaced whole, and atomic or lock-guarded shared
+        // state.
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle_connection(stream, &shared, &metrics, read_timeout, recorder.as_ref())
+            handle_connection(stream, &mut ctx, read_timeout)
         }));
         if let Err(cause) = caught {
-            metrics.record_panic();
-            log_panic("handling a request", &cause);
+            ctx.metrics.record_panic();
+            log_panic("handling a connection", cause.as_ref());
         }
     }
 }
@@ -330,117 +287,85 @@ pub(crate) fn log_panic(stage: &str, cause: &(dyn std::any::Any + Send)) {
     eprintln!("scholar-serve: worker caught a panic while {stage}: {msg}");
 }
 
-fn handle_connection(
-    mut stream: TcpStream,
-    shared: &Arc<SharedIndex>,
-    metrics: &Arc<Metrics>,
-    read_timeout: Duration,
-    recorder: Option<&Arc<Recorder>>,
-) {
-    let _gauge = metrics.begin();
-    metrics.record_conn_open();
-    let started = Instant::now();
+/// The pool's readiness: one blocking read under the socket timeout per
+/// core event, then one `write_all` of whatever the core rendered.
+fn handle_connection(mut stream: TcpStream, ctx: &mut Ctx, read_timeout: Duration) {
     let _ = stream.set_read_timeout(Some(read_timeout));
     let _ = stream.set_nodelay(true);
-    // Chaos site: slow or dying worker before it even reads the request.
-    failpoint!("serve.handle");
-
-    // Snapshot the index once per request: the whole answer comes from
-    // one immutable generation even if a swap lands mid-answer, and
-    // `/metrics` attributes the response to exactly that generation.
-    let index = shared.load();
-    let (status, body, target) = match http::read_request_with_target(&mut stream) {
-        // Panic isolation at the narrowest useful scope: a handler bug
-        // must not cost the client its response — it becomes a recorded
-        // `500`, so `/metrics` accounting stays exact even under panics
-        // (the outer worker_loop catch remains as the last-resort belt).
-        Ok((req, target)) => {
-            let (status, body) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                respond_failpoint();
-                respond_full(&req, &index, Some(shared), metrics)
-            }))
-            .unwrap_or_else(|cause| {
-                metrics.record_panic();
-                log_panic("answering a request", cause.as_ref());
-                (500, http::error_body(500, "internal error while answering the request"))
-            });
-            (status, body, Some(target))
+    // Reuse off: every response says `Connection: close`, so the loop
+    // ends after one response and the write cap never pauses the core.
+    let mut conn = Conn::new(ctx, false);
+    let mut tmp = [0u8; 4096];
+    while !conn.finished() {
+        if conn::read_failpoint() {
+            return;
         }
-        Err(e) => (e.status(), http::error_body(e.status(), &e.message()), None),
-    };
-    let _ = stream.write_all(&http::response_bytes(status, &body));
-    let took = started.elapsed();
-    metrics.record(status, took);
-    metrics.record_generation(index.generation(), status);
-    // Record + mirror strictly after the response is on the wire: the
-    // client's latency never includes shadow work.
-    if let Some(target) = target {
-        let conn = recorder.map(|r| r.conn_id()).unwrap_or(0);
-        let us = took.as_micros().min(u128::from(u64::MAX)) as u64;
-        observe_request(
-            recorder.map(Arc::as_ref),
-            shared,
-            &index,
-            &target,
-            conn,
-            0,
-            status,
-            us,
-            metrics,
-        );
-    }
-    metrics.record_conn_close();
-}
-
-/// Shared post-response hook for both backends: offer the answered
-/// request to the recorder, and mirror it to a staged shadow candidate.
-///
-/// Recording and mirroring are *coupled*: with a recorder configured,
-/// only requests that were actually stored in the ring are mirrored.
-/// That makes the flushed RLOGv1 log exactly the mirrored workload, so
-/// [`crate::shadow::replay_mirror`] over the log reproduces the online
-/// `ShadowReport` drift numbers bit for bit. Without a recorder, every
-/// request is mirrored.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn observe_request(
-    recorder: Option<&Recorder>,
-    shared: &SharedIndex,
-    live: &ScoreIndex,
-    target: &str,
-    conn: u64,
-    seq: u64,
-    status: u16,
-    latency_us: u64,
-    metrics: &Metrics,
-) {
-    let mirror = match recorder {
-        Some(r) => {
-            r.sample()
-                && r.store(ReqRecord {
-                    conn,
-                    seq,
-                    generation: live.generation(),
-                    status,
-                    latency_us,
-                    target: target.to_owned(),
-                })
+        match stream.read(&mut tmp) {
+            Ok(0) => _ = conn.on_eof(ctx),
+            Ok(n) => {
+                conn.buf.extend_from_slice(tmp.get(..n).unwrap_or_default());
+                _ = conn.on_bytes(ctx);
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                conn.on_timeout(ctx, read_timeout)
+            }
+            Err(_) => return,
         }
-        None => true,
-    };
-    if mirror && shared.mirror_if_shadowing(live, target, latency_us).is_some() {
-        // This mirror's auto-decision just promoted the candidate.
-        metrics.record_swap();
+        let n = conn.pending().len();
+        if n > 0 && (conn::write_failpoint() || stream.write_all(conn.pending()).is_err()) {
+            return;
+        }
+        conn.advance(n);
     }
 }
 
-/// The `serve.respond` chaos site, shared by both backends: a buggy or
-/// slow handler. An injected panic here must come back as a recorded
-/// `500`, never as a lost response or a dead worker/shard. Lives in its
-/// own function so the site has exactly one declaration (FAILPOINT-SYNC)
-/// while the blocking pool and the epoll loop both evaluate it once per
-/// request, inside their per-request panic isolation.
-pub(crate) fn respond_failpoint() {
-    failpoint!("serve.respond");
+/// Where a request goes — the one routing table. The reference router,
+/// the core's `/top` fast path and the shadow status oracle all consume
+/// it, so the 400-vs-404 rules exist once.
+pub(crate) enum Route<'a> {
+    Shadow,
+    Health,
+    Metrics,
+    /// The parsed query, or the `400` message naming the bad parameter.
+    Top(Result<TopQuery, String>),
+    /// The id, or the text that is not a `u32` (a `400`).
+    Article(Result<u32, &'a str>),
+    /// Anything else: `404`.
+    NotFound,
+}
+
+/// Decide the [`Route`] for a parsed request against `index` (which
+/// resolves `/top`'s venue and author names).
+pub(crate) fn route<'a>(req: &'a Request, index: &ScoreIndex) -> Route<'a> {
+    match req.path.as_str() {
+        "/shadow" => Route::Shadow,
+        "/health" => Route::Health,
+        "/metrics" => Route::Metrics,
+        "/top" => Route::Top(parse_top_query(req, index)),
+        path => match path.strip_prefix("/article/") {
+            Some(rest) => Route::Article(rest.parse::<u32>().map_err(|_| rest)),
+            None => Route::NotFound,
+        },
+    }
+}
+
+impl Route<'_> {
+    /// Bump this route's endpoint hit counter.
+    pub(crate) fn count(&self, metrics: &Metrics) {
+        let endpoints = &metrics.endpoints;
+        let counter = match self {
+            Route::Shadow => &endpoints.shadow,
+            Route::Health => &endpoints.health,
+            Route::Metrics => &endpoints.metrics,
+            Route::Top(_) => &endpoints.top,
+            Route::Article(_) => &endpoints.article,
+            Route::NotFound => return,
+        };
+        // ORDERING: endpoint hit counters are independent monotone
+        // statistics — see the module-level note in metrics.rs.
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// Route one parsed request. Pure: index snapshot in, `(status, body)`
@@ -453,68 +378,57 @@ pub fn respond(req: &Request, index: &ScoreIndex, metrics: &Metrics) -> (u16, Va
 
 /// [`respond`] with access to the [`SharedIndex`], which is what the
 /// `/shadow` endpoint reports on (the staged candidate and its report
-/// live on the cell, not on any one index snapshot). Both backends route
-/// through this.
+/// live on the cell, not on any one index snapshot).
 pub fn respond_full(
     req: &Request,
     index: &ScoreIndex,
     shared: Option<&SharedIndex>,
     metrics: &Metrics,
 ) -> (u16, Value) {
-    // ORDERING: endpoint hit counters are independent monotone
-    // statistics — see the module-level note in metrics.rs.
-    let rel = Ordering::Relaxed;
-    match req.path.as_str() {
-        "/shadow" => {
-            metrics.endpoints.shadow.fetch_add(1, rel);
-            match shared {
-                Some(s) => (200, s.shadow_json()),
-                None => (404, http::error_body(404, "no shadow state on this serving path")),
-            }
-        }
-        "/health" => {
-            metrics.endpoints.health.fetch_add(1, rel);
-            (
-                200,
-                ObjectBuilder::new()
-                    .field("status", "ok")
-                    .field("articles", index.num_articles() as i64)
-                    .field("generation", index.generation() as i64)
-                    .build(),
-            )
-        }
-        "/metrics" => {
-            metrics.endpoints.metrics.fetch_add(1, rel);
-            (200, metrics.to_json())
-        }
-        "/top" => {
-            metrics.endpoints.top.fetch_add(1, rel);
-            match parse_top_query(req, index) {
-                Ok(q) => match top_body(index, &q) {
-                    Some(body) => (200, body),
-                    None => (500, broken_index_body()),
-                },
-                Err(msg) => (400, http::error_body(400, &msg)),
-            }
-        }
-        _ => match req.path.strip_prefix("/article/") {
-            Some(rest) => {
-                metrics.endpoints.article.fetch_add(1, rel);
-                match rest.parse::<u32>() {
-                    Ok(id) => match index.detail(ArticleId(id), DETAIL_NEIGHBORS) {
-                        Some(d) => match detail_body(index, &d) {
-                            Some(body) => (200, body),
-                            None => (500, broken_index_body()),
-                        },
-                        None => (404, http::error_body(404, &format!("no article with id {id}"))),
-                    },
-                    Err(_) => {
-                        (400, http::error_body(400, &format!("article id {rest:?} is not a u32")))
-                    }
-                }
-            }
-            None => (404, http::error_body(404, &format!("no route for {}", req.path))),
+    let route = route(req, index);
+    route.count(metrics);
+    respond_route(route, req, index, shared, metrics)
+}
+
+/// Build the `(status, body)` for an already decided (and counted)
+/// [`Route`].
+pub(crate) fn respond_route(
+    route: Route<'_>,
+    req: &Request,
+    index: &ScoreIndex,
+    shared: Option<&SharedIndex>,
+    metrics: &Metrics,
+) -> (u16, Value) {
+    match route {
+        Route::Shadow => match shared {
+            Some(s) => (200, s.shadow_json()),
+            None => (404, http::error_body(404, "no shadow state on this serving path")),
         },
+        Route::Health => (
+            200,
+            ObjectBuilder::new()
+                .field("status", "ok")
+                .field("articles", index.num_articles() as i64)
+                .field("generation", index.generation() as i64)
+                .build(),
+        ),
+        Route::Metrics => (200, metrics.to_json()),
+        Route::Top(Ok(q)) => match top_body(index, &q) {
+            Some(body) => (200, body),
+            None => (500, broken_index_body()),
+        },
+        Route::Top(Err(msg)) => (400, http::error_body(400, &msg)),
+        Route::Article(Ok(id)) => match index.detail(ArticleId(id), DETAIL_NEIGHBORS) {
+            Some(d) => match detail_body(index, &d) {
+                Some(body) => (200, body),
+                None => (500, broken_index_body()),
+            },
+            None => (404, http::error_body(404, &format!("no article with id {id}"))),
+        },
+        Route::Article(Err(rest)) => {
+            (400, http::error_body(400, &format!("article id {rest:?} is not a u32")))
+        }
+        Route::NotFound => (404, http::error_body(404, &format!("no route for {}", req.path))),
     }
 }
 
@@ -528,7 +442,7 @@ fn broken_index_body() -> Value {
 /// Build a [`TopQuery`] from `/top` parameters, resolving venue/author
 /// names through the index. Every malformed value is a `400` with the
 /// offending parameter named.
-pub(crate) fn parse_top_query(req: &Request, index: &ScoreIndex) -> Result<TopQuery, String> {
+fn parse_top_query(req: &Request, index: &ScoreIndex) -> Result<TopQuery, String> {
     let mut q = TopQuery { k: 10, ..Default::default() };
     if let Some(raw) = req.param("k") {
         q.k = raw

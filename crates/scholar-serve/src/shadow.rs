@@ -31,7 +31,7 @@
 use crate::http::{self, Request};
 use crate::index::{Hit, ScoreIndex};
 use crate::metrics::LATENCY_BUCKETS_US;
-use crate::server;
+use crate::server::{self, Route};
 use scholar_corpus::ArticleId;
 use sjson::{ObjectBuilder, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -130,29 +130,18 @@ struct Drift {
 }
 
 /// Pure routing-status oracle: the status this index would answer the
-/// request with, plus the ranked hits for `/top`. This replicates
-/// `server::respond`'s routing exactly (same parse, same 400/404 rules)
-/// without building bodies — both the live and the candidate side of a
-/// mirror go through it, which is what makes status mismatches a
-/// statement about the *indexes* rather than about which code path
-/// happened to answer.
+/// request with, plus the ranked hits for `/top`. It consumes the same
+/// [`server::route`] decision the live router does, without building
+/// bodies — both the live and the candidate side of a mirror go through
+/// it, which is what makes status mismatches a statement about the
+/// *indexes* rather than about which code path happened to answer.
 pub(crate) fn status_for(req: &Request, index: &ScoreIndex) -> (u16, Option<Vec<Hit>>) {
-    match req.path.as_str() {
-        "/health" | "/metrics" | "/shadow" => (200, None),
-        "/top" => match server::parse_top_query(req, index) {
-            Ok(q) => (200, Some(index.top(&q))),
-            Err(_) => (400, None),
-        },
-        _ => match req.path.strip_prefix("/article/") {
-            Some(rest) => match rest.parse::<u32>() {
-                Ok(id) => match index.detail(ArticleId(id), 0) {
-                    Some(_) => (200, None),
-                    None => (404, None),
-                },
-                Err(_) => (400, None),
-            },
-            None => (404, None),
-        },
+    match server::route(req, index) {
+        Route::Health | Route::Metrics | Route::Shadow => (200, None),
+        Route::Top(Ok(q)) => (200, Some(index.top(&q))),
+        Route::Article(Ok(id)) if index.detail(ArticleId(id), 0).is_some() => (200, None),
+        Route::Top(Err(_)) | Route::Article(Err(_)) => (400, None),
+        Route::Article(Ok(_)) | Route::NotFound => (404, None),
     }
 }
 

@@ -1,17 +1,17 @@
 //! Proof that the serving hot path is allocation-free: a counting
 //! global allocator (test binary only — production builds keep plain
-//! `System`) wraps every render primitive and the full `/top` body
-//! assembly, asserting **zero** heap allocations once buffers are
-//! warm. This is the regression fence for the arena-writer work: a
-//! stray `format!` or `to_string` in `http.rs` or the fragment path
-//! turns the count nonzero and fails here, not in a benchmark three
-//! PRs later.
+//! `System`) wraps every render primitive and the request path's own
+//! `/top` render ([`Ctx::write_answer`] — routing, cache probe, fragment
+//! assembly, head), asserting **zero** heap allocations once buffers
+//! are warm. This is the regression fence for the arena-writer work: a
+//! stray `format!` or `to_string` in `http.rs`, the router or the
+//! fragment path turns the count nonzero and fails here, not in a
+//! benchmark three PRs later.
 
 use scholar_corpus::generator::Preset;
-use scholar_serve::http::{
-    write_error_response, write_json_escaped, write_response_head, write_u64,
-};
-use scholar_serve::{ScoreIndex, TopQuery};
+use scholar_serve::conn::Ctx;
+use scholar_serve::http::{parse_target, write_error_response, write_json_escaped, write_u64};
+use scholar_serve::{Metrics, ScoreIndex, SharedIndex};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -54,61 +54,51 @@ fn allocations(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn warm_response_rendering_never_allocates() {
-    // Build everything that legitimately allocates up front.
+    // Build everything that legitimately allocates up front: two
+    // generations of one index, the context, the parsed request.
     let corpus = Arc::new(Preset::Tiny.generate(51));
     let n = corpus.num_articles();
     let scores: Vec<f64> = (0..n).map(|i| 1.0 / (i + 1) as f64).collect();
-    let index = ScoreIndex::build(corpus, scores);
-    let query = TopQuery { k: 25, ..Default::default() };
-
+    let shared = Arc::new(SharedIndex::new(ScoreIndex::build(Arc::clone(&corpus), scores.clone())));
+    let first = shared.load();
+    shared.publish(ScoreIndex::build(corpus, scores));
+    let second = shared.load();
+    assert_ne!(first.generation(), second.generation());
+    let mut ctx = Ctx::new(shared, Arc::new(Metrics::new()), None);
+    let target = "/top?k=25";
+    let req = parse_target(target);
     let mut out: Vec<u8> = Vec::with_capacity(64 * 1024);
+    let mut render = |index: &ScoreIndex, out: &mut Vec<u8>| {
+        out.clear();
+        assert_eq!(ctx.write_answer(&req, target.as_bytes(), index, true, out), 200);
+    };
+
+    // Warm passes: every buffer reaches its high-water capacity and the
+    // cache holds this target, last stamped with the first generation.
+    render(&first, &mut out);
+    render(&second, &mut out);
+    render(&first, &mut out);
+    let rendered = out.clone();
+
+    // A cache hit: route, probe, head, memcpy.
+    let hit = allocations(|| render(&first, &mut out));
+    assert_eq!(hit, 0, "a warm cache hit allocated {hit} time(s)");
+    assert_eq!(out, rendered);
+    // A generation miss: the stamp is stale, so the body is re-rendered
+    // from fragments and the entry re-stamped in place.
+    let miss = allocations(|| render(&second, &mut out));
+    assert_eq!(miss, 0, "a warm generation-miss re-render allocated {miss} time(s)");
+    assert_ne!(out, rendered);
+
+    // Error rendering and escaping, as the 4xx/5xx arms use them.
     let mut scratch: Vec<u8> = Vec::with_capacity(4 * 1024);
-    let mut ids: Vec<u32> = Vec::with_capacity(256);
-
-    // Warm pass: lets every buffer reach its high-water capacity (and
-    // faults in lazy pieces like the thread-local itself).
-    render_everything(&index, &query, &mut out, &mut scratch, &mut ids);
-
-    // Measured pass: byte-for-byte the same work, zero allocations.
-    let count = allocations(|| {
-        render_everything(&index, &query, &mut out, &mut scratch, &mut ids);
-    });
-    assert_eq!(count, 0, "the warm render path allocated {count} time(s)");
-    assert!(!out.is_empty());
-}
-
-/// Every arena writer plus the full `/top` success body, exactly as the
-/// event loop's fast path assembles it (fragments pre-rendered in the
-/// index, numbers via `write_u64`, head via `write_response_head`).
-fn render_everything(
-    index: &ScoreIndex,
-    query: &TopQuery,
-    out: &mut Vec<u8>,
-    scratch: &mut Vec<u8>,
-    ids: &mut Vec<u32>,
-) {
-    out.clear();
-
-    // The /top fast path: scratch body from pre-rendered fragments.
-    index.top_ids_into(query, ids);
-    scratch.clear();
-    scratch.extend_from_slice(b"{\"generation\":");
-    write_u64(scratch, index.generation());
-    scratch.extend_from_slice(b",\"count\":");
-    write_u64(scratch, ids.len() as u64);
-    scratch.extend_from_slice(b",\"results\":[");
-    for (i, &a) in ids.iter().enumerate() {
-        if i > 0 {
-            scratch.push(b',');
-        }
-        scratch.extend_from_slice(index.hit_fragment(a));
-    }
-    scratch.extend_from_slice(b"]}");
-    write_response_head(out, 200, scratch.len(), true);
-    out.extend_from_slice(scratch);
-
-    // Error rendering and escaping, as the loop's 4xx/5xx arms use them.
-    write_error_response(out, scratch, 400, "bad value k=\"banana\"\n", false);
-    write_json_escaped(out, "quote\" slash\\ tab\t ctrl\u{1}");
-    write_u64(out, u64::MAX);
+    let mut errors = |out: &mut Vec<u8>| {
+        out.clear();
+        write_error_response(out, &mut scratch, 400, "bad value k=\"banana\"\n", false);
+        write_json_escaped(out, "quote\" slash\\ tab\t ctrl\u{1}");
+        write_u64(out, u64::MAX);
+    };
+    errors(&mut out);
+    let count = allocations(|| errors(&mut out));
+    assert_eq!(count, 0, "warm error rendering allocated {count} time(s)");
 }

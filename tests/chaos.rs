@@ -48,6 +48,26 @@ use std::time::Duration;
 
 // ---------------------------------------------------------------- helpers
 
+/// Every serve driver this platform offers. The tests that start a
+/// server run their whole scenario once per driver, each under its own
+/// [`Scenario`] so the fired-site counts are that driver's alone.
+fn drivers() -> &'static [Backend] {
+    if cfg!(target_os = "linux") {
+        &[Backend::Blocking, Backend::Epoll]
+    } else {
+        &[Backend::Blocking]
+    }
+}
+
+/// Every site a scenario armed must actually have fired on this driver —
+/// a site only one driver evaluates would pass its battery vacuously on
+/// the other.
+fn assert_fired(backend: Backend, sites: &[&str]) {
+    for site in sites {
+        assert!(fp::fired(site) > 0, "{site} was armed but never fired on {backend:?}");
+    }
+}
+
 /// A small random corpus plus a tie-heavy score vector: scores come from
 /// a tiny palette so every query exercises the tie-breaking contract.
 fn arb_indexed(rng: &mut SmallRng) -> (Arc<Corpus>, Vec<f64>) {
@@ -296,140 +316,143 @@ fn swap_layer_agrees_with_model_under_seeded_interleavings() {
 
 #[test]
 fn byte_chaos_keeps_the_pool_live_and_metrics_exact() {
-    let _s = Scenario::begin();
-    let mut setup = SmallRng::seed_from_u64(0xbeef);
-    let (corpus, scores) = arb_indexed(&mut setup);
-    let shared = Arc::new(SharedIndex::new(ScoreIndex::build(corpus, scores)));
-    let metrics = Arc::new(Metrics::new());
-    let config = ServeConfig {
-        workers: 3,
-        queue_depth: 16,
-        read_timeout: Duration::from_millis(300),
-        ..Default::default()
-    };
-    let mut server = serve(shared, Arc::clone(&metrics), &config).expect("bind");
-    let addr = server.addr();
+    for &backend in drivers() {
+        let _s = Scenario::begin();
+        let mut setup = SmallRng::seed_from_u64(0xbeef);
+        let (corpus, scores) = arb_indexed(&mut setup);
+        let shared = Arc::new(SharedIndex::new(ScoreIndex::build(corpus, scores)));
+        let metrics = Arc::new(Metrics::new());
+        let config = ServeConfig {
+            workers: 3,
+            queue_depth: 16,
+            read_timeout: Duration::from_millis(300),
+            backend,
+            ..Default::default()
+        };
+        let mut server = serve(shared, Arc::clone(&metrics), &config).expect("bind");
+        let addr = server.addr();
 
-    for_seeds("serve.chaos", 48, |seed, rng| {
-        // Faults on every serve-side site the harness owns: dropped
-        // accepts, slow workers, panicking handlers.
-        fp::seeded("serve.accept", seed, FaultMix::errors(0.10));
-        fp::seeded("serve.handle", seed ^ 1, FaultMix::delays(0.30, 3));
-        fp::seeded("serve.respond", seed ^ 2, FaultMix::panics(0.20));
-        for _ in 0..6 {
-            let _ = chaos::strike(addr, rng);
-        }
-        // Well-formed requests while the handler still panics at random:
-        // every one must come back whole, as 200 or as a recorded 500.
-        fp::clear("serve.accept");
-        for _ in 0..4 {
-            let (status, body) = chaos::http_get(addr, "/top?k=5");
-            assert!(
-                status == 200 || status == 500,
-                "well-formed request got unexpected status {status}: {body:?}"
-            );
-        }
-        // With all faults off, the full pool must still be standing.
-        fp::clear("serve.handle");
-        fp::clear("serve.respond");
-        chaos::assert_pool_live(addr, config.workers);
-    });
-
-    // Quiescent point: every connection above has completed. The
-    // accounting must balance to the request — histogram mass equals the
-    // request counter, and every request is classified exactly once.
-    std::thread::sleep(Duration::from_millis(50));
-    let (status, m) = chaos::http_get(addr, "/metrics");
-    assert_eq!(status, 200);
-    let field = |name: &str| -> i64 {
-        m.get(name).and_then(|v| v.as_i64()).unwrap_or_else(|| panic!("missing metric {name}"))
-    };
-    let requests = field("requests");
-    // The /metrics request that produced this snapshot records itself
-    // only after rendering, so the snapshot is self-consistent.
-    assert!(requests > 0);
-    assert_eq!(
-        field("ok") + field("client_errors") + field("server_errors"),
-        requests,
-        "every request must be classified exactly once"
-    );
-    let hist: i64 = m
-        .get("latency")
-        .and_then(|l| l.get("histogram"))
-        .and_then(|h| h.as_array())
-        .expect("histogram array")
-        .iter()
-        .map(|b| b.get("count").and_then(|c| c.as_i64()).unwrap())
-        .sum();
-    assert_eq!(hist, requests, "histogram bucket counts must sum to the request counter");
-    // Every injected respond-panic was converted into a recorded 500 by
-    // the inner catch — none leaked to the outer worker catch, which
-    // would count a panic without a response.
-    assert_eq!(field("panics"), field("server_errors"), "panic path lost a 500");
-    assert_eq!(metrics.in_flight.load(Ordering::SeqCst), 0);
-    server.shutdown();
-}
-
-/// Torn socket I/O in the event loop's fill/flush paths: an injected
-/// read or write error must kill exactly that connection — the client
-/// sees a short or absent response, never a corrupt one — and the loop
-/// must keep serving with exact accounting afterwards.
-#[test]
-fn torn_socket_io_closes_the_connection_not_the_server() {
-    let _s = Scenario::begin();
-    let mut setup = SmallRng::seed_from_u64(0x10f4);
-    let (corpus, scores) = arb_indexed(&mut setup);
-    let shared = Arc::new(SharedIndex::new(ScoreIndex::build(corpus, scores)));
-    let metrics = Arc::new(Metrics::new());
-    let config =
-        ServeConfig { workers: 2, read_timeout: Duration::from_millis(300), ..Default::default() };
-    let mut server = serve(shared, Arc::clone(&metrics), &config).expect("bind");
-    let addr = server.addr();
-    if server.backend() != Backend::Epoll {
-        // The serve.io.* sites instrument the event loop's own
-        // read/write paths; the blocking backend goes through std
-        // streams directly and has no equivalent seam.
-        server.shutdown();
-        return;
-    }
-
-    for_seeds("serve.io", 16, |seed, rng| {
-        fp::seeded("serve.io.read", seed, FaultMix::errors(0.3));
-        fp::seeded("serve.io.write", seed ^ 3, FaultMix::errors(0.3));
-        for _ in 0..6 {
-            use std::io::{Read, Write};
-            let mut s = std::net::TcpStream::connect(addr).expect("connect");
-            let _ = s.write_all(b"GET /top?k=4 HTTP/1.1\r\nHost: t\r\n\r\n");
-            let mut out = Vec::new();
-            let _ = s.read_to_end(&mut out); // EOF or RST are both fine
-            if !out.is_empty() {
-                // Whatever does arrive is a prefix of a real response.
+        for_seeds("serve.chaos", 48, |seed, rng| {
+            // Faults on every serve-side site the harness owns: dropped
+            // accepts, slow workers, panicking handlers.
+            fp::seeded("serve.accept", seed, FaultMix::errors(0.10));
+            fp::seeded("serve.handle", seed ^ 1, FaultMix::delays(0.30, 3));
+            fp::seeded("serve.respond", seed ^ 2, FaultMix::panics(0.20));
+            for _ in 0..6 {
+                let _ = chaos::strike(addr, rng);
+            }
+            // Well-formed requests while the handler still panics at random:
+            // every one must come back whole, as 200 or as a recorded 500.
+            fp::clear("serve.accept");
+            for _ in 0..4 {
+                let (status, body) = chaos::http_get(addr, "/top?k=5");
                 assert!(
-                    out.starts_with(b"HTTP/1.1 "),
-                    "torn I/O corrupted the stream: {:?}",
-                    String::from_utf8_lossy(&out)
+                    status == 200 || status == 500,
+                    "well-formed request got unexpected status {status}: {body:?}"
                 );
             }
-        }
-        fp::clear("serve.io.read");
-        fp::clear("serve.io.write");
-        chaos::assert_pool_live(addr, config.workers);
-        let _ = rng; // schedules are driven purely by the seeded sites
-    });
-    assert!(fp::fired("serve.io.read") + fp::fired("serve.io.write") > 0, "no I/O fault fired");
+            // With all faults off, the full pool must still be standing.
+            fp::clear("serve.handle");
+            fp::clear("serve.respond");
+            chaos::assert_pool_live(addr, config.workers);
+        });
 
-    // Quiescent invariants survive connection-level carnage: every
-    // *recorded* request classified exactly once, nothing in flight, no
-    // leaked connection slots.
-    std::thread::sleep(Duration::from_millis(50));
-    let requests = metrics.requests.load(Ordering::SeqCst);
-    let classified = metrics.ok.load(Ordering::SeqCst)
-        + metrics.client_errors.load(Ordering::SeqCst)
-        + metrics.server_errors.load(Ordering::SeqCst);
-    assert_eq!(classified, requests);
-    assert_eq!(metrics.in_flight.load(Ordering::SeqCst), 0);
-    assert_eq!(metrics.connections_active.load(Ordering::SeqCst), 0);
-    server.shutdown();
+        // Quiescent point: every connection above has completed. The
+        // accounting must balance to the request — histogram mass equals the
+        // request counter, and every request is classified exactly once.
+        std::thread::sleep(Duration::from_millis(50));
+        let (status, m) = chaos::http_get(addr, "/metrics");
+        assert_eq!(status, 200);
+        let field = |name: &str| -> i64 {
+            m.get(name).and_then(|v| v.as_i64()).unwrap_or_else(|| panic!("missing metric {name}"))
+        };
+        let requests = field("requests");
+        // The /metrics request that produced this snapshot records itself
+        // only after rendering, so the snapshot is self-consistent.
+        assert!(requests > 0);
+        assert_eq!(
+            field("ok") + field("client_errors") + field("server_errors"),
+            requests,
+            "every request must be classified exactly once"
+        );
+        let hist: i64 = m
+            .get("latency")
+            .and_then(|l| l.get("histogram"))
+            .and_then(|h| h.as_array())
+            .expect("histogram array")
+            .iter()
+            .map(|b| b.get("count").and_then(|c| c.as_i64()).unwrap())
+            .sum();
+        assert_eq!(hist, requests, "histogram bucket counts must sum to the request counter");
+        // Every injected respond-panic was converted into a recorded 500 by
+        // the inner catch — none leaked to the outer worker catch, which
+        // would count a panic without a response.
+        assert_eq!(field("panics"), field("server_errors"), "panic path lost a 500");
+        assert_eq!(metrics.in_flight.load(Ordering::SeqCst), 0);
+        assert_fired(backend, &["serve.accept", "serve.handle", "serve.respond"]);
+        server.shutdown();
+    }
+}
+
+/// Torn socket I/O in a driver's read/write paths: an injected read or
+/// write error must kill exactly that connection — the client sees a
+/// short or absent response, never a corrupt one — and the driver must
+/// keep serving with exact accounting afterwards.
+#[test]
+fn torn_socket_io_closes_the_connection_not_the_server() {
+    for &backend in drivers() {
+        let _s = Scenario::begin();
+        let mut setup = SmallRng::seed_from_u64(0x10f4);
+        let (corpus, scores) = arb_indexed(&mut setup);
+        let shared = Arc::new(SharedIndex::new(ScoreIndex::build(corpus, scores)));
+        let metrics = Arc::new(Metrics::new());
+        let config = ServeConfig {
+            workers: 2,
+            read_timeout: Duration::from_millis(300),
+            backend,
+            ..Default::default()
+        };
+        let mut server = serve(shared, Arc::clone(&metrics), &config).expect("bind");
+        let addr = server.addr();
+
+        for_seeds("serve.io", 16, |seed, rng| {
+            fp::seeded("serve.io.read", seed, FaultMix::errors(0.3));
+            fp::seeded("serve.io.write", seed ^ 3, FaultMix::errors(0.3));
+            for _ in 0..6 {
+                use std::io::{Read, Write};
+                let mut s = std::net::TcpStream::connect(addr).expect("connect");
+                let _ = s.write_all(b"GET /top?k=4 HTTP/1.1\r\nHost: t\r\n\r\n");
+                let mut out = Vec::new();
+                let _ = s.read_to_end(&mut out); // EOF or RST are both fine
+                if !out.is_empty() {
+                    // Whatever does arrive is a prefix of a real response.
+                    assert!(
+                        out.starts_with(b"HTTP/1.1 "),
+                        "torn I/O corrupted the stream: {:?}",
+                        String::from_utf8_lossy(&out)
+                    );
+                }
+            }
+            fp::clear("serve.io.read");
+            fp::clear("serve.io.write");
+            chaos::assert_pool_live(addr, config.workers);
+            let _ = rng; // schedules are driven purely by the seeded sites
+        });
+        assert_fired(backend, &["serve.io.read", "serve.io.write"]);
+
+        // Quiescent invariants survive connection-level carnage: every
+        // *recorded* request classified exactly once, nothing in flight, no
+        // leaked connection slots.
+        std::thread::sleep(Duration::from_millis(50));
+        let requests = metrics.requests.load(Ordering::SeqCst);
+        let classified = metrics.ok.load(Ordering::SeqCst)
+            + metrics.client_errors.load(Ordering::SeqCst)
+            + metrics.server_errors.load(Ordering::SeqCst);
+        assert_eq!(classified, requests);
+        assert_eq!(metrics.in_flight.load(Ordering::SeqCst), 0);
+        assert_eq!(metrics.connections_active.load(Ordering::SeqCst), 0);
+        server.shutdown();
+    }
 }
 
 // -------------------------------------------- pillar 1: fault schedules
@@ -512,59 +535,101 @@ fn aan_and_mag_fault_sites_surface_as_parse_errors() {
 
 #[test]
 fn regression_inverted_year_range_is_rejected_not_fatal() {
-    // The remotely-triggerable merge_years panic from PR 3: the server
-    // must answer 400 and keep every worker.
-    let _s = Scenario::begin();
-    let mut setup = SmallRng::seed_from_u64(0x1237);
-    let (corpus, scores) = arb_indexed(&mut setup);
-    let shared = Arc::new(SharedIndex::new(ScoreIndex::build(corpus, scores)));
-    let config = ServeConfig { workers: 2, ..Default::default() };
-    let mut server = serve(shared, Arc::new(Metrics::new()), &config).expect("bind");
-    let (status, body) = chaos::http_get(server.addr(), "/top?year_min=2010&year_max=1990");
-    assert_eq!(status, 400);
-    assert!(body.get("message").unwrap().as_str().unwrap().contains("inverted"));
-    chaos::assert_pool_live(server.addr(), config.workers);
-    server.shutdown();
+    for &backend in drivers() {
+        // The remotely-triggerable merge_years panic from PR 3: the server
+        // must answer 400 and keep every worker.
+        let _s = Scenario::begin();
+        let mut setup = SmallRng::seed_from_u64(0x1237);
+        let (corpus, scores) = arb_indexed(&mut setup);
+        let shared = Arc::new(SharedIndex::new(ScoreIndex::build(corpus, scores)));
+        let config = ServeConfig { workers: 2, backend, ..Default::default() };
+        let mut server = serve(shared, Arc::new(Metrics::new()), &config).expect("bind");
+        let (status, body) = chaos::http_get(server.addr(), "/top?year_min=2010&year_max=1990");
+        assert_eq!(status, 400);
+        assert!(body.get("message").unwrap().as_str().unwrap().contains("inverted"));
+        chaos::assert_pool_live(server.addr(), config.workers);
+        server.shutdown();
+    }
 }
 
 #[test]
 fn regression_panic_storm_does_not_drain_the_pool() {
-    // PR 3's pool-drain review finding, now driven through the failpoint
-    // registry instead of a hand-rolled poisoned index: a burst of
-    // handler panics must not kill a single worker, and each panic must
-    // surface as a counted 500.
-    let _s = Scenario::begin();
-    let mut setup = SmallRng::seed_from_u64(0x900d);
-    let (corpus, scores) = arb_indexed(&mut setup);
-    let shared = Arc::new(SharedIndex::new(ScoreIndex::build(corpus, scores)));
-    let metrics = Arc::new(Metrics::new());
-    let config = ServeConfig { workers: 2, ..Default::default() };
-    let mut server = serve(shared, Arc::clone(&metrics), &config).expect("bind");
-    let addr = server.addr();
+    for &backend in drivers() {
+        // PR 3's pool-drain review finding, now driven through the failpoint
+        // registry instead of a hand-rolled poisoned index: a burst of
+        // handler panics must not kill a single worker, and each panic must
+        // surface as a counted 500.
+        let _s = Scenario::begin();
+        let mut setup = SmallRng::seed_from_u64(0x900d);
+        let (corpus, scores) = arb_indexed(&mut setup);
+        let shared = Arc::new(SharedIndex::new(ScoreIndex::build(corpus, scores)));
+        let metrics = Arc::new(Metrics::new());
+        let config = ServeConfig { workers: 2, backend, ..Default::default() };
+        let mut server = serve(shared, Arc::clone(&metrics), &config).expect("bind");
+        let addr = server.addr();
 
-    for_seeds("serve.drain", 8, |seed, rng| {
-        let storm = rng.gen_range(1usize..5);
-        let before = metrics.panics.load(Ordering::SeqCst);
-        fp::script("serve.respond", vec![Action::Panic; storm]);
-        for i in 0..storm {
-            let (status, body) = chaos::http_get(addr, "/top?k=3");
-            assert_eq!(status, 500, "storm request {i} (seed {seed}) was not a clean 500");
-            assert!(body.get("message").is_some());
-        }
-        fp::clear("serve.respond");
-        chaos::assert_pool_live(addr, config.workers);
+        for_seeds("serve.drain", 8, |seed, rng| {
+            let storm = rng.gen_range(1usize..5);
+            let before = metrics.panics.load(Ordering::SeqCst);
+            fp::script("serve.respond", vec![Action::Panic; storm]);
+            for i in 0..storm {
+                let (status, body) = chaos::http_get(addr, "/top?k=3");
+                assert_eq!(status, 500, "storm request {i} (seed {seed}) was not a clean 500");
+                assert!(body.get("message").is_some());
+            }
+            fp::clear("serve.respond");
+            chaos::assert_pool_live(addr, config.workers);
+            assert_eq!(
+                metrics.panics.load(Ordering::SeqCst),
+                before + storm as u64,
+                "every injected panic must be counted"
+            );
+        });
         assert_eq!(
+            metrics.server_errors.load(Ordering::SeqCst),
             metrics.panics.load(Ordering::SeqCst),
-            before + storm as u64,
-            "every injected panic must be counted"
+            "every caught panic must have produced a recorded 500"
         );
-    });
-    assert_eq!(
-        metrics.server_errors.load(Ordering::SeqCst),
-        metrics.panics.load(Ordering::SeqCst),
-        "every caught panic must have produced a recorded 500"
-    );
-    server.shutdown();
+        assert_fired(backend, &["serve.respond"]);
+        server.shutdown();
+    }
+}
+
+/// A panic outside any one request — scripted at `serve.handle`, past
+/// the core's per-request isolation — lands in the driver's last-resort
+/// guard. That connection is lost, but nothing else may be: the
+/// open-connections gauge used to stay stuck at 1 on the pool.
+#[test]
+fn regression_driver_level_panic_releases_the_connection_gauge() {
+    use std::io::{Read, Write};
+    for &backend in drivers() {
+        let _s = Scenario::begin();
+        let mut setup = SmallRng::seed_from_u64(0x6a06);
+        let (corpus, scores) = arb_indexed(&mut setup);
+        let shared = Arc::new(SharedIndex::new(ScoreIndex::build(corpus, scores)));
+        let metrics = Arc::new(Metrics::new());
+        let config = ServeConfig { workers: 2, backend, ..Default::default() };
+        let mut server = serve(shared, Arc::clone(&metrics), &config).expect("bind");
+        let addr = server.addr();
+
+        fp::script("serve.handle", vec![Action::Panic]);
+        let mut s = std::net::TcpStream::connect(addr).expect("connect");
+        s.write_all(b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n").expect("write");
+        let mut out = Vec::new();
+        let _ = s.read_to_end(&mut out); // EOF or RST: the connection died
+        assert!(out.is_empty(), "{backend:?} answered through a driver-level panic");
+        assert_fired(backend, &["serve.handle"]);
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while metrics.panics.load(Ordering::SeqCst) == 0 {
+            assert!(std::time::Instant::now() < deadline, "{backend:?} never counted the panic");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(metrics.connections_active.load(Ordering::SeqCst), 0, "{backend:?} leaked it");
+        assert_eq!(metrics.in_flight.load(Ordering::SeqCst), 0);
+        assert_eq!(metrics.requests.load(Ordering::SeqCst), 0);
+        chaos::assert_pool_live(addr, config.workers);
+        server.shutdown();
+    }
 }
 
 #[test]
@@ -1188,37 +1253,44 @@ fn record_flush_kill_sweep_degrades_recording_never_serving() {
         .result()
         .article_scores
         .clone();
-    let recorder = Arc::new(Recorder::new(&path, 1, 64));
-    let shared = Arc::new(SharedIndex::new(ScoreIndex::build(Arc::clone(&corpus), scores.clone())));
-    let metrics = Arc::new(Metrics::new());
-    let config =
-        ServeConfig { workers: 2, recorder: Some(Arc::clone(&recorder)), ..Default::default() };
-    let mut server = serve(Arc::clone(&shared), Arc::clone(&metrics), &config).expect("bind");
-    let addr = server.addr();
+    for &backend in drivers() {
+        let recorder = Arc::new(Recorder::new(&path, 1, 64));
+        let shared =
+            Arc::new(SharedIndex::new(ScoreIndex::build(Arc::clone(&corpus), scores.clone())));
+        let metrics = Arc::new(Metrics::new());
+        let config = ServeConfig {
+            workers: 2,
+            recorder: Some(Arc::clone(&recorder)),
+            backend,
+            ..Default::default()
+        };
+        let mut server = serve(Arc::clone(&shared), Arc::clone(&metrics), &config).expect("bind");
+        let addr = server.addr();
 
-    for _ in 0..6 {
-        let (status, _) = chaos::http_get(addr, "/top?k=5");
+        for _ in 0..6 {
+            let (status, _) = chaos::http_get(addr, "/top?k=5");
+            assert_eq!(status, 200);
+        }
+        fp::set("replay.record.io", Action::Trigger);
+        recorder.flush().expect_err("armed flush must fail");
+        assert!(recorder.degraded());
+        fp::clear("replay.record.io");
+        // Recording is down; serving must not notice.
+        for _ in 0..6 {
+            let (status, _) = chaos::http_get(addr, "/top?k=5");
+            assert_eq!(status, 200, "a degraded recorder leaked into the live path");
+        }
+        chaos::assert_pool_live(addr, config.workers);
+        let (status, m) = chaos::http_get(addr, "/metrics");
         assert_eq!(status, 200);
+        let field = |name: &str| m.get(name).and_then(|v| v.as_i64()).unwrap();
+        assert_eq!(
+            field("ok") + field("client_errors") + field("server_errors"),
+            field("requests"),
+            "request accounting drifted while recording was degraded"
+        );
+        server.shutdown();
     }
-    fp::set("replay.record.io", Action::Trigger);
-    recorder.flush().expect_err("armed flush must fail");
-    assert!(recorder.degraded());
-    fp::clear("replay.record.io");
-    // Recording is down; serving must not notice.
-    for _ in 0..6 {
-        let (status, _) = chaos::http_get(addr, "/top?k=5");
-        assert_eq!(status, 200, "a degraded recorder leaked into the live path");
-    }
-    chaos::assert_pool_live(addr, config.workers);
-    let (status, m) = chaos::http_get(addr, "/metrics");
-    assert_eq!(status, 200);
-    let field = |name: &str| m.get(name).and_then(|v| v.as_i64()).unwrap();
-    assert_eq!(
-        field("ok") + field("client_errors") + field("server_errors"),
-        field("requests"),
-        "request accounting drifted while recording was degraded"
-    );
-    server.shutdown();
     let _ = std::fs::remove_file(&path);
 }
 
@@ -1228,77 +1300,87 @@ fn record_flush_kill_sweep_degrades_recording_never_serving() {
 /// skipped: enough clean mirrors afterwards still promote the candidate.
 #[test]
 fn shadow_mirror_faults_poison_or_degrade_never_touch_live() {
-    let _s = Scenario::begin();
-    let corpus = Arc::new(small_corpus(77));
-    let scores = IncrementalRanker::new(QRankConfig::default(), corpus.as_ref().clone())
-        .result()
-        .article_scores
-        .clone();
-    let shared = Arc::new(SharedIndex::new(ScoreIndex::build(Arc::clone(&corpus), scores.clone())));
-    let metrics = Arc::new(Metrics::new());
-    let config = ServeConfig { workers: 2, ..Default::default() };
-    let mut server = serve(Arc::clone(&shared), Arc::clone(&metrics), &config).expect("bind");
-    let addr = server.addr();
-    let thresholds = ShadowThresholds { min_mirrored: 8, ..Default::default() };
-    let deadline = || std::time::Instant::now() + Duration::from_secs(30);
+    for &backend in drivers() {
+        let _s = Scenario::begin();
+        let corpus = Arc::new(small_corpus(77));
+        let scores = IncrementalRanker::new(QRankConfig::default(), corpus.as_ref().clone())
+            .result()
+            .article_scores
+            .clone();
+        let shared =
+            Arc::new(SharedIndex::new(ScoreIndex::build(Arc::clone(&corpus), scores.clone())));
+        let metrics = Arc::new(Metrics::new());
+        let config = ServeConfig { workers: 2, backend, ..Default::default() };
+        let mut server = serve(Arc::clone(&shared), Arc::clone(&metrics), &config).expect("bind");
+        let addr = server.addr();
+        let thresholds = ShadowThresholds { min_mirrored: 8, ..Default::default() };
+        let deadline = || std::time::Instant::now() + Duration::from_secs(30);
 
-    // Phase 1: the very first mirror panics inside the candidate.
-    shared.stage_shadow(ScoreIndex::build(Arc::clone(&corpus), scores.clone()), thresholds.clone());
-    fp::script("shadow.mirror", vec![Action::Panic]);
-    let (status, _) = chaos::http_get(addr, "/top?k=5");
-    assert_eq!(status, 200, "the request carrying the poisoned mirror must still answer");
-    // The mirror runs after the response is written; wait out the race.
-    let end = deadline();
-    let report = loop {
-        let report = shared.shadow_report().expect("slot must stay up to explain itself");
-        if report.decision != Decision::Pending {
-            break report;
-        }
-        assert!(std::time::Instant::now() < end, "poisoned slot never auto-rejected");
-        std::thread::sleep(Duration::from_millis(2));
-    };
-    fp::clear("shadow.mirror");
-    assert!(report.poisoned);
-    assert_eq!(report.decision, Decision::Rejected);
-    assert_eq!(shared.generation(), 1, "a poisoned candidate must never publish");
-    let (status, body) = chaos::http_get(addr, "/shadow");
-    assert_eq!(status, 200);
-    assert_eq!(body.get("decision").and_then(|v| v.as_str()), Some("rejected"));
-    assert!(
-        !body.get("failures").and_then(|f| f.as_array()).expect("failures").is_empty(),
-        "a poisoned rejection must name its reason"
-    );
-
-    // Phase 2: three injected mirror *errors* (no panic), then clean
-    // mirrors. Errors degrade the evidence stream, they do not kill the
-    // candidate: it still reaches min_mirrored and promotes.
-    shared.stage_shadow(ScoreIndex::build(Arc::clone(&corpus), scores.clone()), thresholds);
-    fp::script("shadow.mirror", vec![Action::Trigger; 3]);
-    for i in 0..11 {
+        // Phase 1: the very first mirror panics inside the candidate.
+        shared.stage_shadow(
+            ScoreIndex::build(Arc::clone(&corpus), scores.clone()),
+            thresholds.clone(),
+        );
+        fp::script("shadow.mirror", vec![Action::Panic]);
         let (status, _) = chaos::http_get(addr, "/top?k=5");
-        assert_eq!(status, 200, "request {i} failed while mirrors were erroring");
-    }
-    let end = deadline();
-    while shared.generation() < 2 {
-        assert!(std::time::Instant::now() < end, "candidate never promoted past mirror errors");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    fp::clear("shadow.mirror");
-    let report = shared.shadow_report().expect("report stays up after promotion");
-    assert_eq!(report.decision, Decision::Promoted);
-    assert_eq!(report.mirror_errors, 3, "each injected fault must be counted exactly once");
-    assert_eq!(report.mirrored, 8);
+        assert_eq!(status, 200, "the request carrying the poisoned mirror must still answer");
+        // The mirror runs after the response is written; wait out the race.
+        let end = deadline();
+        let report = loop {
+            let report = shared.shadow_report().expect("slot must stay up to explain itself");
+            if report.decision != Decision::Pending {
+                break report;
+            }
+            assert!(std::time::Instant::now() < end, "poisoned slot never auto-rejected");
+            std::thread::sleep(Duration::from_millis(2));
+        };
+        fp::clear("shadow.mirror");
+        assert!(report.poisoned);
+        assert_eq!(report.decision, Decision::Rejected);
+        assert_eq!(shared.generation(), 1, "a poisoned candidate must never publish");
+        let (status, body) = chaos::http_get(addr, "/shadow");
+        assert_eq!(status, 200);
+        assert_eq!(body.get("decision").and_then(|v| v.as_str()), Some("rejected"));
+        assert!(
+            !body.get("failures").and_then(|f| f.as_array()).expect("failures").is_empty(),
+            "a poisoned rejection must name its reason"
+        );
 
-    chaos::assert_pool_live(addr, config.workers);
-    // Accounting stayed exact through poison, errors, and promotion —
-    // including the per-generation breakdown.
-    let (status, m) = chaos::http_get(addr, "/metrics");
-    assert_eq!(status, 200);
-    let field = |v: &sjson::Value, name: &str| v.get(name).and_then(|x| x.as_i64()).unwrap();
-    let requests = field(&m, "requests");
-    assert_eq!(field(&m, "ok") + field(&m, "client_errors") + field(&m, "server_errors"), requests);
-    let gens = m.get("generations").and_then(|g| g.as_array()).expect("generations");
-    let by_gen: i64 = gens.iter().map(|g| field(g, "requests")).sum();
-    assert_eq!(by_gen, requests, "generation breakdown must sum to the request counter");
-    server.shutdown();
+        // Phase 2: three injected mirror *errors* (no panic), then clean
+        // mirrors. Errors degrade the evidence stream, they do not kill the
+        // candidate: it still reaches min_mirrored and promotes.
+        shared.stage_shadow(ScoreIndex::build(Arc::clone(&corpus), scores.clone()), thresholds);
+        fp::script("shadow.mirror", vec![Action::Trigger; 3]);
+        for i in 0..11 {
+            let (status, _) = chaos::http_get(addr, "/top?k=5");
+            assert_eq!(status, 200, "request {i} failed while mirrors were erroring");
+        }
+        let end = deadline();
+        while shared.generation() < 2 {
+            assert!(std::time::Instant::now() < end, "candidate never promoted past mirror errors");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        fp::clear("shadow.mirror");
+        let report = shared.shadow_report().expect("report stays up after promotion");
+        assert_eq!(report.decision, Decision::Promoted);
+        assert_eq!(report.mirror_errors, 3, "each injected fault must be counted exactly once");
+        assert_eq!(report.mirrored, 8);
+
+        chaos::assert_pool_live(addr, config.workers);
+        // Accounting stayed exact through poison, errors, and promotion —
+        // including the per-generation breakdown.
+        let (status, m) = chaos::http_get(addr, "/metrics");
+        assert_eq!(status, 200);
+        let field = |v: &sjson::Value, name: &str| v.get(name).and_then(|x| x.as_i64()).unwrap();
+        let requests = field(&m, "requests");
+        assert_eq!(
+            field(&m, "ok") + field(&m, "client_errors") + field(&m, "server_errors"),
+            requests
+        );
+        let gens = m.get("generations").and_then(|g| g.as_array()).expect("generations");
+        let by_gen: i64 = gens.iter().map(|g| field(g, "requests")).sum();
+        assert_eq!(by_gen, requests, "generation breakdown must sum to the request counter");
+        assert_fired(backend, &["shadow.mirror"]);
+        server.shutdown();
+    }
 }
