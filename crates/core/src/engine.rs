@@ -19,9 +19,12 @@
 //! index space exactly like `RowStochastic::apply_parallel`, so results
 //! are bitwise identical at any thread count).
 //!
-//! An engine is invalidated by — and must be rebuilt after — any change
-//! to the corpus or to a structural parameter; [`QRankEngine::supports`]
-//! tells whether a config can reuse this plan.
+//! A plan answers for one corpus. Articles *appended* to that corpus are
+//! absorbed by [`QRankEngine::extend`], which grows the plan in place
+//! into exactly the plan `build` would derive from the grown corpus; any
+//! other change to the corpus, or to a structural parameter, needs a new
+//! `build` ([`QRankEngine::supports`] tells whether a config can reuse
+//! this plan).
 
 use crate::config::QRankConfig;
 use crate::hetnet::HetNet;
@@ -137,8 +140,9 @@ impl SolveScratch {
     }
 }
 
-/// A prepared, immutable QRank execution plan for one
-/// `(corpus, structural-config)` pair.
+/// A prepared QRank execution plan for one `(corpus,
+/// structural-config)` pair; solving never changes it, and
+/// [`QRankEngine::extend`] is the only thing that does.
 ///
 /// Caches the heterogeneous network, the three row-stochastic operators,
 /// the recency jump vector, the per-article ages, the structural
@@ -195,9 +199,35 @@ impl QRankEngine {
     /// the expensive phase; amortize it across solves.
     pub fn build(corpus: &Corpus, config: &QRankConfig) -> Self {
         config.assert_valid();
+        Self::from_net(corpus, config, HetNet::build(corpus, config))
+    }
+
+    /// Grow the plan for `grown`'s first `old_n` articles into the plan for
+    /// all of them. The one contract: the result is indistinguishable,
+    /// bit for bit, from [`QRankEngine::build`] on `grown` — so it does
+    /// not matter to any later score whether a plan was grown or, as after
+    /// a restart, built (DESIGN.md §2.4, "Growing a plan").
+    ///
+    /// Only the network is patched ([`HetNet::extend`]); the operators,
+    /// the structural walks (cold, as in `build`: a warm start would make
+    /// scores depend on how the plan came to be), `now`, the jump vector,
+    /// the ages and the partitions are derived from it by the code `build`
+    /// runs. The caller vouches that the retained articles are unchanged
+    /// ([`crate::IncrementalRanker::extend`] checks). Consumes the plan, so
+    /// a panic half way leaves none behind rather than a half-grown one.
+    pub fn extend(self, grown: &Corpus, old_n: usize) -> Self {
+        let QRankEngine { config, mut net, citation_op, venue_op, author_op, .. } = self;
+        // The old operators are as large as the graphs under them; let go
+        // of them before their successors are allocated.
+        drop((citation_op, venue_op, author_op));
+        net.extend(grown, &config, old_n);
+        Self::from_net(grown, &config, net)
+    }
+
+    /// The plan over `net`, the network of `corpus` under `config`.
+    fn from_net(corpus: &Corpus, config: &QRankConfig, net: HetNet) -> Self {
         let now =
             config.twpr.now.or_else(|| corpus.year_range().map(|(_, last)| last)).unwrap_or(0);
-        let net = HetNet::build(corpus, config);
         let jump = TimeWeightedPageRank::recency_jump(corpus, config.twpr.tau, now);
         let ages: Vec<f64> =
             corpus.articles().iter().map(|a| (now - a.year).max(0) as f64).collect();

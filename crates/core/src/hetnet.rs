@@ -5,7 +5,7 @@
 //! model is consistent across layers (DESIGN.md §2.2).
 
 use crate::config::QRankConfig;
-use scholar_corpus::Corpus;
+use scholar_corpus::{Article, Corpus};
 use scholar_rank::{RankContext, TimeWeightedPageRank};
 use sgraph::{Bipartite, CsrGraph};
 
@@ -26,13 +26,15 @@ pub struct HetNet {
     pub publication: Bipartite,
 }
 
+/// The citation-age decay `exp(-ρ·Δt)` every layer weighs a citation by.
+fn decay(rho: f64) -> impl Fn(&Article, &Article) -> f64 + Copy {
+    move |citing, cited| TimeWeightedPageRank::edge_weight(rho, (citing.year - cited.year) as f64)
+}
+
 impl HetNet {
     /// Build the network from a corpus.
     pub fn build(corpus: &Corpus, config: &QRankConfig) -> Self {
-        let rho = config.twpr.rho;
-        let decay = |citing: &scholar_corpus::Article, cited: &scholar_corpus::Article| {
-            TimeWeightedPageRank::edge_weight(rho, (citing.year - cited.year) as f64)
-        };
+        let decay = decay(config.twpr.rho);
         HetNet {
             citation: corpus.weighted_citation_graph(decay),
             venue_graph: corpus.venue_graph(decay),
@@ -40,6 +42,30 @@ impl HetNet {
             authorship: corpus.authorship_bipartite(),
             publication: corpus.publication_bipartite(),
         }
+    }
+
+    /// Grow the network of `grown`'s first `old_n` articles into the
+    /// network of all of them, in place — the result equals
+    /// [`HetNet::build`] on `grown` in every offset, id and weight bit
+    /// (DESIGN.md §2.4, "Growing a plan").
+    ///
+    /// A citation's weight depends only on the two publication years, and
+    /// only an appended article can cite, so everything the old articles
+    /// contributed to the three graphs stands; the newcomers' edges are
+    /// staged by the same loops a full build runs and built
+    /// [onto](sgraph::GraphBuilder::build_onto) each graph. The two
+    /// bipartites are cheap next to the author graph and simply rebuilt.
+    pub fn extend(&mut self, grown: &Corpus, config: &QRankConfig, old_n: usize) {
+        assert_eq!(self.num_articles(), old_n, "the network to grow covers the old articles");
+        let decay = decay(config.twpr.rho);
+        let new = old_n..grown.num_articles();
+        grown.citation_edges(new.clone(), decay).build_onto(&mut self.citation);
+        grown.venue_edges(new.clone(), decay).build_onto(&mut self.venue_graph);
+        grown
+            .author_edges(new, decay, config.drop_self_citations)
+            .build_onto(&mut self.author_graph);
+        self.authorship = grown.authorship_bipartite();
+        self.publication = grown.publication_bipartite();
     }
 
     /// [`HetNet::build`] against a prepared [`RankContext`]: the decayed

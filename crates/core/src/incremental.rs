@@ -1,32 +1,41 @@
 //! Incremental re-ranking when the corpus grows.
 //!
-//! A production index re-ranks after every crawl. Recomputing from
-//! scratch wastes the fact that yesterday's scores are an excellent
-//! starting point: power iteration contracts at rate ≈ damping, so a warm
-//! start that is already within ε' of the answer needs only
-//! `log(ε/ε') / log(d)` iterations. [`IncrementalRanker`] owns the
-//! current corpus + result and folds in batches of new articles, mapping
-//! old scores into the grown id space as the warm start.
+//! A production index re-ranks after every crawl, and a crawl appends: new
+//! articles cite old ones, never the reverse. [`IncrementalRanker`] owns
+//! the current corpus, its prepared plan and its result, and folds in
+//! batches of new articles at a cost close to the batch's own:
+//!
+//! * the plan is **grown**, not rebuilt — [`QRankEngine::extend`] patches
+//!   the batch's edges into the graphs it holds and re-derives the rest,
+//!   giving exactly the plan a build from scratch would (which is what a
+//!   ranker without a plan, fresh from [`IncrementalRanker::restore`],
+//!   does on its first update: the scores cannot tell the two apart);
+//! * the inner citation walk is **warm-started from its own previous
+//!   stationary**, [`QRankResult::twpr_scores`], padded with zeros for the
+//!   newcomers. Power iteration contracts at rate ≈ damping, so a start
+//!   already within ε' of the answer needs only `log(ε/ε') / log(d)`
+//!   iterations.
 
 use crate::config::QRankConfig;
 use crate::engine::{MixParams, QRankEngine};
 use crate::qrank::QRankResult;
 use scholar_corpus::model::Article;
 use scholar_corpus::Corpus;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Maintains a QRank ranking across corpus updates.
 ///
 /// Holds the prepared [`QRankEngine`] for the current corpus, so
 /// mixture-only re-solves (and score explanations via
 /// [`crate::Explainer::from_engine`]) come free between updates; each
-/// [`IncrementalRanker::extend`] rebuilds the plan for the grown corpus
-/// and warm-starts the inner walk from the previous scores — the warm
+/// [`IncrementalRanker::extend`] grows that plan to cover the batch and
+/// warm-starts the inner walk from its previous stationary — the warm
 /// path never pays for the cold citation walk.
 #[derive(Debug)]
 pub struct IncrementalRanker {
     config: QRankConfig,
-    corpus: Corpus,
+    /// Shared with every index built from this generation.
+    corpus: Arc<Corpus>,
     /// Lazily built so [`IncrementalRanker::restore`] is O(corpus): a
     /// ranker resurrected from a snapshot only pays for the engine plan
     /// when the first update (or explanation) actually needs it.
@@ -51,7 +60,7 @@ impl IncrementalRanker {
         let result = engine.solve(&MixParams::from_config(&config));
         let cell = OnceLock::new();
         let _ = cell.set(engine);
-        IncrementalRanker { config, corpus, engine: cell, result }
+        IncrementalRanker { config, corpus: Arc::new(corpus), engine: cell, result }
     }
 
     /// Resume tracking a corpus whose ranking was already computed — the
@@ -82,12 +91,18 @@ impl IncrementalRanker {
             corpus.num_articles(),
             "restored walk scores must match the corpus"
         );
-        IncrementalRanker { config, corpus, engine: OnceLock::new(), result }
+        IncrementalRanker { config, corpus: Arc::new(corpus), engine: OnceLock::new(), result }
     }
 
     /// The current corpus.
     pub fn corpus(&self) -> &Corpus {
         &self.corpus
+    }
+
+    /// The current corpus, shared: what an index over this generation
+    /// holds instead of a copy.
+    pub fn shared_corpus(&self) -> Arc<Corpus> {
+        Arc::clone(&self.corpus)
     }
 
     /// The prepared engine for the current corpus, built on first use
@@ -101,24 +116,33 @@ impl IncrementalRanker {
         &self.result
     }
 
-    /// Fold in a batch of new articles (appended to the corpus; their ids
-    /// must be dense continuations, their references may point anywhere in
-    /// the grown corpus, and any new authors/venues must already have been
-    /// appended via [`Corpus`] growth — in practice callers construct the
-    /// grown corpus with [`grow_corpus`]).
+    /// Fold in a batch of new articles: grow the plan
+    /// ([`QRankEngine::extend`]; built from scratch when this ranker holds
+    /// none yet), then solve with the inner walk warm-started from
+    /// [`QRankResult::twpr_scores`] of the current result. Which of the two
+    /// ways the plan came to be leaves no trace in any score, so a ranker
+    /// restored from `(corpus, result)` and this one stay bit-identical
+    /// under the same batches.
+    ///
+    /// The batch is appended to the corpus: its ids must be dense
+    /// continuations, its references may point anywhere in the grown
+    /// corpus, and any new authors/venues must already have been appended
+    /// to the tables — in practice callers construct the grown corpus with
+    /// [`grow_corpus`].
     ///
     /// # Append-only contract
     ///
-    /// The warm start is only a valid accelerant when the retained prefix
-    /// is **identical** to the tracked corpus: an edit to an old article's
-    /// references, year, venue, or byline changes the fixpoint, and a
-    /// warm-started solve would silently converge to scores for a corpus
-    /// the caller never declared. `extend` therefore verifies the whole
-    /// prefix — id, year, venue, authors, and references of every retained
-    /// article — and panics on the first mutation. The check is O(old
-    /// articles + old references) per update, which is linear in the data
-    /// the solver is about to traverse many times over, so it is noise
-    /// next to the solve itself.
+    /// Growing the plan is only sound, and the warm start only a valid
+    /// accelerant, when the retained prefix is **identical** to the
+    /// tracked corpus: an edit to an old article's references, year,
+    /// venue, or byline changes edges the plan already holds and the
+    /// fixpoint with them, and the update would silently produce scores
+    /// for a corpus the caller never declared. `extend` therefore verifies
+    /// the whole prefix — id, year, venue, authors, and references of
+    /// every retained article — and panics on the first mutation. The
+    /// check is O(old articles + old references) per update, which is
+    /// linear in the data the solver is about to traverse many times
+    /// over, so it is noise next to the solve itself.
     pub fn extend(&mut self, grown: Corpus) -> UpdateStats {
         // Chaos site: a slow or dying solve inside the reindex pipeline.
         // A panic here must stay contained to the reindexer thread and
@@ -150,42 +174,41 @@ impl IncrementalRanker {
                 old.id
             );
         }
-        // Old scores as warm start, zero for the newcomers.
+        // The plan leaves its cell before it is touched and returns only
+        // whole: a panic from here on (the reindexer contains those) finds
+        // the old corpus, the old result and no plan, which `engine()`
+        // rebuilds on demand. A ranker that holds none builds one.
+        let engine = match self.engine.take() {
+            Some(plan) => plan.extend(&grown, old_n),
+            None => QRankEngine::build(&grown, &self.config),
+        };
+        // The walk's previous stationary as warm start, zero for the
+        // newcomers.
         let mut warm = vec![0.0f64; new_n];
-        warm[..old_n].copy_from_slice(&self.result.article_scores);
-        let engine = QRankEngine::build(&grown, &self.config);
+        warm[..old_n].copy_from_slice(&self.result.twpr_scores);
         let result = engine.solve_warm(&MixParams::from_config(&self.config), Some(&warm));
         let stats = UpdateStats {
             added_articles: new_n - old_n,
             warm_iterations: result.twpr_diagnostics.iterations,
         };
-        self.corpus = grown;
-        self.engine = OnceLock::new();
+        self.corpus = Arc::new(grown);
         let _ = self.engine.set(engine);
         self.result = result;
         stats
     }
 }
 
-/// Append a batch of articles to a corpus, producing the grown corpus.
-/// New articles get the next dense ids; their references may cite both old
-/// and new articles. Venue/author tables are reused (the batch must only
-/// use existing [`scholar_corpus::VenueId`]s / [`scholar_corpus::AuthorId`]s).
+/// Append a batch of articles to a corpus, producing the grown corpus
+/// ([`Corpus::grown`]). New articles get the next dense ids; their
+/// references may cite both old and new articles. Venue/author tables are
+/// carried over as they are (the batch must only use existing
+/// [`scholar_corpus::VenueId`]s / [`scholar_corpus::AuthorId`]s).
+///
+/// # Panics
+/// Panics if a batch article names a venue, author or article the grown
+/// corpus does not have.
 pub fn grow_corpus(base: &Corpus, batch: Vec<Article>) -> Corpus {
-    let mut b = scholar_corpus::CorpusBuilder::new();
-    for v in base.venues() {
-        b.venue(&v.name);
-    }
-    for u in base.authors() {
-        b.author(&u.name);
-    }
-    for a in base.articles() {
-        b.add_article(&a.title, a.year, a.venue, a.authors.clone(), a.references.clone(), a.merit);
-    }
-    for a in batch {
-        b.add_article(&a.title, a.year, a.venue, a.authors, a.references, a.merit);
-    }
-    b.finish().expect("grown corpus must be consistent")
+    base.grown(batch).expect("grown corpus must be consistent")
 }
 
 #[cfg(test)]
@@ -280,6 +303,31 @@ mod tests {
             "warm ({}) should converge faster than cold ({})",
             stats.warm_iterations,
             cold_iters
+        );
+    }
+
+    #[test]
+    fn warm_start_is_the_walks_own_stationary_not_the_blend() {
+        // `article_scores` is the λ-blend of three signals; the walk's own
+        // previous stationary, `twpr_scores`, starts it closer to where it
+        // is going.
+        let base = Preset::Tiny.generate(45);
+        let n = base.num_articles();
+        let mut inc = IncrementalRanker::new(QRankConfig::default(), base.clone());
+        let grown = grow_corpus(
+            &base,
+            (0..8).map(|i| batch_article(i, 2011, vec![ArticleId((i * 11 % 50) as u32)])).collect(),
+        );
+        let mut blend = inc.result().article_scores.clone();
+        blend.resize(n + 8, 0.0);
+        let from_blend = QRankEngine::build(&grown, &QRankConfig::default())
+            .solve_warm(&MixParams::from_config(&QRankConfig::default()), Some(&blend));
+        let stats = inc.extend(grown);
+        assert!(
+            stats.warm_iterations < from_blend.twpr_diagnostics.iterations,
+            "from the walk's stationary: {}, from the blend: {}",
+            stats.warm_iterations,
+            from_blend.twpr_diagnostics.iterations
         );
     }
 

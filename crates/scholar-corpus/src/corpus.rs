@@ -4,6 +4,7 @@ use crate::model::{Article, ArticleId, Author, AuthorId, Venue, VenueId, Year};
 use crate::{CorpusError, Result};
 use sgraph::{Bipartite, BipartiteBuilder, CsrGraph, GraphBuilder, NodeId};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// An immutable scholarly corpus: articles, authors, venues, and the
@@ -123,6 +124,30 @@ impl Corpus {
         Ok(Corpus::from_parts(articles, authors, venues))
     }
 
+    /// This corpus with `batch` appended: a copy of every table plus the
+    /// batch under [`CorpusBuilder::finish`]'s per-article rules — ids
+    /// reassigned densely from `num_articles()` on, references sorted and
+    /// deduplicated (they may name any article of the grown corpus, the
+    /// batch included), a self-citation dropped, a venue, author or
+    /// reference id out of bounds a [`CorpusError::DanglingReference`].
+    /// Nothing is re-interned, so existing ids never move — not even when
+    /// two authors share a name, which [`Corpus::assemble`] admits.
+    pub fn grown(&self, batch: Vec<Article>) -> Result<Corpus> {
+        let bounds = Bounds {
+            articles: (self.articles.len() + batch.len()) as u32,
+            authors: self.authors.len() as u32,
+            venues: self.venues.len() as u32,
+        };
+        let mut articles = Vec::with_capacity(bounds.articles as usize);
+        articles.extend_from_slice(&self.articles);
+        for mut art in batch {
+            art.id = ArticleId(articles.len() as u32);
+            bounds.canonicalize(&mut art, None)?;
+            articles.push(art);
+        }
+        Ok(Corpus::from_parts(articles, self.authors.clone(), self.venues.clone()))
+    }
+
     /// How many times [`Corpus::citation_graph`] has run for this
     /// instance. Used by tests and benches to assert that prepared layers
     /// (RankContext, QRankEngine) amortize the CSR build.
@@ -213,20 +238,35 @@ impl Corpus {
 
     /// The citation graph with per-edge weights computed by
     /// `f(citing, cited)`; used for time-decayed variants.
-    pub fn weighted_citation_graph<F>(&self, mut f: F) -> CsrGraph
+    pub fn weighted_citation_graph<F>(&self, f: F) -> CsrGraph
     where
         F: FnMut(&Article, &Article) -> f64,
     {
+        self.citation_edges(0..self.articles.len(), f).build()
+    }
+
+    /// The edges [`Self::weighted_citation_graph`] derives from the
+    /// articles in `citing`, staged in article order and not yet built.
+    /// Staging `0..n` and building gives the whole graph; staging only the
+    /// articles appended since a graph was built and building them
+    /// [onto](GraphBuilder::build_onto) it gives the same graph, bit for
+    /// bit. The same holds for [`Self::venue_edges`] and
+    /// [`Self::author_edges`].
+    pub fn citation_edges<F>(&self, citing: Range<usize>, mut f: F) -> GraphBuilder
+    where
+        F: FnMut(&Article, &Article) -> f64,
+    {
+        let citing = &self.articles[citing];
         let mut b = GraphBuilder::new(self.articles.len() as u32)
-            .with_edge_capacity(self.num_citations())
+            .with_edge_capacity(citing.iter().map(|a| a.references.len()).sum())
             .self_loops(false);
-        for a in &self.articles {
+        for a in citing {
             for &r in &a.references {
                 let w = f(a, &self.articles[r.index()]);
                 b.add_edge(NodeId(a.id.0), NodeId(r.0), w);
             }
         }
-        b.build()
+        b
     }
 
     /// Authorship bipartite: left = authors, right = articles, weights =
@@ -254,19 +294,28 @@ impl Corpus {
     /// Aggregated venue citation graph: edge `V(u) → V(v)` with weight
     /// `Σ f(citing, cited)` over article citations `u → v` whose venues
     /// differ or match; self-loops (within-venue citations) are dropped.
-    pub fn venue_graph<F>(&self, mut f: F) -> CsrGraph
+    pub fn venue_graph<F>(&self, f: F) -> CsrGraph
+    where
+        F: FnMut(&Article, &Article) -> f64,
+    {
+        self.venue_edges(0..self.articles.len(), f).build()
+    }
+
+    /// The contributions to [`Self::venue_graph`] of the articles in
+    /// `citing`, staged and not yet built (see [`Self::citation_edges`]).
+    pub fn venue_edges<F>(&self, citing: Range<usize>, mut f: F) -> GraphBuilder
     where
         F: FnMut(&Article, &Article) -> f64,
     {
         let mut b = GraphBuilder::new(self.venues.len() as u32).self_loops(false);
-        for a in &self.articles {
+        for a in &self.articles[citing] {
             for &r in &a.references {
                 let cited = &self.articles[r.index()];
                 let w = f(a, cited);
                 b.add_edge(NodeId(a.venue.0), NodeId(cited.venue.0), w);
             }
         }
-        b.build()
+        b
     }
 
     /// Aggregated author citation graph: edge `A(u) → A(v)` summed over
@@ -274,12 +323,26 @@ impl Corpus {
     /// cited article's byline weight, scaled by `f(citing, cited)`.
     /// Self-citations (same author both sides) are dropped when
     /// `drop_self_citations` is true.
-    pub fn author_graph<F>(&self, mut f: F, drop_self_citations: bool) -> CsrGraph
+    pub fn author_graph<F>(&self, f: F, drop_self_citations: bool) -> CsrGraph
+    where
+        F: FnMut(&Article, &Article) -> f64,
+    {
+        self.author_edges(0..self.articles.len(), f, drop_self_citations).build()
+    }
+
+    /// The contributions to [`Self::author_graph`] of the articles in
+    /// `citing`, staged and not yet built (see [`Self::citation_edges`]).
+    pub fn author_edges<F>(
+        &self,
+        citing: Range<usize>,
+        mut f: F,
+        drop_self_citations: bool,
+    ) -> GraphBuilder
     where
         F: FnMut(&Article, &Article) -> f64,
     {
         let mut b = GraphBuilder::new(self.authors.len() as u32).self_loops(!drop_self_citations);
-        for a in &self.articles {
+        for a in &self.articles[citing] {
             if a.authors.is_empty() {
                 continue;
             }
@@ -304,7 +367,7 @@ impl Corpus {
                 }
             }
         }
-        b.build()
+        b
     }
 
     /// Citation counts per article (in-degree of the citation graph,
@@ -427,47 +490,69 @@ impl CorpusBuilder {
     /// if [`CorpusBuilder::reject_time_travel`] was set — citation
     /// chronology.
     pub fn finish(mut self) -> Result<Corpus> {
-        let n_articles = self.articles.len() as u32;
-        let n_authors = self.authors.len() as u32;
-        let n_venues = self.venues.len() as u32;
+        let bounds = Bounds {
+            articles: self.articles.len() as u32,
+            authors: self.authors.len() as u32,
+            venues: self.venues.len() as u32,
+        };
         let years: Vec<Year> = self.articles.iter().map(|a| a.year).collect();
+        let chronology = self.reject_time_travel.then_some(&years[..]);
         for art in &mut self.articles {
-            if art.venue.0 >= n_venues {
+            bounds.canonicalize(art, chronology)?;
+        }
+        Ok(Corpus::from_parts(self.articles, self.authors, self.venues))
+    }
+}
+
+/// The table sizes an article's ids are checked against.
+struct Bounds {
+    articles: u32,
+    authors: u32,
+    venues: u32,
+}
+
+impl Bounds {
+    /// The per-article half of [`CorpusBuilder::finish`], shared with
+    /// [`Corpus::grown`]: check the venue and byline ids, bring the
+    /// reference list into canonical form (sorted, deduplicated, no
+    /// self-citation), check every reference and — given the year of every
+    /// article — its chronology.
+    fn canonicalize(&self, art: &mut Article, chronology: Option<&[Year]>) -> Result<()> {
+        if art.venue.0 >= self.venues {
+            return Err(CorpusError::DanglingReference {
+                kind: "venue",
+                id: art.venue.0,
+                article: art.id.0,
+            });
+        }
+        for &u in &art.authors {
+            if u.0 >= self.authors {
                 return Err(CorpusError::DanglingReference {
-                    kind: "venue",
-                    id: art.venue.0,
+                    kind: "author",
+                    id: u.0,
                     article: art.id.0,
                 });
             }
-            for &u in &art.authors {
-                if u.0 >= n_authors {
-                    return Err(CorpusError::DanglingReference {
-                        kind: "author",
-                        id: u.0,
-                        article: art.id.0,
-                    });
-                }
+        }
+        art.references.sort_unstable();
+        art.references.dedup();
+        // Drop self-citations silently (an article citing itself is
+        // always data noise).
+        let own = art.id;
+        art.references.retain(|&r| r != own);
+        for &r in &art.references {
+            if r.0 >= self.articles {
+                return Err(CorpusError::DanglingReference {
+                    kind: "article",
+                    id: r.0,
+                    article: art.id.0,
+                });
             }
-            art.references.sort_unstable();
-            art.references.dedup();
-            // Drop self-citations silently (an article citing itself is
-            // always data noise).
-            let own = art.id;
-            art.references.retain(|&r| r != own);
-            for &r in &art.references {
-                if r.0 >= n_articles {
-                    return Err(CorpusError::DanglingReference {
-                        kind: "article",
-                        id: r.0,
-                        article: art.id.0,
-                    });
-                }
-                if self.reject_time_travel && years[r.index()] > art.year {
-                    return Err(CorpusError::TimeTravelCitation { citing: art.id.0, cited: r.0 });
-                }
+            if chronology.is_some_and(|years| years[r.index()] > art.year) {
+                return Err(CorpusError::TimeTravelCitation { citing: art.id.0, cited: r.0 });
             }
         }
-        Ok(Corpus::from_parts(self.articles, self.authors, self.venues))
+        Ok(())
     }
 }
 
@@ -650,5 +735,90 @@ mod tests {
         assert_eq!(c.num_articles(), 0);
         assert_eq!(c.year_range(), None);
         assert!(c.citation_graph().is_empty());
+    }
+
+    fn new_article(year: Year, venue: u32, authors: &[u32], references: &[u32]) -> Article {
+        Article {
+            id: ArticleId(0), // reassigned by `grown`
+            title: format!("new-{year}"),
+            year,
+            venue: VenueId(venue),
+            authors: authors.iter().map(|&u| AuthorId(u)).collect(),
+            references: references.iter().map(|&r| ArticleId(r)).collect(),
+            merit: None,
+        }
+    }
+
+    #[test]
+    fn grown_equals_a_replay_through_the_builder() {
+        // The builder replay `grow_corpus` used to be: on a corpus whose
+        // names are unique the two must agree on every table.
+        let base = crate::generator::Preset::Tiny.generate(40);
+        let n = base.num_articles() as u32;
+        let batch = vec![
+            new_article(2011, 0, &[0, 3], &[5, 0, 5, n + 1]),
+            new_article(2012, 1, &[], &[n, n + 1, 7]),
+        ];
+        let mut b = CorpusBuilder::new();
+        for v in base.venues() {
+            b.venue(&v.name);
+        }
+        for u in base.authors() {
+            b.author(&u.name);
+        }
+        for a in base.articles().iter().chain(&batch) {
+            b.add_article(
+                &a.title,
+                a.year,
+                a.venue,
+                a.authors.clone(),
+                a.references.clone(),
+                a.merit,
+            );
+        }
+        let replayed = b.finish().unwrap();
+        let grown = base.grown(batch).unwrap();
+        assert_eq!(grown, replayed);
+        // Sorted, deduplicated, the self-citation gone, the forward
+        // reference into the batch kept.
+        assert_eq!(
+            grown.article(ArticleId(n)).references,
+            vec![ArticleId(0), ArticleId(5), ArticleId(n + 1)]
+        );
+        assert_eq!(grown.article(ArticleId(n + 1)).references, vec![ArticleId(7), ArticleId(n)]);
+    }
+
+    #[test]
+    fn grown_keeps_two_authors_with_one_name_apart() {
+        // `assemble` admits homonyms; re-interning by name would merge
+        // them and shift every later author id.
+        let author = |id: u32, name: &str| Author { id: AuthorId(id), name: name.to_owned() };
+        let base = Corpus::assemble(
+            vec![Article { id: ArticleId(0), ..new_article(2000, 0, &[0, 1, 2], &[]) }],
+            vec![author(0, "J. Smith"), author(1, "J. Smith"), author(2, "K. Jones")],
+            vec![Venue { id: VenueId(0), name: "V".to_owned() }],
+        )
+        .unwrap();
+        let grown = base.grown(vec![new_article(2001, 0, &[2, 1], &[0])]).unwrap();
+        assert_eq!(grown.authors(), base.authors());
+        assert_eq!(grown.articles()[..1], base.articles()[..]);
+        assert_eq!(grown.article(ArticleId(1)).authors, vec![AuthorId(2), AuthorId(1)]);
+    }
+
+    #[test]
+    fn grown_rejects_dangling_ids() {
+        let base = tiny();
+        for (bad, kind) in [
+            (new_article(2010, 9, &[0], &[]), "venue"),
+            (new_article(2010, 0, &[9], &[]), "author"),
+            (new_article(2010, 0, &[0], &[5]), "article"),
+        ] {
+            match base.grown(vec![bad]) {
+                Err(CorpusError::DanglingReference { kind: k, article: 4, .. }) => {
+                    assert_eq!(k, kind)
+                }
+                other => panic!("dangling {kind} id: {other:?}"),
+            }
+        }
     }
 }

@@ -492,7 +492,7 @@ impl Reindexer {
     }
 
     fn index_of(ranker: &IncrementalRanker) -> ScoreIndex {
-        ScoreIndex::build(Arc::new(ranker.corpus().clone()), ranker.result().article_scores.clone())
+        ScoreIndex::build(ranker.shared_corpus(), ranker.result().article_scores.clone())
     }
 
     fn run(

@@ -2,6 +2,7 @@
 
 use crate::csr::{CsrGraph, NodeId};
 use crate::{GraphError, Result};
+use std::ops::Range;
 
 /// What to do when the same `(src, dst)` pair is added more than once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -17,6 +18,22 @@ pub enum DuplicateEdgePolicy {
     MaxWeight,
     /// Fail the build with [`GraphError::DuplicateEdge`].
     Reject,
+}
+
+impl DuplicateEdgePolicy {
+    /// Fold one more contribution `w` to an edge into its `stored` weight —
+    /// the one aggregation rule under [`GraphBuilder::try_build`] and
+    /// [`GraphBuilder::try_build_onto`]. `false` when the policy forbids
+    /// the duplicate.
+    fn fold(self, stored: &mut f64, w: f64) -> bool {
+        match self {
+            DuplicateEdgePolicy::SumWeights => *stored += w,
+            DuplicateEdgePolicy::KeepFirst => {}
+            DuplicateEdgePolicy::MaxWeight => *stored = stored.max(w),
+            DuplicateEdgePolicy::Reject => return false,
+        }
+        true
+    }
 }
 
 /// Incrementally collects edges, then produces a canonical [`CsrGraph`].
@@ -103,37 +120,17 @@ impl GraphBuilder {
     /// Build, validating node bounds, weights, and the duplicate policy.
     pub fn try_build(mut self) -> Result<CsrGraph> {
         let n = self.num_nodes as usize;
-
-        for &(s, d, w) in &self.edges {
-            if s >= self.num_nodes {
-                return Err(GraphError::NodeOutOfBounds { node: s, num_nodes: self.num_nodes });
-            }
-            if d >= self.num_nodes {
-                return Err(GraphError::NodeOutOfBounds { node: d, num_nodes: self.num_nodes });
-            }
-            if !w.is_finite() || w < 0.0 {
-                return Err(GraphError::InvalidWeight { src: s, dst: d, weight: w });
-            }
-        }
-        if !self.allow_self_loops {
-            self.edges.retain(|&(s, d, _)| s != d);
-        }
-
-        // Sort by (src, dst); stable so KeepFirst keeps insertion order.
-        self.edges.sort_by_key(|&(s, d, _)| (s, d));
+        self.check_and_sort()?;
 
         // Deduplicate in place according to policy.
         let mut deduped: Vec<(u32, u32, f64)> = Vec::with_capacity(self.edges.len());
         for (s, d, w) in self.edges.drain(..) {
             match deduped.last_mut() {
-                Some(last) if last.0 == s && last.1 == d => match self.policy {
-                    DuplicateEdgePolicy::SumWeights => last.2 += w,
-                    DuplicateEdgePolicy::KeepFirst => {}
-                    DuplicateEdgePolicy::MaxWeight => last.2 = last.2.max(w),
-                    DuplicateEdgePolicy::Reject => {
-                        return Err(GraphError::DuplicateEdge { src: s, dst: d })
+                Some(last) if last.0 == s && last.1 == d => {
+                    if !self.policy.fold(&mut last.2, w) {
+                        return Err(GraphError::DuplicateEdge { src: s, dst: d });
                     }
-                },
+                }
                 _ => deduped.push((s, d, w)),
             }
         }
@@ -185,6 +182,95 @@ impl GraphBuilder {
         })
     }
 
+    /// Validate node bounds and weights, drop self-loops when they are
+    /// disallowed, and sort the staged edges by `(src, dst)` — stably, so
+    /// the contributions to one pair stay in staging order.
+    fn check_and_sort(&mut self) -> Result<()> {
+        for &(s, d, w) in &self.edges {
+            if s >= self.num_nodes {
+                return Err(GraphError::NodeOutOfBounds { node: s, num_nodes: self.num_nodes });
+            }
+            if d >= self.num_nodes {
+                return Err(GraphError::NodeOutOfBounds { node: d, num_nodes: self.num_nodes });
+            }
+            if !w.is_finite() || w < 0.0 {
+                return Err(GraphError::InvalidWeight { src: s, dst: d, weight: w });
+            }
+        }
+        if !self.allow_self_loops {
+            self.edges.retain(|&(s, d, _)| s != d);
+        }
+        self.edges.sort_by_key(|&(s, d, _)| (s, d));
+        Ok(())
+    }
+
+    /// [`Self::try_build_onto`], panicking on invalid input.
+    pub fn build_onto(self, base: &mut CsrGraph) {
+        self.try_build_onto(base).expect("GraphBuilder::build_onto: invalid graph input")
+    }
+
+    /// Build the staged edges *onto* an existing graph, in place: `base`
+    /// becomes the graph [`Self::try_build`] would have produced had
+    /// `base`'s own staged edges come first in one builder with this
+    /// builder's policy and self-loop flag,
+    ///
+    /// ```text
+    /// build(base ++ delta) == build(base).then(build_onto(delta))
+    /// ```
+    ///
+    /// bit for bit in every offset, id and weight. The node count grows to
+    /// the larger of the two. Cost: a search per staged edge, then one
+    /// backward pass moving the tail of each adjacency array behind the
+    /// first inserted edge — proportional to the delta when every staged
+    /// pair already exists, never more than linear in `base`.
+    ///
+    /// Each staged contribution is folded into the stored weight **one at
+    /// a time, in staging order**, exactly as `try_build` folds a pair's
+    /// duplicates left to right: floating-point addition is not
+    /// associative, so adding a delta's pre-summed subtotal would differ
+    /// in the last bit whenever one delta hits a pair twice.
+    ///
+    /// On `Err`, `base` is untouched.
+    pub fn try_build_onto(mut self, base: &mut CsrGraph) -> Result<()> {
+        self.num_nodes = self.num_nodes.max(base.num_nodes);
+        self.check_and_sort()?;
+        let by_src = self.edges;
+        let mut by_dst: Vec<(u32, u32, f64)> = by_src.iter().map(|&(s, d, w)| (d, s, w)).collect();
+        by_dst.sort_by_key(|&(d, s, _)| (d, s));
+
+        let out = locate(&base.out_offsets, &base.out_targets, &by_src);
+        if self.policy == DuplicateEdgePolicy::Reject {
+            if let Some(dup) = out.iter().find(|l| l.present || l.contributions.len() > 1) {
+                let (src, dst, _) = by_src[dup.contributions.start];
+                return Err(GraphError::DuplicateEdge { src, dst });
+            }
+        }
+        let inn = locate(&base.in_offsets, &base.in_sources, &by_dst);
+
+        let n = self.num_nodes as usize;
+        let policy = self.policy;
+        absorb(
+            &mut base.out_offsets,
+            &mut base.out_targets,
+            &mut base.out_weights,
+            n,
+            &by_src,
+            &out,
+            policy,
+        );
+        absorb(
+            &mut base.in_offsets,
+            &mut base.in_sources,
+            &mut base.in_weights,
+            n,
+            &by_dst,
+            &inn,
+            policy,
+        );
+        base.num_nodes = self.num_nodes;
+        Ok(())
+    }
+
     /// Convenience: build a graph directly from an edge list.
     pub fn from_edges(num_nodes: u32, edges: &[(u32, u32)]) -> CsrGraph {
         let mut b = GraphBuilder::new(num_nodes).with_edge_capacity(edges.len());
@@ -202,6 +288,102 @@ impl GraphBuilder {
         }
         b.build()
     }
+}
+
+/// Where one distinct `(row, col)` pair of a sorted delta lands in one
+/// orientation of a CSR.
+struct Landing {
+    /// Index, in the adjacency arrays as they are, of the first entry not
+    /// before the pair.
+    at: usize,
+    /// `true` when that entry *is* the pair: its weight absorbs the
+    /// contributions. Otherwise the pair is inserted in front of it.
+    present: bool,
+    /// The pair's contributions within the delta, in staging order.
+    contributions: Range<usize>,
+}
+
+/// Find where each distinct pair of `delta` — `(row, col, weight)`, stably
+/// sorted by `(row, col)` — lands in the CSR orientation `offsets`/`ids`.
+/// Rows past the last existing one land at the end. Ascending in `at`.
+fn locate(offsets: &[usize], ids: &[u32], delta: &[(u32, u32, f64)]) -> Vec<Landing> {
+    let rows = offsets.len() - 1;
+    let mut landings = Vec::new();
+    let mut first = 0;
+    while first < delta.len() {
+        let (row, col, _) = delta[first];
+        let end = first + delta[first..].iter().take_while(|e| (e.0, e.1) == (row, col)).count();
+        let (at, present) = if (row as usize) < rows {
+            let lo = offsets[row as usize];
+            match ids[lo..offsets[row as usize + 1]].binary_search(&col) {
+                Ok(k) => (lo + k, true),
+                Err(k) => (lo + k, false),
+            }
+        } else {
+            (ids.len(), false)
+        };
+        landings.push(Landing { at, present, contributions: first..end });
+        first = end;
+    }
+    landings
+}
+
+/// Fold `delta` into one CSR orientation in place, growing it to `rows`
+/// rows. Walks the landings from the back so every old entry moves at
+/// most once, straight to its final slot; entries in front of the first
+/// inserted pair never move.
+fn absorb(
+    offsets: &mut Vec<usize>,
+    ids: &mut Vec<u32>,
+    weights: &mut Vec<f64>,
+    rows: usize,
+    delta: &[(u32, u32, f64)],
+    landings: &[Landing],
+    policy: DuplicateEdgePolicy,
+) {
+    let old_len = ids.len();
+    // Entries still to be inserted in front of the position being handled.
+    let mut shift = landings.iter().filter(|l| !l.present).count();
+    ids.resize(old_len + shift, 0);
+    weights.resize(old_len + shift, 0.0);
+
+    offsets.resize(rows + 1, old_len);
+    let mut pending = landings.iter().peekable();
+    let mut inserted_before = 0;
+    for (row, offset) in offsets.iter_mut().enumerate() {
+        while let Some(l) = pending.next_if(|l| (delta[l.contributions.start].0 as usize) < row) {
+            inserted_before += usize::from(!l.present);
+        }
+        *offset += inserted_before;
+    }
+
+    // Old entries from `settled` on already sit in their final slots.
+    let mut settled = old_len;
+    for l in landings.iter().rev() {
+        let contributions = &delta[l.contributions.clone()];
+        let col = contributions[0].1;
+        let from = l.at + usize::from(l.present);
+        if shift > 0 {
+            ids.copy_within(from..settled, from + shift);
+            weights.copy_within(from..settled, from + shift);
+        }
+        // A pair the graph holds folds every contribution into the stored
+        // weight; a new pair starts from its first contribution as it is.
+        let (mut weight, folded) = if l.present {
+            (weights[l.at], contributions)
+        } else {
+            shift -= 1;
+            (contributions[0].2, &contributions[1..])
+        };
+        for &(_, _, w) in folded {
+            let accepted = policy.fold(&mut weight, w);
+            debug_assert!(accepted, "Reject is refused before anything is moved");
+        }
+        ids[l.at + shift] = col;
+        weights[l.at + shift] = weight;
+        settled = l.at;
+    }
+    debug_assert_eq!(shift, 0);
 }
 
 #[cfg(test)]

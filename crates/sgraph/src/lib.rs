@@ -9,7 +9,8 @@
 //!   sparse row form, with *both* out- and in-adjacency materialized so
 //!   that push- and pull-style propagation are both cache-friendly.
 //! * [`GraphBuilder`] — the mutable staging area used to assemble graphs
-//!   (deduplication, weight merging, validation).
+//!   (deduplication, weight merging, validation) and to grow one in place
+//!   ([`GraphBuilder::build_onto`]).
 //! * [`Bipartite`] — weighted bipartite graphs (author↔article,
 //!   venue↔article) with both orientations materialized.
 //! * Traversals ([`traversal`]), degree statistics and power-law
@@ -18,7 +19,7 @@
 //!   every PageRank-family algorithm in the stack, with sequential and
 //!   multi-threaded ([`par`]) apply kernels and principled dangling-node
 //!   handling — plus a Gauss–Seidel solver for the same fixpoint
-//!   ([`solver`]) and local forward-push personalized PageRank ([`push`]).
+//!   ([`solver`]).
 //! * Deterministic edge sampling for robustness experiments
 //!   ([`sampling`]).
 //! * Out-of-core storage: read-only file maps ([`mmap`]), the SCSRv1
@@ -54,7 +55,6 @@ pub mod error;
 pub mod mmap;
 pub mod mmap_csr;
 pub mod par;
-pub mod push;
 pub mod sampling;
 pub mod sfile;
 pub mod solver;

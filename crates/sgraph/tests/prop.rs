@@ -6,7 +6,7 @@
 //! the panic message via the `for_cases` helper).
 
 use sgraph::stochastic::{l1_distance, normalize_l1, PowerIterationOpts};
-use sgraph::{GraphBuilder, JumpVector, NodeId, RowStochastic};
+use sgraph::{CsrGraph, DuplicateEdgePolicy, GraphBuilder, JumpVector, NodeId, RowStochastic};
 use srand::{rngs::SmallRng, Rng, SeedableRng};
 
 const CASES: u64 = 48;
@@ -234,4 +234,125 @@ fn gauss_seidel_agrees_with_power_iteration() {
             );
         }
     });
+}
+
+type Staged = Vec<(u32, u32, f64)>;
+
+/// A base staging list and a delta staged after it, as
+/// `(base_nodes, base, grown_nodes, delta)`. Few nodes, so pairs repeat
+/// inside the base, inside the delta and across both on their own; on top
+/// of that some delta edges are re-staged verbatim, self-loops are forced
+/// in, the delta may bring new nodes or be empty, and the weights mix the
+/// ordinary with zeros, denormals and 1e300.
+fn random_base_and_delta(seed: u64) -> (u32, Staged, u32, Staged) {
+    let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x9e3779b97f4a7c15) ^ 0xde17a);
+    let weight = |rng: &mut SmallRng| match rng.gen_range(0u32..10) {
+        0 => 0.0,
+        1 => f64::from_bits(rng.gen_range(1u64..1 << 20)), // denormal
+        2 => 1e300,
+        _ => rng.gen_range(0.01f64..10.0),
+    };
+    let stage = |rng: &mut SmallRng, n: u32, m: usize| -> Staged {
+        let mut edges = Staged::new();
+        for _ in 0..m {
+            let edge = match rng.gen_range(0u32..8) {
+                0 if !edges.is_empty() => edges[rng.gen_range(0..edges.len())],
+                1 => {
+                    let v = rng.gen_range(0..n);
+                    (v, v, weight(rng))
+                }
+                _ => (rng.gen_range(0..n), rng.gen_range(0..n), weight(rng)),
+            };
+            edges.push(edge);
+        }
+        edges
+    };
+    let base_nodes = rng.gen_range(2u32..24);
+    let base_len = rng.gen_range(0usize..160);
+    let base = stage(&mut rng, base_nodes, base_len);
+    let grown_nodes = base_nodes + [0, 0, 1, 5][rng.gen_range(0usize..4)];
+    let delta_len = if rng.gen_range(0u32..6) == 0 { 0 } else { rng.gen_range(1usize..60) };
+    let mut delta = stage(&mut rng, grown_nodes, delta_len);
+    // Contributions to pairs the base already holds.
+    for _ in 0..delta_len.min(base.len()) / 4 {
+        let (s, d, _) = base[rng.gen_range(0..base.len())];
+        let at = rng.gen_range(0..delta.len() + 1);
+        delta.insert(at, (s, d, weight(&mut rng)));
+    }
+    (base_nodes, base, grown_nodes, delta)
+}
+
+fn assert_bit_identical(whole: &CsrGraph, patched: &CsrGraph, what: &str) {
+    assert_eq!(whole, patched, "{what}");
+    let bits = |ws: &[f64]| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+    for v in whole.nodes() {
+        assert_eq!(
+            bits(whole.out_edge_weights(v)),
+            bits(patched.out_edge_weights(v)),
+            "{what}: out-weights of {v}"
+        );
+        assert_eq!(
+            bits(whole.in_edge_weights(v)),
+            bits(patched.in_edge_weights(v)),
+            "{what}: in-weights of {v}"
+        );
+    }
+    patched.validate().unwrap();
+}
+
+#[test]
+fn build_onto_equals_building_the_concatenation() {
+    // build(base ++ delta) == build(base).then(build_onto(delta)), in
+    // every offset, id and weight bit, under every policy and both
+    // self-loop settings; a refused delta leaves the base untouched.
+    let policies = [
+        DuplicateEdgePolicy::SumWeights,
+        DuplicateEdgePolicy::KeepFirst,
+        DuplicateEdgePolicy::MaxWeight,
+        DuplicateEdgePolicy::Reject,
+    ];
+    for seed in 0..4 * CASES {
+        let (base_nodes, base, grown_nodes, delta) = random_base_and_delta(seed);
+        for (policy, self_loops) in policies.iter().flat_map(|&p| [(p, true), (p, false)]) {
+            let what = format!("seed {seed}, {policy:?}, self_loops {self_loops}");
+            let staged = |nodes: u32, edges: &[(u32, u32, f64)]| {
+                let mut b =
+                    GraphBuilder::new(nodes).duplicate_policy(policy).self_loops(self_loops);
+                b.extend_edges(edges.iter().map(|&(s, d, w)| (NodeId(s), NodeId(d), w)));
+                b
+            };
+            let Ok(mut patched) = staged(base_nodes, &base).try_build() else {
+                assert_eq!(policy, DuplicateEdgePolicy::Reject, "{what}");
+                continue;
+            };
+            let before = patched.clone();
+            let outcome = staged(grown_nodes, &delta).try_build_onto(&mut patched);
+            match staged(grown_nodes, &[base.clone(), delta.clone()].concat()).try_build() {
+                Ok(whole) => {
+                    outcome.unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert_bit_identical(&whole, &patched, &what);
+                }
+                Err(_) => {
+                    assert!(outcome.is_err(), "{what}: the concatenation is refused");
+                    assert_bit_identical(&before, &patched, &what);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn build_onto_sums_in_staging_order_not_by_subtotal() {
+    // (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3) in f64: a delta that hits one
+    // pair twice must add its contributions one at a time.
+    let (a, b, c) = (0.1f64, 0.2f64, 0.3f64);
+    assert_ne!(((a + b) + c).to_bits(), (a + (b + c)).to_bits());
+    let mut g = GraphBuilder::from_weighted_edges(2, &[(0, 1, a)]);
+    let mut delta = GraphBuilder::new(2);
+    delta.add_edge(NodeId(0), NodeId(1), b);
+    delta.add_edge(NodeId(0), NodeId(1), c);
+    delta.build_onto(&mut g);
+    let whole = GraphBuilder::from_weighted_edges(2, &[(0, 1, a), (0, 1, b), (0, 1, c)]);
+    assert_bit_identical(&whole, &g, "one pair hit twice");
+    assert_eq!(g.edge_weight(NodeId(0), NodeId(1)).unwrap().to_bits(), ((a + b) + c).to_bits());
 }

@@ -1,13 +1,17 @@
 //! Prepared-engine equivalence: a cached `QRankEngine` must answer every
 //! mixture exactly like a fresh `QRank` run — across corpus presets,
-//! ablation variants, warm starts, and thread counts.
+//! ablation variants, warm starts, and thread counts — and a plan grown
+//! batch by batch must be, bit for bit, the plan built from scratch.
 
 use scholar::core::engine::{MixParams, QRankEngine, SolveScratch};
-use scholar::core::Ablation;
+use scholar::core::{grow_corpus, Ablation, IncrementalRanker};
 use scholar::corpus::generator::Preset;
+use scholar::corpus::model::{Article, ArticleId, AuthorId};
 use scholar::corpus::{Corpus, CorpusGenerator};
 use scholar::{GeneratorConfig, QRank, QRankConfig};
 use sgraph::stochastic::l1_distance;
+use sgraph::NodeId;
+use srand::{rngs::SmallRng, Rng, SeedableRng};
 
 /// Corpora spanning the generator presets (the larger presets scaled down
 /// so the suite stays fast while still crossing the parallel-kernel
@@ -139,6 +143,176 @@ fn thread_count_does_not_change_any_score() {
                     "author scores changed at {threads} threads"
                 );
             }
+        }
+    }
+}
+
+// ---- Growing a plan: patched ≡ rebuilt, bit for bit (DESIGN.md §2.4) ----
+
+/// How many batches [`batch_for`] scripts.
+const STEPS: usize = 6;
+
+/// The `step`-th batch to fold into `live`: one scripted article (or a
+/// few) that exercises a named edge case of the three aggregations, plus
+/// a handful of seeded random ones for bulk. Every precondition that makes
+/// a case what it claims to be is asserted against the plan `live` holds.
+fn batch_for(live: &IncrementalRanker, step: usize) -> Vec<Article> {
+    let corpus = live.corpus();
+    let authors_of_plan = &live.engine().net().author_graph;
+    let n = corpus.num_articles() as u32;
+    let (_, last) = corpus.year_range().unwrap();
+    let article = |year, venue, authors: Vec<AuthorId>, references: Vec<ArticleId>| Article {
+        id: ArticleId(0), // reassigned by grow_corpus
+        title: format!("step-{step}"),
+        year,
+        venue,
+        authors,
+        references,
+        merit: None,
+    };
+    let node = |u: AuthorId| NodeId(u.0);
+    // An old citation between two signed articles of different lead
+    // authors and different venues.
+    let (citing, cited) = corpus
+        .articles()
+        .iter()
+        .flat_map(|a| a.references.iter().map(move |&r| (a, corpus.article(r))))
+        .find(|(a, r)| {
+            !a.authors.is_empty()
+                && !r.authors.is_empty()
+                && a.authors[0] != r.authors[0]
+                && a.venue != r.venue
+        })
+        .expect("a cross-venue citation between signed articles");
+
+    let mut batch = match step {
+        // A second contribution to an author pair the plan already holds.
+        0 => {
+            assert!(authors_of_plan.has_edge(node(citing.authors[0]), node(cited.authors[0])));
+            vec![article(last, citing.venue, vec![citing.authors[0]], vec![cited.id])]
+        }
+        // Two contributions to a *new* pair inside one batch: one article
+        // citing two papers by the same author.
+        1 => {
+            let by_author = corpus.articles_by_author();
+            let (q, papers) = by_author
+                .iter()
+                .enumerate()
+                .find(|(_, papers)| papers.len() >= 2)
+                .expect("an author of two papers");
+            let q = AuthorId(q as u32);
+            let p = corpus
+                .authors()
+                .iter()
+                .map(|u| u.id)
+                .find(|&p| p != q && !authors_of_plan.has_edge(node(p), node(q)))
+                .expect("an author who never cited q");
+            vec![article(last, citing.venue, vec![p], vec![papers[0], papers[1]])]
+        }
+        // An unsigned article, and references to articles of the same
+        // batch (one of them to the unsigned one).
+        2 => vec![
+            article(last, citing.venue, vec![], vec![cited.id]),
+            article(last, cited.venue, vec![cited.authors[0]], vec![ArticleId(n), citing.id]),
+            article(last, citing.venue, vec![citing.authors[0]], vec![ArticleId(n + 1)]),
+        ],
+        // An author citing themselves in their own venue: dropped from the
+        // author graph and from the venue graph, kept in the citation graph.
+        3 => vec![article(last, cited.venue, vec![cited.authors[0]], vec![cited.id])],
+        // A year that moves `now`, and with it every age and jump weight.
+        4 => vec![article(last + 1, citing.venue, citing.authors.clone(), vec![cited.id])],
+        // Nothing at all.
+        _ => return Vec::new(),
+    };
+    let mut rng = SmallRng::seed_from_u64(0x9e0 + step as u64);
+    for _ in 0..4 {
+        let authors = (0..rng.gen_range(1usize..4))
+            .map(|_| AuthorId(rng.gen_range(0..corpus.num_authors() as u32)))
+            .collect();
+        let references =
+            (0..rng.gen_range(0usize..6)).map(|_| ArticleId(rng.gen_range(0..n))).collect();
+        let venue = corpus.article(ArticleId(rng.gen_range(0..n))).venue;
+        batch.push(article(last, venue, authors, references));
+    }
+    batch
+}
+
+/// The corpora the growth tests fold batches into.
+fn growth_corpora() -> Vec<(&'static str, Corpus)> {
+    vec![("tiny", Preset::Tiny.generate(19)), ("aan", Preset::AanLike.generate(19))]
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn a_grown_ranker_scores_bit_identically_to_one_that_rebuilt() {
+    for (name, corpus) in growth_corpora() {
+        let cfg = QRankConfig::default();
+        let mut live = IncrementalRanker::new(cfg.clone(), corpus);
+        for step in 0..STEPS {
+            // Restored from what a snapshot carries, the second ranker has
+            // no plan to grow: its `extend` builds one from scratch.
+            let mut rebuilt = IncrementalRanker::restore(
+                cfg.clone(),
+                live.corpus().clone(),
+                live.result().clone(),
+            );
+            let grown = grow_corpus(live.corpus(), batch_for(&live, step));
+            let stats = live.extend(grown.clone());
+            assert_eq!(stats, rebuilt.extend(grown), "{name}, step {step}");
+            let (a, b) = (live.result(), rebuilt.result());
+            for (label, x, y) in [
+                ("article", &a.article_scores, &b.article_scores),
+                ("venue", &a.venue_scores, &b.venue_scores),
+                ("author", &a.author_scores, &b.author_scores),
+                ("twpr", &a.twpr_scores, &b.twpr_scores),
+                ("inner residuals", &a.twpr_diagnostics.residuals, &b.twpr_diagnostics.residuals),
+                ("outer residuals", &a.outer.residuals, &b.outer.residuals),
+            ] {
+                assert!(bits(x) == bits(y), "{name}, step {step}: {label} differ");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_grown_plan_is_the_built_plan_structure_by_structure() {
+    // `{:?}` prints an f64 as the shortest string that reads back to the
+    // same bits, so equal debug text is equal structure, bit for bit.
+    fn same<T: std::fmt::Debug>(patched: &T, built: &T) -> bool {
+        format!("{patched:?}") == format!("{built:?}")
+    }
+    for (name, corpus) in growth_corpora() {
+        let cfg = QRankConfig::default();
+        let mut live = IncrementalRanker::new(cfg.clone(), corpus);
+        for step in 0..STEPS {
+            let old_now = live.engine().now();
+            let grown = grow_corpus(live.corpus(), batch_for(&live, step));
+            live.extend(grown);
+            let (patched, built) = (live.engine(), QRankEngine::build(live.corpus(), &cfg));
+            assert_eq!(patched.now() > old_now, step == 4, "{name}: only step 4 moves now");
+            if same(patched, &built) {
+                continue;
+            }
+            // Name the first structure that differs.
+            let (p, b) = (patched.net(), built.net());
+            let (p_ops, b_ops) = (patched.operators(), built.operators());
+            let part = [
+                ("citation graph", same(&p.citation, &b.citation)),
+                ("venue graph", same(&p.venue_graph, &b.venue_graph)),
+                ("author graph", same(&p.author_graph, &b.author_graph)),
+                ("authorship bipartite", same(&p.authorship, &b.authorship)),
+                ("publication bipartite", same(&p.publication, &b.publication)),
+                ("citation operator", same(p_ops.0, b_ops.0)),
+                ("venue operator", same(p_ops.1, b_ops.1)),
+                ("author operator", same(p_ops.2, b_ops.2)),
+            ]
+            .iter()
+            .find(|(_, same)| !same)
+            .map_or("sv/su, jump vector, ages, partitions or now", |(part, _)| part);
+            panic!("{name}, step {step}: the grown plan's {part} is not the built plan's");
         }
     }
 }
