@@ -602,7 +602,7 @@ pub fn convert<W: Write>(args: &Args, out: &mut W) -> CmdResult {
 /// journal replay — milliseconds instead of a full re-rank, losing no
 /// accepted batch.
 pub fn serve<W: Write>(args: &Args, out: &mut W) -> CmdResult {
-    let corpus = load_corpus(args.positional(0, "corpus path")?, args)?;
+    let corpus_path = args.positional(0, "corpus path")?;
     let config = qrank_config(args)?;
     let duration: Option<u64> = match args.get("duration") {
         Some(raw) => {
@@ -664,9 +664,18 @@ pub fn serve<W: Write>(args: &Args, out: &mut W) -> CmdResult {
             let mut opts = scholar::serve::DurableOptions::new(dir);
             opts.snapshot_every = args.get_parsed("snapshot-every", opts.snapshot_every)?;
             let started = Instant::now();
-            let (shared, reindexer, report) =
+            // A restart serves what the snapshot holds, so the corpus file
+            // is not even opened. Should the snapshot vanish after this
+            // look, the restore fails; it never falls back to ranking a
+            // corpus that was not loaded.
+            let recovered = if scholar::serve::snapshot::snapshot_path(Path::new(dir)).exists() {
+                scholar::serve::Reindexer::restore_durable(config, opts, on_publish)
+            } else {
+                let corpus = load_corpus(corpus_path, args)?;
                 scholar::serve::Reindexer::start_durable(config, corpus, opts, on_publish)
-                    .map_err(|e| format!("cannot recover state in '{dir}': {e}"))?;
+            };
+            let (shared, reindexer, report) =
+                recovered.map_err(|e| format!("cannot recover state in '{dir}': {e}"))?;
             if report.restored_from_snapshot {
                 outln!(
                     out,
@@ -689,6 +698,7 @@ pub fn serve<W: Write>(args: &Args, out: &mut W) -> CmdResult {
             (shared, reindexer)
         }
         None => {
+            let corpus = load_corpus(corpus_path, args)?;
             outln!(out, "ranking {} articles...", corpus.num_articles());
             match shadow_gate.clone() {
                 Some(gate) => {
@@ -1115,6 +1125,16 @@ mod tests {
             run(&["serve", &path, "--state", &state, "--addr", "127.0.0.1:0", "--duration", "0"])
                 .unwrap();
         assert!(out.contains("restored snapshot generation"), "{out}");
+        // A restart never opens the corpus file; a cold start needs it.
+        let gone = dir.join("gone.jsonl").to_string_lossy().into_owned();
+        let serve = |state: &str| {
+            run(&["serve", &gone, "--state", state, "--addr", "127.0.0.1:0", "--duration", "0"])
+        };
+        let out = serve(&state).unwrap();
+        assert!(out.contains("restored snapshot generation"), "{out}");
+        let empty = dir.join("empty-state").to_string_lossy().into_owned();
+        let err = serve(&empty).unwrap_err();
+        assert!(err.contains("cannot load") && err.contains("gone.jsonl"), "{err}");
         let err = run(&["snapshot", &path]).unwrap_err();
         assert!(err.contains("--state"));
         std::fs::remove_dir_all(&dir).ok();

@@ -47,8 +47,8 @@ impl ColdStartScorer {
         }
     }
 
-    /// [`Self::new`] with the weights taken from the [`MixParams`]
-    /// (`crate::engine::MixParams`) the result was solved under.
+    /// [`Self::new`] with the weights taken from the
+    /// [`MixParams`](crate::engine::MixParams) the result was solved under.
     pub fn from_mix(result: &QRankResult, mix: &crate::engine::MixParams) -> Self {
         Self::new(result, mix.lambda_venue, mix.lambda_author)
     }

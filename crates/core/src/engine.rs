@@ -29,9 +29,9 @@
 use crate::config::QRankConfig;
 use crate::hetnet::HetNet;
 use crate::qrank::QRankResult;
-use scholar_corpus::Corpus;
+use scholar_corpus::rows::{self, Rows};
 use scholar_rank::diagnostics::Diagnostics;
-use scholar_rank::{RankContext, TimeWeightedPageRank};
+use scholar_rank::RankContext;
 use sgraph::stochastic::{blend_into, l1_distance, normalize_l1, PowerIterationOpts};
 use sgraph::{JumpVector, RowStochastic};
 use std::ops::Range;
@@ -196,8 +196,11 @@ impl QRankEngine {
     /// Build the plan: derive the heterogeneous network, normalize the
     /// three operators, run the structural venue/author walks, and
     /// precompute the balanced parallel partitions. O(corpus) — this is
-    /// the expensive phase; amortize it across solves.
-    pub fn build(corpus: &Corpus, config: &QRankConfig) -> Self {
+    /// the expensive phase; amortize it across solves. Any structural
+    /// view will do (a [`Corpus`](scholar_corpus::Corpus), a
+    /// [`ColStore`](scholar_corpus::ColStore)): the engine needs derived
+    /// structures and the year column, never article strings.
+    pub fn build<V: Rows + ?Sized>(corpus: &V, config: &QRankConfig) -> Self {
         config.assert_valid();
         Self::from_net(corpus, config, HetNet::build(corpus, config))
     }
@@ -215,7 +218,7 @@ impl QRankEngine {
     /// runs. The caller vouches that the retained articles are unchanged
     /// ([`crate::IncrementalRanker::extend`] checks). Consumes the plan, so
     /// a panic half way leaves none behind rather than a half-grown one.
-    pub fn extend(self, grown: &Corpus, old_n: usize) -> Self {
+    pub fn extend<V: Rows + ?Sized>(self, grown: &V, old_n: usize) -> Self {
         let QRankEngine { config, mut net, citation_op, venue_op, author_op, .. } = self;
         // The old operators are as large as the graphs under them; let go
         // of them before their successors are allocated.
@@ -224,38 +227,21 @@ impl QRankEngine {
         Self::from_net(grown, &config, net)
     }
 
-    /// The plan over `net`, the network of `corpus` under `config`.
-    fn from_net(corpus: &Corpus, config: &QRankConfig, net: HetNet) -> Self {
-        let now =
-            config.twpr.now.or_else(|| corpus.year_range().map(|(_, last)| last)).unwrap_or(0);
-        let jump = TimeWeightedPageRank::recency_jump(corpus, config.twpr.tau, now);
-        let ages: Vec<f64> =
-            corpus.articles().iter().map(|a| (now - a.year).max(0) as f64).collect();
-        Self::assemble(config, net, now, jump, ages)
-    }
-
     /// [`QRankEngine::build`] against a prepared [`RankContext`]: the
     /// decayed citation graph and the bipartites come from the context's
-    /// caches (see [`HetNet::build_from_ctx`]); the structural walks and
-    /// partitions are still computed here. Works on any context backend
-    /// (in-RAM or colstore) — the engine only needs derived structures
-    /// and the year vector, never article strings.
+    /// caches (see [`HetNet::build_from_ctx`]); everything else is the
+    /// code `build` runs, over the context's view.
     pub fn build_from_ctx(ctx: &RankContext, config: &QRankConfig) -> Self {
         config.assert_valid();
-        let now = config.twpr.now.or_else(|| ctx.try_now()).unwrap_or(0);
-        let net = HetNet::build_from_ctx(ctx, config);
-        let jump = ctx.recency_jump(config.twpr.tau, now);
-        let ages = ctx.ages(now);
-        Self::assemble(config, net, now, jump, ages)
+        Self::from_net(ctx.rows(), config, HetNet::build_from_ctx(ctx, config))
     }
 
-    fn assemble(
-        config: &QRankConfig,
-        net: HetNet,
-        now: i32,
-        jump: JumpVector,
-        ages: Vec<f64>,
-    ) -> Self {
+    /// The plan over `net`, the network of `corpus` under `config`.
+    fn from_net<V: Rows + ?Sized>(corpus: &V, config: &QRankConfig, net: HetNet) -> Self {
+        let now =
+            config.twpr.now.or_else(|| rows::year_range(corpus).map(|(_, last)| last)).unwrap_or(0);
+        let jump = rows::recency_jump(corpus, config.twpr.tau, now);
+        let ages = rows::ages(corpus, now);
         let n = net.num_articles();
 
         let citation_op = RowStochastic::new(&net.citation);

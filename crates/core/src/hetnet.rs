@@ -5,7 +5,7 @@
 //! model is consistent across layers (DESIGN.md §2.2).
 
 use crate::config::QRankConfig;
-use scholar_corpus::{Article, Corpus};
+use scholar_corpus::rows::{self, Rows};
 use scholar_rank::{RankContext, TimeWeightedPageRank};
 use sgraph::{Bipartite, CsrGraph};
 
@@ -26,21 +26,18 @@ pub struct HetNet {
     pub publication: Bipartite,
 }
 
-/// The citation-age decay `exp(-ρ·Δt)` every layer weighs a citation by.
-fn decay(rho: f64) -> impl Fn(&Article, &Article) -> f64 + Copy {
-    move |citing, cited| TimeWeightedPageRank::edge_weight(rho, (citing.year - cited.year) as f64)
-}
-
 impl HetNet {
-    /// Build the network from a corpus.
-    pub fn build(corpus: &Corpus, config: &QRankConfig) -> Self {
-        let decay = decay(config.twpr.rho);
+    /// Build the network from any structural view of a corpus.
+    pub fn build<V: Rows + ?Sized>(corpus: &V, config: &QRankConfig) -> Self {
+        let decay = TimeWeightedPageRank::decay(config.twpr.rho);
+        let all = 0..corpus.num_articles();
         HetNet {
-            citation: corpus.weighted_citation_graph(decay),
-            venue_graph: corpus.venue_graph(decay),
-            author_graph: corpus.author_graph(decay, config.drop_self_citations),
-            authorship: corpus.authorship_bipartite(),
-            publication: corpus.publication_bipartite(),
+            citation: rows::citation_edges(corpus, all.clone(), decay).build(),
+            venue_graph: rows::venue_edges(corpus, all.clone(), decay).build(),
+            author_graph: rows::author_edges(corpus, all, decay, config.drop_self_citations)
+                .build(),
+            authorship: rows::authorship_bipartite(corpus),
+            publication: rows::publication_bipartite(corpus),
         }
     }
 
@@ -52,36 +49,35 @@ impl HetNet {
     /// A citation's weight depends only on the two publication years, and
     /// only an appended article can cite, so everything the old articles
     /// contributed to the three graphs stands; the newcomers' edges are
-    /// staged by the same loops a full build runs and built
+    /// staged by the same functions a full build calls and built
     /// [onto](sgraph::GraphBuilder::build_onto) each graph. The two
     /// bipartites are cheap next to the author graph and simply rebuilt.
-    pub fn extend(&mut self, grown: &Corpus, config: &QRankConfig, old_n: usize) {
+    pub fn extend<V: Rows + ?Sized>(&mut self, grown: &V, config: &QRankConfig, old_n: usize) {
         assert_eq!(self.num_articles(), old_n, "the network to grow covers the old articles");
-        let decay = decay(config.twpr.rho);
+        let decay = TimeWeightedPageRank::decay(config.twpr.rho);
         let new = old_n..grown.num_articles();
-        grown.citation_edges(new.clone(), decay).build_onto(&mut self.citation);
-        grown.venue_edges(new.clone(), decay).build_onto(&mut self.venue_graph);
-        grown
-            .author_edges(new, decay, config.drop_self_citations)
+        rows::citation_edges(grown, new.clone(), decay).build_onto(&mut self.citation);
+        rows::venue_edges(grown, new.clone(), decay).build_onto(&mut self.venue_graph);
+        rows::author_edges(grown, new, decay, config.drop_self_citations)
             .build_onto(&mut self.author_graph);
-        self.authorship = grown.authorship_bipartite();
-        self.publication = grown.publication_bipartite();
+        self.authorship = rows::authorship_bipartite(grown);
+        self.publication = rows::publication_bipartite(grown);
     }
 
-    /// [`HetNet::build`] against a prepared [`RankContext`]: the decayed
-    /// citation graph and both bipartites come from the context's caches
-    /// (a clone of an already-derived structure instead of a re-derivation
-    /// from the article table). The venue/author supernode graphs are
-    /// QRank-specific aggregations and are still built here.
+    /// [`HetNet::build`] against a prepared [`RankContext`], keeping what
+    /// a context buys: the decayed citation graph and both bipartites are
+    /// clones out of its caches instead of re-derivations. The venue and
+    /// author supernode graphs are QRank's own and are built here, from
+    /// the context's view.
     pub fn build_from_ctx(ctx: &RankContext, config: &QRankConfig) -> Self {
         let rho = config.twpr.rho;
-        let decay = |citing: scholar_corpus::Year, cited: scholar_corpus::Year| {
-            TimeWeightedPageRank::edge_weight(rho, (citing - cited) as f64)
-        };
+        let decay = TimeWeightedPageRank::decay(rho);
+        let (corpus, all) = (ctx.rows(), 0..ctx.num_articles());
         HetNet {
             citation: ctx.decayed_citation(rho).graph.clone(),
-            venue_graph: ctx.venue_graph_with(decay),
-            author_graph: ctx.author_graph_with(decay, config.drop_self_citations),
+            venue_graph: rows::venue_edges(corpus, all.clone(), decay).build(),
+            author_graph: rows::author_edges(corpus, all, decay, config.drop_self_citations)
+                .build(),
             authorship: ctx.authorship().clone(),
             publication: ctx.publication().clone(),
         }
@@ -106,7 +102,7 @@ impl HetNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scholar_corpus::CorpusBuilder;
+    use scholar_corpus::{Corpus, CorpusBuilder};
 
     fn corpus() -> Corpus {
         let mut b = CorpusBuilder::new();

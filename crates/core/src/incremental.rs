@@ -108,7 +108,7 @@ impl IncrementalRanker {
     /// The prepared engine for the current corpus, built on first use
     /// after a [`IncrementalRanker::restore`].
     pub fn engine(&self) -> &QRankEngine {
-        self.engine.get_or_init(|| QRankEngine::build(&self.corpus, &self.config))
+        self.engine.get_or_init(|| QRankEngine::build(&*self.corpus, &self.config))
     }
 
     /// The current ranking.

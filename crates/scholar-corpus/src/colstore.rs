@@ -1,6 +1,6 @@
 //! Binary columnar corpus store for out-of-core ranking.
 //!
-//! The JSONL/AAN/MAG loaders and [`Corpus`](crate::Corpus) itself hold
+//! The JSONL/AAN/MAG loaders and [`Corpus`] itself hold
 //! every article — title strings, byline `Vec`s, reference `Vec`s — in
 //! RAM, which tops out around a few million articles. The colstore is
 //! the out-of-core alternative: a directory of flat column files that a
@@ -52,6 +52,7 @@ use sgraph::mmap::Mmap;
 use sgraph::sfile::{self, fnv64, push_varint, read_varint, Fnv, TmpFile};
 
 use crate::model::{Article, ArticleId, Author, AuthorId, Venue, VenueId, Year};
+use crate::rows::Rows;
 use crate::{Corpus, CorpusError, Result};
 
 const MAGIC: &[u8; 8] = b"SCOLv1\0\0";
@@ -427,29 +428,6 @@ impl ColStore {
         self.years.map.as_i32s(0, self.n)
     }
 
-    /// Publication year of article `i`.
-    pub fn year_of(&self, i: usize) -> Year {
-        self.years()[i]
-    }
-
-    /// Venue id of article `i`.
-    pub fn venue_of(&self, i: usize) -> u32 {
-        self.venues.map.as_u32s(0, self.n)[i]
-    }
-
-    /// `(earliest, latest)` publication year, or `None` when empty —
-    /// the same contract as [`Corpus::year_range`].
-    pub fn year_range(&self) -> Option<(Year, Year)> {
-        let years = self.years();
-        let first = *years.first()?;
-        let (mut lo, mut hi) = (first, first);
-        for &y in &years[1..] {
-            lo = lo.min(y);
-            hi = hi.max(y);
-        }
-        Some((lo, hi))
-    }
-
     /// The byte range of record `i`, bounds-checked against the data
     /// payload. [`ColStore::open`] validates only the *terminal* index
     /// offset, so interior offsets are untrusted bytes here: a flipped
@@ -562,8 +540,8 @@ impl ColStore {
             articles.push(Article {
                 id: ArticleId(i as u32),
                 title: format!("article-{i}"),
-                year: self.year_of(i),
-                venue: VenueId(self.venue_of(i)),
+                year: self.year(i),
+                venue: VenueId(self.venue(i)),
                 authors: byline.iter().map(|&a| AuthorId(a)).collect(),
                 references: refs.iter().map(|&r| ArticleId(r)).collect(),
                 merit: None,
@@ -579,20 +557,61 @@ impl ColStore {
     }
 }
 
+/// The mmap view. [`Rows`] is infallible — rankers consume stores that
+/// were already opened and validated — while the list decoders under it
+/// stay fallible and typed, because [`ColStore::open`] skips payload
+/// checksums. A corrupt record surfacing mid-scan has no recovery at this
+/// layer, so it aborts here, once, with the decoder's diagnosis instead
+/// of a bare index panic.
+impl Rows for ColStore {
+    fn num_articles(&self) -> usize {
+        self.n
+    }
+
+    fn num_authors(&self) -> usize {
+        self.num_authors
+    }
+
+    fn num_venues(&self) -> usize {
+        self.num_venues
+    }
+
+    fn num_citations(&self) -> usize {
+        self.num_citations as usize
+    }
+
+    fn year(&self, i: usize) -> Year {
+        self.years()[i]
+    }
+
+    fn venue(&self, i: usize) -> u32 {
+        self.venues.map.as_u32s(0, self.n)[i]
+    }
+
+    fn byline<'a>(&'a self, i: usize, scratch: &'a mut Vec<u32>) -> &'a [u32] {
+        decoded(self.authors_of(i, scratch));
+        scratch
+    }
+
+    fn refs<'a>(&'a self, i: usize, scratch: &'a mut Vec<u32>) -> &'a [u32] {
+        decoded(self.refs_of(i, scratch));
+        scratch
+    }
+}
+
+fn decoded(r: Result<()>) {
+    r.unwrap_or_else(|e| panic!("column store decode failed: {e}"))
+}
+
 impl Corpus {
     /// Write this corpus out as a columnar store (strings and planted
     /// merit are not representable and are dropped). Returns the
     /// store's generation stamp.
     pub fn write_colstore(&self, dir: &Path) -> Result<u64> {
         let mut w = ColWriter::create(dir)?;
-        let mut byline = Vec::new();
-        let mut refs = Vec::new();
-        for a in self.articles() {
-            byline.clear();
-            byline.extend(a.authors.iter().map(|x| x.0));
-            refs.clear();
-            refs.extend(a.references.iter().map(|x| x.0));
-            w.push(a.year, a.venue.0, &byline, &refs)?;
+        let (mut byline, mut refs) = (Vec::new(), Vec::new());
+        for (i, a) in self.articles().iter().enumerate() {
+            w.push(a.year, a.venue.0, self.byline(i, &mut byline), self.refs(i, &mut refs))?;
         }
         w.finish(self.authors().len() as u64, self.venues().len() as u64)
     }
@@ -621,15 +640,15 @@ mod tests {
         assert_eq!(store.num_authors(), corpus.authors().len());
         assert_eq!(store.num_venues(), corpus.venues().len());
         assert_eq!(store.num_citations() as usize, corpus.num_citations());
-        assert_eq!(store.year_range(), corpus.year_range());
+        assert_eq!(crate::rows::year_range(&store), corpus.year_range());
         store.verify().unwrap();
 
         let mut byline = Vec::new();
         let mut refs = Vec::new();
         for a in corpus.articles() {
             let i = a.id.0 as usize;
-            assert_eq!(store.year_of(i), a.year);
-            assert_eq!(store.venue_of(i), a.venue.0);
+            assert_eq!(store.year(i), a.year);
+            assert_eq!(store.venue(i), a.venue.0);
             store.authors_of(i, &mut byline).unwrap();
             assert_eq!(byline, a.authors.iter().map(|x| x.0).collect::<Vec<_>>());
             store.refs_of(i, &mut refs).unwrap();
@@ -670,7 +689,7 @@ mod tests {
         w.finish(0, 0).unwrap();
         let store = ColStore::open(&dir).unwrap();
         assert_eq!(store.num_articles(), 0);
-        assert_eq!(store.year_range(), None);
+        assert_eq!(crate::rows::year_range(&store), None);
         assert!(store.materialize().unwrap().articles().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }

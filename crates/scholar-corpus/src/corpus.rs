@@ -1,10 +1,10 @@
-//! The [`Corpus`] container and its derived graphs.
+//! The [`Corpus`] container, its builder and its indexes.
 
 use crate::model::{Article, ArticleId, Author, AuthorId, Venue, VenueId, Year};
+use crate::rows::{self, Rows};
 use crate::{CorpusError, Result};
-use sgraph::{Bipartite, BipartiteBuilder, CsrGraph, GraphBuilder, NodeId};
+use sgraph::CsrGraph;
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// An immutable scholarly corpus: articles, authors, venues, and the
@@ -208,178 +208,23 @@ impl Corpus {
 
     /// `(min_year, max_year)` across all articles; `None` when empty.
     pub fn year_range(&self) -> Option<(Year, Year)> {
-        let mut it = self.articles.iter().map(|a| a.year);
-        let first = it.next()?;
-        let mut lo = first;
-        let mut hi = first;
-        for y in it {
-            lo = lo.min(y);
-            hi = hi.max(y);
-        }
-        Some((lo, hi))
+        rows::year_range(self)
     }
 
     /// The citation graph: one node per article, edge **citing → cited**,
-    /// unit weights. In-degree is citation count.
+    /// unit weights. In-degree is citation count. Every other derived
+    /// structure is a function in [`crate::rows`] over the [`Rows`] view.
     pub fn citation_graph(&self) -> CsrGraph {
         // ORDERING: build counter for tests/benches only; the RMW gives
         // the count, and no reader infers visibility from it.
         self.citation_graph_builds.fetch_add(1, Ordering::Relaxed);
-        let mut b = GraphBuilder::new(self.articles.len() as u32)
-            .with_edge_capacity(self.num_citations())
-            .self_loops(false);
-        for a in &self.articles {
-            for &r in &a.references {
-                b.add_unweighted(NodeId(a.id.0), NodeId(r.0));
-            }
-        }
-        b.build()
-    }
-
-    /// The citation graph with per-edge weights computed by
-    /// `f(citing, cited)`; used for time-decayed variants.
-    pub fn weighted_citation_graph<F>(&self, f: F) -> CsrGraph
-    where
-        F: FnMut(&Article, &Article) -> f64,
-    {
-        self.citation_edges(0..self.articles.len(), f).build()
-    }
-
-    /// The edges [`Self::weighted_citation_graph`] derives from the
-    /// articles in `citing`, staged in article order and not yet built.
-    /// Staging `0..n` and building gives the whole graph; staging only the
-    /// articles appended since a graph was built and building them
-    /// [onto](GraphBuilder::build_onto) it gives the same graph, bit for
-    /// bit. The same holds for [`Self::venue_edges`] and
-    /// [`Self::author_edges`].
-    pub fn citation_edges<F>(&self, citing: Range<usize>, mut f: F) -> GraphBuilder
-    where
-        F: FnMut(&Article, &Article) -> f64,
-    {
-        let citing = &self.articles[citing];
-        let mut b = GraphBuilder::new(self.articles.len() as u32)
-            .with_edge_capacity(citing.iter().map(|a| a.references.len()).sum())
-            .self_loops(false);
-        for a in citing {
-            for &r in &a.references {
-                let w = f(a, &self.articles[r.index()]);
-                b.add_edge(NodeId(a.id.0), NodeId(r.0), w);
-            }
-        }
-        b
-    }
-
-    /// Authorship bipartite: left = authors, right = articles, weights =
-    /// harmonic byline-position weights (first author heaviest).
-    pub fn authorship_bipartite(&self) -> Bipartite {
-        let mut b = BipartiteBuilder::new(self.authors.len() as u32, self.articles.len() as u32);
-        for a in &self.articles {
-            let w = crate::model::author_position_weights(a.authors.len());
-            for (&author, &weight) in a.authors.iter().zip(&w) {
-                b.add_edge(author.0, a.id.0, weight);
-            }
-        }
-        b.build()
-    }
-
-    /// Publication bipartite: left = venues, right = articles, unit weight.
-    pub fn publication_bipartite(&self) -> Bipartite {
-        let mut b = BipartiteBuilder::new(self.venues.len() as u32, self.articles.len() as u32);
-        for a in &self.articles {
-            b.add_edge(a.venue.0, a.id.0, 1.0);
-        }
-        b.build()
-    }
-
-    /// Aggregated venue citation graph: edge `V(u) → V(v)` with weight
-    /// `Σ f(citing, cited)` over article citations `u → v` whose venues
-    /// differ or match; self-loops (within-venue citations) are dropped.
-    pub fn venue_graph<F>(&self, f: F) -> CsrGraph
-    where
-        F: FnMut(&Article, &Article) -> f64,
-    {
-        self.venue_edges(0..self.articles.len(), f).build()
-    }
-
-    /// The contributions to [`Self::venue_graph`] of the articles in
-    /// `citing`, staged and not yet built (see [`Self::citation_edges`]).
-    pub fn venue_edges<F>(&self, citing: Range<usize>, mut f: F) -> GraphBuilder
-    where
-        F: FnMut(&Article, &Article) -> f64,
-    {
-        let mut b = GraphBuilder::new(self.venues.len() as u32).self_loops(false);
-        for a in &self.articles[citing] {
-            for &r in &a.references {
-                let cited = &self.articles[r.index()];
-                let w = f(a, cited);
-                b.add_edge(NodeId(a.venue.0), NodeId(cited.venue.0), w);
-            }
-        }
-        b
-    }
-
-    /// Aggregated author citation graph: edge `A(u) → A(v)` summed over
-    /// article citations, with the citing article's byline weight times the
-    /// cited article's byline weight, scaled by `f(citing, cited)`.
-    /// Self-citations (same author both sides) are dropped when
-    /// `drop_self_citations` is true.
-    pub fn author_graph<F>(&self, f: F, drop_self_citations: bool) -> CsrGraph
-    where
-        F: FnMut(&Article, &Article) -> f64,
-    {
-        self.author_edges(0..self.articles.len(), f, drop_self_citations).build()
-    }
-
-    /// The contributions to [`Self::author_graph`] of the articles in
-    /// `citing`, staged and not yet built (see [`Self::citation_edges`]).
-    pub fn author_edges<F>(
-        &self,
-        citing: Range<usize>,
-        mut f: F,
-        drop_self_citations: bool,
-    ) -> GraphBuilder
-    where
-        F: FnMut(&Article, &Article) -> f64,
-    {
-        let mut b = GraphBuilder::new(self.authors.len() as u32).self_loops(!drop_self_citations);
-        for a in &self.articles[citing] {
-            if a.authors.is_empty() {
-                continue;
-            }
-            let wa = crate::model::author_position_weights(a.authors.len());
-            for &r in &a.references {
-                let cited = &self.articles[r.index()];
-                if cited.authors.is_empty() {
-                    continue;
-                }
-                let wc = crate::model::author_position_weights(cited.authors.len());
-                let base = f(a, cited);
-                if base <= 0.0 {
-                    continue;
-                }
-                for (&ua, &pa) in a.authors.iter().zip(&wa) {
-                    for (&uc, &pc) in cited.authors.iter().zip(&wc) {
-                        if drop_self_citations && ua == uc {
-                            continue;
-                        }
-                        b.add_edge(NodeId(ua.0), NodeId(uc.0), base * pa * pc);
-                    }
-                }
-            }
-        }
-        b
+        rows::citation_graph(self)
     }
 
     /// Citation counts per article (in-degree of the citation graph,
     /// computed directly without building the graph).
     pub fn citation_counts(&self) -> Vec<u32> {
-        let mut counts = vec![0u32; self.articles.len()];
-        for a in &self.articles {
-            for &r in &a.references {
-                counts[r.index()] += 1;
-            }
-        }
-        counts
+        rows::citation_counts(self)
     }
 
     /// Articles grouped by venue: `by_venue[v]` lists the article ids
@@ -401,6 +246,46 @@ impl Corpus {
             }
         }
         by
+    }
+}
+
+/// The in-RAM view: rows are the article table; ids are copied out of
+/// their newtypes into the scratch.
+impl Rows for Corpus {
+    fn num_articles(&self) -> usize {
+        self.articles.len()
+    }
+
+    fn num_authors(&self) -> usize {
+        self.authors.len()
+    }
+
+    fn num_venues(&self) -> usize {
+        self.venues.len()
+    }
+
+    fn num_citations(&self) -> usize {
+        Corpus::num_citations(self)
+    }
+
+    fn year(&self, i: usize) -> Year {
+        self.articles[i].year
+    }
+
+    fn venue(&self, i: usize) -> u32 {
+        self.articles[i].venue.0
+    }
+
+    fn byline<'a>(&'a self, i: usize, scratch: &'a mut Vec<u32>) -> &'a [u32] {
+        scratch.clear();
+        scratch.extend(self.articles[i].authors.iter().map(|u| u.0));
+        scratch
+    }
+
+    fn refs<'a>(&'a self, i: usize, scratch: &'a mut Vec<u32>) -> &'a [u32] {
+        scratch.clear();
+        scratch.extend(self.articles[i].references.iter().map(|r| r.0));
+        scratch
     }
 }
 
@@ -559,6 +444,7 @@ impl Bounds {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sgraph::NodeId;
 
     /// A small hand-built corpus used across this crate's tests:
     /// 4 articles, 3 authors, 2 venues.
@@ -622,7 +508,7 @@ mod tests {
     #[test]
     fn weighted_citation_graph_applies_f() {
         let c = tiny();
-        let g = c.weighted_citation_graph(|citing, cited| (citing.year - cited.year) as f64);
+        let g = rows::citation_edges(&c, 0..4, |citing, cited| (citing - cited) as f64).build();
         assert_eq!(g.edge_weight(NodeId(2), NodeId(0)), Some(10.0));
         assert_eq!(g.edge_weight(NodeId(3), NodeId(0)), Some(15.0));
     }
@@ -630,7 +516,7 @@ mod tests {
     #[test]
     fn authorship_bipartite_weights() {
         let c = tiny();
-        let bp = c.authorship_bipartite();
+        let bp = rows::authorship_bipartite(&c);
         assert_eq!(bp.num_left(), 3);
         assert_eq!(bp.num_right(), 4);
         // Article 1 has two authors with harmonic weights 2/3, 1/3.
@@ -642,7 +528,7 @@ mod tests {
     #[test]
     fn publication_bipartite_shape() {
         let c = tiny();
-        let bp = c.publication_bipartite();
+        let bp = rows::publication_bipartite(&c);
         assert_eq!(bp.num_left(), 2);
         assert_eq!(bp.left_degree(0), 2); // v0 has a0, a1
         assert_eq!(bp.left_degree(1), 2); // v1 has a2, a3
@@ -651,7 +537,7 @@ mod tests {
     #[test]
     fn venue_graph_aggregates_and_drops_self_loops() {
         let c = tiny();
-        let g = c.venue_graph(|_, _| 1.0);
+        let g = rows::venue_edges(&c, 0..4, |_, _| 1.0).build();
         // a2 (v1) cites a0, a1 (v0): weight 2. a3 (v1) cites a0 (v0): +1.
         assert_eq!(g.edge_weight(NodeId(1), NodeId(0)), Some(3.0));
         // a1 (v0) cites a0 (v0): self-loop dropped.
@@ -663,11 +549,11 @@ mod tests {
     fn author_graph_self_citations() {
         let c = tiny();
         // a1 [u0,u1] cites a0 [u0]: u0 -> u0 is a self-citation.
-        let with_self_dropped = c.author_graph(|_, _| 1.0, true);
+        let with_self_dropped = rows::author_edges(&c, 0..4, |_, _| 1.0, true).build();
         assert!(!with_self_dropped.has_edge(NodeId(0), NodeId(0)));
         assert!(with_self_dropped.has_edge(NodeId(1), NodeId(0))); // u1 cites u0
                                                                    // Total weight should be < 4 citations since self-edges were dropped.
-        let with_self_kept = c.author_graph(|_, _| 1.0, false);
+        let with_self_kept = rows::author_edges(&c, 0..4, |_, _| 1.0, false).build();
         // Self-loop u0->u0 appears when kept.
         assert!(with_self_kept.has_edge(NodeId(0), NodeId(0)));
         assert!(with_self_kept.total_weight() > with_self_dropped.total_weight());

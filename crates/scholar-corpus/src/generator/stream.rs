@@ -57,7 +57,7 @@ const RECENCY_YEARS_SCALE: f64 = 0.35;
 const TICKET_RING: usize = 1 << 20;
 
 /// Stream a `mag-scale` synthetic corpus of `num_articles` articles
-/// into a colstore at `dir`. Memory use is O([`TICKET_RING`]) regardless
+/// into a colstore at `dir`. Memory use is O(`TICKET_RING`) regardless
 /// of corpus size.
 pub fn generate_mag_scale(dir: &Path, num_articles: usize, seed: u64) -> Result<StreamStats> {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x6d61675f7363616c); // "mag_scal"
@@ -203,7 +203,7 @@ mod tests {
         assert_eq!(store.num_articles(), 5_000);
         assert_eq!(store.num_citations(), s1.citations);
         assert!(s1.citations > 5_000, "mean reference count should exceed 1");
-        let (lo, hi) = store.year_range().unwrap();
+        let (lo, hi) = crate::rows::year_range(&store).unwrap();
         assert_eq!(lo, START_YEAR);
         assert_eq!(hi, END_YEAR);
         // Chronology: years nondecreasing in id order.

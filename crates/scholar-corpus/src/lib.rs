@@ -5,8 +5,10 @@
 //! This crate owns the *data* side of the `qrank` stack:
 //!
 //! * [`model`] — articles, authors, venues, and their dense ids.
-//! * [`corpus`] — the [`Corpus`] container with its derived graphs
-//!   (citation graph, authorship and publication bipartites) and indexes.
+//! * [`corpus`] — the [`Corpus`] container and its indexes.
+//! * [`rows`] — the [`Rows`] structural view (year, venue, byline,
+//!   references per article) that [`Corpus`] and [`ColStore`] implement,
+//!   and every graph, bipartite and vector derived from it, written once.
 //! * [`generator`] — a time-evolving synthetic corpus generator that
 //!   substitutes for the AAN / DBLP / MAG downloads (see DESIGN.md §5):
 //!   preferential attachment with a recency kernel, planted article merit,
@@ -59,6 +61,7 @@ pub mod generator;
 pub mod loader;
 pub mod model;
 pub mod perturb;
+pub mod rows;
 pub mod snapshot;
 pub mod stats;
 pub mod validate;
@@ -67,6 +70,7 @@ pub use colstore::{ColStore, ColWriter};
 pub use corpus::{Corpus, CorpusBuilder};
 pub use generator::{CorpusGenerator, GeneratorConfig, Preset};
 pub use model::{Article, ArticleId, Author, AuthorId, Venue, VenueId, Year};
+pub use rows::Rows;
 pub use snapshot::{snapshot_until, Snapshot};
 pub use stats::CorpusStats;
 

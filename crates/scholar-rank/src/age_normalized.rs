@@ -73,13 +73,14 @@ impl Ranker for RecentCitations {
         let now = self.now.unwrap_or_else(|| ctx.now());
         let from = now - self.window + 1;
         let mut scores = vec![0.0f64; ctx.num_articles()];
-        ctx.store().for_each_article(&mut |row| {
-            if row.year >= from && row.year <= now {
-                for &cited in row.refs {
+        let (rows, mut refs) = (ctx.rows(), Vec::new());
+        for (i, &year) in ctx.years().iter().enumerate() {
+            if year >= from && year <= now {
+                for &cited in rows.refs(i, &mut refs) {
                     scores[cited as usize] += 1.0;
                 }
             }
-        });
+        }
         crate::scores::normalize_or_uniform(&mut scores);
         RankOutput::closed_form(scores)
     }

@@ -11,14 +11,14 @@
 //! `rank(&Corpus)` entry point survives as a thin wrapper that builds a
 //! throwaway context.
 //!
-//! Since the out-of-core refactor the context solves through the
-//! [`Storage`] backing-store abstraction: [`RankContext::new`] wraps the
-//! in-RAM [`Corpus`], [`RankContext::from_colstore`] wraps an
-//! mmap-backed [`ColStore`]. Both backends derive bit-identical
-//! structures (see `storage.rs`), so every ranker produces the same
-//! scores either way; on the mmap backend the time-decayed citation
-//! operator can additionally stay *out of core* via
-//! [`RankContext::decayed_plan`], which materializes a sharded
+//! The context reads its corpus through the [`Rows`] structural view:
+//! [`RankContext::new`] wraps the in-RAM [`Corpus`],
+//! [`RankContext::from_colstore`] wraps an mmap-backed [`ColStore`], and
+//! every structure is derived by the one function `scholar_corpus::rows`
+//! has for it — so the backends are bit-identical by construction and
+//! every ranker produces the same scores either way. On the mmap backend
+//! the time-decayed citation operator can additionally stay *out of core*
+//! via [`RankContext::decayed_plan`], which materializes a sharded
 //! [`MmapCsr`] next to the store instead of a dense operator.
 //!
 //! Invalidation is by construction: a context borrows an immutable
@@ -28,8 +28,9 @@
 //! evaluation harness without threading `&mut` everywhere.
 
 use crate::diagnostics::Diagnostics;
-use crate::storage::Storage;
+use crate::time_weighted::TimeWeightedPageRank;
 use scholar_corpus::colstore::ColStore;
+use scholar_corpus::rows::{self, Rows};
 use scholar_corpus::{Corpus, Year};
 use sgraph::mmap_csr::{MmapCsr, MmapCsrBuilder};
 use sgraph::{Bipartite, CsrGraph, JumpVector, RowStochastic};
@@ -106,16 +107,9 @@ impl<'c> RankContext<'c> {
     }
 
     fn over(backing: Backing<'c>) -> Self {
-        let now = {
-            let store: &dyn Storage = match &backing {
-                Backing::Ram(c) => *c,
-                Backing::Mmap(s) => *s,
-            };
-            store.year_range().map(|(_, hi)| hi)
-        };
-        RankContext {
+        let mut ctx = RankContext {
             backing,
-            now,
+            now: None,
             citation: OnceLock::new(),
             citation_op: OnceLock::new(),
             authorship: OnceLock::new(),
@@ -125,47 +119,22 @@ impl<'c> RankContext<'c> {
             decayed: Mutex::new(BTreeMap::new()),
             partitioned: Mutex::new(BTreeMap::new()),
             solves: Mutex::new(BTreeMap::new()),
-        }
+        };
+        ctx.now = rows::year_range(ctx.rows()).map(|(_, hi)| hi);
+        ctx
     }
 
-    /// The backing store this context solves through.
-    pub fn store(&self) -> &'c dyn Storage {
+    /// The structural view this context derives everything from.
+    pub fn rows(&self) -> &'c dyn Rows {
         match &self.backing {
             Backing::Ram(c) => *c,
             Backing::Mmap(s) => *s,
         }
     }
 
-    /// The underlying in-RAM corpus.
-    ///
-    /// # Panics
-    /// Panics on an mmap-backed context ([`RankContext::from_colstore`]):
-    /// string-bearing consumers (explainers, serving, personalized
-    /// lookups) require the in-RAM backend. Rankers must go through
-    /// [`RankContext::store`] and the typed accessors instead.
-    pub fn corpus(&self) -> &'c Corpus {
-        match &self.backing {
-            Backing::Ram(c) => c,
-            Backing::Mmap(_) => panic!(
-                "RankContext::corpus() requires the in-RAM backend; \
-                 this context is colstore-backed (use store() accessors)"
-            ),
-        }
-    }
-
     /// Number of articles (ranking vectors have this length).
     pub fn num_articles(&self) -> usize {
-        self.store().num_articles()
-    }
-
-    /// Number of distinct authors.
-    pub fn num_authors(&self) -> usize {
-        self.store().num_authors()
-    }
-
-    /// Number of distinct venues.
-    pub fn num_venues(&self) -> usize {
-        self.store().num_venues()
+        self.rows().num_articles()
     }
 
     /// The corpus's last publication year, or `None` for an empty
@@ -189,7 +158,11 @@ impl<'c> RankContext<'c> {
 
     /// The unweighted citation CSR (built once per context).
     pub fn citation_graph(&self) -> &CsrGraph {
-        self.citation.get_or_init(|| self.store().citation_graph())
+        self.citation.get_or_init(|| match &self.backing {
+            // Through the corpus's own entry point, which counts builds.
+            Backing::Ram(c) => c.citation_graph(),
+            Backing::Mmap(s) => rows::citation_graph(*s),
+        })
     }
 
     /// The row-stochastic walk operator over [`Self::citation_graph`],
@@ -201,57 +174,35 @@ impl<'c> RankContext<'c> {
     /// Authorship bipartite (left = authors, right = articles, harmonic
     /// byline weights).
     pub fn authorship(&self) -> &Bipartite {
-        self.authorship.get_or_init(|| self.store().authorship_bipartite())
+        self.authorship.get_or_init(|| rows::authorship_bipartite(self.rows()))
     }
 
     /// Publication bipartite (left = venues, right = articles, unit
     /// weights).
     pub fn publication(&self) -> &Bipartite {
-        self.publication.get_or_init(|| self.store().publication_bipartite())
-    }
-
-    /// Venue-aggregated citation graph with `f(citing_year, cited_year)`
-    /// edge weights (not cached: each caller's kernel differs).
-    pub fn venue_graph_with(&self, mut f: impl FnMut(Year, Year) -> f64) -> CsrGraph {
-        self.store().venue_graph(&mut f)
-    }
-
-    /// Author-aggregated citation graph with byline-position weights
-    /// scaled by `f(citing_year, cited_year)`.
-    pub fn author_graph_with(
-        &self,
-        mut f: impl FnMut(Year, Year) -> f64,
-        drop_self_citations: bool,
-    ) -> CsrGraph {
-        self.store().author_graph(&mut f, drop_self_citations)
+        self.publication.get_or_init(|| rows::publication_bipartite(self.rows()))
     }
 
     /// Citation counts per article (in-degree).
     pub fn citation_counts(&self) -> &[u32] {
-        self.citation_counts.get_or_init(|| self.store().citation_counts())
+        self.citation_counts.get_or_init(|| rows::citation_counts(self.rows()))
     }
 
     /// Publication year per article.
     pub fn years(&self) -> &[Year] {
-        self.years.get_or_init(|| self.store().years())
+        self.years.get_or_init(|| rows::years(self.rows()))
     }
 
-    /// Article ages in years relative to `now`, clamped at 0. Computed
-    /// from the cached year vector (not itself cached: it is a single
-    /// cheap pass and `now` varies per caller).
+    /// Article ages in years relative to `now`, clamped at 0 (not
+    /// cached: it is a single cheap pass and `now` varies per caller).
     pub fn ages(&self, now: Year) -> Vec<f64> {
-        self.years().iter().map(|&y| (now - y).max(0) as f64).collect()
+        rows::ages(self.rows(), now)
     }
 
     /// The recency-personalized jump vector `j(v) ∝ exp(-τ·age(v))`
     /// (uniform when `τ = 0` or the corpus is empty).
     pub fn recency_jump(&self, tau: f64, now: Year) -> JumpVector {
-        if tau == 0.0 || self.num_articles() == 0 {
-            return JumpVector::Uniform;
-        }
-        let weights: Vec<f64> =
-            self.years().iter().map(|&y| (-tau * (now - y).max(0) as f64).exp()).collect();
-        JumpVector::weighted(weights)
+        rows::recency_jump(self.rows(), tau, now)
     }
 
     /// The time-decayed citation graph + operator for decay rate `rho`,
@@ -262,9 +213,9 @@ impl<'c> RankContext<'c> {
         if let Some(hit) = self.decayed.lock().unwrap().get(&key) {
             return Arc::clone(hit);
         }
-        let graph = self.store().weighted_citation_graph(&mut |citing, cited| {
-            crate::time_weighted::TimeWeightedPageRank::edge_weight(rho, (citing - cited) as f64)
-        });
+        let rows = self.rows();
+        let decay = TimeWeightedPageRank::decay(rho);
+        let graph = rows::citation_edges(rows, 0..rows.num_articles(), decay).build();
         let op = RowStochastic::new(&graph);
         let entry = Arc::new(DecayedCitation { graph, op });
         self.decayed.lock().unwrap().entry(key).or_insert_with(|| Arc::clone(&entry));
@@ -303,22 +254,10 @@ impl<'c> RankContext<'c> {
                 let shard_size = (n.div_ceil(8)).max(1024);
                 let mut b =
                     MmapCsrBuilder::new(&path, n, shard_size).expect("create decayed shard file");
-                let years = store.years();
-                let mut refs = Vec::new();
-                let mut weights = Vec::new();
-                for i in 0..n {
-                    store
-                        .refs_of(i, &mut refs)
-                        .unwrap_or_else(|e| panic!("column store decode failed: {e}"));
-                    weights.clear();
-                    weights.extend(refs.iter().map(|&r| {
-                        crate::time_weighted::TimeWeightedPageRank::edge_weight(
-                            rho,
-                            (years[i] - years[r as usize]) as f64,
-                        )
-                    }));
-                    b.add_source(&refs, &weights).expect("spill decayed shard edges");
-                }
+                let decay = TimeWeightedPageRank::decay(rho);
+                rows::weighted_refs(store, 0..n, decay, |_, refs, weights| {
+                    b.add_source(refs, weights).expect("spill decayed shard edges");
+                });
                 b.finish(tag).expect("publish decayed shard file");
                 MmapCsr::open(&path, Some(tag)).expect("reopen decayed shard file")
             }

@@ -130,7 +130,7 @@ impl FutureRank {
         let delta = (1.0 - cfg.alpha - cfg.beta - cfg.gamma).max(0.0);
         let uniform = 1.0 / n as f64;
 
-        let mut author = vec![0.0; ctx.num_authors()];
+        let mut author = vec![0.0; ctx.rows().num_authors()];
         let mut cite_term = vec![0.0; n];
         let res = fixpoint(vec![uniform; n], cfg.tol, cfg.max_iter, |p, next| {
             // Author scores from current article scores (mass-conserving

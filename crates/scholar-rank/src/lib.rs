@@ -46,7 +46,6 @@ pub mod prank;
 pub mod ranker;
 pub mod rescaled;
 pub mod scores;
-pub mod storage;
 pub mod telemetry;
 pub mod time_weighted;
 pub mod venue_author;
@@ -65,6 +64,5 @@ pub use personalized::{personalized_pagerank, related_articles, PersonalizedConf
 pub use prank::{PRank, PRankConfig};
 pub use ranker::Ranker;
 pub use rescaled::{rescale_by_year, rescale_by_years, RescaledRanker};
-pub use storage::{ArticleRow, Storage};
 pub use telemetry::{RankOutput, SolveTelemetry};
 pub use time_weighted::{TimeWeightedPageRank, TwprConfig};

@@ -20,7 +20,7 @@ use crate::ranker::Ranker;
 use crate::telemetry::Stopwatch;
 use crate::telemetry::{RankOutput, SolveTelemetry};
 use scholar_corpus::model::author_position_weights;
-use scholar_corpus::Corpus;
+use scholar_corpus::Rows;
 use sgraph::{GraphBuilder, JumpVector, NodeId};
 
 /// P-Rank parameters.
@@ -89,16 +89,11 @@ impl PRank {
         PRank { config }
     }
 
-    /// Run the combined walk, returning scores for all entity classes.
-    pub fn run(&self, corpus: &Corpus) -> PRankResult {
-        self.run_store(corpus)
-    }
-
-    /// [`PRank::run`] against any backing store (in-RAM corpus or mmap
-    /// colstore). Both replay the identical edge-insertion sequence, so
-    /// the combined graph — and therefore every score — is bit-identical
-    /// across backends.
-    pub fn run_store(&self, store: &dyn crate::storage::Storage) -> PRankResult {
+    /// Run the combined walk over any structural view (in-RAM corpus or
+    /// mmap colstore), returning scores for all entity classes: one
+    /// edge-insertion sequence, so the combined graph — and therefore
+    /// every score — is bit-identical across backends.
+    pub fn run(&self, store: &dyn Rows) -> PRankResult {
         let cfg = &self.config;
         cfg.assert_valid();
         let np = store.num_articles() as u32;
@@ -118,27 +113,30 @@ impl PRank {
         let venue = |v: u32| NodeId(np + na + v);
 
         let mut b = GraphBuilder::new(total).self_loops(false);
-        store.for_each_article(&mut |art| {
-            let p = art.id;
+        let (mut byline, mut refs) = (Vec::new(), Vec::new());
+        for p in 0..np {
             // Citations: lambda_cite split across the reference list.
-            if !art.refs.is_empty() {
-                let w = cfg.lambda_cite / art.refs.len() as f64;
-                for &r in art.refs {
+            let refs = store.refs(p as usize, &mut refs);
+            if !refs.is_empty() {
+                let w = cfg.lambda_cite / refs.len() as f64;
+                for &r in refs {
                     b.add_edge(paper(p), paper(r), w);
                 }
             }
             // Authors: lambda_author split by byline position, symmetric.
-            if !art.authors.is_empty() {
-                let pos = author_position_weights(art.authors.len());
-                for (&u, &pw) in art.authors.iter().zip(&pos) {
+            let authors = store.byline(p as usize, &mut byline);
+            if !authors.is_empty() {
+                let pos = author_position_weights(authors.len());
+                for (&u, &pw) in authors.iter().zip(&pos) {
                     b.add_edge(paper(p), author(u), cfg.lambda_author * pw);
                     b.add_edge(author(u), paper(p), pw);
                 }
             }
             // Venue: symmetric unit link scaled by lambda_venue.
-            b.add_edge(paper(p), venue(art.venue), cfg.lambda_venue);
-            b.add_edge(venue(art.venue), paper(p), 1.0);
-        });
+            let v = store.venue(p as usize);
+            b.add_edge(paper(p), venue(v), cfg.lambda_venue);
+            b.add_edge(venue(v), paper(p), 1.0);
+        }
         let g = b.build();
         let (scores, diagnostics) = pagerank_on_graph(&g, &cfg.pagerank, JumpVector::Uniform);
 
@@ -174,7 +172,7 @@ impl Ranker for PRank {
         // context; repeated solves are served by the memo instead.
         let solved = Stopwatch::start();
         let (scores, diag, cached) = ctx.cached_solve(&key, || {
-            let res = self.run_store(ctx.store());
+            let res = self.run(ctx.rows());
             (res.article_scores, res.diagnostics)
         });
         let telemetry = SolveTelemetry::timed(&diag, 0.0, solved.secs(), cached);

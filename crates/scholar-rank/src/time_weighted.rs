@@ -19,7 +19,6 @@ use crate::ranker::Ranker;
 use crate::telemetry::Stopwatch;
 use crate::telemetry::{RankOutput, SolveTelemetry};
 use scholar_corpus::{Corpus, Year};
-use sgraph::JumpVector;
 
 /// TWPR parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,14 +107,10 @@ impl TimeWeightedPageRank {
         (-rho * delta_years.max(0.0)).exp()
     }
 
-    /// The recency-personalized jump vector for `corpus`.
-    pub fn recency_jump(corpus: &Corpus, tau: f64, now: Year) -> JumpVector {
-        if tau == 0.0 || corpus.num_articles() == 0 {
-            return JumpVector::Uniform;
-        }
-        let weights: Vec<f64> =
-            corpus.articles().iter().map(|a| (-tau * (now - a.year).max(0) as f64).exp()).collect();
-        JumpVector::weighted(weights)
+    /// The edge-weight kernel `(citing_year, cited_year) ↦ exp(-ρ·Δt)`
+    /// every layer of the stack weighs a citation by.
+    pub fn decay(rho: f64) -> impl Fn(Year, Year) -> f64 + Copy {
+        move |citing, cited| Self::edge_weight(rho, (citing - cited) as f64)
     }
 
     /// Rank and also return convergence diagnostics.

@@ -22,7 +22,7 @@
 //! 2. **The report is replayable.** Every drift statistic is accumulated
 //!    as integers (hit counts, concordant/discordant pair counts, score
 //!    L1 in rounded nanos) whose sum is order-independent, and both
-//!    sides' statuses come from the same pure [`status_for`] routing —
+//!    sides' statuses come from the same pure `status_for` routing —
 //!    so re-running the recorded mirror log offline through
 //!    [`replay_mirror`] reproduces the online drift numbers *exactly*,
 //!    not approximately. (Latency fields are measurements, not

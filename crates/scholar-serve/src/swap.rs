@@ -398,9 +398,11 @@ impl Reindexer {
     /// thread ever sees it.
     ///
     /// `corpus` is the cold-start corpus; when a snapshot exists it is
-    /// ignored (the snapshot is authoritative). `config` must match the
-    /// config the snapshot was ranked under — it is part of the
-    /// deployment, not the durable state.
+    /// ignored (the snapshot is authoritative) and the start is
+    /// [`Reindexer::restore_durable`], which a caller that can see the
+    /// snapshot calls directly to skip loading a corpus at all. `config`
+    /// must match the config the snapshot was ranked under — it is part
+    /// of the deployment, not the durable state.
     ///
     /// Errors during recovery (unreadable snapshot, unwritable journal)
     /// fail startup cleanly rather than serving state of unknown
@@ -412,61 +414,81 @@ impl Reindexer {
         on_publish: impl Fn(u64) + Send + 'static,
     ) -> snapshot::Result<(Arc<SharedIndex>, Reindexer, RecoveryReport)> {
         let dir = &opts.state_dir;
-        let has_snapshot = snapshot::snapshot_path(dir).exists();
-        let (ranker, wal, report) = if has_snapshot {
-            let restored = snapshot::load_snapshot(dir)?;
-            let replayed = wal::replay(dir, restored.wal_seq)?;
-            let mut ranker = IncrementalRanker::restore(config, restored.corpus, restored.result);
-            let replayed_batches = replayed.records.len();
-            let replayed_articles: usize = replayed.records.iter().map(|r| r.batch.len()).sum();
-            let mut generation = restored.generation;
-            let wal = if replayed_batches > 0 {
-                // Fold every replayed record as its own extend — the
-                // same deterministic pipeline a rebuild from the journal
-                // inputs would run, batch for batch, so the recovered
-                // scores are bit-identical to that rebuild (not merely
-                // within solver tolerance). Generation 1 then already
-                // covers the whole journal.
-                for rec in &replayed.records {
-                    let grown = grow_corpus(ranker.corpus(), rec.batch.clone());
-                    ranker.extend(grown);
-                }
-                // Re-snapshot so the next restart skips the replay (and
-                // the journal rotates down to empty).
-                let seq = replayed.high_water();
-                generation = snapshot::write_snapshot(dir, ranker.corpus(), ranker.result(), seq)?;
-                wal::rotate(dir, seq)?
-            } else {
-                Wal::resume(dir, &replayed)?
-            };
-            let report = RecoveryReport {
-                restored_from_snapshot: true,
-                snapshot_generation: generation,
-                replayed_batches,
-                replayed_articles,
-                torn_tail: replayed.torn_tail,
-            };
-            (ranker, wal, report)
-        } else {
-            let ranker = IncrementalRanker::new(config, corpus);
-            let generation = snapshot::write_snapshot(dir, ranker.corpus(), ranker.result(), 0)?;
-            let wal = Wal::create(dir, 0)?;
-            let report = RecoveryReport {
-                restored_from_snapshot: false,
-                snapshot_generation: generation,
-                replayed_batches: 0,
-                replayed_articles: 0,
-                torn_tail: false,
-            };
-            (ranker, wal, report)
+        if snapshot::snapshot_path(dir).exists() {
+            return Self::restore_durable(config, opts, on_publish);
+        }
+        let ranker = IncrementalRanker::new(config, corpus);
+        let generation = snapshot::write_snapshot(dir, ranker.corpus(), ranker.result(), 0)?;
+        let wal = Wal::create(dir, 0)?;
+        let report = RecoveryReport {
+            restored_from_snapshot: false,
+            snapshot_generation: generation,
+            replayed_batches: 0,
+            replayed_articles: 0,
+            torn_tail: false,
         };
+        Ok(Self::spawn_durable(ranker, wal, opts, on_publish, report))
+    }
+
+    /// The restart half of [`Reindexer::start_durable`]: restore from
+    /// `dir/snapshot.snap`, replaying `dir/wal.log` on top. There is no
+    /// cold-start fallback — a snapshot that is missing or unreadable is
+    /// an error, returned before anything in `dir` is written.
+    pub fn restore_durable(
+        config: QRankConfig,
+        opts: DurableOptions,
+        on_publish: impl Fn(u64) + Send + 'static,
+    ) -> snapshot::Result<(Arc<SharedIndex>, Reindexer, RecoveryReport)> {
+        let dir = &opts.state_dir;
+        let restored = snapshot::load_snapshot(dir)?;
+        let replayed = wal::replay(dir, restored.wal_seq)?;
+        let mut ranker = IncrementalRanker::restore(config, restored.corpus, restored.result);
+        let replayed_batches = replayed.records.len();
+        let replayed_articles: usize = replayed.records.iter().map(|r| r.batch.len()).sum();
+        let mut generation = restored.generation;
+        let wal = if replayed_batches > 0 {
+            // Fold every replayed record as its own extend — the
+            // same deterministic pipeline a rebuild from the journal
+            // inputs would run, batch for batch, so the recovered
+            // scores are bit-identical to that rebuild (not merely
+            // within solver tolerance). Generation 1 then already
+            // covers the whole journal.
+            for rec in &replayed.records {
+                let grown = grow_corpus(ranker.corpus(), rec.batch.clone());
+                ranker.extend(grown);
+            }
+            // Re-snapshot so the next restart skips the replay (and
+            // the journal rotates down to empty).
+            let seq = replayed.high_water();
+            generation = snapshot::write_snapshot(dir, ranker.corpus(), ranker.result(), seq)?;
+            wal::rotate(dir, seq)?
+        } else {
+            Wal::resume(dir, &replayed)?
+        };
+        let report = RecoveryReport {
+            restored_from_snapshot: true,
+            snapshot_generation: generation,
+            replayed_batches,
+            replayed_articles,
+            torn_tail: replayed.torn_tail,
+        };
+        Ok(Self::spawn_durable(ranker, wal, opts, on_publish, report))
+    }
+
+    fn spawn_durable(
+        ranker: IncrementalRanker,
+        wal: Wal,
+        opts: DurableOptions,
+        on_publish: impl Fn(u64) + Send + 'static,
+        report: RecoveryReport,
+    ) -> (Arc<SharedIndex>, Reindexer, RecoveryReport) {
         let durable = Arc::new(Durable {
             dir: opts.state_dir.clone(),
             wal: Mutex::new(wal),
             snapshot_every: opts.snapshot_every.max(1),
         });
         let (shared, reindexer) = Self::spawn(ranker, None, Some(durable), on_publish);
-        Ok((shared, reindexer, report))
+        (shared, reindexer, report)
     }
 
     fn spawn(
@@ -725,6 +747,16 @@ mod tests {
         let corpus = Preset::Tiny.generate(25);
         let n0 = corpus.num_articles();
 
+        // Nothing to restore is an error, not a cold start of nothing,
+        // and it leaves the directory as it found it.
+        std::fs::create_dir_all(&dir).unwrap();
+        let err =
+            Reindexer::restore_durable(QRankConfig::default(), DurableOptions::new(&dir), |_| {})
+                .err()
+                .expect("no snapshot to restore");
+        assert!(matches!(err, snapshot::StateError::Io(_)), "{err}");
+        assert!(std::fs::read_dir(&dir).unwrap().next().is_none(), "restore wrote something");
+
         // Cold start: full rank, initial snapshot, fresh journal.
         let (shared, reindexer, report) = Reindexer::start_durable(
             QRankConfig::default(),
@@ -771,14 +803,11 @@ mod tests {
         );
         reindexer.shutdown();
 
-        // Replay re-snapshots: a third start replays nothing.
-        let (shared, reindexer, report) = Reindexer::start_durable(
-            QRankConfig::default(),
-            corpus,
-            DurableOptions::new(&dir),
-            |_| {},
-        )
-        .unwrap();
+        // Replay re-snapshots: a third start replays nothing — and a
+        // restart needs no corpus.
+        let (shared, reindexer, report) =
+            Reindexer::restore_durable(QRankConfig::default(), DurableOptions::new(&dir), |_| {})
+                .unwrap();
         assert!(report.restored_from_snapshot);
         assert_eq!(report.replayed_batches, 0);
         assert_eq!(shared.load().num_articles(), n0 + 1);

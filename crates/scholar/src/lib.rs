@@ -36,11 +36,12 @@ pub use sgraph as graph;
 pub use qrank::{
     Ablation, ColdStartScorer, MixParams, QRank, QRankConfig, QRankEngine, QRankResult,
 };
-pub use scholar_corpus::{colstore::ColStore, Corpus, CorpusBuilder, GeneratorConfig, Preset};
+pub use scholar_corpus::{
+    colstore::ColStore, Corpus, CorpusBuilder, GeneratorConfig, Preset, Rows,
+};
 pub use scholar_eval::GroundTruth;
 pub use scholar_rank::{
-    CitationCount, CiteRank, FutureRank, Hits, PRank, PageRank, Ranker, Storage,
-    TimeWeightedPageRank,
+    CitationCount, CiteRank, FutureRank, Hits, PRank, PageRank, Ranker, TimeWeightedPageRank,
 };
 
 /// The full comparison suite used by the R-Tables: every baseline plus

@@ -446,7 +446,7 @@ impl MmapCsr {
         self.map.as_u32s(self.dangling_off, self.dangling_len)
     }
 
-    /// Σ x[u] over dangling u, in ascending id order — the same
+    /// `Σ x[u]` over dangling `u`, in ascending id order — the same
     /// summation as the dense operator's.
     pub fn dangling_mass(&self, x: &[f64]) -> f64 {
         self.dangling().iter().map(|&u| x[u as usize]).sum()

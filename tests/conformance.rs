@@ -164,9 +164,10 @@ fn mmap_backend_is_score_identical_to_ram() {
     }
 }
 
-/// The QRank engine built from an mmap-backed context must match the
-/// in-RAM engine bit-for-bit, including the ablation-relevant pieces
-/// (venue/author stationaries feed the mixture).
+/// However a QRank plan comes to be — straight off either view of the
+/// corpus, or through a context over either — it solves to the same bits
+/// in all four score vectors (the venue/author stationaries feed the
+/// mixture, the inner walk's feeds warm starts).
 #[test]
 fn qrank_engine_matches_across_backends() {
     let corpus = Preset::Tiny.generate(21);
@@ -177,14 +178,27 @@ fn qrank_engine_matches_across_backends() {
     let store = scholar::corpus::colstore::ColStore::open(&dir).unwrap();
 
     let cfg = scholar::QRankConfig::default();
-    let ram = RankContext::new(&corpus);
-    let mmap = RankContext::from_colstore(&store);
     let mix = scholar::MixParams::from_config(&cfg);
-    let a = scholar::QRankEngine::build_from_ctx(&ram, &cfg).solve(&mix);
-    let b = scholar::QRankEngine::build_from_ctx(&mmap, &cfg).solve(&mix);
-    assert_eq!(a.article_scores, b.article_scores, "QRank scores must be bit-identical");
-    assert_eq!(a.outer.iterations, b.outer.iterations);
-    assert_eq!(a.twpr_diagnostics.iterations, b.twpr_diagnostics.iterations);
+    let plans = [
+        ("build(&colstore)", scholar::QRankEngine::build(&store, &cfg)),
+        ("build_from_ctx(ram)", {
+            scholar::QRankEngine::build_from_ctx(&RankContext::new(&corpus), &cfg)
+        }),
+        ("build_from_ctx(mmap)", {
+            scholar::QRankEngine::build_from_ctx(&RankContext::from_colstore(&store), &cfg)
+        }),
+    ];
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let want = scholar::QRankEngine::build(&corpus, &cfg).solve(&mix);
+    for (how, plan) in plans {
+        let got = plan.solve(&mix);
+        assert_eq!(bits(&got.article_scores), bits(&want.article_scores), "{how}: article");
+        assert_eq!(bits(&got.venue_scores), bits(&want.venue_scores), "{how}: venue");
+        assert_eq!(bits(&got.author_scores), bits(&want.author_scores), "{how}: author");
+        assert_eq!(bits(&got.twpr_scores), bits(&want.twpr_scores), "{how}: twpr");
+        assert_eq!(got.outer.iterations, want.outer.iterations, "{how}");
+        assert_eq!(got.twpr_diagnostics.iterations, want.twpr_diagnostics.iterations, "{how}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
