@@ -1,11 +1,12 @@
 //! The prepared QRank execution plan: build once, solve many.
 //!
 //! [`QRank::run`](crate::QRank::run) does two very different kinds of
-//! work. The *structural* part — deriving the five-graph [`HetNet`],
-//! normalizing the three row-stochastic operators, and running the three
-//! structural walks to their stationary distributions — depends only on
-//! the corpus and the structural half of the configuration (everything in
-//! `twpr` plus `drop_self_citations`; see
+//! work. The *structural* part — deriving the [`HetNet`], normalizing the
+//! citation and venue operators, and running the three structural walks
+//! to their stationary distributions (the author walk factorised over the
+//! citation graph and the bylines; the author graph is never built) —
+//! depends only on the corpus and the structural half of the
+//! configuration (everything in `twpr` plus `drop_self_citations`; see
 //! [`QRankConfig::same_structure`]). The *mixture* part — the outer
 //! mutual-reinforcement fixpoint over λ/μ/σ — is cheap, and it is the
 //! only thing parameter sweeps, ablations, and tuning grids vary.
@@ -33,7 +34,7 @@ use scholar_corpus::rows::{self, Rows};
 use scholar_rank::diagnostics::Diagnostics;
 use scholar_rank::RankContext;
 use sgraph::stochastic::{blend_into, l1_distance, normalize_l1, PowerIterationOpts};
-use sgraph::{JumpVector, RowStochastic};
+use sgraph::{stationary_store, JumpVector, ProjectedWalk, RowStochastic};
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -144,7 +145,7 @@ impl SolveScratch {
 /// structural-config)` pair; solving never changes it, and
 /// [`QRankEngine::extend`] is the only thing that does.
 ///
-/// Caches the heterogeneous network, the three row-stochastic operators,
+/// Caches the heterogeneous network, the citation and venue operators,
 /// the recency jump vector, the per-article ages, the structural
 /// venue/author stationary distributions, and (lazily, on the first cold
 /// solve) the TWPR stationary distribution. `solve` then runs only the
@@ -157,7 +158,6 @@ pub struct QRankEngine {
     net: HetNet,
     citation_op: RowStochastic,
     venue_op: RowStochastic,
-    author_op: RowStochastic,
     jump: JumpVector,
     /// Cold TWPR stationary + diagnostics; computed on first use so a
     /// purely warm-started engine (incremental re-ranking) never pays for
@@ -194,7 +194,7 @@ fn gated_ranges(
 
 impl QRankEngine {
     /// Build the plan: derive the heterogeneous network, normalize the
-    /// three operators, run the structural venue/author walks, and
+    /// two operators, run the structural venue/author walks, and
     /// precompute the balanced parallel partitions. O(corpus) — this is
     /// the expensive phase; amortize it across solves. Any structural
     /// view will do (a [`Corpus`](scholar_corpus::Corpus), a
@@ -219,10 +219,10 @@ impl QRankEngine {
     /// ([`crate::IncrementalRanker::extend`] checks). Consumes the plan, so
     /// a panic half way leaves none behind rather than a half-grown one.
     pub fn extend<V: Rows + ?Sized>(self, grown: &V, old_n: usize) -> Self {
-        let QRankEngine { config, mut net, citation_op, venue_op, author_op, .. } = self;
+        let QRankEngine { config, mut net, citation_op, venue_op, .. } = self;
         // The old operators are as large as the graphs under them; let go
         // of them before their successors are allocated.
-        drop((citation_op, venue_op, author_op));
+        drop((citation_op, venue_op));
         net.extend(grown, &config, old_n);
         Self::from_net(grown, &config, net)
     }
@@ -246,7 +246,6 @@ impl QRankEngine {
 
         let citation_op = RowStochastic::new(&net.citation);
         let venue_op = RowStochastic::new(&net.venue_graph);
-        let author_op = RowStochastic::new(&net.author_graph);
 
         let pr = &config.twpr.pagerank;
         let structural_opts = || PowerIterationOpts {
@@ -258,7 +257,11 @@ impl QRankEngine {
             warm_start: None,
         };
         let mut sv = venue_op.stationary(&structural_opts()).scores;
-        let mut su = author_op.stationary(&structural_opts()).scores;
+        // G_U = B_U·G_A·B_Uᵀ − diag lives only for this walk, as three
+        // vectors over the authors beside the two factors it borrows.
+        let author_walk =
+            ProjectedWalk::new(&net.citation, &net.authorship, config.drop_self_citations);
+        let mut su = stationary_store(&author_walk, &structural_opts()).scores;
         normalize_l1(&mut sv);
         normalize_l1(&mut su);
 
@@ -284,7 +287,6 @@ impl QRankEngine {
             net,
             citation_op,
             venue_op,
-            author_op,
             jump,
             twpr_cold: OnceLock::new(),
             sv,
@@ -317,10 +319,30 @@ impl QRankEngine {
         &self.net
     }
 
-    /// The cached row-stochastic operators, in (citation, venue, author)
-    /// order.
-    pub fn operators(&self) -> (&RowStochastic, &RowStochastic, &RowStochastic) {
-        (&self.citation_op, &self.venue_op, &self.author_op)
+    /// The cached row-stochastic operators, in (citation, venue) order.
+    /// There is no author operator to cache: the author walk runs over the
+    /// network's own `citation` and `authorship` and is done by the time
+    /// the plan exists.
+    pub fn operators(&self) -> (&RowStochastic, &RowStochastic) {
+        (&self.citation_op, &self.venue_op)
+    }
+
+    /// The normalized structural stationaries, `(venue, author)`.
+    pub fn structural_stationaries(&self) -> (&[f64], &[f64]) {
+        (&self.sv, &self.su)
+    }
+
+    /// The plan with its structural author stationary replaced by `su`
+    /// (normalized here) — the seam through which the conformance suite
+    /// feeds a plan the walk over a *materialised* author graph.
+    ///
+    /// # Panics
+    /// Panics if `su` is not one score per author.
+    pub fn with_author_stationary(mut self, mut su: Vec<f64>) -> Self {
+        assert_eq!(su.len(), self.net.num_authors(), "one structural score per author");
+        normalize_l1(&mut su);
+        self.su = su;
+        self
     }
 
     /// Worker threads the plan partitions its kernels for.

@@ -1,8 +1,13 @@
 //! The heterogeneous academic network QRank walks over.
 //!
-//! Built once per `(corpus, config)` pair; all five derived structures
-//! share the same exponential citation-age decay `exp(-ρ·Δt)` so the time
-//! model is consistent across layers (DESIGN.md §2.2).
+//! Built once per `(corpus, config)` pair; every derived structure shares
+//! the same exponential citation-age decay `exp(-ρ·Δt)` so the time model
+//! is consistent across layers (DESIGN.md §2.2).
+//!
+//! The author citation graph `G_U` is not among the stored structures: it
+//! is the projection of `citation` through `authorship`, and the one walk
+//! that needs it runs over the two factors
+//! ([`sgraph::ProjectedWalk`]).
 
 use crate::config::QRankConfig;
 use scholar_corpus::rows::{self, Rows};
@@ -17,9 +22,6 @@ pub struct HetNet {
     /// Aggregated venue citation graph (decayed weights summed, venue
     /// self-loops dropped).
     pub venue_graph: CsrGraph,
-    /// Aggregated author citation graph (decayed × byline weights summed,
-    /// self-citations dropped per config).
-    pub author_graph: CsrGraph,
     /// Author ↔ article bipartite with harmonic byline weights.
     pub authorship: Bipartite,
     /// Venue ↔ article bipartite with unit weights.
@@ -33,9 +35,7 @@ impl HetNet {
         let all = 0..corpus.num_articles();
         HetNet {
             citation: rows::citation_edges(corpus, all.clone(), decay).build(),
-            venue_graph: rows::venue_edges(corpus, all.clone(), decay).build(),
-            author_graph: rows::author_edges(corpus, all, decay, config.drop_self_citations)
-                .build(),
+            venue_graph: rows::venue_edges(corpus, all, decay).build(),
             authorship: rows::authorship_bipartite(corpus),
             publication: rows::publication_bipartite(corpus),
         }
@@ -48,36 +48,33 @@ impl HetNet {
     ///
     /// A citation's weight depends only on the two publication years, and
     /// only an appended article can cite, so everything the old articles
-    /// contributed to the three graphs stands; the newcomers' edges are
+    /// contributed to the two graphs stands; the newcomers' edges are
     /// staged by the same functions a full build calls and built
     /// [onto](sgraph::GraphBuilder::build_onto) each graph. The two
-    /// bipartites are cheap next to the author graph and simply rebuilt.
+    /// bipartites are cheap and simply rebuilt — and with `citation` and
+    /// `authorship` grown, so is the author graph they factorise.
     pub fn extend<V: Rows + ?Sized>(&mut self, grown: &V, config: &QRankConfig, old_n: usize) {
         assert_eq!(self.num_articles(), old_n, "the network to grow covers the old articles");
         let decay = TimeWeightedPageRank::decay(config.twpr.rho);
         let new = old_n..grown.num_articles();
         rows::citation_edges(grown, new.clone(), decay).build_onto(&mut self.citation);
-        rows::venue_edges(grown, new.clone(), decay).build_onto(&mut self.venue_graph);
-        rows::author_edges(grown, new, decay, config.drop_self_citations)
-            .build_onto(&mut self.author_graph);
+        rows::venue_edges(grown, new, decay).build_onto(&mut self.venue_graph);
         self.authorship = rows::authorship_bipartite(grown);
         self.publication = rows::publication_bipartite(grown);
     }
 
     /// [`HetNet::build`] against a prepared [`RankContext`], keeping what
     /// a context buys: the decayed citation graph and both bipartites are
-    /// clones out of its caches instead of re-derivations. The venue and
-    /// author supernode graphs are QRank's own and are built here, from
-    /// the context's view.
+    /// clones out of its caches instead of re-derivations. The venue
+    /// supernode graph is QRank's own and is built here, from the
+    /// context's view.
     pub fn build_from_ctx(ctx: &RankContext, config: &QRankConfig) -> Self {
         let rho = config.twpr.rho;
         let decay = TimeWeightedPageRank::decay(rho);
         let (corpus, all) = (ctx.rows(), 0..ctx.num_articles());
         HetNet {
             citation: ctx.decayed_citation(rho).graph.clone(),
-            venue_graph: rows::venue_edges(corpus, all.clone(), decay).build(),
-            author_graph: rows::author_edges(corpus, all, decay, config.drop_self_citations)
-                .build(),
+            venue_graph: rows::venue_edges(corpus, all, decay).build(),
             authorship: ctx.authorship().clone(),
             publication: ctx.publication().clone(),
         }
@@ -95,7 +92,7 @@ impl HetNet {
 
     /// Number of authors.
     pub fn num_authors(&self) -> usize {
-        self.author_graph.len()
+        self.authorship.num_left() as usize
     }
 }
 
@@ -154,10 +151,14 @@ mod tests {
     fn self_citation_config_respected() {
         let c = corpus();
         let keep = QRankConfig { drop_self_citations: false, ..Default::default() };
-        let net_keep = HetNet::build(&c, &keep);
-        let net_drop = HetNet::build(&c, &QRankConfig::default());
-        // a1 [u0,u1] cites a0 [u0]: u0->u0 self-citation exists only when kept.
-        assert!(net_keep.author_graph.has_edge(sgraph::NodeId(0), sgraph::NodeId(0)));
-        assert!(!net_drop.author_graph.has_edge(sgraph::NodeId(0), sgraph::NodeId(0)));
+        // The network holds no author graph for the flag to shape; it
+        // reaches the author walk over `citation` × `authorship`. a1 [u0,u1]
+        // cites a0 [u0]: u0 → u0 is mass u0 keeps only when it is kept.
+        assert_eq!(
+            HetNet::build(&c, &keep).authorship,
+            HetNet::build(&c, &QRankConfig::default()).authorship
+        );
+        let su = |cfg| crate::QRankEngine::build(&c, cfg).structural_stationaries().1.to_vec();
+        assert!(su(&keep)[0] > su(&QRankConfig::default())[0]);
     }
 }

@@ -546,20 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn author_graph_self_citations() {
-        let c = tiny();
-        // a1 [u0,u1] cites a0 [u0]: u0 -> u0 is a self-citation.
-        let with_self_dropped = rows::author_edges(&c, 0..4, |_, _| 1.0, true).build();
-        assert!(!with_self_dropped.has_edge(NodeId(0), NodeId(0)));
-        assert!(with_self_dropped.has_edge(NodeId(1), NodeId(0))); // u1 cites u0
-                                                                   // Total weight should be < 4 citations since self-edges were dropped.
-        let with_self_kept = rows::author_edges(&c, 0..4, |_, _| 1.0, false).build();
-        // Self-loop u0->u0 appears when kept.
-        assert!(with_self_kept.has_edge(NodeId(0), NodeId(0)));
-        assert!(with_self_kept.total_weight() > with_self_dropped.total_weight());
-    }
-
-    #[test]
     fn groupings() {
         let c = tiny();
         let by_v = c.articles_by_venue();

@@ -1,11 +1,12 @@
 //! One structural view of a corpus, and every structure derived from it.
 //!
 //! Everything a ranker walks — the citation CSR and its decayed
-//! variants, the venue and author supernode graphs, the two bipartites,
-//! citation counts, year and age vectors, the recency jump — is a
-//! deterministic function of four columns per article (year, venue,
-//! byline, references) plus the entity counts. [`Rows`] is exactly that
-//! surface; the in-RAM [`Corpus`](crate::Corpus) and the mmap-backed
+//! variants, the venue supernode graph, the two bipartites (whose product
+//! with the citation graph *is* the author graph, which is therefore
+//! never derived), citation counts, year and age vectors, the recency
+//! jump — is a deterministic function of four columns per article (year,
+//! venue, byline, references) plus the entity counts. [`Rows`] is exactly
+//! that surface; the in-RAM [`Corpus`](crate::Corpus) and the mmap-backed
 //! [`ColStore`](crate::ColStore) implement it, and each derivation is
 //! written once, below, over any view (`&dyn Rows` included).
 //!
@@ -164,49 +165,6 @@ pub fn venue_edges<V: Rows + ?Sized>(
     b
 }
 
-/// The contributions of the articles in `citing` to the author-aggregated
-/// citation graph: edge `A(u) → A(v)` summed over article citations, the
-/// citing byline weight times the cited byline weight, scaled by `f`.
-/// Self-citations (same author both sides) are dropped when
-/// `drop_self_citations` is true.
-pub fn author_edges<V: Rows + ?Sized>(
-    rows: &V,
-    citing: Range<usize>,
-    mut f: impl FnMut(Year, Year) -> f64,
-    drop_self_citations: bool,
-) -> GraphBuilder {
-    let mut b = GraphBuilder::new(rows.num_authors() as u32).self_loops(!drop_self_citations);
-    let (mut citing_buf, mut refs_buf, mut cited_buf) = (Vec::new(), Vec::new(), Vec::new());
-    for i in citing {
-        let byline = rows.byline(i, &mut citing_buf);
-        if byline.is_empty() {
-            continue;
-        }
-        let wa = author_position_weights(byline.len());
-        let year = rows.year(i);
-        for &r in rows.refs(i, &mut refs_buf) {
-            let cited = rows.byline(r as usize, &mut cited_buf);
-            if cited.is_empty() {
-                continue;
-            }
-            let wc = author_position_weights(cited.len());
-            let base = f(year, rows.year(r as usize));
-            if base <= 0.0 {
-                continue;
-            }
-            for (&ua, &pa) in byline.iter().zip(&wa) {
-                for (&uc, &pc) in cited.iter().zip(&wc) {
-                    if drop_self_citations && ua == uc {
-                        continue;
-                    }
-                    b.add_edge(NodeId(ua), NodeId(uc), base * pa * pc);
-                }
-            }
-        }
-    }
-    b
-}
-
 /// Authorship bipartite: left = authors, right = articles, harmonic
 /// byline-position weights (first author heaviest).
 pub fn authorship_bipartite<V: Rows + ?Sized>(rows: &V) -> Bipartite {
@@ -313,13 +271,6 @@ mod tests {
             venue_edges(mm, 0..n, decay).build(),
             "{label}: venue graph"
         );
-        for drop_self in [false, true] {
-            assert_eq!(
-                author_edges(ram, 0..n, decay, drop_self).build(),
-                author_edges(mm, 0..n, decay, drop_self).build(),
-                "{label}: author graph (drop_self_citations = {drop_self})"
-            );
-        }
         assert_eq!(authorship_bipartite(ram), authorship_bipartite(mm), "{label}: authorship");
         assert_eq!(publication_bipartite(ram), publication_bipartite(mm), "{label}: publication");
 
@@ -363,11 +314,9 @@ mod tests {
         let prefix = ColStore::open(&prefix_dir).unwrap();
 
         type Stage = fn(&ColStore, Range<usize>) -> GraphBuilder;
-        let stages: [(&str, Stage); 4] = [
+        let stages: [(&str, Stage); 2] = [
             ("citation", |s, r| citation_edges(s, r, decay)),
             ("venue", |s, r| venue_edges(s, r, decay)),
-            ("author", |s, r| author_edges(s, r, decay, true)),
-            ("author, self-citations kept", |s, r| author_edges(s, r, decay, false)),
         ];
         for (label, stage) in stages {
             let mut grown = stage(&prefix, 0..old_n).build();

@@ -90,6 +90,16 @@ impl BipartiteBuilder {
     }
 }
 
+/// What the weighted-mean kernels make of one node's gather: the mean, 0
+/// for an isolated node.
+fn weighted_mean(acc: f64, wsum: f64) -> f64 {
+    if wsum > 0.0 {
+        acc / wsum
+    } else {
+        0.0
+    }
+}
+
 /// An immutable weighted bipartite graph with both orientations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Bipartite {
@@ -170,7 +180,7 @@ impl Bipartite {
     pub fn aggregate_to_left_into(&self, right_scores: &[f64], out: &mut [f64]) {
         assert_eq!(right_scores.len(), self.num_right as usize, "score length mismatch");
         assert_eq!(out.len(), self.num_left as usize, "output length mismatch");
-        self.aggregate_to_left_range(right_scores, 0..self.num_left as usize, out);
+        self.gather_left_range(right_scores, 0..self.num_left as usize, out, weighted_mean);
     }
 
     /// [`Self::aggregate_to_right`] into a caller-provided buffer.
@@ -178,7 +188,7 @@ impl Bipartite {
     pub fn aggregate_to_right_into(&self, left_scores: &[f64], out: &mut [f64]) {
         assert_eq!(left_scores.len(), self.num_left as usize, "score length mismatch");
         assert_eq!(out.len(), self.num_right as usize, "output length mismatch");
-        self.aggregate_to_right_range(left_scores, 0..self.num_right as usize, out);
+        self.gather_right_range(left_scores, 0..self.num_right as usize, out, weighted_mean);
     }
 
     /// Parallel [`Self::aggregate_to_left_into`] over precomputed ranges
@@ -195,7 +205,7 @@ impl Bipartite {
         assert_eq!(right_scores.len(), self.num_right as usize, "score length mismatch");
         assert_eq!(out.len(), self.num_left as usize, "output length mismatch");
         crate::par::for_each_range_mut(out, ranges, |range, chunk| {
-            self.aggregate_to_left_range(right_scores, range, chunk);
+            self.gather_left_range(right_scores, range, chunk, weighted_mean);
         });
     }
 
@@ -210,7 +220,7 @@ impl Bipartite {
         assert_eq!(left_scores.len(), self.num_left as usize, "score length mismatch");
         assert_eq!(out.len(), self.num_right as usize, "output length mismatch");
         crate::par::for_each_range_mut(out, ranges, |range, chunk| {
-            self.aggregate_to_right_range(left_scores, range, chunk);
+            self.gather_right_range(left_scores, range, chunk, weighted_mean);
         });
     }
 
@@ -227,13 +237,48 @@ impl Bipartite {
         crate::par::balanced_ranges(&self.rl_offsets, threads)
     }
 
-    /// Weighted-mean gather for left nodes in `range`; `chunk` is the
-    /// `out[range]` slice (chunk[i] corresponds to left node range.start+i).
-    fn aggregate_to_left_range(
+    /// Weighted-**sum** counterpart of [`Self::aggregate_to_left_into_par`]:
+    /// `out[l] = Σ_r w(l,r)·score[r]`, the plain product with the weight
+    /// matrix. Same per-node loop, so the same bitwise independence of the
+    /// partition.
+    pub fn sum_to_left_into_par(
+        &self,
+        right_scores: &[f64],
+        out: &mut [f64],
+        ranges: &[std::ops::Range<usize>],
+    ) {
+        assert_eq!(right_scores.len(), self.num_right as usize, "score length mismatch");
+        assert_eq!(out.len(), self.num_left as usize, "output length mismatch");
+        crate::par::for_each_range_mut(out, ranges, |range, chunk| {
+            self.gather_left_range(right_scores, range, chunk, |acc, _| acc);
+        });
+    }
+
+    /// Weighted-**sum** counterpart of [`Self::aggregate_to_right_into_par`]:
+    /// `out[r] = Σ_l w(l,r)·score[l]`.
+    pub fn sum_to_right_into_par(
+        &self,
+        left_scores: &[f64],
+        out: &mut [f64],
+        ranges: &[std::ops::Range<usize>],
+    ) {
+        assert_eq!(left_scores.len(), self.num_left as usize, "score length mismatch");
+        assert_eq!(out.len(), self.num_right as usize, "output length mismatch");
+        crate::par::for_each_range_mut(out, ranges, |range, chunk| {
+            self.gather_right_range(left_scores, range, chunk, |acc, _| acc);
+        });
+    }
+
+    /// The one gather for left nodes in `range`: `chunk` is the `out[range]`
+    /// slice (chunk[i] corresponds to left node range.start+i) and receives
+    /// `finish(Σ_r w(l,r)·score[r], Σ_r w(l,r))` — [`weighted_mean`] or the
+    /// bare sum.
+    fn gather_left_range(
         &self,
         right_scores: &[f64],
         range: std::ops::Range<usize>,
         chunk: &mut [f64],
+        finish: impl Fn(f64, f64) -> f64,
     ) {
         for (slot, l) in range.enumerate() {
             let rs = &self.lr_targets[self.lr_offsets[l]..self.lr_offsets[l + 1]];
@@ -244,16 +289,17 @@ impl Bipartite {
                 acc += w * right_scores[r as usize];
                 wsum += w;
             }
-            chunk[slot] = if wsum > 0.0 { acc / wsum } else { 0.0 };
+            chunk[slot] = finish(acc, wsum);
         }
     }
 
-    /// Mirror of [`Self::aggregate_to_left_range`] for right nodes.
-    fn aggregate_to_right_range(
+    /// Mirror of [`Self::gather_left_range`] for right nodes.
+    fn gather_right_range(
         &self,
         left_scores: &[f64],
         range: std::ops::Range<usize>,
         chunk: &mut [f64],
+        finish: impl Fn(f64, f64) -> f64,
     ) {
         for (slot, r) in range.enumerate() {
             let ls = &self.rl_targets[self.rl_offsets[r]..self.rl_offsets[r + 1]];
@@ -264,7 +310,7 @@ impl Bipartite {
                 acc += w * left_scores[l as usize];
                 wsum += w;
             }
-            chunk[slot] = if wsum > 0.0 { acc / wsum } else { 0.0 };
+            chunk[slot] = finish(acc, wsum);
         }
     }
 

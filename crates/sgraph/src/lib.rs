@@ -20,6 +20,9 @@
 //!   multi-threaded ([`par`]) apply kernels and principled dangling-node
 //!   handling — plus a Gauss–Seidel solver for the same fixpoint
 //!   ([`solver`]).
+//! * [`projected`] — the same walk over a graph projected through a
+//!   bipartite (`B·W·Bᵀ − diag`, the author citation graph), applied
+//!   factorised so the projection is never materialised.
 //! * Deterministic edge sampling for robustness experiments
 //!   ([`sampling`]).
 //! * Out-of-core storage: read-only file maps ([`mmap`]), the SCSRv1
@@ -55,6 +58,7 @@ pub mod error;
 pub mod mmap;
 pub mod mmap_csr;
 pub mod par;
+pub mod projected;
 pub mod sampling;
 pub mod sfile;
 pub mod solver;
@@ -68,6 +72,7 @@ pub use builder::{DuplicateEdgePolicy, GraphBuilder};
 pub use csr::{CsrGraph, EdgeRef, NodeId};
 pub use error::GraphError;
 pub use mmap_csr::{MmapCsr, MmapCsrBuilder};
+pub use projected::ProjectedWalk;
 pub use stochastic::{JumpVector, RowStochastic};
 pub use store::{stationary_store, CsrStore};
 

@@ -4,13 +4,15 @@
 //! `y = d·Pᵀx + (d·dangling_mass(x) + (1−d))·j`; what varies is where
 //! the pull-form transition structure *lives*. [`CsrStore`] abstracts
 //! that: the in-RAM [`RowStochastic`] operator implements it by
-//! delegating to its dense gather kernels, and the out-of-core
+//! delegating to its dense gather kernels, the out-of-core
 //! [`crate::mmap_csr::MmapCsr`] implements it by sweeping mmap-backed
-//! node shards. [`stationary_store`] is the one driver both run under —
-//! it is the exact loop [`RowStochastic::stationary`] has always used
-//! (which now delegates here), so a store whose `apply_step` matches the
-//! dense kernel bit-for-bit produces bit-identical residual sequences,
-//! iteration counts, and stationaries.
+//! node shards, and [`crate::projected::ProjectedWalk`] implements it
+//! over a graph that is never stored at all — a product of two
+//! structures it borrows. [`stationary_store`] is the one driver all
+//! three run under — it is the exact loop [`RowStochastic::stationary`]
+//! has always used (which now delegates here), so a store whose
+//! `apply_step` matches the dense kernel bit-for-bit produces
+//! bit-identical residual sequences, iteration counts, and stationaries.
 
 use crate::stochastic::{
     l1_distance, JumpVector, PowerIterationOpts, PowerIterationResult, RowStochastic,
@@ -18,12 +20,26 @@ use crate::stochastic::{
 
 /// A pull-form row-stochastic transition structure, wherever it lives.
 ///
-/// Implementations must make `apply_step` compute exactly
-/// `y[v] = d·Σ_u p(u→v)·x[u] + (d·Σ_{u dangling} x[u] + (1−d))·j(v)`
-/// with per-node gathers accumulated in ascending source order and the
-/// dangling sum accumulated in ascending node order — the summation
-/// orders [`RowStochastic`] uses — so that every implementation of the
-/// same graph yields bit-identical iterates.
+/// Every implementation makes `apply_step` compute
+/// `y[v] = d·Σ_u p(u→v)·x[u] + (d·Σ_{u dangling} x[u] + (1−d))·j(v)`,
+/// writes each output slot by one loop whose summation order does not
+/// depend on `threads`, and accumulates the dangling sum in ascending node
+/// order — so its iterates are the same bits at any thread count.
+///
+/// Beyond that there are two contracts, by what the store holds:
+///
+/// * A store of a **materialised** graph ([`RowStochastic`],
+///   [`crate::mmap_csr::MmapCsr`]) accumulates each per-node gather in
+///   ascending source order — the order [`RowStochastic`] uses — so that
+///   every such store of the same graph yields bit-identical iterates.
+/// * A store that applies the graph **factorised**
+///   ([`crate::projected::ProjectedWalk`]) re-associates the gather into
+///   sums over its factors and cannot match those bits. It declares its own
+///   name and tolerance instead: against the store of the materialised
+///   product, ≤ 1e-12 L1 on the stationary with an equal iteration count,
+///   held by a conformance row beside the kernel
+///   (`projected::tests::matches_the_walk_over_the_materialised_product`,
+///   and `tests/conformance.rs` on whole corpora).
 pub trait CsrStore {
     /// Number of nodes (length of the iterate vectors).
     fn num_nodes(&self) -> usize;

@@ -3,12 +3,21 @@
 //! one per article, summing to 1 — and the context path must agree with
 //! the plain-corpus path bit-for-bit (within 1e-12 L1).
 
+use scholar::core::{grow_corpus, IncrementalRanker};
+use scholar::corpus::model::{Article, ArticleId, AuthorId};
+use scholar::corpus::CorpusBuilder;
 use scholar::rank::{
     AgeNormalizedCitations, FusedRanker, FusionRule, MonteCarloPageRank, RankContext,
     RecentCitations, RescaledRanker,
 };
-use scholar::{CitationCount, Corpus, PageRank, Preset, Ranker};
-use sgraph::stochastic::l1_distance;
+use scholar::{
+    CitationCount, ColStore, Corpus, MixParams, PageRank, Preset, QRankConfig, QRankEngine,
+    QRankResult, Ranker, Rows,
+};
+use sgraph::stochastic::{l1_distance, normalize_l1};
+use sgraph::{stationary_store, ProjectedWalk};
+
+mod oracle;
 
 /// Every ranker exposed by the stack: the R-Table evaluation suite plus
 /// the auxiliary/bibliometric rankers and the two combinators.
@@ -188,7 +197,6 @@ fn qrank_engine_matches_across_backends() {
             scholar::QRankEngine::build_from_ctx(&RankContext::from_colstore(&store), &cfg)
         }),
     ];
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
     let want = scholar::QRankEngine::build(&corpus, &cfg).solve(&mix);
     for (how, plan) in plans {
         let got = plan.solve(&mix);
@@ -234,4 +242,274 @@ fn mmap_twpr_materializes_and_reuses_the_shard_cache() {
         "second solve must reuse the shard cache, not rewrite it"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---- The factorised author walk against the materialised graph ----
+//
+// The author graph `B_U·G_A·B_Uᵀ − diag` is never built (DESIGN.md §2.2);
+// `sgraph::ProjectedWalk` re-associates every row sum of it, so the
+// contract is not bits but: ≤ 1e-12 L1 on `su` and on all four score
+// vectors against a plan fed the walk over the materialised graph
+// (`tests/oracle`), the same dangling set, the same iteration count, the
+// same full author order by `su` (exact ties aside) and the same article
+// top-k.
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Build the plan over `view`, hold its author walk and every score it
+/// solves to against the oracle, and hand back `(su, scores)` so callers
+/// can compare views by bits.
+fn assert_factorised_matches_materialised<V: Rows + ?Sized>(
+    label: &str,
+    view: &V,
+    cfg: &QRankConfig,
+) -> (Vec<f64>, QRankResult) {
+    let plan = QRankEngine::build(view, cfg);
+    let net = plan.net();
+    let walk = ProjectedWalk::new(&net.citation, &net.authorship, cfg.drop_self_citations);
+    let got = stationary_store(&walk, &oracle::structural_opts(cfg));
+    let (op, want) = oracle::author_walk(&oracle::author_graph(view, cfg), cfg);
+
+    assert_eq!(walk.dangling(), op.dangling(), "{label}: dangling authors");
+    assert_eq!(got.iterations, want.iterations, "{label}: author-walk iterations");
+    assert_eq!(got.converged, want.converged, "{label}: author-walk convergence");
+    let su = plan.structural_stationaries().1.to_vec();
+    let (mut got_su, mut want_su) = (got.scores, want.scores.clone());
+    normalize_l1(&mut got_su);
+    normalize_l1(&mut want_su);
+    assert_eq!(bits(&su), bits(&got_su), "{label}: the plan's su is this walk's stationary");
+    assert!(su.iter().all(|s| s.is_finite() && *s > 0.0), "{label}: su finite and positive");
+    let l1 = l1_distance(&su, &want_su);
+    assert!(l1 <= 1e-12, "{label}: su differs from the materialised walk's by L1 {l1:e}");
+    // The two walks rank every author alike. Authors the graph cannot tell
+    // apart (mirror-image bylines; whole families of them at ρ = 0, where
+    // every citation weighs 1) tie exactly on paper and fall either way in
+    // the last ulps, so a pair counts as ordered only beyond 1e-12 relative.
+    for pair in full_order(&su).windows(2) {
+        let (hi, lo) = (pair[0], pair[1]);
+        assert!(
+            want_su[lo] <= want_su[hi] * (1.0 + 1e-12),
+            "{label}: su ranks author {hi} over {lo}, the materialised walk has {:e} < {:e}",
+            want_su[hi],
+            want_su[lo]
+        );
+    }
+
+    let mix = MixParams::from_config(cfg);
+    let factorised = plan.solve(&mix);
+    let fed = plan.with_author_stationary(want.scores).solve(&mix);
+    for (what, x, y) in [
+        ("article", &factorised.article_scores, &fed.article_scores),
+        ("venue", &factorised.venue_scores, &fed.venue_scores),
+        ("author", &factorised.author_scores, &fed.author_scores),
+        ("twpr", &factorised.twpr_scores, &fed.twpr_scores),
+    ] {
+        assert!(x.iter().all(|s| s.is_finite() && *s >= 0.0), "{label}: {what} scores finite");
+        let l1 = l1_distance(x, y);
+        assert!(l1 <= 1e-12, "{label}: {what} scores differ by L1 {l1:e}");
+    }
+    let k = 100.min(factorised.article_scores.len());
+    assert_eq!(
+        full_order(&factorised.article_scores)[..k],
+        full_order(&fed.article_scores)[..k],
+        "{label}: article top-{k}"
+    );
+    assert_eq!(factorised.outer.iterations, fed.outer.iterations, "{label}: outer iterations");
+    (su, factorised)
+}
+
+/// [`assert_factorised_matches_materialised`] through both `Rows`
+/// backends, which must then agree with each other by bits.
+fn assert_factorised_on_both_backends(label: &str, corpus: &Corpus, cfg: &QRankConfig) {
+    let dir = std::env::temp_dir().join(format!(
+        "scholar-conformance-factorised-{}-{}",
+        std::process::id(),
+        label.replace(|c: char| !c.is_ascii_alphanumeric(), "-")
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    corpus.write_colstore(&dir).unwrap();
+    let store = ColStore::open(&dir).unwrap();
+    let (ram_su, ram) = assert_factorised_matches_materialised(label, corpus, cfg);
+    let (mm_su, mm) =
+        assert_factorised_matches_materialised(&format!("{label} (colstore)"), &store, cfg);
+    assert_eq!(bits(&ram_su), bits(&mm_su), "{label}: su across backends");
+    assert_eq!(bits(&ram.article_scores), bits(&mm.article_scores), "{label}: across backends");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `drop_self_citations ∈ {true, false}` × `ρ ∈ {0, default}`.
+fn structural_grid() -> Vec<(String, QRankConfig)> {
+    let mut grid = Vec::new();
+    for drop_self_citations in [true, false] {
+        for rho in [0.0, QRankConfig::default().twpr.rho] {
+            let cfg = QRankConfig { drop_self_citations, ..QRankConfig::default().with_rho(rho) };
+            grid.push((format!("drop_self={drop_self_citations}, rho={rho}"), cfg));
+        }
+    }
+    grid
+}
+
+#[test]
+fn factorised_author_walk_matches_the_materialised_graph() {
+    for (name, corpus) in
+        [("tiny", Preset::Tiny.generate(31)), ("aan", Preset::AanLike.generate(31))]
+    {
+        for (point, cfg) in structural_grid() {
+            assert_factorised_on_both_backends(&format!("{name}, {point}"), &corpus, &cfg);
+        }
+    }
+}
+
+/// The same law where the author graph was 3.9M edges; minutes in a debug
+/// build, so CI runs it with `cargo test --release --test conformance --
+/// --ignored factorised`.
+#[test]
+#[ignore = "large presets; run in release builds"]
+fn factorised_author_walk_matches_the_materialised_graph_on_large_presets() {
+    for (name, preset) in [("dblp", Preset::DblpLike), ("mag", Preset::MagLike)] {
+        let corpus = preset.generate(20180416);
+        for (point, cfg) in structural_grid() {
+            assert_factorised_matches_materialised(&format!("{name}, {point}"), &corpus, &cfg);
+        }
+    }
+}
+
+/// Hand-built corpora at the numerical edges of the factorised kernel.
+/// `spec` lists articles as `(year, byline, references)`; every author
+/// named exists, plus `spare_authors` nobody signs for.
+fn edge_corpus(spare_authors: u32, spec: &[(i32, &[u32], &[u32])]) -> Corpus {
+    let mut b = CorpusBuilder::new();
+    let venues = [b.venue("V0"), b.venue("V1")];
+    let named = spec.iter().flat_map(|(_, byline, _)| byline.iter()).max().map_or(0, |m| m + 1);
+    let authors: Vec<AuthorId> =
+        (0..named + spare_authors).map(|u| b.author(&format!("U{u}"))).collect();
+    for (i, (year, byline, refs)) in spec.iter().enumerate() {
+        b.add_article(
+            &format!("a{i}"),
+            *year,
+            venues[i % 2],
+            byline.iter().map(|&u| authors[u as usize]).collect(),
+            refs.iter().map(|&r| ArticleId(r)).collect(),
+            None,
+        );
+    }
+    b.finish().unwrap()
+}
+
+#[test]
+fn factorised_author_walk_survives_the_numerical_edges() {
+    let cases: Vec<(&str, Corpus)> = vec![
+        ("empty corpus", edge_corpus(0, &[])),
+        ("one article", edge_corpus(0, &[(2000, &[0], &[])])),
+        ("authors but no articles", edge_corpus(3, &[])),
+        // Nobody cites anybody: every author dangles, su is uniform.
+        ("every author dangling", edge_corpus(1, &[(1999, &[0, 1], &[]), (2003, &[2], &[])])),
+        // a0 unsigned and cited; a2 unsigned and citing; a3 cites both.
+        (
+            "unsigned citing and unsigned cited",
+            edge_corpus(
+                0,
+                &[
+                    (1990, &[], &[]),
+                    (1994, &[0], &[0]),
+                    (1997, &[], &[0, 1]),
+                    (2001, &[1, 0], &[0, 2]),
+                ],
+            ),
+        ),
+        // u0 only ever cites u0's solo papers; u1 cites u0.
+        (
+            "solo self-citer",
+            edge_corpus(
+                0,
+                &[(1990, &[0], &[]), (1995, &[0], &[0]), (2000, &[0], &[0, 1]), (2002, &[1], &[1])],
+            ),
+        ),
+        // u0 is cited by u0 alone (twice, at different ages) but also cites
+        // u1: not dangling, and everything it gathers it must subtract.
+        (
+            "mass only from oneself",
+            edge_corpus(
+                0,
+                &[
+                    (1990, &[0], &[]),
+                    (1991, &[1], &[]),
+                    (1996, &[0, 2], &[0, 1]),
+                    (2003, &[0], &[0, 1, 2]),
+                ],
+            ),
+        ),
+        // The bipartite merges u0's two positions on a1 and on a2.
+        (
+            "one author named twice",
+            edge_corpus(
+                0,
+                &[
+                    (1990, &[1], &[]),
+                    (1995, &[0, 0], &[0]),
+                    (1999, &[0, 1, 0], &[0, 1]),
+                    (2002, &[1, 2], &[1, 2]),
+                ],
+            ),
+        ),
+    ];
+    for (name, corpus) in &cases {
+        for (point, cfg) in structural_grid() {
+            assert_factorised_on_both_backends(&format!("{name}, {point}"), corpus, &cfg);
+        }
+    }
+
+    // The solo self-citer is dangling *exactly* when self-citations are
+    // dropped — its row sum is a sum of zeros, not a rounding residue.
+    let solo = &cases.iter().find(|(name, _)| *name == "solo self-citer").unwrap().1;
+    let plan = QRankEngine::build(solo, &QRankConfig::default());
+    let walk = ProjectedWalk::new(&plan.net().citation, &plan.net().authorship, true);
+    assert_eq!(walk.row_sums()[0].to_bits(), 0.0f64.to_bits());
+    assert_eq!(walk.dangling(), &[0]);
+
+    // ρ so large that `exp(−ρ·Δt)` underflows to 0 for every Δt ≥ 1: only
+    // same-year citations keep weight, every other author pair vanishes.
+    let corpus = edge_corpus(
+        0,
+        &[(2000, &[0], &[]), (2000, &[1], &[0]), (2001, &[2, 0], &[0, 1]), (2001, &[1], &[2])],
+    );
+    for drop_self_citations in [true, false] {
+        let cfg = QRankConfig { drop_self_citations, ..QRankConfig::default().with_rho(1e4) };
+        assert_eq!((-cfg.twpr.rho).exp(), 0.0);
+        assert_factorised_on_both_backends("rho underflow", &corpus, &cfg);
+    }
+}
+
+/// A published batch of solo self-citations, an unsigned citer and a
+/// citation of an unsigned article adds no author-to-author weight: every
+/// author dangles before it and after it, and the grown plan is still the
+/// built plan.
+#[test]
+fn a_batch_that_leaves_every_author_dangling_grows_like_it_builds() {
+    let base = edge_corpus(1, &[(1990, &[0], &[]), (1992, &[], &[]), (1995, &[1], &[])]);
+    let cfg = QRankConfig::default();
+    let mut live = IncrementalRanker::new(cfg.clone(), base);
+    let article = |year, authors: &[u32], refs: &[u32]| Article {
+        id: ArticleId(0), // reassigned by grow_corpus
+        title: "batch".into(),
+        year,
+        venue: live.corpus().article(ArticleId(0)).venue,
+        authors: authors.iter().map(|&u| AuthorId(u)).collect(),
+        references: refs.iter().map(|&r| ArticleId(r)).collect(),
+        merit: None,
+    };
+    let batch =
+        vec![article(1999, &[0], &[0]), article(2000, &[], &[0, 2]), article(2001, &[2], &[1])];
+    live.extend(grow_corpus(live.corpus(), batch));
+
+    let (grown, built) = (live.engine(), QRankEngine::build(live.corpus(), &cfg));
+    let net = grown.net();
+    let walk = ProjectedWalk::new(&net.citation, &net.authorship, true);
+    assert_eq!(walk.dangling(), &[0, 1, 2], "every author dangles after the batch");
+    let (su, built_su) = (grown.structural_stationaries().1, built.structural_stationaries().1);
+    assert_eq!(bits(su), bits(built_su), "grown su is built su");
+    assert_eq!(su, &[1.0 / 3.0; 3], "all-dangling walk is the uniform jump");
+    assert_factorised_on_both_backends("all dangling after extend", live.corpus(), &cfg);
 }

@@ -1,7 +1,7 @@
 //! Determinism guarantees: every component of the stack is bit-stable
 //! across repeated runs, seeds, and thread counts.
 
-use scholar::{Preset, QRank, QRankConfig, Ranker};
+use scholar::{GeneratorConfig, Preset, QRank, QRankConfig, QRankEngine, Ranker};
 
 #[test]
 fn generator_is_seed_deterministic() {
@@ -30,6 +30,27 @@ fn thread_count_does_not_change_qrank() {
         let par = QRank::new(QRankConfig::default().with_threads(threads)).rank(&corpus);
         let diff: f64 = seq.iter().zip(&par).map(|(a, b)| (a - b).abs()).sum();
         assert!(diff < 1e-9, "threads={threads} changed the result by {diff}");
+    }
+}
+
+/// The factorised author walk partitions each of its three passes by
+/// output index: `su` is the same bits at any thread count. (The corpus is
+/// past the kernels' parallel gate, so the partitions really differ.)
+#[test]
+fn thread_count_does_not_change_the_author_walk() {
+    let corpus = scholar::corpus::CorpusGenerator::new(GeneratorConfig {
+        initial_articles_per_year: 60.0,
+        ..Preset::AanLike.config(59)
+    })
+    .generate();
+    assert!(corpus.num_articles() > 4096, "corpus must exercise the parallel kernels");
+    let su = |threads| {
+        let plan = QRankEngine::build(&corpus, &QRankConfig::default().with_threads(threads));
+        plan.structural_stationaries().1.iter().map(|s| s.to_bits()).collect::<Vec<u64>>()
+    };
+    let sequential = su(1);
+    for threads in [2, 8] {
+        assert!(su(threads) == sequential, "su changed at {threads} threads");
     }
 }
 
