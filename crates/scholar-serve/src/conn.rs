@@ -38,6 +38,7 @@
 //! overwritten on the next miss or evicted by LRU order.
 
 use crate::http::{self, ParsedHead};
+use crate::index::{Placement, TopQuery};
 use crate::metrics::{Metrics, OpenConn};
 use crate::record::{Recorder, ReqRecord};
 use crate::server::{self, Route};
@@ -61,8 +62,8 @@ const CACHE_MAX_BODY: usize = 64 * 1024;
 /// Per-thread request context: everything the render path needs, kept
 /// apart from the connections so a connection and the context can be
 /// borrowed mutably at the same time. One per event-loop shard, one per
-/// pool worker; all scratch is reused across requests, so the
-/// steady-state `/top` hot path performs no allocations at all.
+/// pool worker; all scratch is reused across requests, so steady-state
+/// `/top` and `/article/{id}` answers perform no allocations at all.
 pub struct Ctx {
     shared: Arc<SharedIndex>,
     pub(crate) metrics: Arc<Metrics>,
@@ -95,9 +96,11 @@ impl Ctx {
 
     /// Route one request, appending the complete response (head + body)
     /// to `out`. `target` is the raw request-target bytes (the cache
-    /// key). `/top` takes the zero-alloc fast path: cache lookup on the
-    /// raw target, else fragment assembly into the staging arena.
-    /// Everything else goes through the shared pure router.
+    /// key). `/top` and an in-corpus `/article/{id}` take the zero-alloc
+    /// byte path: bodies assembled from pre-rendered fragments and
+    /// sjson's byte writers in the staging arena (`/top` behind a cache
+    /// probe on the raw target). Everything else goes through the shared
+    /// pure router, which is also the oracle the byte path must equal.
     pub fn write_answer(
         &mut self,
         req: &http::Request,
@@ -112,54 +115,128 @@ impl Ctx {
         failpoint!("serve.respond");
         let route = server::route(req, index);
         route.count(&self.metrics);
-        let q = match route {
-            Route::Top(Ok(q)) => q,
-            cold => {
-                // Cold endpoints (/health, /metrics, /article/{id},
-                // /shadow, every 4xx): the router's per-request
-                // serialization is fine here.
-                let (status, body) =
-                    server::respond_route(cold, req, index, Some(&self.shared), &self.metrics);
-                let rendered = body.to_string_compact();
-                http::write_response_head(out, status, rendered.len(), keep);
-                out.extend_from_slice(rendered.as_bytes());
-                return status;
-            }
-        };
+        match route {
+            Route::Top(Ok(q)) => self.write_top(&q, target, index, keep, out),
+            Route::Article(Ok(id)) => match index.placement(id, server::DETAIL_NEIGHBORS) {
+                Some(at) => self.write_article(id, at, index, keep, out),
+                // Not in this corpus: the router's 404.
+                None => self.write_cold(Route::Article(Ok(id)), req, index, keep, out),
+            },
+            cold => self.write_cold(cold, req, index, keep, out),
+        }
+    }
+
+    /// The cold endpoints (/health, /metrics, /shadow, every 4xx): the
+    /// router's per-request `Value` and serialization are fine here.
+    fn write_cold(
+        &mut self,
+        route: Route<'_>,
+        req: &http::Request,
+        index: &ScoreIndex,
+        keep: bool,
+        out: &mut Vec<u8>,
+    ) -> u16 {
+        let (status, body) =
+            server::respond_route(route, req, index, Some(&self.shared), &self.metrics);
+        let rendered = body.to_string_compact();
+        http::write_response_head(out, status, rendered.len(), keep);
+        out.extend_from_slice(rendered.as_bytes());
+        status
+    }
+
+    /// `/top`: a cache hit is a memcpy; a miss is ids from the posting
+    /// lists and their fragments between pre-built punctuation.
+    fn write_top(
+        &mut self,
+        q: &TopQuery,
+        target: &[u8],
+        index: &ScoreIndex,
+        keep: bool,
+        out: &mut Vec<u8>,
+    ) -> u16 {
         if let Some(body) = self.cache.get(target, index.generation()) {
             http::write_response_head(out, 200, body.len(), keep);
             out.extend_from_slice(body);
             return 200;
         }
-        index.top_ids_into(&q, &mut self.ids);
-        self.body.clear();
-        self.body.extend_from_slice(b"{\"generation\":");
-        http::write_u64(&mut self.body, index.generation());
-        self.body.extend_from_slice(b",\"count\":");
-        http::write_u64(&mut self.body, self.ids.len() as u64);
-        self.body.extend_from_slice(b",\"results\":[");
-        for (i, &a) in self.ids.iter().enumerate() {
-            let frag = index.hit_fragment(a);
-            if frag.is_empty() {
-                http::write_error_response(
-                    out,
-                    &mut self.body,
-                    500,
-                    "index returned an article outside the corpus",
-                    keep,
-                );
-                return 500;
-            }
-            if i > 0 {
-                self.body.push(b',');
-            }
-            self.body.extend_from_slice(frag);
+        index.top_ids_into(q, &mut self.ids);
+        let body = &mut self.body;
+        body.clear();
+        body.extend_from_slice(b"{\"generation\":");
+        sjson::write_number(body, index.generation() as f64);
+        body.extend_from_slice(b",\"count\":");
+        sjson::write_number(body, self.ids.len() as f64);
+        body.extend_from_slice(b",\"results\":[");
+        if !push_fragments(body, index, &self.ids) {
+            return self.broken_index(keep, out);
         }
-        self.body.extend_from_slice(b"]}");
-        http::write_response_head(out, 200, self.body.len(), keep);
-        out.extend_from_slice(&self.body);
+        body.extend_from_slice(b"]}");
+        http::write_response_head(out, 200, body.len(), keep);
+        out.extend_from_slice(body);
         self.cache.insert(target, index.generation(), &self.body);
         200
+    }
+
+    /// `/article/{id}` for an article in the corpus, in the router's
+    /// field order. Only `generation` is not fixed at publish time; the
+    /// neighbours are fragment memcpys. Not cached: on a cold mix a
+    /// probe plus insert costs about as much as this render, and hits
+    /// are rare (DESIGN.md §2.9).
+    fn write_article(
+        &mut self,
+        id: u32,
+        at: Placement<'_>,
+        index: &ScoreIndex,
+        keep: bool,
+        out: &mut Vec<u8>,
+    ) -> u16 {
+        let corpus = index.corpus();
+        let Some(art) = corpus.articles().get(id as usize) else {
+            return self.broken_index(keep, out);
+        };
+        let body = &mut self.body;
+        body.clear();
+        body.extend_from_slice(b"{\"generation\":");
+        sjson::write_number(body, index.generation() as f64);
+        body.extend_from_slice(b",\"id\":");
+        sjson::write_number(body, f64::from(id));
+        body.extend_from_slice(b",\"title\":");
+        sjson::write_str(body, &art.title);
+        body.extend_from_slice(b",\"year\":");
+        sjson::write_number(body, f64::from(art.year));
+        body.extend_from_slice(b",\"venue\":");
+        sjson::write_str(body, &corpus.venue(art.venue).name);
+        body.extend_from_slice(b",\"authors\":[");
+        for (i, &u) in art.authors.iter().enumerate() {
+            if i > 0 {
+                body.push(b',');
+            }
+            sjson::write_str(body, &corpus.author(u).name);
+        }
+        body.extend_from_slice(b"],\"rank\":");
+        sjson::write_number(body, at.rank as f64);
+        body.extend_from_slice(b",\"score\":");
+        sjson::write_number(body, at.score);
+        body.extend_from_slice(b",\"percentile\":");
+        sjson::write_number(body, at.percentile);
+        body.extend_from_slice(b",\"references\":");
+        sjson::write_number(body, art.references.len() as f64);
+        body.extend_from_slice(b",\"neighbors\":[");
+        if !push_fragments(body, index, at.neighbors) {
+            return self.broken_index(keep, out);
+        }
+        body.extend_from_slice(b"]}");
+        http::write_response_head(out, 200, body.len(), keep);
+        out.extend_from_slice(body);
+        200
+    }
+
+    /// The `500` for an index that handed out an article outside its own
+    /// corpus — the router's answer to the same breach.
+    fn broken_index(&mut self, keep: bool, out: &mut Vec<u8>) -> u16 {
+        let message = "index returned an article outside the corpus";
+        http::write_error_response(out, &mut self.body, 500, message, keep);
+        500
     }
 
     /// Post-response hook: offer the answered request to the recorder,
@@ -199,6 +276,22 @@ impl Ctx {
             self.metrics.record_swap();
         }
     }
+}
+
+/// Append the pre-rendered hit objects of `ids` to `body`, comma
+/// separated. `false` on an id the index has no fragment for.
+fn push_fragments(body: &mut Vec<u8>, index: &ScoreIndex, ids: &[u32]) -> bool {
+    for (i, &a) in ids.iter().enumerate() {
+        let frag = index.hit_fragment(a);
+        if frag.is_empty() {
+            return false;
+        }
+        if i > 0 {
+            body.push(b',');
+        }
+        body.extend_from_slice(frag);
+    }
+    true
 }
 
 /// Chaos site: an accepted connection the driver loses before serving

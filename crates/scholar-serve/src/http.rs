@@ -288,21 +288,10 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Append the decimal rendering of `v` to `out` without allocating.
-pub fn write_u64(out: &mut Vec<u8>, mut v: u64) {
-    let mut tmp = [0u8; 20];
-    let mut n = 0;
-    loop {
-        // lint: allow(HOTPATH-PANIC) n < 20: a u64 has at most 20 decimal digits
-        tmp[n] = b'0' + (v % 10) as u8;
-        n += 1;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.extend(tmp.iter().take(n).rev());
-}
+/// Append the decimal rendering of a `u64` to a buffer without
+/// allocating: `sjson`'s integer writer, the one every body and head
+/// shares.
+pub use sjson::write_u64;
 
 /// Append one complete HTTP/1.1 response head (status line + headers +
 /// blank line) to `out` without allocating. The caller appends exactly
@@ -326,37 +315,9 @@ pub fn write_response_head(
     });
 }
 
-fn hex_digit(v: u8) -> u8 {
-    match v {
-        0..=9 => b'0' + v,
-        _ => b'a' + (v - 10),
-    }
-}
-
-/// Append `s` JSON-string-escaped (no surrounding quotes) to `out`.
-/// Mirrors the escaping `sjson` applies, so bodies assembled byte-wise
-/// parse identically to builder-produced ones.
-pub fn write_json_escaped(out: &mut Vec<u8>, s: &str) {
-    for &b in s.as_bytes() {
-        match b {
-            b'"' => out.extend_from_slice(b"\\\""),
-            b'\\' => out.extend_from_slice(b"\\\\"),
-            b'\n' => out.extend_from_slice(b"\\n"),
-            b'\r' => out.extend_from_slice(b"\\r"),
-            b'\t' => out.extend_from_slice(b"\\t"),
-            0x00..=0x1f => {
-                out.extend_from_slice(b"\\u00");
-                out.push(hex_digit(b >> 4));
-                out.push(hex_digit(b & 0xf));
-            }
-            _ => out.push(b),
-        }
-    }
-}
-
-/// Append one complete error response (head + JSON body matching
-/// [`error_body`]'s shape) to `out` without allocating. `scratch` is a
-/// caller-owned arena the body is staged in so its length is known
+/// Append one complete error response (head + the body [`error_body`]
+/// renders to, byte for byte) to `out` without allocating. `scratch` is
+/// a caller-owned arena the body is staged in so its length is known
 /// before the head is written; it is cleared first.
 pub fn write_error_response(
     out: &mut Vec<u8>,
@@ -366,13 +327,13 @@ pub fn write_error_response(
     keep_alive: bool,
 ) {
     scratch.clear();
-    scratch.extend_from_slice(b"{\"error\":\"");
-    write_json_escaped(scratch, reason(status));
-    scratch.extend_from_slice(b"\",\"status\":");
-    write_u64(scratch, u64::from(status));
-    scratch.extend_from_slice(b",\"message\":\"");
-    write_json_escaped(scratch, message);
-    scratch.extend_from_slice(b"\"}");
+    scratch.extend_from_slice(b"{\"error\":");
+    sjson::write_str(scratch, reason(status));
+    scratch.extend_from_slice(b",\"status\":");
+    sjson::write_number(scratch, f64::from(status));
+    scratch.extend_from_slice(b",\"message\":");
+    sjson::write_str(scratch, message);
+    scratch.push(b'}');
     write_response_head(out, status, scratch.len(), keep_alive);
     out.extend_from_slice(scratch);
 }
@@ -565,5 +526,22 @@ mod tests {
         assert_eq!(v.get("message").unwrap().as_str(), Some(nasty));
         // Matches the builder-rendered body byte for byte.
         assert_eq!(payload, error_body(400, nasty).to_string_compact());
+    }
+
+    /// Regression: the hand-kept escaper this module used to carry wrote
+    /// backspace and form feed as `\u0008`/`\u000c` where `sjson` writes
+    /// `\b`/`\f`, so an error body differed from [`error_body`]'s.
+    #[test]
+    fn error_response_escapes_like_sjson() {
+        for message in ["bell \u{8} feed \u{c}", "\u{8}\u{c}", "every \u{0}\u{1f}\u{7f} é 🎓"] {
+            let (mut out, mut scratch) = (Vec::new(), Vec::new());
+            write_error_response(&mut out, &mut scratch, 404, message, false);
+            let body = error_body(404, message).to_string_compact();
+            assert!(out.ends_with(body.as_bytes()), "{message:?}");
+            assert_eq!(scratch, body.as_bytes());
+        }
+        let mut scratch = Vec::new();
+        write_error_response(&mut Vec::new(), &mut scratch, 400, "\u{8}\u{c}", false);
+        assert!(scratch.ends_with(br#""message":"\b\f"}"#));
     }
 }

@@ -148,27 +148,28 @@ impl ScoreIndex {
         let author_ids =
             corpus.authors().iter().map(|u| (u.name.clone(), u.id.0)).collect::<HashMap<_, _>>();
 
-        // Pre-render every hit object once. Rendering goes through the
-        // same sjson builder as the request-time JSON paths, so a
-        // fragment is byte-identical to what per-request serialization
-        // would have produced.
+        // Pre-render every hit object once, straight into the arena with
+        // sjson's byte writers — the ones `Value` rendering goes through,
+        // so a fragment is byte-identical to the router's `hit_json`.
         let mut frag_bytes = Vec::new();
         let mut frag_bounds = Vec::with_capacity(n + 1);
         frag_bounds.push(0);
-        for a in 0..n as u32 {
-            // lint: allow(HOTPATH-PANIC) build-time loop over 0..n: articles/rank_of/scores all have length n
-            let art = &corpus.articles()[a as usize];
-            let obj = sjson::ObjectBuilder::new()
-                // lint: allow(HOTPATH-PANIC) same 0..n bound as above
-                .field("rank", rank_of[a as usize] as i64 + 1)
-                .field("id", a as i64)
-                // lint: allow(HOTPATH-PANIC) same 0..n bound as above
-                .field("score", scores[a as usize])
-                .field("title", art.title.as_str())
-                .field("year", art.year)
-                .field("venue", corpus.venue(art.venue).name.as_str())
-                .build();
-            frag_bytes.extend_from_slice(obj.to_string_compact().as_bytes());
+        for (((a, art), &pos), &score) in (0u32..).zip(corpus.articles()).zip(&rank_of).zip(&scores)
+        {
+            let out = &mut frag_bytes;
+            out.extend_from_slice(b"{\"rank\":");
+            sjson::write_number(out, f64::from(pos) + 1.0);
+            out.extend_from_slice(b",\"id\":");
+            sjson::write_number(out, f64::from(a));
+            out.extend_from_slice(b",\"score\":");
+            sjson::write_number(out, score);
+            out.extend_from_slice(b",\"title\":");
+            sjson::write_str(out, &art.title);
+            out.extend_from_slice(b",\"year\":");
+            sjson::write_number(out, f64::from(art.year));
+            out.extend_from_slice(b",\"venue\":");
+            sjson::write_str(out, &corpus.venue(art.venue).name);
+            out.push(b'}');
             frag_bounds.push(frag_bytes.len());
         }
 
@@ -383,24 +384,47 @@ impl ScoreIndex {
     /// The `explain`-style lookup: rank, score, percentile, and the
     /// articles ranked directly around `id` (`want` on each side).
     pub fn detail(&self, id: ArticleId, want: usize) -> Option<ArticleDetail> {
-        let n = self.order.len();
-        if id.index() >= n {
-            return None;
-        }
-        // lint: allow(HOTPATH-PANIC) id.index() < n was checked above; rank_of/scores have length n
-        let pos = self.rank_of[id.index()] as usize;
-        let from = pos.saturating_sub(want);
-        let to = (pos + want + 1).min(n);
+        let p = self.placement(id.0, want)?;
         Some(ArticleDetail {
             id,
-            rank: pos + 1,
-            // lint: allow(HOTPATH-PANIC) id.index() < n was checked above
-            score: self.scores[id.index()],
-            percentile: (n - pos) as f64 / n as f64,
-            // lint: allow(HOTPATH-PANIC) from <= pos < n and to is clamped to n, so the slice bounds hold
-            neighbors: self.order[from..to].iter().map(|&a| self.hit(a)).collect(),
+            rank: p.rank,
+            score: p.score,
+            percentile: p.percentile,
+            neighbors: p.neighbors.iter().map(|&a| self.hit(a)).collect(),
         })
     }
+
+    /// [`Self::detail`] without the allocation: the same rank, score and
+    /// percentile, with the neighbours left as a slice of the published
+    /// order. `None` for an id outside the corpus. This plus
+    /// [`Self::hit_fragment`] is the `/article` response path.
+    pub fn placement(&self, id: u32, want: usize) -> Option<Placement<'_>> {
+        let n = self.order.len();
+        let pos = *self.rank_of.get(id as usize)? as usize;
+        let from = pos.saturating_sub(want);
+        let to = pos.saturating_add(want).saturating_add(1).min(n);
+        Some(Placement {
+            rank: pos + 1,
+            score: *self.scores.get(id as usize)?,
+            percentile: (n - pos) as f64 / n as f64,
+            neighbors: self.order.get(from..to)?,
+        })
+    }
+}
+
+/// Where one article sits in the published order: what
+/// [`ScoreIndex::placement`] returns.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Placement<'a> {
+    /// Global rank, 1-based.
+    pub rank: usize,
+    /// Score in the published ranking.
+    pub score: f64,
+    /// Fraction of articles ranked at or below this one (1.0 = best).
+    pub percentile: f64,
+    /// Dense ids of the articles ranked directly around this one,
+    /// itself included, in rank order.
+    pub neighbors: &'a [u32],
 }
 
 #[cfg(test)]
@@ -553,6 +577,19 @@ mod tests {
         assert_eq!(d.neighbors[2].id, mid);
         // Out of range id.
         assert!(index.detail(ArticleId(n as u32 + 7), 2).is_none());
+        assert!(index.placement(n as u32, 2).is_none());
+        assert!(index.placement(u32::MAX, usize::MAX).is_none());
+
+        // The allocation-free accessor is the same lookup.
+        for a in 0..n as u32 {
+            let (p, d) = (index.placement(a, 3).unwrap(), index.detail(ArticleId(a), 3).unwrap());
+            assert_eq!(
+                (p.rank, p.score.to_bits(), p.percentile),
+                (d.rank, d.score.to_bits(), d.percentile)
+            );
+            assert!(p.neighbors.iter().eq(d.neighbors.iter().map(|h| &h.id.0)));
+        }
+        assert_eq!(index.placement(0, usize::MAX).unwrap().neighbors.len(), n);
     }
 
     #[test]
@@ -581,18 +618,11 @@ mod tests {
     fn hit_fragments_match_per_request_rendering() {
         let (corpus, index) = indexed(17);
         for a in 0..corpus.num_articles() as u32 {
-            let frag = index.hit_fragment(a);
-            let v = sjson::parse(std::str::from_utf8(frag).unwrap()).unwrap();
-            let h = index.detail(ArticleId(a), 0).unwrap();
-            let art = &corpus.articles()[a as usize];
-            assert_eq!(v.get("rank").unwrap().as_i64(), Some(h.rank as i64));
-            assert_eq!(v.get("id").unwrap().as_i64(), Some(a as i64));
-            assert_eq!(v.get("score").unwrap().as_f64(), Some(h.score));
-            assert_eq!(v.get("title").unwrap().as_str(), Some(art.title.as_str()));
-            assert_eq!(v.get("year").unwrap().as_i64(), Some(art.year as i64));
+            let via_router = crate::server::hit_json(&index, &index.hit(a)).unwrap();
             assert_eq!(
-                v.get("venue").unwrap().as_str(),
-                Some(corpus.venue(art.venue).name.as_str())
+                index.hit_fragment(a),
+                via_router.to_string_compact().as_bytes(),
+                "article {a}"
             );
         }
         // Out-of-corpus ids yield the empty fragment, never a panic.

@@ -84,7 +84,7 @@ pub mod swap;
 pub(crate) mod sys;
 pub mod wal;
 
-pub use index::{ArticleDetail, Hit, ScoreIndex, TopQuery};
+pub use index::{ArticleDetail, Hit, Placement, ScoreIndex, TopQuery};
 pub use metrics::Metrics;
 pub use record::{read_rlog, write_rlog, RecordLog, Recorder, ReqRecord};
 pub use server::{respond, serve, Backend, ServeConfig, ServerHandle};

@@ -98,7 +98,7 @@ impl Default for ServeConfig {
 }
 
 /// Default number of ranking neighbors in an `/article/{id}` response.
-const DETAIL_NEIGHBORS: usize = 3;
+pub(crate) const DETAIL_NEIGHBORS: usize = 3;
 /// Cap on `k` so a single request cannot ask for the whole corpus
 /// serialized a million times over.
 const MAX_K: usize = 10_000;
@@ -321,8 +321,8 @@ fn handle_connection(mut stream: TcpStream, ctx: &mut Ctx, read_timeout: Duratio
 }
 
 /// Where a request goes — the one routing table. The reference router,
-/// the core's `/top` fast path and the shadow status oracle all consume
-/// it, so the 400-vs-404 rules exist once.
+/// the core's byte-assembled `/top` and `/article` paths and the shadow
+/// status oracle all consume it, so the 400-vs-404 rules exist once.
 pub(crate) enum Route<'a> {
     Shadow,
     Health,
@@ -370,6 +370,9 @@ impl Route<'_> {
 
 /// Route one parsed request. Pure: index snapshot in, `(status, body)`
 /// out, which is what makes the endpoints unit-testable without sockets.
+/// It builds every body as a [`Value`] tree, independently of the
+/// connection core's byte-assembled `/top` and `/article` answers, and
+/// is the oracle those are checked against byte for byte.
 /// `/shadow` needs the serving cell itself and answers 404 here; use
 /// [`respond_full`] on paths that have one.
 pub fn respond(req: &Request, index: &ScoreIndex, metrics: &Metrics) -> (u16, Value) {
@@ -475,7 +478,7 @@ fn parse_top_query(req: &Request, index: &ScoreIndex) -> Result<TopQuery, String
 
 /// `None` when the hit's id falls outside the corpus (a broken index);
 /// the caller turns that into a 500.
-fn hit_json(index: &ScoreIndex, h: &crate::index::Hit) -> Option<Value> {
+pub(crate) fn hit_json(index: &ScoreIndex, h: &crate::index::Hit) -> Option<Value> {
     let art = index.corpus().articles().get(h.id.index())?;
     Some(
         ObjectBuilder::new()

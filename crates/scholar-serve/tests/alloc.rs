@@ -1,16 +1,16 @@
 //! Proof that the serving hot path is allocation-free: a counting
 //! global allocator (test binary only — production builds keep plain
 //! `System`) wraps every render primitive and the request path's own
-//! `/top` render ([`Ctx::write_answer`] — routing, cache probe, fragment
-//! assembly, head), asserting **zero** heap allocations once buffers
-//! are warm. This is the regression fence for the arena-writer work: a
+//! `/top` and `/article/{id}` renders ([`Ctx::write_answer`] — routing,
+//! cache probe, fragment assembly, sjson's byte writers, head),
+//! asserting **zero** heap allocations once buffers are warm. This is the regression fence for the arena-writer work: a
 //! stray `format!` or `to_string` in `http.rs`, the router or the
 //! fragment path turns the count nonzero and fails here, not in a
 //! benchmark three PRs later.
 
 use scholar_corpus::generator::Preset;
 use scholar_serve::conn::Ctx;
-use scholar_serve::http::{parse_target, write_error_response, write_json_escaped, write_u64};
+use scholar_serve::http::{parse_target, write_error_response, write_u64};
 use scholar_serve::{Metrics, ScoreIndex, SharedIndex};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -95,10 +95,41 @@ fn warm_response_rendering_never_allocates() {
     let mut errors = |out: &mut Vec<u8>| {
         out.clear();
         write_error_response(out, &mut scratch, 400, "bad value k=\"banana\"\n", false);
-        write_json_escaped(out, "quote\" slash\\ tab\t ctrl\u{1}");
+        sjson::write_str(out, "quote\" slash\\ tab\t ctrl\u{1} bs\u{8} é 🎓");
+        sjson::write_number(out, 0.123_456_789);
+        sjson::write_number(out, f64::NAN);
         write_u64(out, u64::MAX);
     };
     errors(&mut out);
     let count = allocations(|| errors(&mut out));
     assert_eq!(count, 0, "warm error rendering allocated {count} time(s)");
+}
+
+#[test]
+fn warm_article_rendering_never_allocates() {
+    // `/article` is not cached: every answer is a fresh assembly of the
+    // byline, the escaped strings, the shortest-round-trip floats and
+    // the neighbour fragments.
+    let corpus = Arc::new(Preset::Tiny.generate(52));
+    let n = corpus.num_articles();
+    let scores: Vec<f64> = (0..n).map(|i| 1.0 / (i + 3) as f64).collect();
+    let shared = Arc::new(SharedIndex::new(ScoreIndex::build(corpus, scores)));
+    let index = shared.load();
+    let mut ctx = Ctx::new(shared, Arc::new(Metrics::new()), None);
+    // The best, a middle and the last-ranked article: truncated and full
+    // neighbour lists.
+    let targets = [0, n / 2, n - 1].map(|id| format!("/article/{id}"));
+    let reqs = targets.clone().map(|t| parse_target(&t));
+    let mut out: Vec<u8> = Vec::with_capacity(64 * 1024);
+    for (target, req) in targets.iter().zip(&reqs) {
+        let mut render = |out: &mut Vec<u8>| {
+            out.clear();
+            assert_eq!(ctx.write_answer(req, target.as_bytes(), &index, true, out), 200);
+        };
+        render(&mut out);
+        let rendered = out.clone();
+        let count = allocations(|| render(&mut out));
+        assert_eq!(count, 0, "a warm {target} render allocated {count} time(s)");
+        assert_eq!(out, rendered);
+    }
 }

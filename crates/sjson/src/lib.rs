@@ -8,6 +8,10 @@
 //! partial configuration files, and machine-readable CLI/bench output —
 //! with a tree-model [`Value`] and ergonomic accessors.
 //!
+//! Both writers render through two byte-level primitives, [`write_str`]
+//! and [`write_number`], which servers also call directly to assemble
+//! bodies without building a [`Value`].
+//!
 //! Object key order is preserved (insertion order), which keeps emitted
 //! JSON stable and diffs readable.
 
@@ -124,18 +128,15 @@ impl Value {
         (f < u64::MAX as f64 && f as u64 == n).then_some(Value::Number(f))
     }
 
-    /// Serialize compactly (no whitespace).
+    /// Serialize compactly (no whitespace), through [`write_str`] and
+    /// [`write_number`].
     pub fn to_string_compact(&self) -> String {
-        let mut out = String::new();
-        write_compact(self, &mut out);
-        out
+        render(|out| write_compact(self, out))
     }
 
     /// Serialize with two-space indentation.
     pub fn to_string_pretty(&self) -> String {
-        let mut out = String::new();
-        write_pretty(self, 0, &mut out);
-        out
+        render(|out| write_pretty(self, 0, out))
     }
 }
 
@@ -490,105 +491,161 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Escape and quote `s` as a JSON string into `out`.
-pub fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+/// Append `s` to `out` as a quoted, escaped JSON string.
+///
+/// This and [`write_number`] are the workspace's one JSON writer:
+/// [`Value::to_string_compact`] renders through them, and so does every
+/// body a server assembles byte by byte, so the two agree by
+/// construction. `"`, `\` and the control characters below `0x20` are
+/// escaped (`\b \t \n \f \r` by name, the rest as `\u00xx`); everything
+/// else, `DEL` and multi-byte UTF-8 included, is copied verbatim. Never
+/// allocates once `out` has room.
+pub fn write_str(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    let bytes = s.as_bytes();
+    // Copy runs of bytes that need no escape in one go. Every escaped
+    // byte is ASCII, so a run never ends inside a UTF-8 sequence.
+    let mut run = 0;
+    let mut unicode = *b"\\u0000";
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0x08 => b"\\b",
+            0x0C => b"\\f",
+            0x00..=0x1F => {
+                unicode[4] = HEX[usize::from(b >> 4)];
+                unicode[5] = HEX[usize::from(b & 0xF)];
+                &unicode
             }
-            c => out.push(c),
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[run..i]);
+        out.extend_from_slice(escape);
+        run = i + 1;
+    }
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
+}
+
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// Append the JSON rendering of `n` to `out`: integral values below
+/// `1e15` in magnitude as plain integers, `-0.0` with its sign, other
+/// finite values in Rust's shortest round-trip form, and NaN/±∞ as
+/// `null` (JSON has neither; this is serde_json's convention). Never
+/// allocates once `out` has room.
+pub fn write_number(out: &mut Vec<u8>, n: f64) {
+    use std::io::Write;
+    if !n.is_finite() {
+        out.extend_from_slice(b"null");
+    } else if n == 0.0 && n.is_sign_negative() {
+        // The integer fast path below would drop the sign bit; emit it
+        // explicitly so -0.0 round-trips.
+        out.extend_from_slice(b"-0.0");
+    } else if n.fract() == 0.0 && n.abs() < 1e15 {
+        if n < 0.0 {
+            out.push(b'-');
+        }
+        write_u64(out, n.abs() as u64);
+    } else {
+        // `Display` for f64 formats on the stack; writing into a Vec
+        // cannot fail.
+        let _ = write!(out, "{n}");
+    }
+}
+
+/// Append the decimal digits of `v` to `out` without allocating (the
+/// integer half of [`write_number`], also what HTTP heads use for
+/// status codes and lengths).
+pub fn write_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut tmp = [0u8; 20];
+    let mut n = tmp.len();
+    loop {
+        n -= 1;
+        tmp[n] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
-    out.push('"');
+    out.extend_from_slice(&tmp[n..]);
 }
 
-fn write_number(n: f64, out: &mut String) {
-    if !n.is_finite() {
-        // JSON has no NaN/Infinity; mirror serde_json's `null` convention.
-        out.push_str("null");
-    } else if n == 0.0 && n.is_sign_negative() {
-        // The integer fast path below would cast -0.0 to 0 and drop the
-        // sign bit; emit it explicitly so -0.0 round-trips.
-        out.push_str("-0.0");
-    } else if n.fract() == 0.0 && n.abs() < 1e15 {
-        out.push_str(&format!("{}", n as i64));
-    } else {
-        // Rust's shortest-roundtrip Display keeps full precision.
-        out.push_str(&format!("{n}"));
-    }
+/// Render into a fresh buffer and hand it back as a `String`.
+fn render(f: impl FnOnce(&mut Vec<u8>)) -> String {
+    let mut out = Vec::new();
+    f(&mut out);
+    // The writers copy `&str` input whole or split it only at ASCII
+    // bytes, and everything they add is ASCII.
+    String::from_utf8(out).expect("the JSON writers emit UTF-8")
 }
 
-fn write_compact(v: &Value, out: &mut String) {
+fn write_compact(v: &Value, out: &mut Vec<u8>) {
     match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Number(n) => write_number(*n, out),
-        Value::String(s) => write_escaped(s, out),
+        Value::Null => out.extend_from_slice(b"null"),
+        Value::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
+        Value::Number(n) => write_number(out, *n),
+        Value::String(s) => write_str(out, s),
         Value::Array(items) => {
-            out.push('[');
+            out.push(b'[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 write_compact(item, out);
             }
-            out.push(']');
+            out.push(b']');
         }
         Value::Object(pairs) => {
-            out.push('{');
+            out.push(b'{');
             for (i, (k, val)) in pairs.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
-                write_escaped(k, out);
-                out.push(':');
+                write_str(out, k);
+                out.push(b':');
                 write_compact(val, out);
             }
-            out.push('}');
+            out.push(b'}');
         }
     }
 }
 
-fn write_pretty(v: &Value, indent: usize, out: &mut String) {
+fn write_pretty(v: &Value, indent: usize, out: &mut Vec<u8>) {
     let pad = "  ".repeat(indent);
     let pad_in = "  ".repeat(indent + 1);
     match v {
         Value::Array(items) if !items.is_empty() => {
-            out.push_str("[\n");
+            out.extend_from_slice(b"[\n");
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    out.push_str(",\n");
+                    out.extend_from_slice(b",\n");
                 }
-                out.push_str(&pad_in);
+                out.extend_from_slice(pad_in.as_bytes());
                 write_pretty(item, indent + 1, out);
             }
-            out.push('\n');
-            out.push_str(&pad);
-            out.push(']');
+            out.push(b'\n');
+            out.extend_from_slice(pad.as_bytes());
+            out.push(b']');
         }
         Value::Object(pairs) if !pairs.is_empty() => {
-            out.push_str("{\n");
+            out.extend_from_slice(b"{\n");
             for (i, (k, val)) in pairs.iter().enumerate() {
                 if i > 0 {
-                    out.push_str(",\n");
+                    out.extend_from_slice(b",\n");
                 }
-                out.push_str(&pad_in);
-                write_escaped(k, out);
-                out.push_str(": ");
+                out.extend_from_slice(pad_in.as_bytes());
+                write_str(out, k);
+                out.extend_from_slice(b": ");
                 write_pretty(val, indent + 1, out);
             }
-            out.push('\n');
-            out.push_str(&pad);
-            out.push('}');
+            out.push(b'\n');
+            out.extend_from_slice(pad.as_bytes());
+            out.push(b'}');
         }
         other => write_compact(other, out),
     }
@@ -627,10 +684,154 @@ mod tests {
     #[test]
     fn string_escapes_roundtrip() {
         let original = "line1\nline2\ttab \"quote\" back\\slash \u{0001} ünïcode 🎓";
-        let mut enc = String::new();
-        write_escaped(original, &mut enc);
-        let back = parse(&enc).unwrap();
+        let mut enc = Vec::new();
+        write_str(&mut enc, original);
+        let back = parse(std::str::from_utf8(&enc).unwrap()).unwrap();
         assert_eq!(back.as_str(), Some(original));
+    }
+
+    /// The escaper as it was written before the byte writer, kept here
+    /// as the reference the byte writer must reproduce.
+    fn reference_str(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{0008}' => out.push_str("\\b"),
+                '\u{000C}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// The `format!`-based number writer the byte writer replaced.
+    fn reference_number(n: f64) -> String {
+        if !n.is_finite() {
+            "null".to_string()
+        } else if n == 0.0 && n.is_sign_negative() {
+            "-0.0".to_string()
+        } else if n.fract() == 0.0 && n.abs() < 1e15 {
+            format!("{}", n as i64)
+        } else {
+            format!("{n}")
+        }
+    }
+
+    fn str_bytes(s: &str) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_str(&mut out, s);
+        out
+    }
+
+    fn number_bytes(n: f64) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_number(&mut out, n);
+        out
+    }
+
+    #[test]
+    fn byte_writer_escapes_like_value_rendering() {
+        // Every control byte, the two escaped printables, DEL and
+        // multi-byte UTF-8 (2-, 3- and 4-byte sequences), one at a time
+        // and all together.
+        let mut cases: Vec<String> = (0u8..0x20).map(|b| char::from(b).to_string()).collect();
+        cases.extend(["\"", "\\", "\u{7f}", "é", "€", "🎓", "", "plain"].map(String::from));
+        cases.push(cases.concat());
+        for s in &cases {
+            let via_value = Value::String(s.clone()).to_string_compact();
+            assert_eq!(str_bytes(s), via_value.as_bytes(), "{s:?}");
+            assert_eq!(via_value, reference_str(s), "{s:?}");
+            assert_eq!(parse(&via_value).unwrap().as_str(), Some(s.as_str()));
+        }
+        // The two named escapes a hand-kept mirror once got wrong.
+        assert_eq!(str_bytes("\u{8}\u{c}"), b"\"\\b\\f\"");
+        assert_eq!(str_bytes("\u{0}\u{1f}"), b"\"\\u0000\\u001f\"");
+    }
+
+    #[test]
+    fn byte_writers_match_the_format_reference() {
+        // xorshift64: seeded, so a failing case replays.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut numbers = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            -f64::from_bits(0x0000_0000_dead_beef),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            1e15,
+            -1e15,
+            1e15 - 1.0,
+            -(1e15 - 1.0),
+            1e15 + 2.0,
+            1e15 - 0.5,
+            2f64.powi(53),
+            2f64.powi(53) + 2.0,
+            1.0,
+            -1.0,
+            0.5,
+            1.0 / 3.0,
+            1e-300,
+            123_456_789.123_456_79,
+        ];
+        for _ in 0..20_000 {
+            let bits = next();
+            numbers.push(f64::from_bits(bits));
+            // Integral values either side of the 1e15 fast-path bound.
+            numbers.push((bits % 4_000_000_000_000_000) as f64 - 2e15);
+            numbers.push((bits % 2001) as f64 - 1000.0);
+            // Subnormals: a zero exponent with random mantissa and sign.
+            numbers.push(f64::from_bits(bits & 0x800f_ffff_ffff_ffff));
+        }
+        for n in numbers {
+            assert_eq!(
+                number_bytes(n),
+                reference_number(n).as_bytes(),
+                "{n:e} ({:#x})",
+                n.to_bits()
+            );
+            assert_eq!(Value::Number(n).to_string_compact(), reference_number(n));
+        }
+
+        let pool: Vec<char> = (0u8..0x20)
+            .map(char::from)
+            .chain(['"', '\\', '/', '\u{7f}', 'a', 'Z', ' ', 'é', '€', '🎓', '\u{10ffff}'])
+            .collect();
+        for _ in 0..5_000 {
+            let len = (next() % 24) as usize;
+            let s: String = (0..len)
+                .map(|_| {
+                    let r = next();
+                    if r % 4 == 0 {
+                        // Any scalar value at all.
+                        char::from_u32((r >> 8) as u32 % 0x11_0000).unwrap_or('\u{fffd}')
+                    } else {
+                        pool[(r >> 8) as usize % pool.len()]
+                    }
+                })
+                .collect();
+            assert_eq!(str_bytes(&s), reference_str(&s).as_bytes(), "{s:?}");
+        }
     }
 
     #[test]
