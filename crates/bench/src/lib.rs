@@ -1,9 +1,10 @@
 #![warn(missing_docs)]
 
-//! Shared experiment machinery for the `repro` binary and the wall-clock
-//! benches. Every R-Table / R-Figure of DESIGN.md §4 has one function
-//! here that produces its rendered form; `repro` dispatches on the
-//! command line and writes results under `results/`.
+//! Shared experiment machinery for the `repro` and `tune` binaries.
+//! Every R-Table / R-Figure of DESIGN.md §4 has one function here that
+//! produces its rendered form; `repro` dispatches on the command line
+//! and writes results under `results/`. Performance claims live in the
+//! `benchmark/` ledger, not here.
 
 pub mod experiments;
 
@@ -31,28 +32,6 @@ pub fn snapshot_at_frac(corpus: &Corpus, frac: f64) -> Snapshot {
 /// The held-out future window (years) used by the future-citation ground
 /// truth throughout the evaluation.
 pub const FUTURE_WINDOW_YEARS: i32 = 5;
-
-/// True when the bench binary was invoked with `--smoke` (reachable as
-/// `cargo bench -p scholar-bench --bench <name> -- --smoke`): bench mains
-/// shrink their corpora and iteration counts so every target finishes in
-/// seconds, and skip writing `BENCH_*.json` so smoke numbers never
-/// clobber real ones. Used by the CI smoke job.
-pub fn smoke_mode() -> bool {
-    std::env::args().any(|a| a == "--smoke")
-}
-
-/// Mean wall-clock seconds per call of `f` over `iters` timed runs,
-/// after one untimed warmup run. The dependency-free replacement for the
-/// Criterion harness in the `benches/` targets.
-pub fn time_secs<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
-    assert!(iters > 0, "need at least one timed iteration");
-    std::hint::black_box(f());
-    let t0 = std::time::Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    t0.elapsed().as_secs_f64() / iters as f64
-}
 
 #[cfg(test)]
 mod tests {

@@ -825,13 +825,15 @@ pub fn replay<W: Write>(args: &Args, out: &mut W) -> CmdResult {
             outln!(out, "  {line}");
         }
     }
+    // Before any sidecar is written: digests from a replay that lost
+    // requests must never reach disk, where a later --expect would trust them.
+    if report.transport_errors > 0 {
+        return Err(format!("{} transport errors — digests unusable", report.transport_errors));
+    }
     if let Some(path) = args.get("write-digests") {
         std::fs::write(path, report.format_digests())
             .map_err(|e| format!("cannot write '{path}': {e}"))?;
         outln!(out, "wrote digests to {path}");
-    }
-    if report.transport_errors > 0 {
-        return Err(format!("{} transport errors — digests unusable", report.transport_errors));
     }
     if let Some(path) = args.get("expect") {
         let text =
@@ -1137,6 +1139,36 @@ mod tests {
         assert!(err.contains("cannot load") && err.contains("gone.jsonl"), "{err}");
         let err = run(&["snapshot", &path]).unwrap_err();
         assert!(err.contains("--state"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn replay_with_transport_errors_writes_no_digest_sidecar() {
+        let dir = tmpdir();
+        let rlog = dir.join("lost.rlog");
+        let record = scholar::serve::ReqRecord {
+            conn: 1,
+            seq: 0,
+            generation: 1,
+            status: 200,
+            latency_us: 0,
+            target: "/health".to_string(),
+        };
+        scholar::serve::write_rlog(&rlog, &[record], 1).unwrap();
+        // A port that was just bound and released: every connect is refused.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let digests = dir.join("lost.digests");
+        let err = run(&[
+            "replay",
+            &rlog.to_string_lossy(),
+            "--addr",
+            &addr.to_string(),
+            "--write-digests",
+            &digests.to_string_lossy(),
+        ])
+        .unwrap_err();
+        assert!(err.contains("transport errors"), "{err}");
+        assert!(!digests.exists(), "a failed replay left a digest sidecar behind");
         std::fs::remove_dir_all(&dir).ok();
     }
 

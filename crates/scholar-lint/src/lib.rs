@@ -8,9 +8,9 @@
 //! panicking, a failpoint catalogue that matches reality — are exactly
 //! the invariants `clippy` cannot see, because they are *this
 //! workspace's* contracts, not the language's. This crate is a
-//! dependency-free static-analysis pass that encodes them as nine
+//! dependency-free static-analysis pass that encodes them as eight
 //! machine-checked rules over a hand-rolled, literal-aware Rust lexer —
-//! five token-level, and four interprocedural rules over a
+//! four token-level, and four interprocedural rules over a
 //! name-resolved workspace call graph ([`items`] + [`callgraph`]):
 //!
 //! | rule | invariant |
@@ -19,7 +19,6 @@
 //! | `HOTPATH-PANIC` | no `unwrap`/`expect`/`panic!`-family/slice-index in `scholar-serve` production code — errors must flow to the 4xx/5xx counters |
 //! | `FAILPOINT-SYNC` | `failpoint!` sites in code ≡ `scholar_testkit::fp::SITES` ≡ the DESIGN.md §2.7 table, bijectively |
 //! | `SAFETY-COMMENT` | every `unsafe` is preceded (or trailed on its line) by a `// SAFETY:` comment |
-//! | `BENCH-SCHEMA` | every `BENCH_*.json` writer emits the shared key set, so the perf trajectory stays diffable |
 //! | `LOCK-ORDER` | the workspace's Mutex/RwLock acquisition digraph, propagated through the call graph, stays acyclic — no potential deadlocks |
 //! | `ATOMIC-ORDERING` | every `Ordering::Relaxed` in the serve/score-publishing crates carries a reasoned `// ORDERING:` comment, and publish/consume pairs on one atomic field use Release/Acquire-compatible orderings |
 //! | `DURABILITY-PROTOCOL` | rename-into-published-path reaches fsync of file (before) and directory (after), transitively; WAL append fsyncs before the send |
@@ -49,12 +48,11 @@ use std::path::Path;
 use workspace::Workspace;
 
 /// The rule identifiers an allowlist entry may name.
-pub const RULES: [&str; 9] = [
+pub const RULES: [&str; 8] = [
     "DETERMINISM",
     "HOTPATH-PANIC",
     "FAILPOINT-SYNC",
     "SAFETY-COMMENT",
-    "BENCH-SCHEMA",
     "LOCK-ORDER",
     "ATOMIC-ORDERING",
     "DURABILITY-PROTOCOL",

@@ -28,7 +28,7 @@ fn main() -> ExitCode {
     }
 }
 
-const RULE_SUMMARIES: [(&str, &str); 11] = [
+const RULE_SUMMARIES: [(&str, &str); 10] = [
     (
         "DETERMINISM",
         "no HashMap/HashSet/RandomState/SystemTime/Instant::now in score-producing crates",
@@ -39,7 +39,6 @@ const RULE_SUMMARIES: [(&str, &str); 11] = [
     ),
     ("FAILPOINT-SYNC", "failpoint! sites == scholar_testkit::fp::SITES == DESIGN.md §2.7 table"),
     ("SAFETY-COMMENT", "every unsafe carries an adjacent // SAFETY: comment"),
-    ("BENCH-SCHEMA", "every BENCH_*.json writer emits the shared corpus/seed/articles keys"),
     ("LOCK-ORDER", "the call-graph-propagated lock acquisition digraph stays acyclic"),
     (
         "ATOMIC-ORDERING",

@@ -11,7 +11,6 @@
 //! exactly once per run.
 
 pub mod atomic_ordering;
-pub mod bench_schema;
 pub mod determinism;
 pub mod durability;
 pub mod event_loop;
@@ -31,7 +30,6 @@ pub fn run_all(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     hotpath::check(ws, out);
     failpoint_sync::check(ws, out);
     safety::check(ws, out);
-    bench_schema::check(ws, out);
     atomic_ordering::check(ws, out);
     let table = FnTable::build(ws);
     let graph = CallGraph::build(ws, &table);

@@ -1,12 +1,11 @@
 //! Workspace discovery: find the Rust sources the rules judge and the
 //! non-Rust documents some rules cross-check (DESIGN.md).
 //!
-//! The scan is deliberately narrow: `crates/*/src/**/*.rs` (production
-//! code) and `crates/*/benches/*.rs` (the BENCH-SCHEMA surface). It
-//! does *not* descend into `crates/*/tests/`, `target/`, or `examples/`
-//! — integration tests and examples are allowed to unwrap freely, and
-//! fixture trees for this linter's own tests live under `tests/` so the
-//! linter never lints its own bait.
+//! The scan is deliberately narrow: `crates/*/src/**/*.rs`, the
+//! production code. It does *not* descend into `crates/*/tests/`,
+//! `target/`, or `examples/` — integration tests and examples are
+//! allowed to unwrap freely, and fixture trees for this linter's own
+//! tests live under `tests/` so the linter never lints its own bait.
 
 use crate::source::SourceFile;
 use std::fs;
@@ -18,7 +17,7 @@ use std::path::{Path, PathBuf};
 pub struct Workspace {
     /// Absolute root the relative paths hang off.
     pub root: PathBuf,
-    /// Lexed `.rs` files under `crates/*/src` and `crates/*/benches`.
+    /// Lexed `.rs` files under `crates/*/src`.
     pub files: Vec<SourceFile>,
     /// `DESIGN.md` at the root, as lines, when present.
     pub design: Option<Vec<String>>,
@@ -31,14 +30,12 @@ impl Workspace {
         let mut files = Vec::new();
         let crates_dir = root.join("crates");
         for krate in sorted_dirs(&crates_dir)? {
-            for sub in ["src", "benches"] {
-                let dir = krate.join(sub);
-                if dir.is_dir() {
-                    for path in rust_files(&dir)? {
-                        let rel = rel_path(root, &path);
-                        let text = fs::read_to_string(&path)?;
-                        files.push(SourceFile::parse(&rel, &text));
-                    }
+            let dir = krate.join("src");
+            if dir.is_dir() {
+                for path in rust_files(&dir)? {
+                    let rel = rel_path(root, &path);
+                    let text = fs::read_to_string(&path)?;
+                    files.push(SourceFile::parse(&rel, &text));
                 }
             }
         }

@@ -62,11 +62,6 @@ fn safety_fixture_matches_golden() {
 }
 
 #[test]
-fn bench_schema_fixture_matches_golden() {
-    assert_golden("bench");
-}
-
-#[test]
 fn lock_order_fixture_matches_golden() {
     assert_golden("lockorder");
 }

@@ -1,38 +1,27 @@
 #![warn(missing_docs)]
 
-//! Seeded, closed-loop HTTP load generator for `scholar-serve`.
+//! Deterministic HTTP replay driver for `scholar-serve`.
 //!
-//! Benchmarks in this workspace need a traffic source that is
-//! *deterministic* (a seed fully fixes the request sequence), *honest*
-//! (every response is checked against an accepted status set and framed
-//! byte-exactly — a torn response is an error, not a fast sample), and
-//! *cheap enough* not to be the bottleneck it is measuring. External
-//! tools fail all three, so this crate is the workspace's own:
+//! The workspace's one Rust HTTP client: it re-issues a recorded RLOGv1
+//! request log against a live server, preserving per-connection request
+//! order, and folds every response into per-endpoint digests that are a
+//! pure function of (log, server state) — see [`mod@replay`]. Each response
+//! is framed byte-exactly off the socket (a torn response is a transport
+//! error, not a fast sample) and timed into an HDR-style [`Histogram`]
+//! (log2 octaves, linear subbuckets — see [`hist`]).
 //!
-//! - **Closed loop**: a coordinator thread draws the target sequence
-//!   from a seeded [`srand`] stream and feeds it through a *bounded*
-//!   channel to `connections` worker threads, each owning one
-//!   keep-alive connection. Workers issue the next request only after
-//!   the previous response is fully read, so concurrency is exactly
-//!   the connection count and offered load self-regulates to what the
-//!   server actually sustains.
-//! - **Status assertions**: a [`StatusRanges`] set decides which
-//!   statuses count as accepted; anything else is recorded as a
-//!   violation with a sample of offending statuses kept for the error
-//!   message, not panicked on mid-flight.
-//! - **HDR-style capture**: per-worker [`Histogram`]s (log2 octaves,
-//!   linear subbuckets — see [`hist`]) merged into one report, so the
-//!   p999 of a million samples costs a few KB, not a sort.
+//! Load for performance claims comes from the `benchmark/` ledger's
+//! pinned closed-loop client, not from this crate.
 //!
 //! ```no_run
-//! use scholar_loadgen::{run, LoadConfig};
-//! let report = run(&LoadConfig {
-//!     addr: "127.0.0.1:8080".parse().unwrap(),
-//!     requests: 10_000,
-//!     ..Default::default()
-//! })
+//! use scholar_loadgen::{replay, ReplayConfig};
+//! let log = scholar_serve::read_rlog(std::path::Path::new("traffic.rlog")).unwrap();
+//! let report = replay(
+//!     &log.records,
+//!     &ReplayConfig { addr: "127.0.0.1:8080".parse().unwrap(), ..Default::default() },
+//! )
 //! .unwrap();
-//! println!("{} req/s, p99 {}us", report.throughput_rps(), report.hist.percentile(0.99));
+//! print!("{}", report.format_digests());
 //! ```
 
 pub mod hist;
@@ -40,429 +29,3 @@ pub mod replay;
 
 pub use hist::Histogram;
 pub use replay::{parse_digests, replay, ReplayConfig, ReplayReport};
-
-use srand::rngs::SmallRng;
-use srand::{Rng, SeedableRng};
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-/// Inclusive status ranges a response may land in without being
-/// counted as a violation.
-#[derive(Debug, Clone)]
-pub struct StatusRanges(Vec<(u16, u16)>);
-
-impl StatusRanges {
-    /// Accept exactly the given inclusive ranges.
-    pub fn new(ranges: Vec<(u16, u16)>) -> Self {
-        StatusRanges(ranges)
-    }
-
-    /// Accept any 2xx.
-    pub fn ok() -> Self {
-        StatusRanges(vec![(200, 299)])
-    }
-
-    /// Accept 2xx plus 404 — the mix a bench probing random article ids
-    /// legitimately produces.
-    pub fn ok_or_not_found() -> Self {
-        StatusRanges(vec![(200, 299), (404, 404)])
-    }
-
-    /// Is `status` inside an accepted range?
-    pub fn contains(&self, status: u16) -> bool {
-        self.0.iter().any(|&(lo, hi)| (lo..=hi).contains(&status))
-    }
-
-    /// Parse `"200-299,404"` style spec (used by the CLI).
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut ranges = Vec::new();
-        for part in spec.split(',') {
-            let part = part.trim();
-            let (lo, hi) = match part.split_once('-') {
-                Some((a, b)) => (a, b),
-                None => (part, part),
-            };
-            let lo: u16 = lo.trim().parse().map_err(|_| format!("bad status in {part:?}"))?;
-            let hi: u16 = hi.trim().parse().map_err(|_| format!("bad status in {part:?}"))?;
-            if lo > hi {
-                return Err(format!("inverted range {part:?}"));
-            }
-            ranges.push((lo, hi));
-        }
-        if ranges.is_empty() {
-            return Err("empty status spec".to_string());
-        }
-        Ok(StatusRanges(ranges))
-    }
-}
-
-/// One load-generation run, fully determined by its fields: the same
-/// config against the same server state produces the same request
-/// sequence (the latencies, of course, are the measurement).
-#[derive(Debug, Clone)]
-pub struct LoadConfig {
-    /// Server to drive.
-    pub addr: SocketAddr,
-    /// Worker threads, one persistent connection each.
-    pub connections: usize,
-    /// Total requests across all workers.
-    pub requests: u64,
-    /// Seed for the target-selection stream.
-    pub seed: u64,
-    /// Ask the server to keep connections open between requests. With
-    /// `false` every request pays a fresh TCP handshake (the pre-event-
-    /// loop behavior, kept measurable on purpose).
-    pub keep_alive: bool,
-    /// Request targets, drawn uniformly by the seeded stream.
-    pub targets: Vec<String>,
-    /// Statuses that count as success.
-    pub accept: StatusRanges,
-}
-
-impl Default for LoadConfig {
-    fn default() -> Self {
-        LoadConfig {
-            addr: SocketAddr::from(([127, 0, 0, 1], 0)),
-            connections: 4,
-            requests: 1_000,
-            seed: 0,
-            keep_alive: true,
-            targets: vec!["/top?k=10".to_string()],
-            accept: StatusRanges::ok(),
-        }
-    }
-}
-
-/// What a run measured.
-pub struct Report {
-    /// Requests that produced a complete, framed response.
-    pub completed: u64,
-    /// Responses outside the accepted status ranges.
-    pub violations: u64,
-    /// Up to eight offending statuses, for the failure message.
-    pub violation_samples: Vec<u16>,
-    /// Transport failures (connect/write/read errors, torn frames).
-    pub transport_errors: u64,
-    /// TCP connects performed — `connections` exactly, when keep-alive
-    /// holds; one per request when the server closes every time.
-    pub connects: u64,
-    /// Wall-clock time of the whole run.
-    pub elapsed: Duration,
-    /// Merged latency histogram (microseconds per request).
-    pub hist: Histogram,
-}
-
-impl Report {
-    /// Completed requests per wall-clock second.
-    pub fn throughput_rps(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            return 0.0;
-        }
-        self.completed as f64 / self.elapsed.as_secs_f64()
-    }
-
-    /// Fold another run's tallies into this one. Elapsed times add, so
-    /// the merged report reads as one longer sequential run — the shape
-    /// multi-round bench phases want when they repeat a fixed load until
-    /// some external condition (e.g. enough generation swaps) is met.
-    pub fn merge(&mut self, other: &Report) {
-        self.completed += other.completed;
-        self.violations += other.violations;
-        for &s in &other.violation_samples {
-            if self.violation_samples.len() < 8 {
-                self.violation_samples.push(s);
-            }
-        }
-        self.transport_errors += other.transport_errors;
-        self.connects += other.connects;
-        self.elapsed += other.elapsed;
-        self.hist.merge(&other.hist);
-    }
-
-    /// The report as JSON, in the shape the bench artifacts embed.
-    pub fn to_json(&self) -> sjson::Value {
-        sjson::ObjectBuilder::new()
-            .field("completed", self.completed as i64)
-            .field("violations", self.violations as i64)
-            .field("transport_errors", self.transport_errors as i64)
-            .field("connects", self.connects as i64)
-            .field("elapsed_ms", self.elapsed.as_millis() as i64)
-            .field("throughput_req_per_sec", self.throughput_rps())
-            .field("latency_p50_us", self.hist.percentile(0.50) as i64)
-            .field("latency_p90_us", self.hist.percentile(0.90) as i64)
-            .field("latency_p99_us", self.hist.percentile(0.99) as i64)
-            .field("latency_p999_us", self.hist.percentile(0.999) as i64)
-            .field("latency_max_us", self.hist.max() as i64)
-            .build()
-    }
-}
-
-/// Tallies one worker brings home.
-struct WorkerStats {
-    completed: u64,
-    violations: u64,
-    violation_samples: Vec<u16>,
-    transport_errors: u64,
-    connects: u64,
-    hist: Histogram,
-}
-
-/// One persistent connection plus its read buffer.
-struct Conn {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-/// Run the configured load and collect a merged report.
-///
-/// Errors only on configuration problems (no targets, zero workers);
-/// per-request failures are counted in the report instead, so a flaky
-/// server yields data, not a crash.
-pub fn run(config: &LoadConfig) -> io::Result<Report> {
-    if config.targets.is_empty() {
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, "no targets"));
-    }
-    if config.connections == 0 {
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, "zero connections"));
-    }
-
-    // Bounded ticket channel: the coordinator stays at most one small
-    // buffer ahead, so the sequence is seeded-deterministic while the
-    // *pace* is set entirely by the workers draining it (closed loop).
-    let depth = config.connections * 2;
-    let (tx, rx) = mpsc::sync_channel::<usize>(depth);
-    let rx = Arc::new(Mutex::new(rx));
-
-    let t0 = Instant::now();
-    let workers: Vec<_> = (0..config.connections)
-        .map(|_| {
-            let rx = Arc::clone(&rx);
-            let targets = config.targets.clone();
-            let addr = config.addr;
-            let keep_alive = config.keep_alive;
-            let accept = config.accept.clone();
-            std::thread::spawn(move || worker(&rx, addr, &targets, keep_alive, &accept))
-        })
-        .collect();
-
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    for _ in 0..config.requests {
-        let pick = rng.gen_range(0usize..config.targets.len());
-        if tx.send(pick).is_err() {
-            break; // every worker died; the stats will say why
-        }
-    }
-    drop(tx); // closing the channel is the stop signal
-
-    let mut report = Report {
-        completed: 0,
-        violations: 0,
-        violation_samples: Vec::new(),
-        transport_errors: 0,
-        connects: 0,
-        elapsed: Duration::ZERO,
-        hist: Histogram::new(),
-    };
-    for w in workers {
-        let stats = w.join().expect("loadgen worker panicked");
-        report.completed += stats.completed;
-        report.violations += stats.violations;
-        for s in stats.violation_samples {
-            if report.violation_samples.len() < 8 {
-                report.violation_samples.push(s);
-            }
-        }
-        report.transport_errors += stats.transport_errors;
-        report.connects += stats.connects;
-        report.hist.merge(&stats.hist);
-    }
-    report.elapsed = t0.elapsed();
-    Ok(report)
-}
-
-fn worker(
-    rx: &Mutex<mpsc::Receiver<usize>>,
-    addr: SocketAddr,
-    targets: &[String],
-    keep_alive: bool,
-    accept: &StatusRanges,
-) -> WorkerStats {
-    let mut stats = WorkerStats {
-        completed: 0,
-        violations: 0,
-        violation_samples: Vec::new(),
-        transport_errors: 0,
-        connects: 0,
-        hist: Histogram::new(),
-    };
-    let mut conn: Option<Conn> = None;
-    let mut request = Vec::with_capacity(256);
-    loop {
-        // Take one ticket; the coordinator hanging up ends the run.
-        let pick = match rx.lock().expect("ticket channel poisoned").recv() {
-            Ok(p) => p,
-            Err(_) => break,
-        };
-        let target = match targets.get(pick) {
-            Some(t) => t,
-            None => continue, // unreachable: picks are in range by construction
-        };
-        request.clear();
-        request.extend_from_slice(b"GET ");
-        request.extend_from_slice(target.as_bytes());
-        request.extend_from_slice(b" HTTP/1.1\r\nHost: loadgen\r\n");
-        if keep_alive {
-            request.extend_from_slice(b"Connection: keep-alive\r\n");
-        }
-        request.extend_from_slice(b"\r\n");
-
-        let t0 = Instant::now();
-        match exchange(&mut conn, addr, &request, &mut stats.connects) {
-            Ok((status, server_keeps)) => {
-                stats.hist.record(t0.elapsed().as_micros() as u64);
-                stats.completed += 1;
-                if !accept.contains(status) {
-                    stats.violations += 1;
-                    if stats.violation_samples.len() < 8 {
-                        stats.violation_samples.push(status);
-                    }
-                }
-                if !(keep_alive && server_keeps) {
-                    conn = None;
-                }
-            }
-            Err(_) => {
-                stats.transport_errors += 1;
-                conn = None;
-            }
-        }
-    }
-    stats
-}
-
-/// Write one request, read one framed response. Returns the status and
-/// whether the server offered to keep the connection.
-fn exchange(
-    conn: &mut Option<Conn>,
-    addr: SocketAddr,
-    request: &[u8],
-    connects: &mut u64,
-) -> io::Result<(u16, bool)> {
-    if conn.is_none() {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        *connects += 1;
-        *conn = Some(Conn { stream, buf: Vec::with_capacity(16 * 1024) });
-    }
-    let c = conn.as_mut().expect("connection just ensured above");
-    c.stream.write_all(request)?;
-    read_framed(c)
-}
-
-fn proto_err(what: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, what.to_string())
-}
-
-/// Read head-until-`\r\n\r\n` plus `Content-Length` body bytes off
-/// `c`, leaving any pipelined surplus in `c.buf` for the next call.
-fn read_framed(c: &mut Conn) -> io::Result<(u16, bool)> {
-    let mut chunk = [0u8; 8 * 1024];
-    let head_end = loop {
-        if let Some(pos) = c.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos + 4;
-        }
-        match c.stream.read(&mut chunk)? {
-            0 => return Err(proto_err("connection closed mid-head")),
-            n => c.buf.extend_from_slice(&chunk[..n]),
-        }
-    };
-    let head = std::str::from_utf8(&c.buf[..head_end]).map_err(|_| proto_err("non-utf8 head"))?;
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| proto_err("no status line"))?;
-    let mut content_length: Option<usize> = None;
-    let mut keeps = false;
-    for line in head.lines().skip(1) {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().ok();
-            } else if name.eq_ignore_ascii_case("connection") {
-                keeps = value.trim().eq_ignore_ascii_case("keep-alive");
-            }
-        }
-    }
-    let len = content_length.ok_or_else(|| proto_err("no content-length"))?;
-    while c.buf.len() < head_end + len {
-        match c.stream.read(&mut chunk)? {
-            0 => return Err(proto_err("connection closed mid-body")),
-            n => c.buf.extend_from_slice(&chunk[..n]),
-        }
-    }
-    c.buf.drain(..head_end + len);
-    Ok((status, keeps))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn status_ranges_parse_and_match() {
-        let r = StatusRanges::parse("200-299, 404").unwrap();
-        assert!(r.contains(200) && r.contains(250) && r.contains(404));
-        assert!(!r.contains(199) && !r.contains(300) && !r.contains(500));
-        assert!(StatusRanges::parse("500-200").is_err());
-        assert!(StatusRanges::parse("").is_err());
-        assert!(StatusRanges::parse("banana").is_err());
-    }
-
-    #[test]
-    fn target_sequence_is_a_pure_function_of_the_seed() {
-        let draw = |seed: u64| -> Vec<usize> {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            (0..64).map(|_| rng.gen_range(0usize..5)).collect()
-        };
-        assert_eq!(draw(7), draw(7));
-        assert_ne!(draw(7), draw(8));
-    }
-
-    #[test]
-    fn merged_reports_add_tallies_and_keep_the_sample_cap() {
-        let mk = |completed: u64, us: u64, samples: &[u16]| {
-            let mut hist = Histogram::new();
-            hist.record(us);
-            Report {
-                completed,
-                violations: samples.len() as u64,
-                violation_samples: samples.to_vec(),
-                transport_errors: 1,
-                connects: 2,
-                elapsed: Duration::from_millis(100),
-                hist,
-            }
-        };
-        let mut a = mk(10, 50, &[500; 6]);
-        a.merge(&mk(5, 5000, &[404; 6]));
-        assert_eq!(a.completed, 15);
-        assert_eq!(a.violations, 12);
-        assert_eq!(a.violation_samples.len(), 8, "sample cap must hold across merges");
-        assert_eq!(a.transport_errors, 2);
-        assert_eq!(a.connects, 4);
-        assert_eq!(a.elapsed, Duration::from_millis(200));
-        assert_eq!(a.hist.count(), 2);
-        assert!(a.hist.percentile(0.99) >= 5000 - 64);
-    }
-
-    #[test]
-    fn run_rejects_degenerate_configs() {
-        let no_targets = LoadConfig { targets: vec![], ..Default::default() };
-        assert!(run(&no_targets).is_err());
-        let no_workers = LoadConfig { connections: 0, ..Default::default() };
-        assert!(run(&no_workers).is_err());
-    }
-}

@@ -1,8 +1,7 @@
 //! Deterministic replay of a recorded RLOGv1 request log.
 //!
-//! [`super::run`] *generates* traffic from a seed; this module
-//! *re-issues* traffic a live server actually saw, turning a recorded
-//! log into a portable regression fixture. The driver restores the
+//! This module *re-issues* traffic a live server actually saw, turning a
+//! recorded log into a portable regression fixture. The driver restores the
 //! recorded ordering exactly — records are grouped by recorded
 //! connection id and sorted by per-connection sequence number, and each
 //! replayed connection issues its requests strictly in that order — so
@@ -517,6 +516,7 @@ mod tests {
             replay(&records, &ReplayConfig { addr, connections: 2, keep_alive: false }).unwrap();
         server.join().unwrap();
         assert_eq!(report.replayed, 4);
+        assert_eq!(report.hist.count(), 4, "one latency sample per completed request");
         assert_eq!(report.transport_errors, 0);
         // The echo server always answers 200; record 4 expected 404.
         assert_eq!(report.status_mismatches, 1);
@@ -555,5 +555,13 @@ mod tests {
         server2.join().unwrap();
         assert_eq!(report.overall, report2.overall);
         assert_eq!(report.format_digests(), report2.format_digests());
+    }
+
+    #[test]
+    fn replay_rejects_zero_connections() {
+        let records = vec![record(1, 0, "/health", 200)];
+        let config = ReplayConfig { connections: 0, ..Default::default() };
+        let err = replay(&records, &config).err().expect("zero connections must be rejected");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 }

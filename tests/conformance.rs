@@ -230,6 +230,7 @@ fn mmap_twpr_materializes_and_reuses_the_shard_cache() {
         .filter(|e| e.path().extension().is_some_and(|x| x == "scsr"))
         .collect();
     assert_eq!(shards.len(), 1, "TWPR over mmap must leave one shard cache file");
+    assert!(first.telemetry.converged, "TWPR over the mmap shards must converge");
     assert!(l1_distance(&baseline, &first.scores) <= 1e-12);
 
     // A fresh context reopens the cached shard file instead of rebuilding.

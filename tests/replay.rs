@@ -33,15 +33,16 @@ use scholar::corpus::{Corpus, CorpusGenerator, Preset};
 use scholar::serve::record::{decode_rlog, encode_rlog};
 use scholar::serve::shadow::{replay_mirror, Decision};
 use scholar::serve::{
-    read_rlog, serve, Backend, Metrics, Recorder, ScoreIndex, ServeConfig, ServerHandle,
+    read_rlog, serve, Backend, Metrics, Recorder, ReqRecord, ScoreIndex, ServeConfig, ServerHandle,
     ShadowReport, ShadowThresholds, SharedIndex, StateError, TopQuery,
 };
 use scholar::{GeneratorConfig, QRankConfig};
-use scholar_loadgen::{LoadConfig, ReplayConfig, StatusRanges};
+use scholar_loadgen::ReplayConfig;
 use scholar_testkit::chaos;
 use scholar_testkit::model::arb_query;
 use scholar_testkit::seeds::for_seeds;
-use srand::{rngs::SmallRng, Rng};
+use srand::{rngs::SmallRng, Rng, SeedableRng};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -89,7 +90,7 @@ fn top_target(rng: &mut SmallRng) -> String {
     t
 }
 
-fn arb_record(rng: &mut SmallRng) -> scholar::serve::ReqRecord {
+fn arb_record(rng: &mut SmallRng) -> ReqRecord {
     let target = match rng.gen_range(0u32..6) {
         0 | 1 => top_target(rng),
         2 => format!("/article/{}", rng.gen_range(0u32..50)),
@@ -101,7 +102,7 @@ fn arb_record(rng: &mut SmallRng) -> scholar::serve::ReqRecord {
         4 => "/top?venue=%zz&☃=RLOGend\0".to_string(),
         _ => String::new(),
     };
-    scholar::serve::ReqRecord {
+    ReqRecord {
         conn: if rng.gen_range(0u32..8) == 0 { u64::MAX } else { rng.gen_range(0u64..100) },
         seq: rng.gen_range(0u64..1000),
         generation: if rng.gen_range(0u32..8) == 0 { u64::MAX } else { rng.gen_range(1u64..9) },
@@ -204,7 +205,28 @@ fn fixture_targets(n_articles: usize) -> Vec<String> {
     t
 }
 
-/// Drive seeded loadgen at a recording server and return the flushed
+/// Seeded traffic through the replay driver: one keep-alive connection
+/// per seed, issued one after another, each carrying `per_seed` targets
+/// drawn uniformly from `targets` by `SmallRng::seed_from_u64(seed)`.
+/// The synthesised records' statuses are placeholders; the server's
+/// recorder, when one is attached, logs the real ones.
+fn drive_seeded(addr: SocketAddr, seeds: &[u64], per_seed: u64, targets: &[String]) {
+    let mut records = Vec::new();
+    for (conn, &seed) in (0u64..).zip(seeds) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for seq in 0..per_seed {
+            let target = targets[rng.gen_range(0..targets.len())].clone();
+            records.push(ReqRecord { conn, seq, generation: 0, status: 0, latency_us: 0, target });
+        }
+    }
+    let report =
+        scholar_loadgen::replay(&records, &ReplayConfig { addr, connections: 1, keep_alive: true })
+            .expect("seeded replay");
+    assert_eq!(report.replayed, records.len() as u64, "the driver lost requests");
+    assert_eq!(report.transport_errors, 0);
+}
+
+/// Drive seeded traffic at a recording server and return the flushed
 /// log. Two serial single-connection runs: serial traffic cannot
 /// contend the recorder ring (`dropped` stays 0 by construction), and
 /// the two runs give the log two connection groups, so replay's
@@ -213,20 +235,12 @@ fn record_workload(corpus: &Arc<Corpus>, scores: &[f64], rlog: &Path) -> scholar
     let recorder = Arc::new(Recorder::new(rlog, 1, 1 << 16));
     let (mut server, _shared, _metrics) =
         start_server(corpus, scores, Backend::Auto, Some(Arc::clone(&recorder)));
-    for seed in [0x5eed_0001u64, 0x5eed_0002] {
-        let report = scholar_loadgen::run(&LoadConfig {
-            addr: server.addr(),
-            connections: 1,
-            requests: FIXTURE_REQUESTS / 2,
-            seed,
-            keep_alive: true,
-            targets: fixture_targets(corpus.num_articles()),
-            accept: StatusRanges::ok_or_not_found(),
-        })
-        .expect("loadgen run");
-        assert_eq!(report.completed, FIXTURE_REQUESTS / 2, "loadgen lost requests");
-        assert_eq!(report.transport_errors, 0);
-    }
+    drive_seeded(
+        server.addr(),
+        &[0x5eed_0001, 0x5eed_0002],
+        FIXTURE_REQUESTS / 2,
+        &fixture_targets(corpus.num_articles()),
+    );
     assert_eq!(recorder.dropped(), 0, "serial traffic must never contend the ring");
     recorder.flush().expect("flush record log");
     server.shutdown();
@@ -239,7 +253,7 @@ fn record_workload(corpus: &Arc<Corpus>, scores: &[f64], rlog: &Path) -> scholar
 fn replay_against(
     corpus: &Arc<Corpus>,
     scores: &[f64],
-    records: &[scholar::serve::ReqRecord],
+    records: &[ReqRecord],
     backend: Backend,
     connections: usize,
 ) -> scholar_loadgen::ReplayReport {
@@ -351,19 +365,8 @@ fn shadow_gate_rejects_drift_promotes_equivalence_and_replays_exactly() {
     // integer-identical to the online report.
     const MIRRORS: u64 = 32;
     let thresholds = ShadowThresholds { min_mirrored: MIRRORS, ..Default::default() };
-    let traffic = |seed: u64| {
-        let report = scholar_loadgen::run(&LoadConfig {
-            addr,
-            connections: 1,
-            requests: MIRRORS,
-            seed,
-            keep_alive: true,
-            targets: fixture_targets(corpus.num_articles()),
-            accept: StatusRanges::ok_or_not_found(),
-        })
-        .expect("loadgen");
-        assert_eq!(report.completed, MIRRORS);
-    };
+    let traffic =
+        |seed: u64| drive_seeded(addr, &[seed], MIRRORS, &fixture_targets(corpus.num_articles()));
 
     // Phase 1: a drifted candidate (scores reversed — wrong order,
     // wrong values) must be REJECTED, loudly, with the old generation
