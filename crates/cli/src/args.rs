@@ -1,7 +1,5 @@
 //! A minimal `--flag value` argument parser (no external dependencies).
 
-use std::collections::HashMap;
-
 /// Parsed command line: a subcommand, positional arguments, and
 /// `--key value` / `--switch` options.
 #[derive(Debug, Clone, Default)]
@@ -10,8 +8,9 @@ pub struct Args {
     pub command: String,
     /// Remaining positional arguments.
     pub positional: Vec<String>,
-    options: HashMap<String, String>,
-    switches: Vec<String>,
+    /// `--key value` options (`Some`) and `--switch`es (`None`), in
+    /// command-line order.
+    flags: Vec<(String, Option<String>)>,
 }
 
 impl Args {
@@ -29,13 +28,8 @@ impl Args {
                 if key.is_empty() {
                     return Err("bare '--' is not a valid flag".into());
                 }
-                match iter.peek() {
-                    Some(next) if !next.starts_with("--") => {
-                        let val = iter.next().unwrap();
-                        out.options.insert(key.to_owned(), val);
-                    }
-                    _ => out.switches.push(key.to_owned()),
-                }
+                let value = iter.next_if(|next| !next.starts_with("--"));
+                out.flags.push((key.to_owned(), value));
             } else if out.command.is_empty() {
                 out.command = tok;
             } else {
@@ -45,9 +39,9 @@ impl Args {
         Ok(out)
     }
 
-    /// String option by key.
+    /// String option by key (the last one, if given twice).
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.options.get(key).map(String::as_str)
+        self.flags.iter().rev().find(|(k, v)| k == key && v.is_some())?.1.as_deref()
     }
 
     /// Option parsed to a type, with a default.
@@ -60,7 +54,33 @@ impl Args {
 
     /// `true` if `--key` appeared as a boolean switch.
     pub fn has_switch(&self, key: &str) -> bool {
-        self.switches.iter().any(|s| s == key)
+        self.flags.iter().any(|(k, v)| k == key && v.is_none())
+    }
+
+    /// Check every flag against the ones the command reads: `options`
+    /// take a value, `switches` take none. The error names the first
+    /// flag, in command-line order, that the command does not know or
+    /// that is given in the wrong shape.
+    pub fn check_flags(&self, options: &[&str], switches: &[&str]) -> Result<(), String> {
+        for (key, value) in &self.flags {
+            let key = key.as_str();
+            let (is_option, is_switch) = (options.contains(&key), switches.contains(&key));
+            match value {
+                Some(_) if is_option => {}
+                None if is_switch => {}
+                Some(v) if is_switch => {
+                    return Err(format!("--{key} takes no value, but was given '{v}'"))
+                }
+                None if is_option => return Err(format!("--{key} needs a value")),
+                _ => {
+                    return Err(format!(
+                        "unknown flag --{key} for 'scholar {}' (try 'scholar help')",
+                        self.command
+                    ))
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Positional argument by index, with a helpful error.
@@ -110,6 +130,16 @@ mod tests {
     fn bad_parse_value() {
         let a = parse(&["x", "--top", "many"]);
         assert!(a.get_parsed::<usize>("top", 1).is_err());
+    }
+
+    #[test]
+    fn check_flags_names_the_unknown_or_misshapen_flag() {
+        let check = |toks: &[&str]| parse(toks).check_flags(&["top"], &["json"]);
+        assert!(check(&["rank", "c", "--top", "3", "--json"]).is_ok());
+        let err = check(&["rank", "c", "--top", "3", "--metod", "twpr", "--also"]).unwrap_err();
+        assert!(err.contains("--metod") && err.contains("'scholar rank'"), "{err}");
+        assert!(check(&["rank", "--json", "c"]).unwrap_err().contains("--json takes no value"));
+        assert!(check(&["rank", "c", "--top"]).unwrap_err().contains("--top needs a value"));
     }
 
     #[test]

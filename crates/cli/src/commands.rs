@@ -583,17 +583,16 @@ pub fn convert<W: Write>(args: &Args, out: &mut W) -> CmdResult {
 }
 
 /// `scholar serve corpus.jsonl [--addr HOST:PORT] [--workers N]
-/// [--queue N] [--read-timeout-ms MS] [--max-conns N]
-/// [--backend auto|epoll|blocking] [--duration SECS] [--state DIR]
+/// [--read-timeout-ms MS] [--max-conns N] [--duration SECS] [--state DIR]
 /// [--snapshot-every N]`
 ///
 /// Rank the corpus, then serve it over HTTP: `GET /top`,
 /// `GET /article/{id}`, `GET /health`, `GET /metrics`. Without
 /// `--duration` the server runs until stdin closes (Ctrl-D); with it, for
 /// that many seconds. Either way shutdown is graceful — in-flight
-/// requests drain before the process moves on. `--backend auto` (the
-/// default) picks the nonblocking epoll event loop on Linux and the
-/// portable blocking pool elsewhere.
+/// requests drain before the process moves on. The server is the
+/// nonblocking epoll event loop, `--workers` shards of it; it needs
+/// Linux.
 ///
 /// With `--state DIR` the server is crash-safe: accepted batches are
 /// journaled to `DIR/wal.log` before they are acknowledged, the ranked
@@ -609,12 +608,6 @@ pub fn serve<W: Write>(args: &Args, out: &mut W) -> CmdResult {
             Some(raw.parse().map_err(|_| format!("invalid --duration '{raw}' (seconds)"))?)
         }
         None => None,
-    };
-    let backend = match args.get("backend").unwrap_or("auto") {
-        "auto" => scholar::serve::Backend::Auto,
-        "epoll" => scholar::serve::Backend::Epoll,
-        "blocking" => scholar::serve::Backend::Blocking,
-        other => return Err(format!("invalid --backend '{other}' (auto|epoll|blocking)")),
     };
     // --record PATH arms the sampled request recorder; the ring is
     // flushed to an RLOGv1 file at shutdown (and keeps the most recent
@@ -633,11 +626,10 @@ pub fn serve<W: Write>(args: &Args, out: &mut W) -> CmdResult {
     let serve_config = scholar::serve::ServeConfig {
         addr: args.get("addr").unwrap_or("127.0.0.1:7171").to_string(),
         workers: args.get_parsed("workers", 4)?,
-        queue_depth: args.get_parsed("queue", 64)?,
         read_timeout: std::time::Duration::from_millis(args.get_parsed("read-timeout-ms", 5000)?),
         max_conns: args.get_parsed("max-conns", 1024)?,
-        backend,
         recorder: recorder.clone(),
+        ..Default::default()
     };
     let shadow_gate = if args.has_switch("shadow") {
         if args.get("state").is_some() {
@@ -991,23 +983,9 @@ mod tests {
         assert!(out.contains("served 0 requests"), "{out}");
         let err = run(&["serve", &path, "--duration", "soon"]).unwrap_err();
         assert!(err.contains("--duration"), "{err}");
-        // Both explicit backends bind and drain; a typo is rejected.
-        for backend in ["blocking", if cfg!(target_os = "linux") { "epoll" } else { "auto" }] {
-            let out = run(&[
-                "serve",
-                &path,
-                "--addr",
-                "127.0.0.1:0",
-                "--backend",
-                backend,
-                "--duration",
-                "0",
-            ])
-            .unwrap();
-            assert!(out.contains("listening on"), "backend {backend}: {out}");
-        }
-        let err = run(&["serve", &path, "--backend", "iocp"]).unwrap_err();
-        assert!(err.contains("--backend"), "{err}");
+        // A flag serve does not read is an error naming it, not ignored.
+        let err = run(&["serve", &path, "--backend", "epoll", "--duration", "0"]).unwrap_err();
+        assert!(err.contains("unknown flag --backend for 'scholar serve'"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1035,6 +1013,33 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].get("rank").unwrap().as_usize(), Some(1));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_misspelt_flag_fails_instead_of_running_with_the_default() {
+        let dir = tmpdir();
+        let path = corpus_file(&dir);
+        let err = run(&["rank", &path, "--metod", "twpr"]).unwrap_err();
+        assert!(err.contains("unknown flag --metod for 'scholar rank'"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The flag table is the set of flags the commands read: every key an
+    /// `args.get*`/`has_switch` call in this file names is in some
+    /// command's row, and every row names only such keys.
+    #[test]
+    fn flag_table_holds_exactly_the_flags_the_commands_read() {
+        let src = include_str!("commands.rs");
+        let code: String = src[..src.find("#[cfg(test)]").unwrap()].split_whitespace().collect();
+        let mut read = std::collections::BTreeSet::new();
+        for call in ["args.get(\"", "args.get_parsed(\"", "args.has_switch(\""] {
+            for (at, _) in code.match_indices(call) {
+                let key = &code[at + call.len()..];
+                read.insert(&key[..key.find('"').unwrap()]);
+            }
+        }
+        let table = crate::FLAGS.iter().flat_map(|(_, o, s)| o.iter().chain(s.iter())).copied();
+        assert_eq!(read, table.collect());
     }
 
     #[test]

@@ -11,8 +11,12 @@ pub mod commands;
 
 pub use args::Args;
 
-/// Dispatch a parsed command line, writing human output to `out`.
+/// Dispatch a parsed command line, writing human output to `out`. A
+/// flag the command does not read is an error before the command runs.
 pub fn dispatch<W: std::io::Write>(parsed: &Args, out: &mut W) -> Result<(), String> {
+    if let Some((_, options, switches)) = FLAGS.iter().find(|(cmd, ..)| *cmd == parsed.command) {
+        parsed.check_flags(options, switches)?;
+    }
     match parsed.command.as_str() {
         "generate" => commands::generate(parsed, out),
         "stats" => commands::stats(parsed, out),
@@ -33,6 +37,51 @@ pub fn dispatch<W: std::io::Write>(parsed: &Args, out: &mut W) -> Result<(), Str
         other => Err(format!("unknown command '{other}' (try 'scholar help')")),
     }
 }
+
+/// Every flag each command reads, as `(command, options, switches)`:
+/// options take a value, switches take none. Corpus readers also take
+/// `missing-year`; QRank runners also take `config` and `threads`.
+const FLAGS: &[(&str, &[&str], &[&str])] = &[
+    ("generate", &["preset", "seed", "out", "articles"], &[]),
+    ("stats", &["missing-year"], &[]),
+    (
+        "rank",
+        &["store", "method", "top", "missing-year", "config", "threads"],
+        &["explain", "json"],
+    ),
+    ("ablate", &["missing-year", "config", "threads"], &["json"]),
+    ("related", &["seeds", "top", "missing-year"], &[]),
+    ("coldstart", &["venue", "authors", "missing-year", "config", "threads"], &[]),
+    ("analyze", &["missing-year"], &[]),
+    ("eval", &["cutoff-frac", "window", "missing-year"], &[]),
+    ("convert", &["from", "out", "meta", "cites", "papers", "authors", "refs"], &[]),
+    (
+        "serve",
+        &[
+            "addr",
+            "workers",
+            "read-timeout-ms",
+            "max-conns",
+            "duration",
+            "state",
+            "snapshot-every",
+            "record",
+            "sample",
+            "record-cap",
+            "shadow-min-mirrored",
+            "shadow-min-overlap",
+            "shadow-min-tau",
+            "shadow-max-l1",
+            "shadow-max-mismatches",
+            "missing-year",
+            "config",
+            "threads",
+        ],
+        &["shadow"],
+    ),
+    ("replay", &["addr", "connections", "expect", "write-digests"], &["no-keep-alive", "json"]),
+    ("snapshot", &["state", "missing-year", "config", "threads"], &[]),
+];
 
 /// The help screen.
 pub fn help_text() -> &'static str {
@@ -70,17 +119,16 @@ COMMANDS:
             convert the AAN release format to JSON lines
   convert   --from mag --papers P --authors A --refs R --out FILE
             convert MAG-style TSV tables to JSON lines
-  serve     CORPUS.jsonl [--addr HOST:PORT] [--workers N] [--queue N]
-            [--read-timeout-ms MS] [--max-conns N]
-            [--backend auto|epoll|blocking] [--duration SECS]
+  serve     CORPUS.jsonl [--addr HOST:PORT] [--workers N]
+            [--read-timeout-ms MS] [--max-conns N] [--duration SECS]
             [--state DIR] [--snapshot-every N]
             [--record FILE [--sample N] [--record-cap N]] [--shadow]
             rank the corpus and serve it over HTTP: GET /top (k, venue,
             author, year_min, year_max filters), /article/{id}, /health,
             /metrics, /shadow; runs until stdin closes unless --duration
-            is given; --backend auto picks the nonblocking epoll event
-            loop on Linux (keep-alive, SO_REUSEPORT shards) and the
-            portable blocking pool elsewhere; --state DIR makes the
+            is given; the server is a nonblocking epoll event loop
+            (Linux only) with keep-alive, --workers SO_REUSEPORT shards
+            and --max-conns connections per shard; --state DIR makes the
             server crash-safe: batches journal to DIR/wal.log before
             they are acknowledged, state snapshots to DIR/snapshot.snap
             every --snapshot-every batches, and a restart restores
@@ -109,7 +157,7 @@ Commands reading CORPUS.jsonl accept --missing-year error|drop|YEAR for
 records without a publication year (default: error — yearless records
 abort the load rather than silently becoming year-0 articles).
 
-Commands running QRank (rank, ablate, coldstart, eval, serve, snapshot) accept --config FILE
+Commands running QRank (rank, ablate, coldstart, serve, snapshot) accept --config FILE
 with a partial QRankConfig as JSON; unspecified fields keep tuned defaults.
 They also accept --threads N to set the worker count (--threads 1 forces
 sequential execution); the SCHOLAR_THREADS environment variable changes

@@ -2,7 +2,7 @@
 //! handler may block the event thread.
 //!
 //! The roots are the functions named `drive` in `scholar-serve` (the
-//! nonblocking backend's event loop — a naming convention this rule
+//! server's event loop — a naming convention this rule
 //! makes load-bearing). From there the call graph is walked, and every
 //! reachable function is scanned for operations that can stall the
 //! loop:

@@ -1,9 +1,9 @@
 //! **HOTPATH-PANIC** — the serve path must answer, never die.
 //!
-//! A panic anywhere between accept and respond either kills a worker
-//! (shrinking the pool until nothing serves) or, post-PR-3, burns a
-//! `catch_unwind` converting it to a `500` that proper error flow would
-//! have made a precise `4xx`. The serving contract is that every
+//! A panic anywhere between accept and respond either kills an
+//! event-loop shard (and with it every connection the shard holds) or
+//! burns a `catch_unwind` converting it to a `500` that proper error
+//! flow would have made a precise `4xx`. The serving contract is that every
 //! failure reaches the client as a status code and the `/metrics`
 //! counters as an increment — so `scholar-serve` production code may
 //! not `unwrap`/`expect`, may not `panic!` (or its `unreachable!` /

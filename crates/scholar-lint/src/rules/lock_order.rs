@@ -89,7 +89,7 @@ pub fn check(ws: &Workspace, table: &FnTable, graph: &CallGraph, out: &mut Vec<D
         per_fn[caller].acqs.push(acq);
     }
 
-    // Blocking lock-set of each fn, transitively (fixpoint).
+    // The set of locks each fn acquires blocking, transitively (fixpoint).
     let mut sets: Vec<BTreeSet<String>> = per_fn
         .iter()
         .map(|fl| fl.acqs.iter().filter(|a| a.blocking).map(|a| a.lock.clone()).collect())

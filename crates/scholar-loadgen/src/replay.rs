@@ -67,9 +67,9 @@ pub struct ReplayConfig {
     /// Worker threads. Recorded connections are partitioned across
     /// workers; per-connection order is preserved regardless.
     pub connections: usize,
-    /// Ask the server to keep connections open. The blocking backend
-    /// closes after every response either way; the driver reconnects
-    /// transparently, so the same log replays against both backends.
+    /// Ask the server to keep connections open. Off, every request goes
+    /// out on a fresh connection; so does the next request whenever a
+    /// response says `Connection: close`.
     pub keep_alive: bool,
 }
 
@@ -351,9 +351,9 @@ struct ReplayConn {
     buf: Vec<u8>,
 }
 
-/// Write one request, read one framed response with its body. The
-/// blocking backend closes after every response; a fresh connect per
-/// request keeps the same log replayable against both backends.
+/// Write one request, read one framed response with its body, and drop
+/// the connection unless both sides keep it alive: the next request then
+/// connects afresh.
 fn exchange(
     conn: &mut Option<ReplayConn>,
     addr: SocketAddr,

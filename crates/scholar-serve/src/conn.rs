@@ -1,7 +1,7 @@
-//! The one request path: a sans-IO HTTP connection core under both
-//! serve drivers (DESIGN.md §2.15).
+//! The one request path: a sans-IO HTTP connection core under the epoll
+//! event loop (DESIGN.md §2.15).
 //!
-//! A [`Conn`] holds no socket. A driver appends the bytes it read to
+//! A [`Conn`] holds no socket. The driver appends the bytes it read to
 //! [`Conn::buf`], writes out [`Conn::pending`] and reports progress with
 //! [`Conn::advance`]; exactly three events drive everything in between:
 //!
@@ -9,8 +9,7 @@
 //!   off the buffer with [`http::try_parse_head`], rendering each
 //!   response into the output buffer. Several heads in one buffer are
 //!   pipelined requests: all are answered, in order, in one pass. A
-//!   request without `Connection: keep-alive` — or any request on a
-//!   connection built with reuse off — marks the connection
+//!   request without `Connection: keep-alive` marks the connection
 //!   close-after-flush and stops the pipeline. A malformed head is
 //!   answered (`400`/`405`/`414`) and poisons the byte stream: close.
 //! - **peer EOF** ([`Conn::on_eof`]) — EOF before a head completed, or
@@ -23,9 +22,8 @@
 //! Accounting lives here and nowhere else: every response the core
 //! renders is counted, attributed to a generation and offered to the
 //! recorder exactly once, and a handler panic becomes a recorded `500`.
-//! The drivers add only readiness — `epoll.rs` nonblocking fill/flush on
-//! edge-triggered wake-ups, `server.rs` a blocking read/`write_all` loop
-//! per pooled worker — plus the accept-side `503` shed.
+//! The driver, `epoll.rs`, adds only readiness — nonblocking fill/flush
+//! on edge-triggered wake-ups — plus the accept-side `503` shed.
 //!
 //! ## Cache invalidation on swap
 //!
@@ -61,8 +59,8 @@ const CACHE_MAX_BODY: usize = 64 * 1024;
 
 /// Per-thread request context: everything the render path needs, kept
 /// apart from the connections so a connection and the context can be
-/// borrowed mutably at the same time. One per event-loop shard, one per
-/// pool worker; all scratch is reused across requests, so steady-state
+/// borrowed mutably at the same time. One per event-loop shard; all
+/// scratch is reused across requests, so steady-state
 /// `/top` and `/article/{id}` answers perform no allocations at all.
 pub struct Ctx {
     shared: Arc<SharedIndex>,
@@ -111,7 +109,7 @@ impl Ctx {
     ) -> u16 {
         // Chaos site: a buggy or slow handler. An injected panic here
         // must come back as a recorded `500`, never as a lost response
-        // or a dead worker/shard.
+        // or a dead shard.
         failpoint!("serve.respond");
         let route = server::route(req, index);
         route.count(&self.metrics);
@@ -294,44 +292,10 @@ fn push_fragments(body: &mut Vec<u8>, index: &ScoreIndex, ids: &[u32]) -> bool {
     true
 }
 
-/// Chaos site: an accepted connection the driver loses before serving
-/// it (transient accept-path fault). Queue/slab accounting and worker
-/// liveness must survive it. Like the three sites below, it lives in
-/// its own function so the site has exactly one declaration
-/// (FAILPOINT-SYNC) while both drivers evaluate it.
-pub(crate) fn accept_failpoint() -> bool {
-    failpoint!("serve.accept", return true);
-    false
-}
-
-/// Chaos site: a transient fault on a driver's socket read — the
-/// connection is torn down as if the kernel failed the read.
-pub(crate) fn read_failpoint() -> bool {
-    failpoint!("serve.io.read", return true);
-    false
-}
-
-/// Chaos site: a transient fault on a driver's socket write.
-pub(crate) fn write_failpoint() -> bool {
-    failpoint!("serve.io.write", return true);
-    false
-}
-
-/// Shed one connection at the door: count it and render the whole `503`
-/// the driver writes before dropping the socket. Load is shed instead of
-/// growing an unbounded backlog.
-pub(crate) fn shed_response(metrics: &Metrics) -> Vec<u8> {
-    metrics.record_shed();
-    let mut out = Vec::new();
-    let message = "server is at capacity, retry shortly";
-    http::write_error_response(&mut out, &mut Vec::new(), 503, message, false);
-    out
-}
-
 /// One connection's protocol state between events.
 pub struct Conn {
-    /// Unparsed request bytes (the per-connection read arena); drivers
-    /// append what they read, the core drains what it parsed.
+    /// Unparsed request bytes (the per-connection read arena); the driver
+    /// appends what it reads, the core drains what it parsed.
     pub buf: Vec<u8>,
     /// Rendered-but-unflushed response bytes.
     out: Vec<u8>,
@@ -347,19 +311,12 @@ pub struct Conn {
     /// Recorder-assigned connection id (0 without a recorder); recorded
     /// requests carry it so replay can preserve per-connection order.
     id: u64,
-    /// Whether `Connection: keep-alive` requests may reuse this
-    /// connection. Off, every response says `Connection: close`.
-    reuse: bool,
     _open: OpenConn,
 }
 
 impl Conn {
     /// A freshly accepted connection, counted open until it drops.
-    /// `reuse` is the one thing the drivers choose differently: the
-    /// event loop honours keep-alive; the pool turns it off, because a
-    /// kept-alive connection would pin one of its `workers` threads and
-    /// starve the queue.
-    pub fn new(ctx: &Ctx, reuse: bool) -> Conn {
+    pub fn new(ctx: &Ctx) -> Conn {
         Conn {
             buf: Vec::new(),
             out: Vec::new(),
@@ -368,7 +325,6 @@ impl Conn {
             close_after_flush: false,
             peer_gone: false,
             id: ctx.recorder.as_ref().map(|r| r.conn_id()).unwrap_or(0),
-            reuse,
             _open: ctx.metrics.conn_open(),
         }
     }
@@ -432,11 +388,10 @@ impl Conn {
                     if self.served > 0 {
                         ctx.metrics.record_keepalive_reuse();
                     }
-                    let keep = head.keep_alive && self.reuse;
-                    self.answer(ctx, &head, parsed, keep);
+                    self.answer(ctx, &head, parsed);
                     self.served += 1;
                     parsed += head.consumed;
-                    self.close_after_flush = !keep;
+                    self.close_after_flush = !head.keep_alive;
                 }
                 Err(e) => {
                     self.early_error(ctx, e.status(), &e.message(), None);
@@ -484,7 +439,7 @@ impl Conn {
     }
 
     /// Answer one parsed request into the output buffer.
-    fn answer(&mut self, ctx: &mut Ctx, head: &ParsedHead, head_offset: usize, keep: bool) {
+    fn answer(&mut self, ctx: &mut Ctx, head: &ParsedHead, head_offset: usize) {
         let metrics = Arc::clone(&ctx.metrics);
         let _gauge = metrics.begin();
         let started = Instant::now();
@@ -498,7 +453,7 @@ impl Conn {
         let rollback = self.out.len();
         let status = catch_unwind(AssertUnwindSafe(|| {
             let target = self.buf.get(target.clone()).unwrap_or_default();
-            ctx.write_answer(&head.req, target, &index, keep, &mut self.out)
+            ctx.write_answer(&head.req, target, &index, head.keep_alive, &mut self.out)
         }));
         let status = match status {
             Ok(s) => s,
@@ -514,7 +469,7 @@ impl Conn {
                     &mut ctx.body,
                     500,
                     "internal error while answering the request",
-                    keep,
+                    head.keep_alive,
                 );
                 500
             }
@@ -617,7 +572,7 @@ mod tests {
 
     /// A keep-alive connection with one request answered and flushed.
     fn between_requests(ctx: &mut Ctx) -> Conn {
-        let mut conn = Conn::new(ctx, true);
+        let mut conn = Conn::new(ctx);
         conn.buf.extend_from_slice(b"GET /health HTTP/1.1\r\nConnection: keep-alive\r\n\r\n");
         conn.on_bytes(ctx);
         conn.advance(conn.pending().len());
@@ -628,7 +583,7 @@ mod tests {
     #[test]
     fn missing_terminator_is_400() {
         let mut ctx = ctx();
-        let mut conn = Conn::new(&ctx, true);
+        let mut conn = Conn::new(&ctx);
         conn.buf.extend_from_slice(b"GET /top HTTP/1.1\r\nHost: x\r\n");
         conn.on_bytes(&mut ctx);
         assert!(conn.pending().is_empty(), "a partial head is not an error yet");
@@ -636,7 +591,7 @@ mod tests {
         assert_eq!(closing_status(&conn), 400);
         assert!(String::from_utf8_lossy(conn.pending()).contains("before end of request head"));
         // Connect-and-close is the same 400; EOF between requests is not.
-        let mut silent = Conn::new(&ctx, false);
+        let mut silent = Conn::new(&ctx);
         silent.on_eof(&mut ctx);
         assert_eq!(closing_status(&silent), 400);
         let mut polite = between_requests(&mut ctx);
@@ -650,13 +605,13 @@ mod tests {
         let mut ctx = ctx();
         let idle = Duration::from_millis(300);
         // Slowloris: a started request that stalls is answered 408 …
-        let mut stalled = Conn::new(&ctx, true);
+        let mut stalled = Conn::new(&ctx);
         stalled.buf.extend_from_slice(b"GET /top?k=");
         stalled.on_bytes(&mut ctx);
         stalled.on_timeout(&mut ctx, idle);
         assert_eq!(closing_status(&stalled), 408);
         // … as is a connection that never sent anything …
-        let mut mute = Conn::new(&ctx, false);
+        let mut mute = Conn::new(&ctx);
         mute.on_timeout(&mut ctx, idle);
         assert_eq!(closing_status(&mute), 408);
         // … but an idle keep-alive connection just closes.

@@ -1,4 +1,4 @@
-//! The nonblocking epoll driver: SO_REUSEPORT-sharded event loops that
+//! The server: SO_REUSEPORT-sharded nonblocking epoll event loops that
 //! feed the shared request path ([`crate::conn`]) from edge-triggered
 //! readiness. Everything HTTP — parsing, routing, rendering, keep-alive
 //! and pipelining rules, accounting — lives in the core; this file owns
@@ -30,6 +30,7 @@
 //! millisecond of its deadline instead of up to a full tick late.
 
 use crate::conn::{self, Conn, Ctx};
+use crate::http;
 use crate::metrics::Metrics;
 use crate::server::{self, ServeConfig};
 use crate::swap::SharedIndex;
@@ -55,7 +56,7 @@ const READ_LIMIT: usize = 64 * 1024;
 /// Epoll token reserved for the shard's listener.
 const LISTENER_TOKEN: u64 = u64::MAX;
 
-/// Start the epoll backend: one shard thread per `config.workers`, all
+/// Start the server: one shard thread per `config.workers`, all
 /// listening on the same port via `SO_REUSEPORT`.
 pub(crate) fn start(
     shared: Arc<SharedIndex>,
@@ -199,15 +200,12 @@ impl Shard {
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => return,
             };
-            if conn::accept_failpoint() {
-                continue;
-            }
+            // Chaos site: an accepted connection lost before it is
+            // served (transient accept-path fault). Slab accounting and
+            // shard liveness must survive it.
+            failpoint!("serve.accept", continue);
             if self.active >= self.max_conns {
-                // Shed at the door. The accepted socket is still
-                // blocking; the small response fits in the socket
-                // buffer, so this cannot stall the loop meaningfully.
-                let mut stream = stream;
-                let _ = stream.write_all(&conn::shed_response(&self.ctx.metrics));
+                shed(stream, &self.ctx.metrics);
                 continue;
             }
             let _ = stream.set_nodelay(true);
@@ -226,7 +224,7 @@ impl Shard {
                 self.free.push(slot);
                 continue;
             }
-            let core = Conn::new(&self.ctx, true);
+            let core = Conn::new(&self.ctx);
             if let Some(cell) = self.conns.get_mut(slot) {
                 *cell = Some(Sock { core, stream, last_activity: Instant::now() });
             }
@@ -314,6 +312,18 @@ impl Shard {
     }
 }
 
+/// Shed one connection at the door: count it, write the whole `503` and
+/// drop the socket — load is shed instead of growing an unbounded
+/// backlog. The accepted socket is still blocking; the small response
+/// fits in the socket buffer, so this cannot stall the loop meaningfully.
+fn shed(mut stream: TcpStream, metrics: &Metrics) {
+    metrics.record_shed();
+    let mut out = Vec::new();
+    let message = "server is at capacity, retry shortly";
+    http::write_error_response(&mut out, &mut Vec::new(), 503, message, false);
+    let _ = stream.write_all(&out);
+}
+
 /// Drive one woken connection through fill → core → flush, looping
 /// while there is still local work (read cap hit, or the core paused on
 /// its write cap and flushing freed space).
@@ -352,9 +362,9 @@ fn fill(conn: &mut Sock) -> Fill {
         if conn.core.buf.len() >= READ_LIMIT {
             return Fill::LimitHit;
         }
-        if conn::read_failpoint() {
-            return Fill::Error;
-        }
+        // Chaos site: a transient socket-read fault — the connection is
+        // torn down as if the kernel failed the read.
+        failpoint!("serve.io.read", return Fill::Error);
         match conn.stream.read(&mut tmp) {
             Ok(0) => return Fill::Eof,
             Ok(n) => conn.core.buf.extend_from_slice(tmp.get(..n).unwrap_or_default()),
@@ -377,9 +387,8 @@ fn flush(conn: &mut Sock) -> Flush {
         if rest.is_empty() {
             return Flush::Done;
         }
-        if conn::write_failpoint() {
-            return Flush::Error;
-        }
+        // Chaos site: a transient socket-write fault.
+        failpoint!("serve.io.write", return Flush::Error);
         match conn.stream.write(rest) {
             Ok(0) => return Flush::Error,
             Ok(n) => conn.core.advance(n),

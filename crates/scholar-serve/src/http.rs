@@ -9,7 +9,7 @@
 //! arrives, and honouring an explicit `Connection: keep-alive` request
 //! header. Keep-alive is opt-in rather than the HTTP/1.1 default so
 //! clients that read to EOF keep working unchanged. The connection core
-//! ([`crate::conn`]) is its only serving caller, under both drivers.
+//! ([`crate::conn`]) is its only serving caller.
 //!
 //! Defensive posture (each mapped to a distinct status):
 //! - request line longer than [`MAX_REQUEST_LINE`] → `414`

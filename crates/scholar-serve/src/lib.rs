@@ -20,13 +20,11 @@
 //! - [`conn`] + [`http`] + [`server`]: a std-only HTTP/1.1 front end
 //!   with one request path. [`conn`] is a sans-IO connection core —
 //!   parse, route, render, count, record; `400`/`405`/`408`/`414`/`500`
-//!   — that two drivers feed: a nonblocking `SO_REUSEPORT`-sharded epoll
-//!   event loop with keep-alive and pipelining (the default on Linux),
-//!   and a portable acceptor + fixed worker pool behind a bounded queue
-//!   (everywhere else, or [`Backend::Blocking`]). Both shed load with
-//!   `503` at the door and drain gracefully on shutdown. Endpoints:
-//!   `GET /top`, `GET /article/{id}`, `GET /health`, `GET /metrics`,
-//!   `GET /shadow`.
+//!   — fed by a nonblocking `SO_REUSEPORT`-sharded epoll event loop with
+//!   keep-alive and pipelining, which sheds load with `503` at the door
+//!   and drains gracefully on shutdown. Serving needs Linux; off it,
+//!   [`serve`] is an `Unsupported` error. Endpoints: `GET /top`,
+//!   `GET /article/{id}`, `GET /health`, `GET /metrics`, `GET /shadow`.
 //! - [`Metrics`] (in [`metrics`]): lock-free counters and a log-spaced
 //!   latency histogram behind `GET /metrics`.
 //!

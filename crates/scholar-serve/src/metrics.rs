@@ -99,18 +99,21 @@ pub struct Metrics {
     /// Responses with a 4xx status (bad request, not found, timeout...).
     pub client_errors: AtomicU64,
     /// Responses with a 5xx status (handler panics surfaced as `500`).
-    /// Excludes `503` sheds, which never reach a worker — see `shed`.
+    /// Excludes `503` sheds, which never reach the request path — see
+    /// `shed`.
     pub server_errors: AtomicU64,
-    /// Connections shed with `503` because the accept queue was full.
+    /// Connections shed with `503` at the door because their shard
+    /// already held `max_conns` connections.
     pub shed: AtomicU64,
-    /// Panics caught (and survived) by worker threads while handling a
-    /// request. Any non-zero value is a bug worth investigating.
+    /// Panics caught (and survived) by the event-loop shards: a handler
+    /// panic answered as a recorded `500`, or a panic driving one
+    /// connection, which drops only that connection. Any non-zero value
+    /// is a bug worth investigating.
     pub panics: AtomicU64,
     /// Requests currently being parsed or answered.
     pub in_flight: AtomicU64,
-    /// Open client connections a driver is holding (see [`OpenConn`]):
-    /// keep-alive sessions under the event loop, at most one per worker
-    /// under the pool (queued connections are not counted yet).
+    /// Open client connections the event-loop shards hold (see
+    /// [`OpenConn`]), idle keep-alive sessions included.
     pub connections_active: AtomicU64,
     /// Requests served on an already-used keep-alive connection (the
     /// second and later request of each session). The ratio

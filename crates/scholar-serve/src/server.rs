@@ -1,22 +1,15 @@
-//! Starting and stopping a server, the portable blocking driver, and the
-//! pure reference router.
+//! Starting and stopping a server, and the pure reference router.
 //!
-//! The blocking driver: one acceptor thread pulls connections off the
-//! listener and `try_send`s them into a `sync_channel` of depth
-//! [`ServeConfig::queue_depth`]. If the queue is full the acceptor writes
-//! a `503` itself and drops the connection — load is shed at the door
-//! instead of growing an unbounded backlog. Workers block on the queue
-//! and run each connection through the shared request path
-//! ([`crate::conn`]): blocking read under the socket timeout → core →
-//! `write_all`, one request per connection. It is the only driver that
-//! runs off Linux; on Linux the default is the event loop (`epoll.rs`)
-//! over the same core.
+//! The server is the epoll event loop (`epoll.rs`) feeding the shared
+//! request path ([`crate::conn`]). It needs Linux: elsewhere [`serve`]
+//! is an `Unsupported` error, while ranking, the corpus and the mmap
+//! layer stay portable.
 //!
-//! Shutdown is graceful: [`ServerHandle::shutdown`] flips a flag, nudges
-//! the acceptor awake with a self-connection, closes the queue, and joins
-//! every worker — each finishes the request it holds before exiting.
+//! Shutdown is graceful: [`ServerHandle::shutdown`] flips a flag every
+//! shard checks at least once per `epoll_wait` tick and joins them; a
+//! shard finishes the connection it is driving and makes a last flush of
+//! the responses it already rendered before closing.
 
-use crate::conn::{self, Conn, Ctx};
 use crate::http::{self, Request};
 use crate::index::{ScoreIndex, TopQuery};
 use crate::metrics::Metrics;
@@ -24,36 +17,20 @@ use crate::record::Recorder;
 use crate::swap::SharedIndex;
 use scholar_corpus::ArticleId;
 use sjson::{ObjectBuilder, Value};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Which serving backend to run.
+/// The serving backend. The epoll event loop is the only one; this enum
+/// and [`ServeConfig::backend`] are kept solely because the perf ledger
+/// (`benchmark/`) names `Backend::Epoll`, and go with its next change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Pick automatically: epoll on Linux, the blocking pool everywhere
-    /// else.
-    Auto,
     /// The nonblocking epoll event loop (Linux only; starting it
     /// elsewhere is an `Unsupported` error).
     Epoll,
-    /// The original blocking acceptor + fixed worker pool.
-    Blocking,
-}
-
-impl Backend {
-    /// Resolve `Auto` against the platform.
-    pub fn resolve(self) -> Backend {
-        match self {
-            Backend::Auto if cfg!(target_os = "linux") => Backend::Epoll,
-            Backend::Auto => Backend::Blocking,
-            resolved => resolved,
-        }
-    }
 }
 
 /// Server tuning knobs.
@@ -61,25 +38,22 @@ impl Backend {
 pub struct ServeConfig {
     /// Address to bind, e.g. `127.0.0.1:0` (0 = any free port).
     pub addr: String,
-    /// Worker threads answering requests (blocking backend), or event
-    /// loop shards, each with its own `SO_REUSEPORT` listener (epoll
-    /// backend).
+    /// Event-loop shards, each a thread with its own `SO_REUSEPORT`
+    /// listener.
     pub workers: usize,
-    /// Accepted connections allowed to wait for a worker before the
-    /// acceptor starts shedding with `503` (blocking backend only).
-    pub queue_depth: usize,
     /// Per-connection read timeout while waiting for the request head;
     /// a slowloris client is cut off with `408` after this long, and an
-    /// *idle keep-alive* connection (epoll backend) is closed silently.
+    /// idle keep-alive connection is closed silently.
     pub read_timeout: Duration,
-    /// Which backend to run. [`Backend::Auto`] picks epoll on Linux.
+    /// Always [`Backend::Epoll`]; kept only because the perf ledger
+    /// (`benchmark/`) sets it (see [`Backend`]).
     pub backend: Backend,
-    /// Concurrent connections one epoll shard will hold before shedding
-    /// new ones with `503` (the event-loop analog of `queue_depth`).
+    /// Concurrent connections one shard will hold before shedding new
+    /// ones with `503`.
     pub max_conns: usize,
-    /// Optional request recorder (see [`crate::record`]): both backends
-    /// offer every answered request to it after the response is written.
-    /// Recording is sampled and never blocks or fails the live path.
+    /// Optional request recorder (see [`crate::record`]), offered every
+    /// answered request after the response is written. Recording is
+    /// sampled and never blocks or fails the live path.
     pub recorder: Option<Arc<Recorder>>,
 }
 
@@ -88,9 +62,8 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
-            queue_depth: 64,
             read_timeout: Duration::from_secs(5),
-            backend: Backend::Auto,
+            backend: Backend::Epoll,
             max_conns: 1024,
             recorder: None,
         }
@@ -103,82 +76,40 @@ pub(crate) const DETAIL_NEIGHBORS: usize = 3;
 /// serialized a million times over.
 const MAX_K: usize = 10_000;
 
-/// A running server: owns its serving threads (acceptor + worker pool
-/// for the blocking backend; event-loop shards for epoll).
+/// A running server: owns its event-loop shard threads.
 pub struct ServerHandle {
     addr: SocketAddr,
-    backend: Backend,
     metrics: Arc<Metrics>,
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
 }
 
-/// What a driver hands back once its listener is bound and every one of
-/// its threads is running.
+/// What the event loop hands back once its listeners are bound and every
+/// shard is running.
 pub(crate) type Started = std::io::Result<(SocketAddr, Vec<JoinHandle<()>>)>;
 
-/// Start serving `shared` on `config.addr` with the configured backend.
-/// Returns once the listener is bound and every thread is running; bind
-/// and thread-spawn failures surface as the `Err` they are.
+/// Start serving `shared` on `config.addr`. Returns once the listeners
+/// are bound and every shard is running; bind and thread-spawn failures
+/// surface as the `Err` they are.
 pub fn serve(
     shared: Arc<SharedIndex>,
     metrics: Arc<Metrics>,
     config: &ServeConfig,
 ) -> std::io::Result<ServerHandle> {
-    let backend = config.backend.resolve();
     let stop = Arc::new(AtomicBool::new(false));
-    let (addr, threads) = match backend {
-        Backend::Epoll => start_epoll(shared, Arc::clone(&metrics), config, Arc::clone(&stop))?,
-        _ => start_pool(shared, Arc::clone(&metrics), config, Arc::clone(&stop))?,
-    };
-    Ok(ServerHandle { addr, backend, metrics, stop, threads })
+    let (addr, threads) = start(shared, Arc::clone(&metrics), config, Arc::clone(&stop))?;
+    Ok(ServerHandle { addr, metrics, stop, threads })
 }
 
 #[cfg(target_os = "linux")]
-use crate::epoll::start as start_epoll;
+use crate::epoll::start;
 
 #[cfg(not(target_os = "linux"))]
-fn start_epoll(
-    _: Arc<SharedIndex>,
-    _: Arc<Metrics>,
-    _: &ServeConfig,
-    _: Arc<AtomicBool>,
-) -> Started {
+fn start(_: Arc<SharedIndex>, _: Arc<Metrics>, _: &ServeConfig, _: Arc<AtomicBool>) -> Started {
     Err(std::io::Error::new(
-        ErrorKind::Unsupported,
-        "the epoll backend requires Linux; use Backend::Blocking (or Auto)",
+        std::io::ErrorKind::Unsupported,
+        "scholar-serve serves through epoll, which requires Linux",
     ))
-}
-
-fn start_pool(
-    shared: Arc<SharedIndex>,
-    metrics: Arc<Metrics>,
-    config: &ServeConfig,
-    stop: Arc<AtomicBool>,
-) -> Started {
-    let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
-    let (tx, rx) = mpsc::sync_channel::<TcpStream>(config.queue_depth.max(1));
-    let rx = Arc::new(Mutex::new(rx));
-
-    // Spawn failures propagate as the io::Error they are. On an early
-    // return, dropping `tx` closes the queue, so any workers already
-    // spawned see a disconnected channel and exit on their own.
-    let mut threads: Vec<JoinHandle<()>> = Vec::with_capacity(config.workers.max(1) + 1);
-    for i in 0..config.workers.max(1) {
-        let rx = Arc::clone(&rx);
-        let ctx = Ctx::new(Arc::clone(&shared), Arc::clone(&metrics), config.recorder.clone());
-        let read_timeout = config.read_timeout;
-        let worker = std::thread::Builder::new()
-            .name(format!("scholar-serve-{i}"))
-            .spawn(move || worker_loop(rx, ctx, read_timeout))?;
-        threads.push(worker);
-    }
-    let acceptor = std::thread::Builder::new()
-        .name("scholar-accept".to_string())
-        .spawn(move || accept_loop(listener, tx, stop, metrics))?;
-    threads.push(acceptor);
-    Ok((addr, threads))
 }
 
 impl ServerHandle {
@@ -187,28 +118,17 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Which backend this server is actually running (resolved from the
-    /// config's, which may have been [`Backend::Auto`]).
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
     /// The server's metrics registry.
     pub fn metrics(&self) -> &Arc<Metrics> {
         &self.metrics
     }
 
-    /// Stop accepting, drain queued and in-flight requests, join every
-    /// thread. Idempotent; also runs on drop.
+    /// Stop accepting, flush what is already rendered, join every shard.
+    /// Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // The pool's acceptor may be parked in `accept()`; a throwaway
-        // local connection wakes it so it can observe the stop flag. It
-        // drops the queue sender on exit, which in turn ends every
-        // worker once the queue drains.
-        let _ = TcpStream::connect(self.addr);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -221,63 +141,6 @@ impl Drop for ServerHandle {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    tx: SyncSender<TcpStream>,
-    stop: Arc<AtomicBool>,
-    metrics: Arc<Metrics>,
-) {
-    for conn in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        if conn::accept_failpoint() {
-            continue;
-        }
-        match tx.try_send(stream) {
-            Ok(()) => {}
-            Err(TrySendError::Full(mut stream)) => {
-                // Queue full: shed at the door. The write is best-effort —
-                // a client that already gave up is not our problem.
-                let _ = stream.write_all(&conn::shed_response(&metrics));
-            }
-            Err(TrySendError::Disconnected(_)) => break,
-        }
-    }
-    // Dropping `tx` here closes the queue: workers drain what's left and
-    // then see `Err(RecvError)` and exit.
-}
-
-fn worker_loop(rx: Arc<Mutex<Receiver<TcpStream>>>, mut ctx: Ctx, read_timeout: Duration) {
-    loop {
-        // Hold the lock only long enough to dequeue one connection. A
-        // poisoned lock just means a sibling worker panicked while
-        // holding it; the receiver has no invariants a panic can break,
-        // so take the guard and keep serving.
-        let stream = match rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner).recv() {
-            Ok(s) => s,
-            Err(_) => return, // queue closed and drained: shutdown
-        };
-        // Last-resort isolation: a bug while driving one connection must
-        // not kill this worker (each death would silently shrink the
-        // pool until nothing serves). The core already turns handler
-        // panics into recorded 500s; anything reaching here is outside a
-        // request, so the connection is simply dropped. `AssertUnwindSafe`
-        // is sound: the stream and its `Conn` are consumed, and `ctx`
-        // holds only scratch that every use clears first, a cache whose
-        // entries are replaced whole, and atomic or lock-guarded shared
-        // state.
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle_connection(stream, &mut ctx, read_timeout)
-        }));
-        if let Err(cause) = caught {
-            ctx.metrics.record_panic();
-            log_panic("handling a connection", cause.as_ref());
-        }
-    }
-}
-
 pub(crate) fn log_panic(stage: &str, cause: &(dyn std::any::Any + Send)) {
     let msg = cause
         .downcast_ref::<&str>()
@@ -285,39 +148,6 @@ pub(crate) fn log_panic(stage: &str, cause: &(dyn std::any::Any + Send)) {
         .or_else(|| cause.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("<non-string panic payload>");
     eprintln!("scholar-serve: worker caught a panic while {stage}: {msg}");
-}
-
-/// The pool's readiness: one blocking read under the socket timeout per
-/// core event, then one `write_all` of whatever the core rendered.
-fn handle_connection(mut stream: TcpStream, ctx: &mut Ctx, read_timeout: Duration) {
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let _ = stream.set_nodelay(true);
-    // Reuse off: every response says `Connection: close`, so the loop
-    // ends after one response and the write cap never pauses the core.
-    let mut conn = Conn::new(ctx, false);
-    let mut tmp = [0u8; 4096];
-    while !conn.finished() {
-        if conn::read_failpoint() {
-            return;
-        }
-        match stream.read(&mut tmp) {
-            Ok(0) => _ = conn.on_eof(ctx),
-            Ok(n) => {
-                conn.buf.extend_from_slice(tmp.get(..n).unwrap_or_default());
-                _ = conn.on_bytes(ctx);
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                conn.on_timeout(ctx, read_timeout)
-            }
-            Err(_) => return,
-        }
-        let n = conn.pending().len();
-        if n > 0 && (conn::write_failpoint() || stream.write_all(conn.pending()).is_err()) {
-            return;
-        }
-        conn.advance(n);
-    }
 }
 
 /// Where a request goes — the one routing table. The reference router,

@@ -12,8 +12,7 @@
 //! The numeric constants are the shared Linux ABI values used by
 //! x86_64, aarch64, and riscv64 (the architectures CI and the bench
 //! hardware cover); the whole module is compiled only on
-//! `cfg(target_os = "linux")`, with the blocking backend serving every
-//! other platform.
+//! `cfg(target_os = "linux")`, the one platform the server runs on.
 
 use core::ffi::{c_int, c_void};
 use std::io::{self, ErrorKind};

@@ -1,15 +1,13 @@
-//! Keep-alive protocol edge cases against the epoll backend, driven by
+//! Keep-alive protocol edge cases against the event loop, driven by
 //! byte-level clients: pipelining, requests split mid-header across
 //! writes, connection reuse across a generation swap, explicit
 //! `Connection: close`, and idle/slow-loris eviction from the event
-//! loop. Linux-only: the blocking backend intentionally answers every
-//! request with `Connection: close` (see `scholar_serve::http`), so
-//! these reuse semantics exist only behind the event loop.
+//! loop. Linux-only, like the server.
 #![cfg(target_os = "linux")]
 
 use scholar_corpus::generator::Preset;
 use scholar_corpus::model::{Article, ArticleId, AuthorId, VenueId};
-use scholar_serve::{serve, Backend, Metrics, Reindexer, ServeConfig, SharedIndex};
+use scholar_serve::{serve, Metrics, Reindexer, ServeConfig, SharedIndex};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering::SeqCst;
@@ -20,12 +18,8 @@ fn start(seed: u64) -> (Arc<SharedIndex>, Reindexer, scholar_serve::ServerHandle
     let corpus = Preset::Tiny.generate(seed);
     let (shared, reindexer) = Reindexer::start(qrank::QRankConfig::default(), corpus, |_| {});
     let metrics = Arc::new(Metrics::new());
-    let config = ServeConfig {
-        workers: 2,
-        read_timeout: Duration::from_millis(300),
-        backend: Backend::Epoll,
-        ..Default::default()
-    };
+    let config =
+        ServeConfig { workers: 2, read_timeout: Duration::from_millis(300), ..Default::default() };
     let server = serve(Arc::clone(&shared), metrics, &config).expect("bind");
     (shared, reindexer, server)
 }

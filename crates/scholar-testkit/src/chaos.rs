@@ -12,7 +12,7 @@
 //! response beyond basic well-formedness — a truncated request may race
 //! the server's reader and legitimately get either a `400` or nothing.
 //! What it *does* let the suite assert is the aggregate contract:
-//! [`assert_pool_live`] (no strike may kill a worker) and exact
+//! [`assert_server_live`] (no strike may stop the server answering) and exact
 //! `/metrics` accounting via [`http_get`] (every response the server
 //! admits to must be complete and internally consistent).
 
@@ -165,8 +165,8 @@ pub fn strike(addr: SocketAddr, rng: &mut SmallRng) -> Strike {
             Strike::MidRequestDisconnect
         }
         3 => {
-            // Connect and say nothing, briefly: occupies a worker until
-            // its read times out or we hang up.
+            // Connect and say nothing, briefly: holds a connection slot
+            // until its read times out or we hang up.
             let s = TcpStream::connect(addr).expect("connect");
             std::thread::sleep(Duration::from_millis(rng.gen_range(0u64..4)));
             drop(s);
@@ -185,14 +185,15 @@ pub fn strike(addr: SocketAddr, rng: &mut SmallRng) -> Strike {
     }
 }
 
-/// Assert the worker pool is fully alive: `workers + 2` consecutive
-/// `/health` probes must all answer `200`. With a fixed pool and a FIFO
-/// hand-off queue, that many successes is impossible if any worker died
-/// — a dead worker would strand at least one probe.
-pub fn assert_pool_live(addr: SocketAddr, workers: usize) {
+/// Assert the server still answers: `workers + 2` consecutive `/health`
+/// probes, each on a fresh connection, must all get a whole `200`. On
+/// `SO_REUSEPORT` shards this proves the server answers, not that every
+/// shard survived: a shard that exits closes its listener, and the
+/// kernel then routes probes to the shards that are left.
+pub fn assert_server_live(addr: SocketAddr, workers: usize) {
     for probe in 0..workers + 2 {
         let (status, body) = http_get(addr, "/health");
-        assert_eq!(status, 200, "liveness probe {probe} failed: a worker likely died");
+        assert_eq!(status, 200, "liveness probe {probe} failed: the server stopped answering");
         assert_eq!(
             body.get("status").and_then(|v| v.as_str()),
             Some("ok"),

@@ -9,10 +9,11 @@
 //! 2. **Deterministic replay** — a recorded log re-issued against a
 //!    fresh server produces byte-identical responses, proven by
 //!    per-endpoint digests that are a pure function of (log, server
-//!    state): identical across backends, replay widths, and fresh
-//!    server instances. The checked-in fixture under `tests/fixtures/`
-//!    pins this across processes and machines (CI replays it against a
-//!    freshly built release server).
+//!    state): identical across replay widths, kept-alive or
+//!    close-per-request connections, and fresh server instances. The
+//!    checked-in fixture under `tests/fixtures/` pins this across
+//!    processes and machines (CI replays it against a freshly built
+//!    release server).
 //! 3. **Shadow-gated promotion** — a staged candidate index answers
 //!    mirrored live traffic; a drifted candidate is rejected with the
 //!    old generation still serving and a loud report, an equivalent one
@@ -33,7 +34,7 @@ use scholar::corpus::{Corpus, CorpusGenerator, Preset};
 use scholar::serve::record::{decode_rlog, encode_rlog};
 use scholar::serve::shadow::{replay_mirror, Decision};
 use scholar::serve::{
-    read_rlog, serve, Backend, Metrics, Recorder, ReqRecord, ScoreIndex, ServeConfig, ServerHandle,
+    read_rlog, serve, Metrics, Recorder, ReqRecord, ScoreIndex, ServeConfig, ServerHandle,
     ShadowReport, ShadowThresholds, SharedIndex, StateError, TopQuery,
 };
 use scholar::{GeneratorConfig, QRankConfig};
@@ -54,12 +55,11 @@ fn ranked_scores(corpus: &Corpus) -> Vec<f64> {
 fn start_server(
     corpus: &Arc<Corpus>,
     scores: &[f64],
-    backend: Backend,
     recorder: Option<Arc<Recorder>>,
 ) -> (ServerHandle, Arc<SharedIndex>, Arc<Metrics>) {
     let shared = Arc::new(SharedIndex::new(ScoreIndex::build(Arc::clone(corpus), scores.to_vec())));
     let metrics = Arc::new(Metrics::new());
-    let config = ServeConfig { workers: 2, backend, recorder, ..Default::default() };
+    let config = ServeConfig { workers: 2, recorder, ..Default::default() };
     let server = serve(Arc::clone(&shared), Arc::clone(&metrics), &config).expect("bind server");
     (server, shared, metrics)
 }
@@ -233,8 +233,7 @@ fn drive_seeded(addr: SocketAddr, seeds: &[u64], per_seed: u64, targets: &[Strin
 /// per-connection ordering is actually exercised.
 fn record_workload(corpus: &Arc<Corpus>, scores: &[f64], rlog: &Path) -> scholar::serve::RecordLog {
     let recorder = Arc::new(Recorder::new(rlog, 1, 1 << 16));
-    let (mut server, _shared, _metrics) =
-        start_server(corpus, scores, Backend::Auto, Some(Arc::clone(&recorder)));
+    let (mut server, _shared, _metrics) = start_server(corpus, scores, Some(Arc::clone(&recorder)));
     drive_seeded(
         server.addr(),
         &[0x5eed_0001, 0x5eed_0002],
@@ -254,22 +253,22 @@ fn replay_against(
     corpus: &Arc<Corpus>,
     scores: &[f64],
     records: &[ReqRecord],
-    backend: Backend,
     connections: usize,
+    keep_alive: bool,
 ) -> scholar_loadgen::ReplayReport {
-    let (mut server, _, _) = start_server(corpus, scores, backend, None);
+    let (mut server, _, _) = start_server(corpus, scores, None);
     let report = scholar_loadgen::replay(
         records,
-        &ReplayConfig { addr: server.addr(), connections, keep_alive: true },
+        &ReplayConfig { addr: server.addr(), connections, keep_alive },
     )
     .expect("replay");
     server.shutdown();
-    assert_eq!(report.transport_errors, 0, "{backend:?}");
+    assert_eq!(report.transport_errors, 0, "keep_alive={keep_alive}");
     report
 }
 
 #[test]
-fn fixture_replays_byte_identically_across_backends_and_fresh_servers() {
+fn fixture_replays_byte_identically_with_and_without_keep_alive() {
     let corpus = Arc::new(fixture_corpus());
     let scores = ranked_scores(&corpus);
 
@@ -278,7 +277,7 @@ fn fixture_replays_byte_identically_across_backends_and_fresh_servers() {
         let log = record_workload(&corpus, &scores, Path::new(FIXTURE_RLOG));
         // Digest the fixture against a fresh server and persist the
         // sidecar the regression gate compares against.
-        let report = replay_against(&corpus, &scores, &log.records, Backend::Auto, 2);
+        let report = replay_against(&corpus, &scores, &log.records, 2, true);
         std::fs::write(FIXTURE_DIGESTS, report.format_digests()).unwrap();
         eprintln!("regenerated {FIXTURE_RLOG} and {FIXTURE_DIGESTS}");
     }
@@ -291,25 +290,24 @@ fn fixture_replays_byte_identically_across_backends_and_fresh_servers() {
     )
     .expect("sidecar parses");
 
-    // Two fresh server instances, both backends, different replay
-    // widths: every digest must equal the checked-in sidecar.
-    let mut seen = Vec::new();
-    for (backend, connections) in [(Backend::Auto, 2usize), (Backend::Blocking, 1)] {
-        let report = replay_against(&corpus, &scores, &log.records, backend, connections);
-        assert_eq!(report.replayed, FIXTURE_REQUESTS, "{backend:?}");
+    // Two fresh server instances, two replay widths, kept-alive
+    // connections and a reconnect after every response: every digest
+    // must equal the checked-in sidecar.
+    for (connections, keep_alive) in [(2usize, true), (1, false)] {
+        let run = format!("{connections} connections, keep_alive={keep_alive}");
+        let report = replay_against(&corpus, &scores, &log.records, connections, keep_alive);
+        assert_eq!(report.replayed, FIXTURE_REQUESTS, "{run}");
         assert_eq!(
             report.status_mismatches, 0,
-            "{backend:?} answered different statuses than the recording server"
+            "{run}: answered different statuses than the recording server"
         );
         let drift = report.diff_digests(&expected);
         assert!(
             drift.is_empty(),
-            "{backend:?} response bytes drifted from the fixture:\n  {}",
+            "{run}: response bytes drifted from the fixture:\n  {}",
             drift.join("\n  ")
         );
-        seen.push(report.format_digests());
     }
-    assert_eq!(seen[0], seen[1], "backends disagreed with each other");
 }
 
 #[test]
@@ -326,7 +324,7 @@ fn recorded_traffic_replays_identically_on_a_second_fresh_server() {
 
     let mut digests = Vec::new();
     for connections in [1usize, 4] {
-        let report = replay_against(&corpus, &scores, &log.records, Backend::Auto, connections);
+        let report = replay_against(&corpus, &scores, &log.records, connections, true);
         assert_eq!(report.status_mismatches, 0);
         digests.push(report.format_digests());
     }
@@ -355,7 +353,7 @@ fn shadow_gate_rejects_drift_promotes_equivalence_and_replays_exactly() {
     let rlog = tmp_path("mirror.rlog");
     let recorder = Arc::new(Recorder::new(&rlog, 1, 1 << 16));
     let (mut server, shared, _metrics) =
-        start_server(&corpus, &scores, Backend::Auto, Some(Arc::clone(&recorder)));
+        start_server(&corpus, &scores, Some(Arc::clone(&recorder)));
     let addr = server.addr();
 
     // Exactly min_mirrored serial requests per phase: every request is

@@ -13,7 +13,7 @@ use scholar::core::incremental::{grow_corpus, IncrementalRanker};
 use scholar::corpus::model::{Article, ArticleId, AuthorId, VenueId};
 use scholar::corpus::Preset;
 use scholar::serve::{
-    serve, Backend, DurableOptions, Metrics, Reindexer, ScoreIndex, ServeConfig, SharedIndex,
+    serve, DurableOptions, Metrics, Reindexer, ScoreIndex, ServeConfig, SharedIndex,
 };
 use scholar::QRankConfig;
 use std::io::{Read, Write};
@@ -53,7 +53,7 @@ fn http_get(addr: SocketAddr, target: &str) -> Vec<u8> {
 }
 
 fn config() -> ServeConfig {
-    ServeConfig { workers: 2, backend: Backend::Auto, ..Default::default() }
+    ServeConfig { workers: 2, ..Default::default() }
 }
 
 #[test]
