@@ -368,6 +368,12 @@ impl CorpusBuilder {
         id
     }
 
+    /// Replace the reference list of an article already added: a loader
+    /// can resolve external ids only once every article is in.
+    pub(crate) fn set_references(&mut self, id: ArticleId, references: Vec<ArticleId>) {
+        self.articles[id.index()].references = references;
+    }
+
     /// Validate and produce the immutable [`Corpus`].
     ///
     /// Checks: venue/author/reference ids in bounds, no self-citations, no

@@ -19,13 +19,33 @@
 //! absent from the metadata are handled per
 //! [`LoadOptions::unknown_references`].
 
-use super::{LoadOptions, UnknownReferencePolicy};
+use super::{LoadOptions, Pending, Record, UnknownReferencePolicy};
 use crate::corpus::Corpus;
-use crate::loader::jsonl::{build_from_records, JsonArticle};
+use crate::model::Year;
 use crate::{CorpusError, Result};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
+
+/// One metadata block: an article record before the citation file
+/// attaches its references.
+#[derive(Debug, Clone, Default)]
+pub struct MetadataBlock {
+    /// 1-based line of the block's first key.
+    pub line: usize,
+    /// External article id.
+    pub id: String,
+    /// Title.
+    pub title: String,
+    /// Publication year, if the block has one.
+    pub year: Option<Year>,
+    /// Venue name.
+    pub venue: Option<String>,
+    /// Author names in byline order.
+    pub authors: Vec<String>,
+    /// External ids of cited articles.
+    pub references: Vec<String>,
+}
 
 /// Parse one `key = {value}` line; returns `None` for non-matching lines.
 fn parse_kv(line: &str) -> Option<(&str, &str)> {
@@ -35,11 +55,11 @@ fn parse_kv(line: &str) -> Option<(&str, &str)> {
     Some((key.trim(), value.trim()))
 }
 
-/// Read the metadata blocks into wire records (no citations yet).
-pub fn read_metadata<R: Read>(reader: R) -> Result<Vec<JsonArticle>> {
+/// Read the metadata blocks (no citations yet).
+pub fn read_metadata<R: Read>(reader: R) -> Result<Vec<MetadataBlock>> {
     let reader = BufReader::new(reader);
     let mut records = Vec::new();
-    let mut current: Option<JsonArticle> = None;
+    let mut current: Option<MetadataBlock> = None;
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
         let trimmed = line.trim();
@@ -55,14 +75,8 @@ pub fn read_metadata<R: Read>(reader: R) -> Result<Vec<JsonArticle>> {
                 message: format!("expected 'key = {{value}}', got '{trimmed}'"),
             });
         };
-        let rec = current.get_or_insert_with(|| JsonArticle {
-            id: String::new(),
-            title: String::new(),
-            year: None,
-            venue: None,
-            authors: Vec::new(),
-            references: Vec::new(),
-        });
+        let rec =
+            current.get_or_insert_with(|| MetadataBlock { line: lineno + 1, ..Default::default() });
         match key {
             "id" => rec.id = value.to_owned(),
             "title" => rec.title = value.to_owned(),
@@ -92,7 +106,7 @@ pub fn read_metadata<R: Read>(reader: R) -> Result<Vec<JsonArticle>> {
     for (i, rec) in records.iter().enumerate() {
         if rec.id.is_empty() {
             return Err(CorpusError::Parse {
-                line: i + 1,
+                line: rec.line,
                 message: format!("metadata block {i} has no id"),
             });
         }
@@ -136,7 +150,7 @@ pub fn read_aan<R1: Read, R2: Read>(
             message: "injected parse fault at corpus.aan.parse".into(),
         })
     );
-    // The missing-year policy is applied by `build_from_records`, but
+    // The missing-year policy is applied where ids are resolved, but
     // `Drop` must also run here so the citation index below never
     // resolves an edge into a record that is about to vanish.
     let mut records = read_metadata(metadata)?;
@@ -161,7 +175,22 @@ pub fn read_aan<R1: Read, R2: Read>(
             }
         }
     }
-    build_from_records(records, opts)
+    let mut pending = Pending::new(opts);
+    for r in &records {
+        let rec = Record {
+            line: r.line,
+            id: &r.id,
+            title: &r.title,
+            year: r.year,
+            venue: r.venue.as_deref(),
+        };
+        pending.add(
+            rec,
+            r.authors.iter().map(String::as_str),
+            r.references.iter().map(String::as_str),
+        );
+    }
+    pending.finish()
 }
 
 /// Load an AAN-style corpus from the two files on disk.
@@ -272,6 +301,24 @@ P95-2002 ==> X99-9999
     fn block_without_id_rejected() {
         let bad = "title = {No Id Here}\nyear = {2000}\n";
         assert!(read_metadata(bad.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn errors_about_a_block_name_its_first_line() {
+        let meta = "id = {A}\nyear = {2000}\n\n\ntitle = {No Id Here}\n";
+        match read_metadata(meta.as_bytes()) {
+            Err(CorpusError::Parse { line: 5, message }) => {
+                assert_eq!(message, "metadata block 1 has no id")
+            }
+            other => panic!("expected a parse error on line 5, got {other:?}"),
+        }
+        let meta = "id = {A}\nyear = {2000}\n\nid = {B}\ntitle = {Yearless}\n";
+        match read_aan(meta.as_bytes(), "".as_bytes(), &LoadOptions::default()) {
+            Err(CorpusError::Parse { line: 4, message }) => {
+                assert!(message.starts_with("record 'B' has no publication year"), "{message}")
+            }
+            other => panic!("expected a parse error on line 4, got {other:?}"),
+        }
     }
 
     #[test]

@@ -8,110 +8,42 @@
 //! ```
 //!
 //! `write_jsonl` emits exactly this shape, so a corpus round-trips. The
-//! reader is two-pass (records may cite forward), tolerant of unknown
-//! references per [`LoadOptions`].
+//! reader scans the six fields of each line in place with
+//! [`sjson::Scanner`], never building a tree, and hands each record to
+//! the loaders' shared id-resolution step (records may cite forward),
+//! tolerant of unknown references per [`LoadOptions`].
 
-use super::{IdInterner, LoadOptions, UnknownReferencePolicy};
-use crate::corpus::{Corpus, CorpusBuilder};
+use super::{LoadOptions, Pending, Record, Strs};
+use crate::corpus::Corpus;
 use crate::model::Year;
 use crate::{CorpusError, Result};
+use sjson::{Kind, Scanner};
+use std::borrow::Cow;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-/// The wire shape of one article record.
-#[derive(Debug, Clone, Default)]
-pub struct JsonArticle {
-    /// External article id (any string).
-    pub id: String,
-    /// Title.
-    pub title: String,
-    /// Publication year (optional in the wild).
-    pub year: Option<Year>,
-    /// Venue name.
-    pub venue: Option<String>,
-    /// Author names in byline order.
-    pub authors: Vec<String>,
-    /// External ids of cited articles.
-    pub references: Vec<String>,
-}
-
-impl JsonArticle {
-    /// Decode one record from a parsed JSON object. Missing fields other
-    /// than `id` take their defaults; wrongly-typed fields are an error.
-    pub fn from_value(v: &sjson::Value) -> std::result::Result<Self, String> {
-        let obj = v.as_object().ok_or("record must be a JSON object")?;
-        let mut rec = JsonArticle::default();
-        let mut has_id = false;
-        for (key, val) in obj {
-            match key.as_str() {
-                "id" => {
-                    rec.id = val.as_str().ok_or("'id' must be a string")?.to_string();
-                    has_id = true;
-                }
-                "title" => {
-                    rec.title = val.as_str().ok_or("'title' must be a string")?.to_string();
-                }
-                "year" if !val.is_null() => {
-                    let y = val.as_i64().ok_or("'year' must be an integer")?;
-                    let y = i32::try_from(y).map_err(|_| "'year' out of range")?;
-                    rec.year = Some(y);
-                }
-                "venue" if !val.is_null() => {
-                    rec.venue = Some(val.as_str().ok_or("'venue' must be a string")?.to_string());
-                }
-                "authors" => {
-                    rec.authors = string_array(val, "authors")?;
-                }
-                "references" => {
-                    rec.references = string_array(val, "references")?;
-                }
-                _ => {} // tolerate unknown fields from richer dumps
-            }
-        }
-        if !has_id {
-            return Err("missing field 'id'".into());
-        }
-        Ok(rec)
-    }
-
-    /// Encode this record as one compact JSON line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
-        let strings = |xs: &[String]| {
-            sjson::Value::Array(xs.iter().map(|s| sjson::Value::from(s.as_str())).collect())
-        };
-        let mut b = sjson::ObjectBuilder::new()
-            .field("id", self.id.as_str())
-            .field("title", self.title.as_str());
-        if let Some(y) = self.year {
-            b = b.field("year", y);
-        }
-        if let Some(v) = &self.venue {
-            b = b.field("venue", v.as_str());
-        }
-        b.field("authors", strings(&self.authors))
-            .field("references", strings(&self.references))
-            .build()
-            .to_string_compact()
-    }
-}
-
-fn string_array(v: &sjson::Value, field: &str) -> std::result::Result<Vec<String>, String> {
-    let items = v.as_array().ok_or_else(|| format!("'{field}' must be an array"))?;
-    items
-        .iter()
-        .map(|item| {
-            item.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("'{field}' must contain strings"))
-        })
-        .collect()
-}
-
 /// Read a corpus from JSON-lines text.
+///
+/// A record is an object with a string `id` and optional `title`,
+/// `year` (an integer), `venue`, `authors` and `references` (arrays of
+/// strings). When a key repeats, the last one wins, except that a `null`
+/// year or venue counts as absent. Other fields are checked for JSON
+/// grammar and ignored. Blank lines are skipped; a line that is not a
+/// record is a [`CorpusError::Parse`] naming its 1-based line, and
+/// invalid UTF-8 is a [`CorpusError::Io`].
 pub fn read_jsonl<R: Read>(reader: R, opts: &LoadOptions) -> Result<Corpus> {
-    let reader = BufReader::new(reader);
-    let mut records: Vec<JsonArticle> = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
+    let mut reader = BufReader::with_capacity(1 << 16, reader);
+    let mut pending = Pending::new(opts);
+    // One line buffer and two name arenas, reused by every line.
+    let (mut buf, mut authors, mut references) = (Vec::new(), Strs::default(), Strs::default());
+    let mut line = 0;
+    loop {
+        buf.clear();
+        let read = reader.read_until(b'\n', &mut buf);
+        if matches!(read, Ok(0)) {
+            break;
+        }
+        line += 1;
         // Chaos site: transient read failure mid-file. Must surface as a
         // clean CorpusError::Io, never a partial corpus.
         failpoint!(
@@ -120,9 +52,15 @@ pub fn read_jsonl<R: Read>(reader: R, opts: &LoadOptions) -> Result<Corpus> {
                 "injected I/O fault at corpus.jsonl.io",
             )))
         );
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
+        read?;
+        let text = std::str::from_utf8(&buf).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?;
+        let text = text.trim();
+        if text.is_empty() {
             continue;
         }
         // Chaos site: corrupt record. Must surface as CorpusError::Parse
@@ -130,94 +68,191 @@ pub fn read_jsonl<R: Read>(reader: R, opts: &LoadOptions) -> Result<Corpus> {
         failpoint!(
             "corpus.jsonl.parse",
             return Err(CorpusError::Parse {
-                line: lineno + 1,
+                line,
                 message: "injected parse fault at corpus.jsonl.parse".into(),
             })
         );
-        let rec = sjson::parse(trimmed)
-            .map_err(|e| e.to_string())
-            .and_then(|v| JsonArticle::from_value(&v))
-            .map_err(|e| CorpusError::Parse {
-                line: lineno + 1,
-                message: format!("bad json record: {e}"),
-            })?;
-        records.push(rec);
+        let fields = scan_record(text, &mut authors, &mut references)
+            .map_err(|e| CorpusError::Parse { line, message: format!("bad json record: {e}") })?;
+        let rec = Record {
+            line,
+            id: &fields.id,
+            title: &fields.title,
+            year: fields.year,
+            venue: fields.venue.as_deref(),
+        };
+        pending.add(rec, authors.iter(), references.iter());
     }
-    build_from_records(records, opts)
+    pending.finish()
 }
 
-/// Assemble a corpus from parsed records (two-pass id resolution). The
-/// [`LoadOptions::missing_year`] policy is applied first, so yearless
-/// records error, vanish, or receive the imputed year before any dense
-/// id is assigned.
-pub fn build_from_records(mut records: Vec<JsonArticle>, opts: &LoadOptions) -> Result<Corpus> {
-    super::apply_missing_year(
-        &mut records,
-        opts.missing_year,
-        |r| r.year,
-        |r, y| r.year = Some(y),
-        |r| format!("'{}'", r.id),
-    )?;
-    let mut interner = IdInterner::new();
-    for rec in &records {
-        interner.intern(&rec.id);
+/// The scalar fields of one record, borrowed from its line.
+struct Fields<'a> {
+    id: Cow<'a, str>,
+    title: Cow<'a, str>,
+    year: Option<Year>,
+    venue: Option<Cow<'a, str>>,
+}
+
+/// Why a line is not a record: its JSON, or a field of the wrong type.
+enum Bad {
+    Json(sjson::Error),
+    Field(&'static str),
+}
+
+impl From<sjson::Error> for Bad {
+    fn from(e: sjson::Error) -> Self {
+        Bad::Json(e)
     }
-    let mut builder = CorpusBuilder::new();
-    for (i, rec) in records.iter().enumerate() {
-        let venue = match &rec.venue {
-            Some(v) if !v.is_empty() => builder.venue(v),
-            _ => builder.venue("(unknown venue)"),
-        };
-        let authors = rec.authors.iter().map(|a| builder.author(a)).collect();
-        let mut references = Vec::with_capacity(rec.references.len());
-        for r in &rec.references {
-            match interner.get(r) {
-                Some(id) => references.push(id),
-                None => match opts.unknown_references {
-                    UnknownReferencePolicy::Drop => {}
-                    UnknownReferencePolicy::Error => {
-                        return Err(CorpusError::Parse {
-                            line: i + 1,
-                            message: format!("record {} cites unknown article '{r}'", rec.id),
-                        })
-                    }
-                },
+}
+
+impl std::fmt::Display for Bad {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Bad::Json(e) => e.fmt(f),
+            Bad::Field(why) => f.write_str(why),
+        }
+    }
+}
+
+/// Scan one record's line, leaving its byline in `authors` and its cited
+/// ids in `references`. A field of the wrong type is reported only once
+/// the whole line is known to be JSON, and the first such field wins.
+fn scan_record<'a>(
+    text: &'a str,
+    authors: &mut Strs,
+    references: &mut Strs,
+) -> std::result::Result<Fields<'a>, Bad> {
+    authors.clear();
+    references.clear();
+    let mut s = Scanner::new(text);
+    if s.peek()? != Kind::Object {
+        s.skip()?;
+        s.finish()?;
+        return Err(Bad::Field("record must be a JSON object"));
+    }
+    let mut wrong = None;
+    let (mut id, mut title, mut year, mut venue) = (None, Cow::Borrowed(""), None, None);
+    s.begin_object()?;
+    while let Some(key) = s.next_key()? {
+        match (&*key, s.peek()?) {
+            ("id", Kind::String) => id = Some(s.string()?),
+            ("title", Kind::String) => title = s.string()?,
+            ("venue", Kind::String) => venue = Some(s.string()?),
+            ("year" | "venue", Kind::Null) => s.null()?,
+            ("year", Kind::Number) => match year_of(s.number()?) {
+                Ok(y) => year = Some(y),
+                Err(why) => {
+                    wrong.get_or_insert(why);
+                }
+            },
+            ("authors", _) => strings(&mut s, authors, AUTHORS_WRONG, &mut wrong)?,
+            ("references", _) => strings(&mut s, references, REFERENCES_WRONG, &mut wrong)?,
+            (field, _) => {
+                let why = match field {
+                    "id" => Some("'id' must be a string"),
+                    "title" => Some("'title' must be a string"),
+                    "venue" => Some("'venue' must be a string"),
+                    "year" => Some("'year' must be an integer"),
+                    _ => None, // tolerate unknown fields from richer dumps
+                };
+                if let Some(why) = why {
+                    wrong.get_or_insert(why);
+                }
+                s.skip()?;
             }
         }
-        // Two-pass interning means the dense id of record i is exactly i
-        // when external ids are unique. Enforce that so the builder's
-        // dense assignment matches the reference resolution above.
-        let expected = interner.get(&rec.id).expect("interned in first pass");
-        if expected.index() != i {
-            return Err(CorpusError::Parse {
-                line: i + 1,
-                message: format!("duplicate article id '{}'", rec.id),
-            });
-        }
-        let year = rec.year.expect("missing-year policy applied above");
-        builder.add_article(&rec.title, year, venue, authors, references, None);
     }
-    builder.finish()
+    s.finish()?;
+    if let Some(why) = wrong {
+        return Err(Bad::Field(why));
+    }
+    let id = id.ok_or(Bad::Field("missing field 'id'"))?;
+    Ok(Fields { id, title, year, venue })
+}
+
+/// What is wrong with an `authors` or `references` field that is not an
+/// array, or holds something other than strings.
+const AUTHORS_WRONG: [&str; 2] = ["'authors' must be an array", "'authors' must contain strings"];
+const REFERENCES_WRONG: [&str; 2] =
+    ["'references' must be an array", "'references' must contain strings"];
+
+/// Read an array of strings into `out`, replacing what an earlier key of
+/// the same name left there.
+fn strings(
+    s: &mut Scanner<'_>,
+    out: &mut Strs,
+    [not_array, not_strings]: [&'static str; 2],
+    wrong: &mut Option<&'static str>,
+) -> std::result::Result<(), sjson::Error> {
+    out.clear();
+    if s.peek()? != Kind::Array {
+        wrong.get_or_insert(not_array);
+        return s.skip();
+    }
+    s.begin_array()?;
+    while s.next_item()? {
+        if s.peek()? == Kind::String {
+            out.push(&s.string()?);
+        } else {
+            wrong.get_or_insert(not_strings);
+            s.skip()?;
+        }
+    }
+    Ok(())
+}
+
+/// A JSON number as a year: integral and within `i64`, then within
+/// [`Year`].
+fn year_of(n: f64) -> std::result::Result<Year, &'static str> {
+    let y = sjson::Value::Number(n).as_i64().ok_or("'year' must be an integer")?;
+    Year::try_from(y).map_err(|_| "'year' out of range")
 }
 
 /// Write a corpus as JSON lines (the inverse of [`read_jsonl`], with
-/// articles keyed by their dense id rendered in decimal).
+/// articles keyed by their dense id rendered in decimal). Every string
+/// goes through [`sjson::write_str`], the escape table the reader
+/// inverts.
 pub fn write_jsonl<W: Write>(corpus: &Corpus, writer: W) -> Result<()> {
     let mut w = BufWriter::new(writer);
+    let mut line = Vec::new();
     for a in corpus.articles() {
-        let rec = JsonArticle {
-            id: a.id.to_string(),
-            title: a.title.clone(),
-            year: Some(a.year),
-            venue: Some(corpus.venue(a.venue).name.clone()),
-            authors: a.authors.iter().map(|&u| corpus.author(u).name.clone()).collect(),
-            references: a.references.iter().map(|r| r.to_string()).collect(),
-        };
-        w.write_all(rec.to_json_line().as_bytes())?;
-        w.write_all(b"\n")?;
+        line.clear();
+        line.extend_from_slice(b"{\"id\":");
+        write_id(&mut line, a.id.0);
+        line.extend_from_slice(b",\"title\":");
+        sjson::write_str(&mut line, &a.title);
+        line.extend_from_slice(b",\"year\":");
+        sjson::write_number(&mut line, f64::from(a.year));
+        line.extend_from_slice(b",\"venue\":");
+        sjson::write_str(&mut line, &corpus.venue(a.venue).name);
+        line.extend_from_slice(b",\"authors\":[");
+        for (i, &u) in a.authors.iter().enumerate() {
+            if i > 0 {
+                line.push(b',');
+            }
+            sjson::write_str(&mut line, &corpus.author(u).name);
+        }
+        line.extend_from_slice(b"],\"references\":[");
+        for (i, r) in a.references.iter().enumerate() {
+            if i > 0 {
+                line.push(b',');
+            }
+            write_id(&mut line, r.0);
+        }
+        line.extend_from_slice(b"]}\n");
+        w.write_all(&line)?;
     }
     w.flush()?;
     Ok(())
+}
+
+/// A dense id as a JSON string of its decimal digits (which need no
+/// escape).
+fn write_id(out: &mut Vec<u8>, id: u32) {
+    out.push(b'"');
+    sjson::write_u64(out, u64::from(id));
+    out.push(b'"');
 }
 
 /// Read a JSON-lines corpus from a file.
@@ -232,7 +267,7 @@ pub fn write_jsonl_file(corpus: &Corpus, path: &Path) -> Result<()> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::MissingYearPolicy;
+    use super::super::{MissingYearPolicy, UnknownReferencePolicy};
     use super::*;
     use crate::model::ArticleId;
 
@@ -286,6 +321,55 @@ mod tests {
             Err(CorpusError::Parse { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn errors_after_the_scan_name_the_file_line() {
+        // A blank line, and a dropped record, each put the record index
+        // and the file line apart; the error must name the file line.
+        let parse_error = |text: &str, opts: &LoadOptions| match read_jsonl(text.as_bytes(), opts) {
+            Err(CorpusError::Parse { line, message }) => (line, message),
+            other => panic!("expected a parse error, got {other:?}"),
+        };
+        let dup = "\n{\"id\": \"A\", \"year\": 1}\n\n{\"id\": \"A\", \"year\": 2}\n";
+        assert_eq!(
+            parse_error(dup, &LoadOptions::default()),
+            (4, "duplicate article id 'A'".to_owned())
+        );
+        let (line, message) = parse_error("\n\n{\"id\": \"A\"}\n", &LoadOptions::default());
+        assert_eq!(line, 3, "{message}");
+        let ghost = "{\"id\": \"A\"}\n{\"id\": \"B\", \"year\": 1, \"references\": [\"Z\"]}\n";
+        let opts = LoadOptions {
+            unknown_references: UnknownReferencePolicy::Error,
+            missing_year: MissingYearPolicy::Drop,
+        };
+        assert_eq!(parse_error(ghost, &opts), (2, "record B cites unknown article 'Z'".to_owned()));
+    }
+
+    #[test]
+    fn a_parse_error_anywhere_beats_a_missing_year() {
+        let text = "{\"id\": \"A\"}\n{\"id\": \"B\", \"year\": 2000}\n{\"id\": 7}\n";
+        match read_jsonl(text.as_bytes(), &LoadOptions::default()) {
+            Err(CorpusError::Parse { line: 3, message }) => {
+                assert_eq!(message, "bad json record: 'id' must be a string")
+            }
+            other => panic!("expected the line-3 parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn repeated_keys_keep_the_last_and_null_keeps_the_year() {
+        let text = concat!(
+            r#"{"id": "X", "authors": ["Gone"], "references": ["X"], "year": 1990, "#,
+            r#""venue": "Old", "id": "A", "authors": ["Kept"], "references": [], "#,
+            r#""year": null, "venue": null, "extra": {"deep": [1, {"x": null}]}}"#,
+        );
+        let c = read_jsonl(text.as_bytes(), &LoadOptions::default()).unwrap();
+        let a = c.article(ArticleId(0));
+        assert_eq!((a.year, c.venue(a.venue).name.as_str()), (1990, "Old"));
+        let names: Vec<&str> = c.authors().iter().map(|u| u.name.as_str()).collect();
+        assert_eq!(names, ["Kept"], "the overridden byline is never interned");
+        assert!(a.references.is_empty());
     }
 
     #[test]

@@ -21,6 +21,8 @@ use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
 
 struct PaperRow {
+    /// 1-based line in the papers table.
+    line: usize,
     id: String,
     year: Option<Year>,
     venue: String,
@@ -55,7 +57,7 @@ fn read_papers<R: Read>(reader: R) -> Result<Vec<PaperRow>> {
         };
         let venue = cols.next().unwrap_or("").to_owned();
         let title = cols.next().unwrap_or("").to_owned();
-        rows.push(PaperRow { id, year, venue, title });
+        rows.push(PaperRow { line: lineno + 1, id, year, venue, title });
     }
     Ok(rows)
 }
@@ -76,14 +78,12 @@ pub fn read_mag<R1: Read, R2: Read, R3: Read>(
             message: "injected parse fault at corpus.mag.parse".into(),
         })
     );
-    let mut rows = read_papers(papers)?;
-    super::apply_missing_year(
-        &mut rows,
-        opts.missing_year,
-        |r| r.year,
-        |r, y| r.year = Some(y),
-        |r| format!("'{}'", r.id),
-    )?;
+    let mut rows = Vec::new();
+    for row in read_papers(papers)? {
+        if let Some(year) = opts.missing_year.apply(row.year, row.line, &row.id)? {
+            rows.push(PaperRow { year: Some(year), ..row });
+        }
+    }
     let index: HashMap<String, usize> =
         rows.iter().enumerate().map(|(i, r)| (r.id.clone(), i)).collect();
     if index.len() != rows.len() {
@@ -226,6 +226,18 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("'P3'"), "error names the yearless paper: {msg}");
         assert!(msg.contains("no publication year"), "{msg}");
+    }
+
+    #[test]
+    fn missing_year_error_names_the_file_line() {
+        let papers = "P1\t1990\tV\tT\n\nP2\t\tV\tT\n";
+        match read_mag(papers.as_bytes(), "".as_bytes(), "".as_bytes(), &LoadOptions::default()) {
+            Err(CorpusError::Parse { line, message }) => {
+                assert_eq!(line, 3, "{message}");
+                assert!(message.starts_with("record 'P2' has no publication year"), "{message}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
 
     #[test]

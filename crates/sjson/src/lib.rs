@@ -2,19 +2,25 @@
 
 //! # sjson — minimal JSON for the scholar stack
 //!
-//! A small, dependency-free JSON layer: a recursive-descent parser with
-//! line/column error reporting, a compact writer, and a pretty writer.
-//! It covers exactly what the workspace needs — corpus JSONL records,
+//! A small, dependency-free JSON layer: one reader and one writer. It
+//! covers exactly what the workspace needs — corpus JSONL records,
 //! partial configuration files, and machine-readable CLI/bench output —
 //! with a tree-model [`Value`] and ergonomic accessors.
 //!
-//! Both writers render through two byte-level primitives, [`write_str`]
-//! and [`write_number`], which servers also call directly to assemble
-//! bodies without building a [`Value`].
+//! The reader is [`Scanner`], a pull scanner over borrowed text with
+//! line/column error reporting. [`parse`] builds a [`Value`] on it; a
+//! loader that wants a few fields of each record scans them in place,
+//! copying a string only when it holds an escape.
+//!
+//! Both writers (compact and pretty) render through two byte-level
+//! primitives, [`write_str`] and [`write_number`], which servers and
+//! the corpus writer also call directly to emit JSON without building a
+//! [`Value`].
 //!
 //! Object key order is preserved (insertion order), which keeps emitted
 //! JSON stable and diffs readable.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parsed JSON document.
@@ -235,29 +241,417 @@ impl fmt::Display for Error {
 impl std::error::Error for Error {}
 
 /// Parse a complete JSON document; trailing non-whitespace is an error.
+/// The tree is built from a [`Scanner`], so this and every field
+/// scanner share one grammar.
 pub fn parse(input: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos < p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
+    let mut s = Scanner::new(input);
+    let v = tree(&mut s)?;
+    s.finish()?;
     Ok(v)
 }
 
-const MAX_DEPTH: usize = 128;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
+/// The value at the scanner's position, as a tree.
+fn tree(s: &mut Scanner<'_>) -> Result<Value, Error> {
+    Ok(match s.peek()? {
+        Kind::Null => {
+            s.null()?;
+            Value::Null
+        }
+        Kind::Bool => Value::Bool(s.bool()?),
+        Kind::Number => Value::Number(s.number()?),
+        Kind::String => Value::String(s.string()?.into_owned()),
+        Kind::Array => {
+            s.begin_array()?;
+            let mut items = Vec::new();
+            while s.next_item()? {
+                items.push(tree(s)?);
+            }
+            Value::Array(items)
+        }
+        Kind::Object => {
+            s.begin_object()?;
+            let mut pairs = Vec::new();
+            while let Some(key) = s.next_key()? {
+                pairs.push((key.into_owned(), tree(s)?));
+            }
+            Value::Object(pairs)
+        }
+    })
 }
 
-impl<'a> Parser<'a> {
+/// Containers nest at most this deep; a value inside the deepest one is
+/// an error.
+const MAX_DEPTH: usize = 128;
+
+/// What kind of value starts at a [`Scanner`]'s position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `null`
+    Null,
+    /// `true` or `false`
+    Bool,
+    /// A number.
+    Number,
+    /// A string.
+    String,
+    /// An array.
+    Array,
+    /// An object.
+    Object,
+}
+
+/// A pull scanner over one JSON document that borrows from its text: the
+/// one JSON grammar of the workspace, under [`parse`] and under any
+/// reader that wants a few fields without a tree.
+///
+/// [`Scanner::peek`] names the next value; a typed read consumes it
+/// ([`Scanner::string`] hands back a slice of the input unless the string
+/// holds an escape) and [`Scanner::skip`] consumes any value, validating
+/// it in full. Containers are walked with
+/// [`begin_object`](Scanner::begin_object) + [`next_key`](Scanner::next_key)
+/// and [`begin_array`](Scanner::begin_array) +
+/// [`next_item`](Scanner::next_item), each key or item followed by
+/// exactly one value read. [`Scanner::finish`] rejects trailing input.
+/// Errors carry the same text and position whichever way a document is
+/// read.
+///
+/// ```
+/// let mut s = sjson::Scanner::new(r#"{"id": "a1", "n": [1, 2]}"#);
+/// s.begin_object().unwrap();
+/// let mut id = None;
+/// while let Some(key) = s.next_key().unwrap() {
+///     match &*key {
+///         "id" => id = Some(s.string().unwrap()),
+///         _ => s.skip().unwrap(),
+///     }
+/// }
+/// s.finish().unwrap();
+/// assert_eq!(id.as_deref(), Some("a1"));
+/// ```
+#[derive(Debug)]
+pub struct Scanner<'a> {
+    text: &'a str,
+    pos: usize,
+    depth: usize,
+    /// A container was just opened: the next `next_key`/`next_item` reads
+    /// its first entry (or its end) rather than a separator.
+    fresh: bool,
+}
+
+impl<'a> Scanner<'a> {
+    /// A scanner at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Scanner { text, pos: 0, depth: 0, fresh: false }
+    }
+
+    /// The kind of the next value, without consuming it.
+    pub fn peek(&mut self) -> Result<Kind, Error> {
+        match self.start()? {
+            Some(b'{') => Ok(Kind::Object),
+            Some(b'[') => Ok(Kind::Array),
+            Some(b'"') => Ok(Kind::String),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'n') => Ok(Kind::Null),
+            Some(b'-' | b'0'..=b'9') => Ok(Kind::Number),
+            Some(_) => Err(self.err("unexpected character")),
+            None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    /// Read a string value: borrowed from the input unless it holds an
+    /// escape.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, Error> {
+        self.start()?;
+        self.quoted()
+    }
+
+    /// Read a number value.
+    pub fn number(&mut self) -> Result<f64, Error> {
+        self.start()?;
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        if self.byte() == Some(b'-') {
+            self.pos += 1;
+        }
+        match self.byte() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => self.digits(),
+            _ => return Err(self.err("invalid number")),
+        }
+        if self.byte() == Some(b'.') {
+            self.pos += 1;
+            if !matches!(self.byte(), Some(b'0'..=b'9')) {
+                return Err(self.err("invalid number (digit required after '.')"));
+            }
+            self.digits();
+        }
+        if matches!(self.byte(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.byte(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if !matches!(self.byte(), Some(b'0'..=b'9')) {
+                return Err(self.err("invalid number (digit required in exponent)"));
+            }
+            self.digits();
+        }
+        let text = std::str::from_utf8(&bytes[start..self.pos])
+            .expect("a number is made of the ASCII bytes matched above");
+        text.parse::<f64>().map_err(|_| self.err("number out of range"))
+    }
+
+    /// Read `true` or `false`.
+    pub fn bool(&mut self) -> Result<bool, Error> {
+        let value = self.start()? != Some(b'f');
+        self.literal(if value { "true" } else { "false" })?;
+        Ok(value)
+    }
+
+    /// Read `null`.
+    pub fn null(&mut self) -> Result<(), Error> {
+        self.start()?;
+        self.literal("null")
+    }
+
+    /// Consume the next value whatever it is, checking its grammar and
+    /// depth exactly as a typed read would.
+    pub fn skip(&mut self) -> Result<(), Error> {
+        match self.peek()? {
+            Kind::Null => self.null(),
+            Kind::Bool => self.bool().map(drop),
+            Kind::Number => self.number().map(drop),
+            Kind::String => self.string().map(drop),
+            Kind::Array => {
+                self.begin_array()?;
+                while self.next_item()? {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            Kind::Object => {
+                self.begin_object()?;
+                while self.next_key()?.is_some() {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Enter an object; walk it with [`Scanner::next_key`].
+    pub fn begin_object(&mut self) -> Result<(), Error> {
+        self.start()?;
+        self.open(b'{')
+    }
+
+    /// The next key of the object being walked, or `None` once its `}`
+    /// is consumed. Each key must be followed by one value read.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, Error> {
+        if !self.next_entry(b'}', "expected ',' or '}' in object")? {
+            return Ok(None);
+        }
+        self.skip_ws();
+        if self.byte() != Some(b'"') {
+            return Err(self.err("expected string key"));
+        }
+        let key = self.quoted()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Enter an array; walk it with [`Scanner::next_item`].
+    pub fn begin_array(&mut self) -> Result<(), Error> {
+        self.start()?;
+        self.open(b'[')
+    }
+
+    /// `true` when the array being walked has another item, which must
+    /// then be read; `false` once its `]` is consumed.
+    pub fn next_item(&mut self) -> Result<bool, Error> {
+        self.next_entry(b']', "expected ',' or ']' in array")
+    }
+
+    /// End the document: only whitespace may follow the value read.
+    pub fn finish(mut self) -> Result<(), Error> {
+        self.skip_ws();
+        if self.pos < self.text.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(())
+    }
+
+    /// Skip whitespace up to the next value and check it is not nested
+    /// too deep; hands back its first byte.
+    fn start(&mut self) -> Result<Option<u8>, Error> {
+        self.skip_ws();
+        if self.depth >= MAX_DEPTH {
+            return Err(self.err("maximum nesting depth exceeded"));
+        }
+        Ok(self.byte())
+    }
+
+    fn open(&mut self, bracket: u8) -> Result<(), Error> {
+        self.expect(bracket)?;
+        self.depth += 1;
+        self.fresh = true;
+        Ok(())
+    }
+
+    /// Past the separator before the next entry of the open container:
+    /// `false` (and the container closed) at `close`.
+    fn next_entry(&mut self, close: u8, separator_error: &str) -> Result<bool, Error> {
+        self.skip_ws();
+        let first = std::mem::take(&mut self.fresh);
+        match self.byte() {
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(self.err(separator_error)),
+        }
+    }
+
+    /// A string whose opening quote is at the position. The unescaped
+    /// prefix is scanned in place; only a string holding a backslash is
+    /// copied.
+    fn quoted(&mut self) -> Result<Cow<'a, str>, Error> {
+        self.expect(b'"')?;
+        let start = self.pos;
+        self.plain_run();
+        if self.byte() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = String::from(&self.text[start..self.pos]);
+        loop {
+            match self.byte() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(Cow::Owned(out));
+                }
+                Some(b'\\') => out.push(self.escape()?),
+                Some(_) => return Err(self.err("control character in string")),
+            }
+            let run = self.pos;
+            self.plain_run();
+            out.push_str(&self.text[run..self.pos]);
+        }
+    }
+
+    /// Advance over bytes a string copies verbatim. It stops only at an
+    /// ASCII byte (`"`, `\`, a control) or the end, so always on a
+    /// character boundary.
+    fn plain_run(&mut self) {
+        let rest = &self.text.as_bytes()[self.pos..];
+        self.pos +=
+            rest.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20).unwrap_or(rest.len());
+    }
+
+    /// The character a backslash escape at the position stands for: the
+    /// workspace's one unescape table, the inverse of [`write_str`].
+    fn escape(&mut self) -> Result<char, Error> {
+        self.pos += 1;
+        let c = match self.byte() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000C}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                return self.unicode_escape();
+            }
+            _ => return Err(self.err("invalid escape sequence")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// The four hex digits after `\u`, and the low half of a surrogate
+    /// pair when they name a high one.
+    fn unicode_escape(&mut self) -> Result<char, Error> {
+        let hi = self.hex4()?;
+        if (0xDC00..0xE000).contains(&hi) {
+            return Err(self.err("unpaired low surrogate"));
+        }
+        if !(0xD800..0xDC00).contains(&hi) {
+            return char::from_u32(hi).ok_or_else(|| self.err("invalid unicode escape"));
+        }
+        if !self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
+            return Err(self.err("unpaired high surrogate"));
+        }
+        self.pos += 2;
+        let lo = self.hex4()?;
+        if !(0xDC00..0xE000).contains(&lo) {
+            return Err(self.err("invalid low surrogate"));
+        }
+        let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+        char::from_u32(cp).ok_or_else(|| self.err("invalid surrogate pair"))
+    }
+
+    fn hex4(&mut self) -> Result<u32, Error> {
+        let digits = self
+            .text
+            .as_bytes()
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated unicode escape"))?;
+        let v = std::str::from_utf8(digits)
+            .ok()
+            .and_then(|s| u32::from_str_radix(s, 16).ok())
+            .ok_or_else(|| self.err("invalid unicode escape"))?;
+        self.pos += 4;
+        Ok(v)
+    }
+
+    fn literal(&mut self, word: &str) -> Result<(), Error> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(())
+        } else {
+            Err(self.err(&format!("invalid literal (expected '{word}')")))
+        }
+    }
+
+    fn digits(&mut self) {
+        while matches!(self.byte(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+    }
+
+    fn byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), Error> {
+        if self.byte() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected '{}'", b as char)))
+        }
+    }
+
+    /// An error at the position, with its 1-based line and column.
     fn err(&self, message: &str) -> Error {
         let (mut line, mut column) = (1, 1);
-        for &b in &self.bytes[..self.pos.min(self.bytes.len())] {
+        for &b in &self.text.as_bytes()[..self.pos.min(self.text.len())] {
             if b == b'\n' {
                 line += 1;
                 column = 1;
@@ -266,228 +660,6 @@ impl<'a> Parser<'a> {
             }
         }
         Error { line, column, message: message.to_string() }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        if self.depth >= MAX_DEPTH {
-            return Err(self.err("maximum nesting depth exceeded"));
-        }
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("invalid literal (expected '{word}')")))
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        self.depth += 1;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            if self.peek() != Some(b'"') {
-                return Err(self.err("expected string key"));
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let v = self.value()?;
-            pairs.push((key, v));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Object(pairs));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        self.depth += 1;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000C}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require \uXXXX low half.
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(cp)
-                                        .ok_or_else(|| self.err("invalid surrogate pair"))?
-                                } else {
-                                    return Err(self.err("unpaired high surrogate"));
-                                }
-                            } else if (0xDC00..0xE000).contains(&hi) {
-                                return Err(self.err("unpaired low surrogate"));
-                            } else {
-                                char::from_u32(hi)
-                                    .ok_or_else(|| self.err("invalid unicode escape"))?
-                            };
-                            out.push(c);
-                            continue;
-                        }
-                        _ => return Err(self.err("invalid escape sequence")),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x20 => {
-                    return Err(self.err("control character in string"));
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is valid UTF-8 by
-                    // construction since it came from &str).
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, Error> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(self.err("truncated unicode escape"));
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid unicode escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid unicode escape"))?;
-        self.pos += 4;
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        match self.peek() {
-            Some(b'0') => self.pos += 1,
-            Some(b'1'..=b'9') => {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-            }
-            _ => return Err(self.err("invalid number")),
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("invalid number (digit required after '.')"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("invalid number (digit required in exponent)"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>().map(Value::Number).map_err(|_| self.err("number out of range"))
     }
 }
 
@@ -866,6 +1038,89 @@ mod tests {
     fn depth_limit_holds() {
         let deep = "[".repeat(1000) + &"]".repeat(1000);
         assert!(parse(&deep).is_err());
+        // 128 containers nest; a value inside the 128th does not.
+        let nest = |n: usize, inner: &str| "[".repeat(n) + inner + &"]".repeat(n);
+        assert!(parse(&nest(128, "")).is_ok());
+        let err = parse(&nest(128, "1")).unwrap_err();
+        assert_eq!((err.message.as_str(), err.column), ("maximum nesting depth exceeded", 129));
+        assert_eq!(parse(&nest(129, "")).unwrap_err().column, 129);
+    }
+
+    #[test]
+    fn a_long_string_literal_parses_in_linear_time() {
+        // The old per-character parse re-validated the rest of the input
+        // at every character: minutes for this literal in a debug build.
+        let len = if cfg!(miri) { 4 << 10 } else { 4 << 20 };
+        let original: String = "é\"\\\u{1}🎓abc".chars().cycle().take(len).collect();
+        let mut enc = Vec::new();
+        write_str(&mut enc, &original);
+        let back = parse(std::str::from_utf8(&enc).unwrap()).unwrap();
+        assert_eq!(back.as_str(), Some(original.as_str()));
+    }
+
+    #[test]
+    fn scanner_borrows_strings_without_escapes() {
+        let mut s = Scanner::new(r#"{"plain": "as is", "esc\u0061ped": "a\tb", "n": [1, -0.5e1]}"#);
+        s.begin_object().unwrap();
+        let key = s.next_key().unwrap().unwrap();
+        assert!(matches!(key, Cow::Borrowed("plain")));
+        assert!(matches!(s.string().unwrap(), Cow::Borrowed("as is")));
+        let key = s.next_key().unwrap().unwrap();
+        assert!(matches!(key, Cow::Owned(ref k) if k == "escaped"));
+        assert!(matches!(s.string().unwrap(), Cow::Owned(ref v) if v == "a\tb"));
+        assert_eq!(s.next_key().unwrap().as_deref(), Some("n"));
+        assert_eq!(s.peek().unwrap(), Kind::Array);
+        s.begin_array().unwrap();
+        let mut numbers = Vec::new();
+        while s.next_item().unwrap() {
+            numbers.push(s.number().unwrap());
+        }
+        assert_eq!(numbers, [1.0, -5.0]);
+        assert_eq!(s.next_key().unwrap(), None);
+        s.finish().unwrap();
+    }
+
+    #[test]
+    fn skip_checks_exactly_what_parse_checks() {
+        // Skipping a document must fail where building its tree fails,
+        // with the same text and position, and pass where it passes.
+        let docs = [
+            r#"{"a": [1, {"b": null}, "x\u00e9\ud83c\udf93"], "c": true, "d": false}"#,
+            "  [ ]  ",
+            "{\"a\": 1,\n\"b\": }",
+            "{\"a\" 1}",
+            "{\"a\": 1,}",
+            "{,}",
+            "[1,]",
+            "[1 2]",
+            "{",
+            "[",
+            "",
+            "01",
+            "1.",
+            "1e",
+            "-",
+            "nul",
+            "tru",
+            "\"\\x\"",
+            "\"\\u12\"",
+            "\"\\u12g4\"",
+            "\"\\ud83c\"",
+            "\"\\ud83c\\u0041\"",
+            "\"\\udf93\"",
+            "\"tab\there\"",
+            "\"unterminated",
+            "{} extra",
+        ];
+        for doc in docs {
+            let mut s = Scanner::new(doc);
+            let skipped = s.skip().and_then(|()| s.finish());
+            match (parse(doc), skipped) {
+                (Ok(_), Ok(())) => {}
+                (Err(p), Err(k)) => assert_eq!(p, k, "{doc:?}"),
+                (p, k) => panic!("{doc:?}: parse {p:?}, skip {k:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! The materialised author citation graph — what the engine built, held
 //! three times over and walked before the author walk went factorised
 //! (`sgraph::ProjectedWalk`). It survives here, in test code only, as the
-//! oracle the factorised walk is held to.
+//! oracle the factorised walk is held to. [`jsonl`] keeps the
+//! tree-building JSONL reader and writer the same way.
 #![allow(dead_code)] // each suite that includes this uses its own subset
+
+pub mod jsonl;
 
 use scholar::corpus::model::{author_position_weights, Year};
 use scholar::{QRankConfig, Rows, TimeWeightedPageRank};

@@ -10,6 +10,8 @@ use scholar::corpus::{Corpus, CorpusBuilder};
 use scholar::{QRank, QRankConfig, Ranker};
 use srand::{rngs::SmallRng, Rng, SeedableRng};
 
+mod oracle;
+
 const CASES: u64 = 64;
 
 /// An arbitrary (possibly messy) corpus: 2..40 articles over 1..8 authors
@@ -270,6 +272,20 @@ fn jsonl_loader_never_panics() {
                 // Errors must render (no panic in Display).
                 let _ = e.to_string();
             }
+        }
+    }
+}
+
+#[test]
+fn jsonl_scanner_agrees_with_the_oracle_on_arbitrary_text() {
+    // Every text, and every line of it on its own, loads to an equal
+    // corpus or fails with equal error text under every load policy.
+    for seed in 0..128u64 {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5ca1);
+        let text = arb_jsonl_text(&mut rng);
+        oracle::jsonl::assert_same_load(text.as_bytes());
+        for line in text.lines() {
+            oracle::jsonl::assert_same_load(line.as_bytes());
         }
     }
 }
