@@ -4,8 +4,8 @@
 //! "default selection").
 //!
 //! Every grid point differs only in mixture parameters (λs, σ), so the
-//! whole sweep shares one prepared [`QRankEngine`]: the graphs, operators
-//! and walks are built once and each configuration costs only the cheap
+//! whole sweep shares one prepared [`QRankEngine`]: the graphs and the
+//! structural walks are built once and each configuration costs only the cheap
 //! outer fixpoint.
 //!
 //! ```sh

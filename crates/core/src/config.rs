@@ -209,8 +209,8 @@ impl QRankConfig {
 
     /// `true` when `other` shares every *structural* parameter with
     /// `self` — the parameters that determine the derived graphs, the
-    /// row-stochastic operators, and the three structural stationary
-    /// distributions a [`crate::QRankEngine`] caches (everything in
+    /// recency jump and the structural stationary distributions a
+    /// [`crate::QRankEngine`] caches (everything in
     /// `twpr` plus `drop_self_citations`). Configs that agree here can
     /// share one prepared engine and differ only in mix parameters.
     pub fn same_structure(&self, other: &QRankConfig) -> bool {

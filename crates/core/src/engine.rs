@@ -1,10 +1,10 @@
 //! The prepared QRank execution plan: build once, solve many.
 //!
 //! [`QRank::run`](crate::QRank::run) does two very different kinds of
-//! work. The *structural* part — deriving the [`HetNet`], normalizing the
-//! citation and venue operators, and running the three structural walks
-//! to their stationary distributions (the author walk factorised over the
-//! citation graph and the bylines; the author graph is never built) —
+//! work. The *structural* part — deriving the [`HetNet`] and running the
+//! structural walks to their stationary distributions (the author walk
+//! factorised over the citation graph and the bylines; the author graph
+//! is never built) —
 //! depends only on the corpus and the structural half of the
 //! configuration (everything in `twpr` plus `drop_self_citations`; see
 //! [`QRankConfig::same_structure`]). The *mixture* part — the outer
@@ -145,10 +145,11 @@ impl SolveScratch {
 /// structural-config)` pair; solving never changes it, and
 /// [`QRankEngine::extend`] is the only thing that does.
 ///
-/// Caches the heterogeneous network, the citation and venue operators,
-/// the recency jump vector, the per-article ages, the structural
-/// venue/author stationary distributions, and (lazily, on the first cold
-/// solve) the TWPR stationary distribution. `solve` then runs only the
+/// Caches the heterogeneous network, the recency jump vector, the
+/// per-article ages, the structural venue/author stationary
+/// distributions, and (lazily, on the first cold solve) the TWPR
+/// stationary distribution. It holds no walk operator: each walk borrows
+/// the network's graph for as long as it runs. `solve` then runs only the
 /// outer mutual-reinforcement fixpoint. Shared-reference solves are safe
 /// from multiple threads.
 #[derive(Debug)]
@@ -156,8 +157,6 @@ pub struct QRankEngine {
     config: QRankConfig,
     now: i32,
     net: HetNet,
-    citation_op: RowStochastic,
-    venue_op: RowStochastic,
     jump: JumpVector,
     /// Cold TWPR stationary + diagnostics; computed on first use so a
     /// purely warm-started engine (incremental re-ranking) never pays for
@@ -193,9 +192,9 @@ fn gated_ranges(
 }
 
 impl QRankEngine {
-    /// Build the plan: derive the heterogeneous network, normalize the
-    /// two operators, run the structural venue/author walks, and
-    /// precompute the balanced parallel partitions. O(corpus) — this is
+    /// Build the plan: derive the heterogeneous network, run the
+    /// structural venue/author walks, and precompute the balanced parallel
+    /// partitions. O(corpus) — this is
     /// the expensive phase; amortize it across solves. Any structural
     /// view will do (a [`Corpus`](scholar_corpus::Corpus), a
     /// [`ColStore`](scholar_corpus::ColStore)): the engine needs derived
@@ -211,18 +210,15 @@ impl QRankEngine {
     /// not matter to any later score whether a plan was grown or, as after
     /// a restart, built (DESIGN.md §2.4, "Growing a plan").
     ///
-    /// Only the network is patched ([`HetNet::extend`]); the operators,
-    /// the structural walks (cold, as in `build`: a warm start would make
-    /// scores depend on how the plan came to be), `now`, the jump vector,
+    /// Only the network is patched ([`HetNet::extend`]); the structural
+    /// walks (cold, as in `build`: a warm start would make scores depend
+    /// on how the plan came to be), `now`, the jump vector,
     /// the ages and the partitions are derived from it by the code `build`
     /// runs. The caller vouches that the retained articles are unchanged
     /// ([`crate::IncrementalRanker::extend`] checks). Consumes the plan, so
     /// a panic half way leaves none behind rather than a half-grown one.
     pub fn extend<V: Rows + ?Sized>(self, grown: &V, old_n: usize) -> Self {
-        let QRankEngine { config, mut net, citation_op, venue_op, .. } = self;
-        // The old operators are as large as the graphs under them; let go
-        // of them before their successors are allocated.
-        drop((citation_op, venue_op));
+        let QRankEngine { config, mut net, .. } = self;
         net.extend(grown, &config, old_n);
         Self::from_net(grown, &config, net)
     }
@@ -244,9 +240,6 @@ impl QRankEngine {
         let ages = rows::ages(corpus, now);
         let n = net.num_articles();
 
-        let citation_op = RowStochastic::new(&net.citation);
-        let venue_op = RowStochastic::new(&net.venue_graph);
-
         let pr = &config.twpr.pagerank;
         let structural_opts = || PowerIterationOpts {
             damping: pr.damping,
@@ -256,7 +249,7 @@ impl QRankEngine {
             threads: pr.threads,
             warm_start: None,
         };
-        let mut sv = venue_op.stationary(&structural_opts()).scores;
+        let mut sv = RowStochastic::new(&net.venue_graph).stationary(&structural_opts()).scores;
         // G_U = B_U·G_A·B_Uᵀ − diag lives only for this walk, as three
         // vectors over the authors beside the two factors it borrows.
         let author_walk =
@@ -285,8 +278,6 @@ impl QRankEngine {
             config: config.clone(),
             now,
             net,
-            citation_op,
-            venue_op,
             jump,
             twpr_cold: OnceLock::new(),
             sv,
@@ -319,29 +310,23 @@ impl QRankEngine {
         &self.net
     }
 
-    /// The cached row-stochastic operators, in (citation, venue) order.
-    /// There is no author operator to cache: the author walk runs over the
-    /// network's own `citation` and `authorship` and is done by the time
-    /// the plan exists.
-    pub fn operators(&self) -> (&RowStochastic, &RowStochastic) {
-        (&self.citation_op, &self.venue_op)
-    }
-
     /// The normalized structural stationaries, `(venue, author)`.
     pub fn structural_stationaries(&self) -> (&[f64], &[f64]) {
         (&self.sv, &self.su)
     }
 
-    /// The plan with its structural author stationary replaced by `su`
-    /// (normalized here) — the seam through which the conformance suite
-    /// feeds a plan the walk over a *materialised* author graph.
+    /// The plan with its structural stationaries replaced by `sv` and
+    /// `su`, taken as the normalized distributions
+    /// [`Self::structural_stationaries`] returns — the seam through which
+    /// the conformance suite feeds a plan walks run by its test-side
+    /// oracles.
     ///
     /// # Panics
-    /// Panics if `su` is not one score per author.
-    pub fn with_author_stationary(mut self, mut su: Vec<f64>) -> Self {
+    /// Panics if `sv` is not one score per venue or `su` one per author.
+    pub fn with_structural_stationaries(mut self, sv: Vec<f64>, su: Vec<f64>) -> Self {
+        assert_eq!(sv.len(), self.net.num_venues(), "one structural score per venue");
         assert_eq!(su.len(), self.net.num_authors(), "one structural score per author");
-        normalize_l1(&mut su);
-        self.su = su;
+        (self.sv, self.su) = (sv, su);
         self
     }
 
@@ -378,7 +363,7 @@ impl QRankEngine {
 
     fn run_inner_walk(&self, warm_start: Option<Vec<f64>>) -> (Vec<f64>, Diagnostics) {
         let pr = &self.config.twpr.pagerank;
-        let res = self.citation_op.stationary(&PowerIterationOpts {
+        let res = RowStochastic::new(&self.net.citation).stationary(&PowerIterationOpts {
             damping: pr.damping,
             jump: self.jump.clone(),
             tol: pr.tol,

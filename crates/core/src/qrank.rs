@@ -108,7 +108,7 @@ impl Ranker for QRank {
                 // The cold inner walk is exactly a TWPR solve with this
                 // config, so it shares TWPR's memo entry: whichever of the
                 // two runs first in this context pays for the walk, the
-                // other reuses the scores bit-for-bit (identical operator,
+                // other reuses the scores bit-for-bit (identical graph,
                 // jump, and iteration kernel).
                 let twpr_key = TimeWeightedPageRank::solve_key(&self.config.twpr, now);
                 let (tw_scores, tw_diag, _) = ctx.cached_solve(&twpr_key, || {

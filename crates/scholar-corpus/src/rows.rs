@@ -78,13 +78,20 @@ pub fn ages<V: Rows + ?Sized>(rows: &V, now: Year) -> Vec<f64> {
 
 /// The recency-personalized jump vector `j(v) ∝ exp(-τ·age(v))` (uniform
 /// when `τ = 0` or there are no articles).
+///
+/// Weighed as `exp(-τ·(age − youngest age))`, the same distribution once
+/// normalised: the youngest article weighs exactly 1, so a `now` far past
+/// the last year cannot underflow every weight to zero. Under the default
+/// `now` (the last year) the youngest age is 0 and the weights are
+/// unchanged, bit for bit.
 pub fn recency_jump<V: Rows + ?Sized>(rows: &V, tau: f64, now: Year) -> JumpVector {
     if tau == 0.0 || rows.num_articles() == 0 {
         return JumpVector::Uniform;
     }
     let mut weights = ages(rows, now);
+    let youngest = weights.iter().copied().fold(f64::INFINITY, f64::min);
     for w in &mut weights {
-        *w = (-tau * *w).exp();
+        *w = (-tau * (*w - youngest)).exp();
     }
     JumpVector::weighted(weights)
 }
@@ -290,6 +297,28 @@ mod tests {
             ("aan", Preset::AanLike.generate(9)),
         ] {
             assert_backends_agree(label, &corpus);
+        }
+    }
+
+    /// A `now` far enough past the last year used to underflow every
+    /// `exp(-τ·age)` to zero, and `JumpVector::weighted` panics on a
+    /// massless vector. The youngest article now anchors the weights.
+    #[test]
+    fn recency_jump_survives_a_now_far_past_the_last_year() {
+        let corpus = odd_shapes();
+        let last = year_range(&corpus).unwrap().1;
+        let anchored = recency_jump(&corpus, 0.1, last);
+        for (tau, now) in [(1e4, last + 1), (0.1, last + 8000), (0.1, last)] {
+            let jump = recency_jump(&corpus, tau, now).to_dense(corpus.num_articles());
+            assert!(jump.iter().all(|w| w.is_finite() && *w >= 0.0), "τ {tau}, now {now}");
+            assert!((jump.iter().sum::<f64>() - 1.0).abs() < 1e-12, "τ {tau}, now {now}");
+            // The youngest article (a4, 2004) always weighs the most.
+            assert_eq!(jump[4], jump.iter().copied().fold(0.0, f64::max), "τ {tau}, now {now}");
+        }
+        // Shifting `now` by whole years leaves the distribution alone.
+        let shifted = recency_jump(&corpus, 0.1, last + 30).to_dense(corpus.num_articles());
+        for (a, b) in anchored.to_dense(corpus.num_articles()).iter().zip(&shifted) {
+            assert!((a - b).abs() < 1e-15, "{a} vs {b}");
         }
     }
 

@@ -12,7 +12,7 @@
 
 use crate::context::RankContext;
 use crate::diagnostics::Diagnostics;
-use crate::pagerank::{pagerank_on_op, PageRankConfig};
+use crate::pagerank::{pagerank_on_graph, PageRankConfig};
 use crate::ranker::Ranker;
 use crate::telemetry::Stopwatch;
 use crate::telemetry::{RankOutput, SolveTelemetry};
@@ -83,7 +83,7 @@ impl Ranker for CiteRank {
         }
         let now = self.config.now.unwrap_or_else(|| ctx.now());
         let built = Stopwatch::start();
-        let op = ctx.citation_op();
+        let graph = ctx.citation_graph();
         let build_secs = built.secs();
         let key = format!(
             "citerank(alpha={},tau={},now={},tol={},max={})",
@@ -100,7 +100,7 @@ impl Ranker for CiteRank {
                 max_iter: self.config.max_iter,
                 threads: 1,
             };
-            pagerank_on_op(op, &pr_cfg, jump, None)
+            pagerank_on_graph(graph, &pr_cfg, jump)
         });
         let telemetry = SolveTelemetry::timed(&diag, build_secs, solved.secs(), cached);
         RankOutput { scores, telemetry }

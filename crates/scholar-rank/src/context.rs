@@ -2,11 +2,13 @@
 //!
 //! A [`RankContext`] is built once per corpus and lazily caches every
 //! derived structure the ranker suite needs: the citation CSR (forward +
-//! reverse adjacency), its row-stochastic walk operator with dangling
-//! sets and out-weight sums, the author/venue bipartite maps, citation
-//! counts, per-article year vectors, time-decayed citation operators
-//! keyed by their decay parameters, and a memo of completed solves keyed
-//! by the full parameter string. Rankers implement
+//! reverse adjacency), the author/venue bipartite maps, citation counts,
+//! per-article year vectors, time-decayed citation graphs keyed by their
+//! decay parameters, and a memo of completed solves keyed by the full
+//! parameter string. Walk operators are not cached: a
+//! [`sgraph::RowStochastic`] borrows the graph it steps over and holds
+//! only per-node sums, so a ranker builds one in a pass over the graph.
+//! Rankers implement
 //! [`crate::ranker::Ranker::solve_ctx`] against this context; the old
 //! `rank(&Corpus)` entry point survives as a thin wrapper that builds a
 //! throwaway context.
@@ -17,9 +19,9 @@
 //! every structure is derived by the one function `scholar_corpus::rows`
 //! has for it — so the backends are bit-identical by construction and
 //! every ranker produces the same scores either way. On the mmap backend
-//! the time-decayed citation operator can additionally stay *out of core*
+//! the time-decayed citation graph can additionally stay *out of core*
 //! via [`RankContext::decayed_plan`], which materializes a sharded
-//! [`MmapCsr`] next to the store instead of a dense operator.
+//! [`MmapCsr`] next to the store instead of a dense graph.
 //!
 //! Invalidation is by construction: a context borrows an immutable
 //! backing store and is dropped when the store changes (there is no
@@ -33,31 +35,30 @@ use scholar_corpus::colstore::ColStore;
 use scholar_corpus::rows::{self, Rows};
 use scholar_corpus::{Corpus, Year};
 use sgraph::mmap_csr::{MmapCsr, MmapCsrBuilder};
-use sgraph::{Bipartite, CsrGraph, JumpVector, RowStochastic};
+use sgraph::{Bipartite, CsrGraph, JumpVector};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// A time-decayed citation graph (`exp(-ρ·citation_age)` edge weights)
-/// and its walk operator, cached per ρ inside [`RankContext`]. Citation
-/// age is the year difference of the two endpoints, so the graph is
-/// independent of the caller's "now".
+/// A time-decayed citation graph (`exp(-ρ·citation_age)` edge weights),
+/// cached per ρ inside [`RankContext`]. Citation age is the year
+/// difference of the two endpoints, so the graph is independent of the
+/// caller's "now".
 #[derive(Debug)]
 pub struct DecayedCitation {
     /// CSR with exponentially decayed edge weights.
     pub graph: CsrGraph,
-    /// Pull-form walk operator over `graph`.
-    pub op: RowStochastic,
 }
 
-/// Where a context's decayed citation operator lives — the solve plan
+/// Where a context's decayed citation graph lives — the solve plan
 /// returned by [`RankContext::decayed_plan`].
 ///
-/// Both variants implement `sgraph::CsrStore` and produce bit-identical
-/// power-iteration trajectories; the partitioned variant's peak memory
-/// is two iterate vectors plus one shard.
+/// A walk over either (a [`sgraph::RowStochastic`] borrowing the dense
+/// graph, or the shard file itself) implements `sgraph::CsrStore` and
+/// produces bit-identical power-iteration trajectories; the partitioned
+/// variant's peak memory is two iterate vectors plus one shard.
 #[derive(Clone)]
 pub enum DecayedPlan {
-    /// Dense in-RAM operator (the in-RAM backend's plan).
+    /// Dense in-RAM graph (the in-RAM backend's plan).
     Dense(Arc<DecayedCitation>),
     /// Mmap-backed shard file (the colstore backend's plan).
     Partitioned(Arc<MmapCsr>),
@@ -81,7 +82,6 @@ pub struct RankContext<'c> {
     backing: Backing<'c>,
     now: Option<Year>,
     citation: OnceLock<CsrGraph>,
-    citation_op: OnceLock<RowStochastic>,
     authorship: OnceLock<Bipartite>,
     publication: OnceLock<Bipartite>,
     citation_counts: OnceLock<Vec<u32>>,
@@ -100,7 +100,7 @@ impl<'c> RankContext<'c> {
 
     /// A fresh context over an mmap-backed columnar store. Rankers see
     /// the same interface and produce bit-identical scores; the decayed
-    /// citation operator can stay out of core via
+    /// citation graph can stay out of core via
     /// [`RankContext::decayed_plan`].
     pub fn from_colstore(store: &'c ColStore) -> Self {
         Self::over(Backing::Mmap(store))
@@ -111,7 +111,6 @@ impl<'c> RankContext<'c> {
             backing,
             now: None,
             citation: OnceLock::new(),
-            citation_op: OnceLock::new(),
             authorship: OnceLock::new(),
             publication: OnceLock::new(),
             citation_counts: OnceLock::new(),
@@ -165,12 +164,6 @@ impl<'c> RankContext<'c> {
         })
     }
 
-    /// The row-stochastic walk operator over [`Self::citation_graph`],
-    /// with dangling sets and out-weight normalization precomputed.
-    pub fn citation_op(&self) -> &RowStochastic {
-        self.citation_op.get_or_init(|| RowStochastic::new(self.citation_graph()))
-    }
-
     /// Authorship bipartite (left = authors, right = articles, harmonic
     /// byline weights).
     pub fn authorship(&self) -> &Bipartite {
@@ -205,9 +198,9 @@ impl<'c> RankContext<'c> {
         rows::recency_jump(self.rows(), tau, now)
     }
 
-    /// The time-decayed citation graph + operator for decay rate `rho`,
-    /// cached per rate. TWPR and QRank's article layer share one entry
-    /// under default configs.
+    /// The time-decayed citation graph for decay rate `rho`, cached per
+    /// rate. TWPR and QRank's article layer share one entry under default
+    /// configs.
     pub fn decayed_citation(&self, rho: f64) -> Arc<DecayedCitation> {
         let key = rho.to_bits();
         if let Some(hit) = self.decayed.lock().unwrap().get(&key) {
@@ -216,8 +209,7 @@ impl<'c> RankContext<'c> {
         let rows = self.rows();
         let decay = TimeWeightedPageRank::decay(rho);
         let graph = rows::citation_edges(rows, 0..rows.num_articles(), decay).build();
-        let op = RowStochastic::new(&graph);
-        let entry = Arc::new(DecayedCitation { graph, op });
+        let entry = Arc::new(DecayedCitation { graph });
         self.decayed.lock().unwrap().entry(key).or_insert_with(|| Arc::clone(&entry));
         entry
     }
@@ -324,7 +316,6 @@ mod tests {
         let ctx = RankContext::new(&c);
         assert_eq!(c.citation_graph_builds(), 0);
         let _ = ctx.citation_graph();
-        let _ = ctx.citation_op();
         let _ = ctx.citation_graph();
         assert_eq!(c.citation_graph_builds(), 1);
     }

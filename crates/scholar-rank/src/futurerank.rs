@@ -23,7 +23,7 @@ use crate::telemetry::Stopwatch;
 use crate::telemetry::{RankOutput, SolveTelemetry};
 use scholar_corpus::{Corpus, Year};
 use sgraph::stochastic::{fixpoint, normalize_l1};
-use sgraph::JumpVector;
+use sgraph::{JumpVector, RowStochastic};
 
 /// FutureRank parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,7 +104,7 @@ impl FutureRank {
     }
 
     /// [`FutureRank::run`] against a prepared context: the citation
-    /// operator and authorship bipartite come from the shared caches and
+    /// graph and authorship bipartite come from the shared caches and
     /// the iteration runs on the sgraph fixpoint driver with
     /// preallocated term buffers.
     pub fn run_ctx(&self, ctx: &RankContext) -> FutureRankResult {
@@ -119,13 +119,11 @@ impl FutureRank {
             };
         }
         let now = cfg.now.unwrap_or_else(|| ctx.now());
-        let cite_op = ctx.citation_op();
+        let cite_op = RowStochastic::new(ctx.citation_graph());
         let authorship = ctx.authorship();
 
-        // Recency personalization (normalized).
-        let mut time_vec: Vec<f64> =
-            ctx.ages(now).into_iter().map(|age| (-cfg.rho * age).exp()).collect();
-        normalize_l1(&mut time_vec);
+        // Recency personalization: the recency jump's distribution.
+        let time_vec = ctx.recency_jump(cfg.rho, now).to_dense(n);
 
         let delta = (1.0 - cfg.alpha - cfg.beta - cfg.gamma).max(0.0);
         let uniform = 1.0 / n as f64;
@@ -177,7 +175,7 @@ impl Ranker for FutureRank {
         self.config.assert_valid();
         let cfg = &self.config;
         let built = Stopwatch::start();
-        let _ = ctx.citation_op();
+        let _ = ctx.citation_graph();
         let _ = ctx.authorship();
         let build_secs = built.secs();
         let key = format!(

@@ -108,25 +108,13 @@ pub fn pagerank_on_graph_warm(
     jump: JumpVector,
     warm_start: Option<Vec<f64>>,
 ) -> (Vec<f64>, Diagnostics) {
-    pagerank_on_op(&RowStochastic::new(g), config, jump, warm_start)
+    pagerank_on_store(&RowStochastic::new(g), config, jump, warm_start)
 }
 
-/// [`pagerank_on_graph_warm`] against an already-built walk operator —
-/// the form every context-aware ranker uses, so a shared
-/// [`RowStochastic`] is normalized and dangling-scanned exactly once.
-pub fn pagerank_on_op(
-    op: &RowStochastic,
-    config: &PageRankConfig,
-    jump: JumpVector,
-    warm_start: Option<Vec<f64>>,
-) -> (Vec<f64>, Diagnostics) {
-    pagerank_on_store(op, config, jump, warm_start)
-}
-
-/// [`pagerank_on_op`] generalized over any [`sgraph::CsrStore`] backing
-/// — the dense in-RAM operator or an mmap-backed shard file. Both
-/// backings drive the identical power-iteration loop, so scores and
-/// iteration counts are bit-identical across them.
+/// [`pagerank_on_graph_warm`] generalized over any [`sgraph::CsrStore`]
+/// backing — a [`RowStochastic`] over an in-RAM graph or an mmap-backed
+/// shard file. Both backings drive the identical power-iteration loop,
+/// so scores and iteration counts are bit-identical across them.
 pub fn pagerank_on_store<S: sgraph::CsrStore + ?Sized>(
     store: &S,
     config: &PageRankConfig,
@@ -165,7 +153,7 @@ impl Ranker for PageRank {
     fn solve_ctx(&self, ctx: &RankContext) -> RankOutput {
         self.config.assert_valid();
         let built = Stopwatch::start();
-        let op = ctx.citation_op();
+        let graph = ctx.citation_graph();
         let build_secs = built.secs();
         let key = format!(
             "pagerank(d={},tol={},max={})",
@@ -173,7 +161,7 @@ impl Ranker for PageRank {
         );
         let solved = Stopwatch::start();
         let (scores, diag, cached) =
-            ctx.cached_solve(&key, || pagerank_on_op(op, &self.config, JumpVector::Uniform, None));
+            ctx.cached_solve(&key, || pagerank_on_graph(graph, &self.config, JumpVector::Uniform));
         let telemetry = SolveTelemetry::timed(&diag, build_secs, solved.secs(), cached);
         RankOutput { scores, telemetry }
     }

@@ -7,7 +7,7 @@
 
 use crate::context::RankContext;
 use crate::diagnostics::Diagnostics;
-use crate::pagerank::{pagerank_on_op, PageRankConfig};
+use crate::pagerank::{pagerank_on_graph, PageRankConfig};
 use scholar_corpus::{ArticleId, Corpus};
 use sgraph::JumpVector;
 
@@ -44,7 +44,7 @@ pub fn personalized_pagerank(
 
 /// [`personalized_pagerank`] against a prepared context, so repeated
 /// seeded walks (or a seeded walk plus the global one) share the citation
-/// operator.
+/// graph.
 pub fn personalized_pagerank_ctx(
     ctx: &RankContext,
     seeds: &[ArticleId],
@@ -60,7 +60,7 @@ pub fn personalized_pagerank_ctx(
         assert!(s.index() < n, "seed {s} out of bounds");
         jump[s.index()] += per_seed;
     }
-    pagerank_on_op(ctx.citation_op(), &config.pagerank, JumpVector::weighted(jump), None)
+    pagerank_on_graph(ctx.citation_graph(), &config.pagerank, JumpVector::weighted(jump))
 }
 
 /// The `k` most related articles to the seed set, excluding the seeds
@@ -77,7 +77,7 @@ pub fn related_articles(
     let ctx = RankContext::new(corpus);
     let (pers, _) = personalized_pagerank_ctx(&ctx, seeds, config);
     let (global, _) =
-        pagerank_on_op(ctx.citation_op(), &config.pagerank, JumpVector::Uniform, None);
+        pagerank_on_graph(ctx.citation_graph(), &config.pagerank, JumpVector::Uniform);
     let mut lift: Vec<(ArticleId, f64)> = (0..corpus.num_articles())
         .filter(|i| !seeds.iter().any(|s| s.index() == *i))
         .map(|i| (ArticleId(i as u32), pers[i] - global[i]))

@@ -21,7 +21,7 @@ use crate::telemetry::Stopwatch;
 use crate::telemetry::{RankOutput, SolveTelemetry};
 use scholar_corpus::model::author_position_weights;
 use scholar_corpus::Rows;
-use sgraph::{GraphBuilder, JumpVector, NodeId};
+use sgraph::{CsrGraph, GraphBuilder, JumpVector, NodeId};
 
 /// P-Rank parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,12 +107,30 @@ impl PRank {
                 diagnostics: Diagnostics::closed_form(),
             };
         }
-        let total = np + na + nv;
+        let g = self.combined_graph(store);
+        let (scores, diagnostics) = pagerank_on_graph(&g, &cfg.pagerank, JumpVector::Uniform);
+
+        let mut article_scores = scores[..np as usize].to_vec();
+        let mut author_scores = scores[np as usize..(np + na) as usize].to_vec();
+        let mut venue_scores = scores[(np + na) as usize..].to_vec();
+        sgraph::stochastic::normalize_l1(&mut article_scores);
+        sgraph::stochastic::normalize_l1(&mut author_scores);
+        sgraph::stochastic::normalize_l1(&mut venue_scores);
+        PRankResult { article_scores, author_scores, venue_scores, diagnostics }
+    }
+
+    /// The combined graph the walk runs over: papers `0..P`, then authors,
+    /// then venues, in one edge-insertion sequence per view.
+    pub fn combined_graph(&self, store: &dyn Rows) -> CsrGraph {
+        let cfg = &self.config;
+        let np = store.num_articles() as u32;
+        let na = store.num_authors() as u32;
+        let nv = store.num_venues() as u32;
         let paper = |p: u32| NodeId(p);
         let author = |a: u32| NodeId(np + a);
         let venue = |v: u32| NodeId(np + na + v);
 
-        let mut b = GraphBuilder::new(total).self_loops(false);
+        let mut b = GraphBuilder::new(np + na + nv).self_loops(false);
         let (mut byline, mut refs) = (Vec::new(), Vec::new());
         for p in 0..np {
             // Citations: lambda_cite split across the reference list.
@@ -137,16 +155,7 @@ impl PRank {
             b.add_edge(paper(p), venue(v), cfg.lambda_venue);
             b.add_edge(venue(v), paper(p), 1.0);
         }
-        let g = b.build();
-        let (scores, diagnostics) = pagerank_on_graph(&g, &cfg.pagerank, JumpVector::Uniform);
-
-        let mut article_scores = scores[..np as usize].to_vec();
-        let mut author_scores = scores[np as usize..(np + na) as usize].to_vec();
-        let mut venue_scores = scores[(np + na) as usize..].to_vec();
-        sgraph::stochastic::normalize_l1(&mut article_scores);
-        sgraph::stochastic::normalize_l1(&mut author_scores);
-        sgraph::stochastic::normalize_l1(&mut venue_scores);
-        PRankResult { article_scores, author_scores, venue_scores, diagnostics }
+        b.build()
     }
 }
 

@@ -24,7 +24,7 @@ pub trait Ranker {
 
     /// Score every article using the prepared context, returning scores
     /// plus solve telemetry. Implementations should pull every derived
-    /// structure they need (graphs, operators, bipartites, year vectors)
+    /// structure they need (graphs, bipartites, year vectors)
     /// from `ctx` so repeated solves over one corpus share the builds.
     fn solve_ctx(&self, ctx: &RankContext) -> RankOutput;
 

@@ -14,7 +14,7 @@
 
 use crate::context::RankContext;
 use crate::diagnostics::Diagnostics;
-use crate::pagerank::{pagerank_on_op, PageRankConfig};
+use crate::pagerank::{pagerank_on_graph, pagerank_on_store, PageRankConfig};
 use crate::ranker::Ranker;
 use crate::telemetry::Stopwatch;
 use crate::telemetry::{RankOutput, SolveTelemetry};
@@ -149,10 +149,10 @@ impl Ranker for TimeWeightedPageRank {
             let jump = ctx.recency_jump(self.config.tau, now);
             match &plan {
                 crate::context::DecayedPlan::Dense(decayed) => {
-                    pagerank_on_op(&decayed.op, &self.config.pagerank, jump, None)
+                    pagerank_on_graph(&decayed.graph, &self.config.pagerank, jump)
                 }
                 crate::context::DecayedPlan::Partitioned(shards) => {
-                    crate::pagerank::pagerank_on_store(&**shards, &self.config.pagerank, jump, None)
+                    pagerank_on_store(&**shards, &self.config.pagerank, jump, None)
                 }
             }
         });

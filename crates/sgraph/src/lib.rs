@@ -15,17 +15,17 @@
 //!   venue↔article) with both orientations materialized.
 //! * Traversals ([`traversal`]), degree statistics and power-law
 //!   fitting ([`stats`]).
-//! * [`stochastic`] — the row-stochastic random-walk operator used by
-//!   every PageRank-family algorithm in the stack, with sequential and
-//!   multi-threaded ([`par`]) apply kernels and principled dangling-node
-//!   handling — plus a Gauss–Seidel solver for the same fixpoint
-//!   ([`solver`]).
+//! * [`stochastic`] — the row-stochastic random walk every
+//!   PageRank-family algorithm in the stack runs, borrowing the graph it
+//!   steps over, with sequential and multi-threaded ([`par`]) steps and
+//!   principled dangling-node handling — plus a Gauss–Seidel solver for
+//!   the same fixpoint ([`solver`]).
 //! * [`projected`] — the same walk over a graph projected through a
 //!   bipartite (`B·W·Bᵀ − diag`, the author citation graph), applied
 //!   factorised so the projection is never materialised.
 //! * Deterministic edge sampling for robustness experiments
 //!   ([`sampling`]).
-//! * Out-of-core storage: read-only file maps ([`mmap`]), the SCSRv1
+//! * Out-of-core storage: read-only file maps ([`mmap`]), the SCSRv2
 //!   sharded pull CSR ([`mmap_csr`]) behind the [`store`] seam, and
 //!   [`sfile`] — the durable-file kit (atomic publish, checksum, varint,
 //!   record frames) every on-disk format in the workspace is built on.

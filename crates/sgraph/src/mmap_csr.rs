@@ -1,35 +1,39 @@
 //! Mmap-backed, node-sharded pull CSR for out-of-core power iteration.
 //!
-//! [`MmapCsr`] stores the same pull-form transition structure as
-//! [`RowStochastic`](crate::RowStochastic) — per-target in-edge lists
-//! with precomputed probabilities plus the global dangling set — but on
-//! disk, partitioned into contiguous node shards that are served
-//! zero-copy through [`crate::mmap::Mmap`]. A sweep touches one shard's
-//! arrays at a time, so peak resident memory is two iterate vectors plus
-//! one shard, not the whole graph.
+//! [`MmapCsr`] stores what [`RowStochastic`](crate::RowStochastic) walks
+//! — per-target in-edge lists with their raw weights, each node's
+//! out-weight sum, and the global dangling set — but on disk, partitioned
+//! into contiguous node shards that are served zero-copy through
+//! [`crate::mmap::Mmap`]. A sweep touches one shard's arrays at a time,
+//! so peak resident memory is two iterate vectors plus one shard and the
+//! out-sum column, not the whole graph.
 //!
 //! ## Bit identity with the dense operator
 //!
 //! The damped step `y = d·Pᵀx + (d·dangling_mass(x) + (1−d))·j` is a
 //! sum per output slot, and floating-point addition is order-sensitive;
-//! the dense kernel fixes the order as *ascending global source id per
-//! target* and *ascending node id for the dangling mass*.
-//! [`MmapCsrBuilder`] preserves exactly those orders (sources arrive
-//! ascending because `add_source` must be called for node 0, 1, …, n−1;
-//! the stable per-shard sort by target keeps them ascending per row),
-//! and [`MmapCsr::apply_step`] accumulates in stored order. Node
-//! partitioning never reorders a per-slot sum — each target's whole row
-//! lives in its own shard — so shard size is a pure layout knob:
-//! residuals, iteration counts, and stationaries are bit-identical to
-//! the dense solve at any `shard_size`.
+//! the dense kernel pre-scales `z[u] = x[u] / out_sum[u]` and fixes the
+//! order as *ascending global source id per target* and *ascending node
+//! id for the dangling mass* (the materialised-store contract of
+//! [`crate::store::CsrStore`]). [`MmapCsrBuilder`] stores the same
+//! out-sums, summed in the same order, and preserves exactly those
+//! orders (sources arrive ascending because `add_source` must be called
+//! for node 0, 1, …, n−1; the stable per-shard sort by target keeps them
+//! ascending per row), and [`MmapCsr::apply_step`] pre-scales the same
+//! way and accumulates `w·z` in stored order. Node partitioning never
+//! reorders a per-slot sum — each target's whole row lives in its own
+//! shard — so shard size is a pure layout knob: residuals, iteration
+//! counts, and stationaries are bit-identical to the dense solve at any
+//! `shard_size`.
 //!
-//! ## File format (`SCSRv1`, little-endian, 8-byte-aligned sections)
+//! ## File format (`SCSRv2`, little-endian, 8-byte-aligned sections)
 //!
 //! ```text
-//! header   : magic "SCSRv1\0\0" · n · m · shard_size · num_shards
-//!            · dangling_off · dangling_len · tag          (8 × u64)
+//! header   : magic "SCSRv2\0\0" · n · m · shard_size · num_shards
+//!            · sums_off · dangling_off · dangling_len · tag (9 × u64)
 //! directory: per shard { boundary_off, boundary_len, offsets_off,
-//!            sources_off, probs_off, edges }              (6 × u64)
+//!            sources_off, weights_off, edges }            (6 × u64)
+//! sums     : f64[n]              out-weight sum of every node
 //! dangling : u32[dangling_len]   ascending global ids
 //! per shard:
 //!   boundary: u32[boundary_len]  sorted global ids of sources that
@@ -38,17 +42,21 @@
 //!   sources : u32[edges]         local codes: code < shard_len is the
 //!                                in-shard node (global = start + code),
 //!                                else boundary[code − shard_len]
-//!   probs   : f64[edges]         transition probabilities w / out_sum
+//!   weights : f64[edges]         raw edge weights (w > 0, from a
+//!                                non-dangling source)
 //! ```
 //!
+//! `SCSRv1` stored `w / out_sum` per edge; a file with that magic is
+//! refused on open, so a v1 cache left by an older build is rebuilt.
 //! The `tag` is caller-supplied (the colstore layer passes its content
 //! generation) and is validated on open, so a stale shard file built
-//! from an older corpus cannot be silently reused.
+//! from an older corpus cannot be silently reused either.
 //!
 //! The boundary list is the *frontier exchange*: before sweeping a
-//! shard, the solver gathers `x` at each boundary id into a dense
-//! frontier buffer, so row gathers read either the shard's own `x`
-//! range or the frontier — never a random global offset per edge.
+//! shard, the solver pre-scales `x` at the shard's own nodes and then at
+//! each boundary id into one dense buffer that the local source codes
+//! index directly, so row gathers never read a random global offset per
+//! edge.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -56,12 +64,12 @@ use std::path::{Path, PathBuf};
 
 use crate::mmap::Mmap;
 use crate::sfile::{no_step, TmpFile};
-use crate::stochastic::JumpVector;
+use crate::stochastic::{dangles, per_weight, JumpVector};
 use crate::store::CsrStore;
 use crate::CsrGraph;
 
-const MAGIC: &[u8; 8] = b"SCSRv1\0\0";
-const HEADER_BYTES: usize = 64;
+const MAGIC: &[u8; 8] = b"SCSRv2\0\0";
+const HEADER_BYTES: usize = 72;
 const DIR_FIELDS: usize = 6;
 
 /// Round `off` up to the next multiple of 8.
@@ -75,7 +83,7 @@ struct ShardMeta {
     boundary_len: u64,
     offsets_off: u64,
     sources_off: u64,
-    probs_off: u64,
+    weights_off: u64,
     edges: u64,
 }
 
@@ -85,10 +93,11 @@ struct ShardMeta {
 /// order with that node's out-edges (targets and raw weights, in the
 /// same order the dense CSR stores them), then
 /// [`MmapCsrBuilder::finish`]. Edges are spilled to per-shard temp
-/// files as they arrive, so the full edge set is never held in memory;
-/// `finish` assembles one shard at a time and publishes the result
-/// through [`crate::sfile`]. The spill files are removed when the
-/// builder is dropped, finished or not.
+/// files as they arrive and the out-weight sums to one more, so neither
+/// the edge set nor a per-node column is held in memory; `finish`
+/// assembles one shard at a time and publishes the result through
+/// [`crate::sfile`]. The spill files are removed when the builder is
+/// dropped, finished or not.
 pub struct MmapCsrBuilder {
     path: PathBuf,
     n: usize,
@@ -97,6 +106,7 @@ pub struct MmapCsrBuilder {
     next: u32,
     m: u64,
     dangling: Vec<u32>,
+    /// One edge spill per shard, then the out-weight sums' spill.
     spills: Vec<BufWriter<File>>,
     spill_paths: Vec<PathBuf>,
 }
@@ -118,10 +128,10 @@ impl MmapCsrBuilder {
             next: 0,
             m: 0,
             dangling: Vec::new(),
-            spills: Vec::with_capacity(num_shards),
-            spill_paths: Vec::with_capacity(num_shards),
+            spills: Vec::with_capacity(num_shards + 1),
+            spill_paths: Vec::with_capacity(num_shards + 1),
         };
-        for s in 0..num_shards {
+        for s in 0..=num_shards {
             let sp = path.with_extension(format!("spill{s}"));
             b.spill_paths.push(sp.clone());
             b.spills.push(BufWriter::new(File::create(&sp)?));
@@ -132,29 +142,29 @@ impl MmapCsrBuilder {
     /// Feed the out-edges of the next node (ids must arrive 0, 1, …).
     ///
     /// `targets`/`weights` must be in the dense CSR's storage order
-    /// (ascending target, no duplicates). A node whose weight sum is
-    /// `<= 0` is dangling, exactly as in
-    /// [`RowStochastic::new`](crate::RowStochastic::new); otherwise each
-    /// edge with `w > 0` contributes probability `w / sum`.
+    /// (ascending target, no duplicates), so the out-weight sum is summed
+    /// as [`RowStochastic::new`](crate::RowStochastic::new) sums it. A
+    /// node whose sum is zero or subnormal is dangling, exactly as there;
+    /// otherwise each edge with `w > 0` is stored with its raw weight.
     pub fn add_source(&mut self, targets: &[u32], weights: &[f64]) -> io::Result<()> {
         assert_eq!(targets.len(), weights.len(), "targets/weights length mismatch");
         assert!((self.next as usize) < self.n, "add_source called more than n times");
         let u = self.next;
         self.next += 1;
         let out_sum: f64 = weights.iter().sum();
-        if out_sum <= 0.0 {
+        self.spills[self.num_shards].write_all(&out_sum.to_le_bytes())?;
+        if dangles(out_sum) {
             self.dangling.push(u);
             return Ok(());
         }
         for (&t, &w) in targets.iter().zip(weights) {
             assert!((t as usize) < self.n, "target {t} out of bounds");
             if w > 0.0 {
-                let prob = w / out_sum;
                 let shard = t as usize / self.shard_size;
                 let sp = &mut self.spills[shard];
                 sp.write_all(&t.to_le_bytes())?;
                 sp.write_all(&u.to_le_bytes())?;
-                sp.write_all(&prob.to_le_bytes())?;
+                sp.write_all(&w.to_le_bytes())?;
                 self.m += 1;
             }
         }
@@ -173,10 +183,15 @@ impl MmapCsrBuilder {
         let mut tmp = TmpFile::create(&self.path, no_step)?;
         let mut out = BufWriter::new(tmp.file());
         let dir_bytes = (self.num_shards * DIR_FIELDS * 8) as u64;
-        let dangling_off = HEADER_BYTES as u64 + dir_bytes;
+        let sums_off = HEADER_BYTES as u64 + dir_bytes;
+        let dangling_off = sums_off + (self.n * 8) as u64;
         // Header + directory are rewritten at the end once section
         // offsets are known; reserve their bytes now.
-        out.write_all(&vec![0u8; (dangling_off as usize) + self.dangling.len() * 4])?;
+        out.write_all(&vec![0u8; sums_off as usize])?;
+        io::copy(&mut File::open(&self.spill_paths[self.num_shards])?, &mut out)?;
+        for u in &self.dangling {
+            out.write_all(&u.to_le_bytes())?;
+        }
         let mut cursor = dangling_off + (self.dangling.len() * 4) as u64;
 
         let mut dir = Vec::with_capacity(self.num_shards);
@@ -243,7 +258,7 @@ impl MmapCsrBuilder {
             cursor += (order.len() * 4) as u64;
 
             pad(&mut out, &mut cursor)?;
-            let probs_off = cursor;
+            let weights_off = cursor;
             for &i in &order {
                 out.write_all(&records[i as usize].2.to_le_bytes())?;
             }
@@ -254,14 +269,14 @@ impl MmapCsrBuilder {
                 boundary_len: boundary.len() as u64,
                 offsets_off,
                 sources_off,
-                probs_off,
+                weights_off,
                 edges: records.len() as u64,
             });
         }
         out.flush()?;
         drop(out);
 
-        // Now rewrite the reserved header, directory, and dangling list.
+        // Now rewrite the reserved header and directory.
         let file = tmp.file();
         file.seek(SeekFrom::Start(0))?;
         let mut head = Vec::with_capacity(HEADER_BYTES);
@@ -271,6 +286,7 @@ impl MmapCsrBuilder {
             self.m,
             self.shard_size as u64,
             self.num_shards as u64,
+            sums_off,
             dangling_off,
             self.dangling.len() as u64,
             tag,
@@ -280,18 +296,18 @@ impl MmapCsrBuilder {
         file.write_all(&head)?;
         let mut dir_buf = Vec::with_capacity(dir.len() * DIR_FIELDS * 8);
         for d in &dir {
-            for v in
-                [d.boundary_off, d.boundary_len, d.offsets_off, d.sources_off, d.probs_off, d.edges]
-            {
+            for v in [
+                d.boundary_off,
+                d.boundary_len,
+                d.offsets_off,
+                d.sources_off,
+                d.weights_off,
+                d.edges,
+            ] {
                 dir_buf.extend_from_slice(&v.to_le_bytes());
             }
         }
         file.write_all(&dir_buf)?;
-        let mut dang_buf = Vec::with_capacity(self.dangling.len() * 4);
-        for &u in &self.dangling {
-            dang_buf.extend_from_slice(&u.to_le_bytes());
-        }
-        file.write_all(&dang_buf)?;
         tmp.publish(no_step)
     }
 }
@@ -328,6 +344,7 @@ pub struct MmapCsr {
     n: usize,
     m: u64,
     shard_size: usize,
+    sums_off: usize,
     dangling_off: usize,
     dangling_len: usize,
     tag: u64,
@@ -349,9 +366,9 @@ impl MmapCsr {
         if &map.bytes()[..8] != MAGIC {
             return Err(bad("bad shard file magic"));
         }
-        let h = map.as_u64s(8, 7);
-        let (n, m, shard_size, num_shards, dangling_off, dangling_len, tag) =
-            (h[0], h[1], h[2], h[3], h[4], h[5], h[6]);
+        let h = map.as_u64s(8, 8);
+        let (n, m, shard_size, num_shards, sums_off, dangling_off, dangling_len, tag) =
+            (h[0], h[1], h[2], h[3], h[4], h[5], h[6], h[7]);
         if let Some(want) = expected_tag {
             if tag != want {
                 return Err(bad("shard file generation tag mismatch (stale cache?)"));
@@ -380,20 +397,20 @@ impl MmapCsr {
                 boundary_len: d[1],
                 offsets_off: d[2],
                 sources_off: d[3],
-                probs_off: d[4],
+                weights_off: d[4],
                 edges: d[5],
             };
             let shard_len = shard_size.min(n - (s * shard_size).min(n));
             let file_len = map.len() as u128;
             let fits = |off: u64, count: u128, size: u128| off as u128 + count * size <= file_len;
-            if !fits(meta.probs_off, meta.edges as u128, 8)
+            if !fits(meta.weights_off, meta.edges as u128, 8)
                 || !fits(meta.sources_off, meta.edges as u128, 4)
                 || !fits(meta.offsets_off, shard_len as u128 + 1, 8)
                 || !fits(meta.boundary_off, meta.boundary_len as u128, 4)
             {
                 return Err(bad("shard section out of bounds"));
             }
-            if !meta.probs_off.is_multiple_of(8)
+            if !meta.weights_off.is_multiple_of(8)
                 || !meta.offsets_off.is_multiple_of(8)
                 || !meta.sources_off.is_multiple_of(4)
                 || !meta.boundary_off.is_multiple_of(4)
@@ -406,14 +423,18 @@ impl MmapCsr {
         if edges_total != m {
             return Err(bad("edge count disagrees with shard directory"));
         }
+        if sums_off as u128 + n as u128 * 8 > map.len() as u128 || !sums_off.is_multiple_of(8) {
+            return Err(bad("out-sum section out of bounds or misaligned"));
+        }
         if dangling_off as u128 + dangling_len as u128 * 4 > map.len() as u128
             || !dangling_off.is_multiple_of(4)
         {
             return Err(bad("dangling list out of bounds or misaligned"));
         }
+        let sums_off = sums_off as usize;
         let dangling_len = usize::try_from(dangling_len).map_err(|_| bad("dangling overflow"))?;
         let dangling_off = usize::try_from(dangling_off).map_err(|_| bad("dangling overflow"))?;
-        Ok(MmapCsr { map, n, m, shard_size, dangling_off, dangling_len, tag, dir })
+        Ok(MmapCsr { map, n, m, shard_size, sums_off, dangling_off, dangling_len, tag, dir })
     }
 
     /// Number of nodes.
@@ -473,39 +494,29 @@ impl CsrStore for MmapCsr {
         assert_eq!(x.len(), self.n, "input vector length mismatch");
         assert_eq!(y.len(), self.n, "output vector length mismatch");
         let residual = damping * self.dangling_mass(x) + (1.0 - damping);
-        let base = residual / self.n as f64;
-        let jump_slice: Option<&[f64]> = match jump {
-            JumpVector::Uniform => None,
-            JumpVector::Weighted(w) => {
-                assert_eq!(w.len(), self.n, "jump vector length mismatch");
-                Some(w)
-            }
-        };
-        let mut frontier: Vec<f64> = Vec::new();
+        let share = jump.shares(residual, self.n);
+        let sums = self.map.as_f64s(self.sums_off, self.n);
+        let z = |u: usize| per_weight(x[u], sums[u]);
+        // Pre-scaled `x` over the shard's own nodes, then its boundary.
+        let mut zs: Vec<f64> = Vec::new();
         for (si, meta) in self.dir.iter().enumerate() {
             let start = si * self.shard_size;
             let shard_len = self.shard_size.min(self.n - start);
             let boundary = self.map.as_u32s(meta.boundary_off as usize, meta.boundary_len as usize);
-            frontier.clear();
-            frontier.extend(boundary.iter().map(|&u| x[u as usize]));
+            zs.clear();
+            zs.extend((start..start + shard_len).map(z));
+            zs.extend(boundary.iter().map(|&u| z(u as usize)));
             let offsets = self.map.as_u64s(meta.offsets_off as usize, shard_len + 1);
             let sources = self.map.as_u32s(meta.sources_off as usize, meta.edges as usize);
-            let probs = self.map.as_f64s(meta.probs_off as usize, meta.edges as usize);
+            let weights = self.map.as_f64s(meta.weights_off as usize, meta.edges as usize);
             for v_local in 0..shard_len {
                 let (lo, hi) = (offsets[v_local] as usize, offsets[v_local + 1] as usize);
                 let mut acc = 0.0;
-                for (c, p) in sources[lo..hi].iter().zip(&probs[lo..hi]) {
-                    let code = *c as usize;
-                    let xv =
-                        if code < shard_len { x[start + code] } else { frontier[code - shard_len] };
-                    acc += xv * p;
+                for (&c, &w) in sources[lo..hi].iter().zip(&weights[lo..hi]) {
+                    acc += w * zs[c as usize];
                 }
                 let v = start + v_local;
-                let jp = match jump_slice {
-                    None => base,
-                    Some(w) => residual * w[v],
-                };
-                y[v] = damping * acc + jp;
+                y[v] = damping * acc + share(v);
             }
         }
     }
@@ -649,9 +660,9 @@ mod tests {
         drop(mc);
         let good = std::fs::read(&path).unwrap();
         // Byte offsets of the low byte of every section-offset field:
-        // the header's dangling_off, then boundary_off, offsets_off,
-        // sources_off and probs_off of each directory entry.
-        let mut fields = vec![8 + 4 * 8];
+        // the header's sums_off and dangling_off, then boundary_off,
+        // offsets_off, sources_off and weights_off of each directory entry.
+        let mut fields = vec![8 + 4 * 8, 8 + 5 * 8];
         for s in 0..shards {
             let entry = HEADER_BYTES + s * DIR_FIELDS * 8;
             fields.extend([0, 2, 3, 4].map(|f| entry + f * 8));

@@ -15,9 +15,10 @@
 //!
 //! ## Contract
 //!
-//! A [`CsrStore`] like any other — same fixpoint, same dangling rule (a
-//! left node whose off-diagonal row sum is exactly `0.0` re-emits through
-//! the jump vector) — but **not** bit-identical to the
+//! A [`CsrStore`] like any other — same fixpoint, same pre-scale
+//! `z = x / row_sum`, same pull over `W`'s in-CSR, same dangling rule (a
+//! left node whose off-diagonal row sum is zero or subnormal re-emits
+//! through the jump vector) — but **not** bit-identical to the
 //! [`RowStochastic`](crate::RowStochastic) of the materialised product:
 //! the sum over a row of `A` is re-associated into sums over the factors.
 //! What it promises instead: every pass writes each output slot by one
@@ -28,14 +29,8 @@
 
 use crate::bipartite::Bipartite;
 use crate::csr::{CsrGraph, NodeId};
-use crate::par;
-use crate::stochastic::JumpVector;
+use crate::stochastic::{dangles, per_weight, pull, JumpVector, PAR_THRESHOLD};
 use crate::store::CsrStore;
-
-/// Below this many nodes-plus-edges a step stays sequential (the value
-/// [`RowStochastic::apply_parallel`](crate::RowStochastic::apply_parallel)
-/// gates on).
-const PAR_THRESHOLD: usize = 4096;
 
 /// The row-stochastic walk over `B·W·Bᵀ` (optionally minus its diagonal),
 /// applied factorised over borrowed `W` and `B`. See the module docs.
@@ -47,7 +42,7 @@ pub struct ProjectedWalk<'a> {
     row_sums: Vec<f64>,
     /// `A[u,u]` when the diagonal is dropped, all zero when it is kept.
     diagonal: Vec<f64>,
-    /// Left nodes with no off-diagonal out-weight, ascending.
+    /// Left nodes whose off-diagonal out-weight dangles, ascending.
     dangling: Vec<u32>,
 }
 
@@ -94,7 +89,7 @@ impl<'a> ProjectedWalk<'a> {
                 }
             }
         }
-        let dangling = (0..nl as u32).filter(|&u| row_sums[u as usize] <= 0.0).collect();
+        let dangling = (0..nl as u32).filter(|&u| dangles(row_sums[u as usize])).collect();
         ProjectedWalk { graph, sides, row_sums, diagonal, dangling }
     }
 
@@ -109,7 +104,7 @@ impl<'a> ProjectedWalk<'a> {
         &self.diagonal
     }
 
-    /// The dangling left nodes (row sum exactly zero), ascending.
+    /// The dangling left nodes (row sum zero or subnormal), ascending.
     pub fn dangling(&self) -> &[u32] {
         &self.dangling
     }
@@ -136,46 +131,21 @@ impl CsrStore for ProjectedWalk<'_> {
         assert_eq!(y.len(), nl, "output vector length mismatch");
         let (g, b) = (self.graph, self.sides);
         let threads = if nr + g.num_edges() < PAR_THRESHOLD { 1 } else { threads.max(1) };
+        let dangling_mass: f64 = self.dangling.iter().map(|&u| x[u as usize]).sum();
+        let share = jump.shares(damping * dangling_mass + (1.0 - damping), nl);
 
-        let z: Vec<f64> = x
-            .iter()
-            .zip(&self.row_sums)
-            .map(|(&x, &s)| if s > 0.0 { x / s } else { 0.0 })
-            .collect();
+        let z: Vec<f64> = x.iter().zip(&self.row_sums).map(|(&x, &s)| per_weight(x, s)).collect();
         let mut m = vec![0.0; nr];
         b.sum_to_right_into_par(&z, &mut m, &b.right_ranges(threads));
         let mut t = vec![0.0; nr];
-        par::for_each_range_mut(
-            &mut t,
-            &par::balanced_ranges(&g.in_offsets, threads),
-            |range, chunk| {
-                for (r, slot) in range.zip(chunk.iter_mut()) {
-                    let row = g.in_offsets[r]..g.in_offsets[r + 1];
-                    let mut acc = 0.0;
-                    for (&i, &w) in g.in_sources[row.clone()].iter().zip(&g.in_weights[row]) {
-                        acc += w * m[i as usize];
-                    }
-                    *slot = acc;
-                }
-            },
-        );
+        pull(g, &m, &mut t, threads, |_, acc| acc);
         b.sum_to_left_into_par(&t, y, &b.left_ranges(threads));
 
-        let dangling_mass: f64 = self.dangling.iter().map(|&u| x[u as usize]).sum();
-        let residual = damping * dangling_mass + (1.0 - damping);
-        let base = residual / nl as f64;
-        if let JumpVector::Weighted(w) = jump {
-            assert_eq!(w.len(), nl, "jump vector length mismatch");
-        }
         for (u, slot) in y.iter_mut().enumerate() {
             // A node fed by itself alone gathers exactly what it subtracts;
             // rounding may leave that difference a hair below zero.
             let pulled = (*slot - z[u] * self.diagonal[u]).max(0.0);
-            let share = match jump {
-                JumpVector::Uniform => base,
-                JumpVector::Weighted(w) => residual * w[u],
-            };
-            *slot = damping * pulled + share;
+            *slot = damping * pulled + share(u);
         }
     }
 }
@@ -232,7 +202,8 @@ mod tests {
         for (seed, drop_diagonal) in [(1, true), (1, false), (2, true), (3, false)] {
             let (g, b) = random_factors(40, 120, 600, seed);
             let walk = ProjectedWalk::new(&g, &b, drop_diagonal);
-            let oracle = RowStochastic::new(&materialised(&g, &b, drop_diagonal));
+            let product = materialised(&g, &b, drop_diagonal);
+            let oracle = RowStochastic::new(&product);
             assert_eq!(walk.dangling(), oracle.dangling(), "seed {seed}");
             let opts = PowerIterationOpts { threads: 1, ..Default::default() };
             let (got, want) = (stationary_store(&walk, &opts), oracle.stationary(&opts));

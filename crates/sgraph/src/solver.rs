@@ -57,14 +57,13 @@ pub fn gauss_seidel(g: &CsrGraph, opts: &GaussSeidelOpts) -> PowerIterationResul
         };
     }
     let d = opts.damping;
-    let op = RowStochastic::new(g); // reuse dangling detection
-    let dangling = op.dangling();
+    // Dangling set and out-weight sums, exactly as the power iteration's.
+    let op = RowStochastic::new(g);
+    let (dangling, out_sum) = (op.dangling(), op.out_sums());
     let mut is_dangling = vec![false; n];
     for &u in dangling {
         is_dangling[u as usize] = true;
     }
-    // Per-node out-weight sums for transition probabilities.
-    let out_sum: Vec<f64> = g.nodes().map(|v| g.out_weight_sum(v)).collect();
 
     // Materialize the jump distribution once (like power iteration does)
     // instead of calling `JumpVector::prob` per node per sweep.
@@ -86,11 +85,10 @@ pub fn gauss_seidel(g: &CsrGraph, opts: &GaussSeidelOpts) -> PowerIterationResul
             let mut diag = 0.0;
             let node = crate::NodeId(vu);
             for (&u, &w) in g.in_neighbors(node).iter().zip(g.in_edge_weights(node)) {
-                let s = out_sum[u.index()];
-                if s <= 0.0 || w <= 0.0 {
+                if is_dangling[u.index()] || w <= 0.0 {
                     continue;
                 }
-                let p = w / s;
+                let p = w / out_sum[u.index()];
                 if u.index() == v {
                     diag = p;
                 } else {

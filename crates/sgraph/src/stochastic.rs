@@ -9,14 +9,61 @@
 //! where `P` is the row-stochastic transition matrix derived from the edge
 //! weights, `j` is the jump (teleportation) distribution, and dangling
 //! nodes (no out-edges, or all-zero out-weights) re-emit their mass through
-//! `j`. This module precomputes the pull-style (in-edge, gather) form of
-//! `Pᵀ` once and applies it sequentially or across threads.
+//! `j`. `P` is never stored: a step pre-scales the iterate once,
+//! `z[u] = x[u] / out_sum[u]`, and pulls the graph's own in-weights
+//! against `z`, sequentially or across threads.
 //!
 //! The operator conserves probability mass exactly up to floating-point
 //! rounding: if `Σx = 1` then `Σy = 1`.
 
 use crate::csr::{CsrGraph, NodeId};
 use crate::par;
+
+/// Below this much work (nodes, or nodes plus edges) a step stays
+/// sequential.
+pub(crate) const PAR_THRESHOLD: usize = 4096;
+
+/// `true` when a node with out-weight sum `out_sum` is dangling: the sum
+/// is zero, or so small (subnormal) that `x / out_sum` could overflow.
+#[inline]
+pub(crate) fn dangles(out_sum: f64) -> bool {
+    out_sum < f64::MIN_POSITIVE
+}
+
+/// The pre-scale every pull-form step takes once: `x / out_sum` per node,
+/// 0 on a dangling one, so the pull can read raw edge weights.
+#[inline]
+pub(crate) fn per_weight(x: f64, out_sum: f64) -> f64 {
+    if dangles(out_sum) {
+        0.0
+    } else {
+        x / out_sum
+    }
+}
+
+/// `out[v] = finish(v, Σ_{u→v} w(u,v)·z[u])` for every node `v` of `g`:
+/// one pull over its in-CSR, partitioned across `threads` by in-edge
+/// count. Each row is summed by one loop in ascending source order, so
+/// `out` is the same bits at any thread count — and the same bits as any
+/// store that sums the same products in the same order.
+pub(crate) fn pull(
+    g: &CsrGraph,
+    z: &[f64],
+    out: &mut [f64],
+    threads: usize,
+    finish: impl Fn(usize, f64) -> f64 + Sync,
+) {
+    par::for_each_range_mut(out, &par::balanced_ranges(&g.in_offsets, threads), |range, chunk| {
+        for (v, slot) in range.zip(chunk.iter_mut()) {
+            let row = g.in_offsets[v]..g.in_offsets[v + 1];
+            let mut acc = 0.0;
+            for (&u, &w) in g.in_sources[row.clone()].iter().zip(&g.in_weights[row]) {
+                acc += w * z[u as usize];
+            }
+            *slot = finish(v, acc);
+        }
+    });
+}
 
 /// A teleportation distribution over nodes.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,54 +113,51 @@ impl JumpVector {
             }
         }
     }
+
+    /// `v ↦ residual·j(v)`: each of `n` nodes' share when `residual` mass
+    /// teleports — the jump term of every store's step.
+    ///
+    /// # Panics
+    /// Panics if a weighted vector is not `n` long.
+    pub(crate) fn shares(&self, residual: f64, n: usize) -> impl Fn(usize) -> f64 + Sync + '_ {
+        if let JumpVector::Weighted(w) = self {
+            assert_eq!(w.len(), n, "jump vector length mismatch");
+        }
+        let base = residual / n as f64;
+        move |v| match self {
+            JumpVector::Uniform => base,
+            JumpVector::Weighted(w) => residual * w[v],
+        }
+    }
 }
 
-/// Precomputed pull-form transition structure for a graph.
+/// The row-stochastic walk over a borrowed graph: the graph, each node's
+/// out-weight sum and the dangling set — nothing per edge.
 #[derive(Debug, Clone)]
-pub struct RowStochastic {
-    n: usize,
-    /// in-CSR offsets (length n+1).
-    in_offsets: Vec<usize>,
-    /// in-CSR sources.
-    in_sources: Vec<u32>,
-    /// Normalized transition probability of each in-edge:
-    /// `p[u → v] = w(u,v) / Σ_t w(u,t)`.
-    in_probs: Vec<f64>,
-    /// Nodes with zero out-weight (dangling).
+pub struct RowStochastic<'g> {
+    graph: &'g CsrGraph,
+    out_sums: Vec<f64>,
+    /// Nodes whose out-weight sum is zero or subnormal, ascending.
     dangling: Vec<u32>,
 }
 
-impl RowStochastic {
-    /// Build the operator from a weighted graph. O(V + E).
-    pub fn new(g: &CsrGraph) -> Self {
-        let n = g.len();
-        // Out-weight sums per node.
-        let mut out_sum = vec![0.0f64; n];
-        for u in g.nodes() {
-            out_sum[u.index()] = g.out_weight_sum(u);
-        }
-        let dangling: Vec<u32> = (0..n as u32).filter(|&u| out_sum[u as usize] <= 0.0).collect();
-
-        let mut in_offsets = Vec::with_capacity(n + 1);
-        let mut in_sources = Vec::with_capacity(g.num_edges());
-        let mut in_probs = Vec::with_capacity(g.num_edges());
-        in_offsets.push(0);
-        for v in g.nodes() {
-            for (&u, &w) in g.in_neighbors(v).iter().zip(g.in_edge_weights(v)) {
-                let s = out_sum[u.index()];
-                if s > 0.0 && w > 0.0 {
-                    in_sources.push(u.0);
-                    in_probs.push(w / s);
-                }
-            }
-            in_offsets.push(in_sources.len());
-        }
-        RowStochastic { n, in_offsets, in_sources, in_probs, dangling }
+impl<'g> RowStochastic<'g> {
+    /// Prepare the walk over `g`: one pass over its out-weights. O(V + E).
+    pub fn new(g: &'g CsrGraph) -> Self {
+        let out_sums: Vec<f64> = g.nodes().map(|u| g.out_weight_sum(u)).collect();
+        let dangling = (0..g.num_nodes()).filter(|&u| dangles(out_sums[u as usize])).collect();
+        RowStochastic { graph: g, out_sums, dangling }
     }
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.n
+        self.graph.len()
+    }
+
+    /// Each node's out-weight sum, the divisor of its transition
+    /// probabilities.
+    pub(crate) fn out_sums(&self) -> &[f64] {
+        &self.out_sums
     }
 
     /// The dangling node ids (no outgoing probability).
@@ -127,38 +171,12 @@ impl RowStochastic {
         self.dangling.iter().map(|&u| x[u as usize]).sum()
     }
 
-    #[inline(always)]
-    fn gather(&self, v: usize, x: &[f64]) -> f64 {
-        let r = self.in_offsets[v]..self.in_offsets[v + 1];
-        let mut acc = 0.0;
-        for (s, p) in self.in_sources[r.clone()].iter().zip(&self.in_probs[r]) {
-            acc += x[*s as usize] * p;
-        }
-        acc
-    }
-
     /// One damped power-iteration step, sequential.
     ///
     /// `y` must have length `num_nodes`. `x` should sum to 1 for the
     /// probabilistic interpretation to hold (not enforced).
     pub fn apply(&self, x: &[f64], y: &mut [f64], damping: f64, jump: &JumpVector) {
-        assert_eq!(x.len(), self.n, "input vector length mismatch");
-        assert_eq!(y.len(), self.n, "output vector length mismatch");
-        let residual = damping * self.dangling_mass(x) + (1.0 - damping);
-        match jump {
-            JumpVector::Uniform => {
-                let base = residual / self.n as f64;
-                for (v, slot) in y.iter_mut().enumerate() {
-                    *slot = damping * self.gather(v, x) + base;
-                }
-            }
-            JumpVector::Weighted(w) => {
-                assert_eq!(w.len(), self.n, "jump vector length mismatch");
-                for (v, slot) in y.iter_mut().enumerate() {
-                    *slot = damping * self.gather(v, x) + residual * w[v];
-                }
-            }
-        }
+        self.apply_parallel(x, y, damping, jump, 1);
     }
 
     /// One damped power-iteration step across `threads` workers. Work is
@@ -171,32 +189,14 @@ impl RowStochastic {
         jump: &JumpVector,
         threads: usize,
     ) {
-        if threads <= 1 || self.n < 4096 {
-            return self.apply(x, y, damping, jump);
-        }
-        assert_eq!(x.len(), self.n, "input vector length mismatch");
-        assert_eq!(y.len(), self.n, "output vector length mismatch");
+        let n = self.num_nodes();
+        assert_eq!(x.len(), n, "input vector length mismatch");
+        assert_eq!(y.len(), n, "output vector length mismatch");
         let residual = damping * self.dangling_mass(x) + (1.0 - damping);
-        let ranges = par::balanced_ranges(&self.in_offsets, threads);
-        let dense_jump;
-        let jump_slice: Option<&[f64]> = match jump {
-            JumpVector::Uniform => None,
-            JumpVector::Weighted(w) => {
-                assert_eq!(w.len(), self.n, "jump vector length mismatch");
-                dense_jump = w;
-                Some(dense_jump)
-            }
-        };
-        let base = residual / self.n as f64;
-        par::for_each_range_mut(y, &ranges, |range, chunk| {
-            for (v, slot) in range.clone().zip(chunk.iter_mut()) {
-                let jp = match jump_slice {
-                    None => base,
-                    Some(w) => residual * w[v],
-                };
-                *slot = damping * self.gather(v, x) + jp;
-            }
-        });
+        let share = jump.shares(residual, n);
+        let z: Vec<f64> = x.iter().zip(&self.out_sums).map(|(&x, &s)| per_weight(x, s)).collect();
+        let threads = if n < PAR_THRESHOLD { 1 } else { threads.max(1) };
+        pull(self.graph, &z, y, threads, |v, acc| damping * acc + share(v));
     }
 
     /// Run damped power iteration to a fixpoint.
@@ -343,8 +343,8 @@ mod tests {
 
     #[test]
     fn uniform_stationary_on_cycle() {
-        let op = RowStochastic::new(&cycle3());
-        let res = op.stationary(&PowerIterationOpts::default());
+        let g = cycle3();
+        let res = RowStochastic::new(&g).stationary(&PowerIterationOpts::default());
         assert!(res.converged);
         for &s in &res.scores {
             assert_close(s, 1.0 / 3.0, 1e-9);
@@ -374,6 +374,18 @@ mod tests {
         let g = GraphBuilder::from_weighted_edges(2, &[(0, 1, 0.0)]);
         let op = RowStochastic::new(&g);
         assert_eq!(op.dangling(), &[0, 1]);
+    }
+
+    /// `x / out_sum` overflows to infinity once the sum is subnormal, so a
+    /// node with only such weight re-emits through the jump instead.
+    #[test]
+    fn subnormal_out_weight_sums_dangle() {
+        let g = GraphBuilder::from_weighted_edges(3, &[(0, 1, 1e-310), (2, 1, 1e-300)]);
+        let op = RowStochastic::new(&g);
+        assert_eq!(op.dangling(), &[0, 1]);
+        let res = op.stationary(&PowerIterationOpts::default());
+        assert!(res.scores.iter().all(|s| s.is_finite() && *s > 0.0), "{:?}", res.scores);
+        assert_close(res.scores.iter().sum::<f64>(), 1.0, 1e-12);
     }
 
     #[test]

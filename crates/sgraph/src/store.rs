@@ -2,20 +2,19 @@
 //!
 //! Every damped walk in the stack is the same fixpoint
 //! `y = d·Pᵀx + (d·dangling_mass(x) + (1−d))·j`; what varies is where
-//! the pull-form transition structure *lives*. [`CsrStore`] abstracts
-//! that: the in-RAM [`RowStochastic`] operator implements it by
-//! delegating to its dense gather kernels, the out-of-core
-//! [`crate::mmap_csr::MmapCsr`] implements it by sweeping mmap-backed
-//! node shards, and [`crate::projected::ProjectedWalk`] implements it
-//! over a graph that is never stored at all — a product of two
-//! structures it borrows. [`stationary_store`] is the one driver all
-//! three run under — it is the exact loop [`RowStochastic::stationary`]
-//! has always used (which now delegates here), so a store whose
+//! the graph under `P` *lives*. [`CsrStore`] abstracts that: the in-RAM
+//! [`RowStochastic`] implements it over a borrowed [`crate::CsrGraph`],
+//! the out-of-core [`crate::mmap_csr::MmapCsr`] implements it by
+//! sweeping mmap-backed node shards, and
+//! [`crate::projected::ProjectedWalk`] implements it over a graph that is
+//! never stored at all — a product of two structures it borrows.
+//! [`stationary_store`] is the one driver all three run under — the
+//! generic [`fixpoint`] loop over `apply_step` — so a store whose
 //! `apply_step` matches the dense kernel bit-for-bit produces
 //! bit-identical residual sequences, iteration counts, and stationaries.
 
 use crate::stochastic::{
-    l1_distance, JumpVector, PowerIterationOpts, PowerIterationResult, RowStochastic,
+    fixpoint, JumpVector, PowerIterationOpts, PowerIterationResult, RowStochastic,
 };
 
 /// A pull-form row-stochastic transition structure, wherever it lives.
@@ -29,9 +28,13 @@ use crate::stochastic::{
 /// Beyond that there are two contracts, by what the store holds:
 ///
 /// * A store of a **materialised** graph ([`RowStochastic`],
-///   [`crate::mmap_csr::MmapCsr`]) accumulates each per-node gather in
-///   ascending source order — the order [`RowStochastic`] uses — so that
-///   every such store of the same graph yields bit-identical iterates.
+///   [`crate::mmap_csr::MmapCsr`]) pre-scales the iterate once per step,
+///   `z[u] = x[u] / out_sum[u]` (0 where the sum is zero or subnormal:
+///   the node dangles), and accumulates each node's gather of raw weights,
+///   `Σ w(u,v)·z[u]`, in ascending source order — so that every such store
+///   of the same graph yields bit-identical iterates. A store may leave
+///   out a zero-weight edge or one from a dangling source: it adds an
+///   exact `+0.0`.
 /// * A store that applies the graph **factorised**
 ///   ([`crate::projected::ProjectedWalk`]) re-associates the gather into
 ///   sums over its factors and cannot match those bits. It declares its own
@@ -52,7 +55,7 @@ pub trait CsrStore {
     fn apply_step(&self, x: &[f64], y: &mut [f64], damping: f64, jump: &JumpVector, threads: usize);
 }
 
-impl CsrStore for RowStochastic {
+impl CsrStore for RowStochastic<'_> {
     fn num_nodes(&self) -> usize {
         RowStochastic::num_nodes(self)
     }
@@ -71,25 +74,16 @@ impl CsrStore for RowStochastic {
 
 /// Run damped power iteration to a fixpoint over any [`CsrStore`].
 ///
-/// This is the canonical loop behind [`RowStochastic::stationary`]
-/// (which delegates here): start from the jump distribution or a
-/// normalized warm start, step until the L1 residual drops below
-/// `opts.tol` or `opts.max_iter` steps elapse, and report the final
-/// iterate with the per-iteration residual history.
+/// The loop behind [`RowStochastic::stationary`] (which delegates here):
+/// [`fixpoint`] over `apply_step`, started from the jump distribution or
+/// a normalized warm start.
 pub fn stationary_store<S: CsrStore + ?Sized>(
     store: &S,
     opts: &PowerIterationOpts,
 ) -> PowerIterationResult {
     let n = store.num_nodes();
-    if n == 0 {
-        return PowerIterationResult {
-            scores: Vec::new(),
-            iterations: 0,
-            converged: true,
-            residuals: Vec::new(),
-        };
-    }
-    let mut x = match &opts.warm_start {
+    let x0 = match &opts.warm_start {
+        _ if n == 0 => Vec::new(),
         Some(v) => {
             assert_eq!(v.len(), n, "warm start length mismatch");
             let s: f64 = v.iter().sum();
@@ -98,22 +92,9 @@ pub fn stationary_store<S: CsrStore + ?Sized>(
         }
         None => opts.jump.to_dense(n),
     };
-    let mut y = vec![0.0; n];
-    let mut residuals = Vec::new();
-    let mut converged = false;
-    let mut iterations = 0;
-    while iterations < opts.max_iter {
-        store.apply_step(&x, &mut y, opts.damping, &opts.jump, opts.threads);
-        iterations += 1;
-        let r = l1_distance(&x, &y);
-        residuals.push(r);
-        std::mem::swap(&mut x, &mut y);
-        if r < opts.tol {
-            converged = true;
-            break;
-        }
-    }
-    PowerIterationResult { scores: x, iterations, converged, residuals }
+    fixpoint(x0, opts.tol, opts.max_iter, |x, y| {
+        store.apply_step(x, y, opts.damping, &opts.jump, opts.threads)
+    })
 }
 
 #[cfg(test)]
@@ -121,16 +102,34 @@ mod tests {
     use super::*;
     use crate::GraphBuilder;
 
+    /// The loop `stationary_store` is, spelled out: its result must be
+    /// this loop's, bit for bit, cold and warm.
     #[test]
     fn store_driver_is_the_stationary_loop() {
         let g = GraphBuilder::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (0, 5)]);
         let op = RowStochastic::new(&g);
-        let opts = PowerIterationOpts::default();
-        let direct = op.stationary(&opts);
-        let via_store = stationary_store(&op, &opts);
-        assert_eq!(direct.scores, via_store.scores, "must be the same loop, bit for bit");
-        assert_eq!(direct.iterations, via_store.iterations);
-        assert_eq!(direct.residuals, via_store.residuals);
+        for warm_start in [None, Some(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0])] {
+            let opts = PowerIterationOpts { warm_start, ..Default::default() };
+            let mut x = match &opts.warm_start {
+                Some(v) => v.iter().map(|e| e / 21.0).collect(),
+                None => opts.jump.to_dense(6),
+            };
+            let (mut y, mut residuals) = (vec![0.0; 6], Vec::new());
+            while residuals.len() < opts.max_iter {
+                op.apply_step(&x, &mut y, opts.damping, &opts.jump, opts.threads);
+                residuals.push(crate::stochastic::l1_distance(&x, &y));
+                std::mem::swap(&mut x, &mut y);
+                if residuals[residuals.len() - 1] < opts.tol {
+                    break;
+                }
+            }
+            let via_store = stationary_store(&op, &opts);
+            assert_eq!(via_store.scores, x, "must be the same loop, bit for bit");
+            assert_eq!(via_store.residuals, residuals);
+            assert_eq!(via_store.iterations, residuals.len());
+            assert!(via_store.converged);
+            assert_eq!(op.stationary(&opts).scores, x);
+        }
     }
 
     #[test]

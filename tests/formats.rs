@@ -106,8 +106,9 @@ fn loaders_tolerate_messy_real_world_data() {
 
 /// "No on-disk byte changes" as a test: every durable format, written
 /// for one fixed `Preset::Tiny` seed, hashes to the constant captured at
-/// the commit before the formats moved onto `sgraph::sfile`. A failure
-/// here is a format change — it needs a version bump, not a new constant.
+/// the commit before the formats moved onto `sgraph::sfile` (`graph.scsr`'s
+/// at its bump to SCSRv2). A failure here is a format change — it needs a
+/// version bump, not a new constant.
 #[test]
 fn golden_bytes_of_all_five_formats() {
     const GOLDEN: [(&str, u64); 12] = [
@@ -118,7 +119,7 @@ fn golden_bytes_of_all_five_formats() {
         ("refs.idx", 0xec297ad3f24d8fc1),
         ("refs.dat", 0xd2ccaa54a40ecc84),
         ("meta.col", 0x4c11dd1ca2f2366b),
-        ("graph.scsr", 0x2cf2e6d90803846f),
+        ("graph.scsr", 0x97af81ce6e7d9b0b),
         ("snapshot.snap", 0xa3c659ef05386875),
         ("wal.log", 0x45906d22aa2b7d7c),
         ("wal.log (rotated)", 0x0b3df91a0d596ec2),
@@ -152,7 +153,7 @@ fn golden_bytes_of_all_five_formats() {
         hash(name, &col.join(name));
     }
 
-    // SCSRv1: several shards, tagged with the colstore generation.
+    // SCSRv2: several shards, tagged with the colstore generation.
     let scsr = dir.join("graph.scsr");
     scholar::graph::mmap_csr::build_from_graph(&corpus.citation_graph(), &scsr, 64, generation)
         .unwrap();

@@ -170,13 +170,14 @@ fn decayed_teleport_composition_preserves_row_sums() {
         let damping = rng.gen_range(0.0f64..1.0);
         let now = corpus.year_range().map(|(_, last)| last).unwrap_or(2020);
         let decayed = ctx.decayed_citation(rho);
+        let op = sgraph::RowStochastic::new(&decayed.graph);
         let jump = ctx.recency_jump(tau, now);
         let n = corpus.num_articles();
         let mut y = vec![0.0; n];
         for i in 0..n.min(8) {
             let mut e = vec![0.0; n];
             e[i] = 1.0;
-            decayed.op.apply(&e, &mut y, damping, &jump);
+            op.apply(&e, &mut y, damping, &jump);
             let sum: f64 = y.iter().sum();
             assert!(
                 (sum - 1.0).abs() < 1e-12,
