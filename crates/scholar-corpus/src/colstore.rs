@@ -490,7 +490,10 @@ impl ColStore {
 
     /// Decode article `i`'s reference list (strictly ascending cited
     /// ids) into `out`. Corrupt bytes surface as
-    /// [`CorpusError::Corrupt`], like [`ColStore::authors_of`].
+    /// [`CorpusError::Corrupt`], like [`ColStore::authors_of`] — and so
+    /// does anything [`ColWriter::push`] refuses: a repeated id (a zero
+    /// delta) or a cited id that is not an earlier article (`≥ i`, which
+    /// covers a self-citation and an id past the row count).
     pub fn refs_of(&self, i: usize, out: &mut Vec<u32>) -> Result<()> {
         out.clear();
         let bytes = self.record("refs.dat", &self.refs_idx, &self.refs_dat, i)?;
@@ -512,15 +515,23 @@ impl ColStore {
             })?;
             let v = if k == 0 {
                 delta
+            } else if delta == 0 {
+                return Err(corrupt(
+                    "refs.dat",
+                    &format!("repeated cited id {prev} in record {i}"),
+                ));
             } else {
                 prev.checked_add(delta).ok_or_else(|| {
                     corrupt("refs.dat", &format!("reference delta overflow in record {i}"))
                 })?
             };
-            let r = u32::try_from(v).map_err(|_| {
-                corrupt("refs.dat", &format!("cited id {v} overflows u32 in record {i}"))
-            })?;
-            out.push(r);
+            if v >= i as u64 {
+                return Err(corrupt(
+                    "refs.dat",
+                    &format!("record {i} cites {v}, not an earlier article"),
+                ));
+            }
+            out.push(v as u32);
             prev = v;
         }
         Ok(())
@@ -815,6 +826,42 @@ mod tests {
         assert!(matches!(err, CorpusError::Corrupt { .. }), "{err}");
         let err = store.refs_of(11, &mut out).unwrap_err();
         assert!(matches!(err, CorpusError::Corrupt { .. }), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn refs_the_writer_refuses_are_corrupt_not_edges() {
+        // Article 2 cites [0, 1], so its refs.dat record is the last three
+        // payload bytes: count 2, then deltas 0 and 1. Open skips payload
+        // checksums, so each patched store opens and the decode must refuse.
+        let dir = tmpdir("refused-refs");
+        let mut w = ColWriter::create(&dir).unwrap();
+        w.push(2000, 0, &[0], &[]).unwrap();
+        w.push(2001, 0, &[0], &[0]).unwrap();
+        w.push(2002, 0, &[0], &[0, 1]).unwrap();
+        w.finish(1, 1).unwrap();
+        let path = dir.join("refs.dat");
+        let good = std::fs::read(&path).unwrap();
+        let end = good.len() - FOOTER_BYTES;
+        assert_eq!(good[end - 3..end], [2, 0, 1]);
+        let mut out = Vec::new();
+        for (patch, what) in [
+            ([2, 0, 0], "a zero delta repeats id 0"),
+            ([2, 0, 2], "id 2 cites itself"),
+            ([2, 0, 0x7f], "id 127 is past the 3 rows"),
+            ([2, 3, 1], "a first id past the record"),
+        ] {
+            let mut bytes = good.clone();
+            bytes[end - 3..end].copy_from_slice(&patch);
+            std::fs::write(&path, &bytes).unwrap();
+            let store = ColStore::open(&dir).unwrap();
+            let err = store.refs_of(2, &mut out).unwrap_err();
+            assert!(matches!(err, CorpusError::Corrupt { .. }), "{what}: {err}");
+            assert!(err.to_string().contains("record 2"), "{what}: {err}");
+        }
+        std::fs::write(&path, &good).unwrap();
+        ColStore::open(&dir).unwrap().refs_of(2, &mut out).unwrap();
+        assert_eq!(out, [0, 1]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -6,6 +6,8 @@
 //! both sequential scans. FutureRank's author↔paper propagation and
 //! QRank's mutual-reinforcement steps are built on these.
 
+use crate::scatter::{by_row_then_col, scatter};
+
 /// Builder for a [`Bipartite`] graph.
 #[derive(Debug, Clone)]
 pub struct BipartiteBuilder {
@@ -32,54 +34,45 @@ impl BipartiteBuilder {
         self.edges.push((l, r, weight));
     }
 
-    /// Build the immutable bipartite structure.
-    pub fn build(mut self) -> Bipartite {
-        self.edges.sort_by_key(|&(l, r, _)| (l, r));
-        let mut dedup: Vec<(u32, u32, f64)> = Vec::with_capacity(self.edges.len());
-        for (l, r, w) in self.edges.drain(..) {
+    /// Build the immutable bipartite structure: both orientations through
+    /// the crate's one counting-scatter kernel, like [`crate::GraphBuilder`].
+    pub fn build(self) -> Bipartite {
+        let BipartiteBuilder { num_left, num_right, edges } = self;
+        let (nl, nr) = (num_left as usize, num_right as usize);
+        let ordered = by_row_then_col(nl, &edges);
+        drop(edges);
+        let mut dedup: Vec<(u32, u32, f64)> = Vec::with_capacity(ordered.len());
+        for (l, r, w) in ordered {
             match dedup.last_mut() {
                 Some(last) if last.0 == l && last.1 == r => last.2 += w,
                 _ => dedup.push((l, r, w)),
             }
         }
-        let nl = self.num_left as usize;
-        let nr = self.num_right as usize;
         let m = dedup.len();
-
-        let mut lr_offsets = vec![0usize; nl + 1];
-        for &(l, _, _) in &dedup {
-            lr_offsets[l as usize + 1] += 1;
-        }
-        for i in 0..nl {
-            lr_offsets[i + 1] += lr_offsets[i];
-        }
-        let mut lr_targets = Vec::with_capacity(m);
-        let mut lr_weights = Vec::with_capacity(m);
-        for &(_, r, w) in &dedup {
-            lr_targets.push(r);
-            lr_weights.push(w);
-        }
-
-        let mut rl_offsets = vec![0usize; nr + 1];
-        for &(_, r, _) in &dedup {
-            rl_offsets[r as usize + 1] += 1;
-        }
-        for i in 0..nr {
-            rl_offsets[i + 1] += rl_offsets[i];
-        }
-        let mut rl_targets = vec![0u32; m];
-        let mut rl_weights = vec![0f64; m];
-        let mut cursor = rl_offsets[..nr].to_vec();
-        for &(l, r, w) in &dedup {
-            let slot = cursor[r as usize];
-            rl_targets[slot] = l;
-            rl_weights[slot] = w;
-            cursor[r as usize] += 1;
-        }
+        let (mut lr_targets, mut lr_weights) = (vec![0u32; m], vec![0f64; m]);
+        let lr_offsets = scatter(
+            nl,
+            &dedup,
+            |e| e.0 as usize,
+            |slot, &(_, r, w)| {
+                lr_targets[slot] = r;
+                lr_weights[slot] = w;
+            },
+        );
+        let (mut rl_targets, mut rl_weights) = (vec![0u32; m], vec![0f64; m]);
+        let rl_offsets = scatter(
+            nr,
+            &dedup,
+            |e| e.1 as usize,
+            |slot, &(l, _, w)| {
+                rl_targets[slot] = l;
+                rl_weights[slot] = w;
+            },
+        );
 
         Bipartite {
-            num_left: self.num_left,
-            num_right: self.num_right,
+            num_left,
+            num_right,
             lr_offsets,
             lr_targets,
             lr_weights,

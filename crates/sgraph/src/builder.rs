@@ -1,6 +1,7 @@
 //! Mutable staging area for assembling [`CsrGraph`]s.
 
 use crate::csr::{CsrGraph, NodeId};
+use crate::scatter::{by_row_then_col, scatter};
 use crate::{GraphError, Result};
 use std::ops::Range;
 
@@ -39,9 +40,11 @@ impl DuplicateEdgePolicy {
 /// Incrementally collects edges, then produces a canonical [`CsrGraph`].
 ///
 /// The builder is intentionally permissive while staging (edges land in a
-/// flat vector); all validation, sorting, deduplication and the in-CSR
-/// derivation happen in [`GraphBuilder::build`] / [`GraphBuilder::try_build`],
-/// which run in O(E log E).
+/// flat vector); all validation, ordering, deduplication and the in-CSR
+/// derivation happen in [`GraphBuilder::build`] / [`GraphBuilder::try_build`].
+/// Both orientations come out of one stable counting scatter (count per
+/// row → prefix sum → place in arrival order), so a build is O(V + E) plus
+/// a sort of each node's own out-row — no sort over the whole edge set.
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
     num_nodes: u32,
@@ -120,11 +123,11 @@ impl GraphBuilder {
     /// Build, validating node bounds, weights, and the duplicate policy.
     pub fn try_build(mut self) -> Result<CsrGraph> {
         let n = self.num_nodes as usize;
-        self.check_and_sort()?;
+        self.check_and_order()?;
 
         // Deduplicate in place according to policy.
         let mut deduped: Vec<(u32, u32, f64)> = Vec::with_capacity(self.edges.len());
-        for (s, d, w) in self.edges.drain(..) {
+        for (s, d, w) in std::mem::take(&mut self.edges) {
             match deduped.last_mut() {
                 Some(last) if last.0 == s && last.1 == d => {
                     if !self.policy.fold(&mut last.2, w) {
@@ -136,40 +139,29 @@ impl GraphBuilder {
         }
 
         let m = deduped.len();
-        let mut out_offsets = vec![0usize; n + 1];
-        for &(s, _, _) in &deduped {
-            out_offsets[s as usize + 1] += 1;
-        }
-        for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
-        }
-        let mut out_targets = Vec::with_capacity(m);
-        let mut out_weights = Vec::with_capacity(m);
-        for &(_, d, w) in &deduped {
-            out_targets.push(d);
-            out_weights.push(w);
-        }
-
-        // Derive in-CSR with a counting pass + placement pass.
-        let mut in_offsets = vec![0usize; n + 1];
-        for &(_, d, _) in &deduped {
-            in_offsets[d as usize + 1] += 1;
-        }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut in_sources = vec![0u32; m];
-        let mut in_weights = vec![0f64; m];
-        let mut cursor = in_offsets[..n].to_vec();
-        // deduped is sorted by (src, dst), so within each target bucket the
+        let (mut out_targets, mut out_weights) = (vec![0u32; m], vec![0f64; m]);
+        let out_offsets = scatter(
+            n,
+            &deduped,
+            |e| e.0 as usize,
+            |slot, &(_, d, w)| {
+                out_targets[slot] = d;
+                out_weights[slot] = w;
+            },
+        );
+        // deduped is sorted by (src, dst), so within each target's row the
         // sources arrive in ascending order — the in-adjacency comes out
         // sorted for free.
-        for &(s, d, w) in &deduped {
-            let slot = cursor[d as usize];
-            in_sources[slot] = s;
-            in_weights[slot] = w;
-            cursor[d as usize] += 1;
-        }
+        let (mut in_sources, mut in_weights) = (vec![0u32; m], vec![0f64; m]);
+        let in_offsets = scatter(
+            n,
+            &deduped,
+            |e| e.1 as usize,
+            |slot, &(s, _, w)| {
+                in_sources[slot] = s;
+                in_weights[slot] = w;
+            },
+        );
 
         Ok(CsrGraph {
             num_nodes: self.num_nodes,
@@ -183,9 +175,9 @@ impl GraphBuilder {
     }
 
     /// Validate node bounds and weights, drop self-loops when they are
-    /// disallowed, and sort the staged edges by `(src, dst)` — stably, so
+    /// disallowed, and order the staged edges by `(src, dst)` — stably, so
     /// the contributions to one pair stay in staging order.
-    fn check_and_sort(&mut self) -> Result<()> {
+    fn check_and_order(&mut self) -> Result<()> {
         for &(s, d, w) in &self.edges {
             if s >= self.num_nodes {
                 return Err(GraphError::NodeOutOfBounds { node: s, num_nodes: self.num_nodes });
@@ -200,7 +192,7 @@ impl GraphBuilder {
         if !self.allow_self_loops {
             self.edges.retain(|&(s, d, _)| s != d);
         }
-        self.edges.sort_by_key(|&(s, d, _)| (s, d));
+        self.edges = by_row_then_col(self.num_nodes as usize, &self.edges);
         Ok(())
     }
 
@@ -233,10 +225,17 @@ impl GraphBuilder {
     /// On `Err`, `base` is untouched.
     pub fn try_build_onto(mut self, base: &mut CsrGraph) -> Result<()> {
         self.num_nodes = self.num_nodes.max(base.num_nodes);
-        self.check_and_sort()?;
+        self.check_and_order()?;
         let by_src = self.edges;
-        let mut by_dst: Vec<(u32, u32, f64)> = by_src.iter().map(|&(s, d, w)| (d, s, w)).collect();
-        by_dst.sort_by_key(|&(d, s, _)| (d, s));
+        // Scattering the (src, dst)-ordered edges by dst leaves each row
+        // source-ascending: (dst, src) order, pairs still in staging order.
+        let mut by_dst = vec![(0, 0, 0.0); by_src.len()];
+        scatter(
+            self.num_nodes as usize,
+            &by_src,
+            |e| e.1 as usize,
+            |slot, &(s, d, w)| by_dst[slot] = (d, s, w),
+        );
 
         let out = locate(&base.out_offsets, &base.out_targets, &by_src);
         if self.policy == DuplicateEdgePolicy::Reject {

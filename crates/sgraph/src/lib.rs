@@ -60,6 +60,7 @@ pub mod mmap_csr;
 pub mod par;
 pub mod projected;
 pub mod sampling;
+mod scatter;
 pub mod sfile;
 pub mod solver;
 pub mod stats;

@@ -18,13 +18,15 @@
 //! [`crate::store::CsrStore`]). [`MmapCsrBuilder`] stores the same
 //! out-sums, summed in the same order, and preserves exactly those
 //! orders (sources arrive ascending because `add_source` must be called
-//! for node 0, 1, …, n−1; the stable per-shard sort by target keeps them
-//! ascending per row), and [`MmapCsr::apply_step`] pre-scales the same
-//! way and accumulates `w·z` in stored order. Node partitioning never
-//! reorders a per-slot sum — each target's whole row lives in its own
-//! shard — so shard size is a pure layout knob: residuals, iteration
-//! counts, and stationaries are bit-identical to the dense solve at any
-//! `shard_size`.
+//! for node 0, 1, …, n−1; each shard is assembled by a stable counting
+//! scatter by target — rows counted in one pass over the shard's spill,
+//! every edge placed at its row's next free slot in spill order in a
+//! second — which keeps them ascending per row), and
+//! [`MmapCsr::apply_step`] pre-scales the same way and accumulates `w·z`
+//! in stored order. Node partitioning never reorders a per-slot sum —
+//! each target's whole row lives in its own shard — so shard size is a
+//! pure layout knob: residuals, iteration counts, and stationaries are
+//! bit-identical to the dense solve at any `shard_size`.
 //!
 //! ## File format (`SCSRv2`, little-endian, 8-byte-aligned sections)
 //!
@@ -59,10 +61,11 @@
 //! edge.
 
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::mmap::Mmap;
+use crate::scatter::{Cursors, RowCounts};
 use crate::sfile::{no_step, TmpFile};
 use crate::stochastic::{dangles, per_weight, JumpVector};
 use crate::store::CsrStore;
@@ -71,6 +74,10 @@ use crate::CsrGraph;
 const MAGIC: &[u8; 8] = b"SCSRv2\0\0";
 const HEADER_BYTES: usize = 72;
 const DIR_FIELDS: usize = 6;
+/// One spilled edge: target `u32`, source `u32`, weight `f64`.
+const SPILL_RECORD: usize = 16;
+/// Bytes per spill read and per bulk section write.
+const SPILL_CHUNK: usize = 1 << 20;
 
 /// Round `off` up to the next multiple of 8.
 fn align8(off: u64) -> u64 {
@@ -93,11 +100,15 @@ struct ShardMeta {
 /// order with that node's out-edges (targets and raw weights, in the
 /// same order the dense CSR stores them), then
 /// [`MmapCsrBuilder::finish`]. Edges are spilled to per-shard temp
-/// files as they arrive and the out-weight sums to one more, so neither
-/// the edge set nor a per-node column is held in memory; `finish`
-/// assembles one shard at a time and publishes the result through
-/// [`crate::sfile`]. The spill files are removed when the builder is
-/// dropped, finished or not.
+/// files as they arrive (one 16-byte record each) and the out-weight sums
+/// to one more, so neither the edge set nor a per-node column is held in
+/// memory. `finish` assembles one shard at a time in two streaming passes
+/// over its spill — count rows and collect the boundary, then scatter —
+/// holding 12 bytes per edge and 8 per node of that shard, and publishes
+/// the result through [`crate::sfile`]. A spill that is not whole records,
+/// changes between the passes or comes up short of the edges `add_source`
+/// wrote is [`io::ErrorKind::InvalidData`], never a short shard. The spill
+/// files are removed when the builder is dropped, finished or not.
 pub struct MmapCsrBuilder {
     path: PathBuf,
     n: usize,
@@ -160,11 +171,11 @@ impl MmapCsrBuilder {
         for (&t, &w) in targets.iter().zip(weights) {
             assert!((t as usize) < self.n, "target {t} out of bounds");
             if w > 0.0 {
-                let shard = t as usize / self.shard_size;
-                let sp = &mut self.spills[shard];
-                sp.write_all(&t.to_le_bytes())?;
-                sp.write_all(&u.to_le_bytes())?;
-                sp.write_all(&w.to_le_bytes())?;
+                let mut record = [0u8; SPILL_RECORD];
+                record[0..4].copy_from_slice(&t.to_le_bytes());
+                record[4..8].copy_from_slice(&u.to_le_bytes());
+                record[8..16].copy_from_slice(&w.to_le_bytes());
+                self.spills[t as usize / self.shard_size].write_all(&record)?;
                 self.m += 1;
             }
         }
@@ -189,9 +200,7 @@ impl MmapCsrBuilder {
         // offsets are known; reserve their bytes now.
         out.write_all(&vec![0u8; sums_off as usize])?;
         io::copy(&mut File::open(&self.spill_paths[self.num_shards])?, &mut out)?;
-        for u in &self.dangling {
-            out.write_all(&u.to_le_bytes())?;
-        }
+        write_le(&mut out, &self.dangling, |u| u.to_le_bytes())?;
         let mut cursor = dangling_off + (self.dangling.len() * 4) as u64;
 
         let mut dir = Vec::with_capacity(self.num_shards);
@@ -207,62 +216,79 @@ impl MmapCsrBuilder {
         for shard in 0..self.num_shards {
             let start = shard * self.shard_size;
             let shard_len = self.shard_size.min(self.n - start.min(self.n));
-            let records = read_spill(&self.spill_paths[shard])?;
-            let mut order: Vec<u32> = (0..records.len() as u32).collect();
-            // Stable sort by target: spill order is ascending source
-            // (add_source id order), so each row stays source-ascending.
-            order.sort_by_key(|&i| records[i as usize].0);
+            let spill = &self.spill_paths[shard];
+            let local = |id: u32| (id as usize).checked_sub(start).filter(|&l| l < shard_len);
+            let row_of = |t: u32| local(t).ok_or_else(|| bad_spill("target outside its shard"));
 
-            let mut boundary: Vec<u32> = records
-                .iter()
-                .map(|r| r.1)
-                .filter(|&s| (s as usize) < start || (s as usize) >= start + shard_len)
-                .collect();
-            boundary.sort_unstable();
-            boundary.dedup();
-
-            let mut offsets = vec![0u64; shard_len + 1];
-            for r in &records {
-                offsets[(r.0 as usize - start) + 1] += 1;
-            }
-            for i in 1..offsets.len() {
-                offsets[i] += offsets[i - 1];
-            }
+            // Pass 1: count each row, and collect the out-of-shard sources.
+            // Spill order is ascending source (add_source id order), so
+            // they arrive sorted and only adjacent repeats need dropping.
+            let mut rows = RowCounts::new(shard_len);
+            let mut boundary: Vec<u32> = Vec::new();
+            let mut last_source = 0;
+            let edges = for_each_record(spill, |t, u, _| {
+                rows.add(row_of(t)?);
+                if u < last_source {
+                    return Err(bad_spill("sources out of order"));
+                }
+                last_source = u;
+                if local(u).is_none() && boundary.last() != Some(&u) {
+                    boundary.push(u);
+                }
+                Ok(())
+            })?;
+            let offsets = rows.offsets();
 
             pad(&mut out, &mut cursor)?;
             let boundary_off = cursor;
-            for &b in &boundary {
-                out.write_all(&b.to_le_bytes())?;
-            }
+            write_le(&mut out, &boundary, |b| b.to_le_bytes())?;
             cursor += (boundary.len() * 4) as u64;
 
             pad(&mut out, &mut cursor)?;
             let offsets_off = cursor;
-            for &o in &offsets {
-                out.write_all(&o.to_le_bytes())?;
-            }
+            write_le(&mut out, &offsets, |&o| (o as u64).to_le_bytes())?;
             cursor += (offsets.len() * 8) as u64;
+
+            // Pass 2: stable counting scatter. Each row fills in spill
+            // order, so it stays source-ascending; a cursor that only moves
+            // forward through the sorted boundary codes each outside source.
+            let (mut sources, mut weights) = (vec![0u32; edges], vec![0f64; edges]);
+            let mut slots = Cursors::new(offsets);
+            let mut next_boundary = 0;
+            let seen = for_each_record(spill, |t, u, w| {
+                let code = match local(u) {
+                    Some(l) => l,
+                    None => {
+                        while boundary.get(next_boundary).is_some_and(|&b| b < u) {
+                            next_boundary += 1;
+                        }
+                        if boundary.get(next_boundary) != Some(&u) {
+                            return Err(bad_spill("source missing from the boundary"));
+                        }
+                        shard_len + next_boundary
+                    }
+                };
+                let slot = slots.place(row_of(t)?);
+                if slot >= edges {
+                    return Err(bad_spill("spill grew between passes"));
+                }
+                sources[slot] = code as u32;
+                weights[slot] = w;
+                Ok(())
+            })?;
+            if seen != edges {
+                return Err(bad_spill("spill changed length between passes"));
+            }
 
             pad(&mut out, &mut cursor)?;
             let sources_off = cursor;
-            for &i in &order {
-                let src = records[i as usize].1 as usize;
-                let code = if src >= start && src < start + shard_len {
-                    (src - start) as u32
-                } else {
-                    let bi = boundary.binary_search(&(src as u32)).expect("boundary id present");
-                    (shard_len + bi) as u32
-                };
-                out.write_all(&code.to_le_bytes())?;
-            }
-            cursor += (order.len() * 4) as u64;
+            write_le(&mut out, &sources, |c| c.to_le_bytes())?;
+            cursor += (edges * 4) as u64;
 
             pad(&mut out, &mut cursor)?;
             let weights_off = cursor;
-            for &i in &order {
-                out.write_all(&records[i as usize].2.to_le_bytes())?;
-            }
-            cursor += (order.len() * 8) as u64;
+            write_le(&mut out, &weights, |w| w.to_le_bytes())?;
+            cursor += (edges * 8) as u64;
 
             dir.push(ShardMeta {
                 boundary_off,
@@ -270,8 +296,11 @@ impl MmapCsrBuilder {
                 offsets_off,
                 sources_off,
                 weights_off,
-                edges: records.len() as u64,
+                edges: edges as u64,
             });
+        }
+        if dir.iter().map(|d| d.edges).sum::<u64>() != self.m {
+            return Err(bad_spill("edge count disagrees with add_source"));
         }
         out.flush()?;
         drop(out);
@@ -320,22 +349,62 @@ impl Drop for MmapCsrBuilder {
     }
 }
 
-fn read_spill(path: &Path) -> io::Result<Vec<(u32, u32, f64)>> {
-    let file = File::open(path)?;
-    let len = file.metadata()?.len() as usize;
-    assert_eq!(len % 16, 0, "corrupt spill file");
-    let mut reader = BufReader::new(file);
-    let mut records = Vec::with_capacity(len / 16);
-    let mut buf = [0u8; 16];
-    for _ in 0..len / 16 {
-        reader.read_exact(&mut buf)?;
-        records.push((
-            u32::from_le_bytes(buf[0..4].try_into().unwrap()),
-            u32::from_le_bytes(buf[4..8].try_into().unwrap()),
-            f64::from_le_bytes(buf[8..16].try_into().unwrap()),
-        ));
+fn bad_spill(what: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("corrupt spill file: {what}"))
+}
+
+/// Stream `path`'s `(target, source, weight)` records through `f`, in file
+/// order, a chunk at a time. Returns the record count; a length that is not
+/// a whole number of records is [`io::ErrorKind::InvalidData`].
+fn for_each_record(
+    path: &Path,
+    mut f: impl FnMut(u32, u32, f64) -> io::Result<()>,
+) -> io::Result<usize> {
+    let mut file = File::open(path)?;
+    let mut buf = vec![0u8; SPILL_CHUNK];
+    let (mut filled, mut records) = (0, 0);
+    loop {
+        let got = match file.read(&mut buf[filled..]) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            got => got?,
+        };
+        filled += got;
+        let whole = filled - filled % SPILL_RECORD;
+        for r in buf[..whole].chunks_exact(SPILL_RECORD) {
+            f(
+                u32::from_le_bytes(r[0..4].try_into().expect("4-byte field")),
+                u32::from_le_bytes(r[4..8].try_into().expect("4-byte field")),
+                f64::from_le_bytes(r[8..16].try_into().expect("8-byte field")),
+            )?;
+        }
+        records += whole / SPILL_RECORD;
+        buf.copy_within(whole..filled, 0);
+        filled -= whole;
+        if got == 0 {
+            break;
+        }
+    }
+    if filled != 0 {
+        return Err(bad_spill("length is not a whole number of records"));
     }
     Ok(records)
+}
+
+/// Write `items` little-endian as one run of bytes, a chunk at a time.
+fn write_le<T, const N: usize>(
+    out: &mut impl Write,
+    items: &[T],
+    to_le: impl Fn(&T) -> [u8; N],
+) -> io::Result<()> {
+    let mut buf = Vec::new();
+    for chunk in items.chunks(SPILL_CHUNK / N) {
+        buf.resize(chunk.len() * N, 0);
+        for (bytes, item) in buf.chunks_exact_mut(N).zip(chunk) {
+            bytes.copy_from_slice(&to_le(item));
+        }
+        out.write_all(&buf)?;
+    }
+    Ok(())
 }
 
 /// An opened, validated shard file serving pull-CSR rows zero-copy.
@@ -701,6 +770,31 @@ mod tests {
         drop(b);
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_truncated_spill_is_invalid_data_and_publishes_nothing() {
+        let g = test_graph();
+        // Cut mid-record, then by exactly one record: neither may panic or
+        // publish a shard that is short of edges.
+        for cut in [5u64, 16] {
+            let path = tmp(&format!("short-spill{cut}"));
+            let mut b = MmapCsrBuilder::new(&path, g.num_nodes() as usize, 8).unwrap();
+            for u in g.nodes() {
+                let targets: Vec<u32> = g.out_neighbors(u).iter().map(|t| t.0).collect();
+                b.add_source(&targets, g.out_edge_weights(u)).unwrap();
+            }
+            for sp in &mut b.spills {
+                sp.flush().unwrap();
+            }
+            let spill = File::options().write(true).open(&b.spill_paths[1]).unwrap();
+            let len = spill.metadata().unwrap().len();
+            assert!(len >= 32, "shard 1 must spill at least two edges");
+            spill.set_len(len - cut).unwrap();
+            let err = b.finish(7).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut {cut}: {err}");
+            assert!(!path.exists(), "cut {cut}: nothing may be published");
+        }
     }
 
     #[test]

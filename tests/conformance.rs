@@ -7,9 +7,9 @@ use scholar::core::{grow_corpus, IncrementalRanker};
 use scholar::corpus::model::{Article, ArticleId, AuthorId};
 use scholar::corpus::CorpusBuilder;
 use scholar::rank::{
-    fuse_scores, rescale_by_years, AgeNormalizedCitations, CiteRankConfig, FusedRanker, FusionRule,
-    FutureRankConfig, MonteCarloPageRank, PRankConfig, PageRankConfig, RankContext,
-    RecentCitations, RescaledRanker, TwprConfig,
+    fuse_scores, rescale_by_years, AgeNormalizedCitations, CiteRankConfig, DecayedPlan,
+    FusedRanker, FusionRule, FutureRankConfig, MonteCarloPageRank, PRankConfig, PageRankConfig,
+    RankContext, RecentCitations, RescaledRanker, TwprConfig,
 };
 use scholar::{
     CitationCount, CiteRank, ColStore, Corpus, FutureRank, MixParams, PRank, PageRank, Preset,
@@ -887,4 +887,40 @@ fn borrowing_operator_matches_the_copying_operator() {
 #[ignore = "large preset; run in release builds"]
 fn borrowing_operator_matches_the_copying_operator_on_dblp() {
     assert_borrowing_matches_copying("dblp", &Preset::DblpLike.generate(20180416));
+}
+
+/// The shard file `decayed_plan` writes for a 200k-article MAG-scale store
+/// is byte for byte the file the sort-based writer kept in `tests/oracle`
+/// writes from the same reference postings.
+#[test]
+#[ignore = "200k-article store; run in release builds"]
+fn scsr_oracle_matches_decayed_plan_on_a_mag_scale_store() {
+    let dir = std::env::temp_dir()
+        .join(format!("scholar-conformance-scsr-oracle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    scholar::corpus::generator::generate_mag_scale(&dir, 200_000, 7303).unwrap();
+    let store = ColStore::open(&dir).unwrap();
+    let rho = TimeWeightedPageRank::default().config.rho;
+    let shard_size = match RankContext::from_colstore(&store).decayed_plan(rho) {
+        DecayedPlan::Partitioned(csr) => csr.shard_size(),
+        DecayedPlan::Dense(_) => panic!("a colstore context must plan out of core"),
+    };
+    let got = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "scsr"))
+        .expect("decayed_plan leaves a shard file");
+
+    let want = dir.join("oracle.bin");
+    let n = store.num_articles();
+    let mut b = oracle::scsr::SortingScsrBuilder::new(&want, n, shard_size).unwrap();
+    let decay = TimeWeightedPageRank::decay(rho);
+    scholar::corpus::rows::weighted_refs(&store, 0..n, decay, |_, refs, weights| {
+        b.add_source(refs, weights).unwrap();
+    });
+    b.finish(store.generation()).unwrap();
+    let (got, want) = (std::fs::read(&got).unwrap(), std::fs::read(&want).unwrap());
+    assert_eq!(got.len(), want.len(), "file length");
+    assert!(got == want, "the shard file differs from the sort-based writer's");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -308,3 +308,120 @@ fn aan_loader_never_panics() {
         }
     }
 }
+
+// ---- The counting-scatter build kernel against the sorting builds it
+// replaced (tests/oracle/scsr.rs), bit for bit. ----
+
+/// An arbitrary weighted graph: 0..30 nodes with dangling ones (no
+/// out-edge, or only zero-weight ones), zero weights and self-loops. Half
+/// the time targets stay in a prefix, so trailing shards get no edges.
+fn arb_graph(rng: &mut SmallRng) -> sgraph::CsrGraph {
+    let n = rng.gen_range(0u32..30);
+    let mut b = sgraph::GraphBuilder::new(n);
+    if n > 0 {
+        let reach = if rng.gen() { n } else { rng.gen_range(1..n + 1) };
+        let silent = rng.gen_range(2u32..6);
+        for _ in 0..rng.gen_range(0..4 * n) {
+            let u = rng.gen_range(0..n);
+            if u % silent == 0 {
+                continue;
+            }
+            let w = if rng.gen_range(0u32..4) == 0 { 0.0 } else { rng.gen_range(0.1f64..4.0) };
+            b.add_edge(sgraph::NodeId(u), sgraph::NodeId(rng.gen_range(0..reach)), w);
+        }
+    }
+    b.build()
+}
+
+#[test]
+fn scsr_shard_files_match_the_sorting_writer() {
+    let dir = std::env::temp_dir().join(format!("scholar-prop-scsr-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (got, want) = (dir.join("kernel.scsr"), dir.join("oracle.scsr"));
+    for seed in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5c5e);
+        let g = arb_graph(&mut rng);
+        let n = g.len();
+        for shard_size in [1, 2, 7, n.saturating_sub(1), n, n + 5] {
+            if shard_size == 0 {
+                continue;
+            }
+            sgraph::mmap_csr::build_from_graph(&g, &got, shard_size, seed).unwrap();
+            oracle::scsr::build_scsr(&g, &want, shard_size, seed).unwrap();
+            assert!(
+                std::fs::read(&got).unwrap() == std::fs::read(&want).unwrap(),
+                "seed {seed}: {n} nodes, {} edges, shard size {shard_size}",
+                g.num_edges()
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn graph_builds_match_the_sorting_builder_under_every_policy() {
+    use sgraph::{DuplicateEdgePolicy, GraphBuilder, NodeId};
+    for seed in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xb11d);
+        let n = rng.gen_range(0u32..20);
+        // Pairs drawn from a small pool, so most recur, staged out of order.
+        let mut staged = Vec::new();
+        if n > 0 {
+            let pool: Vec<(u32, u32)> = (0..rng.gen_range(1usize..12))
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                .collect();
+            for _ in 0..rng.gen_range(0usize..40) {
+                let (s, d) = pool[rng.gen_range(0..pool.len())];
+                let w = if rng.gen_range(0u32..5) == 0 { 0.0 } else { rng.gen_range(0.0f64..3.0) };
+                staged.push((s, d, w));
+            }
+        }
+        // Now and then an edge every build must refuse.
+        match rng.gen_range(0u32..8) {
+            0 => staged.push((n, 0, 1.0)),
+            1 if n > 0 => staged.push((0, n - 1, -1.0)),
+            _ => {}
+        }
+        let self_loops = rng.gen();
+        let split = rng.gen_range(0..staged.len() + 1);
+        for policy in [
+            DuplicateEdgePolicy::SumWeights,
+            DuplicateEdgePolicy::KeepFirst,
+            DuplicateEdgePolicy::MaxWeight,
+            DuplicateEdgePolicy::Reject,
+        ] {
+            let label = format!("seed {seed}, {policy:?}, self-loops {self_loops}");
+            let builder = |edges: &[(u32, u32, f64)]| {
+                let mut b = GraphBuilder::new(n).duplicate_policy(policy).self_loops(self_loops);
+                for &(s, d, w) in edges {
+                    b.add_edge(NodeId(s), NodeId(d), w);
+                }
+                b
+            };
+            let want = oracle::scsr::SortingGraphBuilder {
+                num_nodes: n,
+                edges: staged.clone(),
+                policy,
+                allow_self_loops: self_loops,
+            }
+            .try_build();
+            match (builder(&staged).try_build(), &want) {
+                (Ok(got), Ok(want)) => oracle::scsr::assert_same_graph(&got, want),
+                (got, want) => assert_eq!(
+                    format!("{:?}", got.err()),
+                    format!("{:?}", want.as_ref().err()),
+                    "{label}"
+                ),
+            }
+            // Growing a build in place lands on the same graph.
+            if let Ok(mut grown) = builder(&staged[..split]).try_build() {
+                match (builder(&staged[split..]).try_build_onto(&mut grown), &want) {
+                    (Ok(()), Ok(want)) => oracle::scsr::assert_same_graph(&grown, want),
+                    (got, want) => {
+                        assert_eq!(got.is_err(), want.is_err(), "{label}: build_onto at {split}")
+                    }
+                }
+            }
+        }
+    }
+}
