@@ -631,23 +631,6 @@ pub fn serve<W: Write>(args: &Args, out: &mut W) -> CmdResult {
         recorder: recorder.clone(),
         ..Default::default()
     };
-    let shadow_gate = if args.has_switch("shadow") {
-        if args.get("state").is_some() {
-            return Err("--shadow and --state cannot be combined yet".into());
-        }
-        let d = scholar::serve::ShadowThresholds::default();
-        Some(scholar::serve::ShadowThresholds {
-            min_mirrored: args.get_parsed("shadow-min-mirrored", d.min_mirrored)?,
-            min_topk_overlap: args.get_parsed("shadow-min-overlap", d.min_topk_overlap)?,
-            min_kendall_tau: args.get_parsed("shadow-min-tau", d.min_kendall_tau)?,
-            max_score_l1: args.get_parsed("shadow-max-l1", d.max_score_l1)?,
-            max_status_mismatches: args
-                .get_parsed("shadow-max-mismatches", d.max_status_mismatches)?,
-        })
-    } else {
-        None
-    };
-
     let metrics = std::sync::Arc::new(scholar::serve::Metrics::new());
     let swap_metrics = std::sync::Arc::clone(&metrics);
     let on_publish = move |_| swap_metrics.record_swap();
@@ -692,12 +675,7 @@ pub fn serve<W: Write>(args: &Args, out: &mut W) -> CmdResult {
         None => {
             let corpus = load_corpus(corpus_path, args)?;
             outln!(out, "ranking {} articles...", corpus.num_articles());
-            match shadow_gate.clone() {
-                Some(gate) => {
-                    scholar::serve::Reindexer::start_gated(config, corpus, gate, on_publish)
-                }
-                None => scholar::serve::Reindexer::start(config, corpus, on_publish),
-            }
+            scholar::serve::Reindexer::start(config, corpus, on_publish)
         }
     };
     let mut server = scholar::serve::serve(
@@ -707,13 +685,7 @@ pub fn serve<W: Write>(args: &Args, out: &mut W) -> CmdResult {
     )
     .map_err(|e| format!("cannot bind {}: {e}", serve_config.addr))?;
     outln!(out, "listening on http://{}", server.addr());
-    outln!(out, "endpoints: /top /article/{{id}} /health /metrics /shadow");
-    if shadow_gate.is_some() {
-        outln!(
-            out,
-            "shadow gate armed: rebuilt indexes stage at /shadow and must pass before publish"
-        );
-    }
+    outln!(out, "endpoints: /top /article/{{id}} /health /metrics");
 
     match duration {
         Some(secs) => std::thread::sleep(std::time::Duration::from_secs(secs)),
@@ -749,26 +721,6 @@ pub fn serve<W: Write>(args: &Args, out: &mut W) -> CmdResult {
                 r.dropped()
             ),
             Err(e) => outln!(out, "request log flush failed (recording degraded): {e}"),
-        }
-    }
-    if let Some(gate) = &shadow_gate {
-        if let Some(report) = shared.shadow_report() {
-            let failures = report.failures(gate);
-            if failures.is_empty() {
-                outln!(
-                    out,
-                    "shadow candidate generation {} healthy ({} mirrored)",
-                    report.candidate_generation,
-                    report.mirrored
-                );
-            } else {
-                outln!(
-                    out,
-                    "shadow candidate generation {} NOT promotable: {}",
-                    report.candidate_generation,
-                    failures.join("; ")
-                );
-            }
         }
     }
     Ok(())
@@ -984,8 +936,11 @@ mod tests {
         let err = run(&["serve", &path, "--duration", "soon"]).unwrap_err();
         assert!(err.contains("--duration"), "{err}");
         // A flag serve does not read is an error naming it, not ignored.
-        let err = run(&["serve", &path, "--backend", "epoll", "--duration", "0"]).unwrap_err();
-        assert!(err.contains("unknown flag --backend for 'scholar serve'"), "{err}");
+        for key in ["backend", "shadow"] {
+            let flag = format!("--{key}");
+            let err = run(&["serve", &path, &flag, "--duration", "0"]).unwrap_err();
+            assert!(err.contains(&format!("unknown flag {flag} for 'scholar serve'")), "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

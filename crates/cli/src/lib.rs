@@ -68,16 +68,11 @@ const FLAGS: &[(&str, &[&str], &[&str])] = &[
             "record",
             "sample",
             "record-cap",
-            "shadow-min-mirrored",
-            "shadow-min-overlap",
-            "shadow-min-tau",
-            "shadow-max-l1",
-            "shadow-max-mismatches",
             "missing-year",
             "config",
             "threads",
         ],
-        &["shadow"],
+        &[],
     ),
     ("replay", &["addr", "connections", "expect", "write-digests"], &["no-keep-alive", "json"]),
     ("snapshot", &["state", "missing-year", "config", "threads"], &[]),
@@ -122,10 +117,10 @@ COMMANDS:
   serve     CORPUS.jsonl [--addr HOST:PORT] [--workers N]
             [--read-timeout-ms MS] [--max-conns N] [--duration SECS]
             [--state DIR] [--snapshot-every N]
-            [--record FILE [--sample N] [--record-cap N]] [--shadow]
+            [--record FILE [--sample N] [--record-cap N]]
             rank the corpus and serve it over HTTP: GET /top (k, venue,
             author, year_min, year_max filters), /article/{id}, /health,
-            /metrics, /shadow; runs until stdin closes unless --duration
+            /metrics; runs until stdin closes unless --duration
             is given; the server is a nonblocking epoll event loop
             (Linux only) with keep-alive, --workers SO_REUSEPORT shards
             and --max-conns connections per shard; --state DIR makes the
@@ -134,12 +129,7 @@ COMMANDS:
             every --snapshot-every batches, and a restart restores
             snapshot + journal in milliseconds instead of re-ranking;
             --record FILE samples every --sample N-th request (default
-            every request) into an RLOGv1 log flushed at shutdown;
-            --shadow stages rebuilt indexes as candidates that must pass
-            drift thresholds on mirrored live traffic before publishing
-            (--shadow-min-mirrored N, --shadow-min-overlap F,
-            --shadow-min-tau F, --shadow-max-l1 F,
-            --shadow-max-mismatches N tune the gate)
+            every request) into an RLOGv1 log flushed at shutdown
   replay    LOG.rlog --addr HOST:PORT [--connections N]
             [--no-keep-alive] [--expect FILE] [--write-digests FILE]
             [--json]

@@ -141,9 +141,11 @@ impl FutureRank {
             cite_op.apply(p, &mut cite_term, 1.0, &JumpVector::Uniform);
 
             // Author → article term, normalized to a distribution so β
-            // means what it says.
+            // means what it says. With no signed article the term has no
+            // mass, and β's share falls back to the uniform teleport —
+            // otherwise a β-only mixture would rank nothing at all.
             let mut author_term = authorship.distribute_to_right(&author);
-            normalize_l1(&mut author_term);
+            crate::scores::normalize_or_uniform(&mut author_term);
 
             for (i, slot) in next.iter_mut().enumerate() {
                 *slot = cfg.alpha * cite_term[i]
@@ -282,5 +284,10 @@ mod tests {
         let s = FutureRank::default().rank(&c);
         assert_eq!(s.len(), 2);
         assert!((s.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        // β alone on an unsigned corpus: the massless author term is the
+        // uniform teleport, not a vector of zeros.
+        let beta_only =
+            FutureRankConfig { alpha: 0.0, beta: 1.0, gamma: 0.0, ..Default::default() };
+        assert_eq!(FutureRank::new(beta_only).rank(&c), vec![0.5, 0.5]);
     }
 }

@@ -124,7 +124,7 @@ impl Ctx {
         }
     }
 
-    /// The cold endpoints (/health, /metrics, /shadow, every 4xx): the
+    /// The cold endpoints (/health, /metrics, every 4xx): the
     /// router's per-request `Value` and serialization are fine here.
     fn write_cold(
         &mut self,
@@ -134,8 +134,7 @@ impl Ctx {
         keep: bool,
         out: &mut Vec<u8>,
     ) -> u16 {
-        let (status, body) =
-            server::respond_route(route, req, index, Some(&self.shared), &self.metrics);
+        let (status, body) = server::respond_route(route, req, index, &self.metrics);
         let rendered = body.to_string_compact();
         http::write_response_head(out, status, rendered.len(), keep);
         out.extend_from_slice(rendered.as_bytes());
@@ -237,41 +236,28 @@ impl Ctx {
         500
     }
 
-    /// Post-response hook: offer the answered request to the recorder,
-    /// and mirror it to a staged shadow candidate.
-    ///
-    /// Recording and mirroring are *coupled*: with a recorder configured,
-    /// only requests that were actually stored in the ring are mirrored.
-    /// That makes the flushed RLOGv1 log exactly the mirrored workload, so
-    /// [`crate::shadow::replay_mirror`] over the log reproduces the online
-    /// `ShadowReport` drift numbers bit for bit. Without a recorder, every
-    /// request is mirrored.
-    fn observe_request(
+    /// Post-response hook: offer the answered request to the recorder.
+    /// Without one, or off the sampling stride, this does nothing more:
+    /// the target is copied only for a request that will be stored.
+    fn record_request(
         &self,
         live: &ScoreIndex,
-        target: &str,
+        target: &[u8],
         conn: u64,
         seq: u64,
         status: u16,
-        latency_us: u64,
+        took: Duration,
     ) {
-        let mirror = match &self.recorder {
-            Some(r) => {
-                r.sample()
-                    && r.store(ReqRecord {
-                        conn,
-                        seq,
-                        generation: live.generation(),
-                        status,
-                        latency_us,
-                        target: target.to_owned(),
-                    })
-            }
-            None => true,
-        };
-        if mirror && self.shared.mirror_if_shadowing(live, target, latency_us).is_some() {
-            // This mirror's auto-decision just promoted the candidate.
-            self.metrics.record_swap();
+        let Some(recorder) = &self.recorder else { return };
+        if recorder.sample() {
+            recorder.store(ReqRecord {
+                conn,
+                seq,
+                generation: live.generation(),
+                status,
+                latency_us: took.as_micros().min(u128::from(u64::MAX)) as u64,
+                target: String::from_utf8_lossy(target).into_owned(),
+            });
         }
     }
 }
@@ -477,13 +463,12 @@ impl Conn {
         let took = started.elapsed();
         ctx.metrics.record(status, took);
         ctx.metrics.record_generation(index.generation(), status);
-        // Record + mirror after the response is rendered and accounted:
-        // `took` (what `/metrics` reports) never includes shadow work, and a
-        // mirror fault can only degrade recording, never the answer already
-        // sitting in the output buffer.
-        let target = String::from_utf8_lossy(self.buf.get(target).unwrap_or_default());
-        let us = took.as_micros().min(u128::from(u64::MAX)) as u64;
-        ctx.observe_request(&index, &target, self.id, self.served, status, us);
+        // Record after the response is rendered and accounted: `took`
+        // (what `/metrics` reports) never includes recording, and a
+        // recording fault can only degrade the log, never the answer
+        // already sitting in the output buffer.
+        let target = self.buf.get(target).unwrap_or_default();
+        ctx.record_request(&index, target, self.id, self.served, status, took);
     }
 }
 

@@ -216,8 +216,8 @@ fn parse_request_line(line: &str) -> Result<Request, HttpError> {
 /// exactly as the request-line parser would — same percent decoding,
 /// same query splitting. This is what lets a recorded raw target (RLOGv1
 /// stores targets verbatim off the wire) be re-interpreted offline:
-/// shadow replay routes a recorded target through the same parse the
-/// live server used.
+/// the promotion gate routes a recorded target through the same parse
+/// the live server used.
 pub fn parse_target(target: &str) -> Request {
     let (path, query_str) = match target.split_once('?') {
         Some((p, q)) => (p, q),

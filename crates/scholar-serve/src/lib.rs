@@ -24,7 +24,7 @@
 //!   keep-alive and pipelining, which sheds load with `503` at the door
 //!   and drains gracefully on shutdown. Serving needs Linux; off it,
 //!   [`serve`] is an `Unsupported` error. Endpoints: `GET /top`,
-//!   `GET /article/{id}`, `GET /health`, `GET /metrics`, `GET /shadow`.
+//!   `GET /article/{id}`, `GET /health`, `GET /metrics`.
 //! - [`Metrics`] (in [`metrics`]): lock-free counters and a log-spaced
 //!   latency histogram behind `GET /metrics`.
 //!

@@ -8,10 +8,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// ORDERING: every counter and gauge in this module is an independent
-/// monotone statistic — no thread reads one to decide whether another
-/// atomic's data is visible, so relaxed suffices for all of them. The
-/// one true publish/consume pair (generation slot `tag` claiming) uses
-/// Acquire/AcqRel at its sites instead of this alias.
+/// statistic — no thread reads one to decide whether another atomic's
+/// data is visible, so relaxed suffices for all of them (an evicted
+/// generation slot's counts move with `swap`, an RMW, so none is lost).
+/// The one true publish/consume pair (generation slot `tag` claiming)
+/// uses Acquire/Release at its sites instead of this alias.
 const RELAXED: Ordering = Ordering::Relaxed;
 
 /// Histogram bucket upper bounds in microseconds, log-spaced. The last
@@ -24,21 +25,28 @@ pub const LATENCY_BUCKETS_US: [u64; 16] = [
     2_000_000,
 ];
 
-/// Distinct index generations `/metrics` can attribute requests to
-/// before falling back to the shared "other" bucket (reported as
-/// generation 0). Slots are claimed first-come and never recycled, so a
-/// long-lived server attributes its most recent restarts-worth of
-/// generations precisely and lumps the ancient tail together — the sums
-/// stay exact either way.
+/// Distinct index generations `/metrics` labels at once. Generation `g`
+/// lives in slot `g % GENERATION_SLOTS`, so the serving generation and
+/// its `GENERATION_SLOTS - 1` predecessors always keep their own labels;
+/// the first request of a new generation evicts the slot's older tenant
+/// into the shared "older generations" bucket (reported as generation
+/// 0), and a request for a generation older than its slot's tenant
+/// lands there directly. Eviction moves counts, it never drops them, so
+/// the sums stay exact.
 const GENERATION_SLOTS: usize = 8;
 
-/// Request counters attributed to one index generation. Without this
-/// breakdown a shadow mismatch is unattributable: `/metrics` could say
-/// *that* 500s happened but not *which generation* answered them.
+/// Tag of a slot whose evicted tenant is being moved to the overflow
+/// bucket; no live generation gets near it.
+const EVICTING: u64 = u64::MAX;
+
+/// Request counters attributed to one index generation, so `/metrics`
+/// can say not only *that* errors happened but *which generation*
+/// answered them.
 #[derive(Debug, Default)]
 pub struct GenerationCounters {
     /// Generation label; 0 marks an unclaimed slot (live generations
-    /// start at 1) and, on the overflow bucket, "older generations".
+    /// start at 1) and, on the overflow bucket, "older generations";
+    /// `EVICTING` marks a slot mid-eviction.
     tag: AtomicU64,
     /// Requests answered by this generation.
     pub requests: AtomicU64,
@@ -62,14 +70,26 @@ impl GenerationCounters {
         }
     }
 
-    fn json(&self, generation: u64) -> Value {
-        ObjectBuilder::new()
-            .field("generation", generation as i64)
-            .field("requests", self.requests.load(RELAXED) as i64)
-            .field("ok", self.ok.load(RELAXED) as i64)
-            .field("client_errors", self.client_errors.load(RELAXED) as i64)
-            .field("server_errors", self.server_errors.load(RELAXED) as i64)
-            .build()
+    /// Move every count into `to`, leaving this slot empty.
+    fn drain_into(&self, to: &GenerationCounters) {
+        for (from, into) in [
+            (&self.requests, &to.requests),
+            (&self.ok, &to.ok),
+            (&self.client_errors, &to.client_errors),
+            (&self.server_errors, &to.server_errors),
+        ] {
+            into.fetch_add(from.swap(0, RELAXED), RELAXED);
+        }
+    }
+
+    fn counts(&self, generation: u64) -> (u64, u64, u64, u64, u64) {
+        (
+            generation,
+            self.requests.load(RELAXED),
+            self.ok.load(RELAXED),
+            self.client_errors.load(RELAXED),
+            self.server_errors.load(RELAXED),
+        )
     }
 }
 
@@ -84,8 +104,6 @@ pub struct EndpointCounters {
     pub health: AtomicU64,
     /// `GET /metrics` requests served.
     pub metrics: AtomicU64,
-    /// `GET /shadow` requests served.
-    pub shadow: AtomicU64,
 }
 
 /// All server metrics. One instance lives in an `Arc` shared by every
@@ -126,7 +144,7 @@ pub struct Metrics {
     pub endpoints: EndpointCounters,
     /// Per-generation attribution (see [`GenerationCounters`]).
     generations: [GenerationCounters; GENERATION_SLOTS],
-    /// Requests from generations beyond the slot budget, labelled 0.
+    /// Requests from generations evicted from their slot, labelled 0.
     generation_overflow: GenerationCounters,
     latency: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
     latency_total_us: AtomicU64,
@@ -197,54 +215,49 @@ impl Metrics {
     }
 
     fn generation_slot(&self, generation: u64) -> &GenerationCounters {
-        if generation != 0 {
-            for slot in &self.generations {
-                if slot.tag.load(Ordering::Acquire) == generation {
-                    return slot;
-                }
-                if slot
-                    .tag
-                    .compare_exchange(0, generation, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    return slot;
-                }
-                // Lost the claim race — if the winner claimed it for the
-                // same generation, this slot is still the right one.
-                if slot.tag.load(Ordering::Acquire) == generation {
-                    return slot;
-                }
+        let slot = match self.generations.get((generation % GENERATION_SLOTS as u64) as usize) {
+            Some(slot) if generation != 0 => slot,
+            _ => return &self.generation_overflow,
+        };
+        loop {
+            let tag = slot.tag.load(Ordering::Acquire);
+            if tag == generation {
+                return slot;
+            }
+            // Older than the slot's tenant, or the slot is mid-eviction:
+            // the shared bucket.
+            if tag > generation {
+                return &self.generation_overflow;
+            }
+            // The slot is unclaimed or holds an older generation: evict
+            // it. One claimer wins the CAS; the losers re-read the tag.
+            // A request still finishing on the evicted generation can
+            // land in the slot between the drain and the new tag (it
+            // takes `GENERATION_SLOTS` publishes during that one request)
+            // and is then attributed to the new tenant, never lost.
+            if slot.tag.compare_exchange(tag, EVICTING, Ordering::AcqRel, Ordering::Acquire).is_ok()
+            {
+                slot.drain_into(&self.generation_overflow);
+                slot.tag.store(generation, Ordering::Release);
+                return slot;
             }
         }
-        &self.generation_overflow
     }
 
     /// Snapshot the per-generation counters: `(generation, requests, ok,
-    /// client_errors, server_errors)` for every claimed slot, with the
-    /// overflow bucket (if used) labelled generation 0.
+    /// client_errors, server_errors)` for every labelled generation in
+    /// ascending order, then the overflow bucket (if used) labelled 0.
     pub fn generation_counts(&self) -> Vec<(u64, u64, u64, u64, u64)> {
-        let mut out = Vec::new();
-        for slot in &self.generations {
-            let tag = slot.tag.load(Ordering::Acquire);
-            if tag != 0 {
-                out.push((
-                    tag,
-                    slot.requests.load(RELAXED),
-                    slot.ok.load(RELAXED),
-                    slot.client_errors.load(RELAXED),
-                    slot.server_errors.load(RELAXED),
-                ));
-            }
-        }
-        let overflow = &self.generation_overflow;
-        if overflow.requests.load(RELAXED) != 0 {
-            out.push((
-                0,
-                overflow.requests.load(RELAXED),
-                overflow.ok.load(RELAXED),
-                overflow.client_errors.load(RELAXED),
-                overflow.server_errors.load(RELAXED),
-            ));
+        let mut out: Vec<_> = self
+            .generations
+            .iter()
+            .map(|slot| slot.counts(slot.tag.load(Ordering::Acquire)))
+            .filter(|&(tag, ..)| tag != 0 && tag != EVICTING)
+            .collect();
+        out.sort_unstable_by_key(|&(tag, ..)| tag);
+        let overflow = self.generation_overflow.counts(0);
+        if overflow.1 != 0 {
+            out.push(overflow);
         }
         out
     }
@@ -334,23 +347,24 @@ impl Metrics {
                     .field("article", self.endpoints.article.load(RELAXED) as i64)
                     .field("health", self.endpoints.health.load(RELAXED) as i64)
                     .field("metrics", self.endpoints.metrics.load(RELAXED) as i64)
-                    .field("shadow", self.endpoints.shadow.load(RELAXED) as i64)
                     .build(),
             )
             .field(
                 "generations",
-                Value::Array({
-                    let mut gens: Vec<Value> = self
-                        .generations
-                        .iter()
-                        .filter(|s| s.tag.load(Ordering::Acquire) != 0)
-                        .map(|s| s.json(s.tag.load(Ordering::Acquire)))
-                        .collect();
-                    if self.generation_overflow.requests.load(RELAXED) != 0 {
-                        gens.push(self.generation_overflow.json(0));
-                    }
-                    gens
-                }),
+                Value::Array(
+                    self.generation_counts()
+                        .into_iter()
+                        .map(|(generation, requests, ok, client_errors, server_errors)| {
+                            ObjectBuilder::new()
+                                .field("generation", generation as i64)
+                                .field("requests", requests as i64)
+                                .field("ok", ok as i64)
+                                .field("client_errors", client_errors as i64)
+                                .field("server_errors", server_errors as i64)
+                                .build()
+                        })
+                        .collect(),
+                ),
             )
             .field(
                 "latency",
@@ -488,5 +502,58 @@ mod tests {
         let overflow = counts.last().unwrap();
         assert_eq!(overflow.0, 0);
         assert_eq!(overflow.1, 2);
+    }
+
+    #[test]
+    fn the_newest_generations_keep_their_own_labels() {
+        let m = Metrics::new();
+        let newest = GENERATION_SLOTS as u64 + 2;
+        for g in 1..=newest {
+            m.record_generation(g, 200);
+            m.record_generation(g, 404);
+        }
+        let counts = m.generation_counts();
+        let labels: Vec<u64> = counts.iter().map(|&(g, ..)| g).collect();
+        let mut want: Vec<u64> = (3..=newest).collect();
+        want.push(0);
+        assert_eq!(labels, want, "the serving generation and its predecessors keep their labels");
+        assert_eq!(counts[GENERATION_SLOTS - 1], (newest, 2, 1, 1, 0));
+        // The two evicted generations moved, whole, into the shared bucket.
+        assert_eq!(counts[GENERATION_SLOTS], (0, 4, 2, 2, 0));
+        // A straggler answered by an evicted generation joins them, and a
+        // repeat request for a labelled one stays under its label.
+        m.record_generation(1, 500);
+        m.record_generation(newest, 200);
+        let counts = m.generation_counts();
+        assert_eq!(counts[GENERATION_SLOTS - 1], (newest, 3, 2, 1, 0));
+        assert_eq!(counts[GENERATION_SLOTS], (0, 5, 2, 2, 1));
+    }
+
+    #[test]
+    fn concurrent_generations_sum_exactly() {
+        let m = Metrics::new();
+        let threads = 4u64;
+        let per_thread = 2_000u64;
+        let start = std::sync::Barrier::new(threads as usize);
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let (m, start) = (&m, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    // Every thread walks the generations upwards at its own
+                    // pace, so evictions race with bumps on both sides.
+                    for i in 0..per_thread {
+                        let g = 1 + (i * (t + 1)) / 97;
+                        m.record_generation(g, if i % 5 == 0 { 404 } else { 200 });
+                    }
+                });
+            }
+        });
+        let counts = m.generation_counts();
+        let total: u64 = counts.iter().map(|&(_, req, ..)| req).sum();
+        assert_eq!(total, threads * per_thread);
+        let classes: u64 = counts.iter().map(|&(_, _, ok, ce, se)| ok + ce + se).sum();
+        assert_eq!(classes, total);
+        assert!(counts.len() <= GENERATION_SLOTS + 1);
     }
 }

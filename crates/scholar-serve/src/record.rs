@@ -1,8 +1,8 @@
 //! RLOGv1: sampled request-log recording for live traffic.
 //!
 //! Production proof of a candidate index starts with knowing what the
-//! live one actually served. Both backends funnel every answered request
-//! through a [`Recorder`]: a sampled, bounded ring of [`ReqRecord`]s
+//! live one actually served. The connection core offers every answered
+//! request to a [`Recorder`]: a sampled, bounded ring of [`ReqRecord`]s
 //! behind a `try_lock` — the hot path **never blocks** on recording (a
 //! contended tick is counted in `dropped` and skipped), and a recording
 //! failure only degrades recording, never serving.
@@ -28,7 +28,9 @@
 //! A decoded log replays through `scholar-loadgen`'s replay driver, which
 //! re-issues the records against a server preserving per-connection order
 //! and digests the responses — turning any recorded log into a portable
-//! regression fixture.
+//! regression fixture — and through [`crate::shadow::replay_mirror`],
+//! which answers them from a live and a candidate index and is the gate
+//! a candidate must pass before it is published.
 
 use crate::snapshot::{Result, StateError};
 use sgraph::sfile::{push_frame, push_varint, read_frame, read_varint, TmpFile};
@@ -63,8 +65,8 @@ fn record_io_check() -> std::io::Result<()> {
     Ok(())
 }
 
-/// One recorded request: everything replay and shadow evaluation need to
-/// re-issue it and attribute its outcome.
+/// One recorded request: everything replay and the promotion gate need
+/// to re-issue it and attribute its outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReqRecord {
     /// Recorder-assigned connection id; requests sharing one client
@@ -214,8 +216,8 @@ pub fn write_rlog(path: &Path, records: &[ReqRecord], sample_every: u64) -> Resu
     Ok(())
 }
 
-/// Sampled, non-blocking request recording shared by both serve
-/// backends. One instance lives in an `Arc` inside [`crate::ServeConfig`].
+/// Sampled, non-blocking request recording shared by every event-loop
+/// shard. One instance lives in an `Arc` inside [`crate::ServeConfig`].
 #[derive(Debug)]
 pub struct Recorder {
     path: PathBuf,
@@ -229,7 +231,7 @@ pub struct Recorder {
     /// Set on the first flush failure; recording stops (cheaply) and
     /// [`Recorder::degraded`] reports it, but serving is unaffected.
     degraded: AtomicBool,
-    /// Connection-id allocator shared by every shard and worker.
+    /// Connection-id allocator shared by every shard.
     next_conn: AtomicU64,
     ring: Mutex<VecDeque<ReqRecord>>,
 }
@@ -440,6 +442,59 @@ mod tests {
         assert_eq!(stored, 10, "stride 3 keeps every third of 30");
         assert_eq!(r.buffered(), 4, "ring keeps only the most recent capacity");
         assert_eq!(r.dropped(), 0);
+    }
+
+    #[test]
+    fn concurrent_stores_and_flushes_account_for_every_sample() {
+        // Threads sample and store while another flushes repeatedly: the
+        // try_lock ring may drop a contended sample, but every on-stride
+        // tick is either stored or counted dropped, the ring never grows
+        // past its capacity, and every flushed log decodes whole.
+        let path =
+            std::env::temp_dir().join(format!("rlog-concurrent-test-{}.rlog", std::process::id()));
+        let (threads, ticks, stride, cap) = (4u64, 3_000u64, 3u64, 64usize);
+        let r = Recorder::new(&path, stride, cap);
+        let stop = AtomicBool::new(false);
+        let stored = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(threads as usize + 1);
+        std::thread::scope(|scope| {
+            let flusher = scope.spawn(|| {
+                start.wait();
+                let mut flushes = 0u32;
+                while !stop.load(Ordering::Acquire) || flushes == 0 {
+                    let n = r.flush().expect("flush");
+                    assert!(n <= cap as u64, "ring held {n} > capacity {cap}");
+                    let log = read_rlog(&path).expect("a flushed log decodes");
+                    assert!(!log.torn_tail);
+                    assert_eq!(log.records.len() as u64, n);
+                    flushes += 1;
+                }
+            });
+            let writers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (r, stored, start) = (&r, &stored, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for seq in 0..ticks {
+                            if r.sample() && r.store(rec(t, seq, "/top?k=3")) {
+                                stored.fetch_add(1, Ordering::SeqCst);
+                            }
+                            assert!(r.buffered() <= cap as u64);
+                        }
+                    })
+                })
+                .collect();
+            for w in writers {
+                w.join().unwrap();
+            }
+            stop.store(true, Ordering::Release);
+            flusher.join().unwrap();
+        });
+        let on_stride = (threads * ticks).div_ceil(stride);
+        assert_eq!(stored.load(Ordering::SeqCst) + r.dropped(), on_stride);
+        assert!(r.buffered() <= cap as u64);
+        assert!(!r.degraded());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -147,14 +147,14 @@ pub(crate) fn log_panic(stage: &str, cause: &(dyn std::any::Any + Send)) {
         .copied()
         .or_else(|| cause.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("<non-string panic payload>");
-    eprintln!("scholar-serve: worker caught a panic while {stage}: {msg}");
+    eprintln!("scholar-serve: caught a panic while {stage}: {msg}");
 }
 
 /// Where a request goes — the one routing table. The reference router,
-/// the core's byte-assembled `/top` and `/article` paths and the shadow
-/// status oracle all consume it, so the 400-vs-404 rules exist once.
+/// the core's byte-assembled `/top` and `/article` paths and the
+/// promotion gate's status oracle all consume it, so the 400-vs-404
+/// rules exist once.
 pub(crate) enum Route<'a> {
-    Shadow,
     Health,
     Metrics,
     /// The parsed query, or the `400` message naming the bad parameter.
@@ -169,7 +169,6 @@ pub(crate) enum Route<'a> {
 /// resolves `/top`'s venue and author names).
 pub(crate) fn route<'a>(req: &'a Request, index: &ScoreIndex) -> Route<'a> {
     match req.path.as_str() {
-        "/shadow" => Route::Shadow,
         "/health" => Route::Health,
         "/metrics" => Route::Metrics,
         "/top" => Route::Top(parse_top_query(req, index)),
@@ -185,7 +184,6 @@ impl Route<'_> {
     pub(crate) fn count(&self, metrics: &Metrics) {
         let endpoints = &metrics.endpoints;
         let counter = match self {
-            Route::Shadow => &endpoints.shadow,
             Route::Health => &endpoints.health,
             Route::Metrics => &endpoints.metrics,
             Route::Top(_) => &endpoints.top,
@@ -203,24 +201,10 @@ impl Route<'_> {
 /// It builds every body as a [`Value`] tree, independently of the
 /// connection core's byte-assembled `/top` and `/article` answers, and
 /// is the oracle those are checked against byte for byte.
-/// `/shadow` needs the serving cell itself and answers 404 here; use
-/// [`respond_full`] on paths that have one.
 pub fn respond(req: &Request, index: &ScoreIndex, metrics: &Metrics) -> (u16, Value) {
-    respond_full(req, index, None, metrics)
-}
-
-/// [`respond`] with access to the [`SharedIndex`], which is what the
-/// `/shadow` endpoint reports on (the staged candidate and its report
-/// live on the cell, not on any one index snapshot).
-pub fn respond_full(
-    req: &Request,
-    index: &ScoreIndex,
-    shared: Option<&SharedIndex>,
-    metrics: &Metrics,
-) -> (u16, Value) {
     let route = route(req, index);
     route.count(metrics);
-    respond_route(route, req, index, shared, metrics)
+    respond_route(route, req, index, metrics)
 }
 
 /// Build the `(status, body)` for an already decided (and counted)
@@ -229,14 +213,9 @@ pub(crate) fn respond_route(
     route: Route<'_>,
     req: &Request,
     index: &ScoreIndex,
-    shared: Option<&SharedIndex>,
     metrics: &Metrics,
 ) -> (u16, Value) {
     match route {
-        Route::Shadow => match shared {
-            Some(s) => (200, s.shadow_json()),
-            None => (404, http::error_body(404, "no shadow state on this serving path")),
-        },
         Route::Health => (
             200,
             ObjectBuilder::new()

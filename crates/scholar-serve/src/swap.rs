@@ -10,64 +10,34 @@
 //! after each batch.
 
 use crate::index::ScoreIndex;
-use crate::shadow::{Decision, ShadowReport, ShadowState, ShadowThresholds};
 use crate::snapshot::{self, StateError};
 use crate::wal::{self, Wal};
 use qrank::incremental::{grow_corpus, IncrementalRanker};
 use qrank::QRankConfig;
 use scholar_corpus::model::Article;
 use scholar_corpus::Corpus;
-use sjson::{ObjectBuilder, Value};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
-
-/// A candidate index staged for shadow evaluation next to the live one.
-///
-/// The candidate `Arc` is deliberately never cloned out of the slot —
-/// every consumer touches it through the slot's read guard — so when the
-/// promoter takes the slot under the write lock it holds the only
-/// reference and `Arc::try_unwrap` recovers the index by value.
-#[derive(Debug)]
-struct ShadowSlot {
-    /// `None` once the candidate has been moved out for promotion.
-    candidate: Option<Arc<ScoreIndex>>,
-    /// Provisional generation the candidate was staged under (stamped
-    /// again by `publish` on promotion, normally the same number).
-    candidate_generation: u64,
-    state: Arc<ShadowState>,
-    thresholds: ShadowThresholds,
-}
 
 /// The atomically swappable published index.
 ///
 /// `load()` is the only read path and `publish()` the only write path;
 /// both are O(1) and neither blocks on index construction, which always
 /// happens off to the side on a private `ScoreIndex` value.
-///
-/// A second, optional slot holds a *shadow* candidate (see
-/// [`crate::shadow`]): requests answered by the live index are mirrored
-/// to the candidate, and [`SharedIndex::try_promote_shadow`] publishes
-/// it only when the accumulated [`ShadowReport`] passes its thresholds.
 #[derive(Debug)]
 pub struct SharedIndex {
     current: RwLock<Arc<ScoreIndex>>,
     generation: AtomicU64,
-    shadow: RwLock<Option<ShadowSlot>>,
 }
 
 impl SharedIndex {
     /// Publish `index` as generation 1 and start serving it.
     pub fn new(mut index: ScoreIndex) -> Self {
         index.set_generation(1);
-        SharedIndex {
-            current: RwLock::new(Arc::new(index)),
-            generation: AtomicU64::new(1),
-            shadow: RwLock::new(None),
-        }
+        SharedIndex { current: RwLock::new(Arc::new(index)), generation: AtomicU64::new(1) }
     }
 
     /// Snapshot the currently published index. The returned `Arc` stays
@@ -78,7 +48,7 @@ impl SharedIndex {
         // it; the cell holds a bare `Arc` that is either the old or the
         // new index — never a torn value — so keep serving.
         // lint: allow(BLOCKING-IN-EVENT-LOOP) read lock over an Arc clone; the only writer is the rare generation publish, which holds it for one pointer swap
-        Arc::clone(&self.current.read().unwrap_or_else(std::sync::PoisonError::into_inner))
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Atomically replace the published index, stamping the next
@@ -94,8 +64,7 @@ impl SharedIndex {
         // `generation()` never runs ahead of what readers can load.
         // Same poisoning argument as `load`: the `Arc` swap below is the
         // only write and cannot be observed half-done.
-        // lint: allow(BLOCKING-IN-EVENT-LOOP) publish happens at most once per index rebuild; the critical section is a generation stamp plus one Arc swap
-        let mut current = self.current.write().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
         let g = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
         index.set_generation(g);
         *current = Arc::new(index);
@@ -105,153 +74,6 @@ impl SharedIndex {
     /// Generation of the most recently published index.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::SeqCst)
-    }
-
-    fn shadow_read(&self) -> std::sync::RwLockReadGuard<'_, Option<ShadowSlot>> {
-        // Same poisoning argument as `load`: the slot is replaced whole,
-        // never mutated in place, so a panicking holder cannot tear it.
-        // lint: allow(BLOCKING-IN-EVENT-LOOP) shadow slot reads are short Option peeks; writers hold the lock only to swap the slot during rare stage/promote
-        self.shadow.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn shadow_write(&self) -> std::sync::RwLockWriteGuard<'_, Option<ShadowSlot>> {
-        // lint: allow(BLOCKING-IN-EVENT-LOOP) taken only at stage/decide time (bounded by rebuild frequency), never per request; holders swap the slot and release
-        self.shadow.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Stage `candidate` for shadow evaluation under `thresholds`,
-    /// replacing any earlier undecided candidate. Returns the
-    /// provisional generation the candidate will carry if promoted.
-    /// Staging never touches the live index: until
-    /// [`SharedIndex::try_promote_shadow`] succeeds, `load()` keeps
-    /// returning the current generation.
-    pub fn stage_shadow(&self, mut candidate: ScoreIndex, thresholds: ShadowThresholds) -> u64 {
-        let provisional = self.generation() + 1;
-        candidate.set_generation(provisional);
-        *self.shadow_write() = Some(ShadowSlot {
-            candidate: Some(Arc::new(candidate)),
-            candidate_generation: provisional,
-            state: Arc::new(ShadowState::new()),
-            thresholds,
-        });
-        provisional
-    }
-
-    /// Whether a shadow candidate is currently staged.
-    pub fn shadow_active(&self) -> bool {
-        self.shadow_read().is_some()
-    }
-
-    /// Snapshot the staged candidate's report, if any.
-    pub fn shadow_report(&self) -> Option<ShadowReport> {
-        let guard = self.shadow_read();
-        let slot = guard.as_ref()?;
-        Some(slot.state.report(self.generation(), slot.candidate_generation))
-    }
-
-    /// The `/shadow` endpoint body: the full report plus thresholds and
-    /// failures while a candidate is staged, `{"active": false}` otherwise.
-    pub fn shadow_json(&self) -> Value {
-        let guard = self.shadow_read();
-        match guard.as_ref() {
-            None => ObjectBuilder::new().field("active", false).build(),
-            Some(slot) => slot
-                .state
-                .report(self.generation(), slot.candidate_generation)
-                .to_json(&slot.thresholds),
-        }
-    }
-
-    /// Drop the staged candidate (and its report) without deciding.
-    pub fn clear_shadow(&self) {
-        *self.shadow_write() = None;
-    }
-
-    /// Mirror one answered request to the staged candidate, if there is
-    /// one still pending. This runs strictly *after* the live response:
-    /// a mirror fault only bumps `mirror_errors`, a mirror panic poisons
-    /// the slot (which then auto-rejects), and neither is ever visible
-    /// to the client. Returns the newly published generation when this
-    /// mirror pushed the candidate over its `min_mirrored` threshold and
-    /// the auto-decision promoted it.
-    pub fn mirror_if_shadowing(
-        &self,
-        live: &ScoreIndex,
-        target: &str,
-        live_latency_us: u64,
-    ) -> Option<u64> {
-        let decide = {
-            let guard = self.shadow_read();
-            let slot = guard.as_ref()?;
-            if slot.state.decision() != Decision::Pending || slot.state.poisoned() {
-                return None;
-            }
-            let candidate = slot.candidate.as_ref()?;
-            let started = Instant::now();
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                slot.state.mirror_one(target, live, candidate)
-            }));
-            match outcome {
-                Ok(true) => {
-                    let us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                    slot.state.note_latency(us, live_latency_us);
-                }
-                Ok(false) => slot.state.note_mirror_error(),
-                Err(_) => slot.state.poison(),
-            }
-            // Decide as soon as the evidence bar is met — or right away
-            // on poison, so a broken candidate is loudly rejected rather
-            // than silently pending forever.
-            slot.state.poisoned() || slot.state.mirrored() >= slot.thresholds.min_mirrored
-        };
-        if decide {
-            self.try_promote_shadow()
-        } else {
-            None
-        }
-    }
-
-    /// Evaluate the staged candidate against its thresholds *now* and
-    /// decide: promote (publish it as the next generation) or reject
-    /// (keep the old generation serving; the report with its failure
-    /// reasons stays up at `/shadow`). Exactly one caller wins the
-    /// decision — concurrent calls and the mirror path's auto-decision
-    /// race safely on a CAS. Returns the new generation on promotion.
-    ///
-    /// Note an under-mirrored candidate fails `min_mirrored` and is
-    /// rejected: calling this early is a statement that the evidence
-    /// gathered so far is all the evidence there will be.
-    pub fn try_promote_shadow(&self) -> Option<u64> {
-        let promote = {
-            let guard = self.shadow_read();
-            let slot = guard.as_ref()?;
-            if slot.state.decision() != Decision::Pending {
-                return None;
-            }
-            let report = slot.state.report(self.generation(), slot.candidate_generation);
-            let pass = report.failures(&slot.thresholds).is_empty();
-            let to = if pass { Decision::Promoted } else { Decision::Rejected };
-            if !slot.state.claim_decision(to) {
-                return None; // another caller decided first
-            }
-            pass
-        };
-        if !promote {
-            return None;
-        }
-        // This caller won the promotion: move the candidate out. The
-        // write lock waits out every in-flight mirror (mirrors hold the
-        // read lock for the duration of the mirror), after which the
-        // slot holds the only reference to the candidate.
-        let candidate = self.shadow_write().as_mut()?.candidate.take()?;
-        let index = match Arc::try_unwrap(candidate) {
-            Ok(index) => index,
-            // Defensive only — no code path clones the candidate Arc out
-            // of the slot. Rebuilding keeps promotion correct even if
-            // one ever does.
-            Err(arc) => ScoreIndex::build(Arc::clone(arc.corpus()), arc.scores().to_vec()),
-        };
-        Some(self.publish(index))
     }
 }
 
@@ -364,29 +186,7 @@ impl Reindexer {
         on_publish: impl Fn(u64) + Send + 'static,
     ) -> (Arc<SharedIndex>, Reindexer) {
         let ranker = IncrementalRanker::new(config, corpus);
-        Self::spawn(ranker, None, None, on_publish)
-    }
-
-    /// Like [`Reindexer::start`], but every rebuilt index is **staged as
-    /// a shadow candidate** under `gate` instead of being published
-    /// directly: live traffic is mirrored to it, and only a candidate
-    /// whose [`ShadowReport`] passes the thresholds is promoted (by the
-    /// mirror path's auto-decision once `min_mirrored` is reached, or by
-    /// an explicit [`SharedIndex::try_promote_shadow`]). A candidate
-    /// that fails is rejected loudly — the old generation keeps serving
-    /// and `/shadow` explains why.
-    ///
-    /// `on_publish` fires at *staging* time with the provisional
-    /// generation; actual promotion is observable via
-    /// `SharedIndex::generation()` or the `index_swaps` metric.
-    pub fn start_gated(
-        config: QRankConfig,
-        corpus: Corpus,
-        gate: ShadowThresholds,
-        on_publish: impl Fn(u64) + Send + 'static,
-    ) -> (Arc<SharedIndex>, Reindexer) {
-        let ranker = IncrementalRanker::new(config, corpus);
-        Self::spawn(ranker, Some(gate), None, on_publish)
+        Self::spawn(ranker, None, on_publish)
     }
 
     /// Start with a durable state directory: restore from
@@ -487,13 +287,12 @@ impl Reindexer {
             wal: Mutex::new(wal),
             snapshot_every: opts.snapshot_every.max(1),
         });
-        let (shared, reindexer) = Self::spawn(ranker, None, Some(durable), on_publish);
+        let (shared, reindexer) = Self::spawn(ranker, Some(durable), on_publish);
         (shared, reindexer, report)
     }
 
     fn spawn(
         ranker: IncrementalRanker,
-        gate: Option<ShadowThresholds>,
         durable: Option<Arc<Durable>>,
         on_publish: impl Fn(u64) + Send + 'static,
     ) -> (Arc<SharedIndex>, Reindexer) {
@@ -506,7 +305,7 @@ impl Reindexer {
             let durable = durable.clone();
             std::thread::Builder::new()
                 .name("scholar-reindex".into())
-                .spawn(move || Self::run(ranker, rx, shared, published, on_publish, gate, durable))
+                .spawn(move || Self::run(ranker, rx, shared, published, on_publish, durable))
                 // lint: allow(HOTPATH-PANIC) producer-side startup, before any request is accepted; no counter exists yet to record into
                 .expect("spawn reindexer thread")
         };
@@ -523,7 +322,6 @@ impl Reindexer {
         shared: Arc<SharedIndex>,
         published: Arc<AtomicU64>,
         on_publish: impl Fn(u64),
-        gate: Option<ShadowThresholds>,
         durable: Option<Arc<Durable>>,
     ) -> IncrementalRanker {
         // Batches folded since the last snapshot; at `snapshot_every`
@@ -558,14 +356,7 @@ impl Reindexer {
             // Chaos site: delay between solve and publish, widening the
             // window where readers still see the previous generation.
             failpoint!("reindex.publish");
-            let g = match &gate {
-                // Shadow-gated: the rebuilt index is only *staged*; live
-                // traffic mirrored against it decides the promotion.
-                Some(thresholds) => {
-                    shared.stage_shadow(Self::index_of(&ranker), thresholds.clone())
-                }
-                None => shared.publish(Self::index_of(&ranker)),
-            };
+            let g = shared.publish(Self::index_of(&ranker));
             published.fetch_add(coalesced, Ordering::SeqCst);
             on_publish(g);
             if let Some(d) = &durable {

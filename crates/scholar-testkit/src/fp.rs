@@ -54,7 +54,6 @@ pub const SITES: &[&str] = &[
     "serve.io.read",
     "serve.io.write",
     "serve.respond",
-    "shadow.mirror",
     "snapshot.io",
     "swap.publish",
     "wal.append",

@@ -29,10 +29,9 @@
 use scholar::core::incremental::{grow_corpus, IncrementalRanker};
 use scholar::corpus::model::{Article, ArticleId, AuthorId, VenueId};
 use scholar::corpus::{Corpus, CorpusBuilder};
-use scholar::serve::shadow::Decision;
 use scholar::serve::{
     read_rlog, serve, DurableOptions, Metrics, Recorder, Reindexer, ReqRecord, ScoreIndex,
-    ServeConfig, ShadowThresholds, SharedIndex, StateError, TopQuery,
+    ServeConfig, SharedIndex, StateError, TopQuery,
 };
 use scholar::QRankConfig;
 use scholar_testkit::chaos;
@@ -1163,7 +1162,7 @@ fn colstore_map_fault_fails_open_cleanly() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-// ------------------------------------- pillar 1b: record/shadow chaos
+// ------------------------------------------ pillar 1b: record chaos
 
 fn chaos_record(seq: u64) -> ReqRecord {
     ReqRecord {
@@ -1254,86 +1253,4 @@ fn record_flush_kill_sweep_degrades_recording_never_serving() {
     );
     server.shutdown();
     let _ = std::fs::remove_file(&path);
-}
-
-/// `shadow.mirror` faults: a candidate that *panics* answering a mirror
-/// poisons the slot — auto-rejected, loud report, live response already
-/// sent and untouched. A mirror that merely *errors* is counted and
-/// skipped: enough clean mirrors afterwards still promote the candidate.
-#[test]
-fn shadow_mirror_faults_poison_or_degrade_never_touch_live() {
-    let _s = Scenario::begin();
-    let corpus = Arc::new(small_corpus(77));
-    let scores = IncrementalRanker::new(QRankConfig::default(), corpus.as_ref().clone())
-        .result()
-        .article_scores
-        .clone();
-    let shared = Arc::new(SharedIndex::new(ScoreIndex::build(Arc::clone(&corpus), scores.clone())));
-    let metrics = Arc::new(Metrics::new());
-    let config = ServeConfig { workers: 2, ..Default::default() };
-    let mut server = serve(Arc::clone(&shared), Arc::clone(&metrics), &config).expect("bind");
-    let addr = server.addr();
-    let thresholds = ShadowThresholds { min_mirrored: 8, ..Default::default() };
-    let deadline = || std::time::Instant::now() + Duration::from_secs(30);
-
-    // Phase 1: the very first mirror panics inside the candidate.
-    shared.stage_shadow(ScoreIndex::build(Arc::clone(&corpus), scores.clone()), thresholds.clone());
-    fp::script("shadow.mirror", vec![Action::Panic]);
-    let (status, _) = chaos::http_get(addr, "/top?k=5");
-    assert_eq!(status, 200, "the request carrying the poisoned mirror must still answer");
-    // The mirror runs after the response is written; wait out the race.
-    let end = deadline();
-    let report = loop {
-        let report = shared.shadow_report().expect("slot must stay up to explain itself");
-        if report.decision != Decision::Pending {
-            break report;
-        }
-        assert!(std::time::Instant::now() < end, "poisoned slot never auto-rejected");
-        std::thread::sleep(Duration::from_millis(2));
-    };
-    fp::clear("shadow.mirror");
-    assert!(report.poisoned);
-    assert_eq!(report.decision, Decision::Rejected);
-    assert_eq!(shared.generation(), 1, "a poisoned candidate must never publish");
-    let (status, body) = chaos::http_get(addr, "/shadow");
-    assert_eq!(status, 200);
-    assert_eq!(body.get("decision").and_then(|v| v.as_str()), Some("rejected"));
-    assert!(
-        !body.get("failures").and_then(|f| f.as_array()).expect("failures").is_empty(),
-        "a poisoned rejection must name its reason"
-    );
-
-    // Phase 2: three injected mirror *errors* (no panic), then clean
-    // mirrors. Errors degrade the evidence stream, they do not kill the
-    // candidate: it still reaches min_mirrored and promotes.
-    shared.stage_shadow(ScoreIndex::build(Arc::clone(&corpus), scores.clone()), thresholds);
-    fp::script("shadow.mirror", vec![Action::Trigger; 3]);
-    for i in 0..11 {
-        let (status, _) = chaos::http_get(addr, "/top?k=5");
-        assert_eq!(status, 200, "request {i} failed while mirrors were erroring");
-    }
-    let end = deadline();
-    while shared.generation() < 2 {
-        assert!(std::time::Instant::now() < end, "candidate never promoted past mirror errors");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    fp::clear("shadow.mirror");
-    let report = shared.shadow_report().expect("report stays up after promotion");
-    assert_eq!(report.decision, Decision::Promoted);
-    assert_eq!(report.mirror_errors, 3, "each injected fault must be counted exactly once");
-    assert_eq!(report.mirrored, 8);
-
-    chaos::assert_server_live(addr, config.workers);
-    // Accounting stayed exact through poison, errors, and promotion —
-    // including the per-generation breakdown.
-    let (status, m) = chaos::http_get(addr, "/metrics");
-    assert_eq!(status, 200);
-    let field = |v: &sjson::Value, name: &str| v.get(name).and_then(|x| x.as_i64()).unwrap();
-    let requests = field(&m, "requests");
-    assert_eq!(field(&m, "ok") + field(&m, "client_errors") + field(&m, "server_errors"), requests);
-    let gens = m.get("generations").and_then(|g| g.as_array()).expect("generations");
-    let by_gen: i64 = gens.iter().map(|g| field(g, "requests")).sum();
-    assert_eq!(by_gen, requests, "generation breakdown must sum to the request counter");
-    assert_fired(&["shadow.mirror"]);
-    server.shutdown();
 }

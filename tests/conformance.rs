@@ -8,8 +8,8 @@ use scholar::corpus::model::{Article, ArticleId, AuthorId};
 use scholar::corpus::CorpusBuilder;
 use scholar::rank::{
     fuse_scores, rescale_by_years, AgeNormalizedCitations, CiteRankConfig, DecayedPlan,
-    FusedRanker, FusionRule, FutureRankConfig, MonteCarloPageRank, PRankConfig, PageRankConfig,
-    RankContext, RecentCitations, RescaledRanker, TwprConfig,
+    FusedRanker, FusionRule, FutureRankConfig, Hits, HitsConfig, MonteCarloPageRank, PRankConfig,
+    PageRankConfig, RankContext, RecentCitations, RescaledRanker, TwprConfig,
 };
 use scholar::{
     CitationCount, CiteRank, ColStore, Corpus, FutureRank, MixParams, PRank, PageRank, Preset,
@@ -442,7 +442,8 @@ fn edge_corpus(spare_authors: u32, spec: &[(i32, &[u32], &[u32])]) -> Corpus {
 // One set of hand-built corpora at the numerical edges of every walk in
 // the stack, run by the factorised-vs-materialised row above and by the
 // distribution contract below: every registered ranker, QRank's four
-// score vectors and both structural walks, on both `Rows` backends.
+// score vectors and both structural walks, plus the rankers' own settings
+// at their edges, on both `Rows` backends.
 
 /// The battery's corpora.
 fn edge_cases() -> Vec<(&'static str, Corpus)> {
@@ -499,6 +500,12 @@ fn edge_cases() -> Vec<(&'static str, Corpus)> {
                     (2002, &[1, 2], &[1, 2]),
                 ],
             ),
+        ),
+        // Authors exist but sign nothing: every authorship term is
+        // massless, so a walk that leans on it alone has nothing to walk.
+        (
+            "every article unsigned",
+            edge_corpus(2, &[(1990, &[], &[]), (1995, &[], &[0]), (2001, &[], &[0, 1])]),
         ),
         // Same-year citations beside older ones: under ρ = 1e4 only the
         // same-year ones keep weight, every other edge weighs exactly 0.
@@ -559,6 +566,49 @@ fn rankers_at(cfg: &QRankConfig) -> Vec<Box<dyn Ranker>> {
     rankers
 }
 
+/// The rankers' own settings at their edges, beside the shared
+/// `QRankConfig` points above: one HITS round and a tolerance no round
+/// can meet, P-Rank with each layer alone, CiteRank with no reference
+/// following and a start distribution that is all-recent or all-equal,
+/// and FutureRank with each term alone and with none (pure teleport).
+fn ranker_points() -> Vec<Box<dyn Ranker>> {
+    let hits = |max_iter, tol| Box::new(Hits::new(HitsConfig { tol, max_iter })) as Box<dyn Ranker>;
+    let prank = |lambda_cite, lambda_author, lambda_venue| {
+        Box::new(PRank::new(PRankConfig {
+            lambda_cite,
+            lambda_author,
+            lambda_venue,
+            ..PRankConfig::default()
+        })) as Box<dyn Ranker>
+    };
+    let citerank = |alpha, tau_dir| {
+        Box::new(CiteRank::new(CiteRankConfig { alpha, tau_dir, ..CiteRankConfig::default() }))
+            as Box<dyn Ranker>
+    };
+    let futurerank = |alpha, beta, gamma| {
+        Box::new(FutureRank::new(FutureRankConfig {
+            alpha,
+            beta,
+            gamma,
+            ..FutureRankConfig::default()
+        })) as Box<dyn Ranker>
+    };
+    vec![
+        hits(1, HitsConfig::default().tol),
+        hits(HitsConfig::default().max_iter, 0.0),
+        prank(1.0, 0.0, 0.0),
+        prank(0.0, 1.0, 0.0),
+        prank(0.0, 0.0, 1.0),
+        citerank(0.0, CiteRankConfig::default().tau_dir),
+        citerank(CiteRankConfig::default().alpha, 1e-300),
+        citerank(CiteRankConfig::default().alpha, 1e300),
+        futurerank(1.0, 0.0, 0.0),
+        futurerank(0.0, 1.0, 0.0),
+        futurerank(0.0, 0.0, 1.0),
+        futurerank(0.0, 0.0, 0.0),
+    ]
+}
+
 /// The battery's contract for one score vector: finite, non-negative and
 /// summing to 1 — or, with nothing to score, the documented empty result
 /// (no entries, or all zeros when `zeros_ok`).
@@ -610,6 +660,19 @@ fn every_walk_survives_the_numerical_edges() {
             assert_edges_on(&label, &corpus, &RankContext::new(&corpus), &cfg);
             let mmap = RankContext::from_colstore(&store);
             assert_edges_on(&format!("{label} (colstore)"), &store, &mmap, &cfg);
+        }
+        let (ram, mmap) = (RankContext::new(&corpus), RankContext::from_colstore(&store));
+        for ranker in ranker_points() {
+            for (backend, ctx) in [("corpus", &ram), ("colstore", &mmap)] {
+                let label = format!("{name}, {} ({backend})", ranker.name());
+                let out = ranker.solve_ctx(ctx);
+                assert_eq!(
+                    out.scores.len(),
+                    corpus.num_articles(),
+                    "{label}: one score per article"
+                );
+                assert_edge_scores(&label, &out.scores, false);
+            }
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -1,4 +1,4 @@
-//! Workload record/replay and shadow-gated promotion (DESIGN.md §2.12).
+//! Workload record/replay and the offline promotion gate (DESIGN.md §2.12).
 //!
 //! Three contracts, stacked:
 //!
@@ -14,11 +14,11 @@
 //!    checked-in fixture under `tests/fixtures/` pins this across
 //!    processes and machines (CI replays it against a freshly built
 //!    release server).
-//! 3. **Shadow-gated promotion** — a staged candidate index answers
-//!    mirrored live traffic; a drifted candidate is rejected with the
-//!    old generation still serving and a loud report, an equivalent one
-//!    is promoted, and replaying the recorded mirror log offline
-//!    reproduces the online drift numbers exactly, integer for integer.
+//! 3. **The offline promotion gate** — a log recorded from a live
+//!    server, replayed through `replay_mirror` against the live index
+//!    and a candidate: a drifted candidate fails and the report names
+//!    the threshold, an identical one passes, a log too short to be
+//!    evidence fails, and the report does not depend on record order.
 //!
 //! Recording in these tests drives one connection at a time: `store` is
 //! deliberately `try_lock` (the live path never blocks on recording),
@@ -32,10 +32,10 @@
 use scholar::core::incremental::IncrementalRanker;
 use scholar::corpus::{Corpus, CorpusGenerator, Preset};
 use scholar::serve::record::{decode_rlog, encode_rlog};
-use scholar::serve::shadow::{replay_mirror, Decision};
+use scholar::serve::shadow::replay_mirror;
 use scholar::serve::{
     read_rlog, serve, Metrics, Recorder, ReqRecord, ScoreIndex, ServeConfig, ServerHandle,
-    ShadowReport, ShadowThresholds, SharedIndex, StateError, TopQuery,
+    ShadowThresholds, SharedIndex, StateError,
 };
 use scholar::{GeneratorConfig, QRankConfig};
 use scholar_loadgen::ReplayConfig;
@@ -46,7 +46,6 @@ use srand::{rngs::SmallRng, Rng, SeedableRng};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 fn ranked_scores(corpus: &Corpus) -> Vec<f64> {
     IncrementalRanker::new(QRankConfig::default(), corpus.clone()).result().article_scores.clone()
@@ -332,116 +331,86 @@ fn recorded_traffic_replays_identically_on_a_second_fresh_server() {
     std::fs::remove_file(&rlog).unwrap();
 }
 
-// ------------------------------------- 3. shadow-gated promotion e2e
+// ------------------------------------------ 3. the offline promotion gate
 
-fn await_decision(shared: &SharedIndex) -> ShadowReport {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let report = shared.shadow_report().expect("shadow slot vanished");
-        if report.decision != Decision::Pending {
-            return report;
-        }
-        assert!(Instant::now() < deadline, "shadow decision never landed");
-        std::thread::sleep(Duration::from_millis(2));
-    }
+/// A log recorded from a live server, plus an index equal to the one
+/// that answered it (same corpus, same scores, generation 1).
+fn recorded_gate_log(seed: u64, name: &str) -> (Arc<Corpus>, Vec<f64>, Vec<ReqRecord>, ScoreIndex) {
+    let corpus = Arc::new(Preset::Tiny.generate(seed));
+    let scores = ranked_scores(&corpus);
+    let rlog = tmp_path(name);
+    let log = record_workload(&corpus, &scores, &rlog);
+    std::fs::remove_file(&rlog).unwrap();
+    assert!(log.records.iter().all(|r| r.generation == 1));
+    let live = ScoreIndex::build(Arc::clone(&corpus), scores.clone());
+    (corpus, scores, log.records, live)
 }
 
 #[test]
-fn shadow_gate_rejects_drift_promotes_equivalence_and_replays_exactly() {
-    let corpus = Arc::new(Preset::Tiny.generate(31));
-    let scores = ranked_scores(&corpus);
-    let rlog = tmp_path("mirror.rlog");
-    let recorder = Arc::new(Recorder::new(&rlog, 1, 1 << 16));
-    let (mut server, shared, _metrics) =
-        start_server(&corpus, &scores, Some(Arc::clone(&recorder)));
-    let addr = server.addr();
+fn offline_gate_rejects_drift_passes_an_identical_candidate_and_ignores_order() {
+    let (corpus, scores, records, live) = recorded_gate_log(31, "gate.rlog");
+    let thresholds = ShadowThresholds { min_mirrored: FIXTURE_REQUESTS, ..Default::default() };
 
-    // Exactly min_mirrored serial requests per phase: every request is
-    // stored (serial traffic never contends the ring) and recording and
-    // mirroring are coupled, so the flushed log *is* the mirrored
-    // workload — which is what makes the offline replay below
-    // integer-identical to the online report.
-    const MIRRORS: u64 = 32;
-    let thresholds = ShadowThresholds { min_mirrored: MIRRORS, ..Default::default() };
-    let traffic =
-        |seed: u64| drive_seeded(addr, &[seed], MIRRORS, &fixture_targets(corpus.num_articles()));
-
-    // Phase 1: a drifted candidate (scores reversed — wrong order,
-    // wrong values) must be REJECTED, loudly, with the old generation
-    // still serving.
+    // A drifted candidate (scores reversed: wrong order, wrong values)
+    // fails, and the report names the threshold it broke.
     let mut reversed = scores.clone();
     reversed.reverse();
-    let cand_gen = shared
-        .stage_shadow(ScoreIndex::build(Arc::clone(&corpus), reversed.clone()), thresholds.clone());
-    assert_eq!(cand_gen, 2);
-    traffic(0xd21f7);
-    let online = await_decision(&shared);
-    // Flush before any further HTTP touches the server, so the log
-    // holds exactly the mirrored workload and nothing else.
-    recorder.flush().expect("flush mirror log");
-    assert_eq!(online.decision, Decision::Rejected);
-    assert_eq!(shared.generation(), 1, "a rejected candidate must never publish");
-    assert_eq!(online.mirrored, MIRRORS);
-    assert_eq!(online.mirror_errors, 0);
+    let drifted = ScoreIndex::build(Arc::clone(&corpus), reversed);
+    let report = replay_mirror(&records, &live, &drifted);
+    assert_eq!(report.mirrored, FIXTURE_REQUESTS);
+    let failures = report.failures(&thresholds);
+    assert!(
+        failures.iter().any(|f| f.contains("kendall_tau")),
+        "a reversed ranking must fail on kendall_tau: {failures:?}"
+    );
 
-    // Loud over HTTP: /shadow shows the staged report with its reasons.
-    let (status, body) = chaos::http_get(addr, "/shadow");
-    assert_eq!(status, 200);
-    assert_eq!(body.get("active").and_then(|v| v.as_bool()), Some(true));
-    assert_eq!(body.get("decision").and_then(|v| v.as_str()), Some("rejected"));
-    let failures = body.get("failures").and_then(|f| f.as_array()).expect("failures array");
-    assert!(!failures.is_empty(), "a rejection must name its reasons");
-    // Live answers still come from generation 1.
-    let (status, top) = chaos::http_get(addr, "/top?k=3");
-    assert_eq!(status, 200);
-    assert_eq!(top.get("generation").and_then(|v| v.as_i64()), Some(1));
+    // An identical candidate passes: full overlap, no drift at all.
+    let twin = ScoreIndex::build(Arc::clone(&corpus), scores);
+    let same = replay_mirror(&records, &live, &twin);
+    assert!(same.failures(&thresholds).is_empty(), "{:?}", same.failures(&thresholds));
+    assert_eq!(same.status_mismatches, 0);
+    assert_eq!(same.overlap_hits, same.overlap_slots);
+    assert_eq!(same.score_l1_nanos, 0);
 
-    // The recorded mirror log, replayed offline against the same two
-    // index builds, reproduces the online drift integers exactly.
-    let log = read_rlog(&rlog).expect("read mirror log");
-    assert_eq!(log.records.len() as u64, MIRRORS, "log must cover the mirrored set exactly");
-    let live = shared.load();
-    let candidate = ScoreIndex::build(Arc::clone(&corpus), reversed);
-    let offline = replay_mirror(&log.records, &live, &candidate).report(1, 2);
-    assert_eq!(offline.mirrored, online.mirrored);
-    assert_eq!(offline.status_mismatches, online.status_mismatches);
-    assert_eq!(offline.top_compared, online.top_compared);
-    assert_eq!(offline.overlap_hits, online.overlap_hits);
-    assert_eq!(offline.overlap_slots, online.overlap_slots);
-    assert_eq!(offline.concordant, online.concordant);
-    assert_eq!(offline.discordant, online.discordant);
-    assert_eq!(offline.pairs, online.pairs);
-    assert_eq!(offline.score_l1_nanos, online.score_l1_nanos);
-    assert_eq!(offline.score_pairs, online.score_pairs);
-    assert_eq!(offline.endpoint_mirrored, online.endpoint_mirrored);
-    assert_eq!(offline.endpoint_status_mismatches, online.endpoint_status_mismatches);
-    // And the decision it implies is the decision that was taken.
-    assert!(!offline.failures(&thresholds).is_empty());
+    // Every field is an order-free integer sum: replaying the records
+    // backwards gives the equal report.
+    let backwards: Vec<ReqRecord> = records.iter().rev().cloned().collect();
+    assert_eq!(replay_mirror(&backwards, &live, &drifted), report);
+    assert_eq!(replay_mirror(&backwards, &live, &twin), same);
+}
 
-    // Phase 2: an equivalent candidate (identical scores) must be
-    // PROMOTED once it has answered enough mirrored traffic.
-    let cand_gen =
-        shared.stage_shadow(ScoreIndex::build(Arc::clone(&corpus), scores.clone()), thresholds);
-    assert_eq!(cand_gen, 2);
-    traffic(0xa11ce);
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while shared.generation() < 2 {
-        assert!(Instant::now() < deadline, "equivalent candidate never promoted");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let report = shared.shadow_report().expect("report stays up after promotion");
-    assert_eq!(report.decision, Decision::Promoted);
-    assert_eq!(report.status_mismatches, 0);
-    assert_eq!(report.overlap_hits, report.overlap_slots, "identical scores must overlap fully");
-    // The promoted generation serves immediately.
+#[test]
+fn a_log_shorter_than_min_mirrored_fails_and_names_it() {
+    // Too little evidence is a failure, not a pass on faith — even for a
+    // candidate identical to the live index.
+    let (corpus, scores, records, live) = recorded_gate_log(33, "short.rlog");
+    let twin = ScoreIndex::build(Arc::clone(&corpus), scores);
+    let thresholds = ShadowThresholds { min_mirrored: FIXTURE_REQUESTS, ..Default::default() };
+    let short = replay_mirror(&records[1..], &live, &twin);
+    assert_eq!(short.mirrored, FIXTURE_REQUESTS - 1);
+    let failures = short.failures(&thresholds);
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    assert!(failures[0].contains("min_mirrored"), "{failures:?}");
+}
+
+#[test]
+fn class_and_generation_sums_stay_exact_across_a_publish() {
+    let corpus = Arc::new(Preset::Tiny.generate(35));
+    let scores = ranked_scores(&corpus);
+    let (mut server, shared, _metrics) = start_server(&corpus, &scores, None);
+    let addr = server.addr();
+    let targets = fixture_targets(corpus.num_articles());
+    drive_seeded(addr, &[0xd21f7], 32, &targets);
+    let mut reversed = scores.clone();
+    reversed.reverse();
+    assert_eq!(shared.publish(ScoreIndex::build(Arc::clone(&corpus), reversed)), 2);
+    drive_seeded(addr, &[0xa11ce], 32, &targets);
     let (status, top) = chaos::http_get(addr, "/top?k=3");
     assert_eq!(status, 200);
     assert_eq!(top.get("generation").and_then(|v| v.as_i64()), Some(2));
-    assert_eq!(shared.load().top(&TopQuery { k: 3, ..Default::default() }).len(), 3);
 
-    // Metrics exactness with shadowing on: every request classified
-    // exactly once, and the per-generation breakdown sums back to the
-    // total — nothing double-counted by the mirror path.
+    // Every request classified exactly once, and the per-generation
+    // breakdown sums back to the total.
     let (status, m) = chaos::http_get(addr, "/metrics");
     assert_eq!(status, 200);
     let field = |v: &sjson::Value, name: &str| -> i64 {
@@ -451,10 +420,11 @@ fn shadow_gate_rejects_drift_promotes_equivalence_and_replays_exactly() {
     assert_eq!(
         field(&m, "ok") + field(&m, "client_errors") + field(&m, "server_errors"),
         requests,
-        "class counters must sum exactly to requests with shadowing on"
+        "class counters must sum exactly to requests"
     );
     let generations = m.get("generations").and_then(|g| g.as_array()).expect("generations array");
-    assert!(generations.len() >= 2, "both generations must appear: {generations:?}");
+    let labels: Vec<i64> = generations.iter().map(|g| field(g, "generation")).collect();
+    assert_eq!(labels, [1, 2], "both generations keep their own labels");
     let mut by_generation = 0i64;
     for g in generations {
         assert_eq!(
@@ -465,24 +435,5 @@ fn shadow_gate_rejects_drift_promotes_equivalence_and_replays_exactly() {
         by_generation += field(g, "requests");
     }
     assert_eq!(by_generation, requests, "generation breakdown must sum to the request counter");
-
     server.shutdown();
-    std::fs::remove_file(&rlog).unwrap();
-}
-
-#[test]
-fn early_manual_promotion_rejects_an_under_mirrored_candidate() {
-    // try_promote_shadow before the evidence bar is a statement that no
-    // more evidence is coming: the under-mirrored candidate is rejected,
-    // not promoted on faith.
-    let corpus = Arc::new(Preset::Tiny.generate(33));
-    let scores = ranked_scores(&corpus);
-    let shared = Arc::new(SharedIndex::new(ScoreIndex::build(Arc::clone(&corpus), scores.clone())));
-    let thresholds = ShadowThresholds { min_mirrored: 64, ..Default::default() };
-    shared.stage_shadow(ScoreIndex::build(Arc::clone(&corpus), scores), thresholds.clone());
-    assert_eq!(shared.try_promote_shadow(), None);
-    let report = shared.shadow_report().expect("slot stays up");
-    assert_eq!(report.decision, Decision::Rejected);
-    assert!(report.failures(&thresholds).iter().any(|f| f.contains("min_mirrored")));
-    assert_eq!(shared.generation(), 1);
 }
