@@ -266,7 +266,7 @@ pub fn rank<W: Write>(args: &Args, out: &mut W) -> CmdResult {
 /// The `--store mmap` arm of [`rank`]: open a columnar store directory
 /// and rank it through the mmap backend without materializing the corpus
 /// in RAM. Scores are bit-identical to the in-RAM path; only the listing
-/// is leaner (ids and years — the colstore carries no title strings).
+/// is leaner (ids and years — it reads none of the store's string columns).
 fn rank_mmap<W: Write>(args: &Args, out: &mut W) -> CmdResult {
     let dir = args.positional(0, "colstore directory")?;
     let method = args.get("method").unwrap_or("qrank");
@@ -941,6 +941,30 @@ mod tests {
             let err = run(&["serve", &path, &flag, "--duration", "0"]).unwrap_err();
             assert!(err.contains(&format!("unknown flag {flag} for 'scholar serve'")), "{err}");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn serve_refuses_a_version_1_state_directory_instead_of_cold_starting() {
+        let dir = tmpdir();
+        let path = corpus_file(&dir);
+        let state = dir.join("v1-state");
+        std::fs::create_dir_all(&state).unwrap();
+        // A SNAPv1 file opens with its magic, and the loader refuses on
+        // the magic before it reads anything else.
+        let mut v1 = b"SNAPv1\0\0".to_vec();
+        v1.resize(4096, 0);
+        std::fs::write(state.join("snapshot.snap"), &v1).unwrap();
+        let state_s = state.to_string_lossy().into_owned();
+        let argv =
+            ["serve", &path, "--addr", "127.0.0.1:0", "--state", &state_s, "--duration", "0"];
+        let err = run(&argv).unwrap_err();
+        assert!(err.contains("snapshot.snap is SNAPv1; this build reads only SNAPv2"), "{err}");
+        // Nothing was ranked or written over the old state.
+        let names: Vec<_> =
+            std::fs::read_dir(&state).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, ["snapshot.snap"]);
+        assert_eq!(std::fs::read(state.join("snapshot.snap")).unwrap(), v1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -166,10 +166,13 @@ pub fn generate_mag_scale(dir: &Path, num_articles: usize, seed: u64) -> Result<
         }
         citations += refs_scratch.len() as u64;
 
-        writer.push(year, venue, &authors_scratch, &refs_scratch)?;
+        // The streamed corpus has structure only: no title, no planted
+        // merit, and (below) empty names.
+        writer.push(year, venue, &authors_scratch, &refs_scratch, "", None)?;
     }
 
-    let generation = writer.finish(num_authors as u64, num_venues as u64)?;
+    let generation =
+        writer.finish(std::iter::repeat_n("", num_authors), std::iter::repeat_n("", num_venues))?;
     Ok(StreamStats {
         articles: num_articles,
         citations,

@@ -109,6 +109,16 @@ pub enum CorpusError {
         /// Description of the problem.
         message: String,
     },
+    /// A columnar store file is in an on-disk layout this build does not
+    /// read: an older version of the format, named by its magic.
+    Unsupported {
+        /// The offending column file name.
+        file: String,
+        /// The version the file's magic names, e.g. `SCOLv1`.
+        found: String,
+        /// The version this build reads.
+        want: &'static str,
+    },
     /// Underlying IO failure.
     Io(std::io::Error),
     /// Underlying JSON failure.
@@ -129,6 +139,9 @@ impl std::fmt::Display for CorpusError {
             }
             CorpusError::Corrupt { file, message } => {
                 write!(f, "corrupt colstore file {file}: {message}")
+            }
+            CorpusError::Unsupported { file, found, want } => {
+                write!(f, "colstore file {file} is {found}; this build reads only {want}")
             }
             CorpusError::Io(e) => write!(f, "io error: {e}"),
             CorpusError::Json(e) => write!(f, "json error: {e}"),

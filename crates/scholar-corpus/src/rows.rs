@@ -337,9 +337,10 @@ mod tests {
         let (mut byline, mut refs) = (Vec::new(), Vec::new());
         for i in 0..old_n {
             let (byline, refs) = (full.byline(i, &mut byline), full.refs(i, &mut refs));
-            w.push(full.year(i), full.venue(i), byline, refs).unwrap();
+            w.push(full.year(i), full.venue(i), byline, refs, "", None).unwrap();
         }
-        w.finish(full.num_authors() as u64, full.num_venues() as u64).unwrap();
+        let names = |count| std::iter::repeat_n("", count);
+        w.finish(names(full.num_authors()), names(full.num_venues())).unwrap();
         let prefix = ColStore::open(&prefix_dir).unwrap();
 
         type Stage = fn(&ColStore, Range<usize>) -> GraphBuilder;

@@ -8,7 +8,7 @@
 //! failure only degrades recording, never serving.
 //!
 //! [`Recorder::flush`] publishes the ring as an RLOGv1 file through
-//! [`sgraph::sfile`] like SNAPv1/SCOLv1, so the file either exists
+//! [`sgraph::sfile`] like SNAPv2/SCOLv2, so the file either exists
 //! completely or not at all. Records are `sfile` frames with no
 //! format-owned header bytes. Format:
 //!
@@ -18,7 +18,7 @@
 //! RLOGend\0 | count: u64                    (16-byte footer)
 //! ```
 //!
-//! The footer is the truncation tripwire (same trick as SNAPv1's end
+//! The footer is the truncation tripwire (same trick as SNAPv2's end
 //! magic): a file with a valid footer is *complete*, and any bad record
 //! inside it is a typed [`StateError::Corrupt`] — bit rot, not a crash.
 //! A file without the footer is *torn* (killed mid-write before the

@@ -1,42 +1,64 @@
-//! SNAPv1: a durable single-file snapshot of the served ranking state.
+//! SNAPv2: the durable serving state — one SCOLv2 corpus store and the
+//! four score vectors ranked over it.
 //!
-//! The serving stack's crash-safe restart path (DESIGN.md §2.11). One
-//! file, `snapshot.snap`, holds everything [`crate::Reindexer`] needs to
-//! resume serving without a solve: the corpus (articles, bylines,
-//! references, names) and the four score vectors of the current
-//! [`qrank::QRankResult`]. The layout follows the SCOLv1
-//! discipline from `scholar_corpus::colstore`:
+//! The serving stack's crash-safe restart path (DESIGN.md §2.11). A state
+//! directory holds everything [`crate::Reindexer`] needs to resume
+//! serving without a solve, in two artifacts:
 //!
-//! - **checksummed sections** — every section carries an FNV-1a 64
-//!   checksum in the section table; a flipped bit anywhere surfaces as a
-//!   typed [`StateError::Corrupt`], never a panic or a wrong answer;
-//! - **content-derived generation** — the snapshot generation is the
-//!   FNV-1a hash of the entity counts, the WAL high-water mark, and all
-//!   section checksums, so two snapshots of identical state agree and
-//!   any difference in state changes the generation;
-//! - **atomic publish** — the writer goes through
-//!   [`sgraph::sfile::TmpFile`] (DESIGN.md §2.14), so readers see either
-//!   the old complete snapshot or the new complete snapshot, never a
-//!   torn file, and a publish that returns `Ok` is durable under its
-//!   final name.
+//! - `corpus-<tag>/` — the corpus (articles, bylines, references,
+//!   titles, merit, names) as a `scholar_corpus::colstore` SCOLv2 store,
+//!   written by [`Corpus::write_colstore`]: every column checksummed and
+//!   stamped with the store's content-derived generation;
+//! - `snapshot.snap` — a thin file that names the store and carries the
+//!   four score vectors of the current [`qrank::QRankResult`].
 //!
-//! Sections are 8-byte aligned so the loader can hand out `&[i32]` /
-//! `&[f64]` views straight from the mmap without copying; only the
-//! variable-width payloads (titles, names, bylines, references) are
-//! decoded.
+//! ## `snapshot.snap` layout (little-endian)
 //!
-//! Every write-path and map-path I/O step funnels through the
-//! `snapshot.io` failpoint, mirroring `corpus.colstore.io`, so the chaos
-//! suite can kill a snapshot publish (or a restart's load) at any step
-//! and assert the all-or-nothing contract.
+//! | bytes      | field                                                  |
+//! |------------|--------------------------------------------------------|
+//! | 0..8       | magic `SNAPv2\0\0`                                     |
+//! | 8..16      | generation                                             |
+//! | 16..24     | `wal_seq`, the WAL high-water mark the snapshot covers |
+//! | 24..32     | store tag: the store is `corpus-<tag, 16 hex digits>/` |
+//! | 32..40     | the store's generation                                 |
+//! | 40..64     | n_articles, n_authors, n_venues                        |
+//! | 64..       | f64 scores: article × n, venue × n_venues, author × n_authors, TWPR × n |
+//! | last 16    | end magic `SNAPend\0`, generation echo                 |
+//!
+//! The generation is content-derived: the FNV-1a 64 of every byte from
+//! `wal_seq` up to the footer. It is the file's checksum too — a flipped
+//! bit anywhere surfaces as a typed [`StateError::Corrupt`] — two
+//! snapshots of identical state agree, and any difference in state (the
+//! corpus through the store's generation) changes it. A file in an
+//! older layout (`SNAPv1`, which carried the corpus itself) is refused
+//! with [`StateError::Unsupported`], which names its version.
+//!
+//! ## Publish and load
+//!
+//! [`write_snapshot`] writes the store first, under a name fixed before
+//! it is written, then publishes `snapshot.snap` through
+//! [`sgraph::sfile::TmpFile`] (DESIGN.md §2.14). That rename is the
+//! commit point: a crash before it leaves the old snapshot naming the
+//! old store, both intact; after it, the new pair. Then every other
+//! `corpus-*` — the old store, and any stray a killed publish left — is
+//! removed. [`load_snapshot`] checks the file, opens the store it names,
+//! checks the store's generation, re-hashes every column
+//! (`ColStore::verify`, since `open` skips payloads) and materializes
+//! the corpus through `Corpus::assemble`.
+//!
+//! Every `snapshot.snap` I/O step, and the restart-side map, funnels
+//! through the `snapshot.io` failpoint, and every store write step
+//! through `corpus.colstore.io`, so the chaos suite can kill a publish
+//! (or a restart's load) at any step of either artifact and assert the
+//! all-or-nothing contract.
 
 use qrank::QRankResult;
-use scholar_corpus::model::{Article, ArticleId, Author, AuthorId, Venue, VenueId};
-use scholar_corpus::Corpus;
+use scholar_corpus::colstore::ColStore;
+use scholar_corpus::{Corpus, CorpusError};
 use scholar_rank::Diagnostics;
 use sgraph::mmap::Mmap;
-use sgraph::sfile::{fnv64, push_varint, read_varint, Fnv, TmpFile};
-use std::io::Write;
+use sgraph::sfile::{fnv64, Fnv, TmpFile};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Errors from the durable-state layer (snapshot + WAL).
@@ -52,6 +74,16 @@ pub enum StateError {
         /// Description of the problem.
         message: String,
     },
+    /// A state file is in an on-disk layout this build does not read:
+    /// an older version of the format, named by its magic.
+    Unsupported {
+        /// The offending file name.
+        file: String,
+        /// The version the file's magic names, e.g. `SNAPv1`.
+        found: String,
+        /// The version this build reads.
+        want: &'static str,
+    },
 }
 
 impl std::fmt::Display for StateError {
@@ -60,6 +92,9 @@ impl std::fmt::Display for StateError {
             StateError::Io(e) => write!(f, "state io error: {e}"),
             StateError::Corrupt { file, message } => {
                 write!(f, "corrupt state file {file}: {message}")
+            }
+            StateError::Unsupported { file, found, want } => {
+                write!(f, "state file {file} is {found}; this build reads only {want}")
             }
         }
     }
@@ -76,41 +111,20 @@ impl From<std::io::Error> for StateError {
 /// Result alias for the durable-state layer.
 pub type Result<T> = std::result::Result<T, StateError>;
 
-const MAGIC: &[u8; 8] = b"SNAPv1\0\0";
+const MAGIC: &[u8; 8] = b"SNAPv2\0\0";
 const END_MAGIC: &[u8; 8] = b"SNAPend\0";
 const SNAP_FILE: &str = "snapshot.snap";
 
-/// Header: magic, generation, wal_seq, n_articles, n_authors, n_venues,
-/// section count.
-const HEADER_BYTES: usize = 56;
-/// Section-table entry: offset, length, checksum.
-const ENTRY_BYTES: usize = 24;
+/// Header: magic, generation, wal_seq, store tag, store generation,
+/// n_articles, n_authors, n_venues.
+const HEADER_BYTES: usize = 64;
 /// Footer: end magic + generation echo (truncation tripwire).
 const FOOTER_BYTES: usize = 16;
-
-// Section ids, in file order. All sections start 8-byte aligned.
-const S_YEARS: usize = 0; // i32 × n
-const S_VENUES: usize = 1; // u32 × n
-const S_TITLES_IDX: usize = 2; // u64 × (n+1)
-const S_TITLES_DAT: usize = 3; // utf8 bytes
-const S_AUTHORS_IDX: usize = 4; // u64 × (n+1)
-const S_AUTHORS_DAT: usize = 5; // varint author ids
-const S_REFS_IDX: usize = 6; // u64 × (n+1)
-const S_REFS_DAT: usize = 7; // delta varints (refs are sorted)
-const S_MERIT_MASK: usize = 8; // u8 × n
-const S_MERIT_VAL: usize = 9; // f64 × n (0.0 where mask is 0)
-const S_NAMES: usize = 10; // varint-len strings: venues then authors
-const S_SCORE_ARTICLE: usize = 11; // f64 × n
-const S_SCORE_VENUE: usize = 12; // f64 × n_venues
-const S_SCORE_AUTHOR: usize = 13; // f64 × n_authors
-const S_SCORE_TWPR: usize = 14; // f64 × n
-const SECTIONS: usize = 15;
-
-const TABLE_OFF: usize = HEADER_BYTES;
-const DATA_OFF: usize = TABLE_OFF + SECTIONS * ENTRY_BYTES;
+/// Where the bytes the generation hashes start: right after it.
+const HASHED_FROM: usize = 16;
 
 /// Chaos site, and the snapshot's `sfile` step hook: every snapshot I/O
-/// step (tmp create, section writes, fsync, the rename publish, and the
+/// step (tmp create, chunk writes, fsync, the rename publish, and the
 /// restart-side mmap) funnels through this one check, so a `fp::Script`
 /// over `snapshot.io` can kill a snapshot publish or load at any step.
 fn snapshot_io_check() -> std::io::Result<()> {
@@ -130,185 +144,114 @@ pub fn snapshot_path(dir: &Path) -> PathBuf {
     dir.join(SNAP_FILE)
 }
 
-fn pad8(buf: &mut Vec<u8>) {
-    while !buf.len().is_multiple_of(8) {
-        buf.push(0);
+/// The directory name of the store with `tag`.
+fn store_name(tag: u64) -> String {
+    format!("corpus-{tag:016x}")
+}
+
+/// Whether `name` has the shape of [`store_name`]'s output.
+fn is_store_name(name: &str) -> bool {
+    name.strip_prefix("corpus-")
+        .is_some_and(|tag| tag.len() == 16 && tag.bytes().all(|b| b.is_ascii_hexdigit()))
+}
+
+/// The store tag of the snapshot published in `dir`, if there is a
+/// readable one.
+fn live_tag(dir: &Path) -> Option<u64> {
+    let mut head = [0u8; 32];
+    std::fs::File::open(snapshot_path(dir)).and_then(|mut f| f.read_exact(&mut head)).ok()?;
+    let tag = head.get(24..32)?.try_into().ok().map(u64::from_le_bytes)?;
+    head.starts_with(MAGIC).then_some(tag)
+}
+
+/// A store error as a state error: I/O stays I/O (with the failpoint
+/// that injected it, if any, in its message) and a refused version stays
+/// typed.
+fn store_error(store: &str, e: CorpusError) -> StateError {
+    match e {
+        CorpusError::Io(e) => StateError::Io(e),
+        CorpusError::Unsupported { file, found, want } => {
+            StateError::Unsupported { file: format!("{store}/{file}"), found, want }
+        }
+        other => StateError::Corrupt { file: store.to_owned(), message: other.to_string() },
     }
 }
 
-/// Encode the sections for `(corpus, result)`. Returns the concatenated
-/// 8-aligned section bytes (relative to [`DATA_OFF`]) and the per-section
-/// `(offset, length, checksum)` table.
-fn encode_sections(
-    corpus: &Corpus,
-    result: &QRankResult,
-) -> (Vec<u8>, [(u64, u64, u64); SECTIONS]) {
-    let n = corpus.num_articles();
-    let mut body = Vec::new();
-    let mut table = [(0u64, 0u64, 0u64); SECTIONS];
-    let mut section = |id: usize, body: &mut Vec<u8>, bytes: &[u8]| {
-        debug_assert_eq!(body.len() % 8, 0);
-        // lint: allow(HOTPATH-PANIC) every call site passes an S_* constant < SECTIONS
-        table[id] = ((DATA_OFF + body.len()) as u64, bytes.len() as u64, fnv64(bytes));
-        body.extend_from_slice(bytes);
-        pad8(body);
-    };
-
-    let mut scratch = Vec::with_capacity(n * 4);
-    for a in corpus.articles() {
-        scratch.extend_from_slice(&a.year.to_le_bytes());
-    }
-    section(S_YEARS, &mut body, &scratch);
-
-    scratch.clear();
-    for a in corpus.articles() {
-        scratch.extend_from_slice(&a.venue.0.to_le_bytes());
-    }
-    section(S_VENUES, &mut body, &scratch);
-
-    // Ragged payloads share one encoding: an (n+1)-entry u64 index of
-    // byte offsets into a data section.
-    let ragged = |items: &mut dyn Iterator<Item = Vec<u8>>| {
-        let mut idx = Vec::with_capacity((n + 1) * 8);
-        let mut dat = Vec::new();
-        idx.extend_from_slice(&0u64.to_le_bytes());
-        for item in items {
-            dat.extend_from_slice(&item);
-            idx.extend_from_slice(&(dat.len() as u64).to_le_bytes());
-        }
-        (idx, dat)
-    };
-
-    let (idx, dat) = ragged(&mut corpus.articles().iter().map(|a| a.title.as_bytes().to_vec()));
-    section(S_TITLES_IDX, &mut body, &idx);
-    section(S_TITLES_DAT, &mut body, &dat);
-
-    let (idx, dat) = ragged(&mut corpus.articles().iter().map(|a| {
-        let mut b = Vec::new();
-        for &u in &a.authors {
-            push_varint(&mut b, u.0 as u64);
-        }
-        b
-    }));
-    section(S_AUTHORS_IDX, &mut body, &idx);
-    section(S_AUTHORS_DAT, &mut body, &dat);
-
-    let (idx, dat) = ragged(&mut corpus.articles().iter().map(|a| {
-        // References are sorted and strictly increasing (a `Corpus`
-        // invariant), so delta encoding keeps most of them one byte.
-        let mut b = Vec::new();
-        let mut prev = 0u64;
-        for &r in &a.references {
-            push_varint(&mut b, r.0 as u64 - prev);
-            prev = r.0 as u64;
-        }
-        b
-    }));
-    section(S_REFS_IDX, &mut body, &idx);
-    section(S_REFS_DAT, &mut body, &dat);
-
-    scratch.clear();
-    for a in corpus.articles() {
-        scratch.push(a.merit.is_some() as u8);
-    }
-    section(S_MERIT_MASK, &mut body, &scratch);
-
-    scratch.clear();
-    for a in corpus.articles() {
-        scratch.extend_from_slice(&a.merit.unwrap_or(0.0).to_le_bytes());
-    }
-    section(S_MERIT_VAL, &mut body, &scratch);
-
-    scratch.clear();
-    for v in corpus.venues() {
-        push_varint(&mut scratch, v.name.len() as u64);
-        scratch.extend_from_slice(v.name.as_bytes());
-    }
-    for u in corpus.authors() {
-        push_varint(&mut scratch, u.name.len() as u64);
-        scratch.extend_from_slice(u.name.as_bytes());
-    }
-    section(S_NAMES, &mut body, &scratch);
-
-    let f64s = |xs: &[f64]| {
-        let mut b = Vec::with_capacity(xs.len() * 8);
-        for x in xs {
-            b.extend_from_slice(&x.to_le_bytes());
-        }
-        b
-    };
-    section(S_SCORE_ARTICLE, &mut body, &f64s(&result.article_scores));
-    section(S_SCORE_VENUE, &mut body, &f64s(&result.venue_scores));
-    section(S_SCORE_AUTHOR, &mut body, &f64s(&result.author_scores));
-    section(S_SCORE_TWPR, &mut body, &f64s(&result.twpr_scores));
-
-    (body, table)
-}
-
-/// The content-derived generation: FNV-1a over the counts, the WAL
-/// high-water mark, and every section checksum.
-fn derive_generation(
-    counts: (u64, u64, u64),
-    wal_seq: u64,
-    table: &[(u64, u64, u64); SECTIONS],
-) -> u64 {
-    let mut h = Fnv::new();
-    h.update(&counts.0.to_le_bytes());
-    h.update(&counts.1.to_le_bytes());
-    h.update(&counts.2.to_le_bytes());
-    h.update(&wal_seq.to_le_bytes());
-    for &(_, _, checksum) in table {
-        h.update(&checksum.to_le_bytes());
-    }
-    h.finish()
-}
-
-/// Write a snapshot of `(corpus, result)` into `dir/snapshot.snap`,
-/// recording `wal_seq` as the WAL high-water mark it covers (replay
-/// resumes after this sequence number). Atomic: the file appears under
-/// its final name only complete and fsynced, and `Ok` means the rename
-/// itself is durable (the directory fsync error is returned, not
-/// dropped). Returns the content-derived snapshot generation.
+/// Write a snapshot of `(corpus, result)` into `dir`: the corpus as the
+/// store `dir/corpus-<tag>/`, then `dir/snapshot.snap`, recording
+/// `wal_seq` as the WAL high-water mark it covers (replay resumes after
+/// this sequence number). Atomic: `snapshot.snap` appears under its
+/// final name only complete and fsynced, naming a store that is already
+/// published, and `Ok` means the rename itself is durable (the directory
+/// fsync error is returned, not dropped). Returns the content-derived
+/// snapshot generation.
 pub fn write_snapshot(
     dir: &Path,
     corpus: &Corpus,
     result: &QRankResult,
     wal_seq: u64,
 ) -> Result<u64> {
-    let counts =
-        (corpus.num_articles() as u64, corpus.num_authors() as u64, corpus.num_venues() as u64);
-    let (body, table) = encode_sections(corpus, result);
-    let generation = derive_generation(counts, wal_seq, &table);
+    std::fs::create_dir_all(dir)?;
+    // The store's name is fixed before it is written: the WAL high-water
+    // mark — unless the live snapshot already names that store (a state
+    // rewritten at the sequence number it covers), which must never be
+    // written over.
+    let tag = if live_tag(dir) == Some(wal_seq) { wal_seq.wrapping_add(1) } else { wal_seq };
+    let store = store_name(tag);
+    let store_generation =
+        corpus.write_colstore(&dir.join(&store)).map_err(|e| store_error(&store, e))?;
 
-    let mut header = Vec::with_capacity(DATA_OFF);
+    let counts = [corpus.num_articles(), corpus.num_authors(), corpus.num_venues()];
+    let mut words = Vec::with_capacity(HEADER_BYTES - HASHED_FROM);
+    for word in [wal_seq, tag, store_generation].into_iter().chain(counts.map(|c| c as u64)) {
+        words.extend_from_slice(&word.to_le_bytes());
+    }
+    let vectors =
+        [&result.article_scores, &result.venue_scores, &result.author_scores, &result.twpr_scores];
+    let mut scores = Vec::with_capacity(vectors.iter().map(|v| v.len() * 8).sum());
+    for x in vectors.into_iter().flatten() {
+        scores.extend_from_slice(&x.to_le_bytes());
+    }
+    let mut hash = Fnv::new();
+    hash.update(&words);
+    hash.update(&scores);
+    let generation = hash.finish();
+
+    let mut header = Vec::with_capacity(HEADER_BYTES);
     header.extend_from_slice(MAGIC);
     header.extend_from_slice(&generation.to_le_bytes());
-    header.extend_from_slice(&wal_seq.to_le_bytes());
-    header.extend_from_slice(&counts.0.to_le_bytes());
-    header.extend_from_slice(&counts.1.to_le_bytes());
-    header.extend_from_slice(&counts.2.to_le_bytes());
-    header.extend_from_slice(&(SECTIONS as u64).to_le_bytes());
-    debug_assert_eq!(header.len(), HEADER_BYTES);
-    for &(off, len, checksum) in &table {
-        header.extend_from_slice(&off.to_le_bytes());
-        header.extend_from_slice(&len.to_le_bytes());
-        header.extend_from_slice(&checksum.to_le_bytes());
-    }
-    debug_assert_eq!(header.len(), DATA_OFF);
-
+    header.extend_from_slice(&words);
     let mut footer = Vec::with_capacity(FOOTER_BYTES);
     footer.extend_from_slice(END_MAGIC);
     footer.extend_from_slice(&generation.to_le_bytes());
 
-    std::fs::create_dir_all(dir)?;
     let mut tmp = TmpFile::create(&snapshot_path(dir), snapshot_io_check)?;
-    // lint: allow(HOTPATH-PANIC) full-range slices cannot be out of bounds
-    for chunk in [&header[..], &body[..], &footer[..]] {
+    for chunk in [header.as_slice(), scores.as_slice(), footer.as_slice()] {
         snapshot_io_check()?;
         tmp.write_all(chunk)?;
     }
+    // The commit point. The state-directory fsync this publish ends
+    // with, after the rename, is also what makes the `corpus-<tag>`
+    // directory entry durable: the store's own publish fsynced the
+    // store directory, not the state directory that names it.
     tmp.publish(snapshot_io_check)?;
+    remove_other_stores(dir, &store);
     Ok(generation)
+}
+
+/// Remove every store in `dir` but `keep`: the one the previous snapshot
+/// named, and strays from publishes killed before their commit. Best
+/// effort — the snapshot has committed, and a store left behind here is
+/// removed by the next publish.
+fn remove_other_stores(dir: &Path, keep: &str) {
+    let Ok(entries) = std::fs::read_dir(dir) else { return };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if is_store_name(&name) && name != keep {
+            let _ = std::fs::remove_dir_all(entry.path());
+        }
+    }
 }
 
 /// Everything a restart recovers from a snapshot.
@@ -326,207 +269,87 @@ pub struct RestoredState {
     pub generation: u64,
 }
 
-/// A validated section view into the mapped snapshot.
-struct Sections<'a> {
-    map: &'a Mmap,
-    table: [(u64, u64, u64); SECTIONS],
-}
-
-impl<'a> Sections<'a> {
-    fn bytes(&self, id: usize) -> &'a [u8] {
-        let (off, len, _) = self.table[id]; // lint: allow(HOTPATH-PANIC) id is an S_* constant < SECTIONS
-                                            // lint: allow(HOTPATH-PANIC) every table entry was bounds-checked before Sections was built
-        &self.map.bytes()[off as usize..(off + len) as usize]
-    }
-
-    /// Expect section `id` to hold exactly `count` little-endian i32s.
-    fn i32s(&self, id: usize, count: usize) -> Result<&'a [i32]> {
-        let (off, len, _) = self.table[id]; // lint: allow(HOTPATH-PANIC) id is an S_* constant < SECTIONS
-        if len as usize != count * 4 {
-            return Err(corrupt(format!("section {id} has {len} bytes, want {}", count * 4)));
-        }
-        Ok(self.map.as_i32s(off as usize, count))
-    }
-
-    fn u32s(&self, id: usize, count: usize) -> Result<&'a [u32]> {
-        let (off, len, _) = self.table[id]; // lint: allow(HOTPATH-PANIC) id is an S_* constant < SECTIONS
-        if len as usize != count * 4 {
-            return Err(corrupt(format!("section {id} has {len} bytes, want {}", count * 4)));
-        }
-        Ok(self.map.as_u32s(off as usize, count))
-    }
-
-    fn u64s(&self, id: usize, count: usize) -> Result<&'a [u64]> {
-        let (off, len, _) = self.table[id]; // lint: allow(HOTPATH-PANIC) id is an S_* constant < SECTIONS
-        if len as usize != count * 8 {
-            return Err(corrupt(format!("section {id} has {len} bytes, want {}", count * 8)));
-        }
-        Ok(self.map.as_u64s(off as usize, count))
-    }
-
-    fn f64s(&self, id: usize, count: usize) -> Result<Vec<f64>> {
-        let (off, len, _) = self.table[id]; // lint: allow(HOTPATH-PANIC) id is an S_* constant < SECTIONS
-        if len as usize != count * 8 {
-            return Err(corrupt(format!("section {id} has {len} bytes, want {}", count * 8)));
-        }
-        Ok(self.map.as_f64s(off as usize, count).to_vec())
-    }
-
-    /// The byte range of ragged item `i` within data section `dat`,
-    /// bounds-checked against the index section.
-    fn ragged(&self, idx: &[u64], dat: usize, i: usize) -> Result<&'a [u8]> {
-        let bytes = self.bytes(dat);
-        let (lo, hi) = (idx[i] as usize, idx[i + 1] as usize); // lint: allow(HOTPATH-PANIC) callers pass i < n against an index of n + 1 entries
-        if lo > hi || hi > bytes.len() {
-            return Err(corrupt(format!("ragged index {i} out of bounds ({lo}..{hi})")));
-        }
-        Ok(&bytes[lo..hi]) // lint: allow(HOTPATH-PANIC) lo <= hi <= bytes.len() checked just above
-    }
-}
-
-/// Map and validate `dir/snapshot.snap`, decoding it back into the
-/// corpus and ranking it was written from. Every section checksum is
-/// verified before any byte is interpreted; all structural errors come
-/// back as [`StateError::Corrupt`].
+/// Map and validate `dir/snapshot.snap` and the store it names, decoding
+/// them back into the corpus and ranking they were written from. Every
+/// byte of both is checked against its checksum before any is trusted;
+/// structural errors come back as [`StateError::Corrupt`], an older
+/// layout as [`StateError::Unsupported`].
 pub fn load_snapshot(dir: &Path) -> Result<RestoredState> {
     snapshot_io_check()?;
-    let path = snapshot_path(dir);
-    let map = Mmap::map_file(&path)?;
+    let map = Mmap::map_file(&snapshot_path(dir))?;
     let bytes = map.bytes();
-    if bytes.len() < DATA_OFF + FOOTER_BYTES {
+    if bytes.len() < HEADER_BYTES + FOOTER_BYTES {
         return Err(corrupt(format!("file is {} bytes, shorter than any snapshot", bytes.len())));
     }
-    // lint: allow(HOTPATH-PANIC) bytes.len() >= DATA_OFF + FOOTER_BYTES checked above
-    if &bytes[..8] != MAGIC {
+    // Every offset read is inside the length-checked header or footer.
+    let word = |at: usize| {
+        bytes.get(at..at + 8).and_then(|b| b.try_into().ok()).map_or(0, u64::from_le_bytes)
+    };
+    let magic = bytes.get(..8).unwrap_or_default();
+    if magic != MAGIC {
+        if magic.starts_with(b"SNAPv") {
+            let found = String::from_utf8_lossy(magic).trim_end_matches('\0').to_owned();
+            return Err(StateError::Unsupported {
+                file: SNAP_FILE.to_owned(),
+                found,
+                want: "SNAPv2",
+            });
+        }
         return Err(corrupt("bad magic"));
     }
-    // lint: allow(HOTPATH-PANIC) word() is only called at offsets inside the length-checked header and footer
-    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
     let generation = word(8);
-    let wal_seq = word(16);
-    let n = word(24) as usize;
-    let n_authors = word(32) as usize;
-    let n_venues = word(40) as usize;
-    if word(48) != SECTIONS as u64 {
-        return Err(corrupt(format!("section count {} != {SECTIONS}", word(48))));
+    let (wal_seq, tag, store_generation) = (word(16), word(24), word(32));
+    let (n, n_authors, n_venues) = (word(40), word(48), word(56));
+    // Widened so that no count in a corrupt header can overflow.
+    let floats = 2 * n as u128 + n_authors as u128 + n_venues as u128;
+    if (HEADER_BYTES + FOOTER_BYTES) as u128 + 8 * floats != bytes.len() as u128 {
+        return Err(corrupt(format!(
+            "file is {} bytes, but its counts ({n} articles, {n_authors} authors, \
+             {n_venues} venues) need {}",
+            bytes.len(),
+            (HEADER_BYTES + FOOTER_BYTES) as u128 + 8 * floats
+        )));
     }
     let footer_at = bytes.len() - FOOTER_BYTES;
-    // lint: allow(HOTPATH-PANIC) footer_at + 8 < bytes.len() by the length check above
-    if &bytes[footer_at..footer_at + 8] != END_MAGIC {
+    if bytes.get(footer_at..footer_at + 8) != Some(END_MAGIC) {
         return Err(corrupt("missing end marker (truncated file)"));
     }
     if word(footer_at + 8) != generation {
         return Err(corrupt("footer generation does not echo the header"));
     }
-
-    let mut table = [(0u64, 0u64, 0u64); SECTIONS];
-    for (id, entry) in table.iter_mut().enumerate() {
-        let at = TABLE_OFF + id * ENTRY_BYTES;
-        *entry = (word(at), word(at + 8), word(at + 16));
-        let (off, len, checksum) = *entry;
-        let end = off.checked_add(len).ok_or_else(|| corrupt("section bounds overflow"))?;
-        if off % 8 != 0 || (off as usize) < DATA_OFF || end as usize > footer_at {
-            return Err(corrupt(format!("section {id} out of bounds ({off}+{len})")));
-        }
-        // lint: allow(HOTPATH-PANIC) off..end bounds were rejected above if out of range
-        if fnv64(&bytes[off as usize..end as usize]) != checksum {
-            return Err(corrupt(format!("section {id} checksum mismatch")));
-        }
-    }
-    let counts = (n as u64, n_authors as u64, n_venues as u64);
-    if derive_generation(counts, wal_seq, &table) != generation {
+    if fnv64(bytes.get(HASHED_FROM..footer_at).unwrap_or_default()) != generation {
         return Err(corrupt("generation does not match content"));
     }
 
-    let s = Sections { map: &map, table };
-    let years = s.i32s(S_YEARS, n)?;
-    let venues = s.u32s(S_VENUES, n)?;
-    let titles_idx = s.u64s(S_TITLES_IDX, n + 1)?;
-    let authors_idx = s.u64s(S_AUTHORS_IDX, n + 1)?;
-    let refs_idx = s.u64s(S_REFS_IDX, n + 1)?;
-    let merit_mask = s.bytes(S_MERIT_MASK);
-    if merit_mask.len() != n {
-        return Err(corrupt("merit mask length mismatch"));
+    let store_dir = store_name(tag);
+    let store_corrupt = |message: String| StateError::Corrupt { file: store_dir.clone(), message };
+    let store = ColStore::open(&dir.join(&store_dir)).map_err(|e| store_error(&store_dir, e))?;
+    if store.generation() != store_generation {
+        return Err(store_corrupt(format!(
+            "store generation {:016x}, but the snapshot names {store_generation:016x}",
+            store.generation()
+        )));
     }
-    let merit_val = s.f64s(S_MERIT_VAL, n)?;
+    let (n, n_authors, n_venues) = (n as usize, n_authors as usize, n_venues as usize);
+    if (store.num_articles(), store.num_authors(), store.num_venues()) != (n, n_authors, n_venues) {
+        return Err(store_corrupt("store counts disagree with the snapshot's".to_owned()));
+    }
+    store.verify().map_err(|e| store_error(&store_dir, e))?;
+    let corpus = store.materialize().map_err(|e| store_error(&store_dir, e))?;
 
-    let id32 = |v: u64, what: &str| -> Result<u32> {
-        u32::try_from(v).map_err(|_| corrupt(format!("{what} id {v} overflows u32")))
+    // The score vectors, in file order (struct fields evaluate in the
+    // order written).
+    let mut at = HEADER_BYTES;
+    let mut scores = |count: usize| {
+        let v = map.as_f64s(at, count).to_vec();
+        at += count * 8;
+        v
     };
-
-    let mut articles = Vec::with_capacity(n);
-    for i in 0..n {
-        let title = std::str::from_utf8(s.ragged(titles_idx, S_TITLES_DAT, i)?)
-            .map_err(|_| corrupt(format!("title {i} is not utf-8")))?
-            .to_owned();
-        let byline = s.ragged(authors_idx, S_AUTHORS_DAT, i)?;
-        let mut pos = 0;
-        let mut authors = Vec::new();
-        while pos < byline.len() {
-            let v = read_varint(byline, &mut pos)
-                .ok_or_else(|| corrupt(format!("truncated byline varint in article {i}")))?;
-            authors.push(AuthorId(id32(v, "author")?));
-        }
-        let refs = s.ragged(refs_idx, S_REFS_DAT, i)?;
-        let mut pos = 0;
-        let mut references = Vec::new();
-        let mut prev = 0u64;
-        while pos < refs.len() {
-            let d = read_varint(refs, &mut pos)
-                .ok_or_else(|| corrupt(format!("truncated reference varint in article {i}")))?;
-            prev = prev
-                .checked_add(d)
-                .ok_or_else(|| corrupt(format!("reference delta overflow in article {i}")))?;
-            references.push(ArticleId(id32(prev, "article")?));
-        }
-        articles.push(Article {
-            id: ArticleId(i as u32),
-            title,
-            year: years[i], // lint: allow(HOTPATH-PANIC) section validated to exactly n entries, i < n
-            venue: VenueId(venues[i]), // lint: allow(HOTPATH-PANIC) section validated to exactly n entries, i < n
-            authors,
-            references,
-            // lint: allow(HOTPATH-PANIC) both sections validated to exactly n entries, i < n
-            merit: (merit_mask[i] != 0).then(|| merit_val[i]),
-        });
-    }
-
-    let names = s.bytes(S_NAMES);
-    let mut pos = 0;
-    let mut next_name = |what: &str, i: usize| -> Result<String> {
-        let len = read_varint(names, &mut pos)
-            .ok_or_else(|| corrupt(format!("truncated {what} name length at {i}")))?
-            as usize;
-        let end = pos
-            .checked_add(len)
-            .filter(|&e| e <= names.len())
-            .ok_or_else(|| corrupt(format!("{what} name {i} overruns the names section")))?;
-        // lint: allow(HOTPATH-PANIC) pos <= end <= names.len() by the filter above
-        let name = std::str::from_utf8(&names[pos..end])
-            .map_err(|_| corrupt(format!("{what} name {i} is not utf-8")))?
-            .to_owned();
-        pos = end;
-        Ok(name)
-    };
-    let mut venue_table = Vec::with_capacity(n_venues);
-    for i in 0..n_venues {
-        venue_table.push(Venue { id: VenueId(i as u32), name: next_name("venue", i)? });
-    }
-    let mut author_table = Vec::with_capacity(n_authors);
-    for i in 0..n_authors {
-        author_table.push(Author { id: AuthorId(i as u32), name: next_name("author", i)? });
-    }
-    if pos != names.len() {
-        return Err(corrupt("trailing bytes after the last name"));
-    }
-
-    let corpus = Corpus::assemble(articles, author_table, venue_table)
-        .map_err(|e| corrupt(format!("decoded corpus failed validation: {e}")))?;
     let result = QRankResult {
-        article_scores: s.f64s(S_SCORE_ARTICLE, n)?,
-        venue_scores: s.f64s(S_SCORE_VENUE, n_venues)?,
-        author_scores: s.f64s(S_SCORE_AUTHOR, n_authors)?,
-        twpr_scores: s.f64s(S_SCORE_TWPR, n)?,
+        article_scores: scores(n),
+        venue_scores: scores(n_venues),
+        author_scores: scores(n_authors),
+        twpr_scores: scores(n),
         twpr_diagnostics: Diagnostics::closed_form(),
         outer: Diagnostics::closed_form(),
     };
@@ -592,13 +415,30 @@ mod tests {
         write_snapshot(&dir, &corpus, &result, 0).unwrap();
         let path = snapshot_path(&dir);
         let mut bytes = std::fs::read(&path).unwrap();
-        // Flip one payload bit past the table.
-        let at = super::DATA_OFF + 5;
+        // Flip one score bit past the header.
+        let at = super::HEADER_BYTES + 5;
         bytes[at] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
         match load_snapshot(&dir) {
             Err(StateError::Corrupt { .. }) => {}
             other => panic!("tampered snapshot must fail Corrupt, got {other:?}"),
+        }
+        bytes[at] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+        load_snapshot(&dir).unwrap();
+
+        // Flip one bit of a store column: `open` skips payloads, so the
+        // load's `verify` is what must refuse it.
+        let column = dir.join(store_name(0)).join("titles.dat");
+        let mut bytes = std::fs::read(&column).unwrap();
+        bytes[0] ^= 0x40;
+        std::fs::write(&column, &bytes).unwrap();
+        match load_snapshot(&dir) {
+            Err(StateError::Corrupt { file, message }) => {
+                assert_eq!(file, store_name(0));
+                assert!(message.contains("titles.dat"), "{message}");
+            }
+            other => panic!("tampered store must fail Corrupt, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -616,6 +456,56 @@ mod tests {
                 Err(StateError::Corrupt { .. }) | Err(StateError::Io(_)) => {}
                 other => panic!("truncated snapshot ({keep} bytes) must fail, got {other:?}"),
             }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The entries of a state directory, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn every_publish_leaves_one_store_and_never_writes_over_the_live_one() {
+        let dir = tmpdir("one-store");
+        let (corpus, result) = ranked(75);
+        let (other, other_result) = ranked(76);
+        // A stray from a publish killed before its commit.
+        std::fs::create_dir_all(dir.join(store_name(9))).unwrap();
+        // (state, wal_seq, tag the store must get): a rewrite at the live
+        // snapshot's own sequence number moves to the next tag.
+        let steps =
+            [(&corpus, &result, 0, 0), (&other, &other_result, 0, 1), (&corpus, &result, 4, 4)];
+        for (corpus, result, wal_seq, tag) in steps {
+            let generation = write_snapshot(&dir, corpus, result, wal_seq).unwrap();
+            assert_eq!(listing(&dir), [store_name(tag).as_str(), SNAP_FILE]);
+            let restored = load_snapshot(&dir).unwrap();
+            assert_eq!((restored.generation, restored.wal_seq), (generation, wal_seq));
+            assert_eq!(&restored.corpus, corpus);
+            assert_eq!(restored.result.article_scores, result.article_scores);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_older_layout_is_refused_by_name() {
+        let dir = tmpdir("v1");
+        let mut bytes = b"SNAPv1\0\0".to_vec();
+        bytes.resize(1024, 0);
+        std::fs::write(snapshot_path(&dir), &bytes).unwrap();
+        match load_snapshot(&dir) {
+            Err(e @ StateError::Unsupported { .. }) => {
+                assert_eq!(
+                    e.to_string(),
+                    "state file snapshot.snap is SNAPv1; this build reads only SNAPv2"
+                );
+            }
+            other => panic!("a SNAPv1 file must be Unsupported, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -424,7 +424,7 @@ impl MmapCsr {
     /// Open `path`, validating magic, header invariants, section bounds
     /// and alignment, and — when `expected_tag` is given — the builder's
     /// generation stamp. O(shards): section *contents* are not read (the
-    /// file is a cache derived from the checksummed SCOLv1 columns and
+    /// file is a cache derived from the checksummed SCOLv2 columns and
     /// rebuilt on any tag mismatch, see DESIGN.md §2.14).
     pub fn open(path: &Path, expected_tag: Option<u64>) -> io::Result<MmapCsr> {
         let map = Mmap::map_file(path)?;

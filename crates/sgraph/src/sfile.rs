@@ -1,4 +1,4 @@
-//! sfile: the one durable-file kit under SCOLv1, SCSRv2, SNAPv1, WALv1
+//! sfile: the one durable-file kit under SCOLv2, SCSRv2, SNAPv2, WALv1
 //! and RLOGv1 (DESIGN.md §2.14).
 //!
 //! Every on-disk format in the workspace needs the same four things, and
@@ -98,7 +98,7 @@ impl Drop for TmpFile {
 /// the order given**, then fsync the parent directory once.
 ///
 /// All files must share one parent directory. With several files the
-/// last one is the commit point (SCOLv1 passes `meta.col` last): until
+/// last one is the commit point (SCOLv2 passes `meta.col` last): until
 /// its rename, readers that require it see no new state. On any error
 /// every file not yet renamed has its tmp removed, and the error —
 /// including a failed directory fsync, after which the renames may not

@@ -845,63 +845,112 @@ fn await_published(reindexer: &Reindexer, n: u64) {
     }
 }
 
-/// Kill a cold durable start at every `snapshot.io` step in turn. A
-/// killed start must fail loudly, leaving neither a published snapshot
-/// nor tmp debris, and a disarmed retry into the same directory must
-/// come up serving the exact cold-rank scores.
+/// A script that lets `steps` evaluations pass and kills the next one.
+fn kill_at(steps: usize) -> Vec<Action> {
+    let mut script = vec![Action::Off; steps];
+    script.push(Action::Trigger);
+    script
+}
+
+/// The entries of a directory, sorted.
+fn listing(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// After any publish a state directory holds exactly `snapshot.snap`,
+/// `wal.log` and one `corpus-<tag>/` store: whatever a kill left behind
+/// is gone.
+fn assert_one_store(dir: &std::path::Path, context: &str) {
+    let names = listing(dir);
+    let stores = names.iter().filter(|n| n.starts_with("corpus-")).count();
+    assert!(
+        stores == 1 && names.len() == 3 && names.contains(&"snapshot.snap".to_owned()),
+        "{context}: state directory holds {names:?}"
+    );
+}
+
+/// Copy a state directory, its store included.
+fn copy_state(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let dst = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_state(&entry.path(), &dst);
+        } else {
+            std::fs::copy(entry.path(), dst).unwrap();
+        }
+    }
+}
+
+/// Kill a cold durable start at every step of both artifacts in turn:
+/// every `corpus.colstore.io` step of the store write, and every
+/// `snapshot.io` step of the `snapshot.snap` publish after it. A killed
+/// start must fail loudly, leaving neither a published snapshot nor tmp
+/// debris, and a disarmed retry into the same directory must come up
+/// serving the exact cold-rank scores, with the store a kill left
+/// behind written over or removed.
 #[test]
 fn cold_start_kill_sweep_never_publishes_a_torn_snapshot() {
     let _s = Scenario::begin();
     let corpus = small_corpus(11);
     let want = oracle_scores(&corpus, &[]);
     let base = durable_dir("cold");
-    let mut steps = 0usize;
-    loop {
-        let dir = base.join(format!("kill-{steps}"));
-        let mut script = vec![Action::Off; steps];
-        script.push(Action::Trigger);
-        fp::script("snapshot.io", script);
-        let res = Reindexer::start_durable(
-            QRankConfig::default(),
-            corpus.clone(),
-            DurableOptions::new(&dir),
-            |_| {},
-        );
-        fp::clear("snapshot.io");
-        match res {
-            Err(e) => {
-                assert!(e.to_string().contains("snapshot.io"), "{e}");
-                assert!(
-                    !scholar::serve::snapshot::snapshot_path(&dir).exists(),
-                    "kill at I/O step {steps} left a published snapshot"
-                );
-                assert!(
-                    !dir.join("snapshot.snap.tmp").exists(),
-                    "kill at I/O step {steps} leaked the tmp file"
-                );
-                let (shared, reindexer, report) = Reindexer::start_durable(
-                    QRankConfig::default(),
-                    corpus.clone(),
-                    DurableOptions::new(&dir),
-                    |_| {},
-                )
-                .expect("disarmed retry");
-                assert!(!report.restored_from_snapshot, "a killed start left restorable state");
-                assert_serves_exactly(&shared, &want);
-                reindexer.shutdown();
+    // (site, floor on the steps its sweep must kill one by one)
+    for (site, floor) in [("snapshot.io", 6), ("corpus.colstore.io", 300)] {
+        let mut steps = 0usize;
+        loop {
+            let dir = base.join(format!("{site}-{steps}"));
+            fp::script(site, kill_at(steps));
+            let res = Reindexer::start_durable(
+                QRankConfig::default(),
+                corpus.clone(),
+                DurableOptions::new(&dir),
+                |_| {},
+            );
+            fp::clear(site);
+            match res {
+                Err(e) => {
+                    assert!(e.to_string().contains(site), "{e}");
+                    assert!(
+                        !scholar::serve::snapshot::snapshot_path(&dir).exists(),
+                        "kill at {site} step {steps} left a published snapshot"
+                    );
+                    assert!(
+                        !dir.join("snapshot.snap.tmp").exists(),
+                        "kill at {site} step {steps} leaked the tmp file"
+                    );
+                    let (shared, reindexer, report) = Reindexer::start_durable(
+                        QRankConfig::default(),
+                        corpus.clone(),
+                        DurableOptions::new(&dir),
+                        |_| {},
+                    )
+                    .expect("disarmed retry");
+                    assert!(!report.restored_from_snapshot, "a killed start left restorable state");
+                    assert_serves_exactly(&shared, &want);
+                    reindexer.shutdown();
+                    assert_one_store(&dir, &format!("retry after {site} step {steps}"));
+                }
+                // Trigger landed past the last I/O step: the start ran
+                // fault-free, so every step has been individually killed.
+                Ok((shared, reindexer, report)) => {
+                    assert!(!report.restored_from_snapshot);
+                    assert_serves_exactly(&shared, &want);
+                    reindexer.shutdown();
+                    assert_one_store(&dir, &format!("{site} sweep end"));
+                    break;
+                }
             }
-            // Trigger landed past the last I/O step: the start ran
-            // fault-free, so every step has been individually killed.
-            Ok((shared, reindexer, report)) => {
-                assert!(!report.restored_from_snapshot);
-                assert_serves_exactly(&shared, &want);
-                reindexer.shutdown();
-                break;
-            }
+            steps += 1;
         }
-        steps += 1;
+        assert!(steps >= floor, "{site} sweep covered only {steps} I/O steps");
     }
-    assert!(steps >= 6, "sweep covered only {steps} snapshot I/O steps");
     std::fs::remove_dir_all(&base).unwrap();
 }
 
@@ -1014,10 +1063,13 @@ fn wal_rotate_kill_sweep_keeps_the_old_journal_and_no_tmp() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Kill a *restart* at every I/O step of every durable-state site. A
-/// killed restart must fail cleanly (never serve state of unknown
-/// provenance), leave the on-disk state restorable, and a disarmed retry
-/// must serve every journaled batch bit-identically.
+/// Kill a *restart* at every I/O step of every durable-state site — the
+/// load, the journal replay, the re-snapshot's store write and its
+/// `snapshot.snap` publish, and the journal rotation. A killed restart
+/// must fail cleanly (never serve state of unknown provenance) and leave
+/// on disk either the old state or the new one, never a third; a
+/// disarmed retry must serve every journaled batch bit-identically, and
+/// its publish must leave one store.
 #[test]
 fn restart_kill_sweep_fails_clean_and_recovers_disarmed() {
     let _s = Scenario::begin();
@@ -1040,19 +1092,31 @@ fn restart_kill_sweep_fails_clean_and_recovers_disarmed() {
         await_published(&reindexer, all.len() as u64);
         reindexer.shutdown();
     }
+    // The two states a kill may leave: the pristine snapshot, and the one
+    // a fault-free restart re-snapshots after its replay.
+    let old = scholar::serve::load_snapshot(&pristine).expect("pristine state").generation;
+    let new = {
+        let dir = base.join("fault-free");
+        copy_state(&pristine, &dir);
+        let (_shared, r, report) = Reindexer::start_durable(
+            QRankConfig::default(),
+            corpus.clone(),
+            DurableOptions::new(&dir),
+            |_| {},
+        )
+        .expect("fault-free restart");
+        r.shutdown();
+        report.snapshot_generation
+    };
+    assert_ne!(old, new);
 
     let mut total_kills = 0usize;
-    for site in ["snapshot.io", "wal.replay", "wal.append"] {
+    for site in ["snapshot.io", "corpus.colstore.io", "wal.replay", "wal.append"] {
         let mut steps = 0usize;
         loop {
             let dir = base.join(format!("{site}-{steps}"));
-            std::fs::create_dir_all(&dir).unwrap();
-            for f in ["snapshot.snap", "wal.log"] {
-                std::fs::copy(pristine.join(f), dir.join(f)).unwrap();
-            }
-            let mut script = vec![Action::Off; steps];
-            script.push(Action::Trigger);
-            fp::script(site, script);
+            copy_state(&pristine, &dir);
+            fp::script(site, kill_at(steps));
             let res = Reindexer::start_durable(
                 QRankConfig::default(),
                 corpus.clone(),
@@ -1067,6 +1131,13 @@ fn restart_kill_sweep_fails_clean_and_recovers_disarmed() {
                         "kill at {site} step {steps} surfaced the wrong error: {e}"
                     );
                     total_kills += 1;
+                    let left = scholar::serve::load_snapshot(&dir)
+                        .expect("a killed restart must leave a loadable state")
+                        .generation;
+                    assert!(
+                        left == old || left == new,
+                        "kill at {site} step {steps} left a third state {left:016x}"
+                    );
                     // Whatever the kill interrupted (load, re-snapshot,
                     // journal rotation), the state on disk must still
                     // restore completely once the fault clears.
@@ -1080,62 +1151,177 @@ fn restart_kill_sweep_fails_clean_and_recovers_disarmed() {
                     assert!(report.restored_from_snapshot, "retry after {site} kill re-ranked");
                     assert_serves_exactly(&shared, &want);
                     r2.shutdown();
+                    assert_one_store(&dir, &format!("retry after {site} step {steps}"));
                 }
                 Ok((shared, r2, report)) => {
                     assert!(report.restored_from_snapshot);
                     assert_eq!(report.replayed_batches, all.len());
+                    assert_eq!(report.snapshot_generation, new);
                     assert!(!report.torn_tail);
                     assert_serves_exactly(&shared, &want);
                     r2.shutdown();
+                    assert_one_store(&dir, &format!("{site} sweep end"));
                     break;
                 }
             }
             steps += 1;
         }
     }
-    assert!(total_kills >= 10, "sweep covered only {total_kills} restart I/O steps");
+    assert!(total_kills >= 340, "sweep covered only {total_kills} restart I/O steps");
     std::fs::remove_dir_all(&base).unwrap();
 }
 
 /// A failing background snapshot must degrade restart *speed*, never
-/// durability or serving: publishes keep landing while every snapshot
-/// attempt dies, and a later restart replays every journaled batch.
+/// durability or serving, whichever artifact it dies in. Two schedules
+/// per site (the store's `corpus.colstore.io`, `snapshot.snap`'s
+/// `snapshot.io`): every snapshot attempt dies, and publishes keep
+/// landing while a later restart replays every journaled batch; then the
+/// first snapshot-on-publish is killed at each step in turn, which must
+/// leave the old state or the new one on disk, never a third, and the
+/// next publish must leave one store.
 #[test]
 fn snapshot_publish_failure_keeps_serving_and_durability() {
     let _s = Scenario::begin();
     let corpus = small_corpus(14);
-    let dir = durable_dir("degrade");
-    let mut opts = DurableOptions::new(&dir);
-    opts.snapshot_every = 1;
-    let (shared, reindexer, _report) =
-        Reindexer::start_durable(QRankConfig::default(), corpus.clone(), opts, |_| {})
-            .expect("cold start");
-    // Every snapshot-on-publish attempt from here on dies.
-    fp::set("snapshot.io", Action::Trigger);
     let all: Vec<Vec<Article>> = (0..2).map(one_batch).collect();
-    for b in &all {
-        reindexer.submit(b.clone()).expect("submit must not depend on snapshots");
-    }
-    await_published(&reindexer, all.len() as u64);
-    assert!(shared.load().generation() >= 2, "publishes stopped with the snapshot path down");
-    // Keep the fault armed through shutdown: the final snapshot attempt
-    // must fail too, so the restart below really exercises full replay.
-    reindexer.shutdown();
-    assert!(fp::fired("snapshot.io") > 0, "no snapshot attempt ever ran");
-    fp::clear("snapshot.io");
+    let want = oracle_scores(&corpus, &all);
+    let every_publish = |dir: &std::path::Path| {
+        let mut opts = DurableOptions::new(dir);
+        opts.snapshot_every = 1;
+        opts
+    };
+    for site in ["snapshot.io", "corpus.colstore.io"] {
+        let dir = durable_dir(&format!("degrade-{site}"));
+        let (shared, reindexer, _report) = Reindexer::start_durable(
+            QRankConfig::default(),
+            corpus.clone(),
+            every_publish(&dir),
+            |_| {},
+        )
+        .expect("cold start");
+        // Every snapshot-on-publish attempt from here on dies.
+        fp::set(site, Action::Trigger);
+        for b in &all {
+            reindexer.submit(b.clone()).expect("submit must not depend on snapshots");
+        }
+        await_published(&reindexer, all.len() as u64);
+        assert!(shared.load().generation() >= 2, "publishes stopped with the snapshot path down");
+        // Keep the fault armed through shutdown: the final snapshot attempt
+        // must fail too, so the restart below really exercises full replay.
+        reindexer.shutdown();
+        assert!(fp::fired(site) > 0, "no snapshot attempt ever ran");
+        fp::clear(site);
 
-    let (shared2, r2, report) = Reindexer::start_durable(
-        QRankConfig::default(),
-        corpus.clone(),
-        DurableOptions::new(&dir),
-        |_| {},
-    )
-    .expect("restart");
-    assert!(report.restored_from_snapshot);
-    assert_eq!(report.replayed_batches, all.len(), "a failed snapshot cost a journaled batch");
-    assert_serves_exactly(&shared2, &oracle_scores(&corpus, &all));
-    r2.shutdown();
-    std::fs::remove_dir_all(&dir).unwrap();
+        let (shared2, r2, report) = Reindexer::start_durable(
+            QRankConfig::default(),
+            corpus.clone(),
+            DurableOptions::new(&dir),
+            |_| {},
+        )
+        .expect("restart");
+        assert!(report.restored_from_snapshot);
+        assert_eq!(report.replayed_batches, all.len(), "a failed snapshot cost a journaled batch");
+        assert_serves_exactly(&shared2, &want);
+        r2.shutdown();
+        assert_one_store(&dir, &format!("restart after failing {site}"));
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let mut steps = 0usize;
+        loop {
+            let dir = durable_dir(&format!("publish-{site}-{steps}"));
+            let (_shared, reindexer, report) = Reindexer::start_durable(
+                QRankConfig::default(),
+                corpus.clone(),
+                every_publish(&dir),
+                |_| {},
+            )
+            .expect("cold start");
+            let old = report.snapshot_generation;
+            fp::script(site, kill_at(steps));
+            reindexer.submit(all[0].clone()).expect("submit");
+            await_published(&reindexer, 1);
+            // Joining the reindex thread ends its snapshot attempt.
+            reindexer.shutdown();
+            fp::clear(site);
+            let left = scholar::serve::load_snapshot(&dir)
+                .expect("a killed publish must leave a loadable state");
+            let killed = left.wal_seq == 0;
+            if killed {
+                assert_eq!(left.generation, old, "kill at {site} step {steps} left a third state");
+            } else {
+                assert_eq!(left.wal_seq, 1);
+            }
+            // Either way the next start serves exactly the journal, and
+            // the next publish leaves one store.
+            let (shared, r2, report) = Reindexer::start_durable(
+                QRankConfig::default(),
+                corpus.clone(),
+                every_publish(&dir),
+                |_| {},
+            )
+            .expect("restart");
+            assert_eq!(report.replayed_batches, usize::from(killed));
+            r2.submit(all[1].clone()).expect("submit");
+            await_published(&r2, 1);
+            assert_serves_exactly(&shared, &want);
+            r2.shutdown();
+            assert_one_store(&dir, &format!("publish after {site} step {steps}"));
+            std::fs::remove_dir_all(&dir).unwrap();
+            if !killed {
+                break;
+            }
+            steps += 1;
+        }
+        let floor = if site == "snapshot.io" { 6 } else { 300 };
+        assert!(steps >= floor, "{site} publish sweep covered only {steps} I/O steps");
+    }
+}
+
+/// Rewriting a state at the sequence number its live snapshot already
+/// covers (`scholar snapshot` over an existing state directory) must not
+/// write over the live store: killed at every step of either artifact,
+/// the rewrite leaves the old state loadable, and a disarmed retry
+/// publishes the new one with one store left.
+#[test]
+fn a_rewrite_at_the_live_sequence_number_never_tears_the_live_store() {
+    let _s = Scenario::begin();
+    let ranked = |seed| {
+        let ranker = IncrementalRanker::new(QRankConfig::default(), small_corpus(seed));
+        (ranker.corpus().clone(), ranker.result().clone())
+    };
+    let ((old_corpus, old_result), (new_corpus, new_result)) = (ranked(15), ranked(16));
+    let base = durable_dir("rewrite");
+    for site in ["corpus.colstore.io", "snapshot.io"] {
+        let mut steps = 0usize;
+        loop {
+            let dir = base.join(format!("{site}-{steps}"));
+            let old = scholar::serve::write_snapshot(&dir, &old_corpus, &old_result, 0).unwrap();
+            fp::script(site, kill_at(steps));
+            let res = scholar::serve::write_snapshot(&dir, &new_corpus, &new_result, 0);
+            fp::clear(site);
+            let left = scholar::serve::load_snapshot(&dir).expect("a loadable state");
+            match res {
+                Err(e) => {
+                    assert!(e.to_string().contains(site), "{e}");
+                    assert_eq!(left.generation, old, "kill at {site} step {steps} tore the state");
+                    assert!(left.corpus == old_corpus);
+                    let new = scholar::serve::write_snapshot(&dir, &new_corpus, &new_result, 0)
+                        .expect("disarmed retry");
+                    assert_eq!(scholar::serve::load_snapshot(&dir).unwrap().generation, new);
+                }
+                Ok(new) => {
+                    assert_eq!(left.generation, new);
+                    assert!(left.corpus == new_corpus);
+                    break;
+                }
+            }
+            let stores = listing(&dir).iter().filter(|n| n.starts_with("corpus-")).count();
+            assert_eq!(stores, 1, "retry after {site} step {steps}: {:?}", listing(&dir));
+            steps += 1;
+        }
+        assert!(steps >= 6, "{site} sweep covered only {steps} I/O steps");
+    }
+    std::fs::remove_dir_all(&base).unwrap();
 }
 
 /// An unmappable column file must fail `ColStore::open` with a clean

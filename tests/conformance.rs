@@ -987,3 +987,129 @@ fn scsr_oracle_matches_decayed_plan_on_a_mag_scale_store() {
     assert!(got == want, "the shard file differs from the sort-based writer's");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+// ---- The state directory against the SNAPv1 oracle ----
+
+/// Strings and merit the SCOLv2 columns must carry exactly: titles and
+/// names that need JSON escaping or are multi-byte UTF-8 (a NUL byte
+/// included), empty ones, two authors sharing one name, an empty byline,
+/// an author twice on one byline, a forward reference, and merit absent,
+/// zero, negative zero and tiny.
+fn adversarial_strings() -> Corpus {
+    use scholar::corpus::model::{Author, Venue, VenueId};
+    let article =
+        |i: u32, title: &str, year, venue, authors: &[u32], refs: &[u32], merit| Article {
+            id: ArticleId(i),
+            title: title.to_owned(),
+            year,
+            venue: VenueId(venue),
+            authors: authors.iter().map(|&u| AuthorId(u)).collect(),
+            references: refs.iter().map(|&r| ArticleId(r)).collect(),
+            merit,
+        };
+    let authors = ["Ada Lovelace", "Ada Lovelace", "Zoë \"Z\" \u{1d518}", ""];
+    let venues = ["", "V\u{0}nul / \\ \u{2028}"];
+    Corpus::assemble(
+        vec![
+            article(0, "", 1990, 0, &[], &[], None),
+            article(1, "\"quoted\" \\ tab\tnewline\n\u{1}", 1995, 1, &[0, 1], &[0, 2], Some(0.25)),
+            article(2, "Über naïve 数据 🦀", 1995, 0, &[1, 1], &[0], Some(-0.0)),
+            article(3, "</script>&amp;", 2001, 1, &[2, 3], &[0, 1, 2], Some(0.0)),
+            article(4, "tiny merit", 2003, 0, &[0], &[3], Some(f64::MIN_POSITIVE / 8.0)),
+        ],
+        authors
+            .iter()
+            .enumerate()
+            .map(|(i, name)| Author { id: AuthorId(i as u32), name: (*name).to_owned() })
+            .collect(),
+        venues
+            .iter()
+            .enumerate()
+            .map(|(i, name)| Venue { id: VenueId(i as u32), name: (*name).to_owned() })
+            .collect(),
+    )
+    .unwrap()
+}
+
+/// Score vectors whose bits a lossy codec would move: signed zero, a
+/// subnormal, an infinity, a NaN with a payload, and falling values.
+fn awkward_scores(corpus: &Corpus) -> QRankResult {
+    let special =
+        [-0.0, f64::MIN_POSITIVE / 3.0, f64::INFINITY, f64::from_bits(0x7ff8_0000_0000_0abc)];
+    let vector = |n: usize, salt: usize| -> Vec<f64> {
+        (0..n)
+            .map(|i| match (i + salt) % 3 {
+                0 => special[(i + salt) % special.len()],
+                _ => 1.0 / (i + salt + 1) as f64,
+            })
+            .collect()
+    };
+    QRankResult {
+        article_scores: vector(corpus.num_articles(), 0),
+        venue_scores: vector(corpus.num_venues(), 1),
+        author_scores: vector(corpus.num_authors(), 2),
+        twpr_scores: vector(corpus.num_articles(), 3),
+        twpr_diagnostics: scholar::rank::Diagnostics::closed_form(),
+        outer: scholar::rank::Diagnostics::closed_form(),
+    }
+}
+
+/// Write one state both ways — the SNAPv1 oracle's single file, and the
+/// SCOLv2 store + SNAPv2 scores — and hold the new restore to what the
+/// oracle round-trips: every article field (merit by bits), both name
+/// tables, and every score bit.
+fn assert_state_matches_snapv1(label: &str, corpus: &Corpus, result: &QRankResult, wal_seq: u64) {
+    let base = std::env::temp_dir()
+        .join(format!("scholar-conformance-snapv1-{}-{label}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let (v1, v2) = (base.join("v1"), base.join("v2"));
+    oracle::snapv1::write_snapshot(&v1, corpus, result, wal_seq).unwrap();
+    let want = oracle::snapv1::load_snapshot(&v1).unwrap();
+    scholar::serve::write_snapshot(&v2, corpus, result, wal_seq).unwrap();
+    let got = scholar::serve::load_snapshot(&v2).unwrap();
+
+    assert_eq!(got.wal_seq, want.wal_seq, "{label}: wal_seq");
+    let (g, w) = (&got.corpus, &want.corpus);
+    assert_eq!(g.num_articles(), w.num_articles(), "{label}: article count");
+    for (a, b) in g.articles().iter().zip(w.articles()) {
+        let id = a.id;
+        assert_eq!(
+            (a.id, &a.title, a.year, a.venue, &a.authors, &a.references),
+            (b.id, &b.title, b.year, b.venue, &b.authors, &b.references),
+            "{label}: article {id}"
+        );
+        assert_eq!(a.merit.map(f64::to_bits), b.merit.map(f64::to_bits), "{label}: merit {id}");
+    }
+    assert_eq!(g.authors(), w.authors(), "{label}: author names");
+    assert_eq!(g.venues(), w.venues(), "{label}: venue names");
+    let vectors = |r: &QRankResult| {
+        [&r.article_scores, &r.venue_scores, &r.author_scores, &r.twpr_scores].map(|v| bits(v))
+    };
+    assert!(vectors(&got.result) == vectors(&want.result), "{label}: score bits");
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+#[test]
+fn state_directory_restores_what_snapv1_round_trips() {
+    for seed in 0..3 {
+        let corpus = Preset::Tiny.generate(seed);
+        let result = QRank::default().run(&corpus);
+        assert_state_matches_snapv1(&format!("tiny-{seed}"), &corpus, &result, seed);
+    }
+    let aan = Preset::AanLike.generate(43);
+    assert_state_matches_snapv1("aan", &aan, &awkward_scores(&aan), 9);
+    let cases = edge_cases().into_iter().chain([("adversarial strings", adversarial_strings())]);
+    for (i, (name, corpus)) in cases.enumerate() {
+        assert_state_matches_snapv1(name, &corpus, &awkward_scores(&corpus), i as u64);
+    }
+}
+
+/// The same row on a 90k-article corpus with its real ranking; CI runs
+/// it with `cargo test --release --test conformance -- --ignored snapv1`.
+#[test]
+#[ignore = "large preset; run in release builds"]
+fn state_directory_restores_what_snapv1_round_trips_on_dblp() {
+    let corpus = Preset::DblpLike.generate(20180416);
+    let result = QRank::default().run(&corpus);
+    assert_state_matches_snapv1("dblp", &corpus, &result, 3);
+}

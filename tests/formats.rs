@@ -106,21 +106,30 @@ fn loaders_tolerate_messy_real_world_data() {
 
 /// "No on-disk byte changes" as a test: every durable format, written
 /// for one fixed `Preset::Tiny` seed, hashes to the constant captured at
-/// the commit before the formats moved onto `sgraph::sfile` (`graph.scsr`'s
-/// at its bump to SCSRv2). A failure here is a format change — it needs a
-/// version bump, not a new constant.
+/// the commit that last changed that format — the column files and
+/// `snapshot.snap` at SCOLv2/SNAPv2, `graph.scsr` at its bump to SCSRv2,
+/// the rest when they moved onto `sgraph::sfile`. A failure here is a
+/// format change — it needs a version bump, not a new constant.
 #[test]
 fn golden_bytes_of_all_five_formats() {
-    const GOLDEN: [(&str, u64); 12] = [
-        ("years.col", 0xd11ab88814935020),
-        ("venues.col", 0x946f4ba6cacf652e),
-        ("authors.idx", 0xf5cb00bc293575f8),
-        ("authors.dat", 0x7fcc5d5bd6449fc2),
-        ("refs.idx", 0xec297ad3f24d8fc1),
-        ("refs.dat", 0xd2ccaa54a40ecc84),
-        ("meta.col", 0x4c11dd1ca2f2366b),
+    const GOLDEN: [(&str, u64); 20] = [
+        ("years.col", 0x54bec687249a6fad),
+        ("venues.col", 0x2c2ba5a58915be1b),
+        ("authors.idx", 0x588b1e260a3e3b71),
+        ("authors.dat", 0x23ae3b6fdc6c80d3),
+        ("refs.idx", 0x3458468b07751a68),
+        ("refs.dat", 0x0a291728fd0c4a9d),
+        ("titles.idx", 0x285a736fdf6424f4),
+        ("titles.dat", 0x26789e49ed10521c),
+        ("merit_mask.col", 0x64aaf87211b5a936),
+        ("merit.col", 0xee937400b3b62de8),
+        ("venue_names.idx", 0x2e37146092ea957c),
+        ("venue_names.dat", 0x79f93e6a6a2a7d08),
+        ("author_names.idx", 0x73b1b3df53f030f4),
+        ("author_names.dat", 0x61aca865bd8e16f1),
+        ("meta.col", 0xc5af64acd24382fa),
         ("graph.scsr", 0x97af81ce6e7d9b0b),
-        ("snapshot.snap", 0xa3c659ef05386875),
+        ("snapshot.snap", 0x856f50abcafb522d),
         ("wal.log", 0x45906d22aa2b7d7c),
         ("wal.log (rotated)", 0x0b3df91a0d596ec2),
         ("golden.rlog", 0x5479891b1e5509b5),
@@ -138,20 +147,16 @@ fn golden_bytes_of_all_five_formats() {
         got.push((name, scholar::graph::sfile::fnv64(&std::fs::read(path).unwrap())));
     };
 
-    // SCOLv1: seven column files.
+    // SCOLv2: fifteen column files.
     let col = dir.join("col");
-    let generation = corpus.write_colstore(&col).unwrap();
-    for name in [
-        "years.col",
-        "venues.col",
-        "authors.idx",
-        "authors.dat",
-        "refs.idx",
-        "refs.dat",
-        "meta.col",
-    ] {
+    corpus.write_colstore(&col).unwrap();
+    for &(name, _) in &GOLDEN[..15] {
         hash(name, &col.join(name));
     }
+    // `graph.scsr` and `golden.rlog` carry a store generation and nothing
+    // else of the store. They are stamped with the SCOLv1 store's, so
+    // their constants show that their own formats did not move.
+    let generation = 0x7754_4f55_51cc_f373;
 
     // SCSRv2: several shards, tagged with the colstore generation.
     let scsr = dir.join("graph.scsr");
@@ -159,8 +164,9 @@ fn golden_bytes_of_all_five_formats() {
         .unwrap();
     hash("graph.scsr", &scsr);
 
-    // SNAPv1 over synthetic scores: the test pins the file format, not
-    // the solver's floating point.
+    // SNAPv2 over synthetic scores: the test pins the file format, not
+    // the solver's floating point. Its store is a second copy of the
+    // column files above, so only `snapshot.snap` itself is hashed.
     let falling = |n: usize| (0..n).map(|i| 1.0 / (i + 1) as f64).collect::<Vec<f64>>();
     let result = scholar::QRankResult {
         article_scores: falling(corpus.num_articles()),

@@ -5,7 +5,7 @@
 //! 1. **RLOGv1 round-trip** — a recorded request log encodes and
 //!    decodes byte-identically; any truncation decodes to a clean
 //!    prefix; bit rot inside a complete file is a typed error, never a
-//!    panic. Same discipline as SNAPv1/WALv1.
+//!    panic. Same discipline as SNAPv2/WALv1.
 //! 2. **Deterministic replay** — a recorded log re-issued against a
 //!    fresh server produces byte-identical responses, proven by
 //!    per-endpoint digests that are a pure function of (log, server

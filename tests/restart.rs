@@ -13,13 +13,16 @@ use scholar::core::incremental::{grow_corpus, IncrementalRanker};
 use scholar::corpus::model::{Article, ArticleId, AuthorId, VenueId};
 use scholar::corpus::Preset;
 use scholar::serve::{
-    serve, DurableOptions, Metrics, Reindexer, ScoreIndex, ServeConfig, SharedIndex,
+    load_snapshot, serve, write_snapshot, DurableOptions, Metrics, Reindexer, ScoreIndex,
+    ServeConfig, SharedIndex, StateError, Wal,
 };
 use scholar::QRankConfig;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+mod oracle;
 
 fn state_dir(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -182,4 +185,73 @@ fn a_third_life_replays_nothing_and_still_serves_identically() {
     assert_eq!(second_top, third_top, "a replay-free restart changed the serving bytes");
     third.1.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The entries of a directory with their bytes, recursively and sorted:
+/// what "left alone" is checked against.
+fn contents(dir: &std::path::Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            out.extend(contents(&path));
+        } else {
+            out.push((path.clone(), std::fs::read(&path).unwrap()));
+        }
+    }
+    out.sort();
+    out
+}
+
+/// A state directory in an older layout is refused with an error naming
+/// its version — a SNAPv1 `snapshot.snap` (written by the codec kept in
+/// `tests/oracle`), or an SCOLv1 store under a SNAPv2 one — and a durable
+/// start over it fails with that error instead of cold-starting over the
+/// old state.
+#[test]
+fn a_version_1_state_directory_is_refused_by_name_and_left_alone() {
+    let qconfig = QRankConfig::default();
+    let corpus = Preset::Tiny.generate(12);
+    let result = IncrementalRanker::new(qconfig.clone(), corpus.clone()).result().clone();
+
+    let v1 = state_dir("snap-v1");
+    oracle::snapv1::write_snapshot(&v1, &corpus, &result, 0).unwrap();
+    drop(Wal::create(&v1, 0).unwrap());
+    let store_v1 = state_dir("scol-v1");
+    write_snapshot(&store_v1, &corpus, &result, 0).unwrap();
+    drop(Wal::create(&store_v1, 0).unwrap());
+    let store = store_v1.join("corpus-0000000000000000");
+    for entry in std::fs::read_dir(&store).unwrap() {
+        let path = entry.unwrap().path();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let footer = bytes.len() - 32;
+        bytes[footer..footer + 8].copy_from_slice(b"SCOLv1\0\0");
+        std::fs::write(&path, &bytes).unwrap();
+    }
+
+    for (dir, found, message) in [
+        (&v1, "SNAPv1", "state file snapshot.snap is SNAPv1; this build reads only SNAPv2"),
+        (
+            &store_v1,
+            "SCOLv1",
+            "state file corpus-0000000000000000/meta.col is SCOLv1; this build reads only SCOLv2",
+        ),
+    ] {
+        let err = load_snapshot(dir).unwrap_err();
+        assert!(matches!(&err, StateError::Unsupported { found: f, .. } if f == found), "{err}");
+        assert_eq!(err.to_string(), message);
+        let before = contents(dir);
+        let err = match Reindexer::start_durable(
+            qconfig.clone(),
+            corpus.clone(),
+            DurableOptions::new(dir),
+            |_| {},
+        ) {
+            Ok(_) => panic!("a durable start over a {found} state must fail"),
+            Err(e) => e,
+        };
+        assert_eq!(err.to_string(), message);
+        assert!(contents(dir) == before, "a refused {found} state was written over");
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
