@@ -536,8 +536,8 @@ mod tests {
         let c = tiny();
         let bp = rows::publication_bipartite(&c);
         assert_eq!(bp.num_left(), 2);
-        assert_eq!(bp.left_degree(0), 2); // v0 has a0, a1
-        assert_eq!(bp.left_degree(1), 2); // v1 has a2, a3
+        assert_eq!(bp.right_of(0).len(), 2); // v0 has a0, a1
+        assert_eq!(bp.right_of(1).len(), 2); // v1 has a2, a3
     }
 
     #[test]

@@ -295,6 +295,8 @@ mod tests {
     fn output_is_valid_and_chronological() {
         let c = small();
         validate(&c).unwrap();
+        // Every citation points to a strictly earlier year, so years fall
+        // along every path and the citation graph is acyclic.
         for a in c.articles() {
             for &r in &a.references {
                 assert!(
@@ -303,8 +305,6 @@ mod tests {
                 );
             }
         }
-        // Chronological process ⇒ DAG.
-        assert!(!sgraph::traversal::is_cyclic(&c.citation_graph()));
     }
 
     #[test]

@@ -14,7 +14,17 @@
 
 use crate::corpus::Corpus;
 use crate::model::Year;
-use sgraph::sampling::edge_unit;
+
+/// Deterministic per-citation hash in [0, 1): splitmix64 of
+/// `(seed, src, dst)`. A citation compares the same unit against every
+/// fraction, so samples drawn with one seed are nested.
+fn edge_unit(seed: u64, src: u32, dst: u32) -> f64 {
+    let mut z = seed ^ ((src as u64) << 32 | dst as u64).wrapping_mul(0x9e3779b97f4a7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+    z ^= z >> 31;
+    (z >> 11) as f64 / (1u64 << 53) as f64
+}
 
 /// Keep each citation independently with probability `keep_fraction`.
 /// Articles, authors, and venues are untouched.
@@ -59,6 +69,16 @@ mod tests {
     use crate::validate::validate;
 
     #[test]
+    fn edge_unit_is_pinned() {
+        // R-Fig 7's samples are these bits; a change here moves the figure.
+        let unit = |k: u64| k as f64 / (1u64 << 53) as f64;
+        assert_eq!(edge_unit(0, 0, 0), 0.0);
+        assert_eq!(edge_unit(42, 7, 3), unit(2872231593355694));
+        assert_eq!(edge_unit(0xdeadbeef, 123456, 654321), unit(7273913375714405));
+        assert_eq!(edge_unit(u64::MAX, u32::MAX, 1), unit(6209197776128108));
+    }
+
+    #[test]
     fn keep_fraction_is_respected() {
         let c = Preset::Tiny.generate(30);
         let total = c.num_citations() as f64;
@@ -83,6 +103,19 @@ mod tests {
                 assert!(a_large.references.contains(r), "nested sampling violated");
             }
         }
+    }
+
+    #[test]
+    fn sampling_is_deterministic_and_seed_sensitive() {
+        let c = Preset::Tiny.generate(34);
+        assert_eq!(sample_citations(&c, 0.5, 42), sample_citations(&c, 0.5, 42));
+        assert_ne!(sample_citations(&c, 0.5, 42), sample_citations(&c, 0.5, 43));
+    }
+
+    #[test]
+    #[should_panic(expected = "probability")]
+    fn bad_fraction_panics() {
+        sample_citations(&Preset::Tiny.generate(35), 1.5, 0);
     }
 
     #[test]

@@ -23,40 +23,32 @@
 
 use crate::hist::Histogram;
 use scholar_serve::shadow::{endpoint_class, ENDPOINTS};
-use scholar_serve::ReqRecord;
+use scholar_serve::{ReqRecord, ServeConfig};
+use sgraph::sfile::Fnv;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+/// FNV-1a 64's offset basis and prime: every digest chain starts at the
+/// basis, and [`fold`] steps it with the prime.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over one byte slice (same parameters as the workspace's
-/// snapshot/WAL/RLOG checksums, reimplemented here so the digest
-/// definition is self-contained in the replay layer).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Fold one response hash into a digest chain.
 fn fold(digest: u64, h: u64) -> u64 {
     (digest ^ h).wrapping_mul(FNV_PRIME)
 }
 
-/// Hash one replayed exchange: the request target, the response status,
-/// and the exact response body bytes.
+/// Hash one replayed exchange: FNV-1a 64 over the request target, a zero
+/// byte, the response status (little-endian) and the exact response body
+/// bytes.
 fn exchange_hash(target: &str, status: u16, body: &[u8]) -> u64 {
-    let mut buf = Vec::with_capacity(target.len() + 3 + body.len());
-    buf.extend_from_slice(target.as_bytes());
-    buf.push(0);
-    buf.extend_from_slice(&status.to_le_bytes());
-    buf.extend_from_slice(body);
-    fnv64(&buf)
+    let mut h = Fnv::new();
+    h.update(target.as_bytes());
+    h.update(&[0]);
+    h.update(&status.to_le_bytes());
+    h.update(body);
+    h.finish()
 }
 
 /// How to replay: where, how wide, and whether to ask for keep-alive.
@@ -363,6 +355,13 @@ fn exchange(
     if conn.is_none() {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
+        // A server that accepts and never answers must cost a transport
+        // error, not a replay blocked for good. The bound is the one the
+        // server itself gives a silent peer; a healthy server answers a
+        // replayed request far inside it.
+        let timeout = ServeConfig::default().read_timeout;
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
         *conn = Some(ReplayConn { stream, buf: Vec::with_capacity(16 * 1024) });
     }
     let c = conn.as_mut().expect("connection just ensured above");
@@ -555,6 +554,25 @@ mod tests {
         server2.join().unwrap();
         assert_eq!(report.overall, report2.overall);
         assert_eq!(report.format_digests(), report2.format_digests());
+    }
+
+    #[test]
+    fn replay_gives_up_on_a_server_that_never_answers() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (done, watchdog) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let records = vec![record(1, 0, "/health", 200)];
+            let config = ReplayConfig { addr, connections: 1, keep_alive: true };
+            let _ = done.send(replay(&records, &config).unwrap());
+        });
+        // Hold the accepted connection open without ever writing to it.
+        let (_silent, _) = listener.accept().unwrap();
+        let report = watchdog
+            .recv_timeout(Duration::from_secs(60))
+            .expect("replay still blocked on a server that never answers");
+        assert_eq!(report.transport_errors, 1);
+        assert_eq!(report.replayed, 0);
     }
 
     #[test]

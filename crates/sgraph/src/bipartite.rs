@@ -142,16 +142,6 @@ impl Bipartite {
         &self.rl_weights[self.rl_offsets[r as usize]..self.rl_offsets[r as usize + 1]]
     }
 
-    /// Degree of left node `l`.
-    pub fn left_degree(&self, l: u32) -> usize {
-        self.right_of(l).len()
-    }
-
-    /// Degree of right node `r`.
-    pub fn right_degree(&self, r: u32) -> usize {
-        self.left_of(r).len()
-    }
-
     /// Weighted-mean aggregation from right scores to left nodes:
     /// `out[l] = Σ_r w(l,r)·score[r] / Σ_r w(l,r)`, 0 for isolated `l`.
     pub fn aggregate_to_left(&self, right_scores: &[f64]) -> Vec<f64> {
@@ -378,8 +368,7 @@ mod tests {
         assert_eq!(bp.num_edges(), 4);
         assert_eq!(bp.right_of(0), &[0, 1]);
         assert_eq!(bp.left_of(1), &[0, 1]);
-        assert_eq!(bp.left_degree(0), 2);
-        assert_eq!(bp.right_degree(2), 1);
+        assert_eq!(bp.left_of(2), &[1]);
         assert_eq!(bp.right_weights_of(0), &[1.0, 0.5]);
         assert_eq!(bp.left_weights_of(1), &[0.5, 0.5]);
     }

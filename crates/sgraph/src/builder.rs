@@ -5,43 +5,14 @@ use crate::scatter::{by_row_then_col, scatter};
 use crate::{GraphError, Result};
 use std::ops::Range;
 
-/// What to do when the same `(src, dst)` pair is added more than once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DuplicateEdgePolicy {
-    /// Sum the weights of duplicate edges into one edge (the default;
-    /// matches how citation multi-edges are aggregated into venue/author
-    /// graphs).
-    #[default]
-    SumWeights,
-    /// Keep the first weight seen, drop the rest.
-    KeepFirst,
-    /// Keep the maximum weight seen.
-    MaxWeight,
-    /// Fail the build with [`GraphError::DuplicateEdge`].
-    Reject,
-}
-
-impl DuplicateEdgePolicy {
-    /// Fold one more contribution `w` to an edge into its `stored` weight —
-    /// the one aggregation rule under [`GraphBuilder::try_build`] and
-    /// [`GraphBuilder::try_build_onto`]. `false` when the policy forbids
-    /// the duplicate.
-    fn fold(self, stored: &mut f64, w: f64) -> bool {
-        match self {
-            DuplicateEdgePolicy::SumWeights => *stored += w,
-            DuplicateEdgePolicy::KeepFirst => {}
-            DuplicateEdgePolicy::MaxWeight => *stored = stored.max(w),
-            DuplicateEdgePolicy::Reject => return false,
-        }
-        true
-    }
-}
-
 /// Incrementally collects edges, then produces a canonical [`CsrGraph`].
 ///
 /// The builder is intentionally permissive while staging (edges land in a
 /// flat vector); all validation, ordering, deduplication and the in-CSR
 /// derivation happen in [`GraphBuilder::build`] / [`GraphBuilder::try_build`].
+/// A pair staged more than once becomes one edge whose weight is the sum of
+/// its contributions, added one at a time in staging order (how citation
+/// multi-edges aggregate into the venue graph).
 /// Both orientations come out of one stable counting scatter (count per
 /// row → prefix sum → place in arrival order), so a build is O(V + E) plus
 /// a sort of each node's own out-row — no sort over the whole edge set.
@@ -49,30 +20,18 @@ impl DuplicateEdgePolicy {
 pub struct GraphBuilder {
     num_nodes: u32,
     edges: Vec<(u32, u32, f64)>,
-    policy: DuplicateEdgePolicy,
     allow_self_loops: bool,
 }
 
 impl GraphBuilder {
     /// A builder for a graph with `num_nodes` nodes (ids `0..num_nodes`).
     pub fn new(num_nodes: u32) -> Self {
-        GraphBuilder {
-            num_nodes,
-            edges: Vec::new(),
-            policy: DuplicateEdgePolicy::default(),
-            allow_self_loops: true,
-        }
+        GraphBuilder { num_nodes, edges: Vec::new(), allow_self_loops: true }
     }
 
     /// Pre-reserve capacity for `n` edges.
     pub fn with_edge_capacity(mut self, n: usize) -> Self {
         self.edges.reserve(n);
-        self
-    }
-
-    /// Set the duplicate-edge policy (default: [`DuplicateEdgePolicy::SumWeights`]).
-    pub fn duplicate_policy(mut self, policy: DuplicateEdgePolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -89,16 +48,6 @@ impl GraphBuilder {
         self.num_nodes
     }
 
-    /// Number of staged (pre-dedup) edges.
-    pub fn num_staged_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Grow the node count (never shrinks).
-    pub fn ensure_nodes(&mut self, n: u32) {
-        self.num_nodes = self.num_nodes.max(n);
-    }
-
     /// Stage a weighted edge.
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId, weight: f64) {
         self.edges.push((src.0, dst.0, weight));
@@ -109,31 +58,22 @@ impl GraphBuilder {
         self.add_edge(src, dst, 1.0);
     }
 
-    /// Stage many edges at once.
-    pub fn extend_edges<I: IntoIterator<Item = (NodeId, NodeId, f64)>>(&mut self, iter: I) {
-        self.edges.extend(iter.into_iter().map(|(s, d, w)| (s.0, d.0, w)));
-    }
-
     /// Build, panicking on invalid input. Prefer [`Self::try_build`] when
     /// edges come from untrusted data.
     pub fn build(self) -> CsrGraph {
         self.try_build().expect("GraphBuilder::build: invalid graph input")
     }
 
-    /// Build, validating node bounds, weights, and the duplicate policy.
+    /// Build, validating node bounds and weights.
     pub fn try_build(mut self) -> Result<CsrGraph> {
         let n = self.num_nodes as usize;
         self.check_and_order()?;
 
-        // Deduplicate in place according to policy.
+        // Sum each pair's contributions, left to right.
         let mut deduped: Vec<(u32, u32, f64)> = Vec::with_capacity(self.edges.len());
         for (s, d, w) in std::mem::take(&mut self.edges) {
             match deduped.last_mut() {
-                Some(last) if last.0 == s && last.1 == d => {
-                    if !self.policy.fold(&mut last.2, w) {
-                        return Err(GraphError::DuplicateEdge { src: s, dst: d });
-                    }
-                }
+                Some(last) if last.0 == s && last.1 == d => last.2 += w,
                 _ => deduped.push((s, d, w)),
             }
         }
@@ -204,7 +144,7 @@ impl GraphBuilder {
     /// Build the staged edges *onto* an existing graph, in place: `base`
     /// becomes the graph [`Self::try_build`] would have produced had
     /// `base`'s own staged edges come first in one builder with this
-    /// builder's policy and self-loop flag,
+    /// builder's self-loop flag,
     ///
     /// ```text
     /// build(base ++ delta) == build(base).then(build_onto(delta))
@@ -216,8 +156,8 @@ impl GraphBuilder {
     /// first inserted edge — proportional to the delta when every staged
     /// pair already exists, never more than linear in `base`.
     ///
-    /// Each staged contribution is folded into the stored weight **one at
-    /// a time, in staging order**, exactly as `try_build` folds a pair's
+    /// Each staged contribution is added to the stored weight **one at a
+    /// time, in staging order**, exactly as `try_build` sums a pair's
     /// duplicates left to right: floating-point addition is not
     /// associative, so adding a delta's pre-summed subtotal would differ
     /// in the last bit whenever one delta hits a pair twice.
@@ -238,16 +178,9 @@ impl GraphBuilder {
         );
 
         let out = locate(&base.out_offsets, &base.out_targets, &by_src);
-        if self.policy == DuplicateEdgePolicy::Reject {
-            if let Some(dup) = out.iter().find(|l| l.present || l.contributions.len() > 1) {
-                let (src, dst, _) = by_src[dup.contributions.start];
-                return Err(GraphError::DuplicateEdge { src, dst });
-            }
-        }
         let inn = locate(&base.in_offsets, &base.in_sources, &by_dst);
 
         let n = self.num_nodes as usize;
-        let policy = self.policy;
         absorb(
             &mut base.out_offsets,
             &mut base.out_targets,
@@ -255,17 +188,8 @@ impl GraphBuilder {
             n,
             &by_src,
             &out,
-            policy,
         );
-        absorb(
-            &mut base.in_offsets,
-            &mut base.in_sources,
-            &mut base.in_weights,
-            n,
-            &by_dst,
-            &inn,
-            policy,
-        );
+        absorb(&mut base.in_offsets, &mut base.in_sources, &mut base.in_weights, n, &by_dst, &inn);
         base.num_nodes = self.num_nodes;
         Ok(())
     }
@@ -327,7 +251,7 @@ fn locate(offsets: &[usize], ids: &[u32], delta: &[(u32, u32, f64)]) -> Vec<Land
     landings
 }
 
-/// Fold `delta` into one CSR orientation in place, growing it to `rows`
+/// Add `delta` into one CSR orientation in place, growing it to `rows`
 /// rows. Walks the landings from the back so every old entry moves at
 /// most once, straight to its final slot; entries in front of the first
 /// inserted pair never move.
@@ -338,7 +262,6 @@ fn absorb(
     rows: usize,
     delta: &[(u32, u32, f64)],
     landings: &[Landing],
-    policy: DuplicateEdgePolicy,
 ) {
     let old_len = ids.len();
     // Entries still to be inserted in front of the position being handled.
@@ -366,17 +289,16 @@ fn absorb(
             ids.copy_within(from..settled, from + shift);
             weights.copy_within(from..settled, from + shift);
         }
-        // A pair the graph holds folds every contribution into the stored
+        // A pair the graph holds adds every contribution to the stored
         // weight; a new pair starts from its first contribution as it is.
-        let (mut weight, folded) = if l.present {
+        let (mut weight, added) = if l.present {
             (weights[l.at], contributions)
         } else {
             shift -= 1;
             (contributions[0].2, &contributions[1..])
         };
-        for &(_, _, w) in folded {
-            let accepted = policy.fold(&mut weight, w);
-            debug_assert!(accepted, "Reject is refused before anything is moved");
+        for &(_, _, w) in added {
+            weight += w;
         }
         ids[l.at + shift] = col;
         weights[l.at + shift] = weight;
@@ -397,33 +319,6 @@ mod tests {
         let g = b.build();
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.edge_weight(NodeId(0), NodeId(1)), Some(4.0));
-    }
-
-    #[test]
-    fn keep_first_policy() {
-        let mut b = GraphBuilder::new(2).duplicate_policy(DuplicateEdgePolicy::KeepFirst);
-        b.add_edge(NodeId(0), NodeId(1), 1.5);
-        b.add_edge(NodeId(0), NodeId(1), 9.0);
-        let g = b.build();
-        assert_eq!(g.edge_weight(NodeId(0), NodeId(1)), Some(1.5));
-    }
-
-    #[test]
-    fn max_weight_policy() {
-        let mut b = GraphBuilder::new(2).duplicate_policy(DuplicateEdgePolicy::MaxWeight);
-        b.add_edge(NodeId(0), NodeId(1), 1.5);
-        b.add_edge(NodeId(0), NodeId(1), 9.0);
-        b.add_edge(NodeId(0), NodeId(1), 3.0);
-        let g = b.build();
-        assert_eq!(g.edge_weight(NodeId(0), NodeId(1)), Some(9.0));
-    }
-
-    #[test]
-    fn reject_policy_errors() {
-        let mut b = GraphBuilder::new(2).duplicate_policy(DuplicateEdgePolicy::Reject);
-        b.add_edge(NodeId(0), NodeId(1), 1.0);
-        b.add_edge(NodeId(0), NodeId(1), 1.0);
-        assert!(matches!(b.try_build(), Err(GraphError::DuplicateEdge { src: 0, dst: 1 })));
     }
 
     #[test]
@@ -477,23 +372,6 @@ mod tests {
         let g2 = GraphBuilder::from_edges(4, &[(0, 1), (0, 3), (2, 0), (2, 1)]);
         assert_eq!(g1, g2);
         g1.validate().unwrap();
-    }
-
-    #[test]
-    fn ensure_nodes_grows_only() {
-        let mut b = GraphBuilder::new(3);
-        b.ensure_nodes(10);
-        assert_eq!(b.num_nodes(), 10);
-        b.ensure_nodes(5);
-        assert_eq!(b.num_nodes(), 10);
-    }
-
-    #[test]
-    fn extend_edges_stages_all() {
-        let mut b = GraphBuilder::new(3);
-        b.extend_edges([(NodeId(0), NodeId(1), 1.0), (NodeId(1), NodeId(2), 1.0)]);
-        assert_eq!(b.num_staged_edges(), 2);
-        assert_eq!(b.build().num_edges(), 2);
     }
 
     #[test]

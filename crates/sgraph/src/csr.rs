@@ -170,12 +170,6 @@ impl CsrGraph {
         self.out_edge_weights(u).iter().sum()
     }
 
-    /// Sum of `u`'s in-edge weights.
-    #[inline]
-    pub fn in_weight_sum(&self, u: NodeId) -> f64 {
-        self.in_edge_weights(u).iter().sum()
-    }
-
     /// `true` if the edge `u -> v` exists (binary search).
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         let r = self.out_range(u);
@@ -202,60 +196,9 @@ impl CsrGraph {
         })
     }
 
-    /// Nodes with no out-edges ("dangling" nodes in random-walk terms).
-    pub fn dangling_nodes(&self) -> Vec<NodeId> {
-        self.nodes().filter(|&u| self.out_degree(u) == 0).collect()
-    }
-
-    /// The transposed graph (every edge reversed, weights preserved).
-    ///
-    /// Because both orientations are already materialized, this is a
-    /// cheap re-labeling rather than a rebuild.
-    pub fn transpose(&self) -> CsrGraph {
-        CsrGraph {
-            num_nodes: self.num_nodes,
-            out_offsets: self.in_offsets.clone(),
-            out_targets: self.in_sources.clone(),
-            out_weights: self.in_weights.clone(),
-            in_offsets: self.out_offsets.clone(),
-            in_sources: self.out_targets.clone(),
-            in_weights: self.out_weights.clone(),
-        }
-    }
-
     /// Total weight across all edges.
     pub fn total_weight(&self) -> f64 {
         self.out_weights.iter().sum()
-    }
-
-    /// Returns a copy of this graph with every weight replaced by
-    /// `f(src, dst, weight)`. Weights must remain finite and non-negative;
-    /// this is checked in debug builds.
-    pub fn map_weights<F>(&self, mut f: F) -> CsrGraph
-    where
-        F: FnMut(NodeId, NodeId, f64) -> f64,
-    {
-        let mut g = self.clone();
-        for u in 0..self.num_nodes {
-            let r = self.out_range(NodeId(u));
-            for i in r {
-                let w = f(NodeId(u), NodeId(self.out_targets[i]), self.out_weights[i]);
-                debug_assert!(w.is_finite() && w >= 0.0, "map_weights produced invalid weight {w}");
-                g.out_weights[i] = w;
-            }
-        }
-        // Rebuild in-weights to stay consistent with the new out-weights.
-        let mut cursor = g.in_offsets[..g.len()].to_vec();
-        for u in 0..self.num_nodes {
-            let r = self.out_range(NodeId(u));
-            for i in r {
-                let t = self.out_targets[i] as usize;
-                let slot = cursor[t];
-                g.in_weights[slot] = g.out_weights[i];
-                cursor[t] += 1;
-            }
-        }
-        g
     }
 
     /// Internal consistency check: offsets monotone, transpose matches,
@@ -376,7 +319,7 @@ mod tests {
         assert_eq!(g.num_nodes(), 5);
         assert_eq!(g.num_edges(), 0);
         assert!(!g.is_empty());
-        assert_eq!(g.dangling_nodes().len(), 5);
+        assert!(g.nodes().all(|u| g.out_degree(u) == 0));
         g.validate().unwrap();
         let g0 = CsrGraph::empty(0);
         assert!(g0.is_empty());
@@ -404,44 +347,9 @@ mod tests {
     }
 
     #[test]
-    fn transpose_is_involutive() {
-        let g = diamond();
-        let t = g.transpose();
-        t.validate().unwrap();
-        assert!(t.has_edge(NodeId(3), NodeId(1)));
-        assert_eq!(t.edge_weight(NodeId(3), NodeId(2)), Some(4.0));
-        assert_eq!(t.transpose(), g);
-    }
-
-    #[test]
-    fn dangling_nodes_found() {
-        let g = diamond();
-        assert_eq!(g.dangling_nodes(), vec![NodeId(3)]);
-    }
-
-    #[test]
-    fn map_weights_keeps_transpose_consistent() {
-        let g = diamond();
-        let doubled = g.map_weights(|_, _, w| w * 2.0);
-        doubled.validate().unwrap();
-        assert_eq!(doubled.edge_weight(NodeId(0), NodeId(2)), Some(4.0));
-        assert_eq!(doubled.in_edge_weights(NodeId(3)), &[6.0, 8.0]);
-        assert_eq!(doubled.total_weight(), 2.0 * g.total_weight());
-    }
-
-    #[test]
-    fn map_weights_receives_endpoints() {
-        let g = diamond();
-        let h = g.map_weights(|s, d, _| (s.0 * 10 + d.0) as f64);
-        assert_eq!(h.edge_weight(NodeId(1), NodeId(3)), Some(13.0));
-        assert_eq!(h.edge_weight(NodeId(2), NodeId(3)), Some(23.0));
-    }
-
-    #[test]
     fn weight_sums() {
         let g = diamond();
         assert_eq!(g.out_weight_sum(NodeId(0)), 3.0);
-        assert_eq!(g.in_weight_sum(NodeId(3)), 7.0);
         assert_eq!(g.out_weight_sum(NodeId(3)), 0.0);
     }
 

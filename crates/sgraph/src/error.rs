@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors produced while building, transforming, or validating graphs.
+/// Errors produced while building or validating graphs.
 #[derive(Debug)]
 pub enum GraphError {
     /// An edge referenced a node index `>= num_nodes`.
@@ -21,18 +21,6 @@ pub enum GraphError {
         /// The offending weight.
         weight: f64,
     },
-    /// A duplicate edge was encountered under [`DuplicateEdgePolicy::Reject`].
-    ///
-    /// [`DuplicateEdgePolicy::Reject`]: crate::builder::DuplicateEdgePolicy::Reject
-    DuplicateEdge {
-        /// Source of the duplicated edge.
-        src: u32,
-        /// Destination of the duplicated edge.
-        dst: u32,
-    },
-    /// The graph contains a cycle where an acyclic graph was required
-    /// (e.g. topological sorting).
-    CycleDetected,
     /// A CSR structure that disagrees with itself
     /// ([`CsrGraph::validate`](crate::CsrGraph::validate)).
     BadBinaryFormat(String),
@@ -50,10 +38,6 @@ impl fmt::Display for GraphError {
                     "invalid weight {weight} on edge {src} -> {dst} (must be finite and >= 0)"
                 )
             }
-            GraphError::DuplicateEdge { src, dst } => {
-                write!(f, "duplicate edge {src} -> {dst} rejected by policy")
-            }
-            GraphError::CycleDetected => write!(f, "graph contains a cycle"),
             GraphError::BadBinaryFormat(msg) => write!(f, "bad binary graph format: {msg}"),
         }
     }
@@ -70,8 +54,6 @@ mod tests {
         let cases: Vec<GraphError> = vec![
             GraphError::NodeOutOfBounds { node: 7, num_nodes: 3 },
             GraphError::InvalidWeight { src: 0, dst: 1, weight: f64::NAN },
-            GraphError::DuplicateEdge { src: 2, dst: 2 },
-            GraphError::CycleDetected,
             GraphError::BadBinaryFormat("magic".into()),
         ];
         for c in cases {

@@ -2,19 +2,18 @@
 
 //! # sgraph — a compact directed-graph substrate for link analysis
 //!
-//! `sgraph` is the storage and traversal layer underneath the `qrank`
+//! `sgraph` is the storage and walk layer underneath the `qrank`
 //! scholarly-ranking stack. It provides:
 //!
 //! * [`CsrGraph`] — an immutable, weighted, directed graph in compressed
 //!   sparse row form, with *both* out- and in-adjacency materialized so
 //!   that push- and pull-style propagation are both cache-friendly.
 //! * [`GraphBuilder`] — the mutable staging area used to assemble graphs
-//!   (deduplication, weight merging, validation) and to grow one in place
+//!   (duplicate edges summed, validation) and to grow one in place
 //!   ([`GraphBuilder::build_onto`]).
 //! * [`Bipartite`] — weighted bipartite graphs (author↔article,
 //!   venue↔article) with both orientations materialized.
-//! * Traversals ([`traversal`]), degree statistics and power-law
-//!   fitting ([`stats`]).
+//! * Degree statistics and power-law fitting ([`stats`]).
 //! * [`stochastic`] — the row-stochastic random walk every
 //!   PageRank-family algorithm in the stack runs, borrowing the graph it
 //!   steps over, with sequential and multi-threaded ([`par`]) steps and
@@ -23,8 +22,6 @@
 //! * [`projected`] — the same walk over a graph projected through a
 //!   bipartite (`B·W·Bᵀ − diag`, the author citation graph), applied
 //!   factorised so the projection is never materialised.
-//! * Deterministic edge sampling for robustness experiments
-//!   ([`sampling`]).
 //! * Out-of-core storage: read-only file maps ([`mmap`]), the SCSRv2
 //!   sharded pull CSR ([`mmap_csr`]) behind the [`store`] seam, and
 //!   [`sfile`] — the durable-file kit (atomic publish, checksum, varint,
@@ -32,8 +29,9 @@
 //!
 //! Node identifiers are dense `u32` indices wrapped in [`NodeId`]; graphs
 //! are therefore limited to fewer than 2³² nodes, which comfortably covers
-//! the scholarly corpora this stack targets (the largest preset, MAG-like,
-//! is ~10⁶ articles) while halving index memory versus `usize`.
+//! the scholarly corpora this stack targets (the largest preset,
+//! `generate --preset mag-scale`, defaults to 10⁷ articles) while halving
+//! index memory versus `usize`.
 //!
 //! ## Quick example
 //!
@@ -59,17 +57,15 @@ pub mod mmap;
 pub mod mmap_csr;
 pub mod par;
 pub mod projected;
-pub mod sampling;
 mod scatter;
 pub mod sfile;
 pub mod solver;
 pub mod stats;
 pub mod stochastic;
 pub mod store;
-pub mod traversal;
 
 pub use bipartite::{Bipartite, BipartiteBuilder};
-pub use builder::{DuplicateEdgePolicy, GraphBuilder};
+pub use builder::GraphBuilder;
 pub use csr::{CsrGraph, EdgeRef, NodeId};
 pub use error::GraphError;
 pub use mmap_csr::{MmapCsr, MmapCsrBuilder};

@@ -61,29 +61,6 @@ pub fn in_degree_stats(g: &CsrGraph) -> DegreeStats {
     degree_stats(g.nodes().map(|v| g.in_degree(v)).collect())
 }
 
-/// Out-degree statistics of `g`.
-pub fn out_degree_stats(g: &CsrGraph) -> DegreeStats {
-    degree_stats(g.nodes().map(|v| g.out_degree(v)).collect())
-}
-
-/// Histogram of a degree sequence: `hist[d]` = number of nodes with degree
-/// `d`, truncated at the maximum observed degree.
-pub fn degree_histogram(degrees: impl Iterator<Item = usize>) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for d in degrees {
-        if d >= hist.len() {
-            hist.resize(d + 1, 0);
-        }
-        hist[d] += 1;
-    }
-    hist
-}
-
-/// In-degree histogram of `g`.
-pub fn in_degree_histogram(g: &CsrGraph) -> Vec<usize> {
-    degree_histogram(g.nodes().map(|v| g.in_degree(v)))
-}
-
 /// Maximum-likelihood estimate of a discrete power-law exponent α for the
 /// tail `degree >= x_min`, using the standard continuous approximation
 /// (Clauset–Shalizi–Newman eq. 3.7 with the ½ offset):
@@ -118,27 +95,6 @@ pub fn power_law_alpha_mle(
 /// Estimate the power-law exponent of `g`'s in-degree tail.
 pub fn in_degree_power_law_alpha(g: &CsrGraph, x_min: usize) -> Option<f64> {
     power_law_alpha_mle(g.nodes().map(|v| g.in_degree(v)), x_min, 25)
-}
-
-/// Edge density `E / (V·(V−1))` (NaN for graphs with < 2 nodes).
-pub fn density(g: &CsrGraph) -> f64 {
-    let n = g.len() as f64;
-    g.num_edges() as f64 / (n * (n - 1.0))
-}
-
-/// Reciprocity: fraction of edges `u→v` for which `v→u` also exists.
-/// Self-loops count as reciprocated. 0 for an edgeless graph.
-pub fn reciprocity(g: &CsrGraph) -> f64 {
-    if g.num_edges() == 0 {
-        return 0.0;
-    }
-    let mut recip = 0usize;
-    for e in g.edges() {
-        if g.has_edge(e.dst, e.src) {
-            recip += 1;
-        }
-    }
-    recip as f64 / g.num_edges() as f64
 }
 
 #[cfg(test)]
@@ -184,15 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_counts() {
-        let g = star(5);
-        let hist = in_degree_histogram(&g);
-        assert_eq!(hist, vec![4, 0, 0, 0, 1]); // four 0s, one 4
-        let out_hist = degree_histogram(g.nodes().map(|v| g.out_degree(v)));
-        assert_eq!(out_hist, vec![1, 4]); // node 0 has out 0, others 1
-    }
-
-    #[test]
     fn alpha_mle_recovers_planted_exponent() {
         // Sample from a discrete power law P(X = x) ∝ x^-2.5 by inverse
         // transform on the continuous approximation.
@@ -216,15 +163,5 @@ mod tests {
     fn alpha_mle_requires_tail() {
         assert_eq!(power_law_alpha_mle([1usize, 1, 1].into_iter(), 2, 1), None);
         assert_eq!(power_law_alpha_mle([5usize; 3].into_iter(), 2, 10), None);
-    }
-
-    #[test]
-    fn density_and_reciprocity() {
-        let g = GraphBuilder::from_edges(3, &[(0, 1), (1, 0), (1, 2)]);
-        assert!((density(&g) - 3.0 / 6.0).abs() < 1e-12);
-        assert!((reciprocity(&g) - 2.0 / 3.0).abs() < 1e-12);
-        let dag = GraphBuilder::from_edges(3, &[(0, 1), (1, 2)]);
-        assert_eq!(reciprocity(&dag), 0.0);
-        assert_eq!(reciprocity(&CsrGraph::empty(2)), 0.0);
     }
 }

@@ -16,7 +16,7 @@
 //! The operator conserves probability mass exactly up to floating-point
 //! rounding: if `Σx = 1` then `Σy = 1`.
 
-use crate::csr::{CsrGraph, NodeId};
+use crate::csr::CsrGraph;
 use crate::par;
 
 /// Below this much work (nodes, or nodes plus edges) a step stays
@@ -92,15 +92,6 @@ impl JumpVector {
             *w /= sum;
         }
         JumpVector::Weighted(weights)
-    }
-
-    /// Probability assigned to node `v` given `n` total nodes.
-    #[inline]
-    pub fn prob(&self, v: NodeId, n: usize) -> f64 {
-        match self {
-            JumpVector::Uniform => 1.0 / n as f64,
-            JumpVector::Weighted(w) => w[v.index()],
-        }
     }
 
     /// Materialize as a dense vector of length `n`.
@@ -417,8 +408,8 @@ mod tests {
     #[test]
     fn weighted_jump_normalizes() {
         let j = JumpVector::weighted(vec![2.0, 2.0, 4.0]);
-        assert_close(j.prob(NodeId(2), 3), 0.5, 1e-12);
         let dense = j.to_dense(3);
+        assert_close(dense[2], 0.5, 1e-12);
         assert_close(dense.iter().sum::<f64>(), 1.0, 1e-12);
     }
 

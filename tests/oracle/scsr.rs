@@ -9,7 +9,7 @@
 //! graph as `sgraph::GraphBuilder`, bit for bit.
 
 use sgraph::sfile::{no_step, TmpFile};
-use sgraph::{CsrGraph, DuplicateEdgePolicy, GraphError, NodeId};
+use sgraph::{CsrGraph, GraphError, NodeId};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -296,17 +296,6 @@ pub fn build_scsr(g: &CsrGraph, path: &Path, shard_size: usize, tag: u64) -> io:
 
 // ---- The sort-based GraphBuilder::try_build, as it was (sgraph::builder) ----
 
-/// `DuplicateEdgePolicy::fold`.
-fn fold(policy: DuplicateEdgePolicy, stored: &mut f64, w: f64) -> bool {
-    match policy {
-        DuplicateEdgePolicy::SumWeights => *stored += w,
-        DuplicateEdgePolicy::KeepFirst => {}
-        DuplicateEdgePolicy::MaxWeight => *stored = stored.max(w),
-        DuplicateEdgePolicy::Reject => return false,
-    }
-    true
-}
-
 /// The graph `try_build` produced, as plain arrays.
 #[derive(Debug)]
 pub struct SortedCsr {
@@ -323,27 +312,22 @@ pub struct SortedCsr {
 pub struct SortingGraphBuilder {
     pub num_nodes: u32,
     pub edges: Vec<(u32, u32, f64)>,
-    pub policy: DuplicateEdgePolicy,
     pub allow_self_loops: bool,
 }
 
 type Result<T> = std::result::Result<T, GraphError>;
 
 impl SortingGraphBuilder {
-    /// Build, validating node bounds, weights, and the duplicate policy.
+    /// Build, validating node bounds and weights.
     pub fn try_build(mut self) -> Result<SortedCsr> {
         let n = self.num_nodes as usize;
         self.check_and_sort()?;
 
-        // Deduplicate in place according to policy.
+        // Sum each pair's contributions, left to right.
         let mut deduped: Vec<(u32, u32, f64)> = Vec::with_capacity(self.edges.len());
         for (s, d, w) in self.edges.drain(..) {
             match deduped.last_mut() {
-                Some(last) if last.0 == s && last.1 == d => {
-                    if !fold(self.policy, &mut last.2, w) {
-                        return Err(GraphError::DuplicateEdge { src: s, dst: d });
-                    }
-                }
+                Some(last) if last.0 == s && last.1 == d => last.2 += w,
                 _ => deduped.push((s, d, w)),
             }
         }

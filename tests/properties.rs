@@ -360,7 +360,7 @@ fn scsr_shard_files_match_the_sorting_writer() {
 
 #[test]
 fn graph_builds_match_the_sorting_builder_under_every_policy() {
-    use sgraph::{DuplicateEdgePolicy, GraphBuilder, NodeId};
+    use sgraph::{GraphBuilder, NodeId};
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xb11d);
         let n = rng.gen_range(0u32..20);
@@ -382,17 +382,11 @@ fn graph_builds_match_the_sorting_builder_under_every_policy() {
             1 if n > 0 => staged.push((0, n - 1, -1.0)),
             _ => {}
         }
-        let self_loops = rng.gen();
         let split = rng.gen_range(0..staged.len() + 1);
-        for policy in [
-            DuplicateEdgePolicy::SumWeights,
-            DuplicateEdgePolicy::KeepFirst,
-            DuplicateEdgePolicy::MaxWeight,
-            DuplicateEdgePolicy::Reject,
-        ] {
-            let label = format!("seed {seed}, {policy:?}, self-loops {self_loops}");
+        for self_loops in [true, false] {
+            let label = format!("seed {seed}, self-loops {self_loops}");
             let builder = |edges: &[(u32, u32, f64)]| {
-                let mut b = GraphBuilder::new(n).duplicate_policy(policy).self_loops(self_loops);
+                let mut b = GraphBuilder::new(n).self_loops(self_loops);
                 for &(s, d, w) in edges {
                     b.add_edge(NodeId(s), NodeId(d), w);
                 }
@@ -401,7 +395,6 @@ fn graph_builds_match_the_sorting_builder_under_every_policy() {
             let want = oracle::scsr::SortingGraphBuilder {
                 num_nodes: n,
                 edges: staged.clone(),
-                policy,
                 allow_self_loops: self_loops,
             }
             .try_build();
@@ -413,12 +406,15 @@ fn graph_builds_match_the_sorting_builder_under_every_policy() {
                     "{label}"
                 ),
             }
-            // Growing a build in place lands on the same graph.
+            // Growing a build in place lands on the same graph; a refused
+            // grow leaves the base as it was.
             if let Ok(mut grown) = builder(&staged[..split]).try_build() {
+                let before = grown.clone();
                 match (builder(&staged[split..]).try_build_onto(&mut grown), &want) {
                     (Ok(()), Ok(want)) => oracle::scsr::assert_same_graph(&grown, want),
                     (got, want) => {
-                        assert_eq!(got.is_err(), want.is_err(), "{label}: build_onto at {split}")
+                        assert_eq!(got.is_err(), want.is_err(), "{label}: build_onto at {split}");
+                        assert_eq!(grown, before, "{label}: a refused grow moved the base");
                     }
                 }
             }
