@@ -10,7 +10,7 @@ use scholar::eval::tables::{fmt_metric, fmt_seconds, Table};
 use scholar::eval::Experiment;
 use scholar::rank::personalized::{related_articles, PersonalizedConfig};
 use scholar::rank::scores::top_k;
-use scholar::rank::{RankContext, SolveTelemetry};
+use scholar::rank::{PageRankConfig, RankContext, SolveTelemetry, TwprConfig};
 use scholar::{Corpus, QRank, QRankConfig, Ranker};
 use std::io::Write;
 use std::path::Path;
@@ -140,11 +140,20 @@ pub fn stats<W: Write>(args: &Args, out: &mut W) -> CmdResult {
     Ok(())
 }
 
-fn ranker_by_name(name: &str) -> Result<Box<dyn Ranker>, String> {
+/// The power-iteration settings `--method twpr|pagerank` solve with: the
+/// defaults, on the worker count `--threads` or the config chose.
+fn walk_config(cfg: &QRankConfig) -> PageRankConfig {
+    PageRankConfig { threads: cfg.twpr.pagerank.threads, ..PageRankConfig::default() }
+}
+
+fn ranker_by_name(name: &str, walk: PageRankConfig) -> Result<Box<dyn Ranker>, String> {
     Ok(match name {
         "qrank" => Box::new(QRank::default()),
-        "twpr" => Box::new(scholar::TimeWeightedPageRank::default()),
-        "pagerank" => Box::new(scholar::PageRank::default()),
+        "twpr" => Box::new(scholar::TimeWeightedPageRank::new(TwprConfig {
+            pagerank: walk,
+            ..TwprConfig::default()
+        })),
+        "pagerank" => Box::new(scholar::PageRank::new(walk)),
         "cc" => Box::new(scholar::CitationCount),
         "hits" => Box::new(scholar::Hits::default()),
         "citerank" => Box::new(scholar::CiteRank::default()),
@@ -193,7 +202,7 @@ pub fn rank<W: Write>(args: &Args, out: &mut W) -> CmdResult {
         let scores = result.article_scores.clone();
         ("QRank".to_string(), scores, telemetry, Some((engine, result)))
     } else {
-        let ranker = ranker_by_name(method)?;
+        let ranker = ranker_by_name(method, walk_config(&cfg))?;
         let solved = ranker.solve_ctx(&RankContext::new(&corpus));
         (ranker.name(), solved.scores, solved.telemetry, None)
     };
@@ -296,7 +305,7 @@ fn rank_mmap<W: Write>(args: &Args, out: &mut W) -> CmdResult {
         };
         ("QRank".to_string(), result.article_scores, telemetry)
     } else {
-        let ranker = ranker_by_name(method)?;
+        let ranker = ranker_by_name(method, walk_config(&cfg))?;
         let solved = ranker.solve_ctx(&ctx);
         (ranker.name(), solved.scores, solved.telemetry)
     };
@@ -1070,6 +1079,38 @@ mod tests {
         assert!(err.contains("--threads"));
         let err2 = run(&["rank", &path, "--threads", "lots"]).unwrap_err();
         assert!(err2.contains("invalid --threads"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn threads_flag_reaches_the_twpr_and_pagerank_solves() {
+        let args = Args::parse(["rank", "c.jsonl", "--threads", "3"].map(String::from)).unwrap();
+        let walk = walk_config(&qrank_config(&args).unwrap());
+        assert_eq!(walk, PageRankConfig { threads: 3, ..PageRankConfig::default() });
+
+        // The mmap sweep runs on that many workers and its listing is the
+        // same bytes at any count.
+        let dir = tmpdir();
+        let store = dir.join("threads-store").to_string_lossy().into_owned();
+        let gen = ["generate", "--preset", "mag-scale", "--articles", "3000", "--out", &store];
+        run(&gen).unwrap();
+        for method in ["twpr", "pagerank"] {
+            let rank = |threads| {
+                run(&[
+                    "rank",
+                    &store,
+                    "--store",
+                    "mmap",
+                    "--method",
+                    method,
+                    "--json",
+                    "--threads",
+                    threads,
+                ])
+                .unwrap()
+            };
+            assert_eq!(rank("1"), rank("2"), "--method {method}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -40,7 +40,9 @@ pub fn dispatch<W: std::io::Write>(parsed: &Args, out: &mut W) -> Result<(), Str
 
 /// Every flag each command reads, as `(command, options, switches)`:
 /// options take a value, switches take none. Corpus readers also take
-/// `missing-year`; QRank runners also take `config` and `threads`.
+/// `missing-year`; QRank runners also take `config` and `threads`, and
+/// `rank` passes `threads` to every method's power iteration (QRank, TWPR
+/// and PageRank).
 const FLAGS: &[(&str, &[&str], &[&str])] = &[
     ("generate", &["preset", "seed", "out", "articles"], &[]),
     ("stats", &["missing-year"], &[]),

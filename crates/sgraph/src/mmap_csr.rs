@@ -4,9 +4,10 @@
 //! — per-target in-edge lists with their raw weights, each node's
 //! out-weight sum, and the global dangling set — but on disk, partitioned
 //! into contiguous node shards that are served zero-copy through
-//! [`crate::mmap::Mmap`]. A sweep touches one shard's arrays at a time,
-//! so peak resident memory is two iterate vectors plus one shard and the
-//! out-sum column, not the whole graph.
+//! [`crate::mmap::Mmap`]. Each worker of a sweep touches one shard's
+//! arrays at a time, so peak resident memory is two iterate vectors, the
+//! pre-scaled `z`, the out-sum column, and one shard plus one frontier
+//! buffer per worker — not the whole graph.
 //!
 //! ## Bit identity with the dense operator
 //!
@@ -24,9 +25,10 @@
 //! second — which keeps them ascending per row), and
 //! [`MmapCsr::apply_step`] pre-scales the same way and accumulates `w·z`
 //! in stored order. Node partitioning never reorders a per-slot sum —
-//! each target's whole row lives in its own shard — so shard size is a
-//! pure layout knob: residuals, iteration counts, and stationaries are
-//! bit-identical to the dense solve at any `shard_size`.
+//! each target's whole row lives in its own shard — so shard size and
+//! worker count are pure layout knobs: residuals, iteration counts, and
+//! stationaries are bit-identical to the dense solve at any `shard_size`
+//! and any `threads`.
 //!
 //! ## File format (`SCSRv2`, little-endian, 8-byte-aligned sections)
 //!
@@ -54,17 +56,21 @@
 //! generation) and is validated on open, so a stale shard file built
 //! from an older corpus cannot be silently reused either.
 //!
-//! The boundary list is the *frontier exchange*: before sweeping a
-//! shard, the solver pre-scales `x` at the shard's own nodes and then at
-//! each boundary id into one dense buffer that the local source codes
-//! index directly, so row gathers never read a random global offset per
-//! edge.
+//! The boundary list is the *frontier exchange*: a step pre-scales the
+//! whole iterate once into `z`, and before sweeping a shard its worker
+//! gathers `z` at the shard's own nodes and then at each boundary id into
+//! one dense buffer that the local source codes index directly, so row
+//! gathers never read a random global offset per edge. Workers sweep
+//! contiguous shard groups balanced by edges plus boundary ids, each
+//! writing its own run of the output.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::mmap::Mmap;
+use crate::par;
 use crate::scatter::{Cursors, RowCounts};
 use crate::sfile::{no_step, TmpFile};
 use crate::stochastic::{dangles, per_weight, JumpVector};
@@ -418,6 +424,9 @@ pub struct MmapCsr {
     dangling_len: usize,
     tag: u64,
     dir: Vec<ShardMeta>,
+    /// Prefix sums of each shard's sweep work, `edges + boundary_len`
+    /// (`num_shards + 1` entries): what the shard groups are balanced by.
+    work: Vec<usize>,
 }
 
 impl MmapCsr {
@@ -458,6 +467,8 @@ impl MmapCsr {
         // base is page-aligned: a misaligned offset must be refused here
         // or it panics the solver later.
         let mut dir = Vec::with_capacity(num_shards);
+        let mut work = Vec::with_capacity(num_shards + 1);
+        work.push(0usize);
         let mut edges_total = 0u64;
         for s in 0..num_shards {
             let d = map.as_u64s(HEADER_BYTES + s * DIR_FIELDS * 8, DIR_FIELDS);
@@ -487,6 +498,8 @@ impl MmapCsr {
                 return Err(bad("shard section misaligned"));
             }
             edges_total += meta.edges;
+            // Both counts were bounded by the file length above.
+            work.push(work[s] + (meta.edges + meta.boundary_len) as usize);
             dir.push(meta);
         }
         if edges_total != m {
@@ -503,7 +516,7 @@ impl MmapCsr {
         let sums_off = sums_off as usize;
         let dangling_len = usize::try_from(dangling_len).map_err(|_| bad("dangling overflow"))?;
         let dangling_off = usize::try_from(dangling_off).map_err(|_| bad("dangling overflow"))?;
-        Ok(MmapCsr { map, n, m, shard_size, sums_off, dangling_off, dangling_len, tag, dir })
+        Ok(MmapCsr { map, n, m, shard_size, sums_off, dangling_off, dangling_len, tag, dir, work })
     }
 
     /// Number of nodes.
@@ -548,46 +561,67 @@ impl CsrStore for MmapCsr {
         self.n
     }
 
-    /// Shard-by-shard damped step with boundary-frontier exchange.
+    /// Damped step over contiguous shard groups on up to `threads`
+    /// workers, with the frontier exchange gathered from one pre-scaled
+    /// iterate.
     ///
-    /// Sequential regardless of `threads`: shard sweeps are IO-bound
-    /// and the result is bitwise independent of parallelism anyway.
+    /// `z = x / out_sum` is filled once per step, split evenly across the
+    /// workers. The shards are then cut into groups of near-equal work
+    /// (edges plus boundary ids) and each group's worker writes its own
+    /// run of `y`, copying a shard's own `z` slice and then its boundary
+    /// ids' `z` into one buffer that the rows gather from. Every `y[v]` is
+    /// the same sequential sum in stored order whichever worker runs it, so
+    /// the iterate is the same bits at any thread count.
     fn apply_step(
         &self,
         x: &[f64],
         y: &mut [f64],
         damping: f64,
         jump: &JumpVector,
-        _threads: usize,
+        threads: usize,
     ) {
         assert_eq!(x.len(), self.n, "input vector length mismatch");
         assert_eq!(y.len(), self.n, "output vector length mismatch");
+        let threads = threads.max(1);
         let residual = damping * self.dangling_mass(x) + (1.0 - damping);
         let share = jump.shares(residual, self.n);
         let sums = self.map.as_f64s(self.sums_off, self.n);
-        let z = |u: usize| per_weight(x[u], sums[u]);
-        // Pre-scaled `x` over the shard's own nodes, then its boundary.
-        let mut zs: Vec<f64> = Vec::new();
-        for (si, meta) in self.dir.iter().enumerate() {
-            let start = si * self.shard_size;
-            let shard_len = self.shard_size.min(self.n - start);
-            let boundary = self.map.as_u32s(meta.boundary_off as usize, meta.boundary_len as usize);
-            zs.clear();
-            zs.extend((start..start + shard_len).map(z));
-            zs.extend(boundary.iter().map(|&u| z(u as usize)));
-            let offsets = self.map.as_u64s(meta.offsets_off as usize, shard_len + 1);
-            let sources = self.map.as_u32s(meta.sources_off as usize, meta.edges as usize);
-            let weights = self.map.as_f64s(meta.weights_off as usize, meta.edges as usize);
-            for v_local in 0..shard_len {
-                let (lo, hi) = (offsets[v_local] as usize, offsets[v_local + 1] as usize);
-                let mut acc = 0.0;
-                for (&c, &w) in sources[lo..hi].iter().zip(&weights[lo..hi]) {
-                    acc += w * zs[c as usize];
-                }
-                let v = start + v_local;
-                y[v] = damping * acc + share(v);
+        let mut z = vec![0.0; self.n];
+        par::for_each_range_mut(&mut z, &par::uniform_ranges(self.n, threads), |nodes, out| {
+            for ((slot, &xu), &s) in out.iter_mut().zip(&x[nodes.clone()]).zip(&sums[nodes]) {
+                *slot = per_weight(xu, s);
             }
-        }
+        });
+        let groups: Vec<Range<usize>> = par::balanced_ranges(&self.work, threads)
+            .into_iter()
+            .map(|g| g.start * self.shard_size..(g.end * self.shard_size).min(self.n))
+            .collect();
+        par::for_each_range_mut(y, &groups, |nodes, out| {
+            // `z` over the shard's own nodes, then over its boundary.
+            let mut zs: Vec<f64> = Vec::new();
+            for si in nodes.start / self.shard_size..nodes.end.div_ceil(self.shard_size) {
+                let meta = &self.dir[si];
+                let start = si * self.shard_size;
+                let shard_len = self.shard_size.min(self.n - start);
+                let boundary =
+                    self.map.as_u32s(meta.boundary_off as usize, meta.boundary_len as usize);
+                zs.clear();
+                zs.extend_from_slice(&z[start..start + shard_len]);
+                zs.extend(boundary.iter().map(|&u| z[u as usize]));
+                let offsets = self.map.as_u64s(meta.offsets_off as usize, shard_len + 1);
+                let sources = self.map.as_u32s(meta.sources_off as usize, meta.edges as usize);
+                let weights = self.map.as_f64s(meta.weights_off as usize, meta.edges as usize);
+                let rows = &mut out[start - nodes.start..][..shard_len];
+                for (v_local, slot) in rows.iter_mut().enumerate() {
+                    let (lo, hi) = (offsets[v_local] as usize, offsets[v_local + 1] as usize);
+                    let mut acc = 0.0;
+                    for (&c, &w) in sources[lo..hi].iter().zip(&weights[lo..hi]) {
+                        acc += w * zs[c as usize];
+                    }
+                    *slot = damping * acc + share(start + v_local);
+                }
+            }
+        });
     }
 }
 
@@ -642,14 +676,28 @@ mod tests {
         b.build()
     }
 
+    /// Worker counts every sweep test runs at, passed explicitly rather
+    /// than taken from the machine: from shard size 4 up, 8 is more
+    /// workers than the file has shards.
+    const THREADS: [usize; 4] = [1, 2, 3, 8];
+
+    /// Shard sizes 1 (one node per shard), 4 and 7 (several shards), 23
+    /// (exactly one shard) and 1000 (one shard holding fewer nodes than its
+    /// size). The shard counts are asserted, and so is a multi-shard file
+    /// with an empty-boundary shard, so the coverage cannot drift with the
+    /// graph.
     #[test]
     fn bit_identical_to_dense_at_every_shard_size() {
         let g = test_graph();
         let op = RowStochastic::new(&g);
+        let mut split_with_an_empty_boundary = false;
         for (i, shard_size) in [1usize, 4, 7, 23, 1000].into_iter().enumerate() {
             let path = tmp(&format!("bits{i}"));
             let mc = build_from_graph(&g, &path, shard_size, 42).unwrap();
             assert_eq!(mc.num_nodes(), g.num_nodes() as usize);
+            assert_eq!(mc.num_shards(), 23usize.div_ceil(shard_size));
+            split_with_an_empty_boundary |=
+                mc.num_shards() > 1 && mc.dir.iter().any(|d| d.boundary_len == 0);
             for opts in [
                 PowerIterationOpts::default(),
                 PowerIterationOpts {
@@ -660,11 +708,18 @@ mod tests {
                     ..PowerIterationOpts::default()
                 },
             ] {
-                let dense = op.stationary(&opts);
-                let sharded = stationary_store(&mc, &opts);
-                assert_eq!(dense.scores, sharded.scores, "scores must be bit-identical");
-                assert_eq!(dense.iterations, sharded.iterations);
-                assert_eq!(dense.residuals, sharded.residuals);
+                let dense = op.stationary(&PowerIterationOpts { threads: 1, ..opts.clone() });
+                for threads in THREADS {
+                    let sharded =
+                        stationary_store(&mc, &PowerIterationOpts { threads, ..opts.clone() });
+                    let case = format!("shard_size {shard_size}, threads {threads}");
+                    assert_eq!(
+                        dense.scores, sharded.scores,
+                        "{case}: scores must be bit-identical"
+                    );
+                    assert_eq!(dense.iterations, sharded.iterations, "{case}");
+                    assert_eq!(dense.residuals, sharded.residuals, "{case}");
+                }
             }
             assert_eq!(
                 mc.dangling(),
@@ -673,6 +728,7 @@ mod tests {
             );
             std::fs::remove_file(&path).unwrap();
         }
+        assert!(split_with_an_empty_boundary, "no multi-shard file has an empty-boundary shard");
     }
 
     #[test]
@@ -683,12 +739,16 @@ mod tests {
         let mc = build_from_graph(&g, &path, 5, 1).unwrap();
         let opts = PowerIterationOpts {
             warm_start: Some((0..23).map(|v| 1.0 + v as f64).collect()),
+            threads: 1,
             ..PowerIterationOpts::default()
         };
         let dense = op.stationary(&opts);
-        let sharded = stationary_store(&mc, &opts);
-        assert_eq!(dense.scores, sharded.scores);
-        assert_eq!(dense.iterations, sharded.iterations);
+        for threads in THREADS {
+            let sharded = stationary_store(&mc, &PowerIterationOpts { threads, ..opts.clone() });
+            assert_eq!(dense.scores, sharded.scores, "threads {threads}");
+            assert_eq!(dense.iterations, sharded.iterations, "threads {threads}");
+            assert_eq!(dense.residuals, sharded.residuals, "threads {threads}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -49,9 +49,11 @@ pub trait CsrStore {
 
     /// One damped power-iteration step: read `x`, write `y`.
     ///
-    /// `threads` is a parallelism *hint*; implementations may run
-    /// sequentially (results are bitwise identical at any thread count
-    /// because each output slot's gather order is fixed).
+    /// All three stores split the step across up to `threads` workers
+    /// (the results are bitwise identical at any thread count because each
+    /// output slot's gather order is fixed). The two in-RAM stores stay
+    /// sequential below a size threshold; [`crate::mmap_csr::MmapCsr`]
+    /// does not.
     fn apply_step(&self, x: &[f64], y: &mut [f64], damping: f64, jump: &JumpVector, threads: usize);
 }
 

@@ -248,6 +248,39 @@ fn mmap_twpr_materializes_and_reuses_the_shard_cache() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The shard sweep runs on `pagerank.threads` workers. At any count,
+/// TWPR over a multi-shard colstore is the RAM backend's sequential solve:
+/// the same score bits, residuals and iterations.
+#[test]
+fn mmap_twpr_is_the_sequential_ram_solve_at_every_thread_count() {
+    let dir = std::env::temp_dir().join(format!("scholar-conformance-par-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    scholar::corpus::generator::generate_mag_scale(&dir, 5000, 35).unwrap();
+    let store = ColStore::open(&dir).unwrap();
+    let corpus = store.materialize().unwrap();
+    let twpr = |threads| {
+        TimeWeightedPageRank::new(TwprConfig {
+            pagerank: PageRankConfig { threads, ..PageRankConfig::default() },
+            ..TwprConfig::default()
+        })
+    };
+    let ram = twpr(1).solve_ctx(&RankContext::new(&corpus));
+    for threads in [1, 2, 8] {
+        // A fresh context each time, so no solve is served from the memo.
+        let ctx = RankContext::from_colstore(&store);
+        match ctx.decayed_plan(twpr(threads).config.rho) {
+            DecayedPlan::Partitioned(csr) => assert!(csr.num_shards() > 1, "one shard"),
+            DecayedPlan::Dense(_) => panic!("a colstore context must plan a shard file"),
+        }
+        let mmap = twpr(threads).solve_ctx(&ctx);
+        assert!(!mmap.telemetry.cached);
+        assert_eq!(bits(&mmap.scores), bits(&ram.scores), "{threads} threads");
+        assert_eq!(mmap.telemetry.residuals, ram.telemetry.residuals, "{threads} threads");
+        assert_eq!(mmap.telemetry.iterations, ram.telemetry.iterations, "{threads} threads");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A shard file from a build that wrote SCSRv1 (`w / out_sum` per edge)
 /// sits at the path `decayed_plan` caches under: it is refused, rebuilt in
 /// place, and never walked.

@@ -358,6 +358,42 @@ fn scsr_shard_files_match_the_sorting_writer() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The mmap sweep against the dense walk it mirrors: at every shard size
+/// and worker count, the same stationary bits in the same iterations.
+#[test]
+fn mmap_stationary_is_the_dense_one_at_every_shard_size_and_thread_count() {
+    use sgraph::stochastic::PowerIterationOpts;
+    let dir = std::env::temp_dir().join(format!("scholar-prop-sweep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("graph.scsr");
+    for seed in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eeb);
+        let g = arb_graph(&mut rng);
+        let n = g.len();
+        let opts = PowerIterationOpts {
+            damping: rng.gen_range(0.5f64..0.95),
+            threads: 1,
+            ..PowerIterationOpts::default()
+        };
+        let dense = sgraph::RowStochastic::new(&g).stationary(&opts);
+        for shard_size in [1, 2, 7, n.saturating_sub(1), n, n + 5] {
+            if shard_size == 0 {
+                continue;
+            }
+            let mc = sgraph::mmap_csr::build_from_graph(&g, &path, shard_size, seed).unwrap();
+            for threads in [1, 2, 8] {
+                let swept =
+                    sgraph::stationary_store(&mc, &PowerIterationOpts { threads, ..opts.clone() });
+                let case =
+                    format!("seed {seed}: {n} nodes, shard size {shard_size}, {threads} threads");
+                assert!(swept.scores == dense.scores, "{case}: scores differ");
+                assert_eq!(swept.iterations, dense.iterations, "{case}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn graph_builds_match_the_sorting_builder_under_every_policy() {
     use sgraph::{GraphBuilder, NodeId};
