@@ -221,7 +221,9 @@ impl<'c> RankContext<'c> {
     /// the columns as `csr-rho<bits>-g<generation>.scsr`, streamed
     /// straight from the reference postings (the dense graph is never
     /// built), and reused across contexts: an existing file whose
-    /// header tag matches the store generation is opened as-is.
+    /// header tag matches the store generation is opened as-is. Callers
+    /// sharing one context wait for a build in progress rather than start
+    /// their own, so each rate is opened or built once per context.
     ///
     /// # Panics
     /// Panics if the colstore backend cannot write or reopen the shard
@@ -232,7 +234,11 @@ impl<'c> RankContext<'c> {
             Backing::Mmap(s) => *s,
         };
         let key = rho.to_bits();
-        if let Some(hit) = self.partitioned.lock().unwrap().get(&key) {
+        // Held across open-or-build: two builds of one file would write
+        // the same spill and tmp names, and one's cleanup would delete
+        // the other's files.
+        let mut partitioned = self.partitioned.lock().unwrap();
+        if let Some(hit) = partitioned.get(&key) {
             return DecayedPlan::Partitioned(Arc::clone(hit));
         }
         let tag = store.generation();
@@ -255,7 +261,7 @@ impl<'c> RankContext<'c> {
             }
         };
         let entry = Arc::new(opened);
-        self.partitioned.lock().unwrap().entry(key).or_insert_with(|| Arc::clone(&entry));
+        partitioned.insert(key, Arc::clone(&entry));
         DecayedPlan::Partitioned(entry)
     }
 

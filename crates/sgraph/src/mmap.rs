@@ -146,8 +146,13 @@ impl Mmap {
         self.len == 0
     }
 
-    /// View `bytes[off..off + count * 4]` as `&[u32]` (little-endian
-    /// native, as all on-disk formats here are). `off` must be 4-aligned.
+    /// View `bytes[off..off + count * 2]` as `&[u16]` (little-endian
+    /// native, as all on-disk formats here are). `off` must be 2-aligned.
+    pub(crate) fn as_u16s(&self, off: usize, count: usize) -> &[u16] {
+        slice_at::<u16>(self.bytes(), off, count)
+    }
+
+    /// View a byte range as `&[u32]`; `off` must be 4-aligned.
     pub fn as_u32s(&self, off: usize, count: usize) -> &[u32] {
         slice_at::<u32>(self.bytes(), off, count)
     }

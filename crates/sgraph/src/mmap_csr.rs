@@ -1,9 +1,10 @@
 //! Mmap-backed, node-sharded pull CSR for out-of-core power iteration.
 //!
 //! [`MmapCsr`] stores what [`RowStochastic`](crate::RowStochastic) walks
-//! — per-target in-edge lists with their raw weights, each node's
-//! out-weight sum, and the global dangling set — but on disk, partitioned
-//! into contiguous node shards that are served zero-copy through
+//! — per-target in-edge lists with their raw weights (each coded as an
+//! index into one per-file weight table), each node's out-weight sum,
+//! and the global dangling set — but on disk, partitioned into
+//! contiguous node shards that are served zero-copy through
 //! [`crate::mmap::Mmap`]. Each worker of a sweep touches one shard's
 //! arrays at a time, so peak resident memory is two iterate vectors, the
 //! pre-scaled `z`, the out-sum column, and one shard plus one frontier
@@ -23,22 +24,28 @@
 //! scatter by target — rows counted in one pass over the shard's spill,
 //! every edge placed at its row's next free slot in spill order in a
 //! second — which keeps them ascending per row), and
-//! [`MmapCsr::apply_step`] pre-scales the same way and accumulates `w·z`
-//! in stored order. Node partitioning never reorders a per-slot sum —
-//! each target's whole row lives in its own shard — so shard size and
-//! worker count are pure layout knobs: residuals, iteration counts, and
-//! stationaries are bit-identical to the dense solve at any `shard_size`
-//! and any `threads`.
+//! [`MmapCsr::apply_step`] pre-scales the same way and accumulates
+//! `table[code]·z`, the same `w·z` product, in stored order. Node
+//! partitioning never reorders a per-slot sum — each target's whole row
+//! lives in its own shard — so shard size and worker count are pure
+//! layout knobs: residuals, iteration counts, and stationaries are
+//! bit-identical to the dense solve at any `shard_size` and any
+//! `threads`.
 //!
-//! ## File format (`SCSRv2`, little-endian, 8-byte-aligned sections)
+//! ## File format (`SCSRv3`, little-endian, 8-byte-aligned sections)
 //!
 //! ```text
-//! header   : magic "SCSRv2\0\0" · n · m · shard_size · num_shards
-//!            · sums_off · dangling_off · dangling_len · tag (9 × u64)
+//! header   : magic "SCSRv3\0\0" · n · m · shard_size · num_shards
+//!            · sums_off · dangling_off · dangling_len · table_off
+//!            · table_len · tag                          (11 × u64)
 //! directory: per shard { boundary_off, boundary_len, offsets_off,
-//!            sources_off, weights_off, edges }            (6 × u64)
+//!            sources_off, codes_off, edges }            (6 × u64)
 //! sums     : f64[n]              out-weight sum of every node
 //! dangling : u32[dangling_len]   ascending global ids
+//! table    : f64[table_len]      the distinct raw edge weights (w > 0,
+//!                                from a non-dangling source) in the
+//!                                order `add_source` first met them;
+//!                                table_len ≤ 65,536
 //! per shard:
 //!   boundary: u32[boundary_len]  sorted global ids of sources that
 //!                                live OUTSIDE this shard's node range
@@ -46,15 +53,24 @@
 //!   sources : u32[edges]         local codes: code < shard_len is the
 //!                                in-shard node (global = start + code),
 //!                                else boundary[code − shard_len]
-//!   weights : f64[edges]         raw edge weights (w > 0, from a
-//!                                non-dangling source)
+//!   codes   : u16[edges]         each edge's raw weight, as its index
+//!                                into the table
 //! ```
 //!
-//! `SCSRv1` stored `w / out_sum` per edge; a file with that magic is
-//! refused on open, so a v1 cache left by an older build is rebuilt.
-//! The `tag` is caller-supplied (the colstore layer passes its content
-//! generation) and is validated on open, so a stale shard file built
-//! from an older corpus cannot be silently reused either.
+//! A decayed citation weight depends only on the citation's age, so a
+//! whole graph carries a few dozen distinct weights, and a 2-byte code
+//! per edge replaces the 8-byte weight `SCSRv2` stored. The sweep
+//! multiplies `table[code]`, the same `f64` the edge was built with, so
+//! the file's bytes shrink and no product changes. A graph with more
+//! distinct weights than a `u16` can index is refused at build time with
+//! [`io::ErrorKind::InvalidInput`]; nothing is clamped or rounded.
+//!
+//! `SCSRv1` stored `w / out_sum` per edge and `SCSRv2` the raw `f64`; a
+//! file with either magic is refused on open, so a cache left by an
+//! older build is rebuilt. The `tag` is caller-supplied (the colstore
+//! layer passes its content generation) and is validated on open, so a
+//! stale shard file built from an older corpus cannot be silently reused
+//! either.
 //!
 //! The boundary list is the *frontier exchange*: a step pre-scales the
 //! whole iterate once into `z`, and before sweeping a shard its worker
@@ -64,6 +80,7 @@
 //! contiguous shard groups balanced by edges plus boundary ids, each
 //! writing its own run of the output.
 
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
@@ -77,11 +94,15 @@ use crate::stochastic::{dangles, per_weight, JumpVector};
 use crate::store::CsrStore;
 use crate::CsrGraph;
 
-const MAGIC: &[u8; 8] = b"SCSRv2\0\0";
-const HEADER_BYTES: usize = 72;
+const MAGIC: &[u8; 8] = b"SCSRv3\0\0";
+const HEADER_BYTES: usize = 88;
 const DIR_FIELDS: usize = 6;
-/// One spilled edge: target `u32`, source `u32`, weight `f64`.
-const SPILL_RECORD: usize = 16;
+/// One spilled edge: target `u32`, source `u32`, weight code `u16`.
+const SPILL_RECORD: usize = 10;
+/// Distinct weights one file can hold: every value of a `u16` code.
+const TABLE_CAP: usize = 1 << 16;
+/// Slots of the builder's cache of recently coded weights.
+const RECENT: usize = 256;
 /// Bytes per spill read and per bulk section write.
 const SPILL_CHUNK: usize = 1 << 20;
 
@@ -96,7 +117,7 @@ struct ShardMeta {
     boundary_len: u64,
     offsets_off: u64,
     sources_off: u64,
-    weights_off: u64,
+    codes_off: u64,
     edges: u64,
 }
 
@@ -105,13 +126,15 @@ struct ShardMeta {
 /// Call [`MmapCsrBuilder::add_source`] once per node in ascending id
 /// order with that node's out-edges (targets and raw weights, in the
 /// same order the dense CSR stores them), then
-/// [`MmapCsrBuilder::finish`]. Edges are spilled to per-shard temp
-/// files as they arrive (one 16-byte record each) and the out-weight sums
-/// to one more, so neither the edge set nor a per-node column is held in
-/// memory. `finish` assembles one shard at a time in two streaming passes
-/// over its spill — count rows and collect the boundary, then scatter —
-/// holding 12 bytes per edge and 8 per node of that shard, and publishes
-/// the result through [`crate::sfile`]. A spill that is not whole records,
+/// [`MmapCsrBuilder::finish`]. Each stored weight is interned by its bit
+/// pattern into the file's weight table, in first-seen order, and the
+/// edge is spilled to a per-shard temp file as it arrives (one 10-byte
+/// record: target, source, weight code); the out-weight sums go to one
+/// more, so neither the edge set nor a per-node column is held in memory.
+/// `finish` assembles one shard at a time in two streaming passes over its
+/// spill — count rows and collect the boundary, then scatter — holding 6
+/// bytes per edge and 8 per node of that shard, and publishes the result
+/// through [`crate::sfile`]. A spill that is not whole records,
 /// changes between the passes or comes up short of the edges `add_source`
 /// wrote is [`io::ErrorKind::InvalidData`], never a short shard. The spill
 /// files are removed when the builder is dropped, finished or not.
@@ -126,6 +149,17 @@ pub struct MmapCsrBuilder {
     /// One edge spill per shard, then the out-weight sums' spill.
     spills: Vec<BufWriter<File>>,
     spill_paths: Vec<PathBuf>,
+    /// The distinct stored weights, in first-seen order: a weight's code
+    /// is its index here.
+    table: Vec<f64>,
+    /// `table` inverted, keyed by each weight's bit pattern.
+    code_of: BTreeMap<u64, u16>,
+    /// A direct-mapped cache in front of `code_of`, of `(bits, code)`:
+    /// edges repeat a few dozen weights, and a probe here costs less than
+    /// a tree search. An empty slot holds the bits of `+0.0`, never stored.
+    recent: [(u64, u16); RECENT],
+    /// The codes of the node `add_source` is storing, in edge order.
+    node_codes: Vec<u16>,
 }
 
 impl MmapCsrBuilder {
@@ -147,6 +181,10 @@ impl MmapCsrBuilder {
             dangling: Vec::new(),
             spills: Vec::with_capacity(num_shards + 1),
             spill_paths: Vec::with_capacity(num_shards + 1),
+            table: Vec::new(),
+            code_of: BTreeMap::new(),
+            recent: [(0, 0); RECENT],
+            node_codes: Vec::new(),
         };
         for s in 0..=num_shards {
             let sp = path.with_extension(format!("spill{s}"));
@@ -162,30 +200,74 @@ impl MmapCsrBuilder {
     /// (ascending target, no duplicates), so the out-weight sum is summed
     /// as [`RowStochastic::new`](crate::RowStochastic::new) sums it. A
     /// node whose sum is zero or subnormal is dangling, exactly as there;
-    /// otherwise each edge with `w > 0` is stored with its raw weight.
+    /// otherwise each edge with `w > 0` is stored with its raw weight's
+    /// code.
+    ///
+    /// A weight that would be the file's 65,537th distinct value is
+    /// [`io::ErrorKind::InvalidInput`]; the refused call changes nothing.
     pub fn add_source(&mut self, targets: &[u32], weights: &[f64]) -> io::Result<()> {
         assert_eq!(targets.len(), weights.len(), "targets/weights length mismatch");
         assert!((self.next as usize) < self.n, "add_source called more than n times");
+        let out_sum: f64 = weights.iter().sum();
+        let dangling = dangles(out_sum);
+        self.node_codes.clear();
+        if !dangling {
+            let interned = self.table.len();
+            for (&t, &w) in targets.iter().zip(weights) {
+                assert!((t as usize) < self.n, "target {t} out of bounds");
+                if w > 0.0 {
+                    let Some(code) = self.code(w) else {
+                        for w in self.table.drain(interned..) {
+                            self.code_of.remove(&w.to_bits());
+                        }
+                        self.recent = [(0, 0); RECENT];
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidInput,
+                            format!("more than {TABLE_CAP} distinct edge weights"),
+                        ));
+                    };
+                    self.node_codes.push(code);
+                }
+            }
+        }
         let u = self.next;
         self.next += 1;
-        let out_sum: f64 = weights.iter().sum();
         self.spills[self.num_shards].write_all(&out_sum.to_le_bytes())?;
-        if dangles(out_sum) {
+        if dangling {
             self.dangling.push(u);
             return Ok(());
         }
-        for (&t, &w) in targets.iter().zip(weights) {
-            assert!((t as usize) < self.n, "target {t} out of bounds");
-            if w > 0.0 {
-                let mut record = [0u8; SPILL_RECORD];
-                record[0..4].copy_from_slice(&t.to_le_bytes());
-                record[4..8].copy_from_slice(&u.to_le_bytes());
-                record[8..16].copy_from_slice(&w.to_le_bytes());
-                self.spills[t as usize / self.shard_size].write_all(&record)?;
-                self.m += 1;
-            }
+        let stored = targets.iter().zip(weights).filter(|&(_, &w)| w > 0.0);
+        for ((&t, _), &code) in stored.zip(&self.node_codes) {
+            let mut record = [0u8; SPILL_RECORD];
+            record[0..4].copy_from_slice(&t.to_le_bytes());
+            record[4..8].copy_from_slice(&u.to_le_bytes());
+            record[8..10].copy_from_slice(&code.to_le_bytes());
+            self.spills[t as usize / self.shard_size].write_all(&record)?;
+            self.m += 1;
         }
         Ok(())
+    }
+
+    /// `w`'s code, interning it if it is new; `None` once every code is
+    /// taken.
+    fn code(&mut self, w: f64) -> Option<u16> {
+        let bits = w.to_bits();
+        let slot = &mut self.recent[(bits.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as usize];
+        if slot.0 == bits {
+            return Some(slot.1);
+        }
+        let next = self.table.len();
+        let code = match self.code_of.entry(bits) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let code = u16::try_from(next).ok()?;
+                self.table.push(w);
+                *e.insert(code)
+            }
+        };
+        *slot = (bits, code);
+        Some(code)
     }
 
     /// Assemble the shard file and atomically publish it, stamping `tag`
@@ -218,6 +300,11 @@ impl MmapCsrBuilder {
             }
             Ok(())
         };
+
+        pad(&mut out, &mut cursor)?;
+        let table_off = cursor;
+        write_le(&mut out, &self.table, |w| w.to_le_bytes())?;
+        cursor += (self.table.len() * 8) as u64;
 
         for shard in 0..self.num_shards {
             let start = shard * self.shard_size;
@@ -258,10 +345,13 @@ impl MmapCsrBuilder {
             // Pass 2: stable counting scatter. Each row fills in spill
             // order, so it stays source-ascending; a cursor that only moves
             // forward through the sorted boundary codes each outside source.
-            let (mut sources, mut weights) = (vec![0u32; edges], vec![0f64; edges]);
+            let (mut sources, mut codes) = (vec![0u32; edges], vec![0u16; edges]);
             let mut slots = Cursors::new(offsets);
             let mut next_boundary = 0;
-            let seen = for_each_record(spill, |t, u, w| {
+            let seen = for_each_record(spill, |t, u, weight_code| {
+                if usize::from(weight_code) >= self.table.len() {
+                    return Err(bad_spill("weight code outside the table"));
+                }
                 let code = match local(u) {
                     Some(l) => l,
                     None => {
@@ -279,7 +369,7 @@ impl MmapCsrBuilder {
                     return Err(bad_spill("spill grew between passes"));
                 }
                 sources[slot] = code as u32;
-                weights[slot] = w;
+                codes[slot] = weight_code;
                 Ok(())
             })?;
             if seen != edges {
@@ -292,16 +382,16 @@ impl MmapCsrBuilder {
             cursor += (edges * 4) as u64;
 
             pad(&mut out, &mut cursor)?;
-            let weights_off = cursor;
-            write_le(&mut out, &weights, |w| w.to_le_bytes())?;
-            cursor += (edges * 8) as u64;
+            let codes_off = cursor;
+            write_le(&mut out, &codes, |c| c.to_le_bytes())?;
+            cursor += (edges * 2) as u64;
 
             dir.push(ShardMeta {
                 boundary_off,
                 boundary_len: boundary.len() as u64,
                 offsets_off,
                 sources_off,
-                weights_off,
+                codes_off,
                 edges: edges as u64,
             });
         }
@@ -324,6 +414,8 @@ impl MmapCsrBuilder {
             sums_off,
             dangling_off,
             self.dangling.len() as u64,
+            table_off,
+            self.table.len() as u64,
             tag,
         ] {
             head.extend_from_slice(&v.to_le_bytes());
@@ -331,14 +423,9 @@ impl MmapCsrBuilder {
         file.write_all(&head)?;
         let mut dir_buf = Vec::with_capacity(dir.len() * DIR_FIELDS * 8);
         for d in &dir {
-            for v in [
-                d.boundary_off,
-                d.boundary_len,
-                d.offsets_off,
-                d.sources_off,
-                d.weights_off,
-                d.edges,
-            ] {
+            for v in
+                [d.boundary_off, d.boundary_len, d.offsets_off, d.sources_off, d.codes_off, d.edges]
+            {
                 dir_buf.extend_from_slice(&v.to_le_bytes());
             }
         }
@@ -359,12 +446,12 @@ fn bad_spill(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("corrupt spill file: {what}"))
 }
 
-/// Stream `path`'s `(target, source, weight)` records through `f`, in file
-/// order, a chunk at a time. Returns the record count; a length that is not
-/// a whole number of records is [`io::ErrorKind::InvalidData`].
+/// Stream `path`'s `(target, source, weight code)` records through `f`, in
+/// file order, a chunk at a time. Returns the record count; a length that is
+/// not a whole number of records is [`io::ErrorKind::InvalidData`].
 fn for_each_record(
     path: &Path,
-    mut f: impl FnMut(u32, u32, f64) -> io::Result<()>,
+    mut f: impl FnMut(u32, u32, u16) -> io::Result<()>,
 ) -> io::Result<usize> {
     let mut file = File::open(path)?;
     let mut buf = vec![0u8; SPILL_CHUNK];
@@ -380,7 +467,7 @@ fn for_each_record(
             f(
                 u32::from_le_bytes(r[0..4].try_into().expect("4-byte field")),
                 u32::from_le_bytes(r[4..8].try_into().expect("4-byte field")),
-                f64::from_le_bytes(r[8..16].try_into().expect("8-byte field")),
+                u16::from_le_bytes(r[8..10].try_into().expect("2-byte field")),
             )?;
         }
         records += whole / SPILL_RECORD;
@@ -423,6 +510,9 @@ pub struct MmapCsr {
     dangling_off: usize,
     dangling_len: usize,
     tag: u64,
+    /// The file's weight table, zero-padded to every `u16` code, so the
+    /// sweep's `table[code]` needs no bounds check and cannot panic.
+    table: Box<[f64; TABLE_CAP]>,
     dir: Vec<ShardMeta>,
     /// Prefix sums of each shard's sweep work, `edges + boundary_len`
     /// (`num_shards + 1` entries): what the shard groups are balanced by.
@@ -432,9 +522,10 @@ pub struct MmapCsr {
 impl MmapCsr {
     /// Open `path`, validating magic, header invariants, section bounds
     /// and alignment, and — when `expected_tag` is given — the builder's
-    /// generation stamp. O(shards): section *contents* are not read (the
-    /// file is a cache derived from the checksummed SCOLv2 columns and
-    /// rebuilt on any tag mismatch, see DESIGN.md §2.14).
+    /// generation stamp. O(shards) plus a copy of the weight table: section
+    /// *contents* are not validated (the file is a cache derived from the
+    /// checksummed SCOLv2 columns and rebuilt on any tag mismatch, see
+    /// DESIGN.md §2.14).
     pub fn open(path: &Path, expected_tag: Option<u64>) -> io::Result<MmapCsr> {
         let map = Mmap::map_file(path)?;
         let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
@@ -444,9 +535,10 @@ impl MmapCsr {
         if &map.bytes()[..8] != MAGIC {
             return Err(bad("bad shard file magic"));
         }
-        let h = map.as_u64s(8, 8);
-        let (n, m, shard_size, num_shards, sums_off, dangling_off, dangling_len, tag) =
-            (h[0], h[1], h[2], h[3], h[4], h[5], h[6], h[7]);
+        let h = map.as_u64s(8, 10);
+        let (n, m, shard_size, num_shards, sums_off, dangling_off, dangling_len) =
+            (h[0], h[1], h[2], h[3], h[4], h[5], h[6]);
+        let (table_off, table_len, tag) = (h[7], h[8], h[9]);
         if let Some(want) = expected_tag {
             if tag != want {
                 return Err(bad("shard file generation tag mismatch (stale cache?)"));
@@ -477,20 +569,20 @@ impl MmapCsr {
                 boundary_len: d[1],
                 offsets_off: d[2],
                 sources_off: d[3],
-                weights_off: d[4],
+                codes_off: d[4],
                 edges: d[5],
             };
             let shard_len = shard_size.min(n - (s * shard_size).min(n));
             let file_len = map.len() as u128;
             let fits = |off: u64, count: u128, size: u128| off as u128 + count * size <= file_len;
-            if !fits(meta.weights_off, meta.edges as u128, 8)
+            if !fits(meta.codes_off, meta.edges as u128, 2)
                 || !fits(meta.sources_off, meta.edges as u128, 4)
                 || !fits(meta.offsets_off, shard_len as u128 + 1, 8)
                 || !fits(meta.boundary_off, meta.boundary_len as u128, 4)
             {
                 return Err(bad("shard section out of bounds"));
             }
-            if !meta.weights_off.is_multiple_of(8)
+            if !meta.codes_off.is_multiple_of(2)
                 || !meta.offsets_off.is_multiple_of(8)
                 || !meta.sources_off.is_multiple_of(4)
                 || !meta.boundary_off.is_multiple_of(4)
@@ -513,10 +605,32 @@ impl MmapCsr {
         {
             return Err(bad("dangling list out of bounds or misaligned"));
         }
+        if table_len > TABLE_CAP as u64
+            || table_off as u128 + table_len as u128 * 8 > map.len() as u128
+            || !table_off.is_multiple_of(8)
+        {
+            return Err(bad("weight table too long, out of bounds or misaligned"));
+        }
+        let table_len = table_len as usize;
+        let mut table: Box<[f64; TABLE_CAP]> =
+            vec![0.0; TABLE_CAP].into_boxed_slice().try_into().expect("TABLE_CAP entries");
+        table[..table_len].copy_from_slice(map.as_f64s(table_off as usize, table_len));
         let sums_off = sums_off as usize;
         let dangling_len = usize::try_from(dangling_len).map_err(|_| bad("dangling overflow"))?;
         let dangling_off = usize::try_from(dangling_off).map_err(|_| bad("dangling overflow"))?;
-        Ok(MmapCsr { map, n, m, shard_size, sums_off, dangling_off, dangling_len, tag, dir, work })
+        Ok(MmapCsr {
+            map,
+            n,
+            m,
+            shard_size,
+            sums_off,
+            dangling_off,
+            dangling_len,
+            tag,
+            table,
+            dir,
+            work,
+        })
     }
 
     /// Number of nodes.
@@ -596,6 +710,7 @@ impl CsrStore for MmapCsr {
             .into_iter()
             .map(|g| g.start * self.shard_size..(g.end * self.shard_size).min(self.n))
             .collect();
+        let table: &[f64; TABLE_CAP] = &self.table;
         par::for_each_range_mut(y, &groups, |nodes, out| {
             // `z` over the shard's own nodes, then over its boundary.
             let mut zs: Vec<f64> = Vec::new();
@@ -610,13 +725,13 @@ impl CsrStore for MmapCsr {
                 zs.extend(boundary.iter().map(|&u| z[u as usize]));
                 let offsets = self.map.as_u64s(meta.offsets_off as usize, shard_len + 1);
                 let sources = self.map.as_u32s(meta.sources_off as usize, meta.edges as usize);
-                let weights = self.map.as_f64s(meta.weights_off as usize, meta.edges as usize);
+                let codes = self.map.as_u16s(meta.codes_off as usize, meta.edges as usize);
                 let rows = &mut out[start - nodes.start..][..shard_len];
                 for (v_local, slot) in rows.iter_mut().enumerate() {
                     let (lo, hi) = (offsets[v_local] as usize, offsets[v_local + 1] as usize);
                     let mut acc = 0.0;
-                    for (&c, &w) in sources[lo..hi].iter().zip(&weights[lo..hi]) {
-                        acc += w * zs[c as usize];
+                    for (&c, &k) in sources[lo..hi].iter().zip(&codes[lo..hi]) {
+                        acc += table[k as usize] * zs[c as usize];
                     }
                     *slot = damping * acc + share(start + v_local);
                 }
@@ -789,9 +904,10 @@ mod tests {
         drop(mc);
         let good = std::fs::read(&path).unwrap();
         // Byte offsets of the low byte of every section-offset field:
-        // the header's sums_off and dangling_off, then boundary_off,
-        // offsets_off, sources_off and weights_off of each directory entry.
-        let mut fields = vec![8 + 4 * 8, 8 + 5 * 8];
+        // the header's sums_off, dangling_off and table_off, then
+        // boundary_off, offsets_off, sources_off and codes_off of each
+        // directory entry.
+        let mut fields = vec![8 + 4 * 8, 8 + 5 * 8, 8 + 7 * 8];
         for s in 0..shards {
             let entry = HEADER_BYTES + s * DIR_FIELDS * 8;
             fields.extend([0, 2, 3, 4].map(|f| entry + f * 8));
@@ -837,7 +953,7 @@ mod tests {
         let g = test_graph();
         // Cut mid-record, then by exactly one record: neither may panic or
         // publish a shard that is short of edges.
-        for cut in [5u64, 16] {
+        for cut in [SPILL_RECORD / 2, SPILL_RECORD] {
             let path = tmp(&format!("short-spill{cut}"));
             let mut b = MmapCsrBuilder::new(&path, g.num_nodes() as usize, 8).unwrap();
             for u in g.nodes() {
@@ -849,12 +965,74 @@ mod tests {
             }
             let spill = File::options().write(true).open(&b.spill_paths[1]).unwrap();
             let len = spill.metadata().unwrap().len();
-            assert!(len >= 32, "shard 1 must spill at least two edges");
-            spill.set_len(len - cut).unwrap();
+            assert!(len >= 2 * SPILL_RECORD as u64, "shard 1 must spill at least two edges");
+            spill.set_len(len - cut as u64).unwrap();
             let err = b.finish(7).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut {cut}: {err}");
             assert!(!path.exists(), "cut {cut}: nothing may be published");
         }
+    }
+
+    /// The widest table a file holds: 65,536 distinct weights, every code
+    /// of a `u16` in use, swept bit for bit as the dense walk.
+    #[test]
+    fn a_full_weight_table_builds_and_sweeps_as_the_dense_walk() {
+        let mut b = GraphBuilder::new(257).with_edge_capacity(TABLE_CAP);
+        for k in 0..TABLE_CAP as u32 {
+            let (u, v) = (k / 256, k % 256);
+            b.add_edge(NodeId(u), NodeId(v + u32::from(v >= u)), 1.0 + k as f64 / 1024.0);
+        }
+        let g = b.build();
+        let distinct: std::collections::HashSet<u64> =
+            g.nodes().flat_map(|u| g.out_edge_weights(u)).map(|w| w.to_bits()).collect();
+        assert_eq!(distinct.len(), TABLE_CAP);
+        let path = tmp("full-table");
+        let mc = build_from_graph(&g, &path, 64, 3).unwrap();
+        let opts = PowerIterationOpts { threads: 1, ..PowerIterationOpts::default() };
+        let dense = RowStochastic::new(&g).stationary(&opts);
+        for threads in [1, 3] {
+            let swept = stationary_store(&mc, &PowerIterationOpts { threads, ..opts.clone() });
+            assert_eq!(dense.scores, swept.scores, "threads {threads}");
+            assert_eq!(dense.residuals, swept.residuals, "threads {threads}");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// One distinct weight past the table's capacity is refused as input,
+    /// the refused call changes nothing, and no shard, tmp or spill file
+    /// survives the builder.
+    #[test]
+    fn a_65537th_distinct_weight_is_refused_and_leaves_nothing_behind() {
+        let dir = tmp("wide").with_extension("d");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // 258 nodes, each citing the 257 others with a weight of its own.
+        let n = 258u32;
+        let mut b = MmapCsrBuilder::new(&dir.join("graph.scsr"), n as usize, 64).unwrap();
+        let mut refused = None;
+        for u in 0..n {
+            let targets: Vec<u32> = (0..n).filter(|&v| v != u).collect();
+            let weights: Vec<f64> =
+                (0..n - 1).map(|i| 1.0 + f64::from(u * (n - 1) + i) / 1024.0).collect();
+            if let Err(e) = b.add_source(&targets, &weights) {
+                refused = Some((u, e));
+                break;
+            }
+        }
+        let (node, err) = refused.expect("66,306 distinct weights must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        // Nodes 0 to 254 bring 65,535 weights; node 255's first edge brings
+        // the 65,536th and its second the 65,537th.
+        assert_eq!(node, 255);
+        assert_eq!(b.next, 255, "the refused node was not taken");
+        assert_eq!(b.table.len(), 255 * 257, "the refused node's weights were rolled back");
+        assert_eq!(b.code_of.len(), b.table.len());
+        let cached = |&(bits, code): &(u64, u16)| bits == 0 || usize::from(code) < b.table.len();
+        assert!(b.recent.iter().all(cached), "no cached code outlives the rollback");
+        drop(b);
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        assert!(left.is_empty(), "a refused build leaves nothing behind: {left:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

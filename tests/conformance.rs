@@ -282,8 +282,9 @@ fn mmap_twpr_is_the_sequential_ram_solve_at_every_thread_count() {
 }
 
 /// A shard file from a build that wrote SCSRv1 (`w / out_sum` per edge)
-/// sits at the path `decayed_plan` caches under: it is refused, rebuilt in
-/// place, and never walked.
+/// or SCSRv2 (an `f64` weight per edge) sits at the path `decayed_plan`
+/// caches under: it is refused, rebuilt in place as SCSRv3, and never
+/// walked.
 #[test]
 fn a_version_1_shard_cache_is_refused_and_rebuilt() {
     let corpus = Preset::Tiny.generate(34);
@@ -299,13 +300,46 @@ fn a_version_1_shard_cache_is_refused_and_rebuilt() {
         .map(|e| e.unwrap().path())
         .find(|p| p.extension().is_some_and(|x| x == "scsr"))
         .expect("the solve leaves a shard cache");
-    let mut bytes = std::fs::read(&shard).unwrap();
-    bytes[..8].copy_from_slice(b"SCSRv1\0\0");
-    std::fs::write(&shard, &bytes).unwrap();
+    for old in [b"SCSRv1\0\0", b"SCSRv2\0\0"] {
+        let mut bytes = std::fs::read(&shard).unwrap();
+        bytes[..8].copy_from_slice(old);
+        std::fs::write(&shard, &bytes).unwrap();
 
-    let again = ranker.solve_ctx(&RankContext::from_colstore(&store));
-    assert_eq!(bits(&again.scores), bits(&fresh.scores));
-    assert_eq!(&std::fs::read(&shard).unwrap()[..8], b"SCSRv2\0\0", "rebuilt in place");
+        let again = ranker.solve_ctx(&RankContext::from_colstore(&store));
+        assert_eq!(bits(&again.scores), bits(&fresh.scores));
+        assert_eq!(&std::fs::read(&shard).unwrap()[..8], b"SCSRv3\0\0", "rebuilt in place");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Two solves that share one colstore context and start together get one
+/// shard build between them, and the same score bits. Each used to build
+/// the file itself under the same spill and tmp names, and one's cleanup
+/// deleted the other's files mid-build.
+#[test]
+fn concurrent_solves_on_one_colstore_context_build_the_shard_file_once() {
+    let dir = std::env::temp_dir().join(format!("scholar-conformance-race-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    scholar::corpus::generator::generate_mag_scale(&dir, 20_000, 36).unwrap();
+    let store = ColStore::open(&dir).unwrap();
+    let ctx = RankContext::from_colstore(&store);
+    let start = std::sync::Barrier::new(2);
+    let solve = || {
+        start.wait();
+        TimeWeightedPageRank::default().solve_ctx(&ctx)
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let (a, b) = (s.spawn(solve), s.spawn(solve));
+        (a.join().expect("first solve"), b.join().expect("second solve"))
+    });
+    assert_eq!(bits(&a.scores), bits(&b.scores));
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.file_name().is_some_and(|f| f.to_string_lossy().starts_with("csr-")))
+        .collect();
+    assert_eq!(left.len(), 1, "one shard file and no spill or tmp file: {left:?}");
+    assert_eq!(left[0].extension().unwrap(), "scsr");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -7,9 +7,10 @@
 //! weight divided by its source's out-weight sum; the borrowing operator,
 //! which pre-scales the iterate instead, is held to it. [`jsonl`] keeps
 //! the tree-building JSONL reader and writer the same way, [`scsr`]
-//! the sort-based SCSRv2 shard writer and `GraphBuilder::try_build`, and
-//! [`snapv1`] the single-file SNAPv1 snapshot codec that carried the
-//! corpus before the state directory kept it as an SCOLv2 store.
+//! the sort-based shard writer (writing SCSRv3) and
+//! `GraphBuilder::try_build`, and [`snapv1`] the single-file SNAPv1
+//! snapshot codec that carried the corpus before the state directory
+//! kept it as an SCOLv2 store.
 #![allow(dead_code)] // each suite that includes this uses its own subset
 
 pub mod jsonl;

@@ -1,7 +1,8 @@
 //! The two CSR builds as they were before the counting-scatter kernel
-//! (`sgraph`'s `scatter` module): the SCSRv2 shard writer that sorted each
+//! (`sgraph`'s `scatter` module): the shard writer that sorted each
 //! shard's spilled records by target through an index permutation and
-//! coded every source with a binary search of the boundary, and
+//! coded every source with a binary search of the boundary (now writing
+//! SCSRv3, each weight coded by a linear search of the weight table), and
 //! `GraphBuilder::try_build`, which sorted the whole staged edge list by
 //! `(src, dst)`. Both survive here, in test code only, as the oracles the
 //! kernel is held to: [`SortingScsrBuilder`] must write the same file
@@ -19,10 +20,10 @@ fn dangles(out_sum: f64) -> bool {
     out_sum < f64::MIN_POSITIVE
 }
 
-// ---- The sort-based SCSRv2 writer, as it was (sgraph::mmap_csr) ----
+// ---- The sort-based shard writer, as it was (sgraph::mmap_csr), in SCSRv3 ----
 
-const MAGIC: &[u8; 8] = b"SCSRv2\0\0";
-const HEADER_BYTES: usize = 72;
+const MAGIC: &[u8; 8] = b"SCSRv3\0\0";
+const HEADER_BYTES: usize = 88;
 const DIR_FIELDS: usize = 6;
 
 /// Round `off` up to the next multiple of 8.
@@ -36,7 +37,7 @@ struct ShardMeta {
     boundary_len: u64,
     offsets_off: u64,
     sources_off: u64,
-    weights_off: u64,
+    codes_off: u64,
     edges: u64,
 }
 
@@ -52,6 +53,8 @@ pub struct SortingScsrBuilder {
     /// One edge spill per shard, then the out-weight sums' spill.
     spills: Vec<BufWriter<File>>,
     spill_paths: Vec<PathBuf>,
+    /// The distinct stored weights, in the order `add_source` met them.
+    table: Vec<f64>,
 }
 
 impl SortingScsrBuilder {
@@ -73,6 +76,7 @@ impl SortingScsrBuilder {
             dangling: Vec::new(),
             spills: Vec::with_capacity(num_shards + 1),
             spill_paths: Vec::with_capacity(num_shards + 1),
+            table: Vec::new(),
         };
         for s in 0..=num_shards {
             let sp = path.with_extension(format!("spill{s}"));
@@ -88,7 +92,8 @@ impl SortingScsrBuilder {
     /// (ascending target, no duplicates), so the out-weight sum is summed
     /// as `sgraph::RowStochastic::new` sums it. A
     /// node whose sum is zero or subnormal is dangling, exactly as there;
-    /// otherwise each edge with `w > 0` is stored with its raw weight.
+    /// otherwise each edge with `w > 0` is stored with its raw weight's
+    /// index in the table, which grows by each weight not in it yet.
     pub fn add_source(&mut self, targets: &[u32], weights: &[f64]) -> io::Result<()> {
         assert_eq!(targets.len(), weights.len(), "targets/weights length mismatch");
         assert!((self.next as usize) < self.n, "add_source called more than n times");
@@ -103,6 +108,9 @@ impl SortingScsrBuilder {
         for (&t, &w) in targets.iter().zip(weights) {
             assert!((t as usize) < self.n, "target {t} out of bounds");
             if w > 0.0 {
+                if self.code(w).is_none() {
+                    self.table.push(w);
+                }
                 let shard = t as usize / self.shard_size;
                 let sp = &mut self.spills[shard];
                 sp.write_all(&t.to_le_bytes())?;
@@ -112,6 +120,12 @@ impl SortingScsrBuilder {
             }
         }
         Ok(())
+    }
+
+    /// The index of the weight with `w`'s bits in the table, if any.
+    fn code(&self, w: f64) -> Option<u16> {
+        let at = self.table.iter().position(|t| t.to_bits() == w.to_bits())?;
+        Some(u16::try_from(at).expect("at most 65,536 distinct weights"))
     }
 
     /// Assemble the shard file and atomically publish it, stamping `tag`
@@ -136,6 +150,12 @@ impl SortingScsrBuilder {
             out.write_all(&u.to_le_bytes())?;
         }
         let mut cursor = dangling_off + (self.dangling.len() * 4) as u64;
+        let table_off = align8(cursor);
+        out.write_all(&vec![0u8; (table_off - cursor) as usize])?;
+        for w in &self.table {
+            out.write_all(&w.to_le_bytes())?;
+        }
+        cursor = table_off + (self.table.len() * 8) as u64;
 
         let mut dir = Vec::with_capacity(self.num_shards);
         let pad = |out: &mut BufWriter<&mut File>, cursor: &mut u64| -> io::Result<()> {
@@ -201,18 +221,19 @@ impl SortingScsrBuilder {
             cursor += (order.len() * 4) as u64;
 
             pad(&mut out, &mut cursor)?;
-            let weights_off = cursor;
+            let codes_off = cursor;
             for &i in &order {
-                out.write_all(&records[i as usize].2.to_le_bytes())?;
+                let code = self.code(records[i as usize].2).expect("every stored weight is coded");
+                out.write_all(&code.to_le_bytes())?;
             }
-            cursor += (order.len() * 8) as u64;
+            cursor += (order.len() * 2) as u64;
 
             dir.push(ShardMeta {
                 boundary_off,
                 boundary_len: boundary.len() as u64,
                 offsets_off,
                 sources_off,
-                weights_off,
+                codes_off,
                 edges: records.len() as u64,
             });
         }
@@ -232,6 +253,8 @@ impl SortingScsrBuilder {
             sums_off,
             dangling_off,
             self.dangling.len() as u64,
+            table_off,
+            self.table.len() as u64,
             tag,
         ] {
             head.extend_from_slice(&v.to_le_bytes());
@@ -239,14 +262,9 @@ impl SortingScsrBuilder {
         file.write_all(&head)?;
         let mut dir_buf = Vec::with_capacity(dir.len() * DIR_FIELDS * 8);
         for d in &dir {
-            for v in [
-                d.boundary_off,
-                d.boundary_len,
-                d.offsets_off,
-                d.sources_off,
-                d.weights_off,
-                d.edges,
-            ] {
+            for v in
+                [d.boundary_off, d.boundary_len, d.offsets_off, d.sources_off, d.codes_off, d.edges]
+            {
                 dir_buf.extend_from_slice(&v.to_le_bytes());
             }
         }

@@ -315,13 +315,18 @@ fn aan_loader_never_panics() {
 /// An arbitrary weighted graph: 0..30 nodes with dangling ones (no
 /// out-edge, or only zero-weight ones), zero weights and self-loops. Half
 /// the time targets stay in a prefix, so trailing shards get no edges.
+/// One draw in eight is wide instead: 40..60 nodes, every target
+/// reachable and 24 edges drawn per node, so its stored edges carry
+/// hundreds of distinct weights — more than a one-byte code can index.
 fn arb_graph(rng: &mut SmallRng) -> sgraph::CsrGraph {
-    let n = rng.gen_range(0u32..30);
+    let wide = rng.gen_range(0u32..8) == 0;
+    let n = if wide { rng.gen_range(40u32..60) } else { rng.gen_range(0u32..30) };
     let mut b = sgraph::GraphBuilder::new(n);
     if n > 0 {
-        let reach = if rng.gen() { n } else { rng.gen_range(1..n + 1) };
+        let reach = if wide || rng.gen() { n } else { rng.gen_range(1..n + 1) };
         let silent = rng.gen_range(2u32..6);
-        for _ in 0..rng.gen_range(0..4 * n) {
+        let edges = if wide { 24 * n } else { rng.gen_range(0..4 * n) };
+        for _ in 0..edges {
             let u = rng.gen_range(0..n);
             if u % silent == 0 {
                 continue;
@@ -358,18 +363,29 @@ fn scsr_shard_files_match_the_sorting_writer() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Distinct positive weights of `g`, by bit pattern: what a shard file's
+/// weight table holds at most.
+fn distinct_weights(g: &sgraph::CsrGraph) -> usize {
+    let positive = g.nodes().flat_map(|u| g.out_edge_weights(u)).filter(|&&w| w > 0.0);
+    positive.map(|w| w.to_bits()).collect::<std::collections::HashSet<_>>().len()
+}
+
 /// The mmap sweep against the dense walk it mirrors: at every shard size
-/// and worker count, the same stationary bits in the same iterations.
+/// and worker count, the same stationary bits in the same iterations. Some
+/// graph carries more than 256 distinct weights, so a code narrower than
+/// a `u16` fails here.
 #[test]
 fn mmap_stationary_is_the_dense_one_at_every_shard_size_and_thread_count() {
     use sgraph::stochastic::PowerIterationOpts;
     let dir = std::env::temp_dir().join(format!("scholar-prop-sweep-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("graph.scsr");
+    let mut widest = 0;
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eeb);
         let g = arb_graph(&mut rng);
         let n = g.len();
+        widest = widest.max(distinct_weights(&g));
         let opts = PowerIterationOpts {
             damping: rng.gen_range(0.5f64..0.95),
             threads: 1,
@@ -391,6 +407,7 @@ fn mmap_stationary_is_the_dense_one_at_every_shard_size_and_thread_count() {
             }
         }
     }
+    assert!(widest > 256, "the widest graph carries only {widest} distinct weights");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
