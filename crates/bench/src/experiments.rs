@@ -7,6 +7,7 @@ use scholar::eval::groundtruth::{award_set, future_citations};
 use scholar::eval::metrics::kendall_tau_b;
 use scholar::eval::series::SeriesSet;
 use scholar::eval::tables::{fmt_metric, fmt_seconds, Table};
+use scholar::rank::RankContext;
 use scholar::{
     Ablation, CitationCount, PageRank, Preset, QRank, QRankConfig, Ranker, TimeWeightedPageRank,
 };
@@ -251,16 +252,17 @@ pub fn fig3() -> SeriesSet {
         }
         v
     };
-    let (_, pr_diag) = PageRank::default().rank_with_diagnostics(&c);
-    let (_, twpr_diag) = TimeWeightedPageRank::default().rank_with_diagnostics(&c);
+    let ctx = RankContext::new(&c);
+    let pr = PageRank::default().solve_ctx(&ctx).telemetry;
+    let twpr = TimeWeightedPageRank::default().solve_ctx(&ctx).telemetry;
     let qr = QRank::default().run(&c);
     let mut fig = SeriesSet::new(
         "R-Fig 3 [AAN-like]: L1 residual by iteration",
         "iteration",
         (1..=max_pts).map(|i| i as f64).collect(),
     );
-    fig.add("PageRank", pad(pr_diag.residuals));
-    fig.add("TWPR", pad(twpr_diag.residuals));
+    fig.add("PageRank", pad(pr.residuals));
+    fig.add("TWPR", pad(twpr.residuals));
     fig.add("QRank outer", pad(qr.outer.residuals));
     fig
 }

@@ -10,7 +10,7 @@ use scholar::eval::tables::{fmt_metric, fmt_seconds, Table};
 use scholar::eval::Experiment;
 use scholar::rank::personalized::{related_articles, PersonalizedConfig};
 use scholar::rank::scores::top_k;
-use scholar::rank::{PageRankConfig, RankContext, SolveTelemetry, TwprConfig};
+use scholar::rank::{PageRankConfig, RankContext, RankOutput, SolveTelemetry, TwprConfig};
 use scholar::{Corpus, QRank, QRankConfig, Ranker};
 use std::io::Write;
 use std::path::Path;
@@ -146,9 +146,12 @@ fn walk_config(cfg: &QRankConfig) -> PageRankConfig {
     PageRankConfig { threads: cfg.twpr.pagerank.threads, ..PageRankConfig::default() }
 }
 
-fn ranker_by_name(name: &str, walk: PageRankConfig) -> Result<Box<dyn Ranker>, String> {
+/// The ranker `--method NAME` selects, configured by `--config` and
+/// `--threads` through `cfg`.
+fn ranker_by_name(name: &str, cfg: &QRankConfig) -> Result<Box<dyn Ranker>, String> {
+    let walk = walk_config(cfg);
     Ok(match name {
-        "qrank" => Box::new(QRank::default()),
+        "qrank" => Box::new(QRank::new(cfg.clone())),
         "twpr" => Box::new(scholar::TimeWeightedPageRank::new(TwprConfig {
             pagerank: walk,
             ..TwprConfig::default()
@@ -197,12 +200,11 @@ pub fn rank<W: Write>(args: &Args, out: &mut W) -> CmdResult {
             residuals: result.outer.residuals.clone(),
             build_secs,
             solve_secs: solved.elapsed().as_secs_f64(),
-            cached: false,
         };
         let scores = result.article_scores.clone();
         ("QRank".to_string(), scores, telemetry, Some((engine, result)))
     } else {
-        let ranker = ranker_by_name(method, walk_config(&cfg))?;
+        let ranker = ranker_by_name(method, &cfg)?;
         let solved = ranker.solve_ctx(&RankContext::new(&corpus));
         (ranker.name(), solved.scores, solved.telemetry, None)
     };
@@ -289,26 +291,8 @@ fn rank_mmap<W: Write>(args: &Args, out: &mut W) -> CmdResult {
     let store = scholar::corpus::colstore::ColStore::open(Path::new(dir))
         .map_err(|e| format!("cannot open colstore '{dir}': {e}"))?;
     let ctx = RankContext::from_colstore(&store);
-    let (method_name, scores, telemetry) = if method == "qrank" {
-        let built = Instant::now();
-        let engine = scholar::QRankEngine::build_from_ctx(&ctx, &cfg);
-        let build_secs = built.elapsed().as_secs_f64();
-        let solved = Instant::now();
-        let result = engine.solve(&scholar::MixParams::from_config(&cfg));
-        let telemetry = SolveTelemetry {
-            iterations: result.outer.iterations + result.twpr_diagnostics.iterations,
-            converged: result.outer.converged && result.twpr_diagnostics.converged,
-            residuals: result.outer.residuals.clone(),
-            build_secs,
-            solve_secs: solved.elapsed().as_secs_f64(),
-            cached: false,
-        };
-        ("QRank".to_string(), result.article_scores, telemetry)
-    } else {
-        let ranker = ranker_by_name(method, walk_config(&cfg))?;
-        let solved = ranker.solve_ctx(&ctx);
-        (ranker.name(), solved.scores, solved.telemetry)
-    };
+    let ranker = ranker_by_name(method, &cfg)?;
+    let RankOutput { scores, telemetry } = ranker.solve_ctx(&ctx);
     let best = top_k(&scores, top);
     let years = ctx.years();
 
@@ -329,7 +313,7 @@ fn rank_mmap<W: Write>(args: &Args, out: &mut W) -> CmdResult {
         return Ok(());
     }
 
-    outln!(out, "top {} articles by {} (colstore {}):", best.len(), method_name, dir);
+    outln!(out, "top {} articles by {} (colstore {}):", best.len(), ranker.name(), dir);
     for (pos, &i) in best.iter().enumerate() {
         outln!(out, "{:>3}. [{:.6}] article-{} ({})", pos + 1, scores[i], i, years[i]);
     }
@@ -929,6 +913,41 @@ mod tests {
             assert!(drift <= 1e-12, "{} drifted {drift}", ranker.name());
             assert_eq!(a.telemetry.iterations, b.telemetry.iterations, "{}", ranker.name());
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rank_mmap_qrank_reads_the_config_file() {
+        // One corpus as JSONL and as a colstore, and a config that moves
+        // the ranking: `--store mmap --method qrank` must apply it exactly
+        // as the RAM path does.
+        let dir = tmpdir();
+        let path = corpus_file(&dir);
+        let store = dir.join("cfgstore");
+        let corpus = jsonl::read_jsonl_file(Path::new(&path), &LoadOptions::default()).unwrap();
+        corpus.write_colstore(&store).unwrap();
+        let store = store.to_string_lossy().into_owned();
+        let cfg_path = dir.join("mix.json");
+        std::fs::write(
+            &cfg_path,
+            r#"{"lambda_article": 0.2, "lambda_venue": 0.2, "lambda_author": 0.6}"#,
+        )
+        .unwrap();
+        let cfg = cfg_path.to_string_lossy().into_owned();
+        let listing = |argv: &[&str]| -> Vec<(u64, f64)> {
+            let out = run(argv).unwrap();
+            let rows = sjson::parse(&out).unwrap();
+            let rows = rows.as_array().unwrap();
+            let num = |r: &sjson::Value, k: &str| r.get(k).and_then(sjson::Value::as_f64).unwrap();
+            rows.iter().map(|r| (num(r, "id") as u64, num(r, "score"))).collect()
+        };
+        let qrank = ["--method", "qrank", "--top", "50", "--json"];
+        let ram = listing(&[&["rank", &path, "--config", &cfg][..], &qrank].concat());
+        let mmap =
+            listing(&[&["rank", &store, "--store", "mmap", "--config", &cfg][..], &qrank].concat());
+        assert_eq!(mmap, ram, "--store mmap ranks under the --config mixture");
+        let default = listing(&[&["rank", &store, "--store", "mmap"][..], &qrank].concat());
+        assert_ne!(default, mmap, "the config moves the ranking");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -32,7 +32,6 @@ use crate::hetnet::HetNet;
 use crate::qrank::QRankResult;
 use scholar_corpus::rows::{self, Rows};
 use scholar_rank::diagnostics::Diagnostics;
-use scholar_rank::RankContext;
 use sgraph::stochastic::{blend_into, l1_distance, normalize_l1, PowerIterationOpts};
 use sgraph::{stationary_store, JumpVector, ProjectedWalk, RowStochastic};
 use std::ops::Range;
@@ -168,7 +167,6 @@ pub struct QRankEngine {
     su: Vec<f64>,
     /// Per-article age in years, clamped at 0.
     ages: Vec<f64>,
-    threads: usize,
     pub_left_ranges: Vec<Range<usize>>,
     pub_right_ranges: Vec<Range<usize>>,
     auth_left_ranges: Vec<Range<usize>>,
@@ -223,15 +221,6 @@ impl QRankEngine {
         Self::from_net(grown, &config, net)
     }
 
-    /// [`QRankEngine::build`] against a prepared [`RankContext`]: the
-    /// decayed citation graph and the bipartites come from the context's
-    /// caches (see [`HetNet::build_from_ctx`]); everything else is the
-    /// code `build` runs, over the context's view.
-    pub fn build_from_ctx(ctx: &RankContext, config: &QRankConfig) -> Self {
-        config.assert_valid();
-        Self::from_net(ctx.rows(), config, HetNet::build_from_ctx(ctx, config))
-    }
-
     /// The plan over `net`, the network of `corpus` under `config`.
     fn from_net<V: Rows + ?Sized>(corpus: &V, config: &QRankConfig, net: HetNet) -> Self {
         let now =
@@ -283,7 +272,6 @@ impl QRankEngine {
             sv,
             su,
             ages,
-            threads,
             pub_left_ranges,
             pub_right_ranges,
             auth_left_ranges,
@@ -317,32 +305,33 @@ impl QRankEngine {
 
     /// The plan with its structural stationaries replaced by `sv` and
     /// `su`, taken as the normalized distributions
-    /// [`Self::structural_stationaries`] returns — the seam through which
-    /// the conformance suite feeds a plan walks run by its test-side
-    /// oracles.
+    /// [`Self::structural_stationaries`] returns, and, given `twpr`, its
+    /// cold inner walk replaced by those scores and diagnostics (what
+    /// [`Self::twpr`] returns) — the seam through which the conformance
+    /// suite feeds a plan walks run by its test-side oracles.
     ///
     /// # Panics
-    /// Panics if `sv` is not one score per venue or `su` one per author.
-    pub fn with_structural_stationaries(mut self, sv: Vec<f64>, su: Vec<f64>) -> Self {
+    /// Panics if `sv` is not one score per venue, `su` one per author or
+    /// `twpr` one per article.
+    pub fn with_structural_stationaries(
+        mut self,
+        sv: Vec<f64>,
+        su: Vec<f64>,
+        twpr: Option<(Vec<f64>, Diagnostics)>,
+    ) -> Self {
         assert_eq!(sv.len(), self.net.num_venues(), "one structural score per venue");
         assert_eq!(su.len(), self.net.num_authors(), "one structural score per author");
         (self.sv, self.su) = (sv, su);
+        if let Some(cold) = twpr {
+            assert_eq!(cold.0.len(), self.net.num_articles(), "one inner-walk score per article");
+            self.twpr_cold = OnceLock::from(cold);
+        }
         self
-    }
-
-    /// Worker threads the plan partitions its kernels for.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The reference year used for ages and recency.
     pub fn now(&self) -> i32 {
         self.now
-    }
-
-    /// Number of articles in the prepared corpus.
-    pub fn num_articles(&self) -> usize {
-        self.net.num_articles()
     }
 
     /// The cold TWPR stationary distribution (computing it on first
@@ -352,18 +341,9 @@ impl QRankEngine {
         (scores, diag)
     }
 
-    /// Install a precomputed cold TWPR stationary (e.g. a context-memoized
-    /// TWPR solve with identical parameters) so [`Self::twpr`] and cold
-    /// solves skip the inner walk. No-op if the walk already ran; the
-    /// caller must guarantee the scores match what [`Self::twpr`] would
-    /// compute.
-    pub fn prime_twpr(&self, scores: Vec<f64>, diagnostics: Diagnostics) {
-        let _ = self.twpr_cold.set((scores, diagnostics));
-    }
-
     fn run_inner_walk(&self, warm_start: Option<Vec<f64>>) -> (Vec<f64>, Diagnostics) {
         let pr = &self.config.twpr.pagerank;
-        let res = RowStochastic::new(&self.net.citation).stationary(&PowerIterationOpts {
+        let mut res = RowStochastic::new(&self.net.citation).stationary(&PowerIterationOpts {
             damping: pr.damping,
             jump: self.jump.clone(),
             tol: pr.tol,
@@ -371,8 +351,7 @@ impl QRankEngine {
             threads: pr.threads,
             warm_start,
         });
-        let scores = res.scores.clone();
-        (scores, res.into())
+        (std::mem::take(&mut res.scores), res.into())
     }
 
     /// Solve one mixture against the plan (cold inner walk, cached after
@@ -536,7 +515,7 @@ mod tests {
     fn worker_count_used_for_partitions_is_the_configured_one() {
         let c = Preset::Tiny.generate(1);
         let engine = QRankEngine::build(&c, &QRankConfig::default().with_threads(3));
-        assert_eq!(engine.threads, 3);
+        assert_eq!(engine.config().twpr.pagerank.threads, 3);
         // Tiny corpus: everything below the parallel threshold collapses
         // to a single sequential range.
         assert_eq!(engine.article_ranges.len(), 1);

@@ -40,35 +40,20 @@ pub struct Explanation {
 pub struct Explainer<'a> {
     corpus: &'a Corpus,
     result: &'a QRankResult,
-    net: std::borrow::Cow<'a, HetNet>,
+    net: &'a HetNet,
     venue_term: Vec<f64>,
     author_term: Vec<f64>,
 }
 
 impl<'a> Explainer<'a> {
-    /// Build an explainer (reconstructs the heterogeneous network once).
-    /// When a prepared [`QRankEngine`] for the same corpus/config is at
-    /// hand, [`Self::from_engine`] borrows its network instead.
-    pub fn new(corpus: &'a Corpus, config: &QRankConfig, result: &'a QRankResult) -> Self {
-        let net = HetNet::build(corpus, config);
-        Self::with_net(corpus, std::borrow::Cow::Owned(net), result)
-    }
-
-    /// Build an explainer against a prepared engine, reusing its cached
-    /// heterogeneous network instead of deriving a fresh one.
+    /// Build an explainer for `result`, a solve of `engine` (the prepared
+    /// plan of `corpus`), borrowing the plan's heterogeneous network.
     pub fn from_engine(
         corpus: &'a Corpus,
         engine: &'a QRankEngine,
         result: &'a QRankResult,
     ) -> Self {
-        Self::with_net(corpus, std::borrow::Cow::Borrowed(engine.net()), result)
-    }
-
-    fn with_net(
-        corpus: &'a Corpus,
-        net: std::borrow::Cow<'a, HetNet>,
-        result: &'a QRankResult,
-    ) -> Self {
+        let net = engine.net();
         assert_eq!(
             result.article_scores.len(),
             corpus.num_articles(),
@@ -164,10 +149,11 @@ impl Explanation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qrank::QRank;
+    use crate::engine::MixParams;
     use scholar_corpus::CorpusBuilder;
 
-    fn setup() -> (Corpus, QRankConfig, QRankResult) {
+    /// A small corpus, the default config, its plan and the plan's solve.
+    fn setup() -> (Corpus, QRankConfig, QRankEngine, QRankResult) {
         let mut b = CorpusBuilder::new();
         let v = b.venue("V");
         let w = b.venue("W");
@@ -178,14 +164,15 @@ mod tests {
         b.add_article("isolated", 2010, w, vec![], vec![], None);
         let c = b.finish().unwrap();
         let cfg = QRankConfig::default();
-        let res = QRank::new(cfg.clone()).run(&c);
-        (c, cfg, res)
+        let engine = QRankEngine::build(&c, &cfg);
+        let res = engine.solve(&MixParams::from_config(&cfg));
+        (c, cfg, engine, res)
     }
 
     #[test]
     fn shares_sum_to_one() {
-        let (c, cfg, res) = setup();
-        let ex = Explainer::new(&c, &cfg, &res);
+        let (c, cfg, engine, res) = setup();
+        let ex = Explainer::from_engine(&c, &engine, &res);
         for i in 0..c.num_articles() {
             let e = ex.explain(ArticleId(i as u32), 5, &cfg);
             let sum = e.citation_share + e.venue_share + e.author_share;
@@ -195,8 +182,8 @@ mod tests {
 
     #[test]
     fn top_citers_are_ranked_and_normalized() {
-        let (c, cfg, res) = setup();
-        let ex = Explainer::new(&c, &cfg, &res);
+        let (c, cfg, engine, res) = setup();
+        let ex = Explainer::from_engine(&c, &engine, &res);
         let e = ex.explain(ArticleId(0), 5, &cfg);
         assert_eq!(e.top_citers.len(), 2);
         let total: f64 = e.top_citers.iter().map(|x| x.1).sum();
@@ -209,10 +196,11 @@ mod tests {
         // An uncited article has no citers to report, and (with the
         // recency jump disabled) its absolute citation component is just
         // the teleport floor — far below a heavily-cited article's.
-        let (c, _, _) = setup();
+        let (c, ..) = setup();
         let cfg = QRankConfig::default().with_tau(0.0);
-        let res = QRank::new(cfg.clone()).run(&c);
-        let ex = Explainer::new(&c, &cfg, &res);
+        let engine = QRankEngine::build(&c, &cfg);
+        let res = engine.solve(&MixParams::from_config(&cfg));
+        let ex = Explainer::from_engine(&c, &engine, &res);
         let e = ex.explain(ArticleId(3), 5, &cfg);
         assert!(e.top_citers.is_empty());
         let classic = ex.explain(ArticleId(0), 5, &cfg);
@@ -227,8 +215,8 @@ mod tests {
 
     #[test]
     fn render_mentions_title_and_mix() {
-        let (c, cfg, res) = setup();
-        let ex = Explainer::new(&c, &cfg, &res);
+        let (c, cfg, engine, res) = setup();
+        let ex = Explainer::from_engine(&c, &engine, &res);
         let text = ex.explain(ArticleId(0), 2, &cfg).render(&c);
         assert!(text.contains("classic"));
         assert!(text.contains("signal mix"));
@@ -236,25 +224,9 @@ mod tests {
     }
 
     #[test]
-    fn from_engine_matches_fresh_explainer() {
-        let (c, cfg, res) = setup();
-        let engine = crate::engine::QRankEngine::build(&c, &cfg);
-        let fresh = Explainer::new(&c, &cfg, &res);
-        let reused = Explainer::from_engine(&c, &engine, &res);
-        for i in 0..c.num_articles() {
-            let a = fresh.explain(ArticleId(i as u32), 5, &cfg);
-            let b = reused.explain(ArticleId(i as u32), 5, &cfg);
-            assert_eq!(a.citation_share, b.citation_share);
-            assert_eq!(a.venue_share, b.venue_share);
-            assert_eq!(a.author_share, b.author_share);
-            assert_eq!(a.top_citers, b.top_citers);
-        }
-    }
-
-    #[test]
     fn truncation_respects_max_citers() {
-        let (c, cfg, res) = setup();
-        let ex = Explainer::new(&c, &cfg, &res);
+        let (c, cfg, engine, res) = setup();
+        let ex = Explainer::from_engine(&c, &engine, &res);
         let e = ex.explain(ArticleId(0), 1, &cfg);
         assert_eq!(e.top_citers.len(), 1);
     }

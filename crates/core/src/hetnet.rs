@@ -11,7 +11,7 @@
 
 use crate::config::QRankConfig;
 use scholar_corpus::rows::{self, Rows};
-use scholar_rank::{RankContext, TimeWeightedPageRank};
+use scholar_rank::TimeWeightedPageRank;
 use sgraph::{Bipartite, CsrGraph};
 
 /// All derived graphs of a corpus under one decay configuration.
@@ -61,23 +61,6 @@ impl HetNet {
         rows::venue_edges(grown, new, decay).build_onto(&mut self.venue_graph);
         self.authorship = rows::authorship_bipartite(grown);
         self.publication = rows::publication_bipartite(grown);
-    }
-
-    /// [`HetNet::build`] against a prepared [`RankContext`], keeping what
-    /// a context buys: the decayed citation graph and both bipartites are
-    /// clones out of its caches instead of re-derivations. The venue
-    /// supernode graph is QRank's own and is built here, from the
-    /// context's view.
-    pub fn build_from_ctx(ctx: &RankContext, config: &QRankConfig) -> Self {
-        let rho = config.twpr.rho;
-        let decay = TimeWeightedPageRank::decay(rho);
-        let (corpus, all) = (ctx.rows(), 0..ctx.num_articles());
-        HetNet {
-            citation: ctx.decayed_citation(rho).graph.clone(),
-            venue_graph: rows::venue_edges(corpus, all, decay).build(),
-            authorship: ctx.authorship().clone(),
-            publication: ctx.publication().clone(),
-        }
     }
 
     /// Number of articles.

@@ -3,11 +3,11 @@
 
 use crate::config::QRankConfig;
 use crate::engine::{MixParams, QRankEngine};
-use scholar_corpus::{Corpus, Year};
+use scholar_corpus::Corpus;
 use scholar_rank::diagnostics::Diagnostics;
 use scholar_rank::telemetry::Stopwatch;
 use scholar_rank::telemetry::{RankOutput, SolveTelemetry};
-use scholar_rank::{RankContext, Ranker, TimeWeightedPageRank};
+use scholar_rank::{RankContext, Ranker};
 
 /// The QRank ranker. See the crate docs for the model.
 #[derive(Debug, Clone, Default)]
@@ -59,24 +59,6 @@ impl QRank {
         let engine = QRankEngine::build(corpus, &self.config);
         engine.solve_warm(&MixParams::from_config(&self.config), warm_start.as_deref())
     }
-
-    /// The context-memo key for a full QRank solve under `cfg` at year
-    /// `now`: the inner-walk key plus every mixture parameter.
-    pub fn solve_key(cfg: &QRankConfig, now: Year) -> String {
-        format!(
-            "qrank({},lp={},lv={},lu={},muv={},muu={},sigma={},otol={},omax={},dropself={})",
-            TimeWeightedPageRank::solve_key(&cfg.twpr, now),
-            cfg.lambda_article,
-            cfg.lambda_venue,
-            cfg.lambda_author,
-            cfg.mu_venue,
-            cfg.mu_author,
-            cfg.maturity_years,
-            cfg.outer_tol,
-            cfg.outer_max_iter,
-            cfg.drop_self_citations
-        )
-    }
 }
 
 impl Ranker for QRank {
@@ -89,43 +71,18 @@ impl Ranker for QRank {
         if ctx.num_articles() == 0 {
             return RankOutput::closed_form(Vec::new());
         }
-        // The memo key needs only the reference year, so a repeated solve
-        // on one context skips the whole engine build: the closure (and
-        // the HetNet construction inside it) runs only on a miss. The
-        // memoized diagnostics fold the inner walk into the outer record
-        // (iterations summed, convergence and-ed) so hits report the same
-        // totals as the run that populated them.
-        let now = self.config.twpr.now.unwrap_or_else(|| ctx.now());
-        let mut build_secs = 0.0;
+        let built = Stopwatch::start();
+        let engine = QRankEngine::build(ctx.rows(), &self.config);
+        let build_secs = built.secs();
         let solved = Stopwatch::start();
-        let (scores, combined, cached) =
-            ctx.cached_solve(&QRank::solve_key(&self.config, now), || {
-                let built = Stopwatch::start();
-                let engine = QRankEngine::build_from_ctx(ctx, &self.config);
-                build_secs = built.secs();
-                debug_assert_eq!(engine.now(), now);
-
-                // The cold inner walk is exactly a TWPR solve with this
-                // config, so it shares TWPR's memo entry: whichever of the
-                // two runs first in this context pays for the walk, the
-                // other reuses the scores bit-for-bit (identical graph,
-                // jump, and iteration kernel).
-                let twpr_key = TimeWeightedPageRank::solve_key(&self.config.twpr, now);
-                let (tw_scores, tw_diag, _) = ctx.cached_solve(&twpr_key, || {
-                    let (s, d) = engine.twpr();
-                    (s.to_vec(), d.clone())
-                });
-                engine.prime_twpr(tw_scores, tw_diag.clone());
-
-                let res = engine.solve(&MixParams::from_config(&self.config));
-                let mut combined = res.outer;
-                combined.iterations += tw_diag.iterations;
-                combined.converged = combined.converged && tw_diag.converged;
-                (res.article_scores, combined)
-            });
-        let solve_secs = (solved.secs() - build_secs).max(0.0);
-        let telemetry = SolveTelemetry::timed(&combined, build_secs, solve_secs, cached);
-        RankOutput { scores, telemetry }
+        let res = engine.solve(&MixParams::from_config(&self.config));
+        // One record for both fixpoints: the inner walk's iterations are
+        // added to the outer loop's, and both must have converged.
+        let mut combined = res.outer;
+        combined.iterations += res.twpr_diagnostics.iterations;
+        combined.converged &= res.twpr_diagnostics.converged;
+        let telemetry = SolveTelemetry::timed(&combined, build_secs, solved.secs());
+        RankOutput { scores: res.article_scores, telemetry }
     }
 }
 

@@ -142,7 +142,7 @@ impl Corpus {
         articles.extend_from_slice(&self.articles);
         for mut art in batch {
             art.id = ArticleId(articles.len() as u32);
-            bounds.canonicalize(&mut art, None)?;
+            bounds.canonicalize(&mut art)?;
             articles.push(art);
         }
         Ok(Corpus::from_parts(articles, self.authors.clone(), self.venues.clone()))
@@ -297,22 +297,12 @@ pub struct CorpusBuilder {
     venues: Vec<Venue>,
     author_by_name: HashMap<String, AuthorId>,
     venue_by_name: HashMap<String, VenueId>,
-    reject_time_travel: bool,
 }
 
 impl CorpusBuilder {
     /// A fresh builder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// When enabled, [`CorpusBuilder::finish`] rejects citations whose
-    /// cited article is newer than the citing article. Real datasets
-    /// contain a few such edges (preprints, in-press citations), so the
-    /// default is to allow them.
-    pub fn reject_time_travel(mut self, reject: bool) -> Self {
-        self.reject_time_travel = reject;
-        self
     }
 
     /// Intern an author by name, returning a stable id.
@@ -377,19 +367,17 @@ impl CorpusBuilder {
     /// Validate and produce the immutable [`Corpus`].
     ///
     /// Checks: venue/author/reference ids in bounds, no self-citations, no
-    /// duplicate references (duplicates are silently deduplicated), and —
-    /// if [`CorpusBuilder::reject_time_travel`] was set — citation
-    /// chronology.
+    /// duplicate references (duplicates are silently deduplicated).
+    /// Citation chronology is not checked: real datasets contain a few
+    /// citations of newer articles (preprints, in-press citations).
     pub fn finish(mut self) -> Result<Corpus> {
         let bounds = Bounds {
             articles: self.articles.len() as u32,
             authors: self.authors.len() as u32,
             venues: self.venues.len() as u32,
         };
-        let years: Vec<Year> = self.articles.iter().map(|a| a.year).collect();
-        let chronology = self.reject_time_travel.then_some(&years[..]);
         for art in &mut self.articles {
-            bounds.canonicalize(art, chronology)?;
+            bounds.canonicalize(art)?;
         }
         Ok(Corpus::from_parts(self.articles, self.authors, self.venues))
     }
@@ -406,9 +394,8 @@ impl Bounds {
     /// The per-article half of [`CorpusBuilder::finish`], shared with
     /// [`Corpus::grown`]: check the venue and byline ids, bring the
     /// reference list into canonical form (sorted, deduplicated, no
-    /// self-citation), check every reference and — given the year of every
-    /// article — its chronology.
-    fn canonicalize(&self, art: &mut Article, chronology: Option<&[Year]>) -> Result<()> {
+    /// self-citation) and check every reference.
+    fn canonicalize(&self, art: &mut Article) -> Result<()> {
         if art.venue.0 >= self.venues {
             return Err(CorpusError::DanglingReference {
                 kind: "venue",
@@ -438,9 +425,6 @@ impl Bounds {
                     id: r.0,
                     article: art.id.0,
                 });
-            }
-            if chronology.is_some_and(|years| years[r.index()] > art.year) {
-                return Err(CorpusError::TimeTravelCitation { citing: art.id.0, cited: r.0 });
             }
         }
         Ok(())
@@ -587,24 +571,15 @@ mod tests {
         b.add_article("second", 2001, v, vec![], vec![a0, a0, next], None);
         let c = b.finish().unwrap();
         assert_eq!(c.article(ArticleId(1)).references, vec![a0]);
-    }
 
-    #[test]
-    fn time_travel_rejected_when_configured() {
-        let mut b = CorpusBuilder::new().reject_time_travel(true);
-        let v = b.venue("V");
-        let future = ArticleId(1);
-        b.add_article("old", 2000, v, vec![], vec![future], None);
-        b.add_article("new", 2010, v, vec![], vec![], None);
-        assert!(matches!(b.finish(), Err(CorpusError::TimeTravelCitation { citing: 0, cited: 1 })));
-
-        // Allowed by default.
+        // A forward citation (of a later, newer article: a preprint, an
+        // in-press paper) is kept.
         let mut b = CorpusBuilder::new();
         let v = b.venue("V");
         let future = ArticleId(1);
         b.add_article("old", 2000, v, vec![], vec![future], None);
         b.add_article("new", 2010, v, vec![], vec![], None);
-        assert!(b.finish().is_ok());
+        assert_eq!(b.finish().unwrap().article(ArticleId(0)).references, vec![future]);
     }
 
     #[test]

@@ -86,14 +86,6 @@ pub enum CorpusError {
         /// The article that made the reference.
         article: u32,
     },
-    /// A citation points forward in time (cited article is newer than the
-    /// citing one) and the builder was configured to reject that.
-    TimeTravelCitation {
-        /// Citing article id.
-        citing: u32,
-        /// Cited article id.
-        cited: u32,
-    },
     /// Parsing failure in a loader.
     Parse {
         /// 1-based line number.
@@ -130,9 +122,6 @@ impl std::fmt::Display for CorpusError {
         match self {
             CorpusError::DanglingReference { kind, id, article } => {
                 write!(f, "article {article} references unknown {kind} id {id}")
-            }
-            CorpusError::TimeTravelCitation { citing, cited } => {
-                write!(f, "article {citing} cites article {cited} published later")
             }
             CorpusError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")

@@ -1,19 +1,14 @@
 //! Corpus perturbations for robustness experiments.
 //!
-//! * [`sample_citations`] — keep each citation independently with a given
-//!   probability (the link-sparsity experiment, R-Fig 7): simulates an
-//!   incomplete crawl.
-//! * [`hide_citations_to_recent`] — hide most citations pointing at
-//!   recently published articles (the "new page" simulation): measures
-//!   how gracefully a ranker degrades for articles whose citation record
-//!   is missing.
+//! [`sample_citations`] keeps each citation independently with a given
+//! probability (the link-sparsity experiment, R-Fig 7): it simulates an
+//! incomplete crawl.
 //!
-//! Both are deterministic given the seed, and nested across fractions
+//! It is deterministic given the seed, and nested across fractions
 //! (an edge dropped at keep = 0.8 is also dropped at keep = 0.5), which
 //! makes degradation curves monotone by construction rather than noisy.
 
 use crate::corpus::Corpus;
-use crate::model::Year;
 
 /// Deterministic per-citation hash in [0, 1): splitmix64 of
 /// `(seed, src, dst)`. A citation compares the same unit against every
@@ -37,27 +32,6 @@ pub fn sample_citations(corpus: &Corpus, keep_fraction: f64, seed: u64) -> Corpu
     for a in &mut out.articles {
         let src = a.id.0;
         a.references.retain(|r| edge_unit(seed, src, r.0) < keep_fraction);
-    }
-    out
-}
-
-/// Hide each citation pointing at an article published after
-/// `recent_since` with probability `drop_fraction`.
-pub fn hide_citations_to_recent(
-    corpus: &Corpus,
-    recent_since: Year,
-    drop_fraction: f64,
-    seed: u64,
-) -> Corpus {
-    assert!(
-        (0.0..=1.0).contains(&drop_fraction),
-        "drop fraction must be a probability, got {drop_fraction}"
-    );
-    let recent: Vec<bool> = corpus.articles().iter().map(|a| a.year >= recent_since).collect();
-    let mut out = corpus.clone();
-    for a in &mut out.articles {
-        let src = a.id.0;
-        a.references.retain(|r| !(recent[r.index()] && edge_unit(seed, src, r.0) < drop_fraction));
     }
     out
 }
@@ -116,44 +90,5 @@ mod tests {
     #[should_panic(expected = "probability")]
     fn bad_fraction_panics() {
         sample_citations(&Preset::Tiny.generate(35), 1.5, 0);
-    }
-
-    #[test]
-    fn hiding_recent_targets_only_recent() {
-        let c = Preset::Tiny.generate(32);
-        let (_, last) = c.year_range().unwrap();
-        let cut = last - 3;
-        let hidden = hide_citations_to_recent(&c, cut, 1.0, 5);
-        validate(&hidden).unwrap();
-        let counts = hidden.citation_counts();
-        for a in hidden.articles() {
-            if a.year >= cut {
-                assert_eq!(counts[a.id.index()], 0, "recent article still cited");
-            }
-        }
-        // Old articles keep their citations.
-        let old_before: u32 = c
-            .citation_counts()
-            .iter()
-            .zip(c.articles())
-            .filter(|(_, a)| a.year < cut)
-            .map(|(&n, _)| n)
-            .sum();
-        let old_after: u32 = counts
-            .iter()
-            .zip(hidden.articles())
-            .filter(|(_, a)| a.year < cut)
-            .map(|(&n, _)| n)
-            .sum();
-        assert_eq!(old_before, old_after);
-    }
-
-    #[test]
-    fn partial_hiding() {
-        let c = Preset::Tiny.generate(33);
-        let (_, last) = c.year_range().unwrap();
-        let half = hide_citations_to_recent(&c, last - 5, 0.5, 6);
-        assert!(half.num_citations() < c.num_citations());
-        assert!(half.num_citations() > 0);
     }
 }

@@ -23,7 +23,7 @@ pub struct EvalRow {
     /// Wall-clock seconds spent producing the ranking.
     pub seconds: f64,
     /// Solver telemetry of the ranking (iterations, convergence, build vs.
-    /// solve wall time, memo hits). Default (zeroed) when the row was
+    /// solve wall time). Default (zeroed) when the row was
     /// scored from a bare score vector.
     pub telemetry: SolveTelemetry,
 }
@@ -61,36 +61,14 @@ impl<'a> Experiment<'a> {
     /// rankers share one [`RankContext`], so the citation graph and its
     /// derived operators are built exactly once for the whole suite.
     pub fn run(&self, rankers: &[Box<dyn Ranker>]) -> Vec<EvalRow> {
-        self.run_inner(rankers, None)
-    }
-
-    /// Like [`Experiment::run`] but restricted to a subset of articles
-    /// (e.g. only recent ones for the cold-start figure): metrics are
-    /// computed on the gathered sub-vectors.
-    pub fn run_on_subset(&self, rankers: &[Box<dyn Ranker>], keep: &[usize]) -> Vec<EvalRow> {
-        self.run_inner(rankers, Some(keep))
-    }
-
-    /// Shared body of [`Experiment::run`] and [`Experiment::run_on_subset`]:
-    /// one prepared context, full rankings, optional gather to a subset.
-    fn run_inner(&self, rankers: &[Box<dyn Ranker>], keep: Option<&[usize]>) -> Vec<EvalRow> {
         let ctx = RankContext::new(self.corpus);
-        let sub_truth = keep.map(|keep| GroundTruth {
-            values: keep.iter().map(|&i| self.truth.values[i]).collect(),
-            description: format!("{} (subset of {})", self.truth.description, keep.len()),
-        });
-        let truth = sub_truth.as_ref().unwrap_or(self.truth);
         rankers
             .iter()
             .map(|r| {
                 let start = Instant::now();
                 let out = r.solve_ctx(&ctx);
                 let seconds = start.elapsed().as_secs_f64();
-                let scores = match keep {
-                    None => out.scores,
-                    Some(keep) => keep.iter().map(|&i| out.scores[i]).collect(),
-                };
-                let mut row = evaluate_ranking(truth, &scores, &r.name(), seconds);
+                let mut row = evaluate_ranking(self.truth, &out.scores, &r.name(), seconds);
                 row.telemetry = out.telemetry;
                 row
             })
@@ -255,18 +233,6 @@ mod tests {
             "citation count should predict future citations: {}",
             rows[0].pairwise_accuracy
         );
-    }
-
-    #[test]
-    fn subset_evaluation_restricts() {
-        let c = Preset::Tiny.generate(3);
-        let truth = planted_merit(&c).unwrap();
-        let exp = Experiment { corpus: &c, truth: &truth };
-        let rankers: Vec<Box<dyn Ranker>> = vec![Box::new(CitationCount)];
-        let keep: Vec<usize> = (0..c.num_articles()).step_by(3).collect();
-        let rows = exp.run_on_subset(&rankers, &keep);
-        assert_eq!(rows.len(), 1);
-        assert!(rows[0].pairwise_accuracy.is_finite());
     }
 
     #[test]

@@ -87,28 +87,6 @@ impl SeriesSet {
         }
         out
     }
-
-    /// For each series, the x value at which it attains its maximum
-    /// (`None` for empty or all-NaN series). Used to report optima in
-    /// sensitivity figures.
-    pub fn argmax_x(&self) -> Vec<(String, Option<f64>)> {
-        self.series
-            .iter()
-            .map(|s| {
-                let mut best: Option<(usize, f64)> = None;
-                for (i, &v) in s.values.iter().enumerate() {
-                    if v.is_nan() {
-                        continue;
-                    }
-                    match best {
-                        Some((_, bv)) if bv >= v => {}
-                        _ => best = Some((i, v)),
-                    }
-                }
-                (s.name.clone(), best.map(|(i, _)| self.x[i]))
-            })
-            .collect()
-    }
 }
 
 impl std::fmt::Display for SeriesSet {
@@ -143,13 +121,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert_eq!(lines[0], "rho,QRank,PageRank");
         assert!(lines[1].starts_with("0,"));
-    }
-
-    #[test]
-    fn argmax_reports_optimum() {
-        let opt = sample().argmax_x();
-        assert_eq!(opt[0], ("QRank".to_string(), Some(0.1)));
-        assert_eq!(opt[1].1, Some(0.0)); // flat series: first max
     }
 
     #[test]

@@ -25,16 +25,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render to a string.
     pub fn render(&self) -> String {
         let cols = self.headers.len();
@@ -117,8 +107,6 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         // header + separator + 2 rows + title
         assert_eq!(lines.len(), 5);
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 
     #[test]

@@ -11,12 +11,11 @@
 //! per-edge decay and *no* venue/author layer.
 
 use crate::context::RankContext;
-use crate::diagnostics::Diagnostics;
 use crate::pagerank::{pagerank_on_graph, PageRankConfig};
 use crate::ranker::Ranker;
 use crate::telemetry::Stopwatch;
 use crate::telemetry::{RankOutput, SolveTelemetry};
-use scholar_corpus::{Corpus, Year};
+use scholar_corpus::Year;
 
 /// CiteRank parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,12 +62,6 @@ impl CiteRank {
         config.assert_valid();
         CiteRank { config }
     }
-
-    /// Rank and return convergence diagnostics.
-    pub fn rank_with_diagnostics(&self, corpus: &Corpus) -> (Vec<f64>, Diagnostics) {
-        let out = self.solve_ctx(&RankContext::new(corpus));
-        (out.scores, out.telemetry.diagnostics())
-    }
 }
 
 impl Ranker for CiteRank {
@@ -85,24 +78,18 @@ impl Ranker for CiteRank {
         let built = Stopwatch::start();
         let graph = ctx.citation_graph();
         let build_secs = built.secs();
-        let key = format!(
-            "citerank(alpha={},tau={},now={},tol={},max={})",
-            self.config.alpha, self.config.tau_dir, now, self.config.tol, self.config.max_iter
-        );
         let solved = Stopwatch::start();
-        let (scores, diag, cached) = ctx.cached_solve(&key, || {
-            // The start distribution decays with article age: the paper's
-            // reader-traffic model. 1/tau_dir plays the role of τ.
-            let jump = ctx.recency_jump(1.0 / self.config.tau_dir, now);
-            let pr_cfg = PageRankConfig {
-                damping: self.config.alpha,
-                tol: self.config.tol,
-                max_iter: self.config.max_iter,
-                threads: 1,
-            };
-            pagerank_on_graph(graph, &pr_cfg, jump)
-        });
-        let telemetry = SolveTelemetry::timed(&diag, build_secs, solved.secs(), cached);
+        // The start distribution decays with article age: the paper's
+        // reader-traffic model. 1/tau_dir plays the role of τ.
+        let jump = ctx.recency_jump(1.0 / self.config.tau_dir, now);
+        let pr_cfg = PageRankConfig {
+            damping: self.config.alpha,
+            tol: self.config.tol,
+            max_iter: self.config.max_iter,
+            threads: 1,
+        };
+        let (scores, diag) = pagerank_on_graph(graph, &pr_cfg, jump);
+        let telemetry = SolveTelemetry::timed(&diag, build_secs, solved.secs());
         RankOutput { scores, telemetry }
     }
 }
@@ -117,8 +104,9 @@ mod tests {
     #[test]
     fn converges_and_normalizes() {
         let c = Preset::Tiny.generate(12);
-        let (s, d) = CiteRank::default().rank_with_diagnostics(&c);
-        assert!(d.converged);
+        let out = CiteRank::default().solve_ctx(&RankContext::new(&c));
+        let s = out.scores;
+        assert!(out.telemetry.converged);
         assert!((s.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(s.iter().all(|&x| x >= 0.0));
     }

@@ -3,9 +3,10 @@
 //! A [`RankContext`] is built once per corpus and lazily caches every
 //! derived structure the ranker suite needs: the citation CSR (forward +
 //! reverse adjacency), the author/venue bipartite maps, citation counts,
-//! per-article year vectors, time-decayed citation graphs keyed by their
-//! decay parameters, and a memo of completed solves keyed by the full
-//! parameter string. Walk operators are not cached: a
+//! per-article year vectors and time-decayed citation graphs keyed by
+//! their decay rate. It caches structures, never answers: every
+//! [`crate::ranker::Ranker::solve_ctx`] call runs its own solve against
+//! the cached structures. Walk operators are not cached either: a
 //! [`sgraph::RowStochastic`] borrows the graph it steps over and holds
 //! only per-node sums, so a ranker builds one in a pass over the graph.
 //! Rankers implement
@@ -29,7 +30,6 @@
 //! (`OnceLock`/`Mutex`) so a shared `&RankContext` works from the
 //! evaluation harness without threading `&mut` everywhere.
 
-use crate::diagnostics::Diagnostics;
 use crate::time_weighted::TimeWeightedPageRank;
 use scholar_corpus::colstore::ColStore;
 use scholar_corpus::rows::{self, Rows};
@@ -64,9 +64,6 @@ pub enum DecayedPlan {
     Partitioned(Arc<MmapCsr>),
 }
 
-/// A memoized solve: normalized scores plus convergence diagnostics.
-pub type SolveRecord = (Vec<f64>, Diagnostics);
-
 enum Backing<'c> {
     Ram(&'c Corpus),
     Mmap(&'c ColStore),
@@ -88,7 +85,6 @@ pub struct RankContext<'c> {
     years: OnceLock<Vec<Year>>,
     decayed: Mutex<BTreeMap<u64, Arc<DecayedCitation>>>,
     partitioned: Mutex<BTreeMap<u64, Arc<MmapCsr>>>,
-    solves: Mutex<BTreeMap<String, Arc<SolveRecord>>>,
 }
 
 impl<'c> RankContext<'c> {
@@ -117,7 +113,6 @@ impl<'c> RankContext<'c> {
             years: OnceLock::new(),
             decayed: Mutex::new(BTreeMap::new()),
             partitioned: Mutex::new(BTreeMap::new()),
-            solves: Mutex::new(BTreeMap::new()),
         };
         ctx.now = rows::year_range(ctx.rows()).map(|(_, hi)| hi);
         ctx
@@ -136,21 +131,12 @@ impl<'c> RankContext<'c> {
         self.rows().num_articles()
     }
 
-    /// The corpus's last publication year, or `None` for an empty
-    /// (yearless) corpus — the checked form of [`RankContext::now`].
-    pub fn try_now(&self) -> Option<Year> {
-        self.now
-    }
-
     /// The corpus's last publication year; the default "now" for
     /// recency-aware rankers.
     ///
     /// Returns the documented sentinel `0` for an *empty* corpus. That
-    /// is safe — with no articles there are no ages to decay and every
-    /// ranker returns an empty score vector — but callers that would
-    /// feed "now" into decay weights for a non-empty corpus of their own
-    /// should prefer [`RankContext::try_now`] and handle `None`
-    /// explicitly.
+    /// is safe: with no articles there are no ages to decay and every
+    /// ranker returns an empty score vector.
     pub fn now(&self) -> Year {
         self.now.unwrap_or(0)
     }
@@ -186,12 +172,6 @@ impl<'c> RankContext<'c> {
         self.years.get_or_init(|| rows::years(self.rows()))
     }
 
-    /// Article ages in years relative to `now`, clamped at 0 (not
-    /// cached: it is a single cheap pass and `now` varies per caller).
-    pub fn ages(&self, now: Year) -> Vec<f64> {
-        rows::ages(self.rows(), now)
-    }
-
     /// The recency-personalized jump vector `j(v) ∝ exp(-τ·age(v))`
     /// (uniform when `τ = 0` or the corpus is empty).
     pub fn recency_jump(&self, tau: f64, now: Year) -> JumpVector {
@@ -199,8 +179,8 @@ impl<'c> RankContext<'c> {
     }
 
     /// The time-decayed citation graph for decay rate `rho`, cached per
-    /// rate. TWPR and QRank's article layer share one entry under default
-    /// configs.
+    /// rate: the in-RAM backend's [`DecayedPlan`], which TWPR solves
+    /// against.
     pub fn decayed_citation(&self, rho: f64) -> Arc<DecayedCitation> {
         let key = rho.to_bits();
         if let Some(hit) = self.decayed.lock().unwrap().get(&key) {
@@ -264,31 +244,6 @@ impl<'c> RankContext<'c> {
         partitioned.insert(key, Arc::clone(&entry));
         DecayedPlan::Partitioned(entry)
     }
-
-    /// Memoized solve: if `key` was solved before in this context, the
-    /// recorded scores and diagnostics are returned with `cached = true`;
-    /// otherwise `f` runs and its result is recorded. Keys must encode
-    /// every parameter that affects the result (ranker + full config),
-    /// which is exactly what the rankers' display names plus solver
-    /// tolerances provide. The lock is not held while `f` runs, so a
-    /// solve may itself consult the memo (QRank's inner walk reuses a
-    /// TWPR entry this way).
-    pub fn cached_solve(
-        &self,
-        key: &str,
-        f: impl FnOnce() -> SolveRecord,
-    ) -> (Vec<f64>, Diagnostics, bool) {
-        if let Some(hit) = self.solves.lock().unwrap().get(key) {
-            return (hit.0.clone(), hit.1.clone(), true);
-        }
-        let (scores, diag) = f();
-        self.solves
-            .lock()
-            .unwrap()
-            .entry(key.to_owned())
-            .or_insert_with(|| Arc::new((scores.clone(), diag.clone())));
-        (scores, diag, false)
-    }
 }
 
 impl std::fmt::Debug for RankContext<'_> {
@@ -306,7 +261,6 @@ impl std::fmt::Debug for RankContext<'_> {
             .field("citation_built", &self.citation.get().is_some())
             .field("decayed_entries", &self.decayed.lock().unwrap().len())
             .field("partitioned_entries", &self.partitioned.lock().unwrap().len())
-            .field("memoized_solves", &self.solves.lock().unwrap().len())
             .finish()
     }
 }
@@ -339,40 +293,20 @@ mod tests {
     }
 
     #[test]
-    fn cached_solve_hits_on_second_call() {
-        let c = Preset::Tiny.generate(3);
-        let ctx = RankContext::new(&c);
-        let mut calls = 0;
-        let (s1, _, hit1) = ctx.cached_solve("k", || {
-            calls += 1;
-            (vec![0.5, 0.5], Diagnostics::closed_form())
-        });
-        let (s2, _, hit2) = ctx.cached_solve("k", || {
-            calls += 1;
-            (vec![0.0, 1.0], Diagnostics::closed_form())
-        });
-        assert!(!hit1 && hit2);
-        assert_eq!(calls, 1);
-        assert_eq!(s1, s2, "a hit must return the recorded scores bit-for-bit");
-    }
-
-    #[test]
     fn years_and_ages_align_with_articles() {
         let c = Preset::Tiny.generate(3);
         let ctx = RankContext::new(&c);
         assert_eq!(ctx.years().len(), c.num_articles());
-        let ages = ctx.ages(ctx.now());
+        let ages = rows::ages(ctx.rows(), ctx.now());
         assert_eq!(ages.len(), c.num_articles());
         assert!(ages.iter().all(|&a| a >= 0.0));
         assert_eq!(ctx.now(), c.year_range().unwrap().1);
-        assert_eq!(ctx.try_now(), Some(c.year_range().unwrap().1));
     }
 
     #[test]
     fn empty_corpus_context() {
         let c = scholar_corpus::CorpusBuilder::new().finish().unwrap();
         let ctx = RankContext::new(&c);
-        assert_eq!(ctx.try_now(), None, "empty corpus has no last year");
         assert_eq!(ctx.now(), 0, "documented sentinel for the unchecked accessor");
         assert_eq!(ctx.num_articles(), 0);
         assert_eq!(ctx.citation_graph().num_nodes(), 0);

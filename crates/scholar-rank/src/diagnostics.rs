@@ -16,35 +16,6 @@ impl Diagnostics {
     pub fn closed_form() -> Self {
         Diagnostics { iterations: 0, converged: true, residuals: Vec::new() }
     }
-
-    /// The final residual, if any iteration ran.
-    pub fn final_residual(&self) -> Option<f64> {
-        self.residuals.last().copied()
-    }
-
-    /// Empirical convergence rate: the geometric mean of successive
-    /// residual ratios over the last half of the run (`None` with fewer
-    /// than 4 iterations). For damped power iteration this approaches the
-    /// damping factor.
-    pub fn convergence_rate(&self) -> Option<f64> {
-        if self.residuals.len() < 4 {
-            return None;
-        }
-        let tail = &self.residuals[self.residuals.len() / 2..];
-        let mut log_sum = 0.0;
-        let mut count = 0usize;
-        for w in tail.windows(2) {
-            if w[0] > 0.0 && w[1] > 0.0 {
-                log_sum += (w[1] / w[0]).ln();
-                count += 1;
-            }
-        }
-        if count == 0 {
-            None
-        } else {
-            Some((log_sum / count as f64).exp())
-        }
-    }
 }
 
 impl From<sgraph::stochastic::PowerIterationResult> for Diagnostics {
@@ -61,22 +32,7 @@ mod tests {
     fn closed_form_is_converged() {
         let d = Diagnostics::closed_form();
         assert!(d.converged);
-        assert_eq!(d.final_residual(), None);
-        assert_eq!(d.convergence_rate(), None);
-    }
-
-    #[test]
-    fn convergence_rate_of_geometric_decay() {
-        let residuals: Vec<f64> = (0..20).map(|i| 0.85f64.powi(i)).collect();
-        let d = Diagnostics { iterations: 20, converged: true, residuals };
-        let r = d.convergence_rate().unwrap();
-        assert!((r - 0.85).abs() < 1e-9, "rate {r}");
-    }
-
-    #[test]
-    fn rate_needs_enough_iterations() {
-        let d = Diagnostics { iterations: 2, converged: true, residuals: vec![0.5, 0.25] };
-        assert_eq!(d.convergence_rate(), None);
-        assert_eq!(d.final_residual(), Some(0.25));
+        assert_eq!(d.iterations, 0);
+        assert!(d.residuals.is_empty());
     }
 }

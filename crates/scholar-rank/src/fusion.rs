@@ -88,15 +88,14 @@ impl Ranker for FusedRanker {
 
     fn solve_ctx(&self, ctx: &RankContext) -> RankOutput {
         let outputs: Vec<RankOutput> = self.rankers.iter().map(|r| r.solve_ctx(ctx)).collect();
-        // Aggregate telemetry across the fused solves: total work, worst
-        // convergence, and whether everything came out of the memo.
+        // Aggregate telemetry across the fused solves: total work and worst
+        // convergence.
         let telemetry = SolveTelemetry {
             iterations: outputs.iter().map(|o| o.telemetry.iterations).sum(),
             converged: outputs.iter().all(|o| o.telemetry.converged),
             residuals: Vec::new(),
             build_secs: outputs.iter().map(|o| o.telemetry.build_secs).sum(),
             solve_secs: outputs.iter().map(|o| o.telemetry.solve_secs).sum(),
-            cached: outputs.iter().all(|o| o.telemetry.cached),
         };
         let lists: Vec<Vec<f64>> = outputs.into_iter().map(|o| o.scores).collect();
         RankOutput { scores: fuse_scores(&lists, self.rule), telemetry }

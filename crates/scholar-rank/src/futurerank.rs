@@ -175,22 +175,14 @@ impl Ranker for FutureRank {
 
     fn solve_ctx(&self, ctx: &RankContext) -> RankOutput {
         self.config.assert_valid();
-        let cfg = &self.config;
         let built = Stopwatch::start();
         let _ = ctx.citation_graph();
         let _ = ctx.authorship();
         let build_secs = built.secs();
-        let key = format!(
-            "futurerank(a={},b={},g={},rho={},now={:?},tol={},max={})",
-            cfg.alpha, cfg.beta, cfg.gamma, cfg.rho, cfg.now, cfg.tol, cfg.max_iter
-        );
         let solved = Stopwatch::start();
-        let (scores, diag, cached) = ctx.cached_solve(&key, || {
-            let res = self.run_ctx(ctx);
-            (res.article_scores, res.diagnostics)
-        });
-        let telemetry = SolveTelemetry::timed(&diag, build_secs, solved.secs(), cached);
-        RankOutput { scores, telemetry }
+        let res = self.run_ctx(ctx);
+        let telemetry = SolveTelemetry::timed(&res.diagnostics, build_secs, solved.secs());
+        RankOutput { scores: res.article_scores, telemetry }
     }
 }
 

@@ -127,14 +127,10 @@ impl Ranker for Hits {
         let built = Stopwatch::start();
         let g = ctx.citation_graph();
         let build_secs = built.secs();
-        let key = format!("hits(tol={},max={})", self.config.tol, self.config.max_iter);
         let solved = Stopwatch::start();
-        let (scores, diag, cached) = ctx.cached_solve(&key, || {
-            let res = hits_on_graph(g, &self.config);
-            (res.authorities, res.diagnostics)
-        });
-        let telemetry = SolveTelemetry::timed(&diag, build_secs, solved.secs(), cached);
-        RankOutput { scores, telemetry }
+        let res = hits_on_graph(g, &self.config);
+        let telemetry = SolveTelemetry::timed(&res.diagnostics, build_secs, solved.secs());
+        RankOutput { scores: res.authorities, telemetry }
     }
 }
 

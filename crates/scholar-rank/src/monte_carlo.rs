@@ -129,14 +129,9 @@ impl Ranker for MonteCarloPageRank {
         let built = Stopwatch::start();
         let g = ctx.citation_graph();
         let build_secs = built.secs();
-        let key = format!(
-            "mc-pagerank(d={},walks={},seed={})",
-            self.config.damping, self.config.walks_per_node, self.config.seed
-        );
         let solved = Stopwatch::start();
-        let (scores, diag, cached) =
-            ctx.cached_solve(&key, || monte_carlo_pagerank(g, &self.config));
-        let telemetry = SolveTelemetry::timed(&diag, build_secs, solved.secs(), cached);
+        let (scores, diag) = monte_carlo_pagerank(g, &self.config);
+        let telemetry = SolveTelemetry::timed(&diag, build_secs, solved.secs());
         RankOutput { scores, telemetry }
     }
 }

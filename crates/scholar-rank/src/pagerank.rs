@@ -5,7 +5,6 @@ use crate::diagnostics::Diagnostics;
 use crate::ranker::Ranker;
 use crate::telemetry::Stopwatch;
 use crate::telemetry::{RankOutput, SolveTelemetry};
-use scholar_corpus::Corpus;
 use sgraph::stochastic::PowerIterationOpts;
 use sgraph::{CsrGraph, JumpVector, RowStochastic};
 
@@ -122,7 +121,7 @@ pub fn pagerank_on_store<S: sgraph::CsrStore + ?Sized>(
     warm_start: Option<Vec<f64>>,
 ) -> (Vec<f64>, Diagnostics) {
     config.assert_valid();
-    let res = sgraph::stationary_store(
+    let mut res = sgraph::stationary_store(
         store,
         &PowerIterationOpts {
             damping: config.damping,
@@ -133,16 +132,7 @@ pub fn pagerank_on_store<S: sgraph::CsrStore + ?Sized>(
             warm_start,
         },
     );
-    let scores = res.scores.clone();
-    (scores, res.into())
-}
-
-impl PageRank {
-    /// Rank and also return convergence diagnostics.
-    pub fn rank_with_diagnostics(&self, corpus: &Corpus) -> (Vec<f64>, Diagnostics) {
-        let out = self.solve_ctx(&RankContext::new(corpus));
-        (out.scores, out.telemetry.diagnostics())
-    }
+    (std::mem::take(&mut res.scores), res.into())
 }
 
 impl Ranker for PageRank {
@@ -155,14 +145,9 @@ impl Ranker for PageRank {
         let built = Stopwatch::start();
         let graph = ctx.citation_graph();
         let build_secs = built.secs();
-        let key = format!(
-            "pagerank(d={},tol={},max={})",
-            self.config.damping, self.config.tol, self.config.max_iter
-        );
         let solved = Stopwatch::start();
-        let (scores, diag, cached) =
-            ctx.cached_solve(&key, || pagerank_on_graph(graph, &self.config, JumpVector::Uniform));
-        let telemetry = SolveTelemetry::timed(&diag, build_secs, solved.secs(), cached);
+        let (scores, diag) = pagerank_on_graph(graph, &self.config, JumpVector::Uniform);
+        let telemetry = SolveTelemetry::timed(&diag, build_secs, solved.secs());
         RankOutput { scores, telemetry }
     }
 }
@@ -171,7 +156,7 @@ impl Ranker for PageRank {
 mod tests {
     use super::*;
     use scholar_corpus::generator::Preset;
-    use scholar_corpus::CorpusBuilder;
+    use scholar_corpus::{Corpus, CorpusBuilder};
 
     fn line_corpus() -> Corpus {
         // a2 -> a1 -> a0: importance flows to the oldest.
@@ -186,8 +171,9 @@ mod tests {
     #[test]
     fn importance_flows_to_cited() {
         let c = line_corpus();
-        let (s, d) = PageRank::default().rank_with_diagnostics(&c);
-        assert!(d.converged);
+        let out = PageRank::default().solve_ctx(&RankContext::new(&c));
+        let s = out.scores;
+        assert!(out.telemetry.converged);
         assert!(s[0] > s[1], "cited more transitively should score higher");
         assert!(s[1] > s[2]);
         assert!((s.iter().sum::<f64>() - 1.0).abs() < 1e-9);

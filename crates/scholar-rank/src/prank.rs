@@ -166,26 +166,13 @@ impl Ranker for PRank {
 
     fn solve_ctx(&self, ctx: &RankContext) -> RankOutput {
         self.config.assert_valid();
-        let cfg = &self.config;
-        let key = format!(
-            "prank(lc={},la={},lv={},d={},tol={},max={})",
-            cfg.lambda_cite,
-            cfg.lambda_author,
-            cfg.lambda_venue,
-            cfg.pagerank.damping,
-            cfg.pagerank.tol,
-            cfg.pagerank.max_iter
-        );
         // The combined paper/author/venue graph is P-Rank-specific (it
         // depends on the layer weights), so it is not shared through the
-        // context; repeated solves are served by the memo instead.
+        // context: every solve builds it from the context's view.
         let solved = Stopwatch::start();
-        let (scores, diag, cached) = ctx.cached_solve(&key, || {
-            let res = self.run(ctx.rows());
-            (res.article_scores, res.diagnostics)
-        });
-        let telemetry = SolveTelemetry::timed(&diag, 0.0, solved.secs(), cached);
-        RankOutput { scores, telemetry }
+        let res = self.run(ctx.rows());
+        let telemetry = SolveTelemetry::timed(&res.diagnostics, 0.0, solved.secs());
+        RankOutput { scores: res.article_scores, telemetry }
     }
 }
 

@@ -74,25 +74,6 @@ pub fn fractional_ranks(scores: &[f64]) -> Vec<f64> {
     ranks
 }
 
-/// Min-max rescale into [0, 1]; constant vectors map to all-zeros.
-pub fn min_max_scale(v: &mut [f64]) {
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &x in v.iter() {
-        lo = lo.min(x);
-        hi = hi.max(x);
-    }
-    let span = hi - lo;
-    if span <= 0.0 || !span.is_finite() {
-        for x in v.iter_mut() {
-            *x = 0.0;
-        }
-    } else {
-        for x in v.iter_mut() {
-            *x = (*x - lo) / span;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,12 +105,6 @@ mod tests {
         let mut v = vec![1.0, 3.0];
         normalize(&mut v);
         assert!((v[0] - 0.25).abs() < 1e-12);
-        let mut w = vec![2.0, 4.0, 6.0];
-        min_max_scale(&mut w);
-        assert_eq!(w, vec![0.0, 0.5, 1.0]);
-        let mut c = vec![5.0, 5.0];
-        min_max_scale(&mut c);
-        assert_eq!(c, vec![0.0, 0.0]);
     }
 
     #[test]

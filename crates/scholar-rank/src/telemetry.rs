@@ -2,9 +2,8 @@
 //!
 //! [`SolveTelemetry`] extends the bare convergence [`Diagnostics`] with
 //! the wall-clock split every caller wants: how long was spent preparing
-//! inputs (graph/operator builds not already cached in the
-//! [`crate::context::RankContext`]) versus iterating to the fixpoint, and
-//! whether the scores came straight from the context's solve memo. One
+//! inputs (graph builds not already cached in the
+//! [`crate::context::RankContext`]) versus iterating to the fixpoint. One
 //! shape for every method means the evaluation tables and the CLI can
 //! report solver behaviour without knowing which ranker produced it.
 
@@ -49,11 +48,8 @@ pub struct SolveTelemetry {
     /// Seconds spent building graphs/operators that were not already
     /// cached (0 when every input came from the shared context).
     pub build_secs: f64,
-    /// Seconds spent in the fixpoint iteration itself (≈0 on a memo hit).
+    /// Seconds spent in the fixpoint iteration itself.
     pub solve_secs: f64,
-    /// Whether the scores were served from the context's solve memo
-    /// instead of being recomputed.
-    pub cached: bool,
 }
 
 impl SolveTelemetry {
@@ -73,29 +69,15 @@ impl SolveTelemetry {
         }
     }
 
-    /// Diagnostics plus the measured wall-clock split and memo-hit flag —
-    /// the one-liner every context-aware ranker ends its solve with.
-    pub fn timed(d: &Diagnostics, build_secs: f64, solve_secs: f64, cached: bool) -> Self {
-        SolveTelemetry { build_secs, solve_secs, cached, ..SolveTelemetry::from_diagnostics(d) }
+    /// Diagnostics plus the measured wall-clock split — the one-liner
+    /// every context-aware ranker ends its solve with.
+    pub fn timed(d: &Diagnostics, build_secs: f64, solve_secs: f64) -> Self {
+        SolveTelemetry { build_secs, solve_secs, ..SolveTelemetry::from_diagnostics(d) }
     }
 
     /// The final L1 residual, if any iteration ran.
     pub fn final_residual(&self) -> Option<f64> {
         self.residuals.last().copied()
-    }
-
-    /// Total seconds attributed to this solve (build + iterate).
-    pub fn total_secs(&self) -> f64 {
-        self.build_secs + self.solve_secs
-    }
-
-    /// The convergence-only view of this telemetry.
-    pub fn diagnostics(&self) -> Diagnostics {
-        Diagnostics {
-            iterations: self.iterations,
-            converged: self.converged,
-            residuals: self.residuals.clone(),
-        }
     }
 }
 
@@ -132,7 +114,6 @@ mod tests {
         assert!(t.converged);
         assert_eq!(t.iterations, 0);
         assert_eq!(t.final_residual(), None);
-        assert!(!t.cached);
     }
 
     #[test]
@@ -141,12 +122,6 @@ mod tests {
         let t = SolveTelemetry::from_diagnostics(&d);
         assert_eq!(t.iterations, 3);
         assert_eq!(t.final_residual(), Some(0.01));
-        assert_eq!(t.diagnostics(), d);
-    }
-
-    #[test]
-    fn total_secs_sums_build_and_solve() {
-        let t = SolveTelemetry { build_secs: 0.25, solve_secs: 0.5, ..Default::default() };
-        assert!((t.total_secs() - 0.75).abs() < 1e-15);
+        assert_eq!((t.converged, &t.residuals), (d.converged, &d.residuals));
     }
 }

@@ -13,12 +13,11 @@
 //!   uniform jump.
 
 use crate::context::RankContext;
-use crate::diagnostics::Diagnostics;
 use crate::pagerank::{pagerank_on_graph, pagerank_on_store, PageRankConfig};
 use crate::ranker::Ranker;
 use crate::telemetry::Stopwatch;
 use crate::telemetry::{RankOutput, SolveTelemetry};
-use scholar_corpus::{Corpus, Year};
+use scholar_corpus::Year;
 
 /// TWPR parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,22 +111,6 @@ impl TimeWeightedPageRank {
     pub fn decay(rho: f64) -> impl Fn(Year, Year) -> f64 + Copy {
         move |citing, cited| Self::edge_weight(rho, (citing - cited) as f64)
     }
-
-    /// Rank and also return convergence diagnostics.
-    pub fn rank_with_diagnostics(&self, corpus: &Corpus) -> (Vec<f64>, Diagnostics) {
-        let out = self.solve_ctx(&RankContext::new(corpus));
-        (out.scores, out.telemetry.diagnostics())
-    }
-
-    /// The memo key for a TWPR solve with config `cfg` at year `now`.
-    /// QRank's article-layer cold walk uses identical parameters under
-    /// matching configs, so it shares this entry via the context memo.
-    pub fn solve_key(cfg: &TwprConfig, now: Year) -> String {
-        format!(
-            "twpr(rho={},tau={},now={},d={},tol={},max={})",
-            cfg.rho, cfg.tau, now, cfg.pagerank.damping, cfg.pagerank.tol, cfg.pagerank.max_iter
-        )
-    }
 }
 
 impl Ranker for TimeWeightedPageRank {
@@ -145,18 +128,16 @@ impl Ranker for TimeWeightedPageRank {
         let plan = ctx.decayed_plan(self.config.rho);
         let build_secs = built.secs();
         let solved = Stopwatch::start();
-        let (scores, diag, cached) = ctx.cached_solve(&Self::solve_key(&self.config, now), || {
-            let jump = ctx.recency_jump(self.config.tau, now);
-            match &plan {
-                crate::context::DecayedPlan::Dense(decayed) => {
-                    pagerank_on_graph(&decayed.graph, &self.config.pagerank, jump)
-                }
-                crate::context::DecayedPlan::Partitioned(shards) => {
-                    pagerank_on_store(&**shards, &self.config.pagerank, jump, None)
-                }
+        let jump = ctx.recency_jump(self.config.tau, now);
+        let (scores, diag) = match &plan {
+            crate::context::DecayedPlan::Dense(decayed) => {
+                pagerank_on_graph(&decayed.graph, &self.config.pagerank, jump)
             }
-        });
-        let telemetry = SolveTelemetry::timed(&diag, build_secs, solved.secs(), cached);
+            crate::context::DecayedPlan::Partitioned(shards) => {
+                pagerank_on_store(&**shards, &self.config.pagerank, jump, None)
+            }
+        };
+        let telemetry = SolveTelemetry::timed(&diag, build_secs, solved.secs());
         RankOutput { scores, telemetry }
     }
 }
@@ -249,8 +230,9 @@ mod tests {
     #[test]
     fn scores_sum_to_one_and_converge() {
         let c = Preset::Tiny.generate(8);
-        let (s, d) = TimeWeightedPageRank::default().rank_with_diagnostics(&c);
-        assert!(d.converged);
+        let out = TimeWeightedPageRank::default().solve_ctx(&RankContext::new(&c));
+        let s = out.scores;
+        assert!(out.telemetry.converged);
         assert!((s.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(s.iter().all(|&x| x >= 0.0));
     }
@@ -284,9 +266,9 @@ mod tests {
     #[test]
     fn empty_corpus() {
         let c = CorpusBuilder::new().finish().unwrap();
-        let (s, d) = TimeWeightedPageRank::default().rank_with_diagnostics(&c);
-        assert!(s.is_empty());
-        assert!(d.converged);
+        let out = TimeWeightedPageRank::default().solve_ctx(&RankContext::new(&c));
+        assert!(out.scores.is_empty());
+        assert!(out.telemetry.converged);
     }
 
     #[test]

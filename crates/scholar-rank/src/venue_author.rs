@@ -1,8 +1,10 @@
-//! Venue and author leaderboards derived from article scores.
+//! Venue leaderboards derived from article scores.
 //!
 //! These are the aggregation primitives the examples use to print "top
-//! venues / top authors" tables, and the simplest form of the signals
-//! QRank folds back into article ranking.
+//! venues" tables, and the simplest form of the venue signal QRank folds
+//! back into article ranking. Per-author means are the authorship
+//! bipartite's [`sgraph::Bipartite::aggregate_to_left`], which
+//! [`crate::context::RankContext::authorship`] caches.
 
 use crate::context::RankContext;
 use scholar_corpus::{Corpus, Year};
@@ -17,19 +19,6 @@ pub fn venue_scores_from_articles(corpus: &Corpus, article_scores: &[f64]) -> Ve
 pub fn venue_scores_from_articles_ctx(ctx: &RankContext, article_scores: &[f64]) -> Vec<f64> {
     assert_eq!(article_scores.len(), ctx.num_articles(), "score length mismatch");
     ctx.publication().aggregate_to_left(article_scores)
-}
-
-/// Byline-weighted mean article score per author (0 for authors with no
-/// articles). First authors weigh most (harmonic weights).
-pub fn author_scores_from_articles(corpus: &Corpus, article_scores: &[f64]) -> Vec<f64> {
-    author_scores_from_articles_ctx(&RankContext::new(corpus), article_scores)
-}
-
-/// [`author_scores_from_articles`] against a prepared context, reusing its
-/// cached authorship bipartite.
-pub fn author_scores_from_articles_ctx(ctx: &RankContext, article_scores: &[f64]) -> Vec<f64> {
-    assert_eq!(article_scores.len(), ctx.num_articles(), "score length mismatch");
-    ctx.authorship().aggregate_to_left(article_scores)
 }
 
 /// Venue scores restricted to a publication-year window — prestige of a
@@ -125,7 +114,9 @@ mod tests {
     fn author_weighted_mean() {
         let c = corpus();
         let scores = [0.6, 0.3, 0.1];
-        let a = author_scores_from_articles(&c, &scores);
+        // The author aggregation QRank runs: the authorship bipartite's
+        // byline-weighted mean, first authors weighing most.
+        let a = RankContext::new(&c).authorship().aggregate_to_left(&scores);
         assert!((a[0] - 0.6).abs() < 1e-12); // Solo: only a0
         assert!((a[1] - 0.3).abs() < 1e-12); // Duo1: only a1
                                              // Duo2: weighted mean of a1 (weight 1/3) and a2 (weight 1):

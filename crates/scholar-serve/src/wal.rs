@@ -202,11 +202,6 @@ impl Wal {
         Ok(Wal { file, path, next_seq: replayed.high_water() + 1, poisoned: false })
     }
 
-    /// The sequence number the next appended batch will get.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Durably append one batch. Returns its sequence number once the
     /// record is written **and fsynced** — only then may the caller
     /// acknowledge the batch. On error the sequence number is not

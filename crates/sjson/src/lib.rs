@@ -121,19 +121,6 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    /// Build a number from a `u64` only if it survives the `f64` storage
-    /// representation exactly; `None` when the value would be rounded
-    /// (any integer above 2^53 that is not itself representable). This is
-    /// the checked alternative to the lossy `From<u64>` conversion for
-    /// callers emitting identifiers or counters that must round-trip.
-    pub fn from_u64_exact(n: u64) -> Option<Value> {
-        let f = n as f64;
-        // Guard the cast-back against saturation: u64::MAX rounds up to
-        // 2^64 as f64, and `2^64 as u64` saturates back to u64::MAX,
-        // which would fake an exact round-trip.
-        (f < u64::MAX as f64 && f as u64 == n).then_some(Value::Number(f))
-    }
-
     /// Serialize compactly (no whitespace), through [`write_str`] and
     /// [`write_number`].
     pub fn to_string_compact(&self) -> String {
@@ -169,14 +156,13 @@ impl From<i32> for Value {
 impl From<u64> for Value {
     /// Lossy above 2^53: like JavaScript, numbers are stored as `f64`,
     /// so integers beyond `2^53` round to the nearest representable
-    /// double (e.g. `2^53 + 1` becomes `2^53`). Use
-    /// [`Value::from_u64_exact`] when silent rounding is unacceptable.
+    /// double (e.g. `2^53 + 1` becomes `2^53`).
     fn from(n: u64) -> Self {
         Value::Number(n as f64)
     }
 }
 impl From<usize> for Value {
-    /// Lossy above 2^53, like `From<u64>` — see [`Value::from_u64_exact`].
+    /// Lossy above 2^53, like `From<u64>`.
     fn from(n: usize) -> Self {
         Value::Number(n as f64)
     }
@@ -1157,14 +1143,11 @@ mod tests {
         let below = exact - 1; // largest integer where all are exact
 
         for n in [below, exact] {
-            let v = Value::from_u64_exact(n).expect("representable");
-            let s = v.to_string_compact();
+            let s = Value::from(n).to_string_compact();
             assert_eq!(parse(&s).unwrap().as_u64(), Some(n), "{n} via {s}");
         }
-        assert_eq!(Value::from_u64_exact(inexact), None);
-        assert_eq!(Value::from_u64_exact(u64::MAX), None);
 
-        // The blanket From<u64> is documented lossy: 2^53 + 1 rounds.
+        // From<u64> is documented lossy: 2^53 + 1 rounds.
         let lossy = Value::from(inexact);
         assert_eq!(lossy.as_u64(), Some(exact), "From<u64> rounds to nearest double");
     }

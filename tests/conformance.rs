@@ -177,9 +177,10 @@ fn mmap_backend_is_score_identical_to_ram() {
 }
 
 /// However a QRank plan comes to be — straight off either view of the
-/// corpus, or through a context over either — it solves to the same bits
-/// in all four score vectors (the venue/author stationaries feed the
-/// mixture, the inner walk's feeds warm starts).
+/// corpus, or inside `QRank::solve_ctx` over a context on either — it
+/// solves to the same bits (the plan in all four score vectors: the
+/// venue/author stationaries feed the mixture, the inner walk's feeds
+/// warm starts).
 #[test]
 fn qrank_engine_matches_across_backends() {
     let corpus = Preset::Tiny.generate(21);
@@ -191,24 +192,62 @@ fn qrank_engine_matches_across_backends() {
 
     let cfg = scholar::QRankConfig::default();
     let mix = scholar::MixParams::from_config(&cfg);
-    let plans = [
-        ("build(&colstore)", scholar::QRankEngine::build(&store, &cfg)),
-        ("build_from_ctx(ram)", {
-            scholar::QRankEngine::build_from_ctx(&RankContext::new(&corpus), &cfg)
-        }),
-        ("build_from_ctx(mmap)", {
-            scholar::QRankEngine::build_from_ctx(&RankContext::from_colstore(&store), &cfg)
-        }),
-    ];
     let want = scholar::QRankEngine::build(&corpus, &cfg).solve(&mix);
-    for (how, plan) in plans {
-        let got = plan.solve(&mix);
-        assert_eq!(bits(&got.article_scores), bits(&want.article_scores), "{how}: article");
-        assert_eq!(bits(&got.venue_scores), bits(&want.venue_scores), "{how}: venue");
-        assert_eq!(bits(&got.author_scores), bits(&want.author_scores), "{how}: author");
-        assert_eq!(bits(&got.twpr_scores), bits(&want.twpr_scores), "{how}: twpr");
-        assert_eq!(got.outer.iterations, want.outer.iterations, "{how}");
-        assert_eq!(got.twpr_diagnostics.iterations, want.twpr_diagnostics.iterations, "{how}");
+    let got = scholar::QRankEngine::build(&store, &cfg).solve(&mix);
+    let how = "build(&colstore)";
+    assert_eq!(bits(&got.article_scores), bits(&want.article_scores), "{how}: article");
+    assert_eq!(bits(&got.venue_scores), bits(&want.venue_scores), "{how}: venue");
+    assert_eq!(bits(&got.author_scores), bits(&want.author_scores), "{how}: author");
+    assert_eq!(bits(&got.twpr_scores), bits(&want.twpr_scores), "{how}: twpr");
+    assert_eq!(got.outer.iterations, want.outer.iterations, "{how}");
+    assert_eq!(got.twpr_diagnostics.iterations, want.twpr_diagnostics.iterations, "{how}");
+
+    let contexts = [
+        ("solve_ctx(ram)", RankContext::new(&corpus)),
+        ("solve_ctx(colstore)", RankContext::from_colstore(&store)),
+    ];
+    for (how, ctx) in contexts {
+        let got = QRank::new(cfg.clone()).solve_ctx(&ctx);
+        assert_eq!(bits(&got.scores), bits(&want.article_scores), "{how}: article");
+        let iterations = want.outer.iterations + want.twpr_diagnostics.iterations;
+        assert_eq!(got.telemetry.iterations, iterations, "{how}: inner + outer iterations");
+        assert_eq!(got.telemetry.residuals, want.outer.residuals, "{how}: outer residuals");
+        assert!(got.telemetry.converged, "{how}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// QRank's cold inner walk is the standalone TWPR solve under the same
+/// config, bit for bit, whichever way TWPR walks: over the dense decayed
+/// graph of a RAM context, or sweeping the SCSR shard file of a colstore
+/// context while QRank builds its dense graph from the store's rows.
+#[test]
+fn qrank_inner_walk_is_the_standalone_twpr_solve() {
+    let dir =
+        std::env::temp_dir().join(format!("scholar-conformance-inner-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    scholar::corpus::generator::generate_mag_scale(&dir, 5000, 36).unwrap();
+    let store = ColStore::open(&dir).unwrap();
+    let corpus = store.materialize().unwrap();
+    let qrank = QRank::default().run(&corpus);
+    assert!(qrank.twpr_diagnostics.converged);
+
+    let contexts =
+        [("ram", RankContext::new(&corpus)), ("colstore", RankContext::from_colstore(&store))];
+    for (backend, ctx) in contexts {
+        if backend == "colstore" {
+            match ctx.decayed_plan(TwprConfig::default().rho) {
+                DecayedPlan::Partitioned(csr) => assert!(csr.num_shards() > 1, "one shard"),
+                DecayedPlan::Dense(_) => panic!("a colstore context must plan a shard file"),
+            }
+        }
+        let twpr = TimeWeightedPageRank::default().solve_ctx(&ctx);
+        assert_eq!(bits(&qrank.twpr_scores), bits(&twpr.scores), "{backend}: scores");
+        assert_eq!(
+            qrank.twpr_diagnostics.iterations, twpr.telemetry.iterations,
+            "{backend}: iterations"
+        );
+        assert_eq!(qrank.twpr_diagnostics.residuals, twpr.telemetry.residuals, "{backend}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -266,14 +305,12 @@ fn mmap_twpr_is_the_sequential_ram_solve_at_every_thread_count() {
     };
     let ram = twpr(1).solve_ctx(&RankContext::new(&corpus));
     for threads in [1, 2, 8] {
-        // A fresh context each time, so no solve is served from the memo.
         let ctx = RankContext::from_colstore(&store);
         match ctx.decayed_plan(twpr(threads).config.rho) {
             DecayedPlan::Partitioned(csr) => assert!(csr.num_shards() > 1, "one shard"),
             DecayedPlan::Dense(_) => panic!("a colstore context must plan a shard file"),
         }
         let mmap = twpr(threads).solve_ctx(&ctx);
-        assert!(!mmap.telemetry.cached);
         assert_eq!(bits(&mmap.scores), bits(&ram.scores), "{threads} threads");
         assert_eq!(mmap.telemetry.residuals, ram.telemetry.residuals, "{threads} threads");
         assert_eq!(mmap.telemetry.iterations, ram.telemetry.iterations, "{threads} threads");
@@ -405,7 +442,7 @@ fn assert_factorised_matches_materialised<V: Rows + ?Sized>(
     let mix = MixParams::from_config(cfg);
     let factorised = plan.solve(&mix);
     let sv = plan.structural_stationaries().0.to_vec();
-    let fed = plan.with_structural_stationaries(sv, want_su).solve(&mix);
+    let fed = plan.with_structural_stationaries(sv, want_su, None).solve(&mix);
     for (what, x, y) in [
         ("article", &factorised.article_scores, &fed.article_scores),
         ("venue", &factorised.venue_scores, &fed.venue_scores),
@@ -871,16 +908,15 @@ fn future_rank_by_copying(ctx: &RankContext) -> Solved {
 /// change touches), and the inner walk's iterations and convergence.
 fn qrank_by_copying(ctx: &RankContext) -> (QRankEngine, usize, bool) {
     let cfg = QRankConfig::default();
-    let plan = QRankEngine::build_from_ctx(ctx, &cfg);
+    let plan = QRankEngine::build(ctx.rows(), &cfg);
     let (net, pr) = (plan.net(), &cfg.twpr.pagerank);
     let twpr = copying_walk(&net.citation, ctx.recency_jump(cfg.twpr.tau, plan.now()), pr);
     let mut sv = copying_walk(&net.venue_graph, JumpVector::Uniform, pr).scores;
     normalize_l1(&mut sv);
     let su = plan.structural_stationaries().1.to_vec();
     let (iterations, converged) = (twpr.iterations, twpr.converged);
-    let plan = plan.with_structural_stationaries(sv, su);
-    plan.prime_twpr(twpr.scores.clone(), twpr.into());
-    (plan, iterations, converged)
+    let cold = (twpr.scores.clone(), twpr.into());
+    (plan.with_structural_stationaries(sv, su, Some(cold)), iterations, converged)
 }
 
 /// What the registered ranker `name` scores on `ctx` with every walk

@@ -7,7 +7,10 @@ use scholar::corpus::model::Article;
 use scholar::corpus::{snapshot_until, ArticleId, Preset};
 use scholar::rank::fusion::{FusedRanker, FusionRule};
 use scholar::rank::scores::top_k;
-use scholar::{CitationCount, ColdStartScorer, QRank, QRankConfig, Ranker, TimeWeightedPageRank};
+use scholar::{
+    CitationCount, ColdStartScorer, MixParams, QRank, QRankConfig, QRankEngine, Ranker,
+    TimeWeightedPageRank,
+};
 
 #[test]
 fn cold_start_scores_align_with_eventual_reality() {
@@ -57,8 +60,9 @@ fn cold_start_scores_align_with_eventual_reality() {
 fn explanations_cover_the_whole_top_ten() {
     let corpus = Preset::Tiny.generate(82);
     let cfg = QRankConfig::default();
-    let result = QRank::new(cfg.clone()).run(&corpus);
-    let explainer = Explainer::new(&corpus, &cfg, &result);
+    let engine = QRankEngine::build(&corpus, &cfg);
+    let result = engine.solve(&MixParams::from_config(&cfg));
+    let explainer = Explainer::from_engine(&corpus, &engine, &result);
     for idx in top_k(&result.article_scores, 10) {
         let e = explainer.explain(ArticleId(idx as u32), 3, &cfg);
         let share_sum = e.citation_share + e.venue_share + e.author_share;
