@@ -916,17 +916,60 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The `(id, score)` rows of a `--json` listing.
+    fn listing(argv: &[&str]) -> Vec<(u64, f64)> {
+        let out = run(argv).unwrap();
+        let rows = sjson::parse(&out).unwrap();
+        let rows = rows.as_array().unwrap();
+        let num = |r: &sjson::Value, k: &str| r.get(k).and_then(sjson::Value::as_f64).unwrap();
+        rows.iter().map(|r| (num(r, "id") as u64, num(r, "score"))).collect()
+    }
+
+    /// The JSONL corpus file of `dir` and the same corpus written as the
+    /// colstore `dir/name`: both paths, and the corpus.
+    fn jsonl_and_colstore(dir: &Path, name: &str) -> (String, String, scholar::Corpus) {
+        let path = corpus_file(dir);
+        let corpus = jsonl::read_jsonl_file(Path::new(&path), &LoadOptions::default()).unwrap();
+        corpus.write_colstore(&dir.join(name)).unwrap();
+        (path, dir.join(name).to_string_lossy().into_owned(), corpus)
+    }
+
+    #[test]
+    fn rank_mmap_pagerank_and_citerank_sweep_one_unit_shard_file() {
+        // PageRank and CiteRank are the citation walk at ρ = 0: on a
+        // colstore both sweep one ρ = 0 shard file, which later runs reuse,
+        // and list exactly what the RAM path lists.
+        let dir = tmpdir();
+        let (path, store, corpus) = jsonl_and_colstore(&dir, "unitstore");
+        let all = corpus.num_articles().to_string();
+        let mut first = None;
+        for method in ["pagerank", "citerank", "pagerank"] {
+            let argv = ["--method", method, "--top", &all, "--json"];
+            let ram = listing(&[&["rank", &path][..], &argv].concat());
+            let mmap = listing(&[&["rank", &store, "--store", "mmap"][..], &argv].concat());
+            assert_eq!(ram.len(), corpus.num_articles(), "{method}: every article listed");
+            assert_eq!(mmap, ram, "{method}: --store mmap lists the RAM ids and scores");
+            let files: Vec<_> = std::fs::read_dir(&store)
+                .unwrap()
+                .map(|e| e.unwrap())
+                .filter(|e| e.file_name().to_string_lossy().ends_with(".scsr"))
+                .map(|e| (e.file_name(), e.metadata().unwrap().modified().unwrap()))
+                .collect();
+            let [(name, _)] = &files[..] else { panic!("{method}: one shard file, got {files:?}") };
+            assert!(name.to_string_lossy().starts_with("csr-rho0000000000000000-g"), "{name:?}");
+            // Later runs reopen the first run's file instead of rebuilding it.
+            assert_eq!(first.get_or_insert_with(|| files.clone()), &files, "{method}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn rank_mmap_qrank_reads_the_config_file() {
         // One corpus as JSONL and as a colstore, and a config that moves
         // the ranking: `--store mmap --method qrank` must apply it exactly
         // as the RAM path does.
         let dir = tmpdir();
-        let path = corpus_file(&dir);
-        let store = dir.join("cfgstore");
-        let corpus = jsonl::read_jsonl_file(Path::new(&path), &LoadOptions::default()).unwrap();
-        corpus.write_colstore(&store).unwrap();
-        let store = store.to_string_lossy().into_owned();
+        let (path, store, _) = jsonl_and_colstore(&dir, "cfgstore");
         let cfg_path = dir.join("mix.json");
         std::fs::write(
             &cfg_path,
@@ -934,13 +977,6 @@ mod tests {
         )
         .unwrap();
         let cfg = cfg_path.to_string_lossy().into_owned();
-        let listing = |argv: &[&str]| -> Vec<(u64, f64)> {
-            let out = run(argv).unwrap();
-            let rows = sjson::parse(&out).unwrap();
-            let rows = rows.as_array().unwrap();
-            let num = |r: &sjson::Value, k: &str| r.get(k).and_then(sjson::Value::as_f64).unwrap();
-            rows.iter().map(|r| (num(r, "id") as u64, num(r, "score"))).collect()
-        };
         let qrank = ["--method", "qrank", "--top", "50", "--json"];
         let ram = listing(&[&["rank", &path, "--config", &cfg][..], &qrank].concat());
         let mmap =

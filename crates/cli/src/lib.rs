@@ -99,7 +99,10 @@ COMMANDS:
             rank every article, print the top N
   rank      STORE_DIR --store mmap [--method ...] [--top N] [--json]
             rank an out-of-core columnar store through the mmap backend
-            (bit-identical scores; listing shows ids and years)
+            (bit-identical scores; listing shows ids and years); twpr,
+            pagerank and citerank sweep a csr-rho*.scsr shard file they
+            leave in STORE_DIR and reuse (pagerank and citerank share the
+            rho = 0 one)
   ablate    CORPUS.jsonl [--json]
             run all seven ablation variants over one corpus, sharing
             prepared engines between structurally identical variants

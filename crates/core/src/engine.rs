@@ -32,8 +32,9 @@ use crate::hetnet::HetNet;
 use crate::qrank::QRankResult;
 use scholar_corpus::rows::{self, Rows};
 use scholar_rank::diagnostics::Diagnostics;
-use sgraph::stochastic::{blend_into, l1_distance, normalize_l1, PowerIterationOpts};
-use sgraph::{stationary_store, JumpVector, ProjectedWalk, RowStochastic};
+use scholar_rank::pagerank::pagerank_on_store;
+use sgraph::stochastic::{blend_into, l1_distance, normalize_l1};
+use sgraph::{JumpVector, ProjectedWalk, RowStochastic};
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -230,20 +231,13 @@ impl QRankEngine {
         let n = net.num_articles();
 
         let pr = &config.twpr.pagerank;
-        let structural_opts = || PowerIterationOpts {
-            damping: pr.damping,
-            jump: JumpVector::Uniform,
-            tol: pr.tol,
-            max_iter: pr.max_iter,
-            threads: pr.threads,
-            warm_start: None,
-        };
-        let mut sv = RowStochastic::new(&net.venue_graph).stationary(&structural_opts()).scores;
+        let venue_walk = RowStochastic::new(&net.venue_graph);
+        let (mut sv, _) = pagerank_on_store(&venue_walk, pr, JumpVector::Uniform, None);
         // G_U = B_U·G_A·B_Uᵀ − diag lives only for this walk, as three
         // vectors over the authors beside the two factors it borrows.
         let author_walk =
             ProjectedWalk::new(&net.citation, &net.authorship, config.drop_self_citations);
-        let mut su = stationary_store(&author_walk, &structural_opts()).scores;
+        let (mut su, _) = pagerank_on_store(&author_walk, pr, JumpVector::Uniform, None);
         normalize_l1(&mut sv);
         normalize_l1(&mut su);
 
@@ -342,16 +336,8 @@ impl QRankEngine {
     }
 
     fn run_inner_walk(&self, warm_start: Option<Vec<f64>>) -> (Vec<f64>, Diagnostics) {
-        let pr = &self.config.twpr.pagerank;
-        let mut res = RowStochastic::new(&self.net.citation).stationary(&PowerIterationOpts {
-            damping: pr.damping,
-            jump: self.jump.clone(),
-            tol: pr.tol,
-            max_iter: pr.max_iter,
-            threads: pr.threads,
-            warm_start,
-        });
-        (std::mem::take(&mut res.scores), res.into())
+        let walk = RowStochastic::new(&self.net.citation);
+        pagerank_on_store(&walk, &self.config.twpr.pagerank, self.jump.clone(), warm_start)
     }
 
     /// Solve one mixture against the plan (cold inner walk, cached after

@@ -5,36 +5,15 @@ use crate::rows::{self, Rows};
 use crate::{CorpusError, Result};
 use sgraph::CsrGraph;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// An immutable scholarly corpus: articles, authors, venues, and the
 /// citation structure. Build one with [`CorpusBuilder`], the synthetic
 /// [`crate::generator`], or a [`crate::loader`].
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Corpus {
     pub(crate) articles: Vec<Article>,
     pub(crate) authors: Vec<Author>,
     pub(crate) venues: Vec<Venue>,
-    /// How many times [`Corpus::citation_graph`] has materialized the CSR
-    /// for this instance. Build-amortization probe: a prepared layer that
-    /// shares one context leaves this at 1 after a full ranker sweep.
-    citation_graph_builds: AtomicUsize,
-}
-
-impl Clone for Corpus {
-    fn clone(&self) -> Self {
-        // The build counter is per-instance instrumentation, not data:
-        // a clone starts with a fresh count.
-        Corpus::from_parts(self.articles.clone(), self.authors.clone(), self.venues.clone())
-    }
-}
-
-impl PartialEq for Corpus {
-    fn eq(&self, other: &Self) -> bool {
-        self.articles == other.articles
-            && self.authors == other.authors
-            && self.venues == other.venues
-    }
 }
 
 impl Corpus {
@@ -45,7 +24,7 @@ impl Corpus {
         authors: Vec<Author>,
         venues: Vec<Venue>,
     ) -> Self {
-        Corpus { articles, authors, venues, citation_graph_builds: AtomicUsize::new(0) }
+        Corpus { articles, authors, venues }
     }
 
     /// Reassemble a corpus from parts previously extracted from a live
@@ -148,14 +127,6 @@ impl Corpus {
         Ok(Corpus::from_parts(articles, self.authors.clone(), self.venues.clone()))
     }
 
-    /// How many times [`Corpus::citation_graph`] has run for this
-    /// instance. Used by tests and benches to assert that prepared layers
-    /// (RankContext, QRankEngine) amortize the CSR build.
-    pub fn citation_graph_builds(&self) -> usize {
-        // ORDERING: a test/bench statistic — an independent monotone
-        // counter that publishes no data.
-        self.citation_graph_builds.load(Ordering::Relaxed)
-    }
     /// All articles, indexed by [`ArticleId`].
     pub fn articles(&self) -> &[Article] {
         &self.articles
@@ -215,9 +186,6 @@ impl Corpus {
     /// unit weights. In-degree is citation count. Every other derived
     /// structure is a function in [`crate::rows`] over the [`Rows`] view.
     pub fn citation_graph(&self) -> CsrGraph {
-        // ORDERING: build counter for tests/benches only; the RMW gives
-        // the count, and no reader infers visibility from it.
-        self.citation_graph_builds.fetch_add(1, Ordering::Relaxed);
         rows::citation_graph(self)
     }
 

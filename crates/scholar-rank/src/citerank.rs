@@ -9,12 +9,17 @@
 //! makes CiteRank the classic pre-QRank answer to the old-paper bias and
 //! an important baseline: it has the recency-personalized jump but *no*
 //! per-edge decay and *no* venue/author layer.
+//!
+//! As a walk, CiteRank is the citation walk of [`crate::time_weighted`]
+//! at ρ = 0 with τ = 1/τ_dir and damping α: [`CiteRank::solve_ctx`] is
+//! one [`citation_walk`] call, sequential, under CiteRank's own tolerance
+//! and iteration cap.
 
 use crate::context::RankContext;
-use crate::pagerank::{pagerank_on_graph, PageRankConfig};
+use crate::pagerank::PageRankConfig;
 use crate::ranker::Ranker;
-use crate::telemetry::Stopwatch;
-use crate::telemetry::{RankOutput, SolveTelemetry};
+use crate::telemetry::RankOutput;
+use crate::time_weighted::citation_walk;
 use scholar_corpus::Year;
 
 /// CiteRank parameters.
@@ -45,6 +50,9 @@ impl CiteRankConfig {
     pub fn assert_valid(&self) {
         assert!((0.0..1.0).contains(&self.alpha), "alpha must be in [0, 1)");
         assert!(self.tau_dir > 0.0, "tau_dir must be positive");
+        // The walk's recency rate is 1/tau_dir; an infinite rate turns the
+        // newest article's weight exp(-inf·0) into NaN.
+        assert!((1.0 / self.tau_dir).is_finite(), "tau_dir must have a finite reciprocal");
         assert!(self.max_iter > 0, "need at least one iteration");
     }
 }
@@ -71,26 +79,17 @@ impl Ranker for CiteRank {
 
     fn solve_ctx(&self, ctx: &RankContext) -> RankOutput {
         self.config.assert_valid();
-        if ctx.num_articles() == 0 {
-            return RankOutput::closed_form(Vec::new());
-        }
         let now = self.config.now.unwrap_or_else(|| ctx.now());
-        let built = Stopwatch::start();
-        let graph = ctx.citation_graph();
-        let build_secs = built.secs();
-        let solved = Stopwatch::start();
         // The start distribution decays with article age: the paper's
         // reader-traffic model. 1/tau_dir plays the role of τ.
         let jump = ctx.recency_jump(1.0 / self.config.tau_dir, now);
-        let pr_cfg = PageRankConfig {
+        let walk = PageRankConfig {
             damping: self.config.alpha,
             tol: self.config.tol,
             max_iter: self.config.max_iter,
             threads: 1,
         };
-        let (scores, diag) = pagerank_on_graph(graph, &pr_cfg, jump);
-        let telemetry = SolveTelemetry::timed(&diag, build_secs, solved.secs());
-        RankOutput { scores, telemetry }
+        citation_walk(ctx, 0.0, jump, &walk)
     }
 }
 
@@ -177,5 +176,13 @@ mod tests {
     #[should_panic(expected = "tau_dir")]
     fn invalid_tau_panics() {
         CiteRank::new(CiteRankConfig { tau_dir: 0.0, ..Default::default() });
+    }
+
+    /// A subnormal τ_dir is positive, but 1/τ_dir overflows to ∞ and the
+    /// recency jump would be NaN; construction refuses it.
+    #[test]
+    #[should_panic(expected = "finite reciprocal")]
+    fn tau_dir_with_an_infinite_reciprocal_panics() {
+        CiteRank::new(CiteRankConfig { tau_dir: 1e-310, ..Default::default() });
     }
 }

@@ -1,10 +1,11 @@
 //! The shared prepared-corpus substrate under every ranker.
 //!
 //! A [`RankContext`] is built once per corpus and lazily caches every
-//! derived structure the ranker suite needs: the citation CSR (forward +
-//! reverse adjacency), the author/venue bipartite maps, citation counts,
-//! per-article year vectors and time-decayed citation graphs keyed by
-//! their decay rate. It caches structures, never answers: every
+//! derived structure the ranker suite needs: the author/venue bipartite
+//! maps, citation counts, per-article year vectors and the citation
+//! graphs keyed by their decay rate ρ — ρ = 0 is the unit citation CSR
+//! ([`RankContext::citation_graph`]), one cache entry like any other
+//! rate. It caches structures, never answers: every
 //! [`crate::ranker::Ranker::solve_ctx`] call runs its own solve against
 //! the cached structures. Walk operators are not cached either: a
 //! [`sgraph::RowStochastic`] borrows the graph it steps over and holds
@@ -20,9 +21,10 @@
 //! every structure is derived by the one function `scholar_corpus::rows`
 //! has for it — so the backends are bit-identical by construction and
 //! every ranker produces the same scores either way. On the mmap backend
-//! the time-decayed citation graph can additionally stay *out of core*
-//! via [`RankContext::decayed_plan`], which materializes a sharded
-//! [`MmapCsr`] next to the store instead of a dense graph.
+//! the citation walk ([`crate::time_weighted::citation_walk`], which
+//! TWPR, PageRank, CiteRank and personalized PageRank share) stays *out
+//! of core* via [`RankContext::decayed_plan`], which materializes a
+//! sharded [`MmapCsr`] next to the store instead of a dense graph.
 //!
 //! Invalidation is by construction: a context borrows an immutable
 //! backing store and is dropped when the store changes (there is no
@@ -78,7 +80,6 @@ enum Backing<'c> {
 pub struct RankContext<'c> {
     backing: Backing<'c>,
     now: Option<Year>,
-    citation: OnceLock<CsrGraph>,
     authorship: OnceLock<Bipartite>,
     publication: OnceLock<Bipartite>,
     citation_counts: OnceLock<Vec<u32>>,
@@ -106,7 +107,6 @@ impl<'c> RankContext<'c> {
         let mut ctx = RankContext {
             backing,
             now: None,
-            citation: OnceLock::new(),
             authorship: OnceLock::new(),
             publication: OnceLock::new(),
             citation_counts: OnceLock::new(),
@@ -141,13 +141,10 @@ impl<'c> RankContext<'c> {
         self.now.unwrap_or(0)
     }
 
-    /// The unweighted citation CSR (built once per context).
-    pub fn citation_graph(&self) -> &CsrGraph {
-        self.citation.get_or_init(|| match &self.backing {
-            // Through the corpus's own entry point, which counts builds.
-            Backing::Ram(c) => c.citation_graph(),
-            Backing::Mmap(s) => rows::citation_graph(*s),
-        })
+    /// The unweighted citation CSR: the ρ = 0 entry of the decayed cache
+    /// (`exp(-0·Δt)` is exactly 1.0), so every user shares one build.
+    pub fn citation_graph(&self) -> Arc<DecayedCitation> {
+        self.decayed_citation(0.0)
     }
 
     /// Authorship bipartite (left = authors, right = articles, harmonic
@@ -179,8 +176,8 @@ impl<'c> RankContext<'c> {
     }
 
     /// The time-decayed citation graph for decay rate `rho`, cached per
-    /// rate: the in-RAM backend's [`DecayedPlan`], which TWPR solves
-    /// against.
+    /// rate: the in-RAM backend's [`DecayedPlan`], which the citation
+    /// walk solves against.
     pub fn decayed_citation(&self, rho: f64) -> Arc<DecayedCitation> {
         let key = rho.to_bits();
         if let Some(hit) = self.decayed.lock().unwrap().get(&key) {
@@ -258,7 +255,6 @@ impl std::fmt::Debug for RankContext<'_> {
                 },
             )
             .field("now", &self.now)
-            .field("citation_built", &self.citation.get().is_some())
             .field("decayed_entries", &self.decayed.lock().unwrap().len())
             .field("partitioned_entries", &self.partitioned.lock().unwrap().len())
             .finish()
@@ -274,10 +270,14 @@ mod tests {
     fn citation_graph_is_built_exactly_once() {
         let c = Preset::Tiny.generate(3);
         let ctx = RankContext::new(&c);
-        assert_eq!(c.citation_graph_builds(), 0);
-        let _ = ctx.citation_graph();
-        let _ = ctx.citation_graph();
-        assert_eq!(c.citation_graph_builds(), 1);
+        let first = ctx.citation_graph();
+        assert!(Arc::ptr_eq(&first, &ctx.citation_graph()), "one build per context");
+        assert!(Arc::ptr_eq(&first, &ctx.decayed_citation(0.0)), "the unit graph is ρ = 0");
+        match ctx.decayed_plan(0.0) {
+            DecayedPlan::Dense(d) => assert!(Arc::ptr_eq(&first, &d), "the RAM plan at ρ = 0"),
+            DecayedPlan::Partitioned(_) => panic!("a RAM context plans dense"),
+        }
+        assert_eq!(first.graph, rows::citation_graph(&c), "unit weights, same CSR");
     }
 
     #[test]
@@ -309,7 +309,7 @@ mod tests {
         let ctx = RankContext::new(&c);
         assert_eq!(ctx.now(), 0, "documented sentinel for the unchecked accessor");
         assert_eq!(ctx.num_articles(), 0);
-        assert_eq!(ctx.citation_graph().num_nodes(), 0);
+        assert_eq!(ctx.citation_graph().graph.num_nodes(), 0);
         assert_eq!(ctx.citation_counts().len(), 0);
     }
 

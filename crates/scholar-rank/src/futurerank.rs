@@ -21,7 +21,7 @@ use crate::diagnostics::Diagnostics;
 use crate::ranker::Ranker;
 use crate::telemetry::Stopwatch;
 use crate::telemetry::{RankOutput, SolveTelemetry};
-use scholar_corpus::{Corpus, Year};
+use scholar_corpus::Year;
 use sgraph::stochastic::{fixpoint, normalize_l1};
 use sgraph::{JumpVector, RowStochastic};
 
@@ -98,13 +98,8 @@ impl FutureRank {
         FutureRank { config }
     }
 
-    /// Run the full fixpoint, returning author scores too.
-    pub fn run(&self, corpus: &Corpus) -> FutureRankResult {
-        self.run_ctx(&RankContext::new(corpus))
-    }
-
-    /// [`FutureRank::run`] against a prepared context: the citation
-    /// graph and authorship bipartite come from the shared caches and
+    /// Run the full fixpoint, returning author scores too: the citation
+    /// graph and authorship bipartite come from the context's caches and
     /// the iteration runs on the sgraph fixpoint driver with
     /// preallocated term buffers.
     pub fn run_ctx(&self, ctx: &RankContext) -> FutureRankResult {
@@ -119,7 +114,8 @@ impl FutureRank {
             };
         }
         let now = cfg.now.unwrap_or_else(|| ctx.now());
-        let cite_op = RowStochastic::new(ctx.citation_graph());
+        let citation = ctx.citation_graph();
+        let cite_op = RowStochastic::new(&citation.graph);
         let authorship = ctx.authorship();
 
         // Recency personalization: the recency jump's distribution.
@@ -195,7 +191,7 @@ mod tests {
     #[test]
     fn converges_and_normalizes() {
         let c = Preset::Tiny.generate(6);
-        let res = FutureRank::default().run(&c);
+        let res = FutureRank::default().run_ctx(&RankContext::new(&c));
         assert!(res.diagnostics.converged);
         assert!((res.article_scores.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!((res.author_scores.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -236,7 +232,8 @@ mod tests {
         b.add_article("star-new", 2010, v, vec![star], vec![hit], None);
         b.add_article("nobody-new", 2010, v, vec![nobody], vec![hit], None);
         let c = b.finish().unwrap();
-        let res = FutureRank::new(FutureRankConfig { beta: 0.3, ..Default::default() }).run(&c);
+        let res = FutureRank::new(FutureRankConfig { beta: 0.3, ..Default::default() })
+            .run_ctx(&RankContext::new(&c));
         let star_new = res.article_scores[9];
         let nobody_new = res.article_scores[10];
         assert!(
@@ -261,7 +258,7 @@ mod tests {
     #[test]
     fn empty_corpus() {
         let c = CorpusBuilder::new().finish().unwrap();
-        let res = FutureRank::default().run(&c);
+        let res = FutureRank::default().run_ctx(&RankContext::new(&c));
         assert!(res.article_scores.is_empty());
         assert!(res.diagnostics.converged);
     }

@@ -9,7 +9,6 @@ use crate::diagnostics::Diagnostics;
 use crate::ranker::Ranker;
 use crate::telemetry::Stopwatch;
 use crate::telemetry::{RankOutput, SolveTelemetry};
-use scholar_corpus::Corpus;
 use sgraph::{CsrGraph, NodeId};
 
 /// HITS parameters.
@@ -106,16 +105,6 @@ impl Hits {
     pub fn new(config: HitsConfig) -> Self {
         Hits { config }
     }
-
-    /// Full hub/authority result.
-    pub fn run(&self, corpus: &Corpus) -> HitsResult {
-        self.run_ctx(&RankContext::new(corpus))
-    }
-
-    /// Full hub/authority result against a prepared context.
-    pub fn run_ctx(&self, ctx: &RankContext) -> HitsResult {
-        hits_on_graph(ctx.citation_graph(), &self.config)
-    }
 }
 
 impl Ranker for Hits {
@@ -128,7 +117,7 @@ impl Ranker for Hits {
         let g = ctx.citation_graph();
         let build_secs = built.secs();
         let solved = Stopwatch::start();
-        let res = hits_on_graph(g, &self.config);
+        let res = hits_on_graph(&g.graph, &self.config);
         let telemetry = SolveTelemetry::timed(&res.diagnostics, build_secs, solved.secs());
         RankOutput { scores: res.authorities, telemetry }
     }

@@ -130,7 +130,7 @@ impl Ranker for MonteCarloPageRank {
         let g = ctx.citation_graph();
         let build_secs = built.secs();
         let solved = Stopwatch::start();
-        let (scores, diag) = monte_carlo_pagerank(g, &self.config);
+        let (scores, diag) = monte_carlo_pagerank(&g.graph, &self.config);
         let telemetry = SolveTelemetry::timed(&diag, build_secs, solved.secs());
         RankOutput { scores, telemetry }
     }
@@ -139,8 +139,7 @@ impl Ranker for MonteCarloPageRank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pagerank::{pagerank_on_graph, PageRankConfig};
-    use sgraph::{GraphBuilder, JumpVector};
+    use sgraph::{GraphBuilder, RowStochastic};
 
     #[test]
     fn approximates_power_iteration() {
@@ -156,7 +155,7 @@ mod tests {
             edges.push((next() % 300, next() % 300, 1.0 + (next() % 4) as f64));
         }
         let g = GraphBuilder::from_weighted_edges(300, &edges);
-        let (exact, _) = pagerank_on_graph(&g, &PageRankConfig::default(), JumpVector::Uniform);
+        let exact = RowStochastic::new(&g).stationary(&Default::default()).scores;
         let (mc, _) = monte_carlo_pagerank(
             &g,
             &MonteCarloConfig { walks_per_node: 300, ..Default::default() },
@@ -168,7 +167,7 @@ mod tests {
     #[test]
     fn more_walks_means_better_estimates() {
         let g = GraphBuilder::from_edges(50, &(0..49).map(|i| (i, i + 1)).collect::<Vec<_>>());
-        let (exact, _) = pagerank_on_graph(&g, &PageRankConfig::default(), JumpVector::Uniform);
+        let exact = RowStochastic::new(&g).stationary(&Default::default()).scores;
         let l1_of = |walks: usize| {
             let (mc, _) = monte_carlo_pagerank(
                 &g,

@@ -1,12 +1,17 @@
-//! Plain PageRank on the citation graph.
+//! Plain PageRank on the citation graph, and [`pagerank_on_store`], the
+//! power-iteration entry point every walk in the ranking layer shares.
+//!
+//! PageRank is the citation walk of [`crate::time_weighted`] at ρ = 0
+//! with the uniform jump: [`PageRank::solve_ctx`] is
+//! [`citation_walk`]`(ctx, 0.0, Uniform, config)`.
 
 use crate::context::RankContext;
 use crate::diagnostics::Diagnostics;
 use crate::ranker::Ranker;
-use crate::telemetry::Stopwatch;
-use crate::telemetry::{RankOutput, SolveTelemetry};
+use crate::telemetry::RankOutput;
+use crate::time_weighted::citation_walk;
 use sgraph::stochastic::PowerIterationOpts;
-use sgraph::{CsrGraph, JumpVector, RowStochastic};
+use sgraph::JumpVector;
 
 /// PageRank parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,34 +91,14 @@ impl PageRank {
     }
 }
 
-/// Run damped power iteration on an arbitrary weighted graph and return
-/// `(scores, diagnostics)`. This is the kernel shared by PageRank, the
-/// time-weighted variant, P-Rank, and QRank's supernode walks.
-pub fn pagerank_on_graph(
-    g: &CsrGraph,
-    config: &PageRankConfig,
-    jump: JumpVector,
-) -> (Vec<f64>, Diagnostics) {
-    pagerank_on_graph_warm(g, config, jump, None)
-}
-
-/// [`pagerank_on_graph`] with an optional warm start (e.g. the scores of
-/// a previous corpus snapshot scattered into the new id space). A good
-/// warm start cuts iterations roughly in proportion to how little the
-/// graph changed; see the incremental-update experiment (R-Fig 8).
-pub fn pagerank_on_graph_warm(
-    g: &CsrGraph,
-    config: &PageRankConfig,
-    jump: JumpVector,
-    warm_start: Option<Vec<f64>>,
-) -> (Vec<f64>, Diagnostics) {
-    pagerank_on_store(&RowStochastic::new(g), config, jump, warm_start)
-}
-
-/// [`pagerank_on_graph_warm`] generalized over any [`sgraph::CsrStore`]
-/// backing — a [`RowStochastic`] over an in-RAM graph or an mmap-backed
-/// shard file. Both backings drive the identical power-iteration loop,
-/// so scores and iteration counts are bit-identical across them.
+/// Run damped power iteration over any [`sgraph::CsrStore`] and return
+/// `(scores, diagnostics)`: the one place the ranking layer maps a
+/// [`PageRankConfig`] onto the power iteration. The store is a
+/// [`sgraph::RowStochastic`] over an in-RAM graph, an mmap-backed shard
+/// file or QRank's factorised author walk; every backing drives the
+/// identical loop, so scores and iteration counts are bit-identical
+/// across them. `warm_start` (normalized internally) replaces the jump
+/// as the first iterate.
 pub fn pagerank_on_store<S: sgraph::CsrStore + ?Sized>(
     store: &S,
     config: &PageRankConfig,
@@ -142,13 +127,7 @@ impl Ranker for PageRank {
 
     fn solve_ctx(&self, ctx: &RankContext) -> RankOutput {
         self.config.assert_valid();
-        let built = Stopwatch::start();
-        let graph = ctx.citation_graph();
-        let build_secs = built.secs();
-        let solved = Stopwatch::start();
-        let (scores, diag) = pagerank_on_graph(graph, &self.config, JumpVector::Uniform);
-        let telemetry = SolveTelemetry::timed(&diag, build_secs, solved.secs());
-        RankOutput { scores, telemetry }
+        citation_walk(ctx, 0.0, JumpVector::Uniform, &self.config)
     }
 }
 

@@ -3,11 +3,15 @@
 //! Query-independent ranking is the headline, but the same machinery
 //! supports seeded exploration: "important articles *from the point of
 //! view of this reading list*". The teleport vector concentrates on the
-//! seed articles, optionally time-decayed.
+//! seed articles. The walk is the citation walk of
+//! [`crate::time_weighted`] at ρ = 0 with that seed jump, entered through
+//! [`citation_walk`] like PageRank's, so on a colstore context it sweeps
+//! the same unit-weight shard file.
 
 use crate::context::RankContext;
-use crate::diagnostics::Diagnostics;
-use crate::pagerank::{pagerank_on_graph, PageRankConfig};
+use crate::pagerank::PageRankConfig;
+use crate::telemetry::RankOutput;
+use crate::time_weighted::citation_walk;
 use scholar_corpus::{ArticleId, Corpus};
 use sgraph::JumpVector;
 
@@ -29,27 +33,18 @@ impl Default for PersonalizedConfig {
 }
 
 /// Rank all articles from the perspective of `seeds` (e.g. a reading
-/// list). Returns scores summing to 1, plus diagnostics.
+/// list) against a prepared context, so repeated seeded walks (or a
+/// seeded walk plus the global one) share the citation graph. Returns
+/// scores summing to 1, plus the solve's telemetry.
 ///
 /// # Panics
 /// Panics if `seeds` is empty, contains out-of-range ids, or `seed_mass`
 /// is not in (0, 1].
 pub fn personalized_pagerank(
-    corpus: &Corpus,
-    seeds: &[ArticleId],
-    config: &PersonalizedConfig,
-) -> (Vec<f64>, Diagnostics) {
-    personalized_pagerank_ctx(&RankContext::new(corpus), seeds, config)
-}
-
-/// [`personalized_pagerank`] against a prepared context, so repeated
-/// seeded walks (or a seeded walk plus the global one) share the citation
-/// graph.
-pub fn personalized_pagerank_ctx(
     ctx: &RankContext,
     seeds: &[ArticleId],
     config: &PersonalizedConfig,
-) -> (Vec<f64>, Diagnostics) {
+) -> RankOutput {
     assert!(!seeds.is_empty(), "need at least one seed article");
     assert!(config.seed_mass > 0.0 && config.seed_mass <= 1.0, "seed_mass must be in (0, 1]");
     let n = ctx.num_articles();
@@ -60,7 +55,7 @@ pub fn personalized_pagerank_ctx(
         assert!(s.index() < n, "seed {s} out of bounds");
         jump[s.index()] += per_seed;
     }
-    pagerank_on_graph(ctx.citation_graph(), &config.pagerank, JumpVector::weighted(jump))
+    citation_walk(ctx, 0.0, JumpVector::weighted(jump), &config.pagerank)
 }
 
 /// The `k` most related articles to the seed set, excluding the seeds
@@ -75,9 +70,8 @@ pub fn related_articles(
     config: &PersonalizedConfig,
 ) -> Vec<(ArticleId, f64)> {
     let ctx = RankContext::new(corpus);
-    let (pers, _) = personalized_pagerank_ctx(&ctx, seeds, config);
-    let (global, _) =
-        pagerank_on_graph(ctx.citation_graph(), &config.pagerank, JumpVector::Uniform);
+    let pers = personalized_pagerank(&ctx, seeds, config).scores;
+    let global = citation_walk(&ctx, 0.0, JumpVector::Uniform, &config.pagerank).scores;
     let mut lift: Vec<(ArticleId, f64)> = (0..corpus.num_articles())
         .filter(|i| !seeds.iter().any(|s| s.index() == *i))
         .map(|i| (ArticleId(i as u32), pers[i] - global[i]))
@@ -108,8 +102,10 @@ mod tests {
     #[test]
     fn mass_concentrates_near_seeds() {
         let c = chain_corpus();
-        let (s, d) = personalized_pagerank(&c, &[ArticleId(2)], &Default::default());
-        assert!(d.converged);
+        let out =
+            personalized_pagerank(&RankContext::new(&c), &[ArticleId(2)], &Default::default());
+        let s = out.scores;
+        assert!(out.telemetry.converged);
         assert!((s.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         // The seeded chain dominates the other chain.
         let seeded: f64 = s[0] + s[1] + s[2];
@@ -132,7 +128,12 @@ mod tests {
     #[test]
     fn multiple_seeds_split_mass() {
         let c = chain_corpus();
-        let (s, _) = personalized_pagerank(&c, &[ArticleId(2), ArticleId(5)], &Default::default());
+        let s = personalized_pagerank(
+            &RankContext::new(&c),
+            &[ArticleId(2), ArticleId(5)],
+            &Default::default(),
+        )
+        .scores;
         let left: f64 = s[0] + s[1] + s[2];
         let right: f64 = s[3] + s[4] + s[5];
         assert!((left - right).abs() < 1e-9, "symmetric seeds ⇒ symmetric mass");
@@ -141,12 +142,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one seed")]
     fn empty_seeds_panics() {
-        personalized_pagerank(&chain_corpus(), &[], &Default::default());
+        personalized_pagerank(&RankContext::new(&chain_corpus()), &[], &Default::default());
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn bad_seed_panics() {
-        personalized_pagerank(&chain_corpus(), &[ArticleId(99)], &Default::default());
+        personalized_pagerank(
+            &RankContext::new(&chain_corpus()),
+            &[ArticleId(99)],
+            &Default::default(),
+        );
     }
 }

@@ -15,13 +15,13 @@
 
 use crate::context::RankContext;
 use crate::diagnostics::Diagnostics;
-use crate::pagerank::{pagerank_on_graph, PageRankConfig};
+use crate::pagerank::{pagerank_on_store, PageRankConfig};
 use crate::ranker::Ranker;
 use crate::telemetry::Stopwatch;
 use crate::telemetry::{RankOutput, SolveTelemetry};
 use scholar_corpus::model::author_position_weights;
 use scholar_corpus::Rows;
-use sgraph::{CsrGraph, GraphBuilder, JumpVector, NodeId};
+use sgraph::{CsrGraph, GraphBuilder, JumpVector, NodeId, RowStochastic};
 
 /// P-Rank parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,7 +108,8 @@ impl PRank {
             };
         }
         let g = self.combined_graph(store);
-        let (scores, diagnostics) = pagerank_on_graph(&g, &cfg.pagerank, JumpVector::Uniform);
+        let (scores, diagnostics) =
+            pagerank_on_store(&RowStochastic::new(&g), &cfg.pagerank, JumpVector::Uniform, None);
 
         let mut article_scores = scores[..np as usize].to_vec();
         let mut author_scores = scores[np as usize..(np + na) as usize].to_vec();

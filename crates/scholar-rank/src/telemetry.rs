@@ -81,12 +81,6 @@ impl SolveTelemetry {
     }
 }
 
-impl From<Diagnostics> for SolveTelemetry {
-    fn from(d: Diagnostics) -> Self {
-        SolveTelemetry::from_diagnostics(&d)
-    }
-}
-
 /// One ranker solve: the normalized article scores plus how the solve
 /// went. Returned by [`crate::ranker::Ranker::solve_ctx`].
 #[derive(Debug, Clone, PartialEq)]

@@ -11,13 +11,18 @@
 //! * **Recency-personalized jump** — the teleport vector favors recent
 //!   articles: `j(v) ∝ exp(-τ·(T_now − year(v)))`. `τ = 0` recovers the
 //!   uniform jump.
+//!
+//! Plain PageRank (ρ = 0, τ = 0), CiteRank (ρ = 0, τ = 1/τ_dir) and
+//! personalized PageRank (ρ = 0, a seed jump) are configurations of this
+//! one walk: each enters it through [`citation_walk`].
 
-use crate::context::RankContext;
-use crate::pagerank::{pagerank_on_graph, pagerank_on_store, PageRankConfig};
+use crate::context::{DecayedPlan, RankContext};
+use crate::pagerank::{pagerank_on_store, PageRankConfig};
 use crate::ranker::Ranker;
 use crate::telemetry::Stopwatch;
 use crate::telemetry::{RankOutput, SolveTelemetry};
 use scholar_corpus::Year;
+use sgraph::{JumpVector, RowStochastic};
 
 /// TWPR parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,26 +125,37 @@ impl Ranker for TimeWeightedPageRank {
 
     fn solve_ctx(&self, ctx: &RankContext) -> RankOutput {
         self.config.assert_valid();
-        if ctx.num_articles() == 0 {
-            return RankOutput::closed_form(Vec::new());
-        }
         let now = self.config.now.unwrap_or_else(|| ctx.now());
-        let built = Stopwatch::start();
-        let plan = ctx.decayed_plan(self.config.rho);
-        let build_secs = built.secs();
-        let solved = Stopwatch::start();
         let jump = ctx.recency_jump(self.config.tau, now);
-        let (scores, diag) = match &plan {
-            crate::context::DecayedPlan::Dense(decayed) => {
-                pagerank_on_graph(&decayed.graph, &self.config.pagerank, jump)
-            }
-            crate::context::DecayedPlan::Partitioned(shards) => {
-                pagerank_on_store(&**shards, &self.config.pagerank, jump, None)
-            }
-        };
-        let telemetry = SolveTelemetry::timed(&diag, build_secs, solved.secs());
-        RankOutput { scores, telemetry }
+        citation_walk(ctx, self.config.rho, jump, &self.config.pagerank)
     }
+}
+
+/// The citation walk: damped power iteration with teleport `jump` over
+/// the context's citation graph decayed at rate `rho` (`rho = 0` is the
+/// unit graph). It walks [`RankContext::decayed_plan`], so a colstore
+/// context sweeps the `rho` shard file and never builds the dense graph.
+/// Telemetry splits the plan's open-or-build from the iteration.
+pub fn citation_walk(
+    ctx: &RankContext,
+    rho: f64,
+    jump: JumpVector,
+    config: &PageRankConfig,
+) -> RankOutput {
+    if ctx.num_articles() == 0 {
+        return RankOutput::closed_form(Vec::new());
+    }
+    let built = Stopwatch::start();
+    let plan = ctx.decayed_plan(rho);
+    let build_secs = built.secs();
+    let solved = Stopwatch::start();
+    let (scores, diag) = match &plan {
+        DecayedPlan::Dense(decayed) => {
+            pagerank_on_store(&RowStochastic::new(&decayed.graph), config, jump, None)
+        }
+        DecayedPlan::Partitioned(shards) => pagerank_on_store(&**shards, config, jump, None),
+    };
+    RankOutput { scores, telemetry: SolveTelemetry::timed(&diag, build_secs, solved.secs()) }
 }
 
 #[cfg(test)]
@@ -156,8 +172,7 @@ mod tests {
             TimeWeightedPageRank::new(TwprConfig { rho: 0.0, tau: 0.0, ..Default::default() })
                 .rank(&c);
         let pr = PageRank::default().rank(&c);
-        let diff: f64 = twpr.iter().zip(&pr).map(|(a, b)| (a - b).abs()).sum();
-        assert!(diff < 1e-9, "TWPR(0,0) must equal PageRank, diff {diff}");
+        assert_eq!(twpr, pr, "TWPR(0,0) is PageRank, bit for bit");
     }
 
     #[test]

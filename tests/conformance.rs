@@ -7,9 +7,10 @@ use scholar::core::{grow_corpus, IncrementalRanker};
 use scholar::corpus::model::{Article, ArticleId, AuthorId};
 use scholar::corpus::CorpusBuilder;
 use scholar::rank::{
-    fuse_scores, rescale_by_years, AgeNormalizedCitations, CiteRankConfig, DecayedPlan,
-    FusedRanker, FusionRule, FutureRankConfig, Hits, HitsConfig, MonteCarloPageRank, PRankConfig,
-    PageRankConfig, RankContext, RecentCitations, RescaledRanker, TwprConfig,
+    fuse_scores, personalized_pagerank, rescale_by_years, AgeNormalizedCitations, CiteRankConfig,
+    DecayedPlan, FusedRanker, FusionRule, FutureRankConfig, Hits, HitsConfig, MonteCarloPageRank,
+    PRankConfig, PageRankConfig, PersonalizedConfig, RankContext, RankOutput, RecentCitations,
+    RescaledRanker, TwprConfig,
 };
 use scholar::{
     CitationCount, CiteRank, ColStore, Corpus, FutureRank, MixParams, PRank, PageRank, Preset,
@@ -103,15 +104,18 @@ fn repeated_solves_on_one_context_are_bitwise_stable() {
 #[test]
 fn full_suite_builds_the_citation_graph_exactly_once() {
     let corpus = Preset::Tiny.generate(5);
-    assert_eq!(corpus.citation_graph_builds(), 0);
     let ctx = RankContext::new(&corpus);
+    let unit = ctx.citation_graph();
     for ranker in registered_rankers() {
         let _ = ranker.rank_ctx(&ctx);
     }
-    assert_eq!(
-        corpus.citation_graph_builds(),
-        1,
+    assert!(
+        std::sync::Arc::ptr_eq(&unit, &ctx.citation_graph()),
         "a shared-context suite must derive the citation CSR exactly once"
+    );
+    assert!(
+        std::sync::Arc::ptr_eq(&unit, &ctx.decayed_citation(0.0)),
+        "the unit citation CSR is the ρ = 0 decayed graph"
     );
 }
 
@@ -143,11 +147,7 @@ fn full_order(scores: &[f64]) -> Vec<usize> {
 fn mmap_backend_is_score_identical_to_ram() {
     for seed in [3, 12] {
         let corpus = Preset::Tiny.generate(seed);
-        let dir =
-            std::env::temp_dir().join(format!("scholar-conformance-{}-{seed}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        corpus.write_colstore(&dir).unwrap();
-        let store = scholar::corpus::colstore::ColStore::open(&dir).unwrap();
+        let (dir, store) = colstore_of(&corpus, &format!("seed{seed}"));
 
         let ram = RankContext::new(&corpus);
         let mmap = RankContext::from_colstore(&store);
@@ -184,11 +184,7 @@ fn mmap_backend_is_score_identical_to_ram() {
 #[test]
 fn qrank_engine_matches_across_backends() {
     let corpus = Preset::Tiny.generate(21);
-    let dir =
-        std::env::temp_dir().join(format!("scholar-conformance-qrank-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    corpus.write_colstore(&dir).unwrap();
-    let store = scholar::corpus::colstore::ColStore::open(&dir).unwrap();
+    let (dir, store) = colstore_of(&corpus, "qrank");
 
     let cfg = scholar::QRankConfig::default();
     let mix = scholar::MixParams::from_config(&cfg);
@@ -223,12 +219,7 @@ fn qrank_engine_matches_across_backends() {
 /// context while QRank builds its dense graph from the store's rows.
 #[test]
 fn qrank_inner_walk_is_the_standalone_twpr_solve() {
-    let dir =
-        std::env::temp_dir().join(format!("scholar-conformance-inner-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    scholar::corpus::generator::generate_mag_scale(&dir, 5000, 36).unwrap();
-    let store = ColStore::open(&dir).unwrap();
-    let corpus = store.materialize().unwrap();
+    let (dir, store, corpus) = mag_scale_5k("inner", 36);
     let qrank = QRank::default().run(&corpus);
     assert!(qrank.twpr_diagnostics.converged);
 
@@ -236,10 +227,7 @@ fn qrank_inner_walk_is_the_standalone_twpr_solve() {
         [("ram", RankContext::new(&corpus)), ("colstore", RankContext::from_colstore(&store))];
     for (backend, ctx) in contexts {
         if backend == "colstore" {
-            match ctx.decayed_plan(TwprConfig::default().rho) {
-                DecayedPlan::Partitioned(csr) => assert!(csr.num_shards() > 1, "one shard"),
-                DecayedPlan::Dense(_) => panic!("a colstore context must plan a shard file"),
-            }
+            assert_sharded(&ctx, TwprConfig::default().rho);
         }
         let twpr = TimeWeightedPageRank::default().solve_ctx(&ctx);
         assert_eq!(bits(&qrank.twpr_scores), bits(&twpr.scores), "{backend}: scores");
@@ -252,16 +240,58 @@ fn qrank_inner_walk_is_the_standalone_twpr_solve() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// An empty temp dir of this process named for `tag` (every
+/// non-alphanumeric becomes `-`).
+fn fresh_dir(tag: &str) -> std::path::PathBuf {
+    let tag = tag.replace(|c: char| !c.is_ascii_alphanumeric(), "-");
+    let dir =
+        std::env::temp_dir().join(format!("scholar-conformance-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// `corpus` written as a colstore in [`fresh_dir`]`(tag)`, and opened.
+fn colstore_of(corpus: &Corpus, tag: &str) -> (std::path::PathBuf, ColStore) {
+    let dir = fresh_dir(tag);
+    corpus.write_colstore(&dir).unwrap();
+    let store = ColStore::open(&dir).unwrap();
+    (dir, store)
+}
+
+/// A 5,000-article MAG-scale colstore (more than one shard at
+/// `decayed_plan`'s shard size) in [`fresh_dir`]`(tag)`, opened, and the
+/// same corpus materialized in RAM.
+fn mag_scale_5k(tag: &str, seed: u64) -> (std::path::PathBuf, ColStore, Corpus) {
+    let dir = fresh_dir(tag);
+    scholar::corpus::generator::generate_mag_scale(&dir, 5000, seed).unwrap();
+    let store = ColStore::open(&dir).unwrap();
+    let corpus = store.materialize().unwrap();
+    (dir, store, corpus)
+}
+
+/// Panics unless `ctx` plans decay rate `rho` as a multi-shard file.
+fn assert_sharded(ctx: &RankContext, rho: f64) {
+    match ctx.decayed_plan(rho) {
+        DecayedPlan::Partitioned(csr) => assert!(csr.num_shards() > 1, "one shard"),
+        DecayedPlan::Dense(_) => panic!("a colstore context must plan a shard file"),
+    }
+}
+
+/// `got` is the solve `want` is: the same score bits, residuals and
+/// iteration count.
+fn assert_same_solve(label: &str, got: &RankOutput, want: &RankOutput) {
+    assert_eq!(bits(&got.scores), bits(&want.scores), "{label}: scores");
+    assert_eq!(got.telemetry.residuals, want.telemetry.residuals, "{label}: residuals");
+    assert_eq!(got.telemetry.iterations, want.telemetry.iterations, "{label}: iterations");
+}
+
 /// TWPR on the mmap backend solves through the *partitioned* shard file
 /// (not a dense operator rebuilt in RAM); the shard cache must appear in
 /// the store directory and a second context must reuse it.
 #[test]
 fn mmap_twpr_materializes_and_reuses_the_shard_cache() {
     let corpus = Preset::Tiny.generate(33);
-    let dir = std::env::temp_dir().join(format!("scholar-conformance-scsr-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    corpus.write_colstore(&dir).unwrap();
-    let store = scholar::corpus::colstore::ColStore::open(&dir).unwrap();
+    let (dir, store) = colstore_of(&corpus, "scsr");
 
     let ranker = scholar::TimeWeightedPageRank::default();
     let baseline = ranker.rank(&corpus);
@@ -292,11 +322,7 @@ fn mmap_twpr_materializes_and_reuses_the_shard_cache() {
 /// the same score bits, residuals and iterations.
 #[test]
 fn mmap_twpr_is_the_sequential_ram_solve_at_every_thread_count() {
-    let dir = std::env::temp_dir().join(format!("scholar-conformance-par-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    scholar::corpus::generator::generate_mag_scale(&dir, 5000, 35).unwrap();
-    let store = ColStore::open(&dir).unwrap();
-    let corpus = store.materialize().unwrap();
+    let (dir, store, corpus) = mag_scale_5k("par", 35);
     let twpr = |threads| {
         TimeWeightedPageRank::new(TwprConfig {
             pagerank: PageRankConfig { threads, ..PageRankConfig::default() },
@@ -306,15 +332,32 @@ fn mmap_twpr_is_the_sequential_ram_solve_at_every_thread_count() {
     let ram = twpr(1).solve_ctx(&RankContext::new(&corpus));
     for threads in [1, 2, 8] {
         let ctx = RankContext::from_colstore(&store);
-        match ctx.decayed_plan(twpr(threads).config.rho) {
-            DecayedPlan::Partitioned(csr) => assert!(csr.num_shards() > 1, "one shard"),
-            DecayedPlan::Dense(_) => panic!("a colstore context must plan a shard file"),
-        }
-        let mmap = twpr(threads).solve_ctx(&ctx);
-        assert_eq!(bits(&mmap.scores), bits(&ram.scores), "{threads} threads");
-        assert_eq!(mmap.telemetry.residuals, ram.telemetry.residuals, "{threads} threads");
-        assert_eq!(mmap.telemetry.iterations, ram.telemetry.iterations, "{threads} threads");
+        assert_sharded(&ctx, twpr(threads).config.rho);
+        assert_same_solve(&format!("{threads} threads"), &twpr(threads).solve_ctx(&ctx), &ram);
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// PageRank, CiteRank and personalized PageRank are the citation walk at
+/// ρ = 0: on a colstore context each sweeps the unit-weight shard file,
+/// and each is the RAM context's dense walk, bit for bit.
+#[test]
+fn rho_zero_walks_are_the_ram_solve_on_a_colstore_context() {
+    let (dir, store, corpus) = mag_scale_5k("rho0", 37);
+    let (ram, mmap) = (RankContext::new(&corpus), RankContext::from_colstore(&store));
+    assert_sharded(&mmap, 0.0);
+    let rankers: [Box<dyn Ranker>; 2] =
+        [Box::new(PageRank::default()), Box::new(CiteRank::default())];
+    for ranker in rankers {
+        let want = ranker.solve_ctx(&ram);
+        assert!(want.telemetry.converged, "{}", ranker.name());
+        assert_same_solve(&ranker.name(), &ranker.solve_ctx(&mmap), &want);
+    }
+    let seeds = [ArticleId(7), ArticleId(2500), ArticleId(4999)];
+    let cfg = PersonalizedConfig::default();
+    let want = personalized_pagerank(&ram, &seeds, &cfg);
+    assert!(want.telemetry.converged);
+    assert_same_solve("personalized", &personalized_pagerank(&mmap, &seeds, &cfg), &want);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -325,10 +368,7 @@ fn mmap_twpr_is_the_sequential_ram_solve_at_every_thread_count() {
 #[test]
 fn a_version_1_shard_cache_is_refused_and_rebuilt() {
     let corpus = Preset::Tiny.generate(34);
-    let dir = std::env::temp_dir().join(format!("scholar-conformance-v1-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    corpus.write_colstore(&dir).unwrap();
-    let store = ColStore::open(&dir).unwrap();
+    let (dir, store) = colstore_of(&corpus, "v1");
 
     let ranker = TimeWeightedPageRank::default();
     let fresh = ranker.solve_ctx(&RankContext::from_colstore(&store));
@@ -355,8 +395,7 @@ fn a_version_1_shard_cache_is_refused_and_rebuilt() {
 /// deleted the other's files mid-build.
 #[test]
 fn concurrent_solves_on_one_colstore_context_build_the_shard_file_once() {
-    let dir = std::env::temp_dir().join(format!("scholar-conformance-race-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = fresh_dir("race");
     scholar::corpus::generator::generate_mag_scale(&dir, 20_000, 36).unwrap();
     let store = ColStore::open(&dir).unwrap();
     let ctx = RankContext::from_colstore(&store);
@@ -466,14 +505,7 @@ fn assert_factorised_matches_materialised<V: Rows + ?Sized>(
 /// [`assert_factorised_matches_materialised`] through both `Rows`
 /// backends, which must then agree with each other by bits.
 fn assert_factorised_on_both_backends(label: &str, corpus: &Corpus, cfg: &QRankConfig) {
-    let dir = std::env::temp_dir().join(format!(
-        "scholar-conformance-factorised-{}-{}",
-        std::process::id(),
-        label.replace(|c: char| !c.is_ascii_alphanumeric(), "-")
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    corpus.write_colstore(&dir).unwrap();
-    let store = ColStore::open(&dir).unwrap();
+    let (dir, store) = colstore_of(corpus, &format!("factorised-{label}"));
     let (ram_su, ram) = assert_factorised_matches_materialised(label, corpus, cfg);
     let (mm_su, mm) =
         assert_factorised_matches_materialised(&format!("{label} (colstore)"), &store, cfg);
@@ -750,14 +782,7 @@ fn assert_edges_on<V: Rows + ?Sized>(label: &str, view: &V, ctx: &RankContext, c
 #[test]
 fn every_walk_survives_the_numerical_edges() {
     for (name, corpus) in edge_cases() {
-        let dir = std::env::temp_dir().join(format!(
-            "scholar-conformance-edges-{}-{}",
-            std::process::id(),
-            name.replace(|c: char| !c.is_ascii_alphanumeric(), "-")
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        corpus.write_colstore(&dir).unwrap();
-        let store = ColStore::open(&dir).unwrap();
+        let (dir, store) = colstore_of(&corpus, &format!("edges-{name}"));
         let last = corpus.year_range().map_or(2000, |(_, last)| last);
         for (point, cfg) in edge_points(last) {
             let label = format!("{name}, {point}");
@@ -881,7 +906,8 @@ fn solved(res: PowerIterationResult) -> Solved {
 fn future_rank_by_copying(ctx: &RankContext) -> Solved {
     let cfg = FutureRankConfig::default();
     let n = ctx.num_articles();
-    let op = oracle::RowStochastic::new(ctx.citation_graph());
+    let citation = ctx.citation_graph();
+    let op = oracle::RowStochastic::new(&citation.graph);
     let authorship = ctx.authorship();
     let time_vec = ctx.recency_jump(cfg.rho, ctx.now()).to_dense(n);
     let delta = (1.0 - cfg.alpha - cfg.beta - cfg.gamma).max(0.0);
@@ -924,7 +950,8 @@ fn qrank_by_copying(ctx: &RankContext) -> (QRankEngine, usize, bool) {
 /// nothing, and a panic for one this table does not know yet.
 fn under_copying_operator(name: &str, ctx: &RankContext) -> Option<Solved> {
     let pagerank = || {
-        solved(copying_walk(ctx.citation_graph(), JumpVector::Uniform, &PageRankConfig::default()))
+        let unit = &ctx.citation_graph().graph;
+        solved(copying_walk(unit, JumpVector::Uniform, &PageRankConfig::default()))
     };
     Some(match name {
         "CitCount" | "HITS" | "CitPerYear" => return None,
@@ -964,7 +991,7 @@ fn under_copying_operator(name: &str, ctx: &RankContext) -> Option<Solved> {
                 max_iter: cfg.max_iter,
                 threads: 1,
             };
-            solved(copying_walk(ctx.citation_graph(), jump, &pr))
+            solved(copying_walk(&ctx.citation_graph().graph, jump, &pr))
         }
         "Rescaled[PageRank](5y)" => {
             let (scores, iterations, converged) = pagerank();
@@ -993,11 +1020,7 @@ fn assert_close_to(label: &str, got: &[f64], want: &[f64]) {
 
 /// The whole row on `corpus`, through both `Rows` backends.
 fn assert_borrowing_matches_copying(label: &str, corpus: &Corpus) {
-    let dir = std::env::temp_dir()
-        .join(format!("scholar-conformance-copying-{}-{label}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    corpus.write_colstore(&dir).unwrap();
-    let store = ColStore::open(&dir).unwrap();
+    let (dir, store) = colstore_of(corpus, &format!("copying-{label}"));
     let oracle_ctx = RankContext::new(corpus);
     let backends =
         [("ram", RankContext::new(corpus)), ("colstore", RankContext::from_colstore(&store))];
@@ -1061,9 +1084,7 @@ fn borrowing_operator_matches_the_copying_operator_on_dblp() {
 #[test]
 #[ignore = "200k-article store; run in release builds"]
 fn scsr_oracle_matches_decayed_plan_on_a_mag_scale_store() {
-    let dir = std::env::temp_dir()
-        .join(format!("scholar-conformance-scsr-oracle-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = fresh_dir("scsr-oracle");
     scholar::corpus::generator::generate_mag_scale(&dir, 200_000, 7303).unwrap();
     let store = ColStore::open(&dir).unwrap();
     let rho = TimeWeightedPageRank::default().config.rho;
@@ -1162,9 +1183,7 @@ fn awkward_scores(corpus: &Corpus) -> QRankResult {
 /// oracle round-trips: every article field (merit by bits), both name
 /// tables, and every score bit.
 fn assert_state_matches_snapv1(label: &str, corpus: &Corpus, result: &QRankResult, wal_seq: u64) {
-    let base = std::env::temp_dir()
-        .join(format!("scholar-conformance-snapv1-{}-{label}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
+    let base = fresh_dir(&format!("snapv1-{label}"));
     let (v1, v2) = (base.join("v1"), base.join("v2"));
     oracle::snapv1::write_snapshot(&v1, corpus, result, wal_seq).unwrap();
     let want = oracle::snapv1::load_snapshot(&v1).unwrap();
