@@ -67,7 +67,7 @@ fn main() {
     ] {
         for sigma in [0.0, 3.0] {
             let cfg = QRankConfig::default().with_lambdas(lp, lv, lu).with_maturity(sigma);
-            let result = engine.solve_with(&MixParams::from_config(&cfg), None, &mut scratch);
+            let result = engine.solve_with(&MixParams::from_config(&cfg), &mut scratch);
             table.row(vec![
                 format!("λ=({lp:.2},{lv:.2},{lu:.2}) σ={sigma:.0}"),
                 fmt_metric(pairwise_accuracy_auto(&truth.values, &result.article_scores, 0xfeed)),

@@ -226,8 +226,7 @@ pub fn fig2() -> SeriesSet {
                 series.push(f64::NAN);
             } else {
                 let cfg = QRankConfig::default().with_lambdas(lp, lv, lu.max(0.0));
-                let res =
-                    engine.solve_with(&scholar::MixParams::from_config(&cfg), None, &mut scratch);
+                let res = engine.solve_with(&scholar::MixParams::from_config(&cfg), &mut scratch);
                 series.push(scholar::eval::metrics::pairwise_accuracy_auto(
                     &truth.values,
                     &res.article_scores,
@@ -393,9 +392,22 @@ pub fn fig7() -> SeriesSet {
     fig
 }
 
-/// R-Fig 8: incremental updates — inner-walk iterations needed per yearly
-/// corpus growth step, cold start vs warm start from the previous year's
-/// scores.
+/// The power iteration on `ctx`'s TWPR walk at the default parameters and
+/// tolerance `tol`: what R-Figs 8 and 9 compare the reverse sweep with.
+fn twpr_power_iteration(ctx: &RankContext, tol: f64) -> sgraph::stochastic::PowerIterationResult {
+    use sgraph::stochastic::PowerIterationOpts;
+    let cfg = scholar::rank::TwprConfig::default();
+    let graph = &ctx.decayed_citation(cfg.rho).graph;
+    sgraph::RowStochastic::new(graph).stationary(&PowerIterationOpts {
+        jump: ctx.recency_jump(cfg.tau, ctx.now()),
+        tol,
+        ..Default::default()
+    })
+}
+
+/// R-Fig 8: incremental updates — inner-walk iterations per yearly corpus
+/// growth step: the reverse sweep every publish runs, against the power
+/// iteration to the same tolerance.
 pub fn fig8() -> SeriesSet {
     use scholar::corpus::snapshot_until;
     let c = corpus(Preset::AanLike);
@@ -403,37 +415,22 @@ pub fn fig8() -> SeriesSet {
     let years: Vec<i32> = ((last - 6)..=last).collect();
     let config = scholar::QRankConfig::default();
 
-    let mut cold_iters = Vec::new();
-    let mut warm_iters = Vec::new();
-    let mut prev: Option<(scholar::corpus::Snapshot, Vec<f64>)> = None;
+    let (mut power_iters, mut sweep_iters) = (Vec::new(), Vec::new());
     for &y in &years {
         let snap = snapshot_until(&c, y);
-        let cold = QRank::new(config.clone()).run(&snap.corpus);
-        cold_iters.push(cold.twpr_diagnostics.iterations as f64);
-        match &prev {
-            None => warm_iters.push(f64::NAN),
-            Some((prev_snap, prev_scores)) => {
-                // Map last year's scores into this year's id space.
-                let mut warm = vec![0.0; snap.corpus.num_articles()];
-                for (i, &score) in prev_scores.iter().enumerate() {
-                    let full_id = prev_snap.full_of[i];
-                    if let Some(id) = snap.to_snapshot(full_id) {
-                        warm[id.index()] = score;
-                    }
-                }
-                let warm_run = QRank::new(config.clone()).run_warm(&snap.corpus, Some(warm));
-                warm_iters.push(warm_run.twpr_diagnostics.iterations as f64);
-            }
-        }
-        prev = Some((snap, cold.article_scores));
+        let ctx = RankContext::new(&snap.corpus);
+        let power = twpr_power_iteration(&ctx, config.twpr.pagerank.tol);
+        power_iters.push(power.iterations as f64);
+        let swept = QRank::new(config.clone()).run(&snap.corpus);
+        sweep_iters.push(swept.twpr_diagnostics.iterations as f64);
     }
     let mut fig = SeriesSet::new(
-        "R-Fig 8 [AAN-like]: inner-walk iterations per yearly update, cold vs warm start",
+        "R-Fig 8 [AAN-like]: inner-walk iterations per yearly update, power iteration vs reverse sweep",
         "snapshot year",
         years.iter().map(|&y| y as f64).collect(),
     );
-    fig.add("cold start", cold_iters);
-    fig.add("warm start", warm_iters);
+    fig.add("power iteration", power_iters);
+    fig.add("reverse sweep", sweep_iters);
     fig
 }
 
@@ -517,31 +514,78 @@ pub fn significance() -> Table {
     t
 }
 
-/// R-Fig 9: solver comparison — L1 residual per iteration/sweep for power
-/// iteration vs Gauss–Seidel on the AAN-like citation graph.
+/// The reverse sweep on `ctx`'s TWPR walk at tolerance `tol` with article
+/// `i` renumbered `new_id[i]`: how the pass count depends on the ids
+/// following publication order.
+fn twpr_sweep_renumbered(
+    ctx: &RankContext,
+    tol: f64,
+    new_id: &[u32],
+) -> sgraph::stochastic::PowerIterationResult {
+    use sgraph::stochastic::{JumpVector, PowerIterationOpts};
+    let cfg = scholar::rank::TwprConfig::default();
+    let graph = &ctx.decayed_citation(cfg.rho).graph;
+    let mut b = sgraph::GraphBuilder::new(graph.num_nodes());
+    for e in graph.edges() {
+        let (u, v) = (new_id[e.src.index()], new_id[e.dst.index()]);
+        b.add_edge(sgraph::NodeId(u), sgraph::NodeId(v), e.weight);
+    }
+    let renumbered = b.build();
+    let jump = ctx.recency_jump(cfg.tau, ctx.now()).to_dense(new_id.len());
+    let mut moved = vec![0.0; jump.len()];
+    for (i, &j) in new_id.iter().enumerate() {
+        moved[j as usize] = jump[i];
+    }
+    let opts = PowerIterationOpts { jump: JumpVector::weighted(moved), tol, ..Default::default() };
+    sgraph::reverse_sweep(&sgraph::RowStochastic::new(&renumbered), &opts)
+}
+
+/// R-Fig 9: solver comparison — L1 residual per iteration (power
+/// iteration) or per pass (reverse sweep, whose last entry is its residual
+/// step) on the AAN-like TWPR walk; the sweep also on the same walk with
+/// the article ids shuffled and reversed (newest first), where citations
+/// no longer run from larger ids to smaller ones.
 pub fn fig9() -> SeriesSet {
-    use sgraph::solver::{gauss_seidel, GaussSeidelOpts};
-    use sgraph::stochastic::PowerIterationOpts;
     let c = corpus(Preset::AanLike);
-    let g = c.citation_graph();
-    let power = sgraph::RowStochastic::new(&g)
-        .stationary(&PowerIterationOpts { tol: 1e-12, ..Default::default() });
-    let gs = gauss_seidel(&g, &GaussSeidelOpts { tol: 1e-12, ..Default::default() });
-    let max_pts = 40usize.min(power.residuals.len().max(gs.residuals.len()));
-    let pad = |mut v: Vec<f64>| -> Vec<f64> {
-        v.truncate(max_pts);
-        while v.len() < max_pts {
-            v.push(f64::NAN);
-        }
-        v
+    let ctx = RankContext::new(&c);
+    let power = twpr_power_iteration(&ctx, 1e-12);
+    let sweep = TimeWeightedPageRank::new(scholar::rank::TwprConfig {
+        pagerank: scholar::rank::PageRankConfig { tol: 1e-12, ..Default::default() },
+        ..Default::default()
+    })
+    .solve_ctx(&ctx)
+    .telemetry;
+    let n = c.num_articles() as u32;
+    // A fixed pseudo-random order: ids sorted by a SplitMix64 hash.
+    let mix = |i: u32| {
+        let mut x = (i as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
     };
+    let mut order: Vec<u32> = (0..n).collect();
+    order.sort_by_key(|&i| mix(i));
+    let mut shuffled = vec![0u32; n as usize];
+    for (k, &i) in order.iter().enumerate() {
+        shuffled[i as usize] = k as u32;
+    }
+    let newest_first: Vec<u32> = (0..n).rev().collect();
+    let series = [
+        ("power iteration", power.residuals),
+        ("reverse sweep", sweep.residuals),
+        ("sweep, shuffled ids", twpr_sweep_renumbered(&ctx, 1e-12, &shuffled).residuals),
+        ("sweep, newest-first ids", twpr_sweep_renumbered(&ctx, 1e-12, &newest_first).residuals),
+    ];
+    let max_pts = 40usize.min(series.iter().map(|(_, r)| r.len()).max().unwrap_or(0));
     let mut fig = SeriesSet::new(
-        "R-Fig 9 [AAN-like]: solver comparison, L1 residual per iteration (d = 0.85)",
+        "R-Fig 9 [AAN-like]: solver comparison, L1 residual per iteration or pass (d = 0.85)",
         "iteration",
         (1..=max_pts).map(|i| i as f64).collect(),
     );
-    fig.add("power iteration", pad(power.residuals));
-    fig.add("Gauss-Seidel", pad(gs.residuals));
+    for (name, mut residuals) in series {
+        residuals.resize(max_pts, f64::NAN);
+        fig.add(name, residuals);
+    }
     fig
 }
 

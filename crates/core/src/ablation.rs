@@ -126,7 +126,7 @@ impl Ablation {
                         engines.last().unwrap()
                     }
                 };
-                let res = engine.solve_with(&MixParams::from_config(&cfg), None, &mut scratch);
+                let res = engine.solve_with(&MixParams::from_config(&cfg), &mut scratch);
                 (ab, res)
             })
             .collect()

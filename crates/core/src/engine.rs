@@ -32,7 +32,7 @@ use crate::hetnet::HetNet;
 use crate::qrank::QRankResult;
 use scholar_corpus::rows::{self, Rows};
 use scholar_rank::diagnostics::Diagnostics;
-use scholar_rank::pagerank::pagerank_on_store;
+use scholar_rank::pagerank::{pagerank_on_store, sweep_on_store};
 use sgraph::stochastic::{blend_into, l1_distance, normalize_l1};
 use sgraph::{JumpVector, ProjectedWalk, RowStochastic};
 use std::ops::Range;
@@ -120,7 +120,6 @@ pub struct SolveScratch {
     venue_term: Vec<f64>,
     author_term: Vec<f64>,
     weights: Vec<(f64, f64, f64)>,
-    warm_twpr: Vec<f64>,
 }
 
 impl SolveScratch {
@@ -158,10 +157,9 @@ pub struct QRankEngine {
     now: i32,
     net: HetNet,
     jump: JumpVector,
-    /// Cold TWPR stationary + diagnostics; computed on first use so a
-    /// purely warm-started engine (incremental re-ranking) never pays for
-    /// the cold walk.
-    twpr_cold: OnceLock<(Vec<f64>, Diagnostics)>,
+    /// TWPR stationary + diagnostics; computed on the first solve, so a
+    /// plan built only to be grown or explained never pays for the walk.
+    inner_walk: OnceLock<(Vec<f64>, Diagnostics)>,
     /// Normalized structural venue stationary.
     sv: Vec<f64>,
     /// Normalized structural author stationary.
@@ -210,8 +208,7 @@ impl QRankEngine {
     /// a restart, built (DESIGN.md §2.4, "Growing a plan").
     ///
     /// Only the network is patched ([`HetNet::extend`]); the structural
-    /// walks (cold, as in `build`: a warm start would make scores depend
-    /// on how the plan came to be), `now`, the jump vector,
+    /// walks (solved as in `build`), `now`, the jump vector,
     /// the ages and the partitions are derived from it by the code `build`
     /// runs. The caller vouches that the retained articles are unchanged
     /// ([`crate::IncrementalRanker::extend`] checks). Consumes the plan, so
@@ -232,12 +229,12 @@ impl QRankEngine {
 
         let pr = &config.twpr.pagerank;
         let venue_walk = RowStochastic::new(&net.venue_graph);
-        let (mut sv, _) = pagerank_on_store(&venue_walk, pr, JumpVector::Uniform, None);
+        let (mut sv, _) = pagerank_on_store(&venue_walk, pr, JumpVector::Uniform);
         // G_U = B_U·G_A·B_Uᵀ − diag lives only for this walk, as three
         // vectors over the authors beside the two factors it borrows.
         let author_walk =
             ProjectedWalk::new(&net.citation, &net.authorship, config.drop_self_citations);
-        let (mut su, _) = pagerank_on_store(&author_walk, pr, JumpVector::Uniform, None);
+        let (mut su, _) = pagerank_on_store(&author_walk, pr, JumpVector::Uniform);
         normalize_l1(&mut sv);
         normalize_l1(&mut su);
 
@@ -262,7 +259,7 @@ impl QRankEngine {
             now,
             net,
             jump,
-            twpr_cold: OnceLock::new(),
+            inner_walk: OnceLock::new(),
             sv,
             su,
             ages,
@@ -300,7 +297,7 @@ impl QRankEngine {
     /// The plan with its structural stationaries replaced by `sv` and
     /// `su`, taken as the normalized distributions
     /// [`Self::structural_stationaries`] returns, and, given `twpr`, its
-    /// cold inner walk replaced by those scores and diagnostics (what
+    /// inner walk replaced by those scores and diagnostics (what
     /// [`Self::twpr`] returns) — the seam through which the conformance
     /// suite feeds a plan walks run by its test-side oracles.
     ///
@@ -316,9 +313,9 @@ impl QRankEngine {
         assert_eq!(sv.len(), self.net.num_venues(), "one structural score per venue");
         assert_eq!(su.len(), self.net.num_authors(), "one structural score per author");
         (self.sv, self.su) = (sv, su);
-        if let Some(cold) = twpr {
-            assert_eq!(cold.0.len(), self.net.num_articles(), "one inner-walk score per article");
-            self.twpr_cold = OnceLock::from(cold);
+        if let Some(walk) = twpr {
+            assert_eq!(walk.0.len(), self.net.num_articles(), "one inner-walk score per article");
+            self.inner_walk = OnceLock::from(walk);
         }
         self
     }
@@ -328,42 +325,30 @@ impl QRankEngine {
         self.now
     }
 
-    /// The cold TWPR stationary distribution (computing it on first
-    /// call), with its convergence diagnostics.
+    /// The TWPR stationary distribution (computing it on first call),
+    /// with its convergence diagnostics.
     pub fn twpr(&self) -> (&[f64], &Diagnostics) {
-        let (scores, diag) = self.twpr_cold.get_or_init(|| self.run_inner_walk(None));
+        let (scores, diag) = self.inner_walk.get_or_init(|| self.run_inner_walk());
         (scores, diag)
     }
 
-    fn run_inner_walk(&self, warm_start: Option<Vec<f64>>) -> (Vec<f64>, Diagnostics) {
+    /// The inner citation walk, by reverse sweeps over the network's
+    /// decayed citation graph: the solve `citation_walk` runs for TWPR.
+    fn run_inner_walk(&self) -> (Vec<f64>, Diagnostics) {
         let walk = RowStochastic::new(&self.net.citation);
-        pagerank_on_store(&walk, &self.config.twpr.pagerank, self.jump.clone(), warm_start)
+        sweep_on_store(&walk, &self.config.twpr.pagerank, self.jump.clone())
     }
 
-    /// Solve one mixture against the plan (cold inner walk, cached after
-    /// the first solve).
+    /// Solve one mixture against the plan (inner walk cached after the
+    /// first solve).
     pub fn solve(&self, mix: &MixParams) -> QRankResult {
-        self.solve_warm(mix, None)
+        self.solve_with(mix, &mut SolveScratch::new())
     }
 
-    /// [`Self::solve`] with an optional warm start for the inner citation
-    /// walk (scores aligned with this corpus's article ids; zero-mass or
-    /// wrong-length vectors are ignored, matching
-    /// [`QRank::run_warm`](crate::QRank::run_warm)).
-    pub fn solve_warm(&self, mix: &MixParams, warm_start: Option<&[f64]>) -> QRankResult {
-        let mut scratch = SolveScratch::new();
-        self.solve_with(mix, warm_start, &mut scratch)
-    }
-
-    /// [`Self::solve_warm`] against caller-owned scratch buffers: repeated
+    /// [`Self::solve`] against caller-owned scratch buffers: repeated
     /// calls with the same scratch run the outer fixpoint without
     /// allocating.
-    pub fn solve_with(
-        &self,
-        mix: &MixParams,
-        warm_start: Option<&[f64]>,
-        scratch: &mut SolveScratch,
-    ) -> QRankResult {
+    pub fn solve_with(&self, mix: &MixParams, scratch: &mut SolveScratch) -> QRankResult {
         mix.assert_valid();
         let n = self.net.num_articles();
         if n == 0 {
@@ -387,24 +372,11 @@ impl QRankEngine {
             ref mut venue_term,
             ref mut author_term,
             ref mut weights,
-            ref mut warm_twpr,
         } = *scratch;
 
-        // ---- Inner citation walk: cached cold, or re-run warm. ----
-        // A zero-mass warm start (e.g. every score fell outside the new
-        // corpus) would be rejected by the power iteration; drop it.
-        let warm = warm_start.filter(|w| w.len() == n && w.iter().sum::<f64>() > 0.0);
-        let (twpr, twpr_diagnostics): (&[f64], Diagnostics) = match warm {
-            None => {
-                let (scores, diag) = self.twpr();
-                (scores, diag.clone())
-            }
-            Some(w) => {
-                let (scores, diag) = self.run_inner_walk(Some(w.to_vec()));
-                *warm_twpr = scores;
-                (warm_twpr, diag)
-            }
-        };
+        // ---- Inner citation walk, cached in the plan. ----
+        let (twpr, twpr_diagnostics) = self.twpr();
+        let twpr_diagnostics = twpr_diagnostics.clone();
 
         // ---- Age-adaptive per-article weights (see QRankConfig docs). ----
         let sigma = mix.maturity_years;
@@ -543,7 +515,7 @@ mod tests {
             MixParams::from_config(&cfg.clone().with_maturity(2.0)),
         ];
         for mix in &mixes {
-            let reused = engine.solve_with(mix, None, &mut scratch);
+            let reused = engine.solve_with(mix, &mut scratch);
             let fresh = engine.solve(mix);
             assert_eq!(reused.article_scores, fresh.article_scores);
             assert_eq!(reused.venue_scores, fresh.venue_scores);

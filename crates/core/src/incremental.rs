@@ -10,11 +10,11 @@
 //!   giving exactly the plan a build from scratch would (which is what a
 //!   ranker without a plan, fresh from [`IncrementalRanker::restore`],
 //!   does on its first update: the scores cannot tell the two apart);
-//! * the inner citation walk is **warm-started from its own previous
-//!   stationary**, [`QRankResult::twpr_scores`], padded with zeros for the
-//!   newcomers. Power iteration contracts at rate ≈ damping, so a start
-//!   already within ε' of the answer needs only `log(ε/ε') / log(d)`
-//!   iterations.
+//! * the inner citation walk needs no head start: its edges point back in
+//!   time, so one reverse sweep over the grown graph solves it exactly
+//!   (`sgraph::reverse_sweep`), and the publish is a cold solve of the
+//!   grown plan — the same bits [`crate::QRank::run`] gives on the grown
+//!   corpus.
 
 use crate::config::QRankConfig;
 use crate::engine::{MixParams, QRankEngine};
@@ -29,8 +29,7 @@ use std::sync::{Arc, OnceLock};
 /// mixture-only re-solves (and score explanations via
 /// [`crate::Explainer::from_engine`]) come free between updates; each
 /// [`IncrementalRanker::extend`] grows that plan to cover the batch and
-/// warm-starts the inner walk from its previous stationary — the warm
-/// path never pays for the cold citation walk.
+/// solves it.
 #[derive(Debug)]
 pub struct IncrementalRanker {
     config: QRankConfig,
@@ -48,8 +47,6 @@ pub struct IncrementalRanker {
 pub struct UpdateStats {
     /// Articles added in this batch.
     pub added_articles: usize,
-    /// Inner (TWPR) iterations the warm-started run needed.
-    pub warm_iterations: usize,
 }
 
 impl IncrementalRanker {
@@ -118,9 +115,8 @@ impl IncrementalRanker {
 
     /// Fold in a batch of new articles: grow the plan
     /// ([`QRankEngine::extend`]; built from scratch when this ranker holds
-    /// none yet), then solve with the inner walk warm-started from
-    /// [`QRankResult::twpr_scores`] of the current result. Which of the two
-    /// ways the plan came to be leaves no trace in any score, so a ranker
+    /// none yet), then solve it. Which of the two ways the plan came to be
+    /// leaves no trace in any score, so a ranker
     /// restored from `(corpus, result)` and this one stay bit-identical
     /// under the same batches.
     ///
@@ -132,8 +128,8 @@ impl IncrementalRanker {
     ///
     /// # Append-only contract
     ///
-    /// Growing the plan is only sound, and the warm start only a valid
-    /// accelerant, when the retained prefix is **identical** to the
+    /// Growing the plan is only sound when the retained prefix is
+    /// **identical** to the
     /// tracked corpus: an edit to an old article's references, year,
     /// venue, or byline changes edges the plan already holds and the
     /// fixpoint with them, and the update would silently produce scores
@@ -182,15 +178,8 @@ impl IncrementalRanker {
             Some(plan) => plan.extend(&grown, old_n),
             None => QRankEngine::build(&grown, &self.config),
         };
-        // The walk's previous stationary as warm start, zero for the
-        // newcomers.
-        let mut warm = vec![0.0f64; new_n];
-        warm[..old_n].copy_from_slice(&self.result.twpr_scores);
-        let result = engine.solve_warm(&MixParams::from_config(&self.config), Some(&warm));
-        let stats = UpdateStats {
-            added_articles: new_n - old_n,
-            warm_iterations: result.twpr_diagnostics.iterations,
-        };
+        let result = engine.solve(&MixParams::from_config(&self.config));
+        let stats = UpdateStats { added_articles: new_n - old_n };
         self.corpus = Arc::new(grown);
         let _ = self.engine.set(engine);
         self.result = result;
@@ -247,41 +236,12 @@ mod tests {
         assert_eq!(grown.articles()[n].references, vec![ArticleId(0), ArticleId(5)]);
     }
 
-    #[test]
-    fn warm_update_matches_cold_recompute() {
-        let base = Preset::Tiny.generate(41);
-        let mut inc = IncrementalRanker::new(QRankConfig::default(), base.clone());
-        let grown = grow_corpus(
-            &base,
-            (0..20).map(|i| batch_article(i, 2011, vec![ArticleId((i * 7 % 50) as u32)])).collect(),
-        );
-        let stats = inc.extend(grown.clone());
-        assert_eq!(stats.added_articles, 20);
-
-        let cold = QRank::default().run(&grown);
-        let l1: f64 = inc
-            .result()
-            .article_scores
-            .iter()
-            .zip(&cold.article_scores)
-            .map(|(a, b)| (a - b).abs())
-            .sum();
-        assert!(l1 < 1e-6, "warm and cold results must agree, L1 = {l1}");
-    }
-
-    #[test]
-    fn warm_start_saves_iterations() {
-        // Grow a snapshot by one year; the warm run must converge in fewer
-        // inner iterations than the cold run.
-        let full = Preset::Tiny.generate(42);
+    /// The batch that grows a year-`last − 1` snapshot of `full` into the
+    /// whole corpus: the final year's articles, references remapped.
+    fn final_year(full: &Corpus) -> (Corpus, Vec<Article>) {
         let (_, last) = full.year_range().unwrap();
-        let snap = snapshot_until(&full, last - 1);
-
-        let mut inc = IncrementalRanker::new(QRankConfig::default(), snap.corpus.clone());
-        let cold_iters = inc.result().twpr_diagnostics.iterations;
-
-        // The batch: the final year's articles, references remapped.
-        let batch: Vec<Article> = full
+        let snap = snapshot_until(full, last - 1);
+        let batch = full
             .articles()
             .iter()
             .filter(|a| a.year == last)
@@ -295,40 +255,38 @@ mod tests {
                 merit: a.merit,
             })
             .collect();
-        assert!(!batch.is_empty());
-        let grown = grow_corpus(&snap.corpus, batch);
-        let stats = inc.extend(grown);
-        assert!(
-            stats.warm_iterations < cold_iters,
-            "warm ({}) should converge faster than cold ({})",
-            stats.warm_iterations,
-            cold_iters
-        );
+        (snap.corpus, batch)
     }
 
+    /// An incremental publish is a cold run on the grown corpus, bit for
+    /// bit: every score vector and both solves' diagnostics — for a batch
+    /// of a whole year, and for one whose articles cite both the base and
+    /// each other.
     #[test]
-    fn warm_start_is_the_walks_own_stationary_not_the_blend() {
-        // `article_scores` is the λ-blend of three signals; the walk's own
-        // previous stationary, `twpr_scores`, starts it closer to where it
-        // is going.
-        let base = Preset::Tiny.generate(45);
-        let n = base.num_articles();
-        let mut inc = IncrementalRanker::new(QRankConfig::default(), base.clone());
-        let grown = grow_corpus(
-            &base,
-            (0..8).map(|i| batch_article(i, 2011, vec![ArticleId((i * 11 % 50) as u32)])).collect(),
-        );
-        let mut blend = inc.result().article_scores.clone();
-        blend.resize(n + 8, 0.0);
-        let from_blend = QRankEngine::build(&grown, &QRankConfig::default())
-            .solve_warm(&MixParams::from_config(&QRankConfig::default()), Some(&blend));
-        let stats = inc.extend(grown);
-        assert!(
-            stats.warm_iterations < from_blend.twpr_diagnostics.iterations,
-            "from the walk's stationary: {}, from the blend: {}",
-            stats.warm_iterations,
-            from_blend.twpr_diagnostics.iterations
-        );
+    fn an_incremental_publish_is_a_cold_run_bit_for_bit() {
+        let (base, year) = final_year(&Preset::Tiny.generate(42));
+        let n = base.num_articles() as u32;
+        // Each cites the next one too: nineteen forward references and one
+        // back, so the grown walk has back edges and takes several passes.
+        let mixed: Vec<Article> = (0..20u32)
+            .map(|i| {
+                let refs = vec![ArticleId(i * 7 % 50), ArticleId(n + (i + 1) % 20)];
+                batch_article(i as usize, 2011, refs)
+            })
+            .collect();
+        for (what, batch) in [("final year", year), ("self-citing batch", mixed)] {
+            let mut inc = IncrementalRanker::new(QRankConfig::default(), base.clone());
+            let grown = grow_corpus(&base, batch);
+            let stats = inc.extend(grown.clone());
+            assert_eq!(stats.added_articles, grown.num_articles() - base.num_articles());
+            let (got, cold) = (inc.result(), QRank::default().run(&grown));
+            assert_eq!(got.article_scores, cold.article_scores, "{what}");
+            assert_eq!(got.venue_scores, cold.venue_scores, "{what}");
+            assert_eq!(got.author_scores, cold.author_scores, "{what}");
+            assert_eq!(got.twpr_scores, cold.twpr_scores, "{what}");
+            assert_eq!(got.twpr_diagnostics, cold.twpr_diagnostics, "{what}");
+            assert_eq!(got.outer, cold.outer, "{what}");
+        }
     }
 
     /// Build a grown corpus whose retained prefix has been tampered with

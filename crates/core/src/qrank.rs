@@ -42,22 +42,12 @@ impl QRank {
     }
 
     /// Run the full framework.
-    pub fn run(&self, corpus: &Corpus) -> QRankResult {
-        self.run_warm(corpus, None)
-    }
-
-    /// Run with an optional warm start: article scores from a previous
-    /// run, already aligned with this corpus's article ids (scores for new
-    /// articles can be 0 — the vector is renormalized). Warm-starting the
-    /// inner citation walk is what makes incremental re-ranking after a
-    /// corpus update cheap (see [`crate::incremental`]).
     ///
     /// This is `QRankEngine::build` + one solve; callers that vary only
     /// mixture parameters across runs should hold a [`QRankEngine`] and
     /// call [`QRankEngine::solve`] to skip the rebuild.
-    pub fn run_warm(&self, corpus: &Corpus, warm_start: Option<Vec<f64>>) -> QRankResult {
-        let engine = QRankEngine::build(corpus, &self.config);
-        engine.solve_warm(&MixParams::from_config(&self.config), warm_start.as_deref())
+    pub fn run(&self, corpus: &Corpus) -> QRankResult {
+        QRankEngine::build(corpus, &self.config).solve(&MixParams::from_config(&self.config))
     }
 }
 
@@ -226,32 +216,6 @@ mod tests {
         let res = QRank::default().run(&c);
         assert_distribution(&res.article_scores);
         assert!(res.article_scores[0] > res.article_scores[2]);
-    }
-
-    #[test]
-    fn zero_mass_warm_start_is_dropped() {
-        let c = Preset::Tiny.generate(8);
-        let cold = QRank::default().run(&c);
-        let warm = QRank::default().run_warm(&c, Some(vec![0.0; c.num_articles()]));
-        assert_eq!(cold.article_scores, warm.article_scores);
-        // Wrong-length warm start is also dropped rather than panicking.
-        let short = QRank::default().run_warm(&c, Some(vec![1.0; 3]));
-        assert_eq!(cold.article_scores, short.article_scores);
-    }
-
-    #[test]
-    fn good_warm_start_converges_faster() {
-        let c = Preset::Tiny.generate(8);
-        let cold = QRank::default().run(&c);
-        let warm = QRank::default().run_warm(&c, Some(cold.article_scores.clone()));
-        assert!(
-            warm.twpr_diagnostics.iterations <= cold.twpr_diagnostics.iterations,
-            "warm {} vs cold {}",
-            warm.twpr_diagnostics.iterations,
-            cold.twpr_diagnostics.iterations
-        );
-        let diff = l1_distance(&warm.article_scores, &cold.article_scores);
-        assert!(diff < 1e-6, "warm and cold answers must agree, diff {diff}");
     }
 
     #[test]

@@ -63,6 +63,6 @@ pub use pagerank::{PageRank, PageRankConfig};
 pub use personalized::{personalized_pagerank, related_articles, PersonalizedConfig};
 pub use prank::{PRank, PRankConfig};
 pub use ranker::Ranker;
-pub use rescaled::{rescale_by_year, rescale_by_years, RescaledRanker};
+pub use rescaled::{rescale_by_years, RescaledRanker};
 pub use telemetry::{RankOutput, SolveTelemetry};
 pub use time_weighted::{TimeWeightedPageRank, TwprConfig};

@@ -1,5 +1,7 @@
-//! Plain PageRank on the citation graph, and [`pagerank_on_store`], the
-//! power-iteration entry point every walk in the ranking layer shares.
+//! Plain PageRank on the citation graph, and the two entry points through
+//! which the ranking layer maps a [`PageRankConfig`] onto a walk solver:
+//! [`sweep_on_store`] for the citation walks, [`pagerank_on_store`] for
+//! the cyclic ones.
 //!
 //! PageRank is the citation walk of [`crate::time_weighted`] at ρ = 0
 //! with the uniform jump: [`PageRank::solve_ctx`] is
@@ -74,6 +76,18 @@ impl PageRankConfig {
             .field("threads", self.threads)
             .build()
     }
+
+    /// The solver options for a walk with teleport `jump` under `self`.
+    fn opts(&self, jump: JumpVector) -> PowerIterationOpts {
+        self.assert_valid();
+        PowerIterationOpts {
+            damping: self.damping,
+            jump,
+            tol: self.tol,
+            max_iter: self.max_iter,
+            threads: self.threads,
+        }
+    }
 }
 
 /// The PageRank baseline over the unweighted citation graph.
@@ -92,31 +106,30 @@ impl PageRank {
 }
 
 /// Run damped power iteration over any [`sgraph::CsrStore`] and return
-/// `(scores, diagnostics)`: the one place the ranking layer maps a
-/// [`PageRankConfig`] onto the power iteration. The store is a
-/// [`sgraph::RowStochastic`] over an in-RAM graph, an mmap-backed shard
-/// file or QRank's factorised author walk; every backing drives the
-/// identical loop, so scores and iteration counts are bit-identical
-/// across them. `warm_start` (normalized internally) replaces the jump
-/// as the first iterate.
+/// `(scores, diagnostics)`: the solver of the cyclic walks (the venue
+/// graph, QRank's factorised author walk, P-Rank's combined graph). Every
+/// backing drives the identical loop, so scores and iteration counts are
+/// bit-identical across them.
 pub fn pagerank_on_store<S: sgraph::CsrStore + ?Sized>(
     store: &S,
     config: &PageRankConfig,
     jump: JumpVector,
-    warm_start: Option<Vec<f64>>,
 ) -> (Vec<f64>, Diagnostics) {
-    config.assert_valid();
-    let mut res = sgraph::stationary_store(
-        store,
-        &PowerIterationOpts {
-            damping: config.damping,
-            jump,
-            tol: config.tol,
-            max_iter: config.max_iter,
-            threads: config.threads,
-            warm_start,
-        },
-    );
+    let mut res = sgraph::stationary_store(store, &config.opts(jump));
+    (std::mem::take(&mut res.scores), res.into())
+}
+
+/// Solve a citation walk by reverse sweeps ([`sgraph::reverse_sweep`]) and
+/// return `(scores, diagnostics)`: the solver behind
+/// [`citation_walk`] and QRank's inner walk. The in-RAM graph and the
+/// mmap shard file take the same passes, so scores, residuals and
+/// iteration counts are bit-identical across them and across `threads`.
+pub fn sweep_on_store<S: sgraph::ReverseSweep + ?Sized>(
+    store: &S,
+    config: &PageRankConfig,
+    jump: JumpVector,
+) -> (Vec<f64>, Diagnostics) {
+    let mut res = sgraph::reverse_sweep(store, &config.opts(jump));
     (std::mem::take(&mut res.scores), res.into())
 }
 

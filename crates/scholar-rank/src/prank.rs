@@ -109,7 +109,7 @@ impl PRank {
         }
         let g = self.combined_graph(store);
         let (scores, diagnostics) =
-            pagerank_on_store(&RowStochastic::new(&g), &cfg.pagerank, JumpVector::Uniform, None);
+            pagerank_on_store(&RowStochastic::new(&g), &cfg.pagerank, JumpVector::Uniform);
 
         let mut article_scores = scores[..np as usize].to_vec();
         let mut author_scores = scores[np as usize..(np + na) as usize].to_vec();

@@ -13,7 +13,7 @@
 use crate::context::RankContext;
 use crate::ranker::Ranker;
 use crate::telemetry::RankOutput;
-use scholar_corpus::{Corpus, Year};
+use scholar_corpus::Year;
 
 /// Wraps any ranker and z-scores its output within publication-year
 /// windows of `window_years`.
@@ -32,18 +32,20 @@ impl RescaledRanker {
     }
 }
 
-/// Z-score `scores` within year buckets; buckets with fewer than 2
-/// articles (or zero variance) get z = 0 for their members. The output is
-/// shifted/renormalized into a distribution (min-shifted to non-negative,
-/// then L1-normalized) so the [`Ranker`] contract holds.
-pub fn rescale_by_year(corpus: &Corpus, scores: &[f64], window_years: i32) -> Vec<f64> {
-    assert_eq!(scores.len(), corpus.num_articles(), "score length mismatch");
-    let years: Vec<Year> = corpus.articles().iter().map(|a| a.year).collect();
-    rescale_by_years(&years, scores, window_years)
-}
+/// The relative spread (`std / |mean|`) at or below which a bucket's
+/// scores count as tied: far below any walk's tolerance, far above the
+/// rounding of a mean.
+const TIED_SPREAD: f64 = 1e-12;
 
-/// [`rescale_by_year`] on a bare per-article year vector — the form
-/// backend-agnostic callers (mmap-backed contexts) use.
+/// Z-score `scores` within `window_years`-wide buckets of the per-article
+/// `years`; buckets with fewer than 2 articles (or zero variance) get
+/// z = 0 for their members. A bucket's variance counts as zero when its
+/// standard deviation is at most 1e-12 of its mean: a bucket of equal
+/// scores has a mean that rounds, and so a variance of ~1e-37, not 0,
+/// which would hand the whole bucket one z decided by the last bit of the
+/// walk. The output is shifted/renormalized into a distribution
+/// (min-shifted to non-negative, then L1-normalized) so the [`Ranker`]
+/// contract holds.
 pub fn rescale_by_years(years: &[Year], scores: &[f64], window_years: i32) -> Vec<f64> {
     assert_eq!(scores.len(), years.len(), "score length mismatch");
     assert!(window_years > 0, "window must be positive");
@@ -72,7 +74,15 @@ pub fn rescale_by_years(years: &[Year], scores: &[f64], window_years: i32) -> Ve
     let std: Vec<f64> = var
         .iter()
         .zip(&count)
-        .map(|(&v, &c)| if c > 1 { (v / c as f64).sqrt() } else { 0.0 })
+        .zip(&mean)
+        .map(|((&v, &c), &m)| {
+            let std = if c > 1 { (v / c as f64).sqrt() } else { 0.0 };
+            if std > TIED_SPREAD * m.abs() {
+                std
+            } else {
+                0.0
+            }
+        })
         .collect();
 
     let mut z: Vec<f64> = (0..n)
@@ -122,17 +132,11 @@ mod tests {
 
     #[test]
     fn z_scoring_within_buckets() {
-        // Two years; within each year one article dominates.
-        let mut b = CorpusBuilder::new();
-        let v = b.venue("V");
-        b.add_article("1990-star", 1990, v, vec![], vec![], None);
-        b.add_article("1990-meh", 1990, v, vec![], vec![], None);
-        b.add_article("1991-star", 1991, v, vec![], vec![], None);
-        b.add_article("1991-meh", 1991, v, vec![], vec![], None);
-        let c = b.finish().unwrap();
+        // Two years; within each year one article (a star) dominates.
+        let years = [1990, 1990, 1991, 1991];
         // Raw scores: 1990 articles are an order of magnitude higher.
         let raw = [1.0, 0.5, 0.1, 0.05];
-        let z = rescale_by_year(&c, &raw, 1);
+        let z = rescale_by_years(&years, &raw, 1);
         // After rescaling, the two stars tie (each is +1σ of its year).
         assert!((z[0] - z[2]).abs() < 1e-12, "stars should tie: {z:?}");
         assert!((z[1] - z[3]).abs() < 1e-12, "mehs should tie: {z:?}");
@@ -161,24 +165,30 @@ mod tests {
     #[test]
     fn degenerate_buckets_are_safe() {
         // Single article per year: all z = 0 -> uniform.
-        let mut b = CorpusBuilder::new();
-        let v = b.venue("V");
-        b.add_article("a", 2000, v, vec![], vec![], None);
-        b.add_article("b", 2001, v, vec![], vec![], None);
-        let c = b.finish().unwrap();
-        let z = rescale_by_year(&c, &[0.9, 0.1], 1);
+        let z = rescale_by_years(&[2000, 2001], &[0.9, 0.1], 1);
         assert_eq!(z, vec![0.5, 0.5]);
     }
 
     #[test]
+    fn a_bucket_of_equal_scores_is_tied() {
+        // 0.1 × 3 rounds (0.30000000000000004), so the mean is not 0.1 and
+        // the computed variance is not 0; the bucket still ties, and the
+        // other bucket's order survives.
+        let (years, raw) = ([2000, 2000, 2000, 2001, 2001], [0.1, 0.1, 0.1, 0.3, 0.2]);
+        let mean = raw[..3].iter().sum::<f64>() / 3.0;
+        assert_ne!(mean, 0.1, "the test needs a mean that rounds");
+        let z = rescale_by_years(&years, &raw, 1);
+        assert_eq!(z[0], z[1]);
+        assert_eq!(z[1], z[2]);
+        // The tied bucket sits at z = 0, midway between the other's ±1σ.
+        let want = [0.2, 0.2, 0.2, 0.4, 0.0];
+        assert!(z.iter().zip(want).all(|(a, b)| (a - b).abs() < 1e-12), "{z:?}");
+    }
+
+    #[test]
     fn wider_window_merges_buckets() {
-        let mut b = CorpusBuilder::new();
-        let v = b.venue("V");
-        b.add_article("a", 2000, v, vec![], vec![], None);
-        b.add_article("b", 2001, v, vec![], vec![], None);
-        let c = b.finish().unwrap();
         // With a 5-year window both land in one bucket; scores differ.
-        let z = rescale_by_year(&c, &[0.9, 0.1], 5);
+        let z = rescale_by_years(&[2000, 2001], &[0.9, 0.1], 5);
         assert!(z[0] > z[1]);
     }
 

@@ -17,7 +17,7 @@
 //! one walk: each enters it through [`citation_walk`].
 
 use crate::context::{DecayedPlan, RankContext};
-use crate::pagerank::{pagerank_on_store, PageRankConfig};
+use crate::pagerank::{sweep_on_store, PageRankConfig};
 use crate::ranker::Ranker;
 use crate::telemetry::Stopwatch;
 use crate::telemetry::{RankOutput, SolveTelemetry};
@@ -131,11 +131,12 @@ impl Ranker for TimeWeightedPageRank {
     }
 }
 
-/// The citation walk: damped power iteration with teleport `jump` over
-/// the context's citation graph decayed at rate `rho` (`rho = 0` is the
-/// unit graph). It walks [`RankContext::decayed_plan`], so a colstore
-/// context sweeps the `rho` shard file and never builds the dense graph.
-/// Telemetry splits the plan's open-or-build from the iteration.
+/// The citation walk: the damped walk with teleport `jump` over the
+/// context's citation graph decayed at rate `rho` (`rho = 0` is the unit
+/// graph), solved by reverse sweeps ([`sweep_on_store`]). It walks
+/// [`RankContext::decayed_plan`], so a colstore context sweeps the `rho`
+/// shard file and never builds the dense graph. Telemetry splits the
+/// plan's open-or-build from the solve.
 pub fn citation_walk(
     ctx: &RankContext,
     rho: f64,
@@ -151,9 +152,9 @@ pub fn citation_walk(
     let solved = Stopwatch::start();
     let (scores, diag) = match &plan {
         DecayedPlan::Dense(decayed) => {
-            pagerank_on_store(&RowStochastic::new(&decayed.graph), config, jump, None)
+            sweep_on_store(&RowStochastic::new(&decayed.graph), config, jump)
         }
-        DecayedPlan::Partitioned(shards) => pagerank_on_store(&**shards, config, jump, None),
+        DecayedPlan::Partitioned(shards) => sweep_on_store(&**shards, config, jump),
     };
     RankOutput { scores, telemetry: SolveTelemetry::timed(&diag, build_secs, solved.secs()) }
 }

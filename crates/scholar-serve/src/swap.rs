@@ -329,7 +329,7 @@ impl Reindexer {
         let mut since_snapshot = 0u64;
         while let Ok(Job::Batch { mut batch, mut seq }) = rx.recv() {
             // Coalesce any batches that queued up while the last solve
-            // ran: one warm solve over the union beats one per batch. A
+            // ran: one solve over the union beats one per batch. A
             // Stop seen here still processes the batch in hand first —
             // shutdown() promises the accepted work gets published.
             let mut stopping = false;

@@ -17,8 +17,11 @@
 //! * [`stochastic`] — the row-stochastic random walk every
 //!   PageRank-family algorithm in the stack runs, borrowing the graph it
 //!   steps over, with sequential and multi-threaded ([`par`]) steps and
-//!   principled dangling-node handling — plus a Gauss–Seidel solver for
-//!   the same fixpoint ([`solver`]).
+//!   principled dangling-node handling.
+//! * [`store`] — the two walk solvers over any backing store: the power
+//!   iteration ([`stationary_store`]) for cyclic walks, and the reverse
+//!   sweep ([`reverse_sweep`]) for citation walks, whose edges point back
+//!   in time.
 //! * [`projected`] — the same walk over a graph projected through a
 //!   bipartite (`B·W·Bᵀ − diag`, the author citation graph), applied
 //!   factorised so the projection is never materialised.
@@ -59,7 +62,6 @@ pub mod par;
 pub mod projected;
 mod scatter;
 pub mod sfile;
-pub mod solver;
 pub mod stats;
 pub mod stochastic;
 pub mod store;
@@ -71,7 +73,7 @@ pub use error::GraphError;
 pub use mmap_csr::{MmapCsr, MmapCsrBuilder};
 pub use projected::ProjectedWalk;
 pub use stochastic::{JumpVector, RowStochastic};
-pub use store::{stationary_store, CsrStore};
+pub use store::{reverse_sweep, stationary_store, CsrStore, ReverseSweep};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, GraphError>;

@@ -1,14 +1,19 @@
-//! Mmap-backed, node-sharded pull CSR for out-of-core power iteration.
+//! Mmap-backed, node-sharded pull CSR for out-of-core walks.
 //!
 //! [`MmapCsr`] stores what [`RowStochastic`](crate::RowStochastic) walks
 //! — per-target in-edge lists with their raw weights (each coded as an
 //! index into one per-file weight table), each node's out-weight sum,
 //! and the global dangling set — but on disk, partitioned into
 //! contiguous node shards that are served zero-copy through
-//! [`crate::mmap::Mmap`]. Each worker of a sweep touches one shard's
-//! arrays at a time, so peak resident memory is two iterate vectors, the
-//! pre-scaled `z`, the out-sum column, and one shard plus one frontier
-//! buffer per worker — not the whole graph.
+//! [`crate::mmap::Mmap`]. It runs both walk solvers of
+//! [`crate::store`]: the citation walks' reverse sweep
+//! ([`ReverseSweep::reverse_pass`], sequential, shards from last to first
+//! and each shard's rows from last to first) and the power-iteration step
+//! ([`CsrStore::apply_step`], on every worker), which also gives the
+//! sweep its residual. Either touches one shard's arrays at a time per
+//! worker, so peak resident memory is two iterate vectors, the
+//! step's pre-scaled `z`, the out-sum column, and one shard plus one
+//! frontier buffer per worker — not the whole graph.
 //!
 //! ## Bit identity with the dense operator
 //!
@@ -24,13 +29,13 @@
 //! scatter by target — rows counted in one pass over the shard's spill,
 //! every edge placed at its row's next free slot in spill order in a
 //! second — which keeps them ascending per row), and
-//! [`MmapCsr::apply_step`] pre-scales the same way and accumulates
-//! `table[code]·z`, the same `w·z` product, in stored order. Node
-//! partitioning never reorders a per-slot sum — each target's whole row
-//! lives in its own shard — so shard size and worker count are pure
-//! layout knobs: residuals, iteration counts, and stationaries are
-//! bit-identical to the dense solve at any `shard_size` and any
-//! `threads`.
+//! [`MmapCsr::apply_step`] and [`MmapCsr::reverse_pass`] pre-scale the
+//! same way and accumulate `table[code]·z`, the same `w·z` product, in
+//! stored order. Node partitioning never reorders a per-slot sum — each
+//! target's whole row lives in its own shard — so shard size and worker
+//! count are pure layout knobs: residuals, iteration and pass counts, and
+//! stationaries are bit-identical to the dense solve at any `shard_size`
+//! and any `threads`.
 //!
 //! ## File format (`SCSRv3`, little-endian, 8-byte-aligned sections)
 //!
@@ -91,7 +96,7 @@ use crate::par;
 use crate::scatter::{Cursors, RowCounts};
 use crate::sfile::{no_step, TmpFile};
 use crate::stochastic::{dangles, per_weight, JumpVector};
-use crate::store::CsrStore;
+use crate::store::{CsrStore, Pass, PassSums, ReverseSweep};
 use crate::CsrGraph;
 
 const MAGIC: &[u8; 8] = b"SCSRv3\0\0";
@@ -740,6 +745,54 @@ impl CsrStore for MmapCsr {
     }
 }
 
+impl ReverseSweep for MmapCsr {
+    /// The shards from last to first, each shard's rows from last to
+    /// first. A shard's local buffer is `z` over its own nodes and then
+    /// over its boundary, copied when the shard is reached: a boundary
+    /// source in a later shard already holds this pass's value, one in an
+    /// earlier shard the previous pass's. Each row's `z[v]` goes into the
+    /// buffer and into the global `z` at once, for the rows and shards
+    /// still to come.
+    fn reverse_pass(&self, y: &mut [f64], z: &mut [f64], damping: f64, jump: &JumpVector) -> Pass {
+        assert!(y.len() == self.n && z.len() == self.n, "iterate length mismatch");
+        let share = jump.shares(1.0, self.n);
+        let out_sums = self.map.as_f64s(self.sums_off, self.n);
+        let table: &[f64; TABLE_CAP] = &self.table;
+        let mut sums = PassSums::default();
+        let mut zs: Vec<f64> = Vec::new();
+        for (si, meta) in self.dir.iter().enumerate().rev() {
+            let start = si * self.shard_size;
+            let shard_len = self.shard_size.min(self.n - start);
+            let boundary = self.map.as_u32s(meta.boundary_off as usize, meta.boundary_len as usize);
+            zs.clear();
+            zs.extend_from_slice(&z[start..start + shard_len]);
+            zs.extend(boundary.iter().map(|&u| z[u as usize]));
+            let offsets = self.map.as_u64s(meta.offsets_off as usize, shard_len + 1);
+            let sources = self.map.as_u32s(meta.sources_off as usize, meta.edges as usize);
+            let codes = self.map.as_u16s(meta.codes_off as usize, meta.edges as usize);
+            let global = |c: u32| match (c as usize).checked_sub(shard_len) {
+                None => start + c as usize,
+                Some(b) => boundary[b] as usize,
+            };
+            for v_local in (0..shard_len).rev() {
+                let v = start + v_local;
+                let (lo, hi) = (offsets[v_local] as usize, offsets[v_local + 1] as usize);
+                let row = &sources[lo..hi];
+                // Stored sources ascend by global id: back edges lead.
+                if row.first().is_some_and(|&c| global(c) <= v) {
+                    sums.back_edges += row.partition_point(|&c| global(c) <= v) as u64;
+                }
+                let mut acc = 0.0;
+                for (&c, &k) in row.iter().zip(&codes[lo..hi]) {
+                    acc += table[k as usize] * zs[c as usize];
+                }
+                zs[v_local] = sums.settle(v, damping * acc + share(v), out_sums[v], y, z);
+            }
+        }
+        sums.finish()
+    }
+}
+
 /// Build a shard file from an in-RAM [`CsrGraph`] — the conformance
 /// bridge between the dense and out-of-core paths (the MAG-scale path
 /// streams straight from the columnar store instead).
@@ -764,7 +817,7 @@ pub fn build_from_graph(
 mod tests {
     use super::*;
     use crate::stochastic::{PowerIterationOpts, RowStochastic};
-    use crate::store::stationary_store;
+    use crate::store::{reverse_sweep, stationary_store};
     use crate::{GraphBuilder, NodeId};
 
     fn tmp(name: &str) -> PathBuf {
@@ -846,25 +899,56 @@ mod tests {
         assert!(split_with_an_empty_boundary, "no multi-shard file has an empty-boundary shard");
     }
 
+    /// The reverse sweep over the shards is the dense sweep, bit for bit —
+    /// passes, residuals and scores — at every shard size and thread
+    /// count: on `test_graph` (back edges in every direction, so it takes
+    /// Gauss–Seidel passes) and on its chronological half (edges from
+    /// larger ids only, one exact pass).
     #[test]
-    fn warm_start_matches_dense() {
-        let g = test_graph();
-        let op = RowStochastic::new(&g);
-        let path = tmp("warm");
-        let mc = build_from_graph(&g, &path, 5, 1).unwrap();
-        let opts = PowerIterationOpts {
-            warm_start: Some((0..23).map(|v| 1.0 + v as f64).collect()),
-            threads: 1,
-            ..PowerIterationOpts::default()
-        };
-        let dense = op.stationary(&opts);
-        for threads in THREADS {
-            let sharded = stationary_store(&mc, &PowerIterationOpts { threads, ..opts.clone() });
-            assert_eq!(dense.scores, sharded.scores, "threads {threads}");
-            assert_eq!(dense.iterations, sharded.iterations, "threads {threads}");
-            assert_eq!(dense.residuals, sharded.residuals, "threads {threads}");
+    fn reverse_sweep_matches_dense_at_every_shard_size() {
+        let cyclic = test_graph();
+        let mut b = GraphBuilder::new(23);
+        for u in cyclic.nodes() {
+            for (&t, &w) in cyclic.out_neighbors(u).iter().zip(cyclic.out_edge_weights(u)) {
+                if t.0 < u.0 {
+                    b.add_edge(u, t, w);
+                }
+            }
         }
-        std::fs::remove_file(&path).unwrap();
+        let chronological = b.build();
+        for (name, g, passes) in
+            [("cyclic", &cyclic, None), ("chronological", &chronological, Some(1))]
+        {
+            let op = RowStochastic::new(g);
+            let opts = PowerIterationOpts {
+                jump: crate::JumpVector::weighted((0..23).map(|v| 1.0 + (v % 5) as f64).collect()),
+                threads: 1,
+                ..PowerIterationOpts::default()
+            };
+            let dense = reverse_sweep(&op, &opts);
+            assert!(dense.converged, "{name}");
+            if let Some(passes) = passes {
+                assert_eq!(dense.iterations, passes + 1, "{name}");
+            } else {
+                assert!(dense.iterations > 2, "{name}: back edges take more than one pass");
+            }
+            for (i, shard_size) in [1usize, 4, 7, 23, 1000].into_iter().enumerate() {
+                let path = tmp(&format!("sweep-{name}{i}"));
+                let mc = build_from_graph(g, &path, shard_size, 42).unwrap();
+                for threads in THREADS {
+                    let sharded =
+                        reverse_sweep(&mc, &PowerIterationOpts { threads, ..opts.clone() });
+                    let case = format!("{name}, shard_size {shard_size}, threads {threads}");
+                    assert_eq!(
+                        dense.scores, sharded.scores,
+                        "{case}: scores must be bit-identical"
+                    );
+                    assert_eq!(dense.residuals, sharded.residuals, "{case}");
+                    assert_eq!(dense.iterations, sharded.iterations, "{case}");
+                }
+                std::fs::remove_file(&path).unwrap();
+            }
+        }
     }
 
     #[test]

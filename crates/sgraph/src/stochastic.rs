@@ -18,6 +18,7 @@
 
 use crate::csr::CsrGraph;
 use crate::par;
+use crate::store::{Pass, PassSums, ReverseSweep};
 
 /// Below this much work (nodes, or nodes plus edges) a step stays
 /// sequential.
@@ -145,12 +146,6 @@ impl<'g> RowStochastic<'g> {
         self.graph.len()
     }
 
-    /// Each node's out-weight sum, the divisor of its transition
-    /// probabilities.
-    pub(crate) fn out_sums(&self) -> &[f64] {
-        &self.out_sums
-    }
-
     /// The dangling node ids (no outgoing probability).
     pub fn dangling(&self) -> &[u32] {
         &self.dangling
@@ -192,15 +187,46 @@ impl<'g> RowStochastic<'g> {
 
     /// Run damped power iteration to a fixpoint.
     ///
-    /// Starts from `jump` (or a caller-provided warm start), iterates until
-    /// the L1 residual drops below `tol` or `max_iter` steps elapse, and
-    /// returns the final vector plus per-iteration residual history.
+    /// Starts from `jump`, iterates until the L1 residual drops below
+    /// `tol` or `max_iter` steps elapse, and returns the final vector plus
+    /// per-iteration residual history.
     pub fn stationary(&self, opts: &PowerIterationOpts) -> PowerIterationResult {
         crate::store::stationary_store(self, opts)
     }
 }
 
-/// Options for [`RowStochastic::stationary`].
+impl ReverseSweep for RowStochastic<'_> {
+    /// One reverse pass over the in-CSR, rows in descending id.
+    fn reverse_pass(&self, y: &mut [f64], z: &mut [f64], damping: f64, jump: &JumpVector) -> Pass {
+        let (g, n) = (self.graph, self.num_nodes());
+        assert!(y.len() == n && z.len() == n, "iterate length mismatch");
+        let share = jump.shares(1.0, n);
+        let mut sums = PassSums::default();
+        for v in (0..n).rev() {
+            let row = g.in_offsets[v]..g.in_offsets[v + 1];
+            let sources = &g.in_sources[row.clone()];
+            // Sources ascend, so the back edges are a prefix of the row;
+            // one of weight 0 or from a dangling source carries nothing.
+            if sources.first().is_some_and(|&u| u as usize <= v) {
+                let back = sources.partition_point(|&u| u as usize <= v);
+                let carries =
+                    |(&u, &w): (&u32, &f64)| w > 0.0 && !dangles(self.out_sums[u as usize]);
+                let weights = &g.in_weights[row.start..row.start + back];
+                sums.back_edges +=
+                    sources[..back].iter().zip(weights).filter(|&e| carries(e)).count() as u64;
+            }
+            let mut acc = 0.0;
+            for (&u, &w) in sources.iter().zip(&g.in_weights[row]) {
+                acc += w * z[u as usize];
+            }
+            sums.settle(v, damping * acc + share(v), self.out_sums[v], y, z);
+        }
+        sums.finish()
+    }
+}
+
+/// Options for both walk solvers, [`RowStochastic::stationary`] (any
+/// [`crate::store::stationary_store`]) and [`crate::store::reverse_sweep`].
 #[derive(Debug, Clone)]
 pub struct PowerIterationOpts {
     /// Damping factor `d` ∈ [0, 1); the canonical PageRank value is 0.85.
@@ -215,8 +241,6 @@ pub struct PowerIterationOpts {
     /// [`crate::par::default_threads`]; set `SCHOLAR_THREADS=1` (or pass
     /// 1 explicitly) to force sequential execution.
     pub threads: usize,
-    /// Optional warm start (normalized internally).
-    pub warm_start: Option<Vec<f64>>,
 }
 
 impl Default for PowerIterationOpts {
@@ -227,12 +251,11 @@ impl Default for PowerIterationOpts {
             tol: 1e-10,
             max_iter: 200,
             threads: crate::par::default_threads(),
-            warm_start: None,
         }
     }
 }
 
-/// Result of [`RowStochastic::stationary`].
+/// Result of either walk solver.
 #[derive(Debug, Clone)]
 pub struct PowerIterationResult {
     /// The stationary (or last-iterate) distribution; sums to 1.
@@ -476,21 +499,6 @@ mod tests {
         let res = op.stationary(&PowerIterationOpts::default());
         // Power iteration on a damped chain must contract overall.
         assert!(res.residuals.last().unwrap() < &res.residuals[0]);
-    }
-
-    #[test]
-    fn warm_start_converges_faster() {
-        let g = GraphBuilder::from_edges(5, &[(0, 1), (1, 2), (2, 0), (3, 0), (0, 4)]);
-        let op = RowStochastic::new(&g);
-        let cold = op.stationary(&PowerIterationOpts::default());
-        let warm = op.stationary(&PowerIterationOpts {
-            warm_start: Some(cold.scores.clone()),
-            ..Default::default()
-        });
-        assert!(warm.iterations <= 2, "warm start from the answer should converge immediately");
-        for (a, b) in cold.scores.iter().zip(&warm.scores) {
-            assert_close(*a, *b, 1e-8);
-        }
     }
 
     #[test]

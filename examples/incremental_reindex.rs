@@ -46,8 +46,9 @@ fn main() {
         let grown = grow_corpus(index.corpus(), batch);
         let stats = index.extend(grown);
         println!(
-            "year {year}: +{} articles, warm re-rank took {} inner iterations",
-            stats.added_articles, stats.warm_iterations
+            "year {year}: +{} articles, re-rank took {} inner iterations",
+            stats.added_articles,
+            index.result().twpr_diagnostics.iterations
         );
         current_snap = next_snap;
     }

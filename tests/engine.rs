@@ -1,6 +1,6 @@
 //! Prepared-engine equivalence: a cached `QRankEngine` must answer every
 //! mixture exactly like a fresh `QRank` run — across corpus presets,
-//! ablation variants, warm starts, and thread counts — and a plan grown
+//! ablation variants and thread counts — and a plan grown
 //! batch by batch must be, bit for bit, the plan built from scratch.
 
 use scholar::core::engine::{MixParams, QRankEngine, SolveScratch};
@@ -67,7 +67,7 @@ fn cached_engine_matches_fresh_run_across_presets() {
             cfg.clone().with_maturity(3.0),
             QRankConfig { mu_venue: 0.9, mu_author: 0.1, ..cfg.clone() },
         ] {
-            let cached = engine.solve_with(&MixParams::from_config(&cfg), None, &mut scratch);
+            let cached = engine.solve_with(&MixParams::from_config(&cfg), &mut scratch);
             let fresh = QRank::new(cfg).run(&corpus);
             assert_result_close(name, &cached, &fresh);
         }
@@ -85,31 +85,6 @@ fn shared_engine_ablation_sweep_matches_fresh_runs() {
         assert_result_close(ab.name(), res, &fresh);
         assert!(res.outer.converged, "{} did not converge", ab.name());
     }
-}
-
-#[test]
-fn warm_solves_match_fresh_warm_runs() {
-    let corpus = Preset::Tiny.generate(6);
-    let cfg = QRankConfig::default();
-    let engine = QRankEngine::build(&corpus, &cfg);
-    let mix = MixParams::from_config(&cfg);
-    let cold = engine.solve(&mix);
-
-    // A genuine warm start (yesterday's scores, slightly perturbed).
-    let mut warm: Vec<f64> = cold.article_scores.clone();
-    for (i, w) in warm.iter_mut().enumerate() {
-        *w *= 1.0 + 0.01 * ((i % 7) as f64);
-    }
-    let cached = engine.solve_warm(&mix, Some(&warm));
-    let fresh = QRank::new(cfg.clone()).run_warm(&corpus, Some(warm));
-    assert_result_close("warm", &cached, &fresh);
-
-    // Degenerate warm starts are dropped, not propagated: zero mass and
-    // wrong length both fall back to the cold solve.
-    let zero = engine.solve_warm(&mix, Some(&vec![0.0; corpus.num_articles()]));
-    assert_eq!(zero.article_scores, cold.article_scores);
-    let short = engine.solve_warm(&mix, Some(&[1.0, 2.0]));
-    assert_eq!(short.article_scores, cold.article_scores);
 }
 
 #[test]
@@ -297,6 +272,9 @@ fn a_grown_plan_is_the_built_plan_structure_by_structure() {
             let grown = grow_corpus(live.corpus(), batch_for(&live, step));
             live.extend(grown);
             let (patched, built) = (live.engine(), QRankEngine::build(live.corpus(), &cfg));
+            // The live plan has solved its inner walk: so does the built one,
+            // and the cached walks are compared too.
+            built.twpr();
             assert_eq!(patched.now() > old_now, step == 4, "{name}: only step 4 moves now");
             if same(patched, &built) {
                 continue;

@@ -83,7 +83,6 @@ pub fn structural_opts(cfg: &QRankConfig) -> PowerIterationOpts {
         tol: pr.tol,
         max_iter: pr.max_iter,
         threads: pr.threads,
-        warm_start: None,
     }
 }
 
@@ -230,9 +229,9 @@ impl RowStochastic {
 
     /// Run damped power iteration to a fixpoint.
     ///
-    /// Starts from `jump` (or a caller-provided warm start), iterates until
-    /// the L1 residual drops below `tol` or `max_iter` steps elapse, and
-    /// returns the final vector plus per-iteration residual history.
+    /// Starts from `jump`, iterates until the L1 residual drops below
+    /// `tol` or `max_iter` steps elapse, and returns the final vector plus
+    /// per-iteration residual history.
     pub fn stationary(&self, opts: &PowerIterationOpts) -> PowerIterationResult {
         stationary_store(self, opts)
     }
