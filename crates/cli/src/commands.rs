@@ -10,7 +10,7 @@ use scholar::eval::tables::{fmt_metric, fmt_seconds, Table};
 use scholar::eval::Experiment;
 use scholar::rank::personalized::{related_articles, PersonalizedConfig};
 use scholar::rank::scores::top_k;
-use scholar::rank::{PageRankConfig, RankContext, RankOutput, SolveTelemetry, TwprConfig};
+use scholar::rank::{PageRankConfig, RankContext, RankOutput, TwprConfig};
 use scholar::{Corpus, QRank, QRankConfig, Ranker};
 use std::io::Write;
 use std::path::Path;
@@ -194,13 +194,7 @@ pub fn rank<W: Write>(args: &Args, out: &mut W) -> CmdResult {
         let build_secs = built.elapsed().as_secs_f64();
         let solved = Instant::now();
         let result = engine.solve(&scholar::MixParams::from_config(&cfg));
-        let telemetry = SolveTelemetry {
-            iterations: result.outer.iterations + result.twpr_diagnostics.iterations,
-            converged: result.outer.converged && result.twpr_diagnostics.converged,
-            residuals: result.outer.residuals.clone(),
-            build_secs,
-            solve_secs: solved.elapsed().as_secs_f64(),
-        };
+        let telemetry = result.telemetry(build_secs, solved.elapsed().as_secs_f64());
         let scores = result.article_scores.clone();
         ("QRank".to_string(), scores, telemetry, Some((engine, result)))
     } else {

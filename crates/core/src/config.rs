@@ -1,5 +1,6 @@
 //! QRank configuration.
 
+use crate::engine::MixParams;
 use scholar_rank::TwprConfig;
 
 /// All parameters of the QRank framework.
@@ -64,54 +65,17 @@ impl Default for QRankConfig {
 }
 
 impl QRankConfig {
-    /// Panics on an invalid configuration.
+    /// Panics with [`Self::validate`]'s message on an invalid configuration.
     pub fn assert_valid(&self) {
-        if let Err(msg) = self.validate() {
-            panic!("{msg}");
-        }
+        self.validate().unwrap_or_else(|msg| panic!("{msg}"));
     }
 
-    /// Non-panicking validation, for configurations read from files.
+    /// Non-panicking validation, for configurations read from files: the
+    /// walk's rules ([`TwprConfig::validate`]), then the mixture's
+    /// ([`MixParams::validate`]).
     pub fn validate(&self) -> Result<(), String> {
-        let pr = &self.twpr.pagerank;
-        if !(0.0..1.0).contains(&pr.damping) {
-            return Err("damping must be in [0, 1)".into());
-        }
-        if pr.tol < 0.0 {
-            return Err("tolerance must be >= 0".into());
-        }
-        if pr.max_iter == 0 {
-            return Err("need at least one iteration".into());
-        }
-        if !(self.twpr.rho >= 0.0 && self.twpr.rho.is_finite()) {
-            return Err("rho must be finite and >= 0".into());
-        }
-        if !(self.twpr.tau >= 0.0 && self.twpr.tau.is_finite()) {
-            return Err("tau must be finite and >= 0".into());
-        }
-        let (lp, lv, lu) = (self.lambda_article, self.lambda_venue, self.lambda_author);
-        if !(lp >= 0.0 && lv >= 0.0 && lu >= 0.0) {
-            return Err("lambda weights must be >= 0".into());
-        }
-        if (lp + lv + lu - 1.0).abs() >= 1e-9 {
-            return Err(format!("lambda weights must sum to 1 (got {})", lp + lv + lu));
-        }
-        if !(0.0..=1.0).contains(&self.mu_venue) {
-            return Err("mu_venue must be in [0, 1]".into());
-        }
-        if !(0.0..=1.0).contains(&self.mu_author) {
-            return Err("mu_author must be in [0, 1]".into());
-        }
-        if !(self.maturity_years >= 0.0 && self.maturity_years.is_finite()) {
-            return Err("maturity_years must be finite and >= 0".into());
-        }
-        if self.outer_max_iter == 0 {
-            return Err("need at least one outer iteration".into());
-        }
-        if self.outer_tol < 0.0 {
-            return Err("outer tolerance must be >= 0".into());
-        }
-        Ok(())
+        self.twpr.validate()?;
+        MixParams::from_config(self).validate()
     }
 
     /// Set the λ mixture (must sum to 1).
@@ -268,6 +232,17 @@ mod tests {
     #[should_panic(expected = "sum to 1")]
     fn lambdas_must_sum_to_one() {
         QRankConfig::default().with_lambdas(0.5, 0.5, 0.5);
+    }
+
+    /// `validate` is the walk's rules then the mixture's, so a NaN
+    /// tolerance is refused here, as the solve's own check refuses it.
+    #[test]
+    fn validate_refuses_what_the_solve_refuses() {
+        let mut cfg = QRankConfig::default();
+        cfg.twpr.pagerank.tol = f64::NAN;
+        assert_eq!(cfg.validate(), Err("tolerance must be >= 0".into()));
+        let cfg = QRankConfig { outer_tol: f64::NAN, ..Default::default() };
+        assert_eq!(cfg.validate(), Err("outer tolerance must be >= 0".into()));
     }
 
     #[test]

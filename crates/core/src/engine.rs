@@ -32,7 +32,7 @@ use crate::hetnet::HetNet;
 use crate::qrank::QRankResult;
 use scholar_corpus::rows::{self, Rows};
 use scholar_rank::diagnostics::Diagnostics;
-use scholar_rank::pagerank::{pagerank_on_store, sweep_on_store};
+use scholar_rank::pagerank::{ensure, pagerank_on_store, sweep_on_store};
 use sgraph::stochastic::{blend_into, l1_distance, normalize_l1};
 use sgraph::{JumpVector, ProjectedWalk, RowStochastic};
 use std::ops::Range;
@@ -79,24 +79,25 @@ impl MixParams {
         }
     }
 
-    /// Panics on invalid mixture parameters (same rules as
-    /// [`QRankConfig::validate`]).
-    pub fn assert_valid(&self) {
+    /// `Err` naming the first invalid mixture parameter.
+    pub fn validate(&self) -> Result<(), String> {
         let (lp, lv, lu) = (self.lambda_article, self.lambda_venue, self.lambda_author);
-        assert!(lp >= 0.0 && lv >= 0.0 && lu >= 0.0, "lambda weights must be >= 0");
-        assert!(
-            (lp + lv + lu - 1.0).abs() < 1e-9,
-            "lambda weights must sum to 1 (got {})",
-            lp + lv + lu
-        );
-        assert!((0.0..=1.0).contains(&self.mu_venue), "mu_venue must be in [0, 1]");
-        assert!((0.0..=1.0).contains(&self.mu_author), "mu_author must be in [0, 1]");
-        assert!(
+        ensure(lp >= 0.0 && lv >= 0.0 && lu >= 0.0, "lambda weights must be >= 0")?;
+        let sum = lp + lv + lu;
+        ensure((sum - 1.0).abs() < 1e-9, &format!("lambda weights must sum to 1 (got {sum})"))?;
+        ensure((0.0..=1.0).contains(&self.mu_venue), "mu_venue must be in [0, 1]")?;
+        ensure((0.0..=1.0).contains(&self.mu_author), "mu_author must be in [0, 1]")?;
+        ensure(
             self.maturity_years >= 0.0 && self.maturity_years.is_finite(),
-            "maturity_years must be finite and >= 0"
-        );
-        assert!(self.outer_max_iter > 0, "need at least one outer iteration");
-        assert!(self.outer_tol >= 0.0, "outer tolerance must be >= 0");
+            "maturity_years must be finite and >= 0",
+        )?;
+        ensure(self.outer_max_iter > 0, "need at least one outer iteration")?;
+        ensure(self.outer_tol >= 0.0, "outer tolerance must be >= 0")
+    }
+
+    /// Panics with [`Self::validate`]'s message on invalid parameters.
+    pub fn assert_valid(&self) {
+        self.validate().unwrap_or_else(|msg| panic!("{msg}"));
     }
 }
 

@@ -34,6 +34,21 @@ pub struct QRankResult {
     pub outer: Diagnostics,
 }
 
+impl QRankResult {
+    /// One telemetry record for both fixpoints: the inner walk's
+    /// iterations are added to the outer loop's, both must have
+    /// converged, and the residuals are the outer loop's.
+    pub fn telemetry(&self, build_secs: f64, solve_secs: f64) -> SolveTelemetry {
+        SolveTelemetry {
+            iterations: self.outer.iterations + self.twpr_diagnostics.iterations,
+            converged: self.outer.converged && self.twpr_diagnostics.converged,
+            residuals: self.outer.residuals.clone(),
+            build_secs,
+            solve_secs,
+        }
+    }
+}
+
 impl QRank {
     /// QRank with the given configuration.
     pub fn new(config: QRankConfig) -> Self {
@@ -66,12 +81,7 @@ impl Ranker for QRank {
         let build_secs = built.secs();
         let solved = Stopwatch::start();
         let res = engine.solve(&MixParams::from_config(&self.config));
-        // One record for both fixpoints: the inner walk's iterations are
-        // added to the outer loop's, and both must have converged.
-        let mut combined = res.outer;
-        combined.iterations += res.twpr_diagnostics.iterations;
-        combined.converged &= res.twpr_diagnostics.converged;
-        let telemetry = SolveTelemetry::timed(&combined, build_secs, solved.secs());
+        let telemetry = res.telemetry(build_secs, solved.secs());
         RankOutput { scores: res.article_scores, telemetry }
     }
 }

@@ -22,8 +22,9 @@
 //! comparable across methods and corpus snapshots. The primary entry
 //! point is [`Ranker::solve_ctx`], which runs against a shared
 //! [`context::RankContext`] — a prepared layer that caches the citation
-//! graphs, bipartite maps, year vectors, and completed solves, so a
-//! whole evaluation suite builds each structure once — and
+//! graphs, bipartite maps, citation counts and year vectors (structures,
+//! never solves), so a whole evaluation suite builds each structure
+//! once — and
 //! reports unified [`telemetry::SolveTelemetry`] (iterations, residuals,
 //! convergence, build/solve wall time). `Ranker::rank(&Corpus)` remains
 //! as a convenience over a throwaway context.

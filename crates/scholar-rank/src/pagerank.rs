@@ -41,12 +41,26 @@ impl Default for PageRankConfig {
     }
 }
 
+/// `Err(msg)` unless `ok`: one validation rule, read as an `assert!`.
+pub fn ensure(ok: bool, msg: &str) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(msg.to_owned())
+    }
+}
+
 impl PageRankConfig {
-    /// Panics on out-of-range parameters.
+    /// `Err` naming the first out-of-range parameter.
+    pub fn validate(&self) -> Result<(), String> {
+        ensure((0.0..1.0).contains(&self.damping), "damping must be in [0, 1)")?;
+        ensure(self.tol >= 0.0, "tolerance must be >= 0")?;
+        ensure(self.max_iter > 0, "need at least one iteration")
+    }
+
+    /// Panics with [`Self::validate`]'s message on out-of-range parameters.
     pub fn assert_valid(&self) {
-        assert!((0.0..1.0).contains(&self.damping), "damping must be in [0, 1)");
-        assert!(self.tol >= 0.0, "tolerance must be >= 0");
-        assert!(self.max_iter > 0, "need at least one iteration");
+        self.validate().unwrap_or_else(|msg| panic!("{msg}"));
     }
 
     /// Overlay fields present in a parsed JSON object onto `self`

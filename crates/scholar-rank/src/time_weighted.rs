@@ -17,7 +17,7 @@
 //! one walk: each enters it through [`citation_walk`].
 
 use crate::context::{DecayedPlan, RankContext};
-use crate::pagerank::{sweep_on_store, PageRankConfig};
+use crate::pagerank::{ensure, sweep_on_store, PageRankConfig};
 use crate::ranker::Ranker;
 use crate::telemetry::Stopwatch;
 use crate::telemetry::{RankOutput, SolveTelemetry};
@@ -44,11 +44,16 @@ impl Default for TwprConfig {
 }
 
 impl TwprConfig {
-    /// Panics on out-of-range parameters.
+    /// `Err` naming the first out-of-range parameter.
+    pub fn validate(&self) -> Result<(), String> {
+        self.pagerank.validate()?;
+        ensure(self.rho >= 0.0 && self.rho.is_finite(), "rho must be finite and >= 0")?;
+        ensure(self.tau >= 0.0 && self.tau.is_finite(), "tau must be finite and >= 0")
+    }
+
+    /// Panics with [`Self::validate`]'s message on out-of-range parameters.
     pub fn assert_valid(&self) {
-        self.pagerank.assert_valid();
-        assert!(self.rho >= 0.0 && self.rho.is_finite(), "rho must be finite and >= 0");
-        assert!(self.tau >= 0.0 && self.tau.is_finite(), "tau must be finite and >= 0");
+        self.validate().unwrap_or_else(|msg| panic!("{msg}"));
     }
 
     /// Overlay fields present in a parsed JSON object onto `self`

@@ -25,7 +25,7 @@
 //! * [`projected`] — the same walk over a graph projected through a
 //!   bipartite (`B·W·Bᵀ − diag`, the author citation graph), applied
 //!   factorised so the projection is never materialised.
-//! * Out-of-core storage: read-only file maps ([`mmap`]), the SCSRv3
+//! * Out-of-core storage: read-only file maps ([`mmap`]), the SCSRv4
 //!   sharded pull CSR ([`mmap_csr`]) behind the [`store`] seam, and
 //!   [`sfile`] — the durable-file kit (atomic publish, checksum, varint,
 //!   record frames) every on-disk format in the workspace is built on.

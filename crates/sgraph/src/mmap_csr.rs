@@ -12,8 +12,8 @@
 //! ([`CsrStore::apply_step`], on every worker), which also gives the
 //! sweep its residual. Either touches one shard's arrays at a time per
 //! worker, so peak resident memory is two iterate vectors, the
-//! step's pre-scaled `z`, the out-sum column, and one shard plus one
-//! frontier buffer per worker — not the whole graph.
+//! step's pre-scaled `z`, the out-sum column, and one shard per worker —
+//! not the whole graph.
 //!
 //! ## Bit identity with the dense operator
 //!
@@ -30,21 +30,21 @@
 //! every edge placed at its row's next free slot in spill order in a
 //! second — which keeps them ascending per row), and
 //! [`MmapCsr::apply_step`] and [`MmapCsr::reverse_pass`] pre-scale the
-//! same way and accumulate `table[code]·z`, the same `w·z` product, in
-//! stored order. Node partitioning never reorders a per-slot sum — each
-//! target's whole row lives in its own shard — so shard size and worker
-//! count are pure layout knobs: residuals, iteration and pass counts, and
-//! stationaries are bit-identical to the dense solve at any `shard_size`
-//! and any `threads`.
+//! same way and accumulate `table[code]·z[source]`, the same `w·z[u]`
+//! product, in stored order. Node partitioning never reorders a per-slot
+//! sum — each target's whole row lives in its own shard — so shard size
+//! and worker count are pure layout knobs: residuals, iteration and pass
+//! counts, and stationaries are bit-identical to the dense solve at any
+//! `shard_size` and any `threads`.
 //!
-//! ## File format (`SCSRv3`, little-endian, 8-byte-aligned sections)
+//! ## File format (`SCSRv4`, little-endian, 8-byte-aligned sections)
 //!
 //! ```text
-//! header   : magic "SCSRv3\0\0" · n · m · shard_size · num_shards
+//! header   : magic "SCSRv4\0\0" · n · m · shard_size · num_shards
 //!            · sums_off · dangling_off · dangling_len · table_off
 //!            · table_len · tag                          (11 × u64)
-//! directory: per shard { boundary_off, boundary_len, offsets_off,
-//!            sources_off, codes_off, edges }            (6 × u64)
+//! directory: per shard { offsets_off, sources_off, codes_off, edges }
+//!                                                       (4 × u64)
 //! sums     : f64[n]              out-weight sum of every node
 //! dangling : u32[dangling_len]   ascending global ids
 //! table    : f64[table_len]      the distinct raw edge weights (w > 0,
@@ -52,12 +52,8 @@
 //!                                order `add_source` first met them;
 //!                                table_len ≤ 65,536
 //! per shard:
-//!   boundary: u32[boundary_len]  sorted global ids of sources that
-//!                                live OUTSIDE this shard's node range
 //!   offsets : u64[shard_len + 1] row starts, relative to the shard
-//!   sources : u32[edges]         local codes: code < shard_len is the
-//!                                in-shard node (global = start + code),
-//!                                else boundary[code − shard_len]
+//!   sources : u32[edges]         each edge's global source id
 //!   codes   : u16[edges]         each edge's raw weight, as its index
 //!                                into the table
 //! ```
@@ -70,20 +66,17 @@
 //! distinct weights than a `u16` can index is refused at build time with
 //! [`io::ErrorKind::InvalidInput`]; nothing is clamped or rounded.
 //!
-//! `SCSRv1` stored `w / out_sum` per edge and `SCSRv2` the raw `f64`; a
-//! file with either magic is refused on open, so a cache left by an
-//! older build is rebuilt. The `tag` is caller-supplied (the colstore
-//! layer passes its content generation) and is validated on open, so a
-//! stale shard file built from an older corpus cannot be silently reused
-//! either.
+//! `SCSRv1` stored `w / out_sum` per edge, `SCSRv2` the raw `f64`, and
+//! `SCSRv3` each shard's out-of-shard sources in a list of its own, coding
+//! a source by its place in the shard or in that list; a file with any of
+//! these magics is refused on open, so a cache left by an older build is
+//! rebuilt. The `tag` is caller-supplied (the colstore layer passes its
+//! content generation) and is validated on open, so a stale shard file
+//! built from an older corpus cannot be silently reused either.
 //!
-//! The boundary list is the *frontier exchange*: a step pre-scales the
-//! whole iterate once into `z`, and before sweeping a shard its worker
-//! gathers `z` at the shard's own nodes and then at each boundary id into
-//! one dense buffer that the local source codes index directly, so row
-//! gathers never read a random global offset per edge. Workers sweep
-//! contiguous shard groups balanced by edges plus boundary ids, each
-//! writing its own run of the output.
+//! Every row reads the one pre-scaled iterate `z` at its global source
+//! ids, as the dense kernel does. Workers sweep contiguous shard groups
+//! balanced by edge count, each writing its own run of the output.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::fs::File;
@@ -99,9 +92,9 @@ use crate::stochastic::{dangles, per_weight, JumpVector};
 use crate::store::{CsrStore, Pass, PassSums, ReverseSweep};
 use crate::CsrGraph;
 
-const MAGIC: &[u8; 8] = b"SCSRv3\0\0";
+const MAGIC: &[u8; 8] = b"SCSRv4\0\0";
 const HEADER_BYTES: usize = 88;
-const DIR_FIELDS: usize = 6;
+const DIR_FIELDS: usize = 4;
 /// One spilled edge: target `u32`, source `u32`, weight code `u16`.
 const SPILL_RECORD: usize = 10;
 /// Distinct weights one file can hold: every value of a `u16` code.
@@ -118,8 +111,6 @@ fn align8(off: u64) -> u64 {
 
 #[derive(Clone, Copy)]
 struct ShardMeta {
-    boundary_off: u64,
-    boundary_len: u64,
     offsets_off: u64,
     sources_off: u64,
     codes_off: u64,
@@ -137,9 +128,9 @@ struct ShardMeta {
 /// record: target, source, weight code); the out-weight sums go to one
 /// more, so neither the edge set nor a per-node column is held in memory.
 /// `finish` assembles one shard at a time in two streaming passes over its
-/// spill — count rows and collect the boundary, then scatter — holding 6
-/// bytes per edge and 8 per node of that shard, and publishes the result
-/// through [`crate::sfile`]. A spill that is not whole records,
+/// spill — count rows, then scatter — holding 6 bytes per edge and 8 per
+/// node of that shard, and publishes the result through [`crate::sfile`].
+/// A spill that is not whole records,
 /// changes between the passes or comes up short of the edges `add_source`
 /// wrote is [`io::ErrorKind::InvalidData`], never a short shard. The spill
 /// files are removed when the builder is dropped, finished or not.
@@ -315,14 +306,16 @@ impl MmapCsrBuilder {
             let start = shard * self.shard_size;
             let shard_len = self.shard_size.min(self.n - start.min(self.n));
             let spill = &self.spill_paths[shard];
-            let local = |id: u32| (id as usize).checked_sub(start).filter(|&l| l < shard_len);
-            let row_of = |t: u32| local(t).ok_or_else(|| bad_spill("target outside its shard"));
+            let row_of = |t: u32| {
+                (t as usize)
+                    .checked_sub(start)
+                    .filter(|&row| row < shard_len)
+                    .ok_or_else(|| bad_spill("target outside its shard"))
+            };
 
-            // Pass 1: count each row, and collect the out-of-shard sources.
-            // Spill order is ascending source (add_source id order), so
-            // they arrive sorted and only adjacent repeats need dropping.
+            // Pass 1: count each row. Spill order is ascending source
+            // (add_source id order), which the scatter keeps in every row.
             let mut rows = RowCounts::new(shard_len);
-            let mut boundary: Vec<u32> = Vec::new();
             let mut last_source = 0;
             let edges = for_each_record(spill, |t, u, _| {
                 rows.add(row_of(t)?);
@@ -330,17 +323,9 @@ impl MmapCsrBuilder {
                     return Err(bad_spill("sources out of order"));
                 }
                 last_source = u;
-                if local(u).is_none() && boundary.last() != Some(&u) {
-                    boundary.push(u);
-                }
                 Ok(())
             })?;
             let offsets = rows.offsets();
-
-            pad(&mut out, &mut cursor)?;
-            let boundary_off = cursor;
-            write_le(&mut out, &boundary, |b| b.to_le_bytes())?;
-            cursor += (boundary.len() * 4) as u64;
 
             pad(&mut out, &mut cursor)?;
             let offsets_off = cursor;
@@ -348,32 +333,18 @@ impl MmapCsrBuilder {
             cursor += (offsets.len() * 8) as u64;
 
             // Pass 2: stable counting scatter. Each row fills in spill
-            // order, so it stays source-ascending; a cursor that only moves
-            // forward through the sorted boundary codes each outside source.
+            // order, so it stays source-ascending.
             let (mut sources, mut codes) = (vec![0u32; edges], vec![0u16; edges]);
             let mut slots = Cursors::new(offsets);
-            let mut next_boundary = 0;
             let seen = for_each_record(spill, |t, u, weight_code| {
                 if usize::from(weight_code) >= self.table.len() {
                     return Err(bad_spill("weight code outside the table"));
                 }
-                let code = match local(u) {
-                    Some(l) => l,
-                    None => {
-                        while boundary.get(next_boundary).is_some_and(|&b| b < u) {
-                            next_boundary += 1;
-                        }
-                        if boundary.get(next_boundary) != Some(&u) {
-                            return Err(bad_spill("source missing from the boundary"));
-                        }
-                        shard_len + next_boundary
-                    }
-                };
                 let slot = slots.place(row_of(t)?);
                 if slot >= edges {
                     return Err(bad_spill("spill grew between passes"));
                 }
-                sources[slot] = code as u32;
+                sources[slot] = u;
                 codes[slot] = weight_code;
                 Ok(())
             })?;
@@ -383,7 +354,7 @@ impl MmapCsrBuilder {
 
             pad(&mut out, &mut cursor)?;
             let sources_off = cursor;
-            write_le(&mut out, &sources, |c| c.to_le_bytes())?;
+            write_le(&mut out, &sources, |u| u.to_le_bytes())?;
             cursor += (edges * 4) as u64;
 
             pad(&mut out, &mut cursor)?;
@@ -391,14 +362,7 @@ impl MmapCsrBuilder {
             write_le(&mut out, &codes, |c| c.to_le_bytes())?;
             cursor += (edges * 2) as u64;
 
-            dir.push(ShardMeta {
-                boundary_off,
-                boundary_len: boundary.len() as u64,
-                offsets_off,
-                sources_off,
-                codes_off,
-                edges: edges as u64,
-            });
+            dir.push(ShardMeta { offsets_off, sources_off, codes_off, edges: edges as u64 });
         }
         if dir.iter().map(|d| d.edges).sum::<u64>() != self.m {
             return Err(bad_spill("edge count disagrees with add_source"));
@@ -428,9 +392,7 @@ impl MmapCsrBuilder {
         file.write_all(&head)?;
         let mut dir_buf = Vec::with_capacity(dir.len() * DIR_FIELDS * 8);
         for d in &dir {
-            for v in
-                [d.boundary_off, d.boundary_len, d.offsets_off, d.sources_off, d.codes_off, d.edges]
-            {
+            for v in [d.offsets_off, d.sources_off, d.codes_off, d.edges] {
                 dir_buf.extend_from_slice(&v.to_le_bytes());
             }
         }
@@ -519,8 +481,8 @@ pub struct MmapCsr {
     /// sweep's `table[code]` needs no bounds check and cannot panic.
     table: Box<[f64; TABLE_CAP]>,
     dir: Vec<ShardMeta>,
-    /// Prefix sums of each shard's sweep work, `edges + boundary_len`
-    /// (`num_shards + 1` entries): what the shard groups are balanced by.
+    /// Prefix sums of each shard's edge count (`num_shards + 1`
+    /// entries): what the shard groups are balanced by.
     work: Vec<usize>,
 }
 
@@ -569,34 +531,26 @@ impl MmapCsr {
         let mut edges_total = 0u64;
         for s in 0..num_shards {
             let d = map.as_u64s(HEADER_BYTES + s * DIR_FIELDS * 8, DIR_FIELDS);
-            let meta = ShardMeta {
-                boundary_off: d[0],
-                boundary_len: d[1],
-                offsets_off: d[2],
-                sources_off: d[3],
-                codes_off: d[4],
-                edges: d[5],
-            };
+            let meta =
+                ShardMeta { offsets_off: d[0], sources_off: d[1], codes_off: d[2], edges: d[3] };
             let shard_len = shard_size.min(n - (s * shard_size).min(n));
             let file_len = map.len() as u128;
             let fits = |off: u64, count: u128, size: u128| off as u128 + count * size <= file_len;
             if !fits(meta.codes_off, meta.edges as u128, 2)
                 || !fits(meta.sources_off, meta.edges as u128, 4)
                 || !fits(meta.offsets_off, shard_len as u128 + 1, 8)
-                || !fits(meta.boundary_off, meta.boundary_len as u128, 4)
             {
                 return Err(bad("shard section out of bounds"));
             }
             if !meta.codes_off.is_multiple_of(2)
                 || !meta.offsets_off.is_multiple_of(8)
                 || !meta.sources_off.is_multiple_of(4)
-                || !meta.boundary_off.is_multiple_of(4)
             {
                 return Err(bad("shard section misaligned"));
             }
             edges_total += meta.edges;
-            // Both counts were bounded by the file length above.
-            work.push(work[s] + (meta.edges + meta.boundary_len) as usize);
+            // Bounded by the file length above.
+            work.push(work[s] + meta.edges as usize);
             dir.push(meta);
         }
         if edges_total != m {
@@ -681,16 +635,14 @@ impl CsrStore for MmapCsr {
     }
 
     /// Damped step over contiguous shard groups on up to `threads`
-    /// workers, with the frontier exchange gathered from one pre-scaled
-    /// iterate.
+    /// workers, every row gathering from one pre-scaled iterate.
     ///
     /// `z = x / out_sum` is filled once per step, split evenly across the
-    /// workers. The shards are then cut into groups of near-equal work
-    /// (edges plus boundary ids) and each group's worker writes its own
-    /// run of `y`, copying a shard's own `z` slice and then its boundary
-    /// ids' `z` into one buffer that the rows gather from. Every `y[v]` is
-    /// the same sequential sum in stored order whichever worker runs it, so
-    /// the iterate is the same bits at any thread count.
+    /// workers. The shards are then cut into groups of near-equal edge
+    /// counts and each group's worker writes its own run of `y`, its rows
+    /// reading `z` at their sources' global ids. Every `y[v]` is the same
+    /// sequential sum in stored order whichever worker runs it, so the
+    /// iterate is the same bits at any thread count.
     fn apply_step(
         &self,
         x: &[f64],
@@ -717,17 +669,10 @@ impl CsrStore for MmapCsr {
             .collect();
         let table: &[f64; TABLE_CAP] = &self.table;
         par::for_each_range_mut(y, &groups, |nodes, out| {
-            // `z` over the shard's own nodes, then over its boundary.
-            let mut zs: Vec<f64> = Vec::new();
             for si in nodes.start / self.shard_size..nodes.end.div_ceil(self.shard_size) {
                 let meta = &self.dir[si];
                 let start = si * self.shard_size;
                 let shard_len = self.shard_size.min(self.n - start);
-                let boundary =
-                    self.map.as_u32s(meta.boundary_off as usize, meta.boundary_len as usize);
-                zs.clear();
-                zs.extend_from_slice(&z[start..start + shard_len]);
-                zs.extend(boundary.iter().map(|&u| z[u as usize]));
                 let offsets = self.map.as_u64s(meta.offsets_off as usize, shard_len + 1);
                 let sources = self.map.as_u32s(meta.sources_off as usize, meta.edges as usize);
                 let codes = self.map.as_u16s(meta.codes_off as usize, meta.edges as usize);
@@ -735,8 +680,8 @@ impl CsrStore for MmapCsr {
                 for (v_local, slot) in rows.iter_mut().enumerate() {
                     let (lo, hi) = (offsets[v_local] as usize, offsets[v_local + 1] as usize);
                     let mut acc = 0.0;
-                    for (&c, &k) in sources[lo..hi].iter().zip(&codes[lo..hi]) {
-                        acc += table[k as usize] * zs[c as usize];
+                    for (&u, &k) in sources[lo..hi].iter().zip(&codes[lo..hi]) {
+                        acc += table[k as usize] * z[u as usize];
                     }
                     *slot = damping * acc + share(start + v_local);
                 }
@@ -747,46 +692,32 @@ impl CsrStore for MmapCsr {
 
 impl ReverseSweep for MmapCsr {
     /// The shards from last to first, each shard's rows from last to
-    /// first. A shard's local buffer is `z` over its own nodes and then
-    /// over its boundary, copied when the shard is reached: a boundary
-    /// source in a later shard already holds this pass's value, one in an
-    /// earlier shard the previous pass's. Each row's `z[v]` goes into the
-    /// buffer and into the global `z` at once, for the rows and shards
-    /// still to come.
+    /// first, every row reading and then writing the one `z`.
     fn reverse_pass(&self, y: &mut [f64], z: &mut [f64], damping: f64, jump: &JumpVector) -> Pass {
         assert!(y.len() == self.n && z.len() == self.n, "iterate length mismatch");
         let share = jump.shares(1.0, self.n);
         let out_sums = self.map.as_f64s(self.sums_off, self.n);
         let table: &[f64; TABLE_CAP] = &self.table;
         let mut sums = PassSums::default();
-        let mut zs: Vec<f64> = Vec::new();
         for (si, meta) in self.dir.iter().enumerate().rev() {
             let start = si * self.shard_size;
             let shard_len = self.shard_size.min(self.n - start);
-            let boundary = self.map.as_u32s(meta.boundary_off as usize, meta.boundary_len as usize);
-            zs.clear();
-            zs.extend_from_slice(&z[start..start + shard_len]);
-            zs.extend(boundary.iter().map(|&u| z[u as usize]));
             let offsets = self.map.as_u64s(meta.offsets_off as usize, shard_len + 1);
             let sources = self.map.as_u32s(meta.sources_off as usize, meta.edges as usize);
             let codes = self.map.as_u16s(meta.codes_off as usize, meta.edges as usize);
-            let global = |c: u32| match (c as usize).checked_sub(shard_len) {
-                None => start + c as usize,
-                Some(b) => boundary[b] as usize,
-            };
             for v_local in (0..shard_len).rev() {
                 let v = start + v_local;
                 let (lo, hi) = (offsets[v_local] as usize, offsets[v_local + 1] as usize);
                 let row = &sources[lo..hi];
-                // Stored sources ascend by global id: back edges lead.
-                if row.first().is_some_and(|&c| global(c) <= v) {
-                    sums.back_edges += row.partition_point(|&c| global(c) <= v) as u64;
+                // Stored sources ascend: back edges lead.
+                if row.first().is_some_and(|&u| u as usize <= v) {
+                    sums.back_edges += row.partition_point(|&u| u as usize <= v) as u64;
                 }
                 let mut acc = 0.0;
-                for (&c, &k) in row.iter().zip(&codes[lo..hi]) {
-                    acc += table[k as usize] * zs[c as usize];
+                for (&u, &k) in row.iter().zip(&codes[lo..hi]) {
+                    acc += table[k as usize] * z[u as usize];
                 }
-                zs[v_local] = sums.settle(v, damping * acc + share(v), out_sums[v], y, z);
+                sums.settle(v, damping * acc + share(v), out_sums[v], y, z);
             }
         }
         sums.finish()
@@ -852,20 +783,20 @@ mod tests {
     /// Shard sizes 1 (one node per shard), 4 and 7 (several shards), 23
     /// (exactly one shard) and 1000 (one shard holding fewer nodes than its
     /// size). The shard counts are asserted, and so is a multi-shard file
-    /// with an empty-boundary shard, so the coverage cannot drift with the
-    /// graph.
+    /// with a shard that stores no edge, so the coverage cannot drift with
+    /// the graph.
     #[test]
     fn bit_identical_to_dense_at_every_shard_size() {
         let g = test_graph();
         let op = RowStochastic::new(&g);
-        let mut split_with_an_empty_boundary = false;
+        let mut split_with_an_edgeless_shard = false;
         for (i, shard_size) in [1usize, 4, 7, 23, 1000].into_iter().enumerate() {
             let path = tmp(&format!("bits{i}"));
             let mc = build_from_graph(&g, &path, shard_size, 42).unwrap();
             assert_eq!(mc.num_nodes(), g.num_nodes() as usize);
             assert_eq!(mc.num_shards(), 23usize.div_ceil(shard_size));
-            split_with_an_empty_boundary |=
-                mc.num_shards() > 1 && mc.dir.iter().any(|d| d.boundary_len == 0);
+            split_with_an_edgeless_shard |=
+                mc.num_shards() > 1 && mc.dir.iter().any(|d| d.edges == 0);
             for opts in [
                 PowerIterationOpts::default(),
                 PowerIterationOpts {
@@ -896,7 +827,7 @@ mod tests {
             );
             std::fs::remove_file(&path).unwrap();
         }
-        assert!(split_with_an_empty_boundary, "no multi-shard file has an empty-boundary shard");
+        assert!(split_with_an_edgeless_shard, "no multi-shard file has a shard without edges");
     }
 
     /// The reverse sweep over the shards is the dense sweep, bit for bit —
@@ -951,6 +882,55 @@ mod tests {
         }
     }
 
+    /// One `reverse_pass` on the shard file is the dense pass from the same
+    /// iterate: the same `y` and `z` bits and the same [`Pass`], its change
+    /// bits and its back-edge count. The graph has back edges that carry
+    /// mass, the self-loop 1 → 1 among them, and two kinds that do not,
+    /// which the dense pass skips and the file never stores: the
+    /// zero-weight 1 → 12, and 0 → 5 and 0 → 9 from node 0, which dangles
+    /// because both its weights are zero.
+    #[test]
+    fn reverse_pass_is_the_dense_pass_at_every_shard_size() {
+        let base = test_graph();
+        let mut b = GraphBuilder::new(23).self_loops(true);
+        for u in base.nodes().filter(|u| u.0 > 1) {
+            for (&t, &w) in base.out_neighbors(u).iter().zip(base.out_edge_weights(u)) {
+                b.add_edge(u, t, w);
+            }
+        }
+        let extra =
+            [(0, 5, 0.0), (0, 9, 0.0), (1, 0, 2.0), (1, 1, 0.5), (1, 12, 0.0), (1, 20, 1.5)];
+        for (u, v, w) in extra {
+            b.add_edge(NodeId(u), NodeId(v), w);
+        }
+        let g = b.build();
+        let op = RowStochastic::new(&g);
+        assert_eq!(op.dangling().first(), Some(&0), "node 0 dangles");
+        let all_back: usize =
+            g.nodes().map(|u| g.out_neighbors(u).iter().filter(|t| u.0 <= t.0).count()).sum();
+        let jump = crate::JumpVector::weighted((0..23).map(|v| 1.0 + (v % 5) as f64).collect());
+        // Three passes from y = z = 0, so the later two read their back
+        // edges from the pass before.
+        let passes = |store: &dyn ReverseSweep| {
+            let (mut y, mut z) = (vec![0.0; 23], vec![0.0; 23]);
+            (0..3)
+                .map(|_| {
+                    let pass = store.reverse_pass(&mut y, &mut z, 0.85, &jump);
+                    (pass.change.to_bits(), pass.back_edges, y.clone(), z.clone())
+                })
+                .collect::<Vec<_>>()
+        };
+        let dense = passes(&op);
+        let back = dense[0].1;
+        assert!(back > 0 && back as usize + 3 <= all_back, "{back} of {all_back} back edges");
+        for (i, shard_size) in [1usize, 4, 7, 23, 1000].into_iter().enumerate() {
+            let path = tmp(&format!("pass{i}"));
+            let mc = build_from_graph(&g, &path, shard_size, 42).unwrap();
+            assert_eq!(passes(&mc), dense, "shard_size {shard_size}");
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
     #[test]
     fn tag_mismatch_rejected() {
         let g = test_graph();
@@ -989,12 +969,11 @@ mod tests {
         let good = std::fs::read(&path).unwrap();
         // Byte offsets of the low byte of every section-offset field:
         // the header's sums_off, dangling_off and table_off, then
-        // boundary_off, offsets_off, sources_off and codes_off of each
-        // directory entry.
+        // offsets_off, sources_off and codes_off of each directory entry.
         let mut fields = vec![8 + 4 * 8, 8 + 5 * 8, 8 + 7 * 8];
         for s in 0..shards {
             let entry = HEADER_BYTES + s * DIR_FIELDS * 8;
-            fields.extend([0, 2, 3, 4].map(|f| entry + f * 8));
+            fields.extend([0, 1, 2].map(|f| entry + f * 8));
         }
         for at in fields {
             let mut bytes = good.clone();

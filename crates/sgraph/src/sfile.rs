@@ -1,4 +1,4 @@
-//! sfile: the one durable-file kit under SCOLv2, SCSRv3, SNAPv2, WALv1
+//! sfile: the one durable-file kit under SCOLv2, SCSRv4, SNAPv2, WALv1
 //! and RLOGv1 (DESIGN.md §2.14).
 //!
 //! Every on-disk format in the workspace needs the same four things, and

@@ -139,8 +139,7 @@ pub(crate) struct PassSums {
 }
 
 impl PassSums {
-    /// Store row `v`'s new `y_v` and its pre-scaled `z[v]`, which is
-    /// returned for the store's own copies.
+    /// Store row `v`'s new `y_v` and its pre-scaled `z[v]`.
     #[inline]
     pub(crate) fn settle(
         &mut self,
@@ -149,12 +148,11 @@ impl PassSums {
         out_sum: f64,
         y: &mut [f64],
         z: &mut [f64],
-    ) -> f64 {
+    ) {
         self.change += (y_v - y[v]).abs();
         self.total += y_v;
         y[v] = y_v;
         z[v] = per_weight(y_v, out_sum);
-        z[v]
     }
 
     pub(crate) fn finish(self) -> Pass {

@@ -361,10 +361,10 @@ fn rho_zero_walks_are_the_ram_solve_on_a_colstore_context() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A shard file from a build that wrote SCSRv1 (`w / out_sum` per edge)
-/// or SCSRv2 (an `f64` weight per edge) sits at the path `decayed_plan`
-/// caches under: it is refused, rebuilt in place as SCSRv3, and never
-/// walked.
+/// A shard file from a build that wrote SCSRv1 (`w / out_sum` per edge),
+/// SCSRv2 (an `f64` weight per edge) or SCSRv3 (sources coded through a
+/// per-shard boundary list) sits at the path `decayed_plan` caches under:
+/// it is refused, rebuilt in place as SCSRv4, and never walked.
 #[test]
 fn a_version_1_shard_cache_is_refused_and_rebuilt() {
     let corpus = Preset::Tiny.generate(34);
@@ -377,14 +377,14 @@ fn a_version_1_shard_cache_is_refused_and_rebuilt() {
         .map(|e| e.unwrap().path())
         .find(|p| p.extension().is_some_and(|x| x == "scsr"))
         .expect("the solve leaves a shard cache");
-    for old in [b"SCSRv1\0\0", b"SCSRv2\0\0"] {
+    for old in [b"SCSRv1\0\0", b"SCSRv2\0\0", b"SCSRv3\0\0"] {
         let mut bytes = std::fs::read(&shard).unwrap();
         bytes[..8].copy_from_slice(old);
         std::fs::write(&shard, &bytes).unwrap();
 
         let again = ranker.solve_ctx(&RankContext::from_colstore(&store));
         assert_eq!(bits(&again.scores), bits(&fresh.scores));
-        assert_eq!(&std::fs::read(&shard).unwrap()[..8], b"SCSRv3\0\0", "rebuilt in place");
+        assert_eq!(&std::fs::read(&shard).unwrap()[..8], b"SCSRv4\0\0", "rebuilt in place");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

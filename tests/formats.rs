@@ -107,7 +107,7 @@ fn loaders_tolerate_messy_real_world_data() {
 /// "No on-disk byte changes" as a test: every durable format, written
 /// for one fixed `Preset::Tiny` seed, hashes to the constant captured at
 /// the commit that last changed that format — the column files and
-/// `snapshot.snap` at SCOLv2/SNAPv2, `graph.scsr` at its bump to SCSRv3,
+/// `snapshot.snap` at SCOLv2/SNAPv2, `graph.scsr` at its bump to SCSRv4,
 /// the rest when they moved onto `sgraph::sfile`. A failure here is a
 /// format change — it needs a version bump, not a new constant.
 #[test]
@@ -128,7 +128,7 @@ fn golden_bytes_of_all_five_formats() {
         ("author_names.idx", 0x73b1b3df53f030f4),
         ("author_names.dat", 0x61aca865bd8e16f1),
         ("meta.col", 0xc5af64acd24382fa),
-        ("graph.scsr", 0x4160773deb90bcef),
+        ("graph.scsr", 0x287f352054c38e4a),
         ("snapshot.snap", 0x856f50abcafb522d),
         ("wal.log", 0x45906d22aa2b7d7c),
         ("wal.log (rotated)", 0x0b3df91a0d596ec2),
@@ -158,7 +158,7 @@ fn golden_bytes_of_all_five_formats() {
     // their constants show that their own formats did not move.
     let generation = 0x7754_4f55_51cc_f373;
 
-    // SCSRv3: several shards, tagged with the colstore generation.
+    // SCSRv4: several shards, tagged with the colstore generation.
     let scsr = dir.join("graph.scsr");
     scholar::graph::mmap_csr::build_from_graph(&corpus.citation_graph(), &scsr, 64, generation)
         .unwrap();

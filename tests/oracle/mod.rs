@@ -7,7 +7,7 @@
 //! weight divided by its source's out-weight sum; the borrowing operator,
 //! which pre-scales the iterate instead, is held to it. [`jsonl`] keeps
 //! the tree-building JSONL reader and writer the same way, [`scsr`]
-//! the sort-based shard writer (writing SCSRv3) and
+//! the sort-based shard writer (writing SCSRv4) and
 //! `GraphBuilder::try_build`, and [`snapv1`] the single-file SNAPv1
 //! snapshot codec that carried the corpus before the state directory
 //! kept it as an SCOLv2 store.

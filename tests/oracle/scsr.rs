@@ -1,8 +1,8 @@
 //! The two CSR builds as they were before the counting-scatter kernel
 //! (`sgraph`'s `scatter` module): the shard writer that sorted each
-//! shard's spilled records by target through an index permutation and
-//! coded every source with a binary search of the boundary (now writing
-//! SCSRv3, each weight coded by a linear search of the weight table), and
+//! shard's spilled records by target through an index permutation (now
+//! writing SCSRv4, each weight coded by a linear search of the weight
+//! table), and
 //! `GraphBuilder::try_build`, which sorted the whole staged edge list by
 //! `(src, dst)`. Both survive here, in test code only, as the oracles the
 //! kernel is held to: [`SortingScsrBuilder`] must write the same file
@@ -20,11 +20,11 @@ fn dangles(out_sum: f64) -> bool {
     out_sum < f64::MIN_POSITIVE
 }
 
-// ---- The sort-based shard writer, as it was (sgraph::mmap_csr), in SCSRv3 ----
+// ---- The sort-based shard writer, as it was (sgraph::mmap_csr), in SCSRv4 ----
 
-const MAGIC: &[u8; 8] = b"SCSRv3\0\0";
+const MAGIC: &[u8; 8] = b"SCSRv4\0\0";
 const HEADER_BYTES: usize = 88;
-const DIR_FIELDS: usize = 6;
+const DIR_FIELDS: usize = 4;
 
 /// Round `off` up to the next multiple of 8.
 fn align8(off: u64) -> u64 {
@@ -33,8 +33,6 @@ fn align8(off: u64) -> u64 {
 
 #[derive(Clone, Copy)]
 struct ShardMeta {
-    boundary_off: u64,
-    boundary_len: u64,
     offsets_off: u64,
     sources_off: u64,
     codes_off: u64,
@@ -176,14 +174,6 @@ impl SortingScsrBuilder {
             // (add_source id order), so each row stays source-ascending.
             order.sort_by_key(|&i| records[i as usize].0);
 
-            let mut boundary: Vec<u32> = records
-                .iter()
-                .map(|r| r.1)
-                .filter(|&s| (s as usize) < start || (s as usize) >= start + shard_len)
-                .collect();
-            boundary.sort_unstable();
-            boundary.dedup();
-
             let mut offsets = vec![0u64; shard_len + 1];
             for r in &records {
                 offsets[(r.0 as usize - start) + 1] += 1;
@@ -191,13 +181,6 @@ impl SortingScsrBuilder {
             for i in 1..offsets.len() {
                 offsets[i] += offsets[i - 1];
             }
-
-            pad(&mut out, &mut cursor)?;
-            let boundary_off = cursor;
-            for &b in &boundary {
-                out.write_all(&b.to_le_bytes())?;
-            }
-            cursor += (boundary.len() * 4) as u64;
 
             pad(&mut out, &mut cursor)?;
             let offsets_off = cursor;
@@ -209,14 +192,7 @@ impl SortingScsrBuilder {
             pad(&mut out, &mut cursor)?;
             let sources_off = cursor;
             for &i in &order {
-                let src = records[i as usize].1 as usize;
-                let code = if src >= start && src < start + shard_len {
-                    (src - start) as u32
-                } else {
-                    let bi = boundary.binary_search(&(src as u32)).expect("boundary id present");
-                    (shard_len + bi) as u32
-                };
-                out.write_all(&code.to_le_bytes())?;
+                out.write_all(&records[i as usize].1.to_le_bytes())?;
             }
             cursor += (order.len() * 4) as u64;
 
@@ -229,8 +205,6 @@ impl SortingScsrBuilder {
             cursor += (order.len() * 2) as u64;
 
             dir.push(ShardMeta {
-                boundary_off,
-                boundary_len: boundary.len() as u64,
                 offsets_off,
                 sources_off,
                 codes_off,
@@ -262,9 +236,7 @@ impl SortingScsrBuilder {
         file.write_all(&head)?;
         let mut dir_buf = Vec::with_capacity(dir.len() * DIR_FIELDS * 8);
         for d in &dir {
-            for v in
-                [d.boundary_off, d.boundary_len, d.offsets_off, d.sources_off, d.codes_off, d.edges]
-            {
+            for v in [d.offsets_off, d.sources_off, d.codes_off, d.edges] {
                 dir_buf.extend_from_slice(&v.to_le_bytes());
             }
         }
