@@ -137,6 +137,11 @@ fn run_one(id: &str) {
             println!("{t}");
             save(id, &t.render());
         }
+        "table9" => {
+            let t = experiments::table9();
+            println!("{t}");
+            save(id, &t.render());
+        }
         other => {
             eprintln!("unknown experiment '{other}'");
             eprintln!("known: {}", ALL.join(" "));
@@ -147,8 +152,8 @@ fn run_one(id: &str) {
 }
 
 const ALL: &[&str] = &[
-    "table1", "table2", "sig", "table3", "table4", "table5", "table6", "table7", "table8", "fig1",
-    "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+    "table1", "table2", "sig", "table3", "table4", "table5", "table6", "table7", "table8",
+    "table9", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
 ];
 
 fn main() {

@@ -110,7 +110,7 @@ impl Ablation {
     /// Only `NoTimeDecay` and `PlainPageRank` change structural
     /// parameters (they zero ρ/τ), so the seven variants need just two
     /// engine builds instead of seven full runs — the graph derivation
-    /// and structural walks dominate, making the shared sweep several
+    /// and the walks dominate, making the shared sweep several
     /// times faster than per-variant [`Ablation::rank`] calls.
     pub fn sweep(base: &QRankConfig, corpus: &Corpus) -> Vec<(Ablation, QRankResult)> {
         let mut engines: Vec<QRankEngine> = Vec::new();

@@ -11,7 +11,7 @@ use scholar_rank::TwprConfig;
 #[derive(Debug, Clone, PartialEq)]
 pub struct QRankConfig {
     /// Parameters of the article-level time-weighted walk; its `rho` also
-    /// drives the decay used when aggregating the venue/author graphs.
+    /// drives the decay used when aggregating the venue graph.
     pub twpr: TwprConfig,
     /// Weight of the citation (TWPR) signal, λ_P.
     pub lambda_article: f64,
@@ -39,8 +39,6 @@ pub struct QRankConfig {
     /// mechanism is kept as a configurable variant (R-Table 5's
     /// "+ age-adaptive mix" row).
     pub maturity_years: f64,
-    /// Drop author self-citations when building the author graph.
-    pub drop_self_citations: bool,
     /// L1 tolerance of the outer mutual-reinforcement fixpoint.
     pub outer_tol: f64,
     /// Iteration cap of the outer fixpoint.
@@ -57,7 +55,6 @@ impl Default for QRankConfig {
             mu_venue: 0.5,
             mu_author: 0.5,
             maturity_years: 0.0,
-            drop_self_citations: true,
             outer_tol: 1e-10,
             outer_max_iter: 100,
         }
@@ -140,10 +137,6 @@ impl QRankConfig {
                 "mu_venue" => cfg.mu_venue = num("mu_venue")?,
                 "mu_author" => cfg.mu_author = num("mu_author")?,
                 "maturity_years" => cfg.maturity_years = num("maturity_years")?,
-                "drop_self_citations" => {
-                    cfg.drop_self_citations =
-                        val.as_bool().ok_or("'drop_self_citations' must be a bool")?
-                }
                 "outer_tol" => cfg.outer_tol = num("outer_tol")?,
                 "outer_max_iter" => {
                     cfg.outer_max_iter =
@@ -165,7 +158,6 @@ impl QRankConfig {
             .field("mu_venue", self.mu_venue)
             .field("mu_author", self.mu_author)
             .field("maturity_years", self.maturity_years)
-            .field("drop_self_citations", self.drop_self_citations)
             .field("outer_tol", self.outer_tol)
             .field("outer_max_iter", self.outer_max_iter)
             .build()
@@ -173,12 +165,11 @@ impl QRankConfig {
 
     /// `true` when `other` shares every *structural* parameter with
     /// `self` — the parameters that determine the derived graphs, the
-    /// recency jump and the structural stationary distributions a
-    /// [`crate::QRankEngine`] caches (everything in
-    /// `twpr` plus `drop_self_citations`). Configs that agree here can
-    /// share one prepared engine and differ only in mix parameters.
+    /// recency jump and the structural priors a [`crate::QRankEngine`]
+    /// caches (everything in `twpr`). Configs that agree here can share
+    /// one prepared engine and differ only in mix parameters.
     pub fn same_structure(&self, other: &QRankConfig) -> bool {
-        self.twpr == other.twpr && self.drop_self_citations == other.drop_self_citations
+        self.twpr == other.twpr
     }
 }
 
@@ -212,6 +203,17 @@ mod tests {
         // Untouched knobs keep their defaults.
         assert_eq!(cfg.twpr.rho, QRankConfig::default().twpr.rho);
         assert_eq!(cfg.outer_max_iter, QRankConfig::default().outer_max_iter);
+    }
+
+    /// A config file written before the author prior was a count may still
+    /// carry `drop_self_citations`: like any unknown key it is ignored, and
+    /// `to_json` no longer writes it.
+    #[test]
+    fn a_retired_key_is_ignored() {
+        let cfg = QRankConfig::from_json_str(r#"{"drop_self_citations": false}"#).unwrap();
+        assert_eq!(cfg, QRankConfig::default());
+        let json = QRankConfig::default().to_json().to_string_compact();
+        assert!(!json.contains("drop_self_citations"), "{json}");
     }
 
     #[test]

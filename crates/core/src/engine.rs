@@ -1,15 +1,13 @@
 //! The prepared QRank execution plan: build once, solve many.
 //!
 //! [`QRank::run`](crate::QRank::run) does two very different kinds of
-//! work. The *structural* part — deriving the [`HetNet`] and running the
-//! structural walks to their stationary distributions (the author walk
-//! factorised over the citation graph and the bylines; the author graph
-//! is never built) —
-//! depends only on the corpus and the structural half of the
-//! configuration (everything in `twpr` plus `drop_self_citations`; see
-//! [`QRankConfig::same_structure`]). The *mixture* part — the outer
-//! mutual-reinforcement fixpoint over λ/μ/σ — is cheap, and it is the
-//! only thing parameter sweeps, ablations, and tuning grids vary.
+//! work. The *structural* part — deriving the [`HetNet`], running the
+//! venue walk to its stationary distribution and counting each author's
+//! byline-weighted citations (the author prior) — depends only on the
+//! corpus and the structural half of the configuration (everything in
+//! `twpr`; see [`QRankConfig::same_structure`]). The *mixture* part — the
+//! outer mutual-reinforcement fixpoint over λ/μ/σ — is cheap, and it is
+//! the only thing parameter sweeps, ablations, and tuning grids vary.
 //!
 //! [`QRankEngine`] splits the two phases. `build` pays the structural
 //! cost once; [`QRankEngine::solve`] answers any mixture of
@@ -21,11 +19,11 @@
 //! are bitwise identical at any thread count).
 //!
 //! A plan answers for one corpus. Articles *appended* to that corpus are
-//! absorbed by [`QRankEngine::extend`], which grows the plan in place
-//! into exactly the plan `build` would derive from the grown corpus; any
-//! other change to the corpus, or to a structural parameter, needs a new
-//! `build` ([`QRankEngine::supports`] tells whether a config can reuse
-//! this plan).
+//! absorbed by [`QRankEngine::extend`], which grows the plan into exactly
+//! the plan `build` would derive from the grown corpus; any other change
+//! to the corpus, or to a structural parameter, needs a new `build`
+//! ([`QRankEngine::supports`] tells whether a config can reuse this
+//! plan).
 
 use crate::config::QRankConfig;
 use crate::hetnet::HetNet;
@@ -34,7 +32,7 @@ use scholar_corpus::rows::{self, Rows};
 use scholar_rank::diagnostics::Diagnostics;
 use scholar_rank::pagerank::{ensure, pagerank_on_store, sweep_on_store};
 use sgraph::stochastic::{blend_into, l1_distance, normalize_l1};
-use sgraph::{JumpVector, ProjectedWalk, RowStochastic};
+use sgraph::{JumpVector, RowStochastic};
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -146,8 +144,8 @@ impl SolveScratch {
 /// [`QRankEngine::extend`] is the only thing that does.
 ///
 /// Caches the heterogeneous network, the recency jump vector, the
-/// per-article ages, the structural venue/author stationary
-/// distributions, and (lazily, on the first cold solve) the TWPR
+/// per-article ages, the structural venue stationary distribution and
+/// author prior, and (lazily, on the first cold solve) the TWPR
 /// stationary distribution. It holds no walk operator: each walk borrows
 /// the network's graph for as long as it runs. `solve` then runs only the
 /// outer mutual-reinforcement fixpoint. Shared-reference solves are safe
@@ -163,7 +161,7 @@ pub struct QRankEngine {
     inner_walk: OnceLock<(Vec<f64>, Diagnostics)>,
     /// Normalized structural venue stationary.
     sv: Vec<f64>,
-    /// Normalized structural author stationary.
+    /// Normalized structural author prior (see `author_prior`).
     su: Vec<f64>,
     /// Per-article age in years, clamped at 0.
     ages: Vec<f64>,
@@ -189,10 +187,29 @@ fn gated_ranges(
     }
 }
 
+/// The structural author prior: each author's byline-weighted count of
+/// the citations their articles received, each citation weighted by its
+/// decay, `su[a] ∝ 1 + Σ_{p ∈ papers(a)} w(a,p)·c(p)` with
+/// `c(p) = Σ_{q→p} exp(−ρ·Δt)` — `w` the harmonic byline weight of the
+/// authorship bipartite, `c(p)` the in-weight of `p` in the decayed
+/// citation graph, and the `1` a smoothing count that leaves no author,
+/// cited or not, at zero — normalised to sum 1. One gather per author
+/// over `ranges`, a partition of the authors, each by one fixed-order
+/// loop: the prior is the same bits at any thread count.
+fn author_prior(net: &HetNet, ranges: &[Range<usize>]) -> Vec<f64> {
+    let g = &net.citation;
+    let cited: Vec<f64> = g.nodes().map(|p| g.in_edge_weights(p).iter().sum()).collect();
+    let mut su = vec![0.0; net.num_authors()];
+    net.authorship.sum_to_left_into_par(&cited, &mut su, ranges);
+    su.iter_mut().for_each(|s| *s += 1.0);
+    normalize_l1(&mut su);
+    su
+}
+
 impl QRankEngine {
     /// Build the plan: derive the heterogeneous network, run the
-    /// structural venue/author walks, and precompute the balanced parallel
-    /// partitions. O(corpus) — this is
+    /// structural venue walk, count the author prior, and precompute the
+    /// balanced parallel partitions. O(corpus) — this is
     /// the expensive phase; amortize it across solves. Any structural
     /// view will do (a [`Corpus`](scholar_corpus::Corpus), a
     /// [`ColStore`](scholar_corpus::ColStore)): the engine needs derived
@@ -208,8 +225,8 @@ impl QRankEngine {
     /// not matter to any later score whether a plan was grown or, as after
     /// a restart, built (DESIGN.md §2.4, "Growing a plan").
     ///
-    /// Only the network is patched ([`HetNet::extend`]); the structural
-    /// walks (solved as in `build`), `now`, the jump vector,
+    /// Only the network is patched ([`HetNet::extend`]); the venue walk
+    /// (solved as in `build`), the author prior, `now`, the jump vector,
     /// the ages and the partitions are derived from it by the code `build`
     /// runs. The caller vouches that the retained articles are unchanged
     /// ([`crate::IncrementalRanker::extend`] checks). Consumes the plan, so
@@ -231,13 +248,7 @@ impl QRankEngine {
         let pr = &config.twpr.pagerank;
         let venue_walk = RowStochastic::new(&net.venue_graph);
         let (mut sv, _) = pagerank_on_store(&venue_walk, pr, JumpVector::Uniform);
-        // G_U = B_U·G_A·B_Uᵀ − diag lives only for this walk, as three
-        // vectors over the authors beside the two factors it borrows.
-        let author_walk =
-            ProjectedWalk::new(&net.citation, &net.authorship, config.drop_self_citations);
-        let (mut su, _) = pagerank_on_store(&author_walk, pr, JumpVector::Uniform);
         normalize_l1(&mut sv);
-        normalize_l1(&mut su);
 
         let threads = pr.threads;
         let nv = net.num_venues();
@@ -254,6 +265,7 @@ impl QRankEngine {
             gated_ranges(n, auth_edges, threads, || net.authorship.right_ranges(threads));
         let article_ranges =
             gated_ranges(n, n, threads, || sgraph::par::uniform_ranges(n, threads));
+        let su = author_prior(&net, &auth_left_ranges);
 
         QRankEngine {
             config: config.clone(),
@@ -290,7 +302,9 @@ impl QRankEngine {
         &self.net
     }
 
-    /// The normalized structural stationaries, `(venue, author)`.
+    /// The normalized structural priors, `(venue, author)`: the venue
+    /// walk's stationary and the byline-weighted citation count (DESIGN.md
+    /// §2.2).
     pub fn structural_stationaries(&self) -> (&[f64], &[f64]) {
         (&self.sv, &self.su)
     }
@@ -300,7 +314,8 @@ impl QRankEngine {
     /// [`Self::structural_stationaries`] returns, and, given `twpr`, its
     /// inner walk replaced by those scores and diagnostics (what
     /// [`Self::twpr`] returns) — the seam through which the conformance
-    /// suite feeds a plan walks run by its test-side oracles.
+    /// suite feeds a plan walks run by its test-side oracles, and the
+    /// evaluation feeds it alternative author priors.
     ///
     /// # Panics
     /// Panics if `sv` is not one score per venue, `su` one per author or
@@ -500,8 +515,7 @@ mod tests {
         assert!(engine.supports(&base.clone().with_lambdas(0.5, 0.3, 0.2)));
         assert!(engine.supports(&base.clone().with_maturity(3.0)));
         assert!(!engine.supports(&base.clone().with_rho(0.0)));
-        assert!(!engine.supports(&base.clone().with_tau(0.0)));
-        assert!(!engine.supports(&QRankConfig { drop_self_citations: false, ..base }));
+        assert!(!engine.supports(&base.with_tau(0.0)));
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! the same exponential citation-age decay `exp(-ρ·Δt)` so the time model
 //! is consistent across layers (DESIGN.md §2.2).
 //!
-//! The author citation graph `G_U` is not among the stored structures: it
-//! is the projection of `citation` through `authorship`, and the one walk
-//! that needs it runs over the two factors
-//! ([`sgraph::ProjectedWalk`]).
+//! There is no author citation graph: the author prior is a
+//! byline-weighted count of decayed citations, one gather of `citation`'s
+//! in-weights through `authorship` ([`crate::QRankEngine`]).
 
 use crate::config::QRankConfig;
 use scholar_corpus::rows::{self, Rows};
@@ -51,8 +50,7 @@ impl HetNet {
     /// contributed to the two graphs stands; the newcomers' edges are
     /// staged by the same functions a full build calls and built
     /// [onto](sgraph::GraphBuilder::build_onto) each graph. The two
-    /// bipartites are cheap and simply rebuilt — and with `citation` and
-    /// `authorship` grown, so is the author graph they factorise.
+    /// bipartites are cheap and simply rebuilt.
     pub fn extend<V: Rows + ?Sized>(&mut self, grown: &V, config: &QRankConfig, old_n: usize) {
         assert_eq!(self.num_articles(), old_n, "the network to grow covers the old articles");
         let decay = TimeWeightedPageRank::decay(config.twpr.rho);
@@ -130,18 +128,19 @@ mod tests {
         assert_eq!(net.citation.total_weight(), 3.0);
     }
 
+    /// The author prior by hand, at ρ = 0.1. a0 is cited 10 years on by a1
+    /// and 20 years on by a2, a1 10 years on by a2, a2 never: decayed
+    /// counts e⁻¹ + e⁻², e⁻¹ and 0. u0 signs a0 alone (weight 1) and a1
+    /// first (harmonic weights 1 : 1/2, so 2/3); u1 signs a1 second (1/3)
+    /// and a2 alone. A self-citation counts like any other: a1 [u0, u1]
+    /// citing a0 [u0] is one of a0's two.
     #[test]
-    fn self_citation_config_respected() {
-        let c = corpus();
-        let keep = QRankConfig { drop_self_citations: false, ..Default::default() };
-        // The network holds no author graph for the flag to shape; it
-        // reaches the author walk over `citation` × `authorship`. a1 [u0,u1]
-        // cites a0 [u0]: u0 → u0 is mass u0 keeps only when it is kept.
-        assert_eq!(
-            HetNet::build(&c, &keep).authorship,
-            HetNet::build(&c, &QRankConfig::default()).authorship
-        );
-        let su = |cfg| crate::QRankEngine::build(&c, cfg).structural_stationaries().1.to_vec();
-        assert!(su(&keep)[0] > su(&QRankConfig::default())[0]);
+    fn author_prior_is_the_byline_weighted_citation_count() {
+        let cfg = QRankConfig::default().with_rho(0.1);
+        let su = crate::QRankEngine::build(&corpus(), &cfg).structural_stationaries().1.to_vec();
+        let (e1, e2) = ((-1.0f64).exp(), (-2.0f64).exp());
+        let counts = [1.0 + (e1 + e2) + 2.0 / 3.0 * e1, 1.0 + 1.0 / 3.0 * e1];
+        let total = counts[0] + counts[1];
+        assert!(su.iter().zip(counts).all(|(s, c)| (s - c / total).abs() < 1e-15), "{su:?}");
     }
 }

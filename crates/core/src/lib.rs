@@ -13,9 +13,10 @@
 //! 2. **Mutual reinforcement with venues and authors** over the
 //!    heterogeneous academic network: venue and author prestige is
 //!    computed both *structurally* (a time-weighted walk over the
-//!    aggregated venue/author citation graphs) and *by aggregation* (from
-//!    the current article scores), then folded back into every article's
-//!    score. Iterated to a fixpoint.
+//!    aggregated venue citation graph; each author's byline-weighted
+//!    citation count) and *by aggregation* (from the current article
+//!    scores), then folded back into every article's score. Iterated to a
+//!    fixpoint.
 //!
 //! Because venue and author prestige exist from the day an article is
 //! published, QRank addresses the **cold-start problem**: a new article
@@ -42,8 +43,8 @@
 //!
 //! ## Build once, solve many
 //!
-//! [`QRank::run`] rebuilds the heterogeneous network and re-runs the
-//! structural walks every call. Parameter sweeps, ablations, and tuning
+//! [`QRank::run`] rebuilds the heterogeneous network and re-derives the
+//! structural priors every call. Parameter sweeps, ablations, and tuning
 //! grids vary only the mixture parameters, so they should prepare a
 //! [`QRankEngine`] once and solve many times:
 //!

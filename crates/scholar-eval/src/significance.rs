@@ -7,7 +7,7 @@
 //! replacement, recompute the metric for both methods on the same
 //! resample, and look at the distribution of the difference.
 
-use crate::metrics::spearman;
+use crate::metrics::{ndcg_at_k, pairwise_accuracy_auto, spearman};
 use srand::rngs::SmallRng;
 use srand::{Rng, SeedableRng};
 
@@ -17,6 +17,23 @@ pub enum BootstrapMetric {
     /// Spearman rank correlation against the ground truth (fast and
     /// well-behaved under resampling; the default).
     Spearman,
+    /// Pairwise accuracy ([`pairwise_accuracy_auto`]): its pair sample is
+    /// seeded alike for both methods, so a replicate scores them on the
+    /// same pairs.
+    PairwiseAccuracy,
+    /// NDCG at the given cutoff.
+    NdcgAt(usize),
+}
+
+impl BootstrapMetric {
+    /// The metric of `scores` against `truth`.
+    pub fn eval(self, truth: &[f64], scores: &[f64]) -> f64 {
+        match self {
+            BootstrapMetric::Spearman => spearman(truth, scores),
+            BootstrapMetric::PairwiseAccuracy => pairwise_accuracy_auto(truth, scores, 0xfeed),
+            BootstrapMetric::NdcgAt(k) => ndcg_at_k(truth, scores, k),
+        }
+    }
 }
 
 /// Result of a paired bootstrap comparison of two methods.
@@ -62,12 +79,7 @@ pub fn paired_bootstrap(
     assert!(n >= 10, "need at least 10 items to bootstrap");
     assert!(replicates >= 10, "need at least 10 replicates");
 
-    let eval = |t: &[f64], s: &[f64]| -> f64 {
-        match metric {
-            BootstrapMetric::Spearman => spearman(t, s),
-        }
-    };
-    let observed_delta = eval(truth, scores_a) - eval(truth, scores_b);
+    let observed_delta = metric.eval(truth, scores_a) - metric.eval(truth, scores_b);
 
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut deltas = Vec::with_capacity(replicates);
@@ -81,7 +93,7 @@ pub fn paired_bootstrap(
             a[slot] = scores_a[idx];
             b[slot] = scores_b[idx];
         }
-        let d = eval(&t, &a) - eval(&t, &b);
+        let d = metric.eval(&t, &a) - metric.eval(&t, &b);
         if d.is_finite() {
             deltas.push(d);
         }
@@ -136,6 +148,15 @@ mod tests {
         assert_eq!(res.observed_delta, 0.0);
         assert!(!res.significant());
         assert!(res.p_value > 0.9);
+    }
+
+    #[test]
+    fn every_metric_finds_the_clearly_better_method() {
+        let (t, a, b) = noisy_truth(300);
+        for metric in [BootstrapMetric::PairwiseAccuracy, BootstrapMetric::NdcgAt(20)] {
+            let res = paired_bootstrap(&t, &a, &b, metric, 200, 4);
+            assert!(res.significant() && res.observed_delta > 0.0, "{metric:?}: {res:?}");
+        }
     }
 
     #[test]

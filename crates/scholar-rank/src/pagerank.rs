@@ -121,7 +121,7 @@ impl PageRank {
 
 /// Run damped power iteration over any [`sgraph::CsrStore`] and return
 /// `(scores, diagnostics)`: the solver of the cyclic walks (the venue
-/// graph, QRank's factorised author walk, P-Rank's combined graph). Every
+/// graph, P-Rank's combined graph). Every
 /// backing drives the identical loop, so scores and iteration counts are
 /// bit-identical across them.
 pub fn pagerank_on_store<S: sgraph::CsrStore + ?Sized>(

@@ -237,21 +237,6 @@ impl Bipartite {
         });
     }
 
-    /// Weighted-**sum** counterpart of [`Self::aggregate_to_right_into_par`]:
-    /// `out[r] = Σ_l w(l,r)·score[l]`.
-    pub fn sum_to_right_into_par(
-        &self,
-        left_scores: &[f64],
-        out: &mut [f64],
-        ranges: &[std::ops::Range<usize>],
-    ) {
-        assert_eq!(left_scores.len(), self.num_left as usize, "score length mismatch");
-        assert_eq!(out.len(), self.num_right as usize, "output length mismatch");
-        crate::par::for_each_range_mut(out, ranges, |range, chunk| {
-            self.gather_right_range(left_scores, range, chunk, |acc, _| acc);
-        });
-    }
-
     /// The one gather for left nodes in `range`: `chunk` is the `out[range]`
     /// slice (chunk[i] corresponds to left node range.start+i) and receives
     /// `finish(Σ_r w(l,r)·score[r], Σ_r w(l,r))` — [`weighted_mean`] or the

@@ -36,7 +36,7 @@ impl GraphBuilder {
     }
 
     /// When `false`, self-loops are silently dropped at build time
-    /// (citation graphs never contain them; aggregated venue/author graphs
+    /// (citation graphs never contain them; aggregated venue graphs
     /// do, and whether to keep them is a modeling choice).
     pub fn self_loops(mut self, allow: bool) -> Self {
         self.allow_self_loops = allow;

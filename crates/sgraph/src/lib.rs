@@ -22,9 +22,6 @@
 //!   iteration ([`stationary_store`]) for cyclic walks, and the reverse
 //!   sweep ([`reverse_sweep`]) for citation walks, whose edges point back
 //!   in time.
-//! * [`projected`] — the same walk over a graph projected through a
-//!   bipartite (`B·W·Bᵀ − diag`, the author citation graph), applied
-//!   factorised so the projection is never materialised.
 //! * Out-of-core storage: read-only file maps ([`mmap`]), the SCSRv4
 //!   sharded pull CSR ([`mmap_csr`]) behind the [`store`] seam, and
 //!   [`sfile`] — the durable-file kit (atomic publish, checksum, varint,
@@ -59,7 +56,6 @@ pub mod error;
 pub mod mmap;
 pub mod mmap_csr;
 pub mod par;
-pub mod projected;
 mod scatter;
 pub mod sfile;
 pub mod stats;
@@ -71,7 +67,6 @@ pub use builder::GraphBuilder;
 pub use csr::{CsrGraph, EdgeRef, NodeId};
 pub use error::GraphError;
 pub use mmap_csr::{MmapCsr, MmapCsrBuilder};
-pub use projected::ProjectedWalk;
 pub use stochastic::{JumpVector, RowStochastic};
 pub use store::{reverse_sweep, stationary_store, CsrStore, ReverseSweep};
 

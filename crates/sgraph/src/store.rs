@@ -4,14 +4,12 @@
 //! `y = d·Pᵀx + (d·dangling_mass(x) + (1−d))·j`; what varies is where
 //! the graph under `P` *lives*. [`CsrStore`] abstracts that: the in-RAM
 //! [`RowStochastic`] implements it over a borrowed [`crate::CsrGraph`],
-//! the out-of-core [`crate::mmap_csr::MmapCsr`] implements it by
-//! sweeping mmap-backed node shards, and
-//! [`crate::projected::ProjectedWalk`] implements it over a graph that is
-//! never stored at all — a product of two structures it borrows.
+//! and the out-of-core [`crate::mmap_csr::MmapCsr`] implements it by
+//! sweeping mmap-backed node shards.
 //!
 //! Two solvers run over it. [`stationary_store`] is the power iteration,
 //! the generic [`fixpoint`] loop over `apply_step`: the solver of every
-//! cyclic walk (venue, author, HITS-like and multi-term fixpoints). Its
+//! cyclic walk (venue, HITS-like and multi-term fixpoints). Its
 //! iterates depend on nothing but `apply_step`, so a store whose step
 //! matches the dense kernel bit-for-bit produces bit-identical residual
 //! sequences, iteration counts, and stationaries.
@@ -25,9 +23,9 @@
 //! from a smaller (or the same) id — a same-year citation, a time-travel
 //! citation, a forward reference — is a *back edge*: it reads its source
 //! from the previous pass, which is Gauss–Seidel in the direction the
-//! mass flows, and converges because `I − d·Pᵀ` is an M-matrix. Only the
-//! two materialised stores implement the pass ([`ReverseSweep`]); both
-//! sum each row in the stored order, so their passes are the same bits.
+//! mass flows, and converges because `I − d·Pᵀ` is an M-matrix. Both
+//! stores implement the pass ([`ReverseSweep`]) and sum each row in the
+//! stored order, so their passes are the same bits.
 
 use crate::stochastic::{
     fixpoint, l1_distance, normalize_l1, per_weight, JumpVector, PowerIterationOpts,
@@ -42,33 +40,22 @@ use crate::stochastic::{
 /// depend on `threads`, and accumulates the dangling sum in ascending node
 /// order — so its iterates are the same bits at any thread count.
 ///
-/// Beyond that there are two contracts, by what the store holds:
-///
-/// * A store of a **materialised** graph ([`RowStochastic`],
-///   [`crate::mmap_csr::MmapCsr`]) pre-scales the iterate once per step,
-///   `z[u] = x[u] / out_sum[u]` (0 where the sum is zero or subnormal:
-///   the node dangles), and accumulates each node's gather of raw weights,
-///   `Σ w(u,v)·z[u]`, in ascending source order — so that every such store
-///   of the same graph yields bit-identical iterates. A store may leave
-///   out a zero-weight edge or one from a dangling source: it adds an
-///   exact `+0.0`.
-/// * A store that applies the graph **factorised**
-///   ([`crate::projected::ProjectedWalk`]) re-associates the gather into
-///   sums over its factors and cannot match those bits. It declares its own
-///   name and tolerance instead: against the store of the materialised
-///   product, ≤ 1e-12 L1 on the stationary with an equal iteration count,
-///   held by a conformance row beside the kernel
-///   (`projected::tests::matches_the_walk_over_the_materialised_product`,
-///   and `tests/conformance.rs` on whole corpora).
+/// Each step pre-scales the iterate once, `z[u] = x[u] / out_sum[u]` (0
+/// where the sum is zero or subnormal: the node dangles), and accumulates
+/// each node's gather of raw weights, `Σ w(u,v)·z[u]`, in ascending source
+/// order — so that every store of the same graph ([`RowStochastic`],
+/// [`crate::mmap_csr::MmapCsr`]) yields bit-identical iterates. A store
+/// may leave out a zero-weight edge or one from a dangling source: it adds
+/// an exact `+0.0`.
 pub trait CsrStore {
     /// Number of nodes (length of the iterate vectors).
     fn num_nodes(&self) -> usize;
 
     /// One damped power-iteration step: read `x`, write `y`.
     ///
-    /// All three stores split the step across up to `threads` workers
-    /// (the results are bitwise identical at any thread count because each
-    /// output slot's gather order is fixed). The two in-RAM stores stay
+    /// Both stores split the step across up to `threads` workers (the
+    /// results are bitwise identical at any thread count because each
+    /// output slot's gather order is fixed). The in-RAM store stays
     /// sequential below a size threshold; [`crate::mmap_csr::MmapCsr`]
     /// does not.
     fn apply_step(&self, x: &[f64], y: &mut [f64], damping: f64, jump: &JumpVector, threads: usize);

@@ -33,9 +33,9 @@ fn thread_count_does_not_change_qrank() {
     }
 }
 
-/// The factorised author walk partitions each of its three passes by
-/// output index: `su` is the same bits at any thread count. (The corpus is
-/// past the kernels' parallel gate, so the partitions really differ.)
+/// The author prior is one gather per author, partitioned by author: `su`
+/// is the same bits at any thread count. (The corpus is past the kernels'
+/// parallel gate, so the partitions really differ.)
 #[test]
 fn thread_count_does_not_change_the_author_walk() {
     let corpus = scholar::corpus::CorpusGenerator::new(GeneratorConfig {

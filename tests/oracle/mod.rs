@@ -1,8 +1,8 @@
 //! Test-side oracles for structures and kernels the stack no longer
-//! has. The materialised author citation graph — what the engine built,
-//! held three times over and walked before the author walk went
-//! factorised (`sgraph::ProjectedWalk`) — is the oracle the factorised
-//! walk is held to. [`RowStochastic`] is the walk operator as it was
+//! has, or computes another way. [`author_prior`] counts the author prior
+//! from reference lists and bylines, where the plan gathers the decayed
+//! citation graph's in-weights through the authorship bipartite.
+//! [`RowStochastic`] is the walk operator as it was
 //! before it borrowed its graph: a private copy of the in-CSR with every
 //! weight divided by its source's out-weight sum; the borrowing operator,
 //! which pre-scales the iterate instead, is held to it. [`jsonl`] keeps
@@ -17,81 +17,42 @@ pub mod jsonl;
 pub mod scsr;
 pub mod snapv1;
 
-use scholar::corpus::model::{author_position_weights, Year};
+use scholar::corpus::model::author_position_weights;
 use scholar::{QRankConfig, Rows, TimeWeightedPageRank};
 use sgraph::par;
-use sgraph::stochastic::{PowerIterationOpts, PowerIterationResult};
-use sgraph::{stationary_store, CsrGraph, CsrStore, GraphBuilder, JumpVector, NodeId};
-use std::ops::Range;
+use sgraph::stochastic::{normalize_l1, PowerIterationOpts, PowerIterationResult};
+use sgraph::{stationary_store, CsrGraph, CsrStore, JumpVector};
 
-/// The contributions of the articles in `citing` to the author-aggregated
-/// citation graph: edge `A(u) → A(v)` summed over article citations, the
-/// citing byline weight times the cited byline weight, scaled by `f`.
-/// Self-citations (same author both sides) are dropped when
-/// `drop_self_citations` is true.
-pub fn author_edges<V: Rows + ?Sized>(
-    rows: &V,
-    citing: Range<usize>,
-    mut f: impl FnMut(Year, Year) -> f64,
-    drop_self_citations: bool,
-) -> GraphBuilder {
-    let mut b = GraphBuilder::new(rows.num_authors() as u32).self_loops(!drop_self_citations);
-    let (mut citing_buf, mut refs_buf, mut cited_buf) = (Vec::new(), Vec::new(), Vec::new());
-    for i in citing {
-        let byline = rows.byline(i, &mut citing_buf);
-        if byline.is_empty() {
-            continue;
-        }
-        let wa = author_position_weights(byline.len());
-        let year = rows.year(i);
-        for &r in rows.refs(i, &mut refs_buf) {
-            let cited = rows.byline(r as usize, &mut cited_buf);
-            if cited.is_empty() {
-                continue;
-            }
-            let wc = author_position_weights(cited.len());
-            let base = f(year, rows.year(r as usize));
-            if base <= 0.0 {
-                continue;
-            }
-            for (&ua, &pa) in byline.iter().zip(&wa) {
-                for (&uc, &pc) in cited.iter().zip(&wc) {
-                    if drop_self_citations && ua == uc {
-                        continue;
-                    }
-                    b.add_edge(NodeId(ua), NodeId(uc), base * pa * pc);
-                }
-            }
-        }
-    }
-    b
-}
-
-/// The whole author graph of `rows` under `cfg`'s decay and self-citation
-/// rule.
-pub fn author_graph<V: Rows + ?Sized>(rows: &V, cfg: &QRankConfig) -> CsrGraph {
+/// The structural author prior a QRank plan under `cfg` holds (DESIGN.md
+/// §2.2), counted the naive way: each article's decayed citations tallied
+/// from every reference list, each article's tally credited to every
+/// author on its byline at the author's harmonic weight there (summed over
+/// the positions of an author named twice), one smoothing count per
+/// author, normalised to sum 1.
+pub fn author_prior<V: Rows + ?Sized>(rows: &V, cfg: &QRankConfig) -> Vec<f64> {
     let decay = TimeWeightedPageRank::decay(cfg.twpr.rho);
-    author_edges(rows, 0..rows.num_articles(), decay, cfg.drop_self_citations).build()
-}
-
-/// The options every structural walk of a plan under `cfg` runs with.
-pub fn structural_opts(cfg: &QRankConfig) -> PowerIterationOpts {
-    let pr = &cfg.twpr.pagerank;
-    PowerIterationOpts {
-        damping: pr.damping,
-        jump: JumpVector::Uniform,
-        tol: pr.tol,
-        max_iter: pr.max_iter,
-        threads: pr.threads,
+    let n = rows.num_articles();
+    let (mut cited, mut buf) = (vec![0.0; n], Vec::new());
+    for i in 0..n {
+        for &r in rows.refs(i, &mut buf) {
+            cited[r as usize] += decay(rows.year(i), rows.year(r as usize));
+        }
     }
-}
-
-/// The structural author walk over the materialised `graph`: its
-/// operator (for the dangling set) and its un-normalised stationary.
-pub fn author_walk(graph: &CsrGraph, cfg: &QRankConfig) -> (RowStochastic, PowerIterationResult) {
-    let op = RowStochastic::new(graph);
-    let res = op.stationary(&structural_opts(cfg));
-    (op, res)
+    let mut counts = vec![0.0; rows.num_authors()];
+    for (p, &c) in cited.iter().enumerate() {
+        let byline = rows.byline(p, &mut buf);
+        let weights = author_position_weights(byline.len());
+        for (k, &u) in byline.iter().enumerate() {
+            if byline[..k].contains(&u) {
+                continue;
+            }
+            let w: f64 = (k..byline.len()).filter(|&j| byline[j] == u).map(|j| weights[j]).sum();
+            counts[u as usize] += w * c;
+        }
+    }
+    let mut su: Vec<f64> = counts.iter().map(|c| 1.0 + c).collect();
+    normalize_l1(&mut su);
+    su
 }
 
 // ---- The copying walk operator, as it was (sgraph::stochastic) ----
