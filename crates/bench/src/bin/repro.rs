@@ -7,26 +7,29 @@
 //! ```
 //!
 //! Output goes to stdout and, per artifact, to `results/<id>.txt` (and
-//! `.csv` for figures).
+//! `.csv` for figures). Wall-clock cells — the `time` column of R-Tables 2
+//! and 6, and all of R-Fig 4 — go to `results/timing/` instead, so every
+//! file directly under `results/` is the same bytes on every run.
 
 use scholar_bench::experiments;
 use std::fs;
-use std::path::PathBuf;
+use std::path::Path;
 
-fn results_dir() -> PathBuf {
-    let dir = PathBuf::from("results");
-    fs::create_dir_all(&dir).expect("cannot create results/");
-    dir
-}
+/// Where the wall-clock artifacts go.
+const TIMING: &str = "results/timing";
 
-fn save(id: &str, text: &str) {
-    let path = results_dir().join(format!("{id}.txt"));
+fn write(dir: &str, file: &str, text: &str) {
+    fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {dir}/: {e}"));
+    let path = Path::new(dir).join(file);
     fs::write(&path, text).unwrap_or_else(|e| panic!("cannot write {path:?}: {e}"));
 }
 
+fn save(id: &str, text: &str) {
+    write("results", &format!("{id}.txt"), text);
+}
+
 fn save_csv(id: &str, csv: &str) {
-    let path = results_dir().join(format!("{id}.csv"));
-    fs::write(&path, csv).unwrap_or_else(|e| panic!("cannot write {path:?}: {e}"));
+    write("results", &format!("{id}.csv"), csv);
 }
 
 fn run_one(id: &str) {
@@ -38,13 +41,16 @@ fn run_one(id: &str) {
             save(id, &t.render());
         }
         "table2" => {
-            let mut all = String::new();
-            for t in experiments::table2() {
-                println!("{t}");
-                all.push_str(&t.render());
-                all.push('\n');
+            let (mut quality, mut timing) = (String::new(), String::new());
+            for (q, t) in experiments::table2() {
+                println!("{q}\n{t}");
+                quality.push_str(&q.render());
+                quality.push('\n');
+                timing.push_str(&t.render());
+                timing.push('\n');
             }
-            save(id, &all);
+            save(id, &quality);
+            write(TIMING, "table2.txt", &timing);
         }
         "table3" => {
             let t = experiments::table3();
@@ -82,9 +88,9 @@ fn run_one(id: &str) {
         "fig4" => {
             let (a, b) = experiments::fig4();
             println!("{a}\n{b}");
-            save(id, &format!("{}\n{}", a.render(), b.render()));
-            save_csv("fig4a", &a.to_csv());
-            save_csv("fig4b", &b.to_csv());
+            write(TIMING, "fig4.txt", &format!("{}\n{}", a.render(), b.render()));
+            write(TIMING, "fig4a.csv", &a.to_csv());
+            write(TIMING, "fig4b.csv", &b.to_csv());
         }
         "fig5" => {
             let f = experiments::fig5();
@@ -118,9 +124,10 @@ fn run_one(id: &str) {
             save_csv(id, &f.to_csv());
         }
         "table6" => {
-            let t = experiments::table6();
-            println!("{t}");
-            save(id, &t.render());
+            let (q, t) = experiments::table6();
+            println!("{q}\n{t}");
+            save(id, &q.render());
+            write(TIMING, "table6.txt", &t.render());
         }
         "table7" => {
             let t = experiments::table7();

@@ -2,7 +2,7 @@
 
 use crate::{corpus, snapshot_at_frac, FUTURE_WINDOW_YEARS, SEED};
 use scholar::corpus::stats::corpus_stats;
-use scholar::eval::experiment::{run_award_experiment, Experiment};
+use scholar::eval::experiment::{run_award_experiment, EvalRow, Experiment};
 use scholar::eval::groundtruth::{award_set, future_citations};
 use scholar::eval::metrics::kendall_tau_b;
 use scholar::eval::series::SeriesSet;
@@ -47,9 +47,27 @@ pub fn table1() -> Table {
     t
 }
 
+/// An experiment's rows as two tables: the quality columns, which every run
+/// reproduces, and the wall-clock seconds, which it does not.
+fn quality_and_timing(title: &str, rows: Vec<EvalRow>) -> (Table, Table) {
+    let mut quality = Table::new(title, &["method", "pairwise", "spearman", "kendall", "ndcg@50"]);
+    let mut timing = Table::new(&format!("{title}: wall time"), &["method", "time"]);
+    for r in rows {
+        quality.row(vec![
+            r.method.clone(),
+            fmt_metric(r.pairwise_accuracy),
+            fmt_metric(r.spearman),
+            fmt_metric(r.kendall),
+            fmt_metric(r.ndcg_at_50),
+        ]);
+        timing.row(vec![r.method, fmt_seconds(r.seconds)]);
+    }
+    (quality, timing)
+}
+
 /// R-Table 2: ranking quality vs future-citation ground truth, one block
-/// per dataset preset.
-pub fn table2() -> Vec<Table> {
+/// per dataset preset, each with its wall-time table.
+pub fn table2() -> Vec<(Table, Table)> {
     Preset::evaluation_suite()
         .iter()
         .map(|&preset| {
@@ -57,28 +75,14 @@ pub fn table2() -> Vec<Table> {
             let snap = snapshot_at_frac(&c, 0.8);
             let truth = future_citations(&c, &snap, FUTURE_WINDOW_YEARS);
             let exp = Experiment { corpus: &snap.corpus, truth: &truth };
-            let rows = exp.run(&scholar::evaluation_rankers());
-            let mut t = Table::new(
-                &format!(
-                    "R-Table 2 [{}]: future-citation prediction ({} articles at cutoff {}, {})",
-                    preset.name(),
-                    snap.corpus.num_articles(),
-                    snap.cutoff,
-                    truth.description
-                ),
-                &["method", "pairwise", "spearman", "kendall", "ndcg@50", "time"],
+            let title = format!(
+                "R-Table 2 [{}]: future-citation prediction ({} articles at cutoff {}, {})",
+                preset.name(),
+                snap.corpus.num_articles(),
+                snap.cutoff,
+                truth.description
             );
-            for r in rows {
-                t.row(vec![
-                    r.method,
-                    fmt_metric(r.pairwise_accuracy),
-                    fmt_metric(r.spearman),
-                    fmt_metric(r.kendall),
-                    fmt_metric(r.ndcg_at_50),
-                    fmt_seconds(r.seconds),
-                ]);
-            }
-            t
+            quality_and_timing(&title, exp.run(&scholar::evaluation_rankers()))
         })
         .collect()
 }
@@ -435,8 +439,9 @@ pub fn fig8() -> SeriesSet {
 }
 
 /// R-Table 6: extended baselines (bibliometric normalizations and the
-/// Monte-Carlo PageRank approximation) on the standard AAN-like split.
-pub fn table6() -> Table {
+/// Monte-Carlo PageRank approximation) on the standard AAN-like split, and
+/// its wall-time table.
+pub fn table6() -> (Table, Table) {
     use scholar::rank::{
         AgeNormalizedCitations, FusedRanker, FusionRule, MonteCarloPageRank, RecentCitations,
         RescaledRanker,
@@ -459,22 +464,10 @@ pub fn table6() -> Table {
             FusionRule::default(),
         )),
     ];
-    let rows = exp.run(&rankers);
-    let mut t = Table::new(
+    quality_and_timing(
         "R-Table 6 [AAN-like]: extended baselines, future-citation prediction",
-        &["method", "pairwise", "spearman", "kendall", "ndcg@50", "time"],
-    );
-    for r in rows {
-        t.row(vec![
-            r.method,
-            fmt_metric(r.pairwise_accuracy),
-            fmt_metric(r.spearman),
-            fmt_metric(r.kendall),
-            fmt_metric(r.ndcg_at_50),
-            fmt_seconds(r.seconds),
-        ]);
-    }
-    t
+        exp.run(&rankers),
+    )
 }
 
 /// R-Table 2b: paired-bootstrap significance of each method's Spearman
@@ -514,6 +507,21 @@ pub fn significance() -> Table {
     t
 }
 
+/// `g`'s edges as `(source, target, weight)`, ordered by source and then
+/// target: its in-edges, target-ascending as stored, stably sorted by
+/// source.
+fn edges_by_source(g: &sgraph::CsrGraph) -> Vec<(u32, u32, f64)> {
+    let mut edges: Vec<(u32, u32, f64)> = g
+        .nodes()
+        .flat_map(|v| {
+            let row = g.in_neighbors(v).iter().zip(g.in_edge_weights(v));
+            row.map(move |(&u, &w)| (u.0, v.0, w))
+        })
+        .collect();
+    edges.sort_by_key(|e| e.0);
+    edges
+}
+
 /// The reverse sweep on `ctx`'s TWPR walk at tolerance `tol` with article
 /// `i` renumbered `new_id[i]`: how the pass count depends on the ids
 /// following publication order.
@@ -526,9 +534,8 @@ fn twpr_sweep_renumbered(
     let cfg = scholar::rank::TwprConfig::default();
     let graph = &ctx.decayed_citation(cfg.rho).graph;
     let mut b = sgraph::GraphBuilder::new(graph.num_nodes());
-    for e in graph.edges() {
-        let (u, v) = (new_id[e.src.index()], new_id[e.dst.index()]);
-        b.add_edge(sgraph::NodeId(u), sgraph::NodeId(v), e.weight);
+    for (u, v, w) in edges_by_source(graph) {
+        b.add_edge(sgraph::NodeId(new_id[u as usize]), sgraph::NodeId(new_id[v as usize]), w);
     }
     let renumbered = b.build();
     let jump = ctx.recency_jump(cfg.tau, ctx.now()).to_dense(new_id.len());
@@ -684,10 +691,10 @@ fn author_walk_prior(net: &scholar::core::HetNet, cfg: &QRankConfig) -> Vec<f64>
     use sgraph::{GraphBuilder, JumpVector, NodeId, RowStochastic};
     let (g, b) = (&net.citation, &net.authorship);
     let mut edges = GraphBuilder::new(b.num_left()).self_loops(false);
-    for e in g.edges() {
-        for (&u, &bu) in b.left_of(e.src.0).iter().zip(b.left_weights_of(e.src.0)) {
-            for (&v, &bv) in b.left_of(e.dst.0).iter().zip(b.left_weights_of(e.dst.0)) {
-                edges.add_edge(NodeId(u), NodeId(v), bu * e.weight * bv);
+    for (src, dst, w) in edges_by_source(g) {
+        for (&u, &bu) in b.left_of(src).iter().zip(b.left_weights_of(src)) {
+            for (&v, &bv) in b.left_of(dst).iter().zip(b.left_weights_of(dst)) {
+                edges.add_edge(NodeId(u), NodeId(v), bu * w * bv);
             }
         }
     }

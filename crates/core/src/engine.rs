@@ -31,14 +31,11 @@ use crate::qrank::QRankResult;
 use scholar_corpus::rows::{self, Rows};
 use scholar_rank::diagnostics::Diagnostics;
 use scholar_rank::pagerank::{ensure, pagerank_on_store, sweep_on_store};
+use sgraph::par::PAR_THRESHOLD;
 use sgraph::stochastic::{blend_into, l1_distance, normalize_l1};
 use sgraph::{JumpVector, RowStochastic};
 use std::ops::Range;
 use std::sync::OnceLock;
-
-/// Work threshold below which the parallel kernels stay sequential
-/// (same rationale and value as `RowStochastic::apply_parallel`).
-const PAR_THRESHOLD: usize = 4096;
 
 /// The mixture-side parameters of one QRank solve: everything a
 /// [`QRankEngine`] does *not* bake into its cached plan.

@@ -43,6 +43,8 @@ pub struct Explainer<'a> {
     net: &'a HetNet,
     venue_term: Vec<f64>,
     author_term: Vec<f64>,
+    /// Each article's out-weight sum in the decayed citation graph.
+    out_sums: Vec<f64>,
 }
 
 impl<'a> Explainer<'a> {
@@ -63,7 +65,8 @@ impl<'a> Explainer<'a> {
         normalize_l1(&mut venue_term);
         let mut author_term = net.authorship.aggregate_to_right(&result.author_scores);
         normalize_l1(&mut author_term);
-        Explainer { corpus, result, net, venue_term, author_term }
+        let out_sums = net.citation.out_weight_sums();
+        Explainer { corpus, result, net, venue_term, author_term, out_sums }
     }
 
     /// Explain one article, reporting at most `max_citers` contributing
@@ -94,7 +97,7 @@ impl<'a> Explainer<'a> {
             .iter()
             .zip(self.net.citation.in_edge_weights(node))
             .map(|(&c, &w)| {
-                let out_sum = self.net.citation.out_weight_sum(c);
+                let out_sum = self.out_sums[c.index()];
                 let p_edge = if out_sum > 0.0 { w / out_sum } else { 0.0 };
                 (ArticleId(c.0), self.result.twpr_scores[c.index()] * p_edge)
             })

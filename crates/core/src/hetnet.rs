@@ -125,7 +125,7 @@ mod tests {
         let c = corpus();
         let cfg = QRankConfig::default().with_rho(0.0);
         let net = HetNet::build(&c, &cfg);
-        assert_eq!(net.citation.total_weight(), 3.0);
+        assert_eq!(net.citation.out_weight_sums().iter().sum::<f64>(), 3.0);
     }
 
     /// The author prior by hand, at ρ = 0.1. a0 is cited 10 years on by a1

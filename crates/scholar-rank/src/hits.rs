@@ -65,13 +65,14 @@ pub fn hits_on_graph(g: &CsrGraph, config: &HitsConfig) -> HitsResult {
                     *slot = acc;
                 }
                 sgraph::stochastic::normalize_l1(y_auth);
-                // hub(u) = Σ_{u → v} auth(v), from this round's authorities
-                for (u, slot) in y_hub.iter_mut().enumerate() {
-                    let mut acc = 0.0;
-                    for &v in g.out_neighbors(NodeId(u as u32)) {
-                        acc += y_auth[v.index()];
+                // hub(u) = Σ_{u → v} auth(v), from this round's authorities,
+                // scattered over the in-rows in ascending v: each hub adds
+                // its terms in the order a pull over its out-row would.
+                y_hub.fill(0.0);
+                for (v, &a) in y_auth.iter().enumerate() {
+                    for &u in g.in_neighbors(NodeId(v as u32)) {
+                        y_hub[u.index()] += a;
                     }
-                    *slot = acc;
                 }
                 sgraph::stochastic::normalize_l1(y_hub);
             }

@@ -61,19 +61,16 @@ pub fn monte_carlo_pagerank(g: &CsrGraph, config: &MonteCarloConfig) -> (Vec<f64
     let mut visits = vec![0u64; n];
     let mut total: u64 = 0;
 
-    // Precompute cumulative out-weights per node for O(log d) stepping.
-    let mut cum: Vec<Vec<f64>> = Vec::with_capacity(n);
+    // Each node's out-row as (target, cumulative weight) pairs for
+    // O(log d) stepping, transposed from the in-rows in one pass: targets
+    // arrive ascending, so each running sum adds in out-row order.
+    let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
     for v in g.nodes() {
-        let ws = g.out_edge_weights(v);
-        let mut acc = 0.0;
-        cum.push(
-            ws.iter()
-                .map(|&w| {
-                    acc += w;
-                    acc
-                })
-                .collect(),
-        );
+        for (&u, &w) in g.in_neighbors(v).iter().zip(g.in_edge_weights(v)) {
+            let row = &mut rows[u.index()];
+            let acc = row.last().map_or(0.0, |&(_, c)| c) + w;
+            row.push((v.0, acc));
+        }
     }
 
     for start in 0..n {
@@ -85,14 +82,14 @@ pub fn monte_carlo_pagerank(g: &CsrGraph, config: &MonteCarloConfig) -> (Vec<f64
                 if rng.gen::<f64>() >= config.damping {
                     break;
                 }
-                let c = &cum[v];
-                let Some(&sum) = c.last() else { break };
+                let row = &rows[v];
+                let Some(&(_, sum)) = row.last() else { break };
                 if sum <= 0.0 {
                     break; // dangling
                 }
                 let target = rng.gen::<f64>() * sum;
-                let idx = c.partition_point(|&x| x <= target).min(c.len() - 1);
-                v = g.out_neighbors(sgraph::NodeId(v as u32))[idx].index();
+                let idx = row.partition_point(|&(_, c)| c <= target).min(row.len() - 1);
+                v = row[idx].0 as usize;
             }
         }
     }

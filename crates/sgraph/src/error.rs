@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors produced while building or validating graphs.
+/// Errors produced while building graphs.
 #[derive(Debug)]
 pub enum GraphError {
     /// An edge referenced a node index `>= num_nodes`.
@@ -21,9 +21,6 @@ pub enum GraphError {
         /// The offending weight.
         weight: f64,
     },
-    /// A CSR structure that disagrees with itself
-    /// ([`CsrGraph::validate`](crate::CsrGraph::validate)).
-    BadBinaryFormat(String),
 }
 
 impl fmt::Display for GraphError {
@@ -38,7 +35,6 @@ impl fmt::Display for GraphError {
                     "invalid weight {weight} on edge {src} -> {dst} (must be finite and >= 0)"
                 )
             }
-            GraphError::BadBinaryFormat(msg) => write!(f, "bad binary graph format: {msg}"),
         }
     }
 }
@@ -54,7 +50,6 @@ mod tests {
         let cases: Vec<GraphError> = vec![
             GraphError::NodeOutOfBounds { node: 7, num_nodes: 3 },
             GraphError::InvalidWeight { src: 0, dst: 1, weight: f64::NAN },
-            GraphError::BadBinaryFormat("magic".into()),
         ];
         for c in cases {
             assert!(!c.to_string().is_empty());

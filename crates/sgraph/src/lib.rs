@@ -6,8 +6,8 @@
 //! scholarly-ranking stack. It provides:
 //!
 //! * [`CsrGraph`] — an immutable, weighted, directed graph in compressed
-//!   sparse row form, with *both* out- and in-adjacency materialized so
-//!   that push- and pull-style propagation are both cache-friendly.
+//!   sparse row form, stored once as its in-adjacency: the pull every walk
+//!   runs is a sequential scan of each target's in-row.
 //! * [`GraphBuilder`] — the mutable staging area used to assemble graphs
 //!   (duplicate edges summed, validation) and to grow one in place
 //!   ([`GraphBuilder::build_onto`]).
@@ -45,8 +45,9 @@
 //! let g = b.build();
 //! assert_eq!(g.num_nodes(), 3);
 //! assert_eq!(g.num_edges(), 3);
-//! assert_eq!(g.out_neighbors(NodeId(0)), &[NodeId(1), NodeId(2)]);
-//! assert_eq!(g.in_degree(NodeId(2)), 2);
+//! assert_eq!(g.in_neighbors(NodeId(2)), &[NodeId(0), NodeId(1)]);
+//! assert_eq!(g.in_edge_weights(NodeId(2)), &[0.5, 2.0]);
+//! assert_eq!(g.out_weight_sums(), [1.5, 2.0, 0.0]);
 //! ```
 
 pub mod bipartite;
@@ -64,7 +65,7 @@ pub mod store;
 
 pub use bipartite::{Bipartite, BipartiteBuilder};
 pub use builder::GraphBuilder;
-pub use csr::{CsrGraph, EdgeRef, NodeId};
+pub use csr::{CsrGraph, NodeId};
 pub use error::GraphError;
 pub use mmap_csr::{MmapCsr, MmapCsrBuilder};
 pub use stochastic::{JumpVector, RowStochastic};

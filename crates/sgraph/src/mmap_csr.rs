@@ -192,9 +192,9 @@ impl MmapCsrBuilder {
 
     /// Feed the out-edges of the next node (ids must arrive 0, 1, …).
     ///
-    /// `targets`/`weights` must be in the dense CSR's storage order
-    /// (ascending target, no duplicates), so the out-weight sum is summed
-    /// as [`RowStochastic::new`](crate::RowStochastic::new) sums it. A
+    /// `targets`/`weights` must be ascending in target, with no
+    /// duplicates, so the out-weight sum is summed as
+    /// [`CsrGraph::out_weight_sums`] sums it. A
     /// node whose sum is zero or subnormal is dangling, exactly as there;
     /// otherwise each edge with `w > 0` is stored with its raw weight's
     /// code.
@@ -734,14 +734,41 @@ pub fn build_from_graph(
     tag: u64,
 ) -> io::Result<MmapCsr> {
     let mut b = MmapCsrBuilder::new(path, g.num_nodes() as usize, shard_size)?;
-    let mut targets: Vec<u32> = Vec::new();
-    for u in g.nodes() {
-        targets.clear();
-        targets.extend(g.out_neighbors(u).iter().map(|t| t.0));
-        b.add_source(&targets, g.out_edge_weights(u))?;
-    }
+    add_sources(&mut b, g)?;
     b.finish(tag)?;
     MmapCsr::open(path, Some(tag))
+}
+
+/// `g`'s edges as `(source, target, weight)` in `(source, target)` order:
+/// its in-edges, target-ascending as stored, stably sorted by source.
+fn edges_by_source(g: &CsrGraph) -> Vec<(u32, u32, f64)> {
+    let mut edges: Vec<(u32, u32, f64)> = g
+        .nodes()
+        .flat_map(|v| {
+            let row = g.in_neighbors(v).iter().zip(g.in_edge_weights(v));
+            row.map(move |(&u, &w)| (u.0, v.0, w))
+        })
+        .collect();
+    edges.sort_by_key(|e| e.0);
+    edges
+}
+
+/// Feed every node of `g` to `b` as a source, its out-row transposed from
+/// the in-rows.
+fn add_sources(b: &mut MmapCsrBuilder, g: &CsrGraph) -> io::Result<()> {
+    let edges = edges_by_source(g);
+    let (mut targets, mut weights) = (Vec::new(), Vec::new());
+    let mut rest = &edges[..];
+    for u in 0..g.num_nodes() {
+        let (row, tail) = rest.split_at(rest.partition_point(|e| e.0 == u));
+        targets.clear();
+        targets.extend(row.iter().map(|e| e.1));
+        weights.clear();
+        weights.extend(row.iter().map(|e| e.2));
+        b.add_source(&targets, &weights)?;
+        rest = tail;
+    }
+    Ok(())
 }
 
 #[cfg(all(test, not(miri)))]
@@ -839,12 +866,8 @@ mod tests {
     fn reverse_sweep_matches_dense_at_every_shard_size() {
         let cyclic = test_graph();
         let mut b = GraphBuilder::new(23);
-        for u in cyclic.nodes() {
-            for (&t, &w) in cyclic.out_neighbors(u).iter().zip(cyclic.out_edge_weights(u)) {
-                if t.0 < u.0 {
-                    b.add_edge(u, t, w);
-                }
-            }
+        for (u, t, w) in edges_by_source(&cyclic).into_iter().filter(|&(u, t, _)| t < u) {
+            b.add_edge(NodeId(u), NodeId(t), w);
         }
         let chronological = b.build();
         for (name, g, passes) in
@@ -893,10 +916,8 @@ mod tests {
     fn reverse_pass_is_the_dense_pass_at_every_shard_size() {
         let base = test_graph();
         let mut b = GraphBuilder::new(23).self_loops(true);
-        for u in base.nodes().filter(|u| u.0 > 1) {
-            for (&t, &w) in base.out_neighbors(u).iter().zip(base.out_edge_weights(u)) {
-                b.add_edge(u, t, w);
-            }
+        for (u, t, w) in edges_by_source(&base).into_iter().filter(|&(u, _, _)| u > 1) {
+            b.add_edge(NodeId(u), NodeId(t), w);
         }
         let extra =
             [(0, 5, 0.0), (0, 9, 0.0), (1, 0, 2.0), (1, 1, 0.5), (1, 12, 0.0), (1, 20, 1.5)];
@@ -907,7 +928,7 @@ mod tests {
         let op = RowStochastic::new(&g);
         assert_eq!(op.dangling().first(), Some(&0), "node 0 dangles");
         let all_back: usize =
-            g.nodes().map(|u| g.out_neighbors(u).iter().filter(|t| u.0 <= t.0).count()).sum();
+            g.nodes().map(|v| g.in_neighbors(v).iter().filter(|u| u.0 <= v.0).count()).sum();
         let jump = crate::JumpVector::weighted((0..23).map(|v| 1.0 + (v % 5) as f64).collect());
         // Three passes from y = z = 0, so the later two read their back
         // edges from the pass before.
@@ -1019,10 +1040,7 @@ mod tests {
         for cut in [SPILL_RECORD / 2, SPILL_RECORD] {
             let path = tmp(&format!("short-spill{cut}"));
             let mut b = MmapCsrBuilder::new(&path, g.num_nodes() as usize, 8).unwrap();
-            for u in g.nodes() {
-                let targets: Vec<u32> = g.out_neighbors(u).iter().map(|t| t.0).collect();
-                b.add_source(&targets, g.out_edge_weights(u)).unwrap();
-            }
+            add_sources(&mut b, &g).unwrap();
             for sp in &mut b.spills {
                 sp.flush().unwrap();
             }
@@ -1047,7 +1065,7 @@ mod tests {
         }
         let g = b.build();
         let distinct: std::collections::HashSet<u64> =
-            g.nodes().flat_map(|u| g.out_edge_weights(u)).map(|w| w.to_bits()).collect();
+            g.nodes().flat_map(|v| g.in_edge_weights(v)).map(|w| w.to_bits()).collect();
         assert_eq!(distinct.len(), TABLE_CAP);
         let path = tmp("full-table");
         let mc = build_from_graph(&g, &path, 64, 3).unwrap();

@@ -8,6 +8,11 @@
 //! graphs where a uniform node split can leave one thread with most of
 //! the edges.
 
+/// Below this much work (nodes, or nodes plus edges) a kernel stays
+/// sequential: spawning and joining scoped threads costs more than the
+/// step itself.
+pub const PAR_THRESHOLD: usize = 4096;
+
 /// Number of workers to use by default: the available parallelism, capped
 /// at 16 (diminishing returns for memory-bound SpMV beyond that).
 ///

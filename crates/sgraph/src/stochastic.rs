@@ -20,10 +20,6 @@ use crate::csr::CsrGraph;
 use crate::par;
 use crate::store::{Pass, PassSums, ReverseSweep};
 
-/// Below this much work (nodes, or nodes plus edges) a step stays
-/// sequential.
-pub(crate) const PAR_THRESHOLD: usize = 4096;
-
 /// `true` when a node with out-weight sum `out_sum` is dangling: the sum
 /// is zero, or so small (subnormal) that `x / out_sum` could overflow.
 #[inline]
@@ -134,9 +130,10 @@ pub struct RowStochastic<'g> {
 }
 
 impl<'g> RowStochastic<'g> {
-    /// Prepare the walk over `g`: one pass over its out-weights. O(V + E).
+    /// Prepare the walk over `g`: one pass over its in-rows for the
+    /// out-weight sums ([`CsrGraph::out_weight_sums`]). O(V + E).
     pub fn new(g: &'g CsrGraph) -> Self {
-        let out_sums: Vec<f64> = g.nodes().map(|u| g.out_weight_sum(u)).collect();
+        let out_sums = g.out_weight_sums();
         let dangling = (0..g.num_nodes()).filter(|&u| dangles(out_sums[u as usize])).collect();
         RowStochastic { graph: g, out_sums, dangling }
     }
@@ -181,7 +178,7 @@ impl<'g> RowStochastic<'g> {
         let residual = damping * self.dangling_mass(x) + (1.0 - damping);
         let share = jump.shares(residual, n);
         let z: Vec<f64> = x.iter().zip(&self.out_sums).map(|(&x, &s)| per_weight(x, s)).collect();
-        let threads = if n < PAR_THRESHOLD { 1 } else { threads.max(1) };
+        let threads = if n < par::PAR_THRESHOLD { 1 } else { threads.max(1) };
         pull(self.graph, &z, y, threads, |v, acc| damping * acc + share(v));
     }
 

@@ -1178,6 +1178,46 @@ fn scsr_oracle_matches_decayed_plan_on_a_mag_scale_store() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+// ---- Out-weight sums against the shard file's ----
+
+/// The dense graph's out-weight sums, gathered from its in-rows, are the
+/// sums the shard writer stores when fed the same reference rows: the same
+/// bits on every node that does not dangle, and the same dangling set.
+fn assert_out_sums_are_the_shard_files(name: &str, corpus: &Corpus) {
+    let dir = fresh_dir(&format!("out-sums-{name}"));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ctx = RankContext::new(corpus);
+    let n = corpus.num_articles();
+    for rho in [QRankConfig::default().twpr.rho, 0.0, 0.15, 1.0, 1e4] {
+        let label = format!("{name}, rho {rho}");
+        let decayed = ctx.decayed_citation(rho);
+        let sums = decayed.graph.out_weight_sums();
+        let path = dir.join(format!("rho-{:016x}.scsr", rho.to_bits()));
+        let mut b = sgraph::MmapCsrBuilder::new(&path, n, 7).unwrap();
+        let decay = TimeWeightedPageRank::decay(rho);
+        scholar::corpus::rows::weighted_refs(corpus, 0..n, decay, |_, refs, weights| {
+            b.add_source(refs, weights).unwrap();
+        });
+        b.finish(1).unwrap();
+        let stored = oracle::scsr::stored_out_sums(&path).unwrap();
+        let dangling = sgraph::RowStochastic::new(&decayed.graph).dangling().to_vec();
+        let file = sgraph::MmapCsr::open(&path, Some(1)).unwrap();
+        assert_eq!(dangling, file.dangling(), "{label}: dangling sets");
+        for u in (0..n).filter(|&u| dangling.binary_search(&(u as u32)).is_err()) {
+            assert_eq!(sums[u].to_bits(), stored[u].to_bits(), "{label}: out-sum of {u}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn out_weight_sums_are_the_shard_files_sums() {
+    let presets = [("tiny", Preset::Tiny.generate(53)), ("aan", Preset::AanLike.generate(53))];
+    for (name, corpus) in presets.into_iter().chain(edge_cases()) {
+        assert_out_sums_are_the_shard_files(name, &corpus);
+    }
+}
+
 // ---- The state directory against the SNAPv1 oracle ----
 
 /// Strings and merit the SCOLv2 columns must carry exactly: titles and

@@ -242,6 +242,87 @@ fn the_author_prior_moves_neither_twpr_nor_sv() {
     }
 }
 
+/// Digests of what the citation graph's out side feeds: HITS authorities
+/// and hubs, Monte-Carlo PageRank, the explainer's citer shares for every
+/// 7th article, and the citation walk's dangling sets at the default ρ and
+/// at ρ = 1e4 (where every citation older than a year weighs 0).
+fn out_side_digests(corpus: &Corpus) -> [u64; 6] {
+    use scholar::core::Explainer;
+    use scholar::rank::{hits::hits_on_graph, MonteCarloPageRank, RankContext, Ranker};
+    let ctx = RankContext::new(corpus);
+    let hits = hits_on_graph(&ctx.citation_graph().graph, &Default::default());
+    let mc = MonteCarloPageRank::default().rank(corpus);
+    let cfg = QRankConfig::default();
+    let plan = QRankEngine::build(corpus, &cfg);
+    let result = plan.solve(&MixParams::from_config(&cfg));
+    let explainer = Explainer::from_engine(corpus, &plan, &result);
+    let mut shares = Vec::new();
+    for i in (0..corpus.num_articles()).step_by(7) {
+        for (citer, share) in explainer.explain(ArticleId(i as u32), 5, &cfg).top_citers {
+            shares.extend([f64::from(citer.0), share]);
+        }
+    }
+    let dangling = |g: &sgraph::CsrGraph| -> Vec<f64> {
+        sgraph::RowStochastic::new(g).dangling().iter().map(|&u| f64::from(u)).collect()
+    };
+    [
+        digest(&hits.authorities),
+        digest(&hits.hubs),
+        digest(&mc),
+        digest(&shares),
+        digest(&dangling(&ctx.decayed_citation(cfg.twpr.rho).graph)),
+        digest(&dangling(&ctx.decayed_citation(1e4).graph)),
+    ]
+}
+
+/// HITS's hub step, Monte-Carlo PageRank's sampler, the explainer's
+/// out-sums and the walk's dangling set read the citation graph's out side
+/// from its in-rows; each is pinned here by digest to the bits it had
+/// when the graph also stored its out-rows.
+#[test]
+fn the_out_side_readers_keep_their_bits() {
+    let pinned = [
+        (
+            "tiny",
+            Preset::Tiny.generate(1),
+            [
+                0x7ee3_8bdf_0bb4_fff6,
+                0xd224_d4d5_fb2a_0d43,
+                0xc0a5_41c0_7f89_9229,
+                0xe4d3_7494_8256_573e,
+                0x2104_d09a_6261_a7e3,
+                0x8306_722c_8c44_2218,
+            ],
+        ),
+        (
+            "aan",
+            Preset::AanLike.generate(19),
+            [
+                0x3805_953c_d30a_8d18,
+                0xd864_76e9_23f8_4789,
+                0xefb3_78eb_7b7e_21b9,
+                0x62cb_7261_3152_888d,
+                0xfb35_4f59_cb7b_8568,
+                0x1e38_3119_185d_6a66,
+            ],
+        ),
+    ];
+    let labels = [
+        "hits authorities",
+        "hits hubs",
+        "mc pagerank",
+        "citer shares",
+        "dangling",
+        "dangling, rho 1e4",
+    ];
+    for (name, corpus, want) in pinned {
+        let got = out_side_digests(&corpus);
+        for ((label, got), want) in labels.iter().zip(got).zip(want) {
+            assert_eq!(got, want, "{name}: {label}");
+        }
+    }
+}
+
 #[test]
 fn a_grown_ranker_scores_bit_identically_to_one_that_rebuilt() {
     for (name, corpus) in growth_corpora() {

@@ -55,6 +55,20 @@ pub fn author_prior<V: Rows + ?Sized>(rows: &V, cfg: &QRankConfig) -> Vec<f64> {
     su
 }
 
+/// `g`'s edges as `(source, target, weight)` in `(source, target)` order:
+/// the in-rows, target-ascending, stably sorted by source — the graph's
+/// out-rows, transposed here rather than read from the graph.
+pub fn edges_by_source(g: &CsrGraph) -> Vec<(u32, u32, f64)> {
+    let mut edges = Vec::with_capacity(g.num_edges());
+    for v in g.nodes() {
+        for (&u, &w) in g.in_neighbors(v).iter().zip(g.in_edge_weights(v)) {
+            edges.push((u.0, v.0, w));
+        }
+    }
+    edges.sort_by_key(|e| e.0);
+    edges
+}
+
 // ---- The copying walk operator, as it was (sgraph::stochastic) ----
 
 /// Precomputed pull-form transition structure for a graph.
@@ -76,10 +90,10 @@ impl RowStochastic {
     /// Build the operator from a weighted graph. O(V + E).
     pub fn new(g: &CsrGraph) -> Self {
         let n = g.len();
-        // Out-weight sums per node.
+        // Out-weight sums per node, each added in ascending target.
         let mut out_sum = vec![0.0f64; n];
-        for u in g.nodes() {
-            out_sum[u.index()] = g.out_weight_sum(u);
+        for (u, _, w) in edges_by_source(g) {
+            out_sum[u as usize] += w;
         }
         let dangling: Vec<u32> = (0..n as u32).filter(|&u| out_sum[u as usize] <= 0.0).collect();
 

@@ -275,24 +275,37 @@ fn read_spill(path: &Path) -> io::Result<Vec<(u32, u32, f64)>> {
 /// feeds the builder.
 pub fn build_scsr(g: &CsrGraph, path: &Path, shard_size: usize, tag: u64) -> io::Result<()> {
     let mut b = SortingScsrBuilder::new(path, g.num_nodes() as usize, shard_size)?;
-    let mut targets: Vec<u32> = Vec::new();
-    for u in g.nodes() {
-        targets.clear();
-        targets.extend(g.out_neighbors(u).iter().map(|t| t.0));
-        b.add_source(&targets, g.out_edge_weights(u))?;
+    let edges = super::edges_by_source(g);
+    let mut rest = &edges[..];
+    for u in 0..g.num_nodes() {
+        let (row, tail) = rest.split_at(rest.partition_point(|e| e.0 == u));
+        let targets: Vec<u32> = row.iter().map(|e| e.1).collect();
+        let weights: Vec<f64> = row.iter().map(|e| e.2).collect();
+        b.add_source(&targets, &weights)?;
+        rest = tail;
     }
     b.finish(tag)
 }
 
+/// The out-weight sums the SCSRv4 file at `path` stores, one per node, read
+/// at the section offset its header names.
+pub fn stored_out_sums(path: &Path) -> io::Result<Vec<f64>> {
+    let bytes = std::fs::read(path)?;
+    let field = |i: usize| {
+        let at = MAGIC.len() + 8 * i;
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+    };
+    let (n, sums_off) = (field(0), field(4));
+    let sums = bytes[sums_off..sums_off + 8 * n].chunks_exact(8);
+    Ok(sums.map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect())
+}
+
 // ---- The sort-based GraphBuilder::try_build, as it was (sgraph::builder) ----
 
-/// The graph `try_build` produced, as plain arrays.
+/// The in-CSR `try_build` produced, as plain arrays.
 #[derive(Debug)]
 pub struct SortedCsr {
     pub num_nodes: u32,
-    pub out_offsets: Vec<usize>,
-    pub out_targets: Vec<u32>,
-    pub out_weights: Vec<f64>,
     pub in_offsets: Vec<usize>,
     pub in_sources: Vec<u32>,
     pub in_weights: Vec<f64>,
@@ -323,20 +336,6 @@ impl SortingGraphBuilder {
         }
 
         let m = deduped.len();
-        let mut out_offsets = vec![0usize; n + 1];
-        for &(s, _, _) in &deduped {
-            out_offsets[s as usize + 1] += 1;
-        }
-        for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
-        }
-        let mut out_targets = Vec::with_capacity(m);
-        let mut out_weights = Vec::with_capacity(m);
-        for &(_, d, w) in &deduped {
-            out_targets.push(d);
-            out_weights.push(w);
-        }
-
         // Derive in-CSR with a counting pass + placement pass.
         let mut in_offsets = vec![0usize; n + 1];
         for &(_, d, _) in &deduped {
@@ -358,15 +357,7 @@ impl SortingGraphBuilder {
             cursor[d as usize] += 1;
         }
 
-        Ok(SortedCsr {
-            num_nodes: self.num_nodes,
-            out_offsets,
-            out_targets,
-            out_weights,
-            in_offsets,
-            in_sources,
-            in_weights,
-        })
+        Ok(SortedCsr { num_nodes: self.num_nodes, in_offsets, in_sources, in_weights })
     }
 
     /// Validate node bounds and weights, drop self-loops when they are
@@ -392,20 +383,14 @@ impl SortingGraphBuilder {
     }
 }
 
-/// `got` holds exactly `want`'s nodes, rows, ids and weight bits.
+/// `got` holds exactly `want`'s nodes, in-rows, ids and weight bits.
 pub fn assert_same_graph(got: &CsrGraph, want: &SortedCsr) {
     assert_eq!(got.num_nodes(), want.num_nodes, "node count");
-    assert_eq!(got.num_edges(), want.out_targets.len(), "edge count");
+    assert_eq!(got.num_edges(), want.in_sources.len(), "edge count");
     let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let ids = |v: &[NodeId]| v.iter().map(|x| x.0).collect::<Vec<_>>();
     for u in got.nodes() {
-        let (i, out, inn) = (u.index(), &want.out_offsets, &want.in_offsets);
-        assert_eq!(ids(got.out_neighbors(u)), want.out_targets[out[i]..out[i + 1]], "out of {i}");
-        assert_eq!(
-            bits(got.out_edge_weights(u)),
-            bits(&want.out_weights[out[i]..out[i + 1]]),
-            "out weights of {i}"
-        );
+        let (i, inn) = (u.index(), &want.in_offsets);
         assert_eq!(ids(got.in_neighbors(u)), want.in_sources[inn[i]..inn[i + 1]], "in of {i}");
         assert_eq!(
             bits(got.in_edge_weights(u)),

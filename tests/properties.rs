@@ -366,7 +366,7 @@ fn scsr_shard_files_match_the_sorting_writer() {
 /// Distinct positive weights of `g`, by bit pattern: what a shard file's
 /// weight table holds at most.
 fn distinct_weights(g: &sgraph::CsrGraph) -> usize {
-    let positive = g.nodes().flat_map(|u| g.out_edge_weights(u)).filter(|&&w| w > 0.0);
+    let positive = g.nodes().flat_map(|v| g.in_edge_weights(v)).filter(|&&w| w > 0.0);
     positive.map(|w| w.to_bits()).collect::<std::collections::HashSet<_>>().len()
 }
 
