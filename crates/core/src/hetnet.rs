@@ -49,16 +49,18 @@ impl HetNet {
     /// only an appended article can cite, so everything the old articles
     /// contributed to the two graphs stands; the newcomers' edges are
     /// staged by the same functions a full build calls and built
-    /// [onto](sgraph::GraphBuilder::build_onto) each graph. The two
-    /// bipartites are cheap and simply rebuilt.
+    /// [onto](sgraph::GraphBuilder::build_onto) each graph. An old
+    /// article's byline and venue stand too, so the two bipartites grow
+    /// the same way: the newcomers' edges, whose right nodes are all new,
+    /// built [onto](sgraph::BipartiteBuilder::build_onto) each.
     pub fn extend<V: Rows + ?Sized>(&mut self, grown: &V, config: &QRankConfig, old_n: usize) {
         assert_eq!(self.num_articles(), old_n, "the network to grow covers the old articles");
         let decay = TimeWeightedPageRank::decay(config.twpr.rho);
         let new = old_n..grown.num_articles();
         rows::citation_edges(grown, new.clone(), decay).build_onto(&mut self.citation);
-        rows::venue_edges(grown, new, decay).build_onto(&mut self.venue_graph);
-        self.authorship = rows::authorship_bipartite(grown);
-        self.publication = rows::publication_bipartite(grown);
+        rows::venue_edges(grown, new.clone(), decay).build_onto(&mut self.venue_graph);
+        rows::authorship_edges(grown, new.clone()).build_onto(&mut self.authorship);
+        rows::publication_edges(grown, new).build_onto(&mut self.publication);
     }
 
     /// Number of articles.

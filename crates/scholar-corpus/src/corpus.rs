@@ -8,8 +8,9 @@ use std::collections::HashMap;
 
 /// An immutable scholarly corpus: articles, authors, venues, and the
 /// citation structure. Build one with [`CorpusBuilder`], the synthetic
-/// [`crate::generator`], or a [`crate::loader`].
-#[derive(Debug, Clone, PartialEq)]
+/// [`crate::generator`], or a [`crate::loader`]. The default is the empty
+/// corpus.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Corpus {
     pub(crate) articles: Vec<Article>,
     pub(crate) authors: Vec<Author>,

@@ -21,7 +21,7 @@
 //! loops kept in step.
 //!
 //! The edge functions take the citing articles as a range and return the
-//! staged, unbuilt [`GraphBuilder`]: staging `0..n` and
+//! staged, unbuilt [`GraphBuilder`] (or [`BipartiteBuilder`]): staging `0..n` and
 //! [building](GraphBuilder::build) gives the whole graph; staging only
 //! the articles appended since a graph was built and building them
 //! [onto](GraphBuilder::build_onto) it gives the same graph, bit for bit.
@@ -172,30 +172,43 @@ pub fn venue_edges<V: Rows + ?Sized>(
     b
 }
 
-/// Authorship bipartite: left = authors, right = articles, harmonic
-/// byline-position weights (first author heaviest).
-pub fn authorship_bipartite<V: Rows + ?Sized>(rows: &V) -> Bipartite {
-    let n = rows.num_articles();
-    let mut b = BipartiteBuilder::new(rows.num_authors() as u32, n as u32);
+/// The authorship edges of the articles in `articles`: left = authors,
+/// right = articles, harmonic byline-position weights (first author
+/// heaviest). Staging `0..n` and [building](BipartiteBuilder::build) gives
+/// the whole bipartite; staging the articles appended since it was built
+/// and building them [onto](BipartiteBuilder::build_onto) it gives the
+/// same one, bit for bit.
+pub fn authorship_edges<V: Rows + ?Sized>(rows: &V, articles: Range<usize>) -> BipartiteBuilder {
+    let mut b = BipartiteBuilder::new(rows.num_authors() as u32, rows.num_articles() as u32);
     let mut scratch = Vec::new();
-    for i in 0..n {
+    for i in articles {
         let byline = rows.byline(i, &mut scratch);
         let w = author_position_weights(byline.len());
         for (&author, &weight) in byline.iter().zip(&w) {
             b.add_edge(author, i as u32, weight);
         }
     }
-    b.build()
+    b
 }
 
-/// Publication bipartite: left = venues, right = articles, unit weights.
-pub fn publication_bipartite<V: Rows + ?Sized>(rows: &V) -> Bipartite {
-    let n = rows.num_articles();
-    let mut b = BipartiteBuilder::new(rows.num_venues() as u32, n as u32);
-    for i in 0..n {
+/// Authorship bipartite of the whole corpus ([`authorship_edges`]).
+pub fn authorship_bipartite<V: Rows + ?Sized>(rows: &V) -> Bipartite {
+    authorship_edges(rows, 0..rows.num_articles()).build()
+}
+
+/// The publication edges of the articles in `articles`: left = venues,
+/// right = articles, unit weights; staged like [`authorship_edges`].
+pub fn publication_edges<V: Rows + ?Sized>(rows: &V, articles: Range<usize>) -> BipartiteBuilder {
+    let mut b = BipartiteBuilder::new(rows.num_venues() as u32, rows.num_articles() as u32);
+    for i in articles {
         b.add_edge(rows.venue(i), i as u32, 1.0);
     }
-    b.build()
+    b
+}
+
+/// Publication bipartite of the whole corpus ([`publication_edges`]).
+pub fn publication_bipartite<V: Rows + ?Sized>(rows: &V) -> Bipartite {
+    publication_edges(rows, 0..rows.num_articles()).build()
 }
 
 #[cfg(all(test, not(miri)))]

@@ -9,9 +9,18 @@
 //! [`scholar_rank::scores::top_k`] (score descending, dense id ascending
 //! on ties), so a filtered answer is a prefix scan of the smallest
 //! applicable posting list instead of an O(n log n) re-sort per request.
+//!
+//! A publish appends articles and re-scores all of them, so each
+//! generation is [grown](ScoreIndex::grow) from the one before: what does
+//! not depend on the scores — the attribute columns, the name maps, the
+//! title/year/venue tail of every pre-rendered hit — is carried forward
+//! and appended to, and the sort starts from the outgoing order. A grown
+//! index equals the one [`ScoreIndex::build`] makes from scratch, array
+//! for array; `build` is a grow from the empty index.
 
-use scholar_corpus::model::Year;
+use scholar_corpus::model::{Article, Year};
 use scholar_corpus::{ArticleId, Corpus};
+use sgraph::scatter::{scatter, Cursors, RowCounts};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
@@ -21,7 +30,7 @@ use std::sync::Arc;
 /// [`top_k`]: scholar_rank::scores::top_k
 #[inline]
 fn ranking_cmp(scores: &[f64], a: u32, b: u32) -> std::cmp::Ordering {
-    // lint: allow(HOTPATH-PANIC) comparator ids are drawn from 0..scores.len() ranges built in build()
+    // lint: allow(HOTPATH-PANIC) comparator ids are drawn from 0..scores.len() ranges built in grow()
     let (sa, sb) = (scores[a as usize], scores[b as usize]);
     sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
 }
@@ -70,6 +79,143 @@ pub struct ArticleDetail {
     pub neighbors: Vec<Hit>,
 }
 
+/// Lists of article or author ids, flat: list `r` is
+/// `ids[offsets[r]..offsets[r + 1]]`. A facet's posting lists are sorted
+/// by `ranking_cmp`.
+#[derive(Debug, Default, PartialEq)]
+struct Postings {
+    offsets: Vec<usize>,
+    ids: Vec<u32>,
+}
+
+impl Postings {
+    /// List `r`; empty for a row the facet does not have.
+    #[inline]
+    fn list(&self, r: usize) -> &[u32] {
+        match (self.offsets.get(r), self.offsets.get(r + 1)) {
+            (Some(&lo), Some(&hi)) => self.ids.get(lo..hi).unwrap_or_default(),
+            _ => &[],
+        }
+    }
+
+    /// Each article of `order` on the list of the one row `row_of` names:
+    /// one stable counting scatter, so every list keeps `order`'s order.
+    fn scatter(rows: usize, order: &[u32], row_of: impl Fn(u32) -> usize) -> Postings {
+        let mut ids = vec![0u32; order.len()];
+        let offsets = scatter(
+            rows,
+            order,
+            |&a| row_of(a),
+            |slot, &a| {
+                // lint: allow(HOTPATH-PANIC) the scatter hands out each slot of 0..order.len() once
+                ids[slot] = a;
+            },
+        );
+        Postings { offsets, ids }
+    }
+
+    /// Each article of `order` on the list of every author of its byline,
+    /// by the same two counting passes.
+    fn scatter_bylines(rows: usize, order: &[u32], columns: &Columns) -> Postings {
+        let mut counts = RowCounts::new(rows);
+        for &a in order {
+            columns.bylines.list(a as usize).iter().for_each(|&u| counts.add(u as usize));
+        }
+        let mut cursors = Cursors::new(counts.offsets());
+        let mut ids = vec![0u32; columns.bylines.ids.len()];
+        for &a in order {
+            for &u in columns.bylines.list(a as usize) {
+                // lint: allow(HOTPATH-PANIC) the cursors hand out each slot of 0..(byline entries) once
+                ids[cursors.place(u as usize)] = a;
+            }
+        }
+        Postings { offsets: cursors.finish(), ids }
+    }
+}
+
+/// What the filters read of each article, as compact columns indexed by
+/// dense id. They do not depend on the scores, so each generation copies
+/// its predecessor's and appends the newcomers.
+#[derive(Debug, PartialEq)]
+struct Columns {
+    venue: Vec<u32>,
+    year: Vec<Year>,
+    /// Row `a` is article `a`'s byline, in byline order.
+    bylines: Postings,
+}
+
+impl Columns {
+    fn empty() -> Columns {
+        let bylines = Postings { offsets: vec![0], ids: Vec::new() };
+        Columns { venue: Vec::new(), year: Vec::new(), bylines }
+    }
+
+    /// These columns with `new` appended.
+    fn grown(&self, new: &[Article]) -> Columns {
+        fn appended<T: Copy>(old: &[T], extra: usize, more: impl Iterator<Item = T>) -> Vec<T> {
+            let mut v = Vec::with_capacity(old.len() + extra);
+            v.extend_from_slice(old);
+            v.extend(more);
+            v
+        }
+        let mut end = self.bylines.ids.len();
+        let ends = new.iter().map(|art| {
+            end += art.authors.len();
+            end
+        });
+        let offsets = appended(&self.bylines.offsets, new.len(), ends);
+        let added = new.iter().flat_map(|art| art.authors.iter().map(|u| u.0));
+        let ids = appended(&self.bylines.ids, end - self.bylines.ids.len(), added);
+        Columns {
+            venue: appended(&self.venue, new.len(), new.iter().map(|art| art.venue.0)),
+            year: appended(&self.year, new.len(), new.iter().map(|art| art.year)),
+            bylines: Postings { offsets, ids },
+        }
+    }
+}
+
+/// `prev` with the names of `added` — `(name, id)` in ascending id —
+/// inserted, so a name two entities share resolves to the later id; `prev`
+/// itself, shared, when nothing is added.
+fn grown_names<'a>(
+    prev: &Arc<HashMap<String, u32>>,
+    added: impl ExactSizeIterator<Item = (&'a str, u32)>,
+) -> Arc<HashMap<String, u32>> {
+    if added.len() == 0 {
+        return Arc::clone(prev);
+    }
+    let mut names = HashMap::clone(prev);
+    names.reserve(added.len());
+    for (name, id) in added {
+        names.insert(name.to_owned(), id);
+    }
+    Arc::new(names)
+}
+
+/// Append article `a`'s `{"rank":…,"id":…,"score":…` — the part of its hit
+/// object a new ranking changes.
+fn write_head(out: &mut Vec<u8>, a: u32, pos: u32, score: f64) {
+    out.extend_from_slice(b"{\"rank\":");
+    sjson::write_number(out, f64::from(pos) + 1.0);
+    out.extend_from_slice(b",\"id\":");
+    sjson::write_number(out, f64::from(a));
+    out.extend_from_slice(b",\"score\":");
+    sjson::write_number(out, score);
+}
+
+/// Append `,"title":…,"year":…,"venue":…}` — the part of a hit object that
+/// is fixed once the article is in the corpus.
+fn write_tail(out: &mut Vec<u8>, art: &Article, corpus: &Corpus) {
+    out.extend_from_slice(b",\"title\":");
+    sjson::write_str(out, &art.title);
+    out.extend_from_slice(b",\"year\":");
+    sjson::write_number(out, f64::from(art.year));
+    out.extend_from_slice(b",\"venue\":");
+    let venue = corpus.venues().get(art.venue.index()).map_or("", |v| v.name.as_str());
+    sjson::write_str(out, venue);
+    out.push(b'}');
+}
+
 /// An immutable, query-ready index over one `(corpus, scores)` pair.
 ///
 /// Build cost is O(n log n) once; after that unfiltered top-k is O(k),
@@ -77,7 +223,10 @@ pub struct ArticleDetail {
 /// list, and year-ranged top-k is a k-way merge over the per-year lists
 /// (O((k + years) · log years)). The index owns an `Arc` of the corpus so
 /// responses can render titles and names without a side lookup.
-#[derive(Debug)]
+///
+/// Two indexes are equal when every array they hold is: a
+/// [grown](Self::grow) index equals the [built](Self::build) one.
+#[derive(Debug, PartialEq)]
 pub struct ScoreIndex {
     corpus: Arc<Corpus>,
     scores: Vec<f64>,
@@ -85,18 +234,23 @@ pub struct ScoreIndex {
     order: Vec<u32>,
     /// Inverse of `order`: `rank_of[article] = position in order`.
     rank_of: Vec<u32>,
-    /// Per-venue posting lists, each sorted by `ranking_cmp`.
-    by_venue: Vec<Vec<u32>>,
-    /// Per-author posting lists, each sorted by `ranking_cmp`.
-    by_author: Vec<Vec<u32>>,
-    /// Per-year posting lists sorted by year, each list sorted by
-    /// `ranking_cmp`. Years are usually a few decades, so a sorted vec
-    /// beats a map.
-    by_year: Vec<(Year, Vec<u32>)>,
-    /// Venue name -> dense id, for resolving query filters.
-    venue_ids: HashMap<String, u32>,
-    /// Author name -> dense id.
-    author_ids: HashMap<String, u32>,
+    /// Venue, year and byline of every article.
+    columns: Columns,
+    /// Per-venue posting lists, row = venue id.
+    by_venue: Postings,
+    /// Per-author posting lists, row = author id.
+    by_author: Postings,
+    /// The distinct publication years, ascending: year `years[r]` owns
+    /// row `r` of `by_year`. Years are usually a few decades, so a sorted
+    /// vec beats a map.
+    years: Vec<Year>,
+    /// Per-year posting lists.
+    by_year: Postings,
+    /// Venue name -> dense id, for resolving query filters; shared with
+    /// the generations before while no venue is added.
+    venue_ids: Arc<HashMap<String, u32>>,
+    /// Author name -> dense id, shared the same way.
+    author_ids: Arc<HashMap<String, u32>>,
     /// Pre-rendered JSON hit objects, concatenated in article-id order.
     /// Every field of a hit (rank, id, score, title, year, venue) is
     /// fixed once the index is built, so the event loop's response path
@@ -106,6 +260,9 @@ pub struct ScoreIndex {
     /// `frag_bounds[a]..frag_bounds[a + 1]` bounds article `a`'s
     /// fragment in `frag_bytes` (`n + 1` entries).
     frag_bounds: Vec<usize>,
+    /// The length of article `a`'s fragment head (`write_head`); the
+    /// tail after it is what the next generation copies.
+    head_len: Vec<u8>,
     /// Monotonic publish generation, stamped by the swap layer.
     generation: u64,
 }
@@ -113,63 +270,112 @@ pub struct ScoreIndex {
 impl ScoreIndex {
     /// Build the index from a corpus and its published score vector
     /// (one score per article, as produced by any
-    /// [`scholar_rank::Ranker`] or the QRank engine).
+    /// [`scholar_rank::Ranker`] or the QRank engine): a
+    /// [grow](Self::grow) from the empty index.
     pub fn build(corpus: Arc<Corpus>, scores: Vec<f64>) -> Self {
-        let n = corpus.num_articles();
-        assert_eq!(scores.len(), n, "one score per article");
+        Self::grow(&Self::empty(), corpus, scores)
+    }
 
-        let mut order: Vec<u32> = (0..n as u32).collect();
+    /// The index over no article.
+    fn empty() -> Self {
+        ScoreIndex {
+            corpus: Arc::new(Corpus::default()),
+            scores: Vec::new(),
+            order: Vec::new(),
+            rank_of: Vec::new(),
+            columns: Columns::empty(),
+            by_venue: Postings::default(),
+            by_author: Postings::default(),
+            years: Vec::new(),
+            by_year: Postings::default(),
+            venue_ids: Arc::default(),
+            author_ids: Arc::default(),
+            frag_bytes: Vec::new(),
+            frag_bounds: vec![0],
+            head_len: Vec::new(),
+            generation: 0,
+        }
+    }
+
+    /// The index of `corpus` under `scores`, grown from `prev`: equal, array
+    /// for array, to [`Self::build`] of the same pair whenever no score is
+    /// NaN. `corpus` must extend `prev`'s — its articles, venues and authors
+    /// a prefix of the new tables, as [`Corpus::grown`] keeps them — and
+    /// `scores` may move every article. What depends only on the corpus is
+    /// carried: the columns and the tails of the hit fragments are copied
+    /// and appended to, the name maps shared while their tables have not
+    /// grown. What depends on the scores is redone: the sort (seeded with
+    /// `prev`'s order, which a publish barely perturbs), the posting lists
+    /// (one counting scatter each over the new order) and every fragment's
+    /// rank/id/score head.
+    ///
+    /// # Panics
+    /// If `scores` does not hold one score per article, or `corpus` has
+    /// fewer articles, venues or authors than `prev`'s.
+    pub fn grow(prev: &ScoreIndex, corpus: Arc<Corpus>, scores: Vec<f64>) -> Self {
+        let (old_n, n) = (prev.num_articles(), corpus.num_articles());
+        assert_eq!(scores.len(), n, "one score per article");
+        let (old_venues, old_authors) = (prev.corpus.num_venues(), prev.corpus.num_authors());
+        assert!(
+            n >= old_n && corpus.num_venues() >= old_venues && corpus.num_authors() >= old_authors,
+            "an index grows onto a corpus that extends its own"
+        );
+        let articles = corpus.articles();
+        let new = articles.get(old_n..).unwrap_or_default();
+
+        let mut order = Vec::with_capacity(n);
+        order.extend_from_slice(&prev.order);
+        order.extend(old_n as u32..n as u32);
         order.sort_by(|&a, &b| ranking_cmp(&scores, a, b));
         let mut rank_of = vec![0u32; n];
-        for (pos, &a) in order.iter().enumerate() {
-            rank_of[a as usize] = pos as u32; // lint: allow(HOTPATH-PANIC) order holds exactly 0..n
+        for (pos, &a) in (0u32..).zip(&order) {
+            rank_of[a as usize] = pos; // lint: allow(HOTPATH-PANIC) order holds exactly 0..n
         }
 
-        // Posting lists inherit the global order by construction: walk
-        // `order` once and append to each entity's list, so every list is
+        // Posting lists inherit the global order by construction: each is
+        // a stable scatter of `order` by the facet's row, so every list is
         // already sorted by the ranking comparator — no per-list sort.
-        let mut by_venue: Vec<Vec<u32>> = vec![Vec::new(); corpus.num_venues()];
-        let mut by_author: Vec<Vec<u32>> = vec![Vec::new(); corpus.num_authors()];
-        let mut year_slots: HashMap<Year, Vec<u32>> = HashMap::new();
-        for &a in &order {
-            let art = &corpus.articles()[a as usize]; // lint: allow(HOTPATH-PANIC) order holds exactly 0..n
-                                                      // lint: allow(HOTPATH-PANIC) corpus ids are dense: venue.index() < num_venues by the Corpus contract
-            by_venue[art.venue.index()].push(a);
-            for &u in &art.authors {
-                by_author[u.index()].push(a); // lint: allow(HOTPATH-PANIC) author ids are dense, < num_authors
-            }
-            year_slots.entry(art.year).or_default().push(a);
-        }
-        let mut by_year: Vec<(Year, Vec<u32>)> = year_slots.into_iter().collect();
-        by_year.sort_by_key(|(y, _)| *y);
+        let columns = prev.columns.grown(new);
+        let by_venue = Postings::scatter(corpus.num_venues(), &order, |a| {
+            // lint: allow(HOTPATH-PANIC) `order` holds ids < n, and the columns hold n entries
+            columns.venue[a as usize] as usize
+        });
+        let by_author = Postings::scatter_bylines(corpus.num_authors(), &order, &columns);
+        let mut years = prev.years.clone();
+        years.extend(new.iter().map(|art| art.year));
+        years.sort_unstable();
+        years.dedup();
+        let by_year = Postings::scatter(years.len(), &order, |a| {
+            // lint: allow(HOTPATH-PANIC) `order` holds ids < n, and the columns hold n entries
+            years.binary_search(&columns.year[a as usize]).unwrap_or_else(|at| at)
+        });
 
+        let venues = corpus.venues().get(old_venues..).unwrap_or_default();
         let venue_ids =
-            corpus.venues().iter().map(|v| (v.name.clone(), v.id.0)).collect::<HashMap<_, _>>();
+            grown_names(&prev.venue_ids, venues.iter().map(|v| (v.name.as_str(), v.id.0)));
+        let authors = corpus.authors().get(old_authors..).unwrap_or_default();
         let author_ids =
-            corpus.authors().iter().map(|u| (u.name.clone(), u.id.0)).collect::<HashMap<_, _>>();
+            grown_names(&prev.author_ids, authors.iter().map(|u| (u.name.as_str(), u.id.0)));
 
-        // Pre-render every hit object once, straight into the arena with
-        // sjson's byte writers — the ones `Value` rendering goes through,
-        // so a fragment is byte-identical to the router's `hit_json`.
-        let mut frag_bytes = Vec::new();
+        // Every hit object's head is rendered anew, straight into the arena
+        // with sjson's byte writers — the ones `Value` rendering goes
+        // through, so a fragment is byte-identical to the router's
+        // `hit_json`; its tail is the previous generation's bytes, or
+        // rendered the same way for a newcomer.
+        let slack = prev.frag_bytes.len() / 32 + new.len() * 256;
+        let mut frag_bytes = Vec::with_capacity(prev.frag_bytes.len() + slack);
         let mut frag_bounds = Vec::with_capacity(n + 1);
+        let mut head_len = Vec::with_capacity(n);
         frag_bounds.push(0);
-        for (((a, art), &pos), &score) in (0u32..).zip(corpus.articles()).zip(&rank_of).zip(&scores)
-        {
-            let out = &mut frag_bytes;
-            out.extend_from_slice(b"{\"rank\":");
-            sjson::write_number(out, f64::from(pos) + 1.0);
-            out.extend_from_slice(b",\"id\":");
-            sjson::write_number(out, f64::from(a));
-            out.extend_from_slice(b",\"score\":");
-            sjson::write_number(out, score);
-            out.extend_from_slice(b",\"title\":");
-            sjson::write_str(out, &art.title);
-            out.extend_from_slice(b",\"year\":");
-            sjson::write_number(out, f64::from(art.year));
-            out.extend_from_slice(b",\"venue\":");
-            sjson::write_str(out, &corpus.venue(art.venue).name);
-            out.push(b'}');
+        for (((a, art), &pos), &score) in (0u32..).zip(articles).zip(&rank_of).zip(&scores) {
+            let start = frag_bytes.len();
+            write_head(&mut frag_bytes, a, pos, score);
+            // Three numbers of at most 24 bytes each and 23 bytes of keys.
+            head_len.push((frag_bytes.len() - start) as u8);
+            match prev.fragment_tail(a) {
+                Some(tail) => frag_bytes.extend_from_slice(tail),
+                None => write_tail(&mut frag_bytes, art, &corpus),
+            }
             frag_bounds.push(frag_bytes.len());
         }
 
@@ -178,15 +384,26 @@ impl ScoreIndex {
             scores,
             order,
             rank_of,
+            columns,
             by_venue,
             by_author,
+            years,
             by_year,
             venue_ids,
             author_ids,
             frag_bytes,
             frag_bounds,
+            head_len,
             generation: 0,
         }
+    }
+
+    /// The fixed tail of article `a`'s fragment (`write_tail`), `None` for
+    /// an article this index does not hold.
+    fn fragment_tail(&self, a: u32) -> Option<&[u8]> {
+        let i = a as usize;
+        let start = self.frag_bounds.get(i)? + usize::from(*self.head_len.get(i)?);
+        self.frag_bytes.get(start..*self.frag_bounds.get(i + 1)?)
     }
 
     /// The corpus this index serves.
@@ -233,15 +450,6 @@ impl ScoreIndex {
         self.author_ids.get(name).copied()
     }
 
-    /// The article behind a dense id. Callers pass ids drawn from the
-    /// index's own `order` / posting lists, which `build` populated from
-    /// `0..num_articles` — the bound holds by construction.
-    #[inline]
-    fn art(&self, a: u32) -> &scholar_corpus::model::Article {
-        // lint: allow(HOTPATH-PANIC) posting lists only hold dense in-corpus ids < n (see doc comment)
-        &self.corpus.articles()[a as usize]
-    }
-
     fn hit(&self, a: u32) -> Hit {
         Hit {
             // lint: allow(HOTPATH-PANIC) rank_of has length n and posting-list ids are < n by construction
@@ -254,7 +462,7 @@ impl ScoreIndex {
 
     #[inline]
     fn year_ok(&self, a: u32, q: &TopQuery) -> bool {
-        let y = self.art(a).year;
+        let Some(&y) = self.columns.year.get(a as usize) else { return false };
         q.year_min.is_none_or(|lo| y >= lo) && q.year_max.is_none_or(|hi| y <= hi)
     }
 
@@ -284,22 +492,20 @@ impl ScoreIndex {
             // remaining predicates on the fly. Lists are score-ordered,
             // so the first k survivors are the answer.
             (Some(v), Some(u)) => {
-                let vl = self.by_venue.get(v as usize).map(Vec::as_slice).unwrap_or(&[]);
-                let ul = self.by_author.get(u as usize).map(Vec::as_slice).unwrap_or(&[]);
+                let (vl, ul) = (self.by_venue.list(v as usize), self.by_author.list(u as usize));
                 if vl.len() <= ul.len() {
-                    self.scan_into(vl, q, |a| self.on_byline(a, u), out)
+                    self.scan_into(
+                        vl,
+                        q,
+                        |a| self.columns.bylines.list(a as usize).contains(&u),
+                        out,
+                    )
                 } else {
-                    self.scan_into(ul, q, |a| self.art(a).venue.0 == v, out)
+                    self.scan_into(ul, q, |a| self.columns.venue.get(a as usize) == Some(&v), out)
                 }
             }
-            (Some(v), None) => {
-                let vl = self.by_venue.get(v as usize).map(Vec::as_slice).unwrap_or(&[]);
-                self.scan_into(vl, q, |_| true, out)
-            }
-            (None, Some(u)) => {
-                let ul = self.by_author.get(u as usize).map(Vec::as_slice).unwrap_or(&[]);
-                self.scan_into(ul, q, |_| true, out)
-            }
+            (Some(v), None) => self.scan_into(self.by_venue.list(v as usize), q, |_| true, out),
+            (None, Some(u)) => self.scan_into(self.by_author.list(u as usize), q, |_| true, out),
             // Year range only: k-way merge of the per-year lists in
             // range; each is score-ordered, so a heap of list heads
             // yields the global filtered order.
@@ -321,11 +527,6 @@ impl ScoreIndex {
             (Some(&start), Some(&end)) => self.frag_bytes.get(start..end).unwrap_or_default(),
             _ => &[],
         }
-    }
-
-    /// Is author `u` on article `a`'s byline?
-    fn on_byline(&self, a: u32, u: u32) -> bool {
-        self.art(a).authors.iter().any(|x| x.0 == u)
     }
 
     fn scan_into(
@@ -351,32 +552,26 @@ impl ScoreIndex {
         // `Reverse(rank)` orders by published rank, which already encodes
         // (score desc, id asc).
         use std::cmp::Reverse;
-        let lo = self.by_year.partition_point(|(y, _)| q.year_min.is_some_and(|m| *y < m));
-        let hi = self.by_year.partition_point(|(y, _)| q.year_max.is_none_or(|m| *y <= m));
+        let lo = self.years.partition_point(|y| q.year_min.is_some_and(|m| *y < m));
+        let hi = self.years.partition_point(|y| q.year_max.is_none_or(|m| *y <= m));
         // An inverted range (`year_min > year_max`) yields lo > hi, which
-        // would panic as a slice bound — it just matches nothing.
-        if lo >= hi {
-            return;
-        }
-        // lint: allow(HOTPATH-PANIC) lo < hi <= by_year.len(): both are partition_point results and the inverted case returned above
-        let mut heap: BinaryHeap<Reverse<(u32, usize, usize)>> = self.by_year[lo..hi]
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, list))| !list.is_empty())
-            // lint: allow(HOTPATH-PANIC) list[0] exists (empty lists filtered out above); rank_of is length n and lists hold dense ids
-            .map(|(li, (_, list))| Reverse((self.rank_of[list[0] as usize], li + lo, 0)))
+        // matches nothing.
+        let mut heap: BinaryHeap<Reverse<(u32, usize, usize)>> = (lo..hi)
+            .filter_map(|li| {
+                let &head = self.by_year.list(li).first()?;
+                Some(Reverse((*self.rank_of.get(head as usize)?, li, 0)))
+            })
             .collect();
         while let Some(Reverse((_, li, pos))) = heap.pop() {
-            // lint: allow(HOTPATH-PANIC) heap entries carry li < by_year.len() and pos < list.len() — see the pushes below
-            let list = &self.by_year[li].1;
-            // lint: allow(HOTPATH-PANIC) pos was bounds-checked before the entry was pushed
-            out.push(list[pos]);
+            let list = self.by_year.list(li);
+            let Some(&a) = list.get(pos) else { continue };
+            out.push(a);
             if out.len() == q.k {
                 break;
             }
-            if pos + 1 < list.len() {
-                // lint: allow(HOTPATH-PANIC) the line above checks pos + 1 < list.len(); rank_of is length n
-                heap.push(Reverse((self.rank_of[list[pos + 1] as usize], li, pos + 1)));
+            if let Some(&next) = list.get(pos + 1) {
+                // lint: allow(HOTPATH-PANIC) rank_of is length n and lists hold dense ids < n
+                heap.push(Reverse((self.rank_of[next as usize], li, pos + 1)));
             }
         }
     }

@@ -6,8 +6,8 @@
 //! request against that immutable snapshot — a swap mid-request can never
 //! tear a response. [`Reindexer`] is the producer side: a background
 //! thread that folds corpus batches through
-//! [`qrank::IncrementalRanker`] and publishes a freshly built index
-//! after each batch.
+//! [`qrank::IncrementalRanker`] and, after each batch, publishes an index
+//! [grown](ScoreIndex::grow) from the one it published last.
 
 use crate::index::ScoreIndex;
 use crate::snapshot::{self, StateError};
@@ -54,7 +54,19 @@ impl SharedIndex {
     /// Atomically replace the published index, stamping the next
     /// generation. In-flight requests keep their old snapshot; new
     /// requests see the new index.
-    pub fn publish(&self, mut index: ScoreIndex) -> u64 {
+    pub fn publish(&self, index: ScoreIndex) -> u64 {
+        let (published, retired) = self.swap(index);
+        // If no reader holds it any more, this frees the retired index —
+        // after the write lock is released, so no `load` waits on it.
+        drop(retired);
+        published.generation()
+    }
+
+    /// Install `index` as the next generation and hand back both the
+    /// installed index and the one it replaced. The write lock covers the
+    /// stamp and one pointer swap only: whatever frees the retired
+    /// generation runs after it is released.
+    fn swap(&self, mut index: ScoreIndex) -> (Arc<ScoreIndex>, Arc<ScoreIndex>) {
         // Chaos site: stretch the window between taking the write lock
         // and installing the index, to let racing publishers pile up.
         failpoint!("swap.publish");
@@ -67,8 +79,13 @@ impl SharedIndex {
         let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
         let g = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
         index.set_generation(g);
-        *current = Arc::new(index);
-        g
+        let published = Arc::new(index);
+        let retired = std::mem::replace(&mut *current, Arc::clone(&published));
+        drop(current);
+        // Chaos site: a slow teardown of the retired generation, which
+        // must not hold up a concurrent `load`.
+        failpoint!("swap.retire");
+        (published, retired)
     }
 
     /// Generation of the most recently published index.
@@ -296,7 +313,11 @@ impl Reindexer {
         durable: Option<Arc<Durable>>,
         on_publish: impl Fn(u64) + Send + 'static,
     ) -> (Arc<SharedIndex>, Reindexer) {
-        let shared = Arc::new(SharedIndex::new(Self::index_of(&ranker)));
+        let first =
+            ScoreIndex::build(ranker.shared_corpus(), ranker.result().article_scores.clone());
+        let shared = Arc::new(SharedIndex::new(first));
+        // The index the thread published last: generation 1, for now.
+        let last = shared.load();
         let (tx, rx) = mpsc::channel::<Job>();
         let published = Arc::new(AtomicU64::new(0));
         let handle = {
@@ -305,19 +326,18 @@ impl Reindexer {
             let durable = durable.clone();
             std::thread::Builder::new()
                 .name("scholar-reindex".into())
-                .spawn(move || Self::run(ranker, rx, shared, published, on_publish, durable))
+                .spawn(move || Self::run(ranker, last, rx, shared, published, on_publish, durable))
                 // lint: allow(HOTPATH-PANIC) producer-side startup, before any request is accepted; no counter exists yet to record into
                 .expect("spawn reindexer thread")
         };
         (Arc::clone(&shared), Reindexer { tx, handle, batches_published: published, durable })
     }
 
-    fn index_of(ranker: &IncrementalRanker) -> ScoreIndex {
-        ScoreIndex::build(ranker.shared_corpus(), ranker.result().article_scores.clone())
-    }
-
+    /// The thread's loop. `last` is the index it published last: the next
+    /// one grows from it, and this thread is the one that lets it go.
     fn run(
         mut ranker: IncrementalRanker,
+        mut last: Arc<ScoreIndex>,
         rx: Receiver<Job>,
         shared: Arc<SharedIndex>,
         published: Arc<AtomicU64>,
@@ -356,7 +376,17 @@ impl Reindexer {
             // Chaos site: delay between solve and publish, widening the
             // window where readers still see the previous generation.
             failpoint!("reindex.publish");
-            let g = shared.publish(Self::index_of(&ranker));
+            let next = ScoreIndex::grow(
+                &last,
+                ranker.shared_corpus(),
+                ranker.result().article_scores.clone(),
+            );
+            let (installed, retired) = shared.swap(next);
+            let g = installed.generation();
+            // Retire the outgoing generation here, off the write lock: when
+            // no reader still holds it, this is where it is freed.
+            drop(retired);
+            drop(std::mem::replace(&mut last, installed));
             published.fetch_add(coalesced, Ordering::SeqCst);
             on_publish(g);
             if let Some(d) = &durable {

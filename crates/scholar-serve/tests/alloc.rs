@@ -61,34 +61,53 @@ fn warm_response_rendering_never_allocates() {
     let scores: Vec<f64> = (0..n).map(|i| 1.0 / (i + 1) as f64).collect();
     let shared = Arc::new(SharedIndex::new(ScoreIndex::build(Arc::clone(&corpus), scores.clone())));
     let first = shared.load();
-    shared.publish(ScoreIndex::build(corpus, scores));
+    shared.publish(ScoreIndex::build(Arc::clone(&corpus), scores));
     let second = shared.load();
     assert_ne!(first.generation(), second.generation());
     let mut ctx = Ctx::new(shared, Arc::new(Metrics::new()), None);
-    let target = "/top?k=25";
-    let req = parse_target(target);
+    // Unfiltered, and venue- and author-filtered: the filtered answers
+    // scan one flat posting list each.
+    let venue = &corpus.venues()[0].name;
+    let author = &corpus.author(corpus.articles()[0].authors[0]).name;
+    let targets = [
+        "/top?k=25".to_string(),
+        format!("/top?k=25&venue={venue}"),
+        format!("/top?k=10&author={author}"),
+    ];
     let mut out: Vec<u8> = Vec::with_capacity(64 * 1024);
-    let mut render = |index: &ScoreIndex, out: &mut Vec<u8>| {
-        out.clear();
-        assert_eq!(ctx.write_answer(&req, target.as_bytes(), index, true, out), 200);
-    };
+    for target in &targets {
+        let req = parse_target(target);
+        let mut render = |index: &ScoreIndex, out: &mut Vec<u8>| {
+            out.clear();
+            assert_eq!(
+                ctx.write_answer(&req, target.as_bytes(), index, true, out),
+                200,
+                "{target}"
+            );
+        };
 
-    // Warm passes: every buffer reaches its high-water capacity and the
-    // cache holds this target, last stamped with the first generation.
-    render(&first, &mut out);
-    render(&second, &mut out);
-    render(&first, &mut out);
-    let rendered = out.clone();
+        // Warm passes: every buffer reaches its high-water capacity and
+        // the cache holds this target, last stamped with the first
+        // generation.
+        render(&first, &mut out);
+        render(&second, &mut out);
+        render(&first, &mut out);
+        let rendered = out.clone();
+        assert!(rendered.windows(7).any(|w| w == b"\"rank\":"), "{target}: no hit rendered");
 
-    // A cache hit: route, probe, head, memcpy.
-    let hit = allocations(|| render(&first, &mut out));
-    assert_eq!(hit, 0, "a warm cache hit allocated {hit} time(s)");
-    assert_eq!(out, rendered);
-    // A generation miss: the stamp is stale, so the body is re-rendered
-    // from fragments and the entry re-stamped in place.
-    let miss = allocations(|| render(&second, &mut out));
-    assert_eq!(miss, 0, "a warm generation-miss re-render allocated {miss} time(s)");
-    assert_ne!(out, rendered);
+        // A cache hit: route, probe, head, memcpy.
+        let hit = allocations(|| render(&first, &mut out));
+        assert_eq!(hit, 0, "a warm cache hit on {target} allocated {hit} time(s)");
+        assert_eq!(out, rendered);
+        // A generation miss: the stamp is stale, so the body is
+        // re-rendered from fragments and the entry re-stamped in place.
+        let miss = allocations(|| render(&second, &mut out));
+        assert_eq!(
+            miss, 0,
+            "a warm generation-miss re-render of {target} allocated {miss} time(s)"
+        );
+        assert_ne!(out, rendered);
+    }
 
     // Error rendering and escaping, as the 4xx/5xx arms use them.
     let mut scratch: Vec<u8> = Vec::with_capacity(4 * 1024);

@@ -56,6 +56,7 @@ pub const SITES: &[&str] = &[
     "serve.respond",
     "snapshot.io",
     "swap.publish",
+    "swap.retire",
     "wal.append",
     "wal.replay",
 ];

@@ -6,6 +6,7 @@
 //! both sequential scans. FutureRank's author↔paper propagation and
 //! QRank's mutual-reinforcement steps are built on these.
 
+use crate::builder::{absorb, locate};
 use crate::scatter::{by_row_then_col, scatter};
 
 /// Builder for a [`Bipartite`] graph.
@@ -80,6 +81,61 @@ impl BipartiteBuilder {
             rl_targets,
             rl_weights,
         }
+    }
+
+    /// Build the staged edges *onto* an existing bipartite, in place:
+    /// `base` becomes what [`Self::build`] would have produced had `base`'s
+    /// own staged edges come first in one builder,
+    ///
+    /// ```text
+    /// build(base ++ delta) == build(base).then(build_onto(delta))
+    /// ```
+    ///
+    /// bit for bit in every offset, id and weight, both node counts growing
+    /// to the larger of the two — the law of
+    /// [`GraphBuilder::build_onto`](crate::GraphBuilder::build_onto), and
+    /// its rule: a pair staged more than once sums its contributions one at
+    /// a time, in staging order.
+    ///
+    /// Only a delta whose right nodes are all new is taken: the shape of an
+    /// append, where the right nodes are articles and a batch stages edges
+    /// of its own articles only. No stored pair is then ever hit, each left
+    /// row gains its new entries at its end, and the new right rows go
+    /// after the old ones — one backward pass per orientation moves each
+    /// stored entry at most once.
+    ///
+    /// # Panics
+    /// If a staged edge reaches a right node `base` already has.
+    pub fn build_onto(self, base: &mut Bipartite) {
+        let BipartiteBuilder { num_left, num_right, edges } = self;
+        if let Some(&(l, r, _)) = edges.iter().find(|e| e.1 < base.num_right) {
+            panic!(
+                "build_onto: edge ({l}, {r}) reaches right node {r} of the base's {}",
+                base.num_right
+            );
+        }
+        let (nl, nr) = (num_left.max(base.num_left), num_right.max(base.num_right));
+        let by_left = by_row_then_col(nl as usize, &edges);
+        drop(edges);
+        let landings = locate(&base.lr_offsets, &base.lr_targets, &by_left);
+        let (offsets, ids, weights) =
+            (&mut base.lr_offsets, &mut base.lr_targets, &mut base.lr_weights);
+        absorb(offsets, ids, weights, nl as usize, &by_left, &landings);
+        // Scattering the (l, r)-ordered edges by r leaves each new right
+        // row left-ascending, a pair's contributions still in staging order.
+        let mut by_right = vec![(0, 0, 0.0); by_left.len()];
+        scatter(
+            nr as usize,
+            &by_left,
+            |e| e.1 as usize,
+            |slot, &(l, r, w)| by_right[slot] = (r, l, w),
+        );
+        let landings = locate(&base.rl_offsets, &base.rl_targets, &by_right);
+        let (offsets, ids, weights) =
+            (&mut base.rl_offsets, &mut base.rl_targets, &mut base.rl_weights);
+        absorb(offsets, ids, weights, nr as usize, &by_right, &landings);
+        base.num_left = nl;
+        base.num_right = nr;
     }
 }
 

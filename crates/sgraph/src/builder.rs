@@ -192,7 +192,7 @@ impl GraphBuilder {
 }
 
 /// Where one distinct `(row, col)` pair of a sorted delta lands in a CSR.
-struct Landing {
+pub(crate) struct Landing {
     /// Index, in the adjacency arrays as they are, of the first entry not
     /// before the pair.
     at: usize,
@@ -206,7 +206,7 @@ struct Landing {
 /// Find where each distinct pair of `delta` — `(row, col, weight)`, stably
 /// sorted by `(row, col)` — lands in the CSR `offsets`/`ids`.
 /// Rows past the last existing one land at the end. Ascending in `at`.
-fn locate(offsets: &[usize], ids: &[u32], delta: &[(u32, u32, f64)]) -> Vec<Landing> {
+pub(crate) fn locate(offsets: &[usize], ids: &[u32], delta: &[(u32, u32, f64)]) -> Vec<Landing> {
     let rows = offsets.len() - 1;
     let mut landings = Vec::new();
     let mut first = 0;
@@ -232,7 +232,7 @@ fn locate(offsets: &[usize], ids: &[u32], delta: &[(u32, u32, f64)]) -> Vec<Land
 /// rows. Walks the landings from the back so every old entry moves at
 /// most once, straight to its final slot; entries in front of the first
 /// inserted pair never move.
-fn absorb(
+pub(crate) fn absorb(
     offsets: &mut Vec<usize>,
     ids: &mut Vec<u32>,
     weights: &mut Vec<f64>,

@@ -57,7 +57,7 @@ pub mod error;
 pub mod mmap;
 pub mod mmap_csr;
 pub mod par;
-mod scatter;
+pub mod scatter;
 pub mod sfile;
 pub mod stats;
 pub mod stochastic;

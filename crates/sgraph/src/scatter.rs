@@ -7,28 +7,29 @@
 //! ordered inside every row, and no comparison sort over the whole edge
 //! set is needed. [`GraphBuilder`](crate::GraphBuilder) and
 //! [`BipartiteBuilder`](crate::BipartiteBuilder) run it over edges held in
-//! RAM ([`scatter`], [`by_row_then_col`]);
+//! RAM ([`scatter`], and `(row, col)` ordering on top of it);
 //! [`MmapCsrBuilder`](crate::MmapCsrBuilder) runs [`RowCounts`] and
-//! [`Cursors`] as two streaming passes over each shard's spill file.
+//! [`Cursors`] as two streaming passes over each shard's spill file, and
+//! the serving index fills its posting lists with them.
 
 /// Pass 1: the number of items in each row.
-pub(crate) struct RowCounts(Vec<usize>);
+pub struct RowCounts(Vec<usize>);
 
 impl RowCounts {
     /// `rows` empty rows.
-    pub(crate) fn new(rows: usize) -> RowCounts {
+    pub fn new(rows: usize) -> RowCounts {
         RowCounts(vec![0; rows + 1])
     }
 
     /// Count one more item in `row`.
     #[inline]
-    pub(crate) fn add(&mut self, row: usize) {
+    pub fn add(&mut self, row: usize) {
         self.0[row + 1] += 1;
     }
 
     /// The row offsets: `rows + 1` prefix sums, row `r` owning the slots
     /// `offsets[r]..offsets[r + 1]`.
-    pub(crate) fn offsets(self) -> Vec<usize> {
+    pub fn offsets(self) -> Vec<usize> {
         let mut offsets = self.0;
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
@@ -38,11 +39,11 @@ impl RowCounts {
 }
 
 /// Pass 2: each row's next free slot.
-pub(crate) struct Cursors(Vec<usize>);
+pub struct Cursors(Vec<usize>);
 
 impl Cursors {
     /// Cursors at the start of every row of `offsets`, reusing its memory.
-    pub(crate) fn new(mut offsets: Vec<usize>) -> Cursors {
+    pub fn new(mut offsets: Vec<usize>) -> Cursors {
         offsets.pop();
         Cursors(offsets)
     }
@@ -50,16 +51,24 @@ impl Cursors {
     /// The slot of `row`'s next item. Items placed in arrival order keep
     /// that order within their row.
     #[inline]
-    pub(crate) fn place(&mut self, row: usize) -> usize {
+    pub fn place(&mut self, row: usize) -> usize {
         let slot = self.0[row];
         self.0[row] += 1;
         slot
+    }
+
+    /// The row offsets again, once every item has been placed: each
+    /// cursor then sits at its row's end, the next row's start.
+    pub fn finish(self) -> Vec<usize> {
+        let mut offsets = self.0;
+        offsets.insert(0, 0);
+        offsets
     }
 }
 
 /// Stably scatter `items` into `rows` rows by `row_of`, handing each item
 /// and its slot to `put` in arrival order. Returns the row offsets.
-pub(crate) fn scatter<T>(
+pub fn scatter<T>(
     rows: usize,
     items: &[T],
     row_of: impl Fn(&T) -> usize,
@@ -73,10 +82,7 @@ pub(crate) fn scatter<T>(
     for item in items {
         put(cursors.place(row_of(item)), item);
     }
-    // Every cursor now sits at its row's end, the next row's start.
-    let mut offsets = cursors.0;
-    offsets.insert(0, 0);
-    offsets
+    cursors.finish()
 }
 
 /// `edges` — `(row, col, weight)` with every `row < rows` — in stable

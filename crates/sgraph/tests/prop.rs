@@ -6,7 +6,9 @@
 //! the panic message via the `for_cases` helper).
 
 use sgraph::stochastic::{l1_distance, normalize_l1, PowerIterationOpts};
-use sgraph::{CsrGraph, GraphBuilder, JumpVector, NodeId, RowStochastic};
+use sgraph::{
+    Bipartite, BipartiteBuilder, CsrGraph, GraphBuilder, JumpVector, NodeId, RowStochastic,
+};
 use srand::{rngs::SmallRng, Rng, SeedableRng};
 
 const CASES: u64 = 48;
@@ -305,4 +307,111 @@ fn build_onto_sums_in_staging_order_not_by_subtotal() {
     let whole = GraphBuilder::from_weighted_edges(2, &[(0, 1, a), (0, 1, b), (0, 1, c)]);
     assert_bit_identical(&whole, &g, "one pair hit twice");
     assert_eq!(g.edge_weight(NodeId(0), NodeId(1)).unwrap().to_bits(), ((a + b) + c).to_bits());
+}
+
+/// An append-shaped bipartite base and delta:
+/// `(left, right, base, grown_left, grown_right, delta)`. The delta's right
+/// nodes are all new — a batch's own articles — and its left nodes old or
+/// new; pairs repeat inside the base and inside the delta (re-staged
+/// verbatim), and the weights mix the ordinary with zeros, denormals and
+/// 1e300. One delta in six is empty.
+fn random_bipartite_base_and_delta(seed: u64) -> (u32, u32, Staged, u32, u32, Staged) {
+    let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x9e3779b97f4a7c15) ^ 0xb1a7);
+    let weight = |rng: &mut SmallRng| match rng.gen_range(0u32..10) {
+        0 => 0.0,
+        1 => f64::from_bits(rng.gen_range(1u64..1 << 20)), // denormal
+        2 => 1e300,
+        _ => rng.gen_range(0.01f64..10.0),
+    };
+    let stage = |rng: &mut SmallRng, left: u32, right: std::ops::Range<u32>, m: usize| {
+        let mut edges = Staged::new();
+        for _ in 0..m {
+            let edge = match rng.gen_range(0u32..6) {
+                0 if !edges.is_empty() => edges[rng.gen_range(0..edges.len())],
+                _ => (rng.gen_range(0..left), rng.gen_range(right.clone()), weight(rng)),
+            };
+            edges.push(edge);
+        }
+        edges
+    };
+    let (left, right) = (rng.gen_range(1u32..16), rng.gen_range(1u32..30));
+    let base_len = rng.gen_range(0usize..120);
+    let base = stage(&mut rng, left, 0..right, base_len);
+    let grown_left = left + [0, 0, 1, 4][rng.gen_range(0usize..4)];
+    let grown_right = right + rng.gen_range(1u32..10);
+    let delta_len = if rng.gen_range(0u32..6) == 0 { 0 } else { rng.gen_range(1usize..40) };
+    let delta = stage(&mut rng, grown_left, right..grown_right, delta_len);
+    (left, right, base, grown_left, grown_right, delta)
+}
+
+fn staged_bipartite(left: u32, right: u32, edges: &[(u32, u32, f64)]) -> BipartiteBuilder {
+    let mut b = BipartiteBuilder::new(left, right);
+    for &(l, r, w) in edges {
+        b.add_edge(l, r, w);
+    }
+    b
+}
+
+/// Equal structure, and every weight of both orientations equal by bits.
+fn assert_bipartites_bit_identical(whole: &Bipartite, patched: &Bipartite, what: &str) {
+    assert_eq!(whole, patched, "{what}");
+    let bits = |ws: &[f64]| ws.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+    for l in 0..whole.num_left() {
+        assert_eq!(
+            bits(whole.right_weights_of(l)),
+            bits(patched.right_weights_of(l)),
+            "{what}: weights of left node {l}"
+        );
+    }
+    for r in 0..whole.num_right() {
+        assert_eq!(
+            bits(whole.left_weights_of(r)),
+            bits(patched.left_weights_of(r)),
+            "{what}: weights of right node {r}"
+        );
+    }
+}
+
+#[test]
+fn bipartite_build_onto_equals_building_the_concatenation() {
+    // build(base ++ delta) == build(base).then(build_onto(delta)) for every
+    // delta whose right nodes are all new, in every offset, id and weight
+    // bit of both orientations.
+    let (mut duplicated, mut new_left, mut empty) = (0, 0, 0);
+    for seed in 0..4 * CASES {
+        let (left, right, base, grown_left, grown_right, delta) =
+            random_bipartite_base_and_delta(seed);
+        let what = format!("seed {seed}");
+        let mut patched = staged_bipartite(left, right, &base).build();
+        staged_bipartite(grown_left, grown_right, &delta).build_onto(&mut patched);
+        let whole = staged_bipartite(grown_left, grown_right, &[base, delta.clone()].concat());
+        assert_bipartites_bit_identical(&whole.build(), &patched, &what);
+        let pairs: std::collections::HashSet<(u32, u32)> =
+            delta.iter().map(|&(l, r, _)| (l, r)).collect();
+        duplicated += usize::from(pairs.len() < delta.len());
+        new_left += usize::from(delta.iter().any(|&(l, _, _)| l >= left));
+        empty += usize::from(delta.is_empty());
+    }
+    assert!(duplicated > 0 && new_left > 0 && empty > 0, "{duplicated} {new_left} {empty}");
+}
+
+#[test]
+fn bipartite_build_onto_sums_in_staging_order() {
+    // One new pair hit three times: (a + b) + c, not a + (b + c).
+    let (a, b, c) = (0.1f64, 0.2f64, 0.3f64);
+    assert_ne!(((a + b) + c).to_bits(), (a + (b + c)).to_bits());
+    let mut patched = staged_bipartite(1, 1, &[(0, 0, 1.0)]).build();
+    staged_bipartite(2, 2, &[(1, 1, a), (0, 1, 1.0), (1, 1, b), (1, 1, c)])
+        .build_onto(&mut patched);
+    let whole =
+        staged_bipartite(2, 2, &[(0, 0, 1.0), (1, 1, a), (0, 1, 1.0), (1, 1, b), (1, 1, c)]);
+    assert_bipartites_bit_identical(&whole.build(), &patched, "one pair hit three times");
+    assert_eq!(patched.right_weights_of(1)[0].to_bits(), ((a + b) + c).to_bits());
+}
+
+#[test]
+#[should_panic(expected = "reaches right node 2")]
+fn bipartite_build_onto_refuses_a_delta_that_reaches_an_old_right_node() {
+    let mut base = staged_bipartite(2, 3, &[(0, 0, 1.0), (1, 2, 1.0)]).build();
+    staged_bipartite(2, 4, &[(0, 3, 1.0), (1, 2, 0.5)]).build_onto(&mut base);
 }

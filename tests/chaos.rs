@@ -724,6 +724,40 @@ fn reindex_publish_delay_never_tears_a_reader() {
     assert!(shared.load().num_articles() > n0);
 }
 
+#[test]
+fn a_slow_retire_never_blocks_a_reader() {
+    // The swap releases its write lock before the outgoing generation is
+    // let go: a teardown stretched to 500 ms by `swap.retire` must leave
+    // a concurrent `load` answering at once, with the new generation.
+    let _s = Scenario::begin();
+    fp::set("swap.retire", Action::DelayMs(500));
+    let corpus = Arc::new(small_corpus(3));
+    let scores = vec![1.0 / corpus.num_articles() as f64; corpus.num_articles()];
+    let shared = Arc::new(SharedIndex::new(ScoreIndex::build(Arc::clone(&corpus), scores.clone())));
+    let publisher = {
+        let (shared, next) = (Arc::clone(&shared), ScoreIndex::build(corpus, scores));
+        std::thread::spawn(move || {
+            let started = std::time::Instant::now();
+            shared.publish(next);
+            started.elapsed()
+        })
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while shared.generation() < 2 {
+        assert!(std::time::Instant::now() < deadline, "the publish never stamped generation 2");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // The publisher is now in (or at) the retire delay.
+    let asked = std::time::Instant::now();
+    let snap = shared.load();
+    let waited = asked.elapsed();
+    assert_eq!(snap.generation(), 2);
+    assert!(waited < Duration::from_millis(100), "load waited {waited:?} on a retiring generation");
+    let took = publisher.join().expect("publisher panicked");
+    assert!(took >= Duration::from_millis(500), "the retire delay never ran ({took:?})");
+    assert_fired(&["swap.retire"]);
+}
+
 // ------------------------------------- pillar 1b: colstore write chaos
 
 /// A small fixed corpus for the colstore kill-during-write sweep (few
